@@ -32,10 +32,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import ScheduleDivergence, StepBudgetExceeded
 from repro.sim.engine import Environment
+from repro.sim.events import URGENT, Event
 from repro.sim.rng import Rng
 
 
@@ -135,6 +136,12 @@ class RandomPolicy(ChoicePolicy):
 class ControlledEnvironment(Environment):
     """Environment whose tie-breaking among ready deliveries is a policy.
 
+    It steers the calendar queue one tick at a time: when the hot slot is
+    empty, :meth:`_open_tick` drains the next tick's heap entries — internal
+    events into the slot, annotated deliveries into ``_ready`` — and
+    :meth:`step` asks the policy only once the slot has run dry, so a choice
+    always sees every delivery of the tick.
+
     ``max_steps`` bounds one run (a schedule that livelocks the protocol
     raises :class:`~repro.errors.StepBudgetExceeded` instead of hanging the
     search); ``prune`` enables the commuting-deliveries heuristic described
@@ -143,10 +150,6 @@ class ControlledEnvironment(Environment):
 
     #: the controlled scheduler is the one consumer of delivery annotations
     annotate_deliveries = True
-
-    #: ``_select`` re-sorts the ready set through ``self._queue`` directly,
-    #: so this subclass keeps the flat-heap kernel (see engine docstring)
-    _FORCE_HEAP = True
 
     def __init__(
         self,
@@ -160,46 +163,65 @@ class ControlledEnvironment(Environment):
         self.prune = prune
         #: events processed so far (the per-run budget's denominator)
         self.steps = 0
+        #: the open tick's undelivered deliveries in (priority, sequence)
+        #: order: the policy's candidates
+        self._ready: list[Event] = []
+
+    def peek(self) -> float:
+        return self._now if self._ready else super().peek()
+
+    @property
+    def queued(self) -> int:
+        return len(self._ready) + super().queued
+
+    def queued_events(self) -> Iterator[Event]:
+        yield from self._ready
+        yield from super().queued_events()
 
     def step(self) -> None:
-        if not self._queue:
-            self._raise_deadlock("no scheduled events")
+        urgent, normal, ready = self._slot_urgent, self._slot_normal, self._ready
+        if not (urgent or normal or ready):
+            self._open_tick()
         if self.max_steps is not None and self.steps >= self.max_steps:
             raise StepBudgetExceeded(
                 f"run exceeded {self.max_steps} steps at t={self._now}"
             )
         self.steps += 1
-        entry = self._select()
-        self._now = entry[0]
-        self._dispatch(entry[3])
-
-    # -- ready-set selection ---------------------------------------------------
-
-    def _select(self):
-        """Pop the next entry, branching when several deliveries are ready."""
-        time = self._queue[0][0]
-        ready = []
-        while self._queue and self._queue[0][0] == time:
-            ready.append(heapq.heappop(self._queue))
-        if len(ready) == 1:
-            return ready[0]
         # Internal events first: they are scheduled consequences of earlier
         # choices, and URGENT process resumptions must run before any
-        # delivery at the same instant (kernel invariant).
-        internal = [e for e in ready if e[3].annotation is None]
-        if internal:
-            chosen = internal[0]  # heap pop order: (priority, sequence)
-        else:
-            chosen = self._choose_delivery(ready)
-        for entry in ready:
-            if entry is not chosen:
-                heapq.heappush(self._queue, entry)
-        return chosen
+        # delivery at the same instant (kernel invariant).  A zero-delay
+        # delivery is only recognisable here — the network annotates the
+        # timeout after scheduling it — and joins the tick's candidates.
+        while urgent or normal:
+            event = (urgent or normal).popleft()
+            if event.annotation is None:
+                self._dispatch(event)
+                return
+            ready.append(event)
+        self._dispatch(self._choose_delivery())
 
-    def _choose_delivery(self, ready: list) -> object:
-        """Ask the policy which of several ready deliveries goes first."""
-        labels = [entry[3].annotation[2] for entry in ready]
-        recipients = [entry[3].annotation[1] for entry in ready]
+    def _open_tick(self) -> None:
+        """Advance the clock to the next tick and sort its heap entries."""
+        queue = self._queue
+        if not queue:
+            self._raise_deadlock("no scheduled events")
+        self._now = now = queue[0][0]
+        while queue and queue[0][0] == now:
+            _, priority, _, event = heapq.heappop(queue)
+            if event.annotation is not None:
+                self._ready.append(event)
+            elif priority <= URGENT:
+                self._slot_urgent.append(event)
+            else:
+                self._slot_normal.append(event)
+
+    def _choose_delivery(self) -> Event:
+        """Remove and return the ready delivery the policy sends first."""
+        ready = self._ready
+        if len(ready) == 1:
+            return ready.pop()
+        labels = [event.annotation[2] for event in ready]
+        recipients = [event.annotation[1] for event in ready]
         if self.prune:
             counts = Counter(recipients)
             branch = [
@@ -212,6 +234,5 @@ class ControlledEnvironment(Environment):
             # Pruned to a single candidate: not a real choice point, so it
             # is not recorded (recorded trivial points would bloat every
             # vector and the DFS frontier with no-ops).
-            return ready[0]
-        chosen = self.policy.choose("deliver", labels, branch)
-        return ready[chosen]
+            return ready.pop(0)
+        return ready.pop(self.policy.choose("deliver", labels, branch))

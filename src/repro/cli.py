@@ -18,15 +18,12 @@ Commands:
   and crash points of an adversarial scenario and judge every explored
   schedule with the paper-invariant oracles (``--smoke`` is the CI
   preset; ``--jobs N`` shards the search with an identical report);
-* ``bench`` — the pinned performance workloads: checker schedules/s,
-  simulator txns/s, and SG-build times, written as ``BENCH_*.json`` and
-  gated against the committed baselines in ``benchmarks/baselines/``;
 * ``compare`` — every registered commit scheme (O2PC, 2PC/2PL, Paxos
   Commit, Short-Commit) over identical seeded workloads plus the
   coordinator-crash drill: blocking time, lock-hold tail, abort and
   compensation rates, messages per transaction (``BENCH_compare.json``,
-  gated like ``bench``; ``--vote-timeout`` sweeps the collection
-  timeout);
+  gated against the committed baseline in ``benchmarks/baselines/``;
+  ``--vote-timeout`` sweeps the collection timeout);
 * ``lint`` — the static compensation-soundness and determinism analyzers:
   repertoire inverse closure, Theorem 2 write coverage, commutativity /
   stratification preconditions, the determinism lint over the sources, and
@@ -37,7 +34,10 @@ Commands:
 * ``client`` — drive a transaction against a live cluster, or query /
   shut down one daemon over its admin channel.
 
-Shared options (``--seed``, ``--protocol``, ``--backend``) are defined
+Performance is measured by ``bench/run.py`` (see ``bench/README.md``),
+not by a verb here.
+
+Shared options (``--seed``, ``--protocol``, ``--scheme``) are defined
 once as parent parsers and accepted uniformly by the verbs that take
 them.  Everything simulated is deterministic for a given ``--seed``.
 """
@@ -55,7 +55,7 @@ from repro.harness import (
     SystemConfig,
     format_table,
 )
-from repro.harness.system import BACKENDS, PROTOCOLS
+from repro.harness.system import PROTOCOLS
 from repro.net.failures import CrashPlan
 from repro.sg import explain_cycle, find_regular_cycle, render_explanation
 from repro.txn import GlobalTxnSpec, ReadOp, SemanticOp, SubtxnSpec, VotePolicy
@@ -69,20 +69,6 @@ def _positive_float(text: str) -> float:
             f"must be a positive number, got {text!r}"
         )
     return value
-
-
-def _require_backend(args: argparse.Namespace, supported: str) -> int | None:
-    """Exit code 2 when the selected backend is not ``supported`` here."""
-    backend = getattr(args, "backend", supported)
-    if backend != supported:
-        print(
-            f"repro {args.command}: backend {backend!r} is not supported "
-            f"by this command (only {supported!r}); the net backend is "
-            f"driven by 'repro serve' and 'repro client'",
-            file=sys.stderr,
-        )
-        return 2
-    return None
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -323,9 +309,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     and primitive fields; the JSON encoding uses sorted keys and fixed
     separators).
     """
-    failed = _require_backend(args, "sim")
-    if failed is not None:
-        return failed
     system, gen = _observed_run(args)
     gen.run()
     text = system.obs.jsonl()
@@ -357,13 +340,6 @@ def _metrics_net(args: argparse.Namespace) -> int:
     from repro.rt.config import load_cluster
     from repro.rt.obs_sink import aggregate_cluster
 
-    if not args.cluster:
-        print(
-            "repro metrics: --backend net needs --cluster (the daemons' "
-            "cluster file; start them with 'repro serve --obs')",
-            file=sys.stderr,
-        )
-        return 2
     cluster = load_cluster(args.cluster)
     report, per_site = aggregate_cluster(cluster)
     print("== cluster event streams ==")
@@ -377,15 +353,12 @@ def _metrics_net(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     """Run a workload with streaming metrics; report at the end or --watch.
 
-    With ``--backend net --cluster c.json`` no workload is run: the
-    command instead folds the JSONL event streams of a live (or stopped)
-    ``--obs`` cluster into the same report.
+    With ``--cluster c.json`` no workload is run: the command instead
+    folds the JSONL event streams of a live (or stopped) ``--obs`` cluster
+    (``repro serve --obs``) into the same report.
     """
-    if getattr(args, "backend", "sim") == "net":
+    if args.cluster:
         return _metrics_net(args)
-    failed = _require_backend(args, "sim")
-    if failed is not None:
-        return failed
     system, gen = _observed_run(args)
     env = system.env
     if args.watch:
@@ -422,9 +395,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     a counterexample was found.  Counterexamples print their replay vector:
     ``repro check --replay`` re-executes one byte-for-byte.
     """
-    failed = _require_backend(args, "sim")
-    if failed is not None:
-        return failed
     from repro.check import (
         CheckConfig,
         ModelChecker,
@@ -503,91 +473,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned performance workloads; write BENCH_*.json artifacts.
-
-    With ``--baseline DIR`` the gated throughput metrics are compared to
-    the committed baseline and the command exits 1 on a regression beyond
-    ``--tolerance``.  ``--update-baseline`` rewrites the baseline files
-    from this run instead (do this deliberately, on the reference host).
-    """
-    failed = _require_backend(args, "sim")
-    if failed is not None:
-        return failed
-    import os
-
-    from repro.harness.bench import (
-        compare_to_baseline, run_net, run_scale, run_suite, to_json,
-    )
-
-    if args.net:
-        payloads = run_net(smoke=args.smoke, seed=args.seed)
-    elif args.scale:
-        payloads = run_scale(smoke=args.smoke, seed=args.seed)
-    else:
-        payloads = run_suite(smoke=args.smoke, seed=args.seed, jobs=args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    for name, payload in payloads.items():
-        path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_json(payload))
-        print(f"wrote {path}")
-        for bench_name, metrics in sorted(payload["results"].items()):
-            shown = "  ".join(
-                f"{metric}={value:.1f}"
-                for metric, value in sorted(metrics.items())
-                if metric.endswith("_per_s") or not metric.endswith("_s")
-            )
-            print(f"  {bench_name}: {shown}")
-
-    if args.update_baseline:
-        os.makedirs(args.baseline, exist_ok=True)
-        for name, payload in payloads.items():
-            path = os.path.join(args.baseline, name)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(to_json(payload))
-            print(f"baseline updated: {path}")
-        return 0
-
-    regressions: list[str] = []
-    import json as _json
-
-    for name, payload in payloads.items():
-        path = os.path.join(args.baseline, name)
-        if not os.path.exists(path):
-            print(f"no baseline {path}; skipping gate for {name}")
-            continue
-        with open(path, encoding="utf-8") as handle:
-            baseline = _json.load(handle)
-        regressions.extend(
-            compare_to_baseline(payload, baseline, args.tolerance)
-        )
-    if regressions:
-        print("PERF REGRESSION:")
-        for line in regressions:
-            print(f"  {line}")
-        return 1
-    print(f"within {args.tolerance:.0%} of baseline")
-    return 0
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     """Head-to-head commit-scheme comparison; writes BENCH_compare.json.
 
     Every registered scheme runs the same seeded contention workload and
     the same coordinator-crash drill (see :mod:`repro.harness.compare`).
     ``--vote-timeout`` (repeatable) sweeps the coordinator's vote-collection
-    timeout across every scheme.  Gated against the committed baseline
-    exactly like ``repro bench``.
+    timeout across every scheme.  The gated metrics are compared to the
+    ``--baseline`` directory's copy: exit 1 on a regression beyond
+    ``--tolerance`` or on anything the baseline has that this run lacks
+    (so a sweep needs its own baseline directory), exit 2 when there is no
+    baseline to compare against.  ``--update-baseline`` rewrites the
+    baseline from this run instead (deliberately, on the reference host).
     """
-    failed = _require_backend(args, "sim")
-    if failed is not None:
-        return failed
     import json as _json
     import os
 
-    from repro.harness.bench import compare_to_baseline, to_json
-    from repro.harness.compare import run_compare
+    from repro.harness.compare import (
+        compare_to_baseline, run_compare, to_json,
+    )
 
     payloads = run_compare(
         smoke=args.smoke, seed=args.seed,
@@ -623,8 +527,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for name, payload in payloads.items():
         path = os.path.join(args.baseline, name)
         if not os.path.exists(path):
-            print(f"no baseline {path}; skipping gate for {name}")
-            continue
+            print(
+                f"repro compare: no baseline {path} to gate against "
+                "(record one with --update-baseline)",
+                file=sys.stderr,
+            )
+            return 2
         with open(path, encoding="utf-8") as handle:
             baseline = _json.load(handle)
         regressions.extend(
@@ -676,9 +584,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run one site daemon until an admin shutdown or Ctrl-C."""
-    failed = _require_backend(args, "net")
-    if failed is not None:
-        return failed
     from repro.rt.config import load_cluster
     from repro.rt.daemon import SiteDaemon, serve_forever
 
@@ -713,9 +618,6 @@ def cmd_client(args: argparse.Namespace) -> int:
     """Admin queries or a demo transfer against a live cluster."""
     import json
 
-    failed = _require_backend(args, "net")
-    if failed is not None:
-        return failed
     from repro.rt.client import NetClient, site_shutdown, site_status
     from repro.rt.config import load_cluster
 
@@ -797,15 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    def backend_parent() -> argparse.ArgumentParser:
-        p = argparse.ArgumentParser(add_help=False)
-        p.add_argument(
-            "--backend", default=argparse.SUPPRESS,
-            choices=list(BACKENDS),
-            help="transport backend: discrete-event sim or TCP daemons",
-        )
-        return p
-
     def scheme_parent() -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False)
         p.add_argument(
@@ -842,20 +735,17 @@ def build_parser() -> argparse.ArgumentParser:
     audit.set_defaults(fn=cmd_audit, protocol="none")
 
     trace = sub.add_parser(
-        "trace", parents=[seed_parent(), protocol_parent(), backend_parent(),
-                          scheme_parent()],
+        "trace", parents=[seed_parent(), protocol_parent(), scheme_parent()],
         help="emit a deterministic JSONL event trace",
     )
     trace.add_argument("--transactions", type=int, default=20)
     trace.add_argument("--sites", type=int, default=3)
     trace.add_argument("--out", default=None,
                        help="write JSONL here instead of stdout")
-    trace.set_defaults(fn=cmd_trace, protocol="P1", backend="sim",
-                       scheme="O2PC")
+    trace.set_defaults(fn=cmd_trace, protocol="P1", scheme="O2PC")
 
     metrics = sub.add_parser(
-        "metrics", parents=[seed_parent(), protocol_parent(), backend_parent(),
-                            scheme_parent()],
+        "metrics", parents=[seed_parent(), protocol_parent(), scheme_parent()],
         help="streaming metrics over a workload",
     )
     metrics.add_argument("--transactions", type=int, default=40)
@@ -864,15 +754,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print one snapshot per simulation window")
     metrics.add_argument("--window", type=_positive_float, default=10.0)
     metrics.add_argument("--cluster", default=None,
-                         help="with --backend net: aggregate this live "
-                              "cluster's --obs event streams instead of "
-                              "running a workload")
-    metrics.set_defaults(fn=cmd_metrics, protocol="P1", backend="sim",
-                         scheme="O2PC")
+                         help="aggregate this live cluster's --obs event "
+                              "streams instead of running a workload")
+    metrics.set_defaults(fn=cmd_metrics, protocol="P1", scheme="O2PC")
 
     check = sub.add_parser(
-        "check", parents=[seed_parent(), protocol_parent(), backend_parent(),
-                          scheme_parent()],
+        "check", parents=[seed_parent(), protocol_parent(), scheme_parent()],
         help="model-check protocol schedules and crash points",
     )
     check.add_argument("--scenario", default="conflict",
@@ -904,41 +791,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--replay", default=None, metavar="V0,V1,...",
                        help="replay one choice vector; prints its JSONL "
                             "trace")
-    check.set_defaults(fn=cmd_check, protocol="P1", backend="sim",
-                       scheme="O2PC")
-
-    bench = sub.add_parser(
-        "bench", parents=[seed_parent(), backend_parent()],
-        help="pinned perf workloads; BENCH_*.json + baseline gate",
-    )
-    bench.add_argument("--smoke", action="store_true",
-                       help="CI-sized workloads (same metrics, smaller "
-                            "pins)")
-    bench.add_argument("--scale", action="store_true",
-                       help="run the 64-site sharded scale workload "
-                            "instead of the default suite "
-                            "(BENCH_scale.json)")
-    bench.add_argument("--net", action="store_true",
-                       help="run the networked-runtime workload: real "
-                            "daemons over localhost TCP, serial vs "
-                            "pipelined coordinators (BENCH_net.json)")
-    bench.add_argument("--out", default="bench-artifacts",
-                       help="directory for the BENCH_*.json artifacts "
-                            "(matches the CI artifact location; baselines "
-                            "stay in benchmarks/baselines)")
-    bench.add_argument("--baseline", default="benchmarks/baselines",
-                       help="committed baseline directory for the "
-                            "regression gate")
-    bench.add_argument("--tolerance", type=_positive_float, default=0.25,
-                       help="allowed fractional drop in gated metrics")
-    bench.add_argument("--update-baseline", action="store_true",
-                       help="rewrite the baseline files from this run")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the check workload")
-    bench.set_defaults(fn=cmd_bench, backend="sim")
+    check.set_defaults(fn=cmd_check, protocol="P1", scheme="O2PC")
 
     compare = sub.add_parser(
-        "compare", parents=[seed_parent(), backend_parent()],
+        "compare", parents=[seed_parent()],
         help="head-to-head commit schemes; BENCH_compare.json + gate",
     )
     compare.add_argument("--smoke", action="store_true",
@@ -958,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allowed fractional drop in gated metrics")
     compare.add_argument("--update-baseline", action="store_true",
                          help="rewrite the baseline file from this run")
-    compare.set_defaults(fn=cmd_compare, backend="sim")
+    compare.set_defaults(fn=cmd_compare)
 
     lint = sub.add_parser(
         "lint",
@@ -975,7 +831,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(fn=cmd_lint)
 
     serve = sub.add_parser(
-        "serve", parents=[seed_parent(), protocol_parent(), backend_parent()],
+        "serve", parents=[seed_parent(), protocol_parent()],
         help="run one site as a TCP daemon (net backend)",
     )
     serve.add_argument("site", help="site id from the cluster file")
@@ -992,11 +848,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--obs", action="store_true",
                        help="stream this site's events to "
                             "<data_dir>/<site>.events.jsonl (read back "
-                            "with 'repro metrics --backend net')")
-    serve.set_defaults(fn=cmd_serve, protocol="none", backend="net")
+                            "with 'repro metrics --cluster')")
+    serve.set_defaults(fn=cmd_serve, protocol="none")
 
     client = sub.add_parser(
-        "client", parents=[seed_parent(), protocol_parent(), backend_parent()],
+        "client", parents=[seed_parent(), protocol_parent()],
         help="run a transaction / admin command against a live cluster",
     )
     client.add_argument("--cluster", required=True,
@@ -1012,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key moved by the transfer demo")
     client.add_argument("--amount", type=int, default=10,
                         help="amount moved by the transfer demo")
-    client.set_defaults(fn=cmd_client, protocol="none", backend="net")
+    client.set_defaults(fn=cmd_client, protocol="none")
     return parser
 
 

@@ -10,11 +10,10 @@ formatting for the benchmark suite and EXPERIMENTS.md.
 
 ``SystemConfig(backend="net")`` selects the networked runtime
 (:mod:`repro.rt`) instead of the simulation; build it with
-:func:`repro.rt.system.open_system` (the :class:`System` class itself is
-the ``backend="sim"`` implementation).
+:class:`repro.rt.NetSystem` (the :class:`System` class itself is the
+``backend="sim"`` implementation).
 """
 
-from repro.harness.bench import compare_to_baseline, run_suite
 from repro.harness.experiment import ExperimentResult, Sweep, format_table
 from repro.harness.system import BACKENDS, PROTOCOLS, System, SystemConfig
 from repro.obs.metrics import MetricsReport
@@ -27,7 +26,5 @@ __all__ = [
     "Sweep",
     "System",
     "SystemConfig",
-    "compare_to_baseline",
     "format_table",
-    "run_suite",
 ]

@@ -18,25 +18,32 @@ and seeds — the engine is the *only* independent variable):
   the coordinator was still dead — Paxos Commit's termination protocol
   does, the 2PC family waits for recovery.
 
-``run_compare`` returns the ``BENCH_compare.json`` payload in the
-``repro bench`` shape: one result block per scheme (``compare_<SCHEME>``,
-or ``compare_<SCHEME>@vt<v>`` under a ``--vote-timeout`` sweep), so the
-existing baseline gate picks up each block's ``txns_per_s`` with no new
-machinery.
+``run_compare`` returns the ``BENCH_compare.json`` payload: one result
+block per scheme (``compare_<SCHEME>``, or ``compare_<SCHEME>@vt<v>`` under
+a ``--vote-timeout`` sweep).  ``compare_to_baseline`` gates each block's
+``txns_per_s`` against the committed baseline; everything else in a block
+(rates, messages per transaction, lock-hold percentiles, blocking time) is
+informational.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+import time
+from typing import Any, Callable
 
 from repro.commit.base import CommitConfig, CommitScheme
-from repro.harness.bench import SCHEMA_VERSION, _percentile, _timed
 from repro.harness.system import System, SystemConfig
 from repro.net.failures import CrashPlan
 from repro.protocols import ENGINES
 from repro.txn.operations import WriteOp
 from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
+
+#: metrics compared against the baseline (higher is better)
+GATED_METRICS = ("txns_per_s",)
+
+SCHEMA_VERSION = 1
 
 #: commit timeouts compressed exactly like the checker's (a Paxos
 #: watchdog waiting the library-default 60 units would dominate the run)
@@ -57,6 +64,19 @@ _COMPARE_COMMIT = CommitConfig(
 #: the crash drill's outage window (same shape as the checker scenario)
 _DRILL_CRASH_AT = 6.2
 _DRILL_OUTAGE = 400.0
+
+
+def _percentile(samples: list[float], q: float) -> float:
+    """Nearest-rank percentile (small-sample friendly)."""
+    ordered = sorted(samples)
+    rank = max(0, min(len(ordered) - 1, round(q / 100 * (len(ordered) - 1))))
+    return ordered[rank]
+
+
+def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
+    started = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - started, result
 
 
 def _contention_leg(
@@ -168,3 +188,44 @@ def run_compare(
         "schema": SCHEMA_VERSION, "smoke": smoke, "seed": seed,
         "results": results,
     }}
+
+
+def to_json(payload: dict[str, Any]) -> str:
+    """Stable JSON encoding for artifacts and baselines."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def compare_to_baseline(
+    current: dict[str, Any], baseline: dict[str, Any], tolerance: float
+) -> list[str]:
+    """Regression lines for gated metrics; empty means within tolerance.
+
+    The baseline is the contract: a result block or gated metric it holds
+    that the current run lacks is a regression (a scheme dropped from the
+    registry must not turn the gate green).  Blocks and metrics new in
+    the run stay ungated until a baseline records them.
+    """
+    regressions: list[str] = []
+    results = current.get("results", {})
+    for name, base_metrics in baseline.get("results", {}).items():
+        metrics = results.get(name)
+        if metrics is None:
+            regressions.append(f"{name}: in the baseline, missing from this run")
+            continue
+        for metric in GATED_METRICS:
+            if metric not in base_metrics:
+                continue
+            then = base_metrics[metric]
+            if metric not in metrics:
+                regressions.append(
+                    f"{name}.{metric}: baseline {then:.1f}, missing from "
+                    "this run"
+                )
+                continue
+            now, floor = metrics[metric], then * (1.0 - tolerance)
+            if now < floor:
+                regressions.append(
+                    f"{name}.{metric}: {now:.1f} < {floor:.1f} "
+                    f"(baseline {then:.1f}, tolerance {tolerance:.0%})"
+                )
+    return regressions

@@ -111,7 +111,7 @@ class SystemConfig:
     metrics_window: float = 10.0
     #: transport backend: "sim" (discrete-event, in-process) or "net"
     #: (real per-site daemons over TCP — built by
-    #: :func:`repro.rt.system.open_system` / :class:`repro.rt.NetSystem`)
+    #: :class:`repro.rt.NetSystem`)
     backend: str = "sim"
     #: cluster file for backend="net" (site addresses + data_dir); None
     #: gives an ephemeral localhost cluster with a temporary data_dir
@@ -163,8 +163,7 @@ class System:
         if self.config.backend != "sim":
             raise ValueError(
                 f"System is the backend='sim' implementation; for "
-                f"backend={self.config.backend!r} use repro.rt.NetSystem "
-                f"or repro.rt.system.open_system(config)"
+                f"backend={self.config.backend!r} use repro.rt.NetSystem"
             )
         #: ``env`` lets a caller supply a pre-built environment — the model
         #: checker injects its controlled scheduler this way

@@ -7,7 +7,7 @@ schema ``repro trace`` writes, appended across restarts so a recovered
 daemon's history stays in one file.
 
 The read side closes ROADMAP item 1's metrics gap: ``repro metrics
---backend net --cluster c.json`` calls :func:`aggregate_cluster`, which
+--cluster c.json`` calls :func:`aggregate_cluster`, which
 replays every site's stream through the normal
 :class:`~repro.obs.metrics.StreamingMetrics` fold.  Commit/abort counts
 come from ``subtxn.decision`` events (the daemon-side record of a global
@@ -87,7 +87,8 @@ def aggregate_cluster(
     Returns the report plus a per-site event count (sites with no stream
     yet count zero — a daemon started without ``--obs``, or not yet
     flushed).  Latency percentiles in the report are lock-hold driven;
-    end-to-end commit latency lives client-side and in ``BENCH_net.json``.
+    end-to-end commit latency lives client-side (``commit_latency_*_ms``
+    of the ``net_*`` workloads in ``bench/run.py``).
     """
     import os
 

@@ -16,10 +16,6 @@ Daemons for an ephemeral cluster (no ``sites_file``) get OS-assigned
 ports and a temporary data directory, both cleaned up on exit.  With a
 ``sites_file``, the cluster file is the source of truth and the WALs in
 its ``data_dir`` persist across runs — that is the production shape.
-
-``open_system(config)`` is the backend dispatch: it returns a
-:class:`System` or a started :class:`NetSystem` based on
-``config.backend``, so harness code can be backend-generic.
 """
 
 from __future__ import annotations
@@ -200,17 +196,3 @@ class NetSystem:
     ) -> list[TxnOutcome]:
         """Run a batch against the live cluster (pipelined when >1)."""
         return self.client.run_transactions(specs, sessions=sessions)
-
-
-def open_system(config: Any) -> Any:
-    """Build the system for ``config.backend`` ("sim" or "net").
-
-    The sim backend returns a ready :class:`~repro.harness.system.System`;
-    the net backend returns a **started** :class:`NetSystem` (use it as a
-    context manager or call :meth:`NetSystem.stop`).
-    """
-    from repro.harness.system import System
-
-    if config.backend == "net":
-        return NetSystem(config).start()
-    return System(config)

@@ -5,33 +5,27 @@ ordered by ``(time, priority, sequence)`` so that simultaneous events process
 in a deterministic order, and process resumptions (URGENT) run before ordinary
 events scheduled at the same instant.
 
-Two queue kernels implement that contract:
-
-* the **calendar queue** (default): one hot *slot* for the current tick —
-  a pair of FIFO deques (URGENT, NORMAL) holding bare events — plus an
-  overflow heap of ``(time, priority, seq, event)`` tuples for future times.
-  Profiling the bench workload shows ~62% of all ``schedule`` calls land at
-  the current simulation time (``succeed``/resume/terminate chains), while
-  future timestamps are dominated by unique random latencies; so the hot
-  slot absorbs the majority of traffic with a plain ``deque.append`` — no
-  tuple, no sequence number, no heap rebalance — and the overflow heap stays
-  small.  FIFO deques reproduce the sequence-number tiebreak exactly (a heap
-  entry at the current tick always predates every slot entry, so only the
-  priority needs comparing), keeping dispatch order identical to the heap
-  kernel — ``repro trace`` stays byte-deterministic across the swap.
-* the **legacy heap** (``REPRO_LEGACY_QUEUE=1``): the original single binary
-  heap for *all* events.  Kept for the determinism corpus test, which asserts
-  byte-identical traces across the kernel swap.
+The queue is a **calendar queue**: one hot *slot* for the current tick — a
+pair of FIFO deques (URGENT, NORMAL) holding bare events — plus an overflow
+heap of ``(time, priority, seq, event)`` tuples for future times.  About 62%
+of all ``schedule`` calls land at the current simulation time
+(``succeed``/resume/terminate chains), while future timestamps are dominated
+by unique random latencies; so the hot slot absorbs the majority of traffic
+with a plain ``deque.append`` — no tuple, no sequence number, no heap
+rebalance — and the overflow heap stays small.  FIFO deques reproduce the
+sequence-number tiebreak exactly (a heap entry at the current tick always
+predates every slot entry, so only the priority needs comparing), so dispatch
+order is the total ``(time, priority, sequence)`` order a single heap would
+give (``tests/sim/test_calendar_queue.py`` holds that reference).
 
 The model checker's :class:`~repro.check.scheduler.ControlledEnvironment`
-forces the heap kernel (``_FORCE_HEAP``): it re-sorts the ready set at every
-step to steer delivery choices, which wants the flat tuple representation.
+steers the same queue: it opens each tick by draining that tick's heap
+entries into the slot, and branches only among the tick's deliveries.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterator
 
@@ -55,18 +49,9 @@ class Environment:
     #: construction on the message hot path).
     annotate_deliveries = False
 
-    #: subclasses that manipulate ``self._queue`` directly (the controlled
-    #: scheduler) set this to keep the flat-heap representation regardless
-    #: of ``REPRO_LEGACY_QUEUE``.
-    _FORCE_HEAP = False
-
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._legacy = (
-            self._FORCE_HEAP or os.environ.get("REPRO_LEGACY_QUEUE") == "1"
-        )
-        #: overflow heap of (time, priority, seq, event); in legacy mode it
-        #: is the *only* queue (the slot deques stay empty)
+        #: overflow heap of (time, priority, seq, event) for future ticks
         self._queue: list[tuple[float, int, int, Event]] = []
         #: current-tick slot: bare events at time == now, FIFO per priority
         self._slot_urgent: deque[Event] = deque()
@@ -133,7 +118,7 @@ class Environment:
         """Enqueue ``event`` to be processed ``delay`` time units from now."""
         self.schedule_count += 1
         when = self._now + delay
-        if when == self._now and not self._legacy:
+        if when == self._now:
             # Hot slot: current-tick events in schedule (== sequence) order.
             if priority == NORMAL:
                 self._slot_normal.append(event)
@@ -151,7 +136,7 @@ class Environment:
         )
 
     def _pop(self) -> tuple[float, Event]:
-        """Remove and return the next ``(time, event)`` (calendar kernel).
+        """Remove and return the next ``(time, event)``.
 
         Heap entries at the current tick were necessarily scheduled before
         every slot entry (a same-tick schedule lands in the slot), so their
@@ -223,16 +208,11 @@ class Environment:
         an event's failure if the event failed and nothing was waiting on it
         (so programming errors inside processes surface instead of vanishing).
         """
-        if self._legacy:
-            if not self._queue:
-                self._raise_deadlock("no scheduled events")
-            self._now, _, _, event = _heappop(self._queue)
-        else:
-            try:
-                self._now, event = self._pop()
-            except IndexError:
-                self._raise_deadlock("no scheduled events")
-                raise  # pragma: no cover - _raise_deadlock always raises
+        try:
+            self._now, event = self._pop()
+        except IndexError:
+            self._raise_deadlock("no scheduled events")
+            raise  # pragma: no cover - _raise_deadlock always raises
         self._dispatch(event)
 
     def _dispatch(self, event: Event) -> None:

@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.check.explorer import CheckConfig, ModelChecker
 from repro.check.scheduler import ChoicePolicy, ControlledEnvironment, RandomPolicy
-from repro.errors import ScheduleDivergence, StepBudgetExceeded
+from repro.commit.base import CommitScheme
+from repro.errors import (
+    ScheduleDivergence,
+    SimulationDeadlock,
+    StepBudgetExceeded,
+)
+from repro.sim.events import Event, URGENT
 from repro.sim.rng import Rng
 
 
@@ -80,6 +87,97 @@ class TestChoicePoints:
         env.run()
         assert order == ["a->S1", "b->S1"]
         assert policy.log == []
+
+
+class TestTickOpening:
+    """The scheduler steers the calendar queue one opened tick at a time."""
+
+    def test_internal_events_of_a_tick_run_before_its_deliveries(self):
+        policy = ChoicePolicy()
+        env = ControlledEnvironment(policy)
+        order = []
+        first = _annotated_timeout(env, 1.0, "S1", "a->S1", order)
+        _annotated_timeout(env, 1.0, "S1", "b->S1", order)
+        # Both queued behind the deliveries, the NORMAL one ahead of the
+        # URGENT one: priority, not arrival order, ranks them.
+        env.timeout(1.0).callbacks.append(lambda _evt: order.append("normal"))
+        urgent = Event(env)
+        urgent._ok = True
+        urgent.callbacks.append(lambda _evt: order.append("urgent"))
+        env.schedule(urgent, priority=URGENT, delay=1.0)
+        # An internal event a delivery spawns runs before the next delivery.
+        first.callbacks.append(
+            lambda _evt: env.timeout(0).callbacks.append(
+                lambda _evt: order.append("spawned")
+            )
+        )
+        env.run()
+        assert order == ["urgent", "normal", "a->S1", "spawned", "b->S1"]
+
+    def test_zero_delay_delivery_joins_the_open_tick_in_sequence_order(self):
+        policy = ChoicePolicy(prefix=(2,))
+        env = ControlledEnvironment(policy)
+        order = []
+        _annotated_timeout(env, 1.0, "S1", "a->S1", order)
+        _annotated_timeout(env, 1.0, "S1", "b->S1", order)
+        env.timeout(1.0).callbacks.append(
+            lambda _evt: _annotated_timeout(env, 0, "S1", "c->S1", order)
+        )
+        env.run()
+        assert policy.log[0].labels == ("a->S1", "b->S1", "c->S1")
+        assert order == ["c->S1", "a->S1", "b->S1"]
+
+    def test_introspection_and_run_until_see_parked_deliveries(self):
+        env = ControlledEnvironment(ChoicePolicy())
+        order = []
+        _annotated_timeout(env, 1.0, "S1", "a->S1", order)
+        parked = _annotated_timeout(env, 1.0, "S1", "b->S1", order)
+        _annotated_timeout(env, 5.0, "S1", "c->S1", order)
+        env.step()
+        assert order == ["a->S1"]
+        assert env.queued == 2
+        assert env.peek() == env.now == 1.0
+        assert parked in list(env.queued_events())
+        env.run(until=1.0)
+        assert order == ["a->S1", "b->S1"]
+        assert env.peek() == 5.0
+
+    def test_drained_queue_raises_deadlock_with_diagnostics(self):
+        env = ControlledEnvironment(ChoicePolicy())
+        env.add_deadlock_diagnostic(lambda: "diagnostic: nothing runnable")
+        _annotated_timeout(env, 1.0, "S1", "a->S1", [])
+        env.run()
+        with pytest.raises(SimulationDeadlock) as excinfo:
+            env.step()
+        assert "diagnostic: nothing runnable" in str(excinfo.value)
+
+
+class TestCensusPin:
+    """Schedule census per engine, recorded on the all-heap scheduler.
+
+    The tick-opening scheduler must explore exactly the schedules the
+    pop-everything one did: same count, same choice points on the default
+    schedule, with and without crash injection.
+    """
+
+    @pytest.mark.parametrize("scheme,crashes,explored,choice_points", [
+        ("TWO_PL", 0, 16, 4),
+        ("TWO_PL", 2, 200, 9),
+        ("O2PC", 0, 32, 5),
+        ("O2PC", 2, 200, 15),
+        ("PAXOS", 0, 200, 11),
+        ("PAXOS", 2, 200, 16),
+        ("SHORT", 0, 16, 4),
+        ("SHORT", 2, 200, 9),
+    ])
+    def test_census(self, scheme, crashes, explored, choice_points):
+        report = ModelChecker(CheckConfig(
+            scenario="conflict", protocol="P1", scheme=CommitScheme[scheme],
+            depth=14, crashes=crashes, max_schedules=200,
+        )).run()
+        assert report.ok
+        assert report.explored == explored
+        assert report.first_run_choice_points == choice_points
 
 
 class TestPolicies:

@@ -5,10 +5,20 @@ One module-scoped run of :func:`compare_schemes` backs most assertions
 scheme, so re-running it per test would dominate the suite).
 """
 
+import json
+
 import pytest
 
-from repro.harness.bench import SCHEMA_VERSION
-from repro.harness.compare import compare_schemes, run_compare
+from repro.cli import main
+from repro.harness.compare import (
+    GATED_METRICS,
+    SCHEMA_VERSION,
+    _percentile,
+    compare_schemes,
+    compare_to_baseline,
+    run_compare,
+    to_json,
+)
 from repro.protocols import ENGINES
 
 
@@ -95,3 +105,136 @@ class TestPayload:
         assert payload["seed"] == 0
         # The baseline gate keys on result blocks named compare_*.
         assert all(k.startswith("compare_") for k in payload["results"])
+
+    def test_to_json_is_stable(self):
+        payload = {"b": 1, "a": {"y": 2, "x": 3}}
+        assert to_json(payload) == to_json(payload)
+        assert to_json(payload).endswith("\n")
+        assert json.loads(to_json(payload)) == payload
+
+
+class TestPercentile:
+    def test_nearest_rank(self):
+        samples = [5.0, 1.0, 3.0]
+        assert _percentile(samples, 0) == 1.0
+        assert _percentile(samples, 50) == 3.0
+        assert _percentile(samples, 100) == 5.0
+
+    def test_single_sample(self):
+        assert _percentile([2.5], 95) == 2.5
+
+
+class TestBaselineGate:
+    CURRENT = {
+        "results": {
+            "compare_O2PC": {"txns_per_s": 70.0, "lock_hold_p99": 9.9},
+            "compare_PAXOS": {"txns_per_s": 12.0},
+        }
+    }
+
+    def test_within_tolerance_passes(self):
+        baseline = {
+            "results": {
+                "compare_O2PC": {"txns_per_s": 80.0},
+                "compare_PAXOS": {"txns_per_s": 10.0},
+            }
+        }
+        assert compare_to_baseline(self.CURRENT, baseline, 0.25) == []
+
+    def test_regression_beyond_tolerance_reported(self):
+        baseline = {"results": {"compare_O2PC": {"txns_per_s": 100.0}}}
+        lines = compare_to_baseline(self.CURRENT, baseline, 0.25)
+        assert len(lines) == 1
+        assert "compare_O2PC.txns_per_s" in lines[0]
+
+    def test_informational_metrics_never_gate(self):
+        # The lock-hold tail moved 100x, but only GATED_METRICS gate.
+        baseline = {"results": {"compare_O2PC": {"lock_hold_p99": 0.1}}}
+        assert compare_to_baseline(self.CURRENT, baseline, 0.25) == []
+
+    def test_new_block_ungated_until_baselined(self):
+        assert compare_to_baseline(self.CURRENT, {"results": {}}, 0.25) == []
+
+    def test_block_missing_from_the_run_is_a_regression(self):
+        # Drop a scheme from the registry and the gate must go red.
+        baseline = {
+            "results": {
+                "compare_O2PC": {"txns_per_s": 70.0},
+                "compare_SHORT": {"txns_per_s": 50.0},
+            }
+        }
+        lines = compare_to_baseline(self.CURRENT, baseline, 0.25)
+        assert len(lines) == 1
+        assert "compare_SHORT" in lines[0] and "missing" in lines[0]
+
+    def test_gated_metric_missing_from_the_run_is_a_regression(self):
+        current = {"results": {"compare_O2PC": {"lock_hold_p99": 9.9}}}
+        baseline = {"results": {"compare_O2PC": {"txns_per_s": 70.0}}}
+        lines = compare_to_baseline(current, baseline, 0.25)
+        assert len(lines) == 1
+        assert "compare_O2PC.txns_per_s" in lines[0]
+        assert "missing" in lines[0]
+
+    def test_gated_metrics_are_throughput_style(self):
+        # The gate compares higher-is-better metrics only; wall times
+        # would need the comparison inverted and are deliberately absent.
+        for metric in GATED_METRICS:
+            assert not metric.endswith("_s") or metric.endswith("_per_s")
+
+
+def _stub_compare(txns_per_s):
+    def run_compare(smoke=False, seed=0, vote_timeouts=()):
+        block = {
+            "txns_per_s": txns_per_s, "messages_per_txn": 14.0,
+            "abort_rate": 0.1, "compensation_rate": 0.0,
+            "lock_hold_p99": 5.0, "blocking_time": 400.0,
+            "decided_in_outage": 0.0,
+        }
+        return {"BENCH_compare.json": {
+            "schema": SCHEMA_VERSION, "smoke": smoke, "seed": seed,
+            "results": {"compare_O2PC": block},
+        }}
+    return run_compare
+
+
+class TestCompareCli:
+    def _compare(self, tmp_path, *extra):
+        return main([
+            "compare", "--out", str(tmp_path / "out"),
+            "--baseline", str(tmp_path / "baselines"), *extra,
+        ])
+
+    def test_update_baseline_then_pass(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "repro.harness.compare.run_compare", _stub_compare(100.0),
+        )
+        assert self._compare(tmp_path, "--update-baseline") == 0
+        written = json.loads(
+            (tmp_path / "baselines" / "BENCH_compare.json").read_text()
+        )
+        assert written["results"]["compare_O2PC"]["txns_per_s"] == 100.0
+        assert (tmp_path / "out" / "BENCH_compare.json").exists()
+        assert self._compare(tmp_path) == 0
+        assert "within 25% of baseline" in capsys.readouterr().out
+
+    def test_regression_fails_the_gate(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "repro.harness.compare.run_compare", _stub_compare(100.0),
+        )
+        assert self._compare(tmp_path, "--update-baseline") == 0
+        monkeypatch.setattr(
+            "repro.harness.compare.run_compare", _stub_compare(50.0),
+        )
+        assert self._compare(tmp_path) == 1
+        out = capsys.readouterr().out
+        assert "PERF REGRESSION" in out
+        assert "compare_O2PC.txns_per_s" in out
+
+    def test_missing_baseline_file_is_an_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr(
+            "repro.harness.compare.run_compare", _stub_compare(100.0),
+        )
+        (tmp_path / "baselines").mkdir()
+        assert self._compare(tmp_path) == 2
+        assert "no baseline" in capsys.readouterr().err

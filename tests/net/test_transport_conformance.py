@@ -327,7 +327,7 @@ class TestFramingConformance:
         assert order == expected_order
         assert delivered == expected_delivered
 
-    def test_legacy_singleton_frames_match_the_sim_reference(self):
+    def test_singleton_frames_match_the_sim_reference(self):
         from repro.rt.wire import message_to_json, write_frame
 
         async def scenario():

@@ -2,7 +2,7 @@
 
 The sink is the daemon half of live observability (``repro serve
 --obs``); :func:`aggregate_cluster` is the collector half (``repro
-metrics --backend net``).  The contract worth pinning: events round-trip
+metrics --cluster``).  The contract worth pinning: events round-trip
 through JSONL losslessly (including tuple fields and bus stamps), sinks
 append across restarts, and the aggregator derives commit/abort counts
 from ``subtxn.decision`` events — one global decision per transaction,

@@ -1,11 +1,11 @@
-"""The hot-slot calendar kernel: ordering, peek contract, legacy parity.
+"""The hot-slot calendar kernel: ordering, peek contract, heap parity.
 
-PR 7 replaced the kernel's single binary heap with a current-tick slot
-(two deques) plus an overflow heap.  These tests pin the contracts the
-rest of the repo builds on:
+The kernel is a current-tick slot (two deques) plus an overflow heap.
+These tests pin the contracts the rest of the repo builds on:
 
-* pop order is identical to the flat heap's ``(time, priority, seq)``
-  order — proven here by running mixed schedules through both kernels;
+* pop order is identical to a single binary heap's ``(time, priority,
+  seq)`` order — proven here by running mixed schedules through the kernel
+  and through the test-local :class:`HeapReference`;
 * ``peek()`` returns ``inf`` on an empty queue (``run(until)`` and the
   drained-queue deadlock diagnostics rely on it);
 * an :class:`Environment` stays *truthy* when its queue is empty —
@@ -14,6 +14,7 @@ rest of the repo builds on:
   prevent).
 """
 
+import heapq
 import math
 
 import pytest
@@ -23,13 +24,19 @@ from repro.sim import Environment
 from repro.sim.events import Event, NORMAL, URGENT
 
 
-def legacy_environment():
-    # Same switch REPRO_LEGACY_QUEUE=1 flips, without mutating process
-    # environment state for other tests: the flag is only consulted at
-    # schedule/step time, so setting it on a fresh instance is enough.
-    env = Environment()
-    env._legacy = True
-    return env
+class HeapReference(Environment):
+    """Reference kernel: one binary heap ordered by (time, priority, seq)."""
+
+    def schedule(self, event, priority=NORMAL, delay=0.0):
+        self.schedule_count += 1
+        heapq.heappush(
+            self._queue,
+            (self._now + delay, priority, self.schedule_count, event),
+        )
+
+    def step(self):
+        self._now, _, _, event = heapq.heappop(self._queue)
+        self._dispatch(event)
 
 
 class TestPeekContract:
@@ -108,8 +115,10 @@ class TestOrderingParity:
         env.run()
         return order
 
-    def test_calendar_matches_legacy_heap_order(self):
-        assert self._drive(Environment()) == self._drive(legacy_environment())
+    def test_calendar_matches_heap_reference_order(self):
+        order = self._drive(Environment())
+        assert order == self._drive(HeapReference())
+        assert len(order) == 8
 
     def test_urgent_runs_before_normal_at_same_tick(self):
         order = self._drive(Environment())

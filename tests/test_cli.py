@@ -53,11 +53,12 @@ def test_sweep_prints_table(capsys):
     assert "thru_o2pc" in out
 
 
-def test_trace_is_deterministic(capsys):
+@pytest.mark.parametrize("scheme", ["O2PC", "TWO_PL", "PAXOS", "SHORT"])
+def test_trace_is_deterministic(capsys, scheme):
     code1, out1 = run_cli(capsys, "trace", "--seed", "7",
-                          "--transactions", "6")
+                          "--transactions", "6", "--scheme", scheme)
     code2, out2 = run_cli(capsys, "trace", "--seed", "7",
-                          "--transactions", "6")
+                          "--transactions", "6", "--scheme", scheme)
     assert code1 == code2 == 0
     assert out1 == out2
     lines = out1.splitlines()
@@ -129,7 +130,7 @@ def test_report_writes_artifacts(tmp_path, capsys):
 
 
 class TestSharedParents:
-    """--seed/--protocol/--backend are one definition shared by every verb.
+    """--seed/--protocol/--scheme are one definition shared by every verb.
 
     The per-verb defaults below pin the argparse pitfall this layout has:
     ``set_defaults`` mutates ``action.default`` on the shared action
@@ -140,14 +141,11 @@ class TestSharedParents:
     @pytest.mark.parametrize("verb,expected", [
         (["demo"], {"protocol": "P1"}),
         (["audit"], {"protocol": "none"}),
-        (["trace"], {"protocol": "P1", "backend": "sim"}),
-        (["metrics"], {"protocol": "P1", "backend": "sim"}),
-        (["check"], {"protocol": "P1", "backend": "sim"}),
-        (["bench"], {"backend": "sim"}),
-        (["serve", "S1", "--cluster", "c.json"],
-         {"protocol": "none", "backend": "net"}),
-        (["client", "--cluster", "c.json"],
-         {"protocol": "none", "backend": "net"}),
+        (["trace"], {"protocol": "P1", "scheme": "O2PC"}),
+        (["metrics"], {"protocol": "P1", "scheme": "O2PC"}),
+        (["check"], {"protocol": "P1", "scheme": "O2PC"}),
+        (["serve", "S1", "--cluster", "c.json"], {"protocol": "none"}),
+        (["client", "--cluster", "c.json"], {"protocol": "none"}),
     ])
     def test_per_verb_defaults_do_not_leak(self, verb, expected):
         args = build_parser().parse_args(verb)
@@ -156,36 +154,34 @@ class TestSharedParents:
 
     def test_shared_options_accepted_after_any_verb(self):
         args = build_parser().parse_args(
-            ["check", "--seed", "9", "--protocol", "P2", "--backend", "sim"]
+            ["check", "--seed", "9", "--protocol", "P2", "--scheme", "PAXOS"]
         )
         assert args.seed == 9
         assert args.protocol == "P2"
-        assert args.backend == "sim"
+        assert args.scheme == "PAXOS"
 
-    @pytest.mark.parametrize("verb", [
-        ["check", "--smoke"],
+    @pytest.mark.parametrize("argv", [
         ["bench", "--smoke"],
-        ["trace"],
+        ["trace", "--backend", "sim"],
+        ["serve", "S1", "--cluster", "c.json", "--backend", "net"],
     ])
-    def test_sim_only_verbs_reject_net_backend(self, verb, capsys):
-        code = main([*verb, "--backend", "net"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "backend 'net' is not supported" in err
-        assert "repro serve" in err
-
-    def test_metrics_net_backend_requires_a_cluster_file(self, capsys):
-        # metrics does support the net backend (it aggregates a live
-        # cluster's --obs streams), but only with a cluster file.
-        code = main(["metrics", "--backend", "net"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--cluster" in err
-        assert "serve --obs" in err
-
-    def test_unknown_backend_rejected_by_parser(self):
+    def test_removed_verb_and_option_are_parser_errors(self, argv):
+        # The backend is fixed per verb and performance is measured by
+        # bench/run.py: neither spelling may linger as a silent no-op.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["check", "--backend", "carrier"])
+            build_parser().parse_args(argv)
+
+    def test_metrics_cluster_file_alone_selects_live_aggregation(
+        self, tmp_path, capsys,
+    ):
+        from repro.rt.config import local_cluster
+
+        cluster_file = str(tmp_path / "cluster.json")
+        local_cluster(["S1", "S2"], data_dir=str(tmp_path)).save(cluster_file)
+        assert main(["metrics", "--cluster", cluster_file]) == 0
+        out = capsys.readouterr().out
+        assert "== cluster event streams ==" in out
+        assert "== metrics ==" in out
 
 
 class TestServeClientCli:
