@@ -30,8 +30,9 @@ message-flow graph the engines induce:
     commit the WAL buffers forced appends and every outbound frame must
     pass ``durability_gate`` (the group-commit barrier) before it reaches
     the socket.  The rule requires ``TcpTransport._flush_outbound`` to
-    await the gate before any ``writer.write`` and ``SiteDaemon`` to
-    install the gate (``self.transport.durability_gate = ...``).
+    await the gate before any ``writer.write`` and both WAL hosts —
+    ``SiteDaemon`` and ``NetClient`` (the coordinator's DECIDE record) —
+    to install the gate (``self.transport.durability_gate = ...``).
 
 ``flow/force-point-drift``
     ``LocalTransactionManager._FORCE_POINTS`` declares which methods are
@@ -567,26 +568,32 @@ def analyze_rt_gate(root: Path) -> list[Finding]:
                     ),
                     anchor=_ANCHOR,
                 ))
-    daemon = _load_class(root, "rt/daemon.py", "SiteDaemon")
-    installed = False
-    for fn in daemon.methods.values():
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if _dotted(target) == "self.transport.durability_gate":
-                        installed = True
-    if not installed:
-        findings.append(Finding(
-            rule="flow/rt-durability-gate",
-            severity=Severity.ERROR,
-            location="rt/daemon.py:1",
-            message=(
-                "SiteDaemon never installs the group-commit barrier as "
-                "self.transport.durability_gate — buffered force points "
-                "would never gate outbound frames"
-            ),
-            anchor=_ANCHOR,
-        ))
+    # Both hosts of a group-committed WAL: the daemon (PREPARE /
+    # LOCAL_COMMIT / COMMIT / ABORT) and the client (the coordinator's
+    # DECIDE record).
+    for rel, class_name in (
+        ("rt/daemon.py", "SiteDaemon"), ("rt/client.py", "NetClient"),
+    ):
+        host = _load_class(root, rel, class_name)
+        installed = any(
+            _dotted(target) == "self.transport.durability_gate"
+            for fn in host.methods.values()
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+        )
+        if not installed:
+            findings.append(Finding(
+                rule="flow/rt-durability-gate",
+                severity=Severity.ERROR,
+                location=f"{rel}:1",
+                message=(
+                    f"{class_name} never installs the group-commit barrier "
+                    "as self.transport.durability_gate — buffered force "
+                    "points would never gate outbound frames"
+                ),
+                anchor=_ANCHOR,
+            ))
     return findings
 
 

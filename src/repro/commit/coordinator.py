@@ -24,7 +24,7 @@ unaffected.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.core.protocols import MarkingProtocol, NoProtocol
@@ -77,6 +77,10 @@ class Coordinator:
         self.inbox = network.register(self.endpoint)
         #: durable decision log (survives coordinator crashes)
         self.decision_log: list[str] = []
+        #: host hook ``(decision, sites)`` that really force-writes the
+        #: decision record (the networked client's WAL); None = the
+        #: simulator's modelled ``decision_log_delay``
+        self.force_decision: Callable[[str, list[str]], None] | None = None
         #: the sites the last decision round targeted, and the acks it got
         #: back — read by the networked client to re-send the decision to
         #: sites that never acknowledged (a restarted in-doubt daemon)
@@ -132,12 +136,7 @@ class Coordinator:
         outcome.no_votes = sorted(
             site for site, v in votes.items() if v == "NO"
         )
-        # Force-write the decision record; a crash inside this window is
-        # the paper's blocking scenario (participants prepared, no decision).
-        if self.config.decision_log_delay > 0:
-            yield self.env.timeout(self.config.decision_log_delay)
-        yield from self._await_alive()
-        self.decision_log.append(decision)
+        yield from self._log_decision(decision, executed_sites)
         outcome.decision_time = self.env.now
         outcome.committed = decision == "COMMIT"
         if bus.enabled:
@@ -264,6 +263,21 @@ class Coordinator:
         return marks
 
     # -- phase 2: decision ---------------------------------------------------------------------
+
+    def _log_decision(self, decision: str, sites: list[str]):
+        """Force-write the decision record before any DECISION leaves.
+
+        A crash inside this window is the paper's blocking scenario
+        (participants prepared, no decision).  The simulator models the
+        write as ``decision_log_delay``; a host that owns a real log
+        installs :attr:`force_decision` and pays the write, not the sleep.
+        """
+        if self.force_decision is not None:
+            self.force_decision(decision, sites)
+        elif self.config.decision_log_delay > 0:
+            yield self.env.timeout(self.config.decision_log_delay)
+        yield from self._await_alive()
+        self.decision_log.append(decision)
 
     def _decision_phase(self, decision: str, sites: list[str]):
         """Send DECISION, re-sending to unacknowledged sites; returns

@@ -7,6 +7,20 @@ pumped environment, registering the coordinator endpoint
 Daemons learn the return route from the first frame and send
 SUBTXN_ACK/VOTE/ACK replies back over the same connection.
 
+The coordinator's decision is durable here, as the paper (and Gray &
+Lamport's "+1 stable write") require: the client owns a group-committed
+:class:`~repro.storage.wal.WriteAheadLog` at
+``<data_dir>/client.decisions.wal``.  The coordinator force-writes a
+``DECIDE`` record (transaction, decision, sites) through the
+``force_decision`` seam instead of sleeping out the simulator's
+``decision_log_delay``; the log's flusher is the client transport's
+durability gate, so no DECISION frame leaves before its covering fsync.
+Once every site acknowledged, an unforced ``COMMIT``/``ABORT`` end record
+closes the entry.  Construction replays the file: a ``DECIDE`` without
+its end record is a pending decision, so a client killed after deciding
+comes back knowing what it owes to whom (:meth:`NetClient.resend_pending`).
+One coordinating client per ``data_dir``.
+
 ``failures=None`` is deliberate: over real sockets nobody hands the
 coordinator an oracle of site liveness — a dead participant is exactly a
 missed timeout, which is the paper's failure model and what the protocol
@@ -26,7 +40,9 @@ bench.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
+from functools import partial
 from typing import Any
 
 from repro.commit.base import CommitConfig, CommitScheme
@@ -36,10 +52,12 @@ from repro.harness.system import PROTOCOLS
 from repro.net.message import Message, MsgType
 from repro.protocols import acceptor_ids, engine_for
 from repro.rt.config import ClusterConfig
+from repro.rt.group_commit import GroupCommitFlusher
 from repro.rt.pump import RealtimePump
 from repro.rt.transport import TcpTransport
 from repro.rt.wire import read_frame, write_frame
 from repro.sim.engine import Environment
+from repro.storage.wal import RecordType, WriteAheadLog
 from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
 
 
@@ -84,11 +102,29 @@ class NetClient:
         self.outcomes: list[TxnOutcome] = []
         #: wall-clock seconds per submitted transaction (completion order)
         self.latencies: list[float] = []
+        log_path = cluster.decision_log_path()
+        os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
+        #: the durable decision log: a forced DECIDE before any DECISION
+        #: frame, an unforced COMMIT/ABORT end record once all sites acked
+        self.wal = WriteAheadLog("client", path=log_path)
         #: decisions some site never acknowledged: txn -> (decision,
-        #: pending sites).  A daemon that was down for the decision round
-        #: restarts *in doubt* and blocks until someone re-sends — that
-        #: someone is :meth:`resend_pending`.
+        #: pending sites), rebuilt from the log at construction.  A daemon
+        #: that was down for the decision round restarts *in doubt* and
+        #: blocks until someone re-sends — that someone is
+        #: :meth:`resend_pending`.
         self.pending_decisions: dict[str, tuple[str, list[str]]] = {}
+        for record in self.wal:
+            if record.record_type is RecordType.DECIDE:
+                self.pending_decisions[record.txn_id] = (
+                    record.payload["decision"], record.payload["sites"],
+                )
+            else:
+                self.pending_decisions.pop(record.txn_id, None)
+        # Group commit: DECIDE appends are deferred to the flusher, and
+        # every outbound flush passes its barrier before reaching a socket.
+        self.wal.group_commit = True
+        self.flusher = GroupCommitFlusher(self.wal)
+        self.transport.durability_gate = self.flusher.barrier
 
     # -- running transactions ------------------------------------------------
 
@@ -105,6 +141,9 @@ class NetClient:
             failures=None,
             acceptors=self.acceptors,
         )
+        coordinator.force_decision = partial(
+            self._force_decision, spec.txn_id
+        )
         proc = self.env.process(
             coordinator.run(), name=f"coordinator:{spec.txn_id}"
         )
@@ -112,18 +151,32 @@ class NetClient:
         self.outcomes.append(outcome)
         self.latencies.append(time.perf_counter() - started)
         if coordinator.decision_log:
-            pending = [
+            self._settle(spec.txn_id, coordinator.decision_log[-1], [
                 s for s in coordinator.decision_sites
                 if s not in coordinator.decision_acks
-            ]
-            if pending:
-                self.pending_decisions[spec.txn_id] = (
-                    coordinator.decision_log[-1], pending,
-                )
+            ])
         # The coordinator endpoint is done; late frames for it drop as
         # unknown_endpoint instead of piling into a dead inbox.
         self.transport.unregister(coordinator.endpoint)
         return outcome
+
+    def _force_decision(
+        self, txn_id: str, decision: str, sites: list[str],
+    ) -> None:
+        """The coordinator's forced DECIDE record (fsynced by the gate)."""
+        self.wal.append(
+            RecordType.DECIDE, txn_id, force=True,
+            decision=decision, sites=list(sites),
+        )
+
+    def _settle(self, txn_id: str, decision: str, unacked: list[str]) -> None:
+        """Book one decision round: unacked sites stay pending; a fully
+        acknowledged decision gets its (unforced) end record."""
+        if unacked:
+            self.pending_decisions[txn_id] = (decision, unacked)
+        else:
+            self.pending_decisions.pop(txn_id, None)
+            self.wal.append(RecordType[decision], txn_id)
 
     async def _with_pump(self, body: Any) -> Any:
         """Run ``body()`` with the pump running; tear both down after."""
@@ -137,6 +190,9 @@ class NetClient:
             except asyncio.CancelledError:
                 pass
             await self.transport.close()
+            # Session over, nothing left to starve: put the trailing end
+            # records on disk so a later client does not re-send them.
+            self.wal.sync()  # lint: allow-blocking
 
     async def run_session(
         self, specs: list[GlobalTxnSpec]
@@ -241,10 +297,7 @@ class NetClient:
                 name=f"resend:{txn_id}",
             )
             still: list[str] = await self.pump.wait_for(proc)
-            if still:
-                self.pending_decisions[txn_id] = (decision, still)
-            else:
-                del self.pending_decisions[txn_id]
+            self._settle(txn_id, decision, still)
             results[txn_id] = still
         return results
 

@@ -1,55 +1,31 @@
-"""WAL group commit: coalesce concurrent force points into shared fsyncs.
+"""WAL group commit: concurrent force points share one fsync.
 
-The durability contract of a 2PC participant is per-record: a force
+The durability contract of a commit protocol is per-record: a force
 point's log record (PREPARE before a YES vote, COMMIT/ABORT before the
-ACK) must be on stable storage before any message that *reveals* it
-leaves the site.  PR 6 satisfied that with one ``fsync`` per force
-point; under pipelined load the disk head, not the protocol, becomes
-the bottleneck — Gray & Lamport cost commit protocols in stable writes
-for exactly this reason.
+ACK, the coordinator's DECIDE before its DECISION) must be on stable
+storage before any message that *reveals* it leaves the process.  The
+host's WAL runs in ``group_commit`` mode (forced appends are buffered,
+not fsynced) and every outbound flush passes
+:meth:`GroupCommitFlusher.barrier` first — the transport's durability
+gate — so one fsync covers every force point appended since the last.
 
-This module implements the classical fix.  The daemon's WAL runs in
-``group_commit`` mode (forced appends are buffered, not fsynced), and
-every outbound protocol frame passes :meth:`GroupCommitFlusher.barrier`
-before it reaches the socket — the transport's durability gate.  The
-first waiter becomes the *group leader*: it optionally holds the flush
-open for a short adaptive window so force points from other
-concurrently-committing transactions land in the same group, then
-issues ONE fsync covering every record appended so far and wakes all
-waiters.  A record is therefore still acknowledged only after its
-covering fsync; what changed is how many acknowledgements one fsync
-covers.
-
-The hold window adapts to the offered load: it grows (up to
-``max_hold_s``) while groups actually coalesce more than one force
-point, and decays to zero under serial traffic so an idle cluster pays
-no added commit latency.
+There is no batching window to tune: the window is the blocking fsync
+itself.  Frames that arrive while it runs are handled in the next pump
+drain, and the force points they produce share the next flush's fsync,
+so group size tracks fsync latency — one session pays one fsync per
+force point and no added wait, sixteen sessions coalesce on their own.
 """
 
 from __future__ import annotations
-
-import asyncio
-from typing import Any
 
 from repro.storage.wal import WriteAheadLog
 
 
 class GroupCommitFlusher:
-    """First-waiter-flushes fsync coalescing for one WAL."""
+    """The fsync site for one group-committed WAL."""
 
-    def __init__(
-        self,
-        wal: WriteAheadLog,
-        *,
-        max_hold_s: float = 0.004,
-        min_hold_s: float = 0.0005,
-    ) -> None:
+    def __init__(self, wal: WriteAheadLog) -> None:
         self.wal = wal
-        self.max_hold_s = max_hold_s
-        self.min_hold_s = min_hold_s
-        #: current adaptive hold (0.0 = flush immediately)
-        self.hold_s = 0.0
-        self._leader: Any = None  # the in-flight group's future
         #: fsync groups issued through the barrier
         self.groups = 0
         #: force points those groups covered (>= groups when coalescing)
@@ -58,41 +34,11 @@ class GroupCommitFlusher:
     async def barrier(self) -> None:
         """Return once every force point appended so far is on disk.
 
-        Safe to call from any number of tasks; only one of them runs the
-        fsync per group.  No-op when the WAL has nothing to sync.
+        Never suspends, so no force point can slip in between the fsync
+        and the caller's next step.  No-op when nothing awaits a sync.
         """
-        while self.wal.needs_sync:
-            leader = self._leader
-            if leader is not None:
-                # A group is already in flight.  Its fsync may or may not
-                # cover records appended after its hold began, so re-check
-                # ``needs_sync`` after it completes rather than assume.
-                await leader
-                continue
-            loop = asyncio.get_running_loop()
-            self._leader = future = loop.create_future()
-            try:
-                if self.hold_s > 0:
-                    await asyncio.sleep(self.hold_s)
-                # sync() and the wake-up below run without yielding to the
-                # loop, so no force point can slip between them unseen.
-                # This is THE designated fsync site: every other force
-                # point coalesces behind this barrier instead of blocking.
-                covered = self.wal.sync()  # lint: allow-blocking
-                self.groups += 1
-                self.forces_covered += covered
-                self._adapt(covered)
-            finally:
-                self._leader = None
-                future.set_result(None)
-
-    def _adapt(self, covered: int) -> None:
-        """Grow the hold while it pays for itself, decay it when it stops."""
-        if covered > 1:
-            self.hold_s = min(
-                self.max_hold_s, max(self.min_hold_s, self.hold_s * 2.0)
-            )
-        else:
-            self.hold_s /= 2.0
-            if self.hold_s < self.min_hold_s:
-                self.hold_s = 0.0
+        if self.wal.needs_sync:
+            # THE designated fsync site: every other force point coalesces
+            # behind this barrier instead of blocking its handler.
+            self.forces_covered += self.wal.sync()  # lint: allow-blocking
+            self.groups += 1

@@ -3,21 +3,41 @@
 The protocol core is written as generator processes against
 :class:`~repro.sim.engine.Environment` — timeouts, inbox waits, composite
 events.  The networked runtime runs that code *unmodified* by pumping the
-environment in real time:
+environment in real time.  The kernel clock is **anchored** to the loop
+clock: when :meth:`RealtimePump.run` starts it records the pair
+``(sim0, wall0)``, and from then on
 
-* all events due at the current simulation instant are processed
-  immediately;
-* when the next scheduled event lies in the (simulated) future, the pump
-  sleeps ``delta * time_scale`` real seconds, then advances the clock;
+    ``env.now = sim0 + (loop.time() - wall0) / time_scale``
+
+is re-applied on *every* wake before anything is drained (with one
+exception, the last bullet).  So:
+
+* a simulated timer armed for ``now + d`` fires ``d * time_scale`` real
+  seconds after it was armed, however many frames arrive in between —
+  a kick wakes the pump, it does not restart the timers;
+* timers that came due run in time order, each at its own instant;
 * externally injected work (a frame arriving from a socket triggers an
-  inbox ``put``) schedules events at the current instant and *kicks* the
-  pump, which wakes and drains them at once.
+  inbox ``put``, then a *kick*) is handled at the wall instant the pump
+  sees it, never at the stale instant the pump parked at — a daemon that
+  idled for a minute does not arm its next lock timeout a minute late;
+* when nothing is due the pump parks until the next timer's wall
+  deadline or the next kick, whichever comes first;
+* a *stall of this process* is not protocol time.  If the pump wakes
+  more than :data:`STALL_TICKS` past a timer that was due — the process
+  was SIGSTOPped, its VM paused, the loop blocked — the anchor is moved
+  so that the clock reads that timer's instant.  A timeout is a failure
+  detector for *peers*; time during which nobody could be heard must not
+  expire it (without this, a one-second freeze of a client aborts half
+  the transactions it had in flight although their replies are waiting
+  in its socket buffers).
 
 ``time_scale`` maps simulation units to real seconds.  The default of
 10 ms per unit keeps protocol timeouts (hundreds of units) in the
 single-digit-second range while leaving message handling effectively
 instantaneous — and, unlike the simulation, the wall clock is shared with
 the operating system, so a ``kill -9``'d daemon really does go silent.
+``env.now`` therefore reads "ticks since this pump first ran" (the clock
+stands still between two ``run`` calls of a reused client).
 """
 
 from __future__ import annotations
@@ -28,17 +48,21 @@ from typing import Any
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 
+#: a wake this many ticks past a due timer means the process was stalled
+#: (SIGSTOP, a paused VM, a long blocking call), not that its peers were
+#: silent; the tick is the unit protocol delays are written in, and
+#: event-loop latency is a small fraction of one
+STALL_TICKS = 1.0
+
 
 class RealtimePump:
     """Drives one :class:`Environment` against the asyncio clock.
 
-    The wait primitive is a bare future resolved either by
-    :meth:`kick` (external input: ``True``) or by a ``call_later``
-    deadline (the next scheduled simulation event: ``False``).  The
-    original implementation parked on ``asyncio.wait_for(event.wait())``,
-    which costs a wrapper Task plus an inner ``Event.wait()`` coroutine
-    per pump iteration — measurable overhead once pipelined sessions
-    push thousands of drains per second through one loop.
+    The wait primitive is a bare future resolved by :meth:`kick` — called
+    by whoever injected external input, or by the ``call_later`` armed
+    for the next scheduled simulation event.  Both wakes do the same
+    thing (advance the clock to the wall instant, drain what is due), so
+    the pump does not care which one it was.
     """
 
     def __init__(
@@ -50,27 +74,22 @@ class RealtimePump:
         self.time_scale = time_scale
         #: future the run loop is parked on (None while draining)
         self._waiter: Any = None
-        #: a kick arrived while no waiter was armed
-        self._pending_kick = False
         self._running = False
 
     # -- external wake-ups ---------------------------------------------------
 
     def kick(self) -> None:
-        """Wake the pump: externally injected events are ready to run."""
+        """Wake the pump: injected events (or a due timer) are ready to run.
+
+        A kick while the pump is draining needs no bookkeeping: nothing
+        can be injected between the end of a drain and the next park
+        (there is no ``await`` there), and every wake drains.
+        """
         waiter = self._waiter
         if waiter is not None and not waiter.done():
-            waiter.set_result(True)
-        else:
-            self._pending_kick = True
+            waiter.set_result(None)
 
     # -- the pump loop -------------------------------------------------------
-
-    def _drain_due(self) -> None:
-        """Process every event scheduled at or before the current instant."""
-        env = self.env
-        while env.peek() <= env.now:
-            env.step()
 
     async def run(self) -> None:
         """Pump until :meth:`stop` (or task cancellation).
@@ -82,39 +101,44 @@ class RealtimePump:
         self._running = True
         env = self.env
         loop = asyncio.get_running_loop()
-        try:
-            while self._running:
-                self._drain_due()
-                if self._pending_kick:
-                    # Kicked mid-drain: re-drain before parking, in case
-                    # the injected event landed at the current instant.
-                    self._pending_kick = False
-                    continue
-                next_at = env.peek()
-                self._waiter = waiter = loop.create_future()
-                if next_at == float("inf"):
-                    # Nothing scheduled: wait for external input.
-                    await waiter
-                    self._waiter = None
-                    continue
-                delay = (next_at - env.now) * self.time_scale
-                deadline = loop.call_later(delay, self._on_deadline, waiter)
-                try:
-                    kicked = await waiter
-                finally:
-                    self._waiter = None
+        scale = self.time_scale
+        # The anchor: work queued before the pump started runs at sim0.
+        sim0, wall0 = env.now, loop.time()
+        woke = wall0
+        while self._running:
+            wall = max(env.now, sim0 + (woke - wall0) / scale)
+            # Where this drain starts: the first timer already due (it was
+            # scheduled before whatever a kick injected, and runs ahead of
+            # it), else the wall instant.  ``env.run(until=wall)`` alone
+            # would handle injected events -- they sit in the kernel's
+            # current-tick slot -- at the instant the pump *parked*, and
+            # any timer they arm would be short by the length of the park;
+            # the kernel has no public "advance with the slot carried
+            # forward", so the clock is moved here.
+            timers = env._queue
+            start = min(timers[0][0], wall) if timers else wall
+            if wall - start > STALL_TICKS:
+                # Whole ticks past a due timer: this process was stalled,
+                # and no peer could be heard meanwhile.  Re-anchor so the
+                # clock reads that timer's instant; the later ones keep
+                # their distance from it in real time.
+                wall0 += (wall - start) * scale
+                wall = start
+            env._now = start
+            env.run(until=wall)
+            next_at = env.peek()
+            # Nothing scheduled: only a kick can end the park.
+            deadline = None if next_at == float("inf") else loop.call_at(
+                wall0 + (next_at - sim0) * scale, self.kick
+            )
+            self._waiter = waiter = loop.create_future()
+            try:
+                await waiter
+            finally:
+                self._waiter = None
+                if deadline is not None:
                     deadline.cancel()
-                if not kicked:
-                    env.run(until=next_at)
-                # else: new work was injected at the current instant;
-                # loop to drain it without advancing the clock early.
-        finally:
-            self._waiter = None
-
-    @staticmethod
-    def _on_deadline(waiter: Any) -> None:
-        if not waiter.done():
-            waiter.set_result(False)
+            woke = loop.time()
 
     def stop(self) -> None:
         """Ask the pump loop to exit after the current iteration."""

@@ -17,9 +17,10 @@ flush task drains the queue once the pump yields, packing every message
 bound for the same peer connection into one multi-frame batch payload —
 one ``writev``-shaped syscall per peer per drain instead of one task and
 one syscall per message.  Before anything touches a socket the flush
-awaits the host's :attr:`~TcpTransport.durability_gate` (the daemon's WAL
-group-commit barrier), which is what lets the WAL defer its fsyncs: no
-frame can reveal a force point that is not yet on disk.
+awaits the host's :attr:`~TcpTransport.durability_gate` (the group-commit
+barrier of the daemon's WAL, or of the client's decision log), which is
+what lets the WAL defer its fsyncs: no frame can reveal a force point
+that is not yet on disk.
 
 Failure semantics match the simulated :class:`~repro.net.network.Network`
 by contract (see :mod:`repro.net.transport`): an unreachable recipient —
@@ -109,9 +110,9 @@ class TcpTransport:
         #: messages awaiting the next outbound flush (coalescing queue)
         self._outbound: list[Message] = []
         self._flush_task: Any = None
-        #: host hook awaited before outbound frames hit the socket; the
-        #: daemon installs its WAL group-commit barrier here so no frame
-        #: can acknowledge a force point before its covering fsync
+        #: host hook awaited before outbound frames hit the socket; daemon
+        #: and client install their WAL's group-commit barrier here so no
+        #: frame can reveal a force point before its covering fsync
         self.durability_gate: Callable[[], Awaitable[None]] | None = None
         #: redial schedule for dead peer sites (capped exponential + jitter)
         self.redial = RedialPolicy(local_site or "client")
@@ -365,6 +366,11 @@ class TcpTransport:
                 kind = sub.get("kind")
                 if kind == "msg":
                     message = message_from_json(sub)
+                    # ``send_time`` is not on the wire (it is a reading of
+                    # the sender's clock, another process's): stamp the
+                    # arrival, so the hop publishes latency 0 rather than
+                    # ``now`` minus the unset sentinel.
+                    message.send_time = self.env.now
                     # Learn the return route: replies to this sender go
                     # back over this connection.
                     self._routes[message.sender] = writer

@@ -7,7 +7,11 @@ redo (crash restart) any update.
 
 2PC durability points are modeled faithfully with dedicated record types:
 a participant force-writes ``PREPARE`` before voting YES, the coordinator
-force-writes ``DECIDE`` before sending its decision, and ``COMMIT``/``ABORT``
+force-writes ``DECIDE`` before sending its decision (on the ``net`` backend
+:class:`~repro.rt.client.NetClient` writes it to
+``<data_dir>/client.decisions.wal`` and closes it with an unforced
+``COMMIT``/``ABORT`` once every site acknowledged; the simulated coordinator
+models the write as ``decision_log_delay``), and ``COMMIT``/``ABORT``
 mark local transaction termination.  O2PC participants write
 ``LOCAL_COMMIT`` when they release locks early (Section 2), which is what a
 recovering site uses to know compensation — not state-based undo — is the
@@ -248,8 +252,7 @@ class WriteAheadLog:
     def sync(self) -> int:
         """Flush every deferred force point in one fsync (group commit).
 
-        Returns how many force points the fsync covered — the group size,
-        which the flusher uses to adapt its hold window.
+        Returns how many force points the fsync covered — the group size.
         """
         covered = self._pending_forces
         if self._file is not None and (covered or self._write_buffer):

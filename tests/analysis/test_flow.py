@@ -145,6 +145,17 @@ class TestRtGate:
         assert "flow/rt-durability-gate" in rules(found)
         assert any("never installs" in f.message for f in found)
 
+    def test_removing_the_client_install_fires(self, tree):
+        # The coordinator's DECIDE record is a deferred append too.
+        edit(
+            tree, "rt/client.py",
+            "        self.transport.durability_gate = self.flusher.barrier\n",
+            "",
+        )
+        found = analyze_rt_gate(tree)
+        assert rules(found) == ["flow/rt-durability-gate"]
+        assert "NetClient never installs" in found[0].message
+
 
 class TestForcePointDrift:
     def test_undeclared_force_point_fires(self, tree):

@@ -139,6 +139,8 @@ class TestCli:
         (tmp_path / "rt" / "client.py").write_text(
             "class NetClient:\n"
             "    _INBOUND = (MsgType.VOTE,)\n"
+            "    def __init__(self):\n"
+            "        self.transport.durability_gate = gate\n"
         )
         (tmp_path / "rt" / "transport.py").write_text(
             "class TcpTransport:\n"

@@ -23,6 +23,7 @@ import asyncio
 from repro.net.message import Message, MsgType
 from repro.net.network import LatencyModel, Network
 from repro.net.transport import Transport
+from repro.obs.events import EventLog, MessageDelivered
 from repro.rt.config import local_cluster
 from repro.rt.pump import RealtimePump
 from repro.rt.transport import TcpTransport
@@ -141,6 +142,31 @@ class TestTcpTransportContract:
                 assert items[0].payload == {"n": 1}
                 assert client.sent[MsgType.SUBTXN_REQ] == 1
                 assert server.delivered[MsgType.SUBTXN_REQ] == 1
+            finally:
+                await client.close()
+                await server.close()
+
+        self.run_async(scenario())
+
+    def test_wire_hop_latency_is_not_the_unset_sentinel(self):
+        # ``send_time`` does not cross the wire.  The receiver used to
+        # publish ``now - (-1.0)``; with a wall-anchored clock that is
+        # thousands of ticks on an idle daemon, polluting the cluster
+        # latency histograms.
+        async def scenario():
+            server, client = await self.make_pair()
+            log = EventLog()
+            server.env.bus.subscribe(log)
+            server.env.bus.enable()
+            server.env.run(until=5000)  # a daemon that has been up a while
+            try:
+                client.send(msg("S1"))
+                await self.settle()
+                delivered = [
+                    e for e in log.events if isinstance(e, MessageDelivered)
+                ]
+                assert [e.latency for e in delivered] == [0.0]
+                assert server.inbox("S1").items[0].send_time == 5000
             finally:
                 await client.close()
                 await server.close()

@@ -7,9 +7,15 @@ once the site is back.  The down-site is played by a scripted socket
 server that speaks the wire protocol up to its YES vote and then goes
 silent — so the pending entry is produced *organically* by
 ``submit()``'s bookkeeping, not planted by the test.
+
+The decision itself is durable: the client force-writes a ``DECIDE``
+record to ``<data_dir>/client.decisions.wal`` before any DECISION frame
+and replays the file at construction, so the obligation survives the
+client process (``TestDecisionLogReplay``).
 """
 
 import asyncio
+import os
 
 import pytest
 
@@ -24,6 +30,7 @@ from repro.rt.wire import (
     read_frame,
     write_frame,
 )
+from repro.storage.wal import RecordType, WriteAheadLog
 
 from tests.rt.test_daemon import transfer_spec
 
@@ -144,6 +151,109 @@ class TestPendingDecisions:
         outcomes, pending = asyncio.run(scenario())
         assert outcomes[0].committed
         assert pending == {}
+
+
+def write_decision_log(cluster, *records):
+    """Plant ``client.decisions.wal`` as an earlier client left it."""
+    wal = WriteAheadLog("client", path=cluster.decision_log_path())
+    for record_type, txn_id, payload in records:
+        wal.append(record_type, txn_id, force=True, **payload)
+    wal.close()
+
+
+DECIDE_T1 = (
+    RecordType.DECIDE, "T1", {"decision": "COMMIT", "sites": ["S1", "S2"]},
+)
+
+
+class TestDecisionLogReplay:
+    """A client killed after deciding comes back knowing what it owes."""
+
+    def test_decide_without_end_record_is_pending(self, tmp_path):
+        cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+        write_decision_log(cluster, DECIDE_T1)
+        client = NetClient(cluster)
+        assert client.pending_decisions == {"T1": ("COMMIT", ["S1", "S2"])}
+
+    def test_end_record_closes_the_entry(self, tmp_path):
+        cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+        write_decision_log(
+            cluster, DECIDE_T1, (RecordType.COMMIT, "T1", {}),
+            (RecordType.DECIDE, "T2", {"decision": "ABORT", "sites": ["S2"]}),
+        )
+        client = NetClient(cluster)
+        assert client.pending_decisions == {"T2": ("ABORT", ["S2"])}
+
+    def test_torn_tail_is_truncated_like_any_wal(self, tmp_path):
+        cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+        write_decision_log(cluster, DECIDE_T1)
+        intact = os.path.getsize(cluster.decision_log_path())
+        with open(cluster.decision_log_path(), "ab") as handle:
+            handle.write(b"\x00\x00\x01\x00torn mid-append")
+        client = NetClient(cluster)
+        assert client.wal.torn_records_truncated == 1
+        assert os.path.getsize(cluster.decision_log_path()) == intact
+        assert client.pending_decisions == {"T1": ("COMMIT", ["S1", "S2"])}
+
+    def test_a_fresh_client_finalizes_what_a_dead_one_decided(
+        self, tmp_path,
+    ):
+        # Both daemons prepare and vote YES, then miss every DECISION
+        # round (deaf, as if partitioned).  The client that decided is
+        # dropped without a single ACK; its successor on the same
+        # data_dir finds the DECIDE record and finishes the job.
+        async def scenario():
+            cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+            daemons = [
+                SiteDaemon(
+                    s, cluster, scheme=CommitScheme.TWO_PL, time_scale=0.002,
+                )
+                for s in cluster.site_ids
+            ]
+            for daemon in daemons:
+                await daemon.start()
+                deliver = daemon.transport._deliver_local
+                daemon.transport._deliver_local = (
+                    lambda message, deliver=deliver:
+                    message.msg_type is MsgType.DECISION or deliver(message)
+                )
+            try:
+                client = NetClient(
+                    cluster, scheme=CommitScheme.TWO_PL,
+                    commit=CLIENT_COMMIT, time_scale=0.002,
+                )
+                outcomes = await client.run_session([transfer_spec()])
+                assert outcomes[0].committed
+                in_doubt = [
+                    not d.site.wal.is_terminated("T1") for d in daemons
+                ]
+                del client
+
+                for daemon in daemons:
+                    del daemon.transport._deliver_local  # partition heals
+                successor = NetClient(
+                    cluster, scheme=CommitScheme.TWO_PL,
+                    commit=CLIENT_COMMIT, time_scale=0.002,
+                )
+                owed = dict(successor.pending_decisions)
+                results = await successor._with_pump(
+                    successor.resend_session
+                )
+                finalized = [
+                    d.site.wal.is_terminated("T1") for d in daemons
+                ]
+            finally:
+                for daemon in daemons:
+                    await daemon.shutdown()
+            return in_doubt, owed, results, finalized, cluster
+
+        in_doubt, owed, results, finalized, cluster = asyncio.run(scenario())
+        assert in_doubt == [True, True]
+        assert owed == {"T1": ("COMMIT", ["S1", "S2"])}
+        assert results == {"T1": []}
+        assert finalized == [True, True]
+        # The end record made it to disk: a third client owes nothing.
+        assert NetClient(cluster).pending_decisions == {}
 
 
 class TestResendAcrossSchemes:

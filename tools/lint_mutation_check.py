@@ -113,15 +113,28 @@ MUTATIONS = [
         # designated site)
         paths=("repro/rt/group_commit.py",),
         replacements=(
-            ("import asyncio", "import asyncio\nimport os"),
+            ("from __future__ import annotations",
+             "from __future__ import annotations\nimport os"),
             (
-                "                if self.hold_s > 0:",
-                "                os.fsync(0)\n"
-                "                if self.hold_s > 0:",
+                "        if self.wal.needs_sync:",
+                "        os.fsync(0)\n"
+                "        if self.wal.needs_sync:",
             ),
         ),
         append="",
         expect_rule="blocking/sync-fsync",
+    ),
+    Mutation(
+        name="drop-client-durability-gate",
+        # the client's DECIDE record is a deferred (group-commit) append:
+        # without the gate a DECISION frame can leave before its fsync
+        paths=("repro/rt/client.py",),
+        replacements=((
+            "        self.transport.durability_gate = self.flusher.barrier\n",
+            "",
+        ),),
+        append="",
+        expect_rule="flow/rt-durability-gate",
     ),
 ]
 
