@@ -33,6 +33,11 @@ message-flow graph the engines induce:
     await the gate before any ``writer.write`` and both WAL hosts —
     ``SiteDaemon`` and ``NetClient`` (the coordinator's DECIDE record) —
     to install the gate (``self.transport.durability_gate = ...``).
+    ``NetClient.submit`` reveals the decision to its *caller* at the
+    commit point, a path no frame travels: between the await that wakes
+    it there (the one naming ``commit_point``) and every later ``return``
+    it must ``await self.flusher.barrier()`` itself — both as statements
+    of ``submit``'s own body, so no branch can lead around the barrier.
 
 ``flow/force-point-drift``
     ``LocalTransactionManager._FORCE_POINTS`` declares which methods are
@@ -594,7 +599,65 @@ def analyze_rt_gate(root: Path) -> list[Finding]:
                 ),
                 anchor=_ANCHOR,
             ))
+        if class_name == "NetClient":
+            findings.extend(_commit_point_barrier(host))
     return findings
+
+
+def _commit_point_barrier(client: _ClassModel) -> list[Finding]:
+    """``NetClient.submit``: commit-point wake, then barrier, then return.
+
+    Wake and barrier must be statements of ``submit``'s own body, so that
+    no branch leads from the wake to a ``return`` around the barrier.
+    """
+    submit = client.methods.get("submit")
+    if submit is None:
+        raise AnalysisError(f"NetClient.submit not found in {client.path}")
+    wake: int | None = None
+    unbarriered: list[ast.Return] = []
+    for stmt in submit.body:
+        if wake is None:
+            if (
+                isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Await)
+                and any(
+                    isinstance(name, ast.Name) and name.id == "commit_point"
+                    for name in ast.walk(stmt)
+                )
+            ):
+                wake = stmt.lineno
+        elif (
+            isinstance(stmt, ast.Expr)
+            and isinstance(stmt.value, ast.Await)
+            and isinstance(stmt.value.value, ast.Call)
+            and _dotted(stmt.value.value.func) == "self.flusher.barrier"
+        ):
+            break
+        else:
+            unbarriered.extend(
+                node for node in ast.walk(stmt)
+                if isinstance(node, ast.Return)
+            )
+    if wake is None:
+        raise AnalysisError(
+            "NetClient.submit has no top-level await of its commit_point "
+            f"in {client.path}"
+        )
+    return [
+        Finding(
+            rule="flow/rt-durability-gate",
+            severity=Severity.ERROR,
+            location=f"{client.rel}:{node.lineno}",
+            message=(
+                f"NetClient.submit returns at line {node.lineno} without "
+                "a top-level await of self.flusher.barrier() after its "
+                f"commit-point wake (line {wake}) — the caller could be "
+                "told of a DECIDE record still sitting in the WAL buffer"
+            ),
+            anchor=_ANCHOR,
+        )
+        for node in unbarriered
+    ]
 
 
 # -- rule 3: force-point drift ---------------------------------------------------

@@ -21,6 +21,13 @@ its end record is a pending decision, so a client killed after deciding
 comes back knowing what it owes to whom (:meth:`NetClient.resend_pending`).
 One coordinating client per ``data_dir``.
 
+A transaction is committed the moment that ``DECIDE`` record is on disk —
+the *commit point* — and that is when :meth:`NetClient.submit` tells its
+caller.  The ACK round after it lets the coordinator forget and tells the
+caller nothing, so the coordinator process runs on behind the caller as an
+*ack tail* (DECISION, ACKs, retransmission, end record), bounded to one
+tail per session and drained before the pump stops.
+
 ``failures=None`` is deliberate: over real sockets nobody hands the
 coordinator an oracle of site liveness — a dead participant is exactly a
 missed timeout, which is the paper's failure model and what the protocol
@@ -42,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from dataclasses import replace
 from functools import partial
 from typing import Any
 
@@ -100,8 +108,22 @@ class NetClient:
             if self.engine.uses_acceptors else ()
         )
         self.outcomes: list[TxnOutcome] = []
-        #: wall-clock seconds per submitted transaction (completion order)
+        #: wall-clock seconds from submit until the caller was told, in the
+        #: order callers were told: the commit point (``DECIDE`` on disk)
+        #: for a COMMIT, termination (every ACK in, or the ack rounds
+        #: expired) for anything else
         self.latencies: list[float] = []
+        #: wall-clock seconds from submit until the coordinator terminated
+        #: and its decision was settled (completion order) — what
+        #: ``latencies`` held while submit waited for the ACK round
+        self.settle_latencies: list[float] = []
+        #: every live ack tail, plus any that failed (kept so the failure
+        #: leaves with the session instead of with the garbage collector)
+        self._tails: set[asyncio.Task[TxnOutcome]] = set()
+        #: most ack tails ever outstanding; never above the session count,
+        #: which :meth:`_with_pump` sets as the cap
+        self.ack_tails_peak = 0
+        self._tail_cap = 1
         log_path = cluster.decision_log_path()
         os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
         #: the durable decision log: a forced DECIDE before any DECISION
@@ -129,8 +151,21 @@ class NetClient:
     # -- running transactions ------------------------------------------------
 
     async def submit(self, spec: GlobalTxnSpec) -> TxnOutcome:
-        """Run one global transaction (the pump must already be running)."""
+        """Run one global transaction (the pump must already be running).
+
+        Resolves at the commit point: a COMMIT returns as soon as its
+        ``DECIDE`` record is on disk, and the coordinator runs on behind
+        the caller as an ack tail.  An ABORT or a failed spawn phase
+        resolves at termination, because ``compensated_sites`` comes from
+        the ACKs.  The outcome of a COMMIT told at the commit point is a
+        copy the tail never touches, with ``end_time`` = ``decision_time``
+        (its ``latency`` reads submit → decision); :attr:`outcomes` holds
+        the same objects.
+        """
         started = time.perf_counter()
+        for tail in self._tails:
+            if tail.done():  # only a failed tail is done and still listed
+                tail.result()
         coordinator = self.engine.coordinator(
             env=self.env,
             network=self.transport,
@@ -141,33 +176,85 @@ class NetClient:
             failures=None,
             acceptors=self.acceptors,
         )
+        loop = asyncio.get_running_loop()
+        commit_point: asyncio.Future[None] = loop.create_future()
         coordinator.force_decision = partial(
-            self._force_decision, spec.txn_id
+            self._force_decision, spec.txn_id, commit_point
         )
         proc = self.env.process(
             coordinator.run(), name=f"coordinator:{spec.txn_id}"
         )
-        outcome: TxnOutcome = await self.pump.wait_for(proc)
+        termination = loop.create_task(
+            self._await_termination(coordinator, proc, started)
+        )
+        await asyncio.wait(
+            (commit_point, termination), return_when=asyncio.FIRST_COMPLETED
+        )
+        # Decided COMMIT, ACKs outstanding.  One tail per session: with the
+        # cap reached (a silent site) this waits for a tail to settle — or
+        # for its own coordinator, as submit used to.
+        while not termination.done() and self.ack_tails >= self._tail_cap:
+            await asyncio.wait(
+                [termination, *(t for t in self._tails if not t.done())],
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+        if termination.done():
+            outcome = termination.result()
+        else:
+            self._tails.add(termination)
+            termination.add_done_callback(self._tail_done)
+            self.ack_tails_peak = max(self.ack_tails_peak, self.ack_tails)
+            # The drain that forced the DECIDE ran on to the first DECISION
+            # send before this task woke, so the decision fields are set.
+            decided = coordinator.outcome
+            outcome = replace(decided, end_time=decided.decision_time)
+        # Durable before told.  The transport's gate puts the DECIDE on
+        # disk ahead of the DECISION frames, but whether that flush ran
+        # before this wake is the event loop's business, not a guarantee.
+        await self.flusher.barrier()
         self.outcomes.append(outcome)
         self.latencies.append(time.perf_counter() - started)
+        return outcome
+
+    async def _await_termination(
+        self, coordinator: Any, proc: Any, started: float,
+    ) -> TxnOutcome:
+        """Await the coordinator's termination; book its decision round."""
+        try:
+            outcome: TxnOutcome = await self.pump.wait_for(proc)
+        finally:
+            # The coordinator endpoint is done; late frames for it drop as
+            # unknown_endpoint instead of piling into a dead inbox.
+            self.transport.unregister(coordinator.endpoint)
+        self.settle_latencies.append(time.perf_counter() - started)
         if coordinator.decision_log:
-            self._settle(spec.txn_id, coordinator.decision_log[-1], [
+            self._settle(outcome.txn_id, coordinator.decision_log[-1], [
                 s for s in coordinator.decision_sites
                 if s not in coordinator.decision_acks
             ])
-        # The coordinator endpoint is done; late frames for it drop as
-        # unknown_endpoint instead of piling into a dead inbox.
-        self.transport.unregister(coordinator.endpoint)
         return outcome
 
+    @property
+    def ack_tails(self) -> int:
+        """Coordinators still running behind a resolved submit."""
+        return sum(1 for tail in self._tails if not tail.done())
+
+    def _tail_done(self, tail: asyncio.Task[TxnOutcome]) -> None:
+        if tail.cancelled() or tail.exception() is None:
+            self._tails.discard(tail)
+
     def _force_decision(
-        self, txn_id: str, decision: str, sites: list[str],
+        self, txn_id: str, commit_point: asyncio.Future[None],
+        decision: str, sites: list[str],
     ) -> None:
-        """The coordinator's forced DECIDE record (fsynced by the gate)."""
+        """The coordinator's forced DECIDE record (fsynced by the gate, or
+        by the submit this wakes — whichever gets there first)."""
         self.wal.append(
             RecordType.DECIDE, txn_id, force=True,
             decision=decision, sites=list(sites),
         )
+        if decision == "COMMIT":
+            commit_point.set_result(None)
 
     def _settle(self, txn_id: str, decision: str, unacked: list[str]) -> None:
         """Book one decision round: unacked sites stay pending; a fully
@@ -178,12 +265,23 @@ class NetClient:
             self.pending_decisions.pop(txn_id, None)
             self.wal.append(RecordType[decision], txn_id)
 
-    async def _with_pump(self, body: Any) -> Any:
-        """Run ``body()`` with the pump running; tear both down after."""
+    async def _with_pump(self, body: Any, sessions: int = 1) -> Any:
+        """Run ``body()`` with the pump running; tear both down after.
+
+        ``sessions`` caps the ack tails.  They are drained before the pump
+        stops, so every decision is settled (and a failed tail has raised)
+        by the time this returns.
+        """
+        self._tail_cap = sessions
         pump_task = asyncio.get_running_loop().create_task(self.pump.run())
         try:
-            return await body()
+            result = await body()
+            await asyncio.gather(*self._tails)
+            return result
         finally:
+            for tail in self._tails:
+                tail.cancel()
+            self._tails.clear()
             self.pump.stop()
             try:
                 await pump_task
@@ -230,7 +328,7 @@ class NetClient:
             )
             return [outcome for outcome in results if outcome is not None]
 
-        return await self._with_pump(body)
+        return await self._with_pump(body, sessions)
 
     def run_transaction(self, spec: GlobalTxnSpec) -> TxnOutcome:
         """Blocking convenience wrapper: one transaction, one event loop."""

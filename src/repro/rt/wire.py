@@ -26,6 +26,7 @@ torn frames detectable, and a reader never blocks past a frame boundary.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import struct
 from typing import Any
@@ -142,27 +143,32 @@ def encode_batch(bodies: list[dict[str, Any]]) -> list[bytes]:
 
     One body stays a plain singleton frame (legacy peers parse it
     unchanged); several bodies share one ``batch`` envelope; a batch
-    whose members approach ``MAX_FRAME`` is split across frames.
+    whose members approach ``MAX_FRAME`` is split across frames.  Each
+    body is serialized once: the encoded members are spliced into the
+    envelope, which is what ``sort_keys`` makes of
+    ``{"kind": "batch", "frames": [...]}``.
     """
     frames: list[bytes] = []
-    chunk: list[dict[str, Any]] = []
+    chunk: list[bytes] = []
     chunk_bytes = 0
     for body in bodies:
-        size = len(json.dumps(body, sort_keys=True, separators=(",", ":")))
-        if chunk and chunk_bytes + size > _BATCH_BUDGET:
+        member = _encode_body(body)
+        if chunk and chunk_bytes + len(member) > _BATCH_BUDGET:
             frames.append(_encode_chunk(chunk))
             chunk, chunk_bytes = [], 0
-        chunk.append(body)
-        chunk_bytes += size
+        chunk.append(member)
+        chunk_bytes += len(member)
     if chunk:
         frames.append(_encode_chunk(chunk))
     return frames
 
 
-def _encode_chunk(chunk: list[dict[str, Any]]) -> bytes:
+def _encode_chunk(chunk: list[bytes]) -> bytes:
     if len(chunk) == 1:
         return encode_frame(chunk[0])
-    return encode_frame({"kind": "batch", "frames": chunk})
+    return encode_frame(
+        b'{"frames":[' + b",".join(chunk) + b'],"kind":"batch"}'
+    )
 
 
 def unbatch(body: dict[str, Any]) -> list[dict[str, Any]]:
@@ -187,11 +193,21 @@ def unbatch(body: dict[str, Any]) -> list[dict[str, Any]]:
 
 # -- framing ------------------------------------------------------------------
 
-def encode_frame(body: dict[str, Any]) -> bytes:
-    """One wire frame: length prefix plus compact JSON."""
-    payload = json.dumps(
+def _encode_body(body: dict[str, Any]) -> bytes:
+    """Compact, key-sorted JSON (ASCII-only: one byte per character)."""
+    return json.dumps(
         body, sort_keys=True, separators=(",", ":"),
     ).encode("utf-8")
+
+
+def encode_frame(body: dict[str, Any] | bytes) -> bytes:
+    """One wire frame: length prefix plus compact JSON.
+
+    ``body`` may be JSON already encoded (:func:`encode_batch` splices
+    its members), so every frame written anywhere is framed, checked and
+    counted here.
+    """
+    payload = body if isinstance(body, bytes) else _encode_body(body)
     if len(payload) > MAX_FRAME:
         raise WireError(f"frame of {len(payload)} bytes exceeds MAX_FRAME")
     return _LEN.pack(len(payload)) + payload
@@ -210,8 +226,6 @@ def decode_frame(payload: bytes) -> dict[str, Any]:
 
 async def read_frame(reader: Any) -> dict[str, Any] | None:
     """Read one frame from an asyncio stream; None on orderly EOF."""
-    import asyncio
-
     try:
         header = await reader.readexactly(_LEN.size)
     except (asyncio.IncompleteReadError, ConnectionError):

@@ -156,6 +156,41 @@ class TestRtGate:
         assert rules(found) == ["flow/rt-durability-gate"]
         assert "NetClient never installs" in found[0].message
 
+    def test_removing_the_commit_point_barrier_fires(self, tree):
+        # The gate covers frames; submit() tells its caller directly.
+        edit(
+            tree, "rt/client.py",
+            "        await self.flusher.barrier()\n", "",
+        )
+        found = analyze_rt_gate(tree)
+        assert rules(found) == ["flow/rt-durability-gate"]
+        assert "commit-point wake" in found[0].message
+
+    def test_a_barrier_ahead_of_the_wake_does_not_count(self, tree):
+        edit(
+            tree, "rt/client.py",
+            "        await self.flusher.barrier()\n", "",
+        )
+        edit(
+            tree, "rt/client.py",
+            "        await asyncio.wait(\n            (commit_point,",
+            "        await self.flusher.barrier()\n"
+            "        await asyncio.wait(\n            (commit_point,",
+        )
+        assert rules(analyze_rt_gate(tree)) == ["flow/rt-durability-gate"]
+
+    def test_a_barrier_under_a_branch_does_not_count(self, tree):
+        # A return path that skips the branch would skip the barrier.
+        edit(
+            tree, "rt/client.py",
+            "        await self.flusher.barrier()\n",
+            "        if outcome.committed:\n"
+            "            await self.flusher.barrier()\n",
+        )
+        found = analyze_rt_gate(tree)
+        assert rules(found) == ["flow/rt-durability-gate"]
+        assert "top-level await" in found[0].message
+
 
 class TestForcePointDrift:
     def test_undeclared_force_point_fires(self, tree):

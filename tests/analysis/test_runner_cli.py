@@ -141,6 +141,10 @@ class TestCli:
             "    _INBOUND = (MsgType.VOTE,)\n"
             "    def __init__(self):\n"
             "        self.transport.durability_gate = gate\n"
+            "    async def submit(self, spec):\n"
+            "        await commit_point\n"
+            "        await self.flusher.barrier()\n"
+            "        return outcome\n"
         )
         (tmp_path / "rt" / "transport.py").write_text(
             "class TcpTransport:\n"

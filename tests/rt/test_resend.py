@@ -195,65 +195,88 @@ class TestDecisionLogReplay:
         assert os.path.getsize(cluster.decision_log_path()) == intact
         assert client.pending_decisions == {"T1": ("COMMIT", ["S1", "S2"])}
 
-    def test_a_fresh_client_finalizes_what_a_dead_one_decided(
-        self, tmp_path,
-    ):
-        # Both daemons prepare and vote YES, then miss every DECISION
-        # round (deaf, as if partitioned).  The client that decided is
-        # dropped without a single ACK; its successor on the same
-        # data_dir finds the DECIDE record and finishes the job.
-        async def scenario():
-            cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
-            daemons = [
-                SiteDaemon(
-                    s, cluster, scheme=CommitScheme.TWO_PL, time_scale=0.002,
-                )
-                for s in cluster.site_ids
+    @staticmethod
+    async def decide_then_succeed(tmp_path, decide):
+        """Two 2PL daemons that prepare, vote YES and then miss every
+        DECISION (deaf, as if partitioned); ``decide(cluster)`` plays the
+        client that decides and is dropped; the partition heals and a
+        successor on the same data_dir re-sends what the log says is owed."""
+        cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+        daemons = [
+            SiteDaemon(
+                s, cluster, scheme=CommitScheme.TWO_PL, time_scale=0.002,
+            )
+            for s in cluster.site_ids
+        ]
+        for daemon in daemons:
+            await daemon.start()
+            deliver = daemon.transport._deliver_local
+            daemon.transport._deliver_local = (
+                lambda message, deliver=deliver:
+                message.msg_type is MsgType.DECISION or deliver(message)
+            )
+        try:
+            seen = await decide(cluster)
+            in_doubt = [
+                not d.site.wal.is_terminated("T1") for d in daemons
             ]
             for daemon in daemons:
-                await daemon.start()
-                deliver = daemon.transport._deliver_local
-                daemon.transport._deliver_local = (
-                    lambda message, deliver=deliver:
-                    message.msg_type is MsgType.DECISION or deliver(message)
-                )
-            try:
-                client = NetClient(
-                    cluster, scheme=CommitScheme.TWO_PL,
-                    commit=CLIENT_COMMIT, time_scale=0.002,
-                )
-                outcomes = await client.run_session([transfer_spec()])
-                assert outcomes[0].committed
-                in_doubt = [
-                    not d.site.wal.is_terminated("T1") for d in daemons
-                ]
-                del client
-
-                for daemon in daemons:
-                    del daemon.transport._deliver_local  # partition heals
-                successor = NetClient(
-                    cluster, scheme=CommitScheme.TWO_PL,
-                    commit=CLIENT_COMMIT, time_scale=0.002,
-                )
-                owed = dict(successor.pending_decisions)
-                results = await successor._with_pump(
-                    successor.resend_session
-                )
-                finalized = [
-                    d.site.wal.is_terminated("T1") for d in daemons
-                ]
-            finally:
-                for daemon in daemons:
-                    await daemon.shutdown()
-            return in_doubt, owed, results, finalized, cluster
-
-        in_doubt, owed, results, finalized, cluster = asyncio.run(scenario())
+                del daemon.transport._deliver_local  # partition heals
+            successor = NetClient(
+                cluster, scheme=CommitScheme.TWO_PL,
+                commit=CLIENT_COMMIT, time_scale=0.002,
+            )
+            owed = dict(successor.pending_decisions)
+            results = await successor._with_pump(successor.resend_session)
+            finalized = [d.site.wal.is_terminated("T1") for d in daemons]
+        finally:
+            for daemon in daemons:
+                await daemon.shutdown()
         assert in_doubt == [True, True]
         assert owed == {"T1": ("COMMIT", ["S1", "S2"])}
         assert results == {"T1": []}
         assert finalized == [True, True]
         # The end record made it to disk: a third client owes nothing.
         assert NetClient(cluster).pending_decisions == {}
+        return seen
+
+    def test_a_fresh_client_finalizes_what_a_dead_one_decided(
+        self, tmp_path,
+    ):
+        # The client that decided is dropped without a single ACK; its
+        # successor finds the DECIDE record and finishes the job.
+        async def decide(cluster):
+            client = NetClient(
+                cluster, scheme=CommitScheme.TWO_PL,
+                commit=CLIENT_COMMIT, time_scale=0.002,
+            )
+            outcomes = await client.run_session([transfer_spec()])
+            return outcomes[0].committed
+
+        assert asyncio.run(self.decide_then_succeed(tmp_path, decide))
+
+    def test_a_client_abandoned_after_its_commit_point_is_finished(
+        self, tmp_path,
+    ):
+        # submit() tells the caller "committed" once the DECIDE record is
+        # on disk; the ACK round runs on behind it.  A client that dies in
+        # that gap (here: its pump stops with the tail still out) leaves a
+        # DECIDE without an end record, which is all its successor needs.
+        async def decide(cluster):
+            client = NetClient(
+                cluster, scheme=CommitScheme.TWO_PL, time_scale=0.002,
+            )
+            outcome = await pumped(
+                client, lambda: client.submit(transfer_spec()),
+            )
+            return (
+                outcome.committed, client.ack_tails,
+                client.settle_latencies, dict(client.pending_decisions),
+            )
+
+        abandoned = asyncio.run(self.decide_then_succeed(tmp_path, decide))
+        # Told at the commit point, tail still out, nothing booked yet.
+        assert abandoned == (True, 1, [], {})
 
 
 class TestResendAcrossSchemes:

@@ -6,9 +6,13 @@ JSON, and the framing has to reject garbage without reading past a frame
 boundary.
 """
 
+import json
+import random
+
 import pytest
 
 from repro.net.message import Message, MsgType
+from repro.rt import wire
 from repro.rt.wire import (
     MAX_FRAME,
     WireError,
@@ -148,6 +152,84 @@ class TestBatching:
         for frame in frames:
             out.extend(unbatch(decode_frame(frame[4:])))
         assert out == big
+
+    @staticmethod
+    def reference_encode_batch(bodies, budget):
+        """The encoder before members were spliced: every body dumped
+        once to size the chunk and again inside ``encode_frame``."""
+        frames, chunk, chunk_bytes = [], [], 0
+
+        def close():
+            frames.append(encode_frame(
+                chunk[0] if len(chunk) == 1
+                else {"kind": "batch", "frames": list(chunk)}
+            ))
+
+        for body in bodies:
+            size = len(json.dumps(body, sort_keys=True, separators=(",", ":")))
+            if chunk and chunk_bytes + size > budget:
+                close()
+                chunk.clear()
+                chunk_bytes = 0
+            chunk.append(body)
+            chunk_bytes += size
+        if chunk:
+            close()
+        return frames
+
+    @staticmethod
+    def random_body(rng):
+        def value(depth=0):
+            kind = rng.randrange(7 if depth < 2 else 5)
+            if kind == 0:
+                return rng.randrange(-10**6, 10**6)
+            if kind == 1:
+                return rng.choice([True, False, None, 1.5, -0.25])
+            if kind == 2:
+                return "".join(rng.choice('az09 "\\/\u00e9\u20ac\n')
+                               for _ in range(rng.randrange(12)))
+            if kind in (3, 4):
+                return f"k{rng.randrange(100)}"
+            if kind == 5:
+                return [value(depth + 1) for _ in range(rng.randrange(4))]
+            return {f"f{rng.randrange(20)}": value(depth + 1)
+                    for _ in range(rng.randrange(4))}
+
+        return {"kind": "msg", "type": rng.choice(["VOTE", "ACK", "DECISION"]),
+                "sender": f"S{rng.randrange(9)}", "txn": f"T{rng.randrange(99)}",
+                "recipient": f"coord.T{rng.randrange(99)}",
+                "payload": {f"p{i}": value() for i in range(rng.randrange(5))}}
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_frames_are_byte_identical_to_the_double_dump_encoder(
+        self, seed, monkeypatch,
+    ):
+        rng = random.Random(seed)
+        bodies = [self.random_body(rng) for _ in range(rng.randrange(1, 40))]
+        assert encode_batch(bodies) == self.reference_encode_batch(
+            bodies, wire._BATCH_BUDGET,
+        )
+        # A budget a few bodies wide: chunks close at the same members.
+        sizes = [len(encode_frame(body)) - 4 for body in bodies]
+        budget = max(sizes) + rng.randrange(4 * max(sizes))
+        monkeypatch.setattr(wire, "_BATCH_BUDGET", budget)
+        frames = encode_batch(bodies)
+        assert frames == self.reference_encode_batch(bodies, budget)
+        assert (len(frames) > 1) == (sum(sizes) > budget)
+
+    def test_split_at_the_real_budget_is_byte_identical(self):
+        # Three members that fit the budget pairwise but not together,
+        # one of them landing exactly on it.
+        pad = len(json.dumps({"kind": "msg", "blob": ""},
+                             sort_keys=True, separators=(",", ":")))
+        half = wire._BATCH_BUDGET // 2
+        big = [{"kind": "msg", "blob": "x" * (half - pad)},
+               {"kind": "msg", "blob": "y" * (half - pad)},
+               {"kind": "msg", "blob": "z" * (half - pad)},
+               {"kind": "msg", "blob": "w"}]
+        frames = encode_batch(big)
+        assert frames == self.reference_encode_batch(big, wire._BATCH_BUDGET)
+        assert [len(unbatch(decode_frame(f[4:]))) for f in frames] == [2, 2]
 
     def test_nested_batch_refused(self):
         with pytest.raises(WireError):

@@ -136,6 +136,18 @@ MUTATIONS = [
         append="",
         expect_rule="flow/rt-durability-gate",
     ),
+    Mutation(
+        name="drop-commit-point-barrier",
+        # submit() tells its caller "committed" at the commit point; the
+        # gate only covers frames, so without its own barrier the caller
+        # can hear of a DECIDE record the log could still lose
+        paths=("repro/rt/client.py",),
+        replacements=((
+            "        await self.flusher.barrier()\n", "",
+        ),),
+        append="",
+        expect_rule="flow/rt-durability-gate",
+    ),
 ]
 
 
