@@ -9,13 +9,18 @@ this dynamically: the call succeeds, the daemon just gets slow in a way
 that only shows under concurrent load.
 
 This is an AST pass over ``src/repro/rt/``.  Seeds are every coroutine
-(``async def``) and every generator function (the sim-engine handlers the
-pump thread drives share the process); from the seeds it traverses
-same-class method calls (``self.helper()``) and same-module function
-calls, so a sync helper extracted from a coroutine stays covered.  Calls
-into other packages are not traversed — instead the known blocking
-surfaces of the storage layer (the WAL chain) are matched directly at the
-call site.
+(``async def``), every generator function (the sim-engine handlers the
+pump thread drives share the process), every method of an
+``asyncio.Protocol`` subclass (the loop calls ``data_received`` and its
+siblings directly) and every method or function handed to the loop as a
+plain callback (``call_soon`` / ``call_at`` / ``call_later`` /
+``add_done_callback``).  From the seeds it traverses same-class method
+calls (``self.helper()``), same-module function calls, and calls through
+another object (``self.owner.helper()``) when exactly one class of the
+module defines a method of that name — so a sync helper extracted from a
+coroutine or a callback stays covered.  Calls into other packages are
+not traversed — instead the known blocking surfaces of the storage layer
+(the WAL chain) are matched directly at the call site.
 
 Rules (all errors):
 
@@ -79,6 +84,18 @@ _FORBIDDEN: dict[str, str] = {
 
 _SUBPROCESS_PREFIX = "subprocess."
 
+#: loop methods whose callable arguments run on the loop, as callbacks
+_CALLBACK_TAKERS = (
+    "call_soon", "call_soon_threadsafe", "call_at", "call_later",
+    "add_done_callback",
+)
+
+#: base classes (resolved names) whose methods the loop calls directly
+_PROTOCOL_BASES = (
+    "asyncio.Protocol", "asyncio.BufferedProtocol",
+    "asyncio.DatagramProtocol", "asyncio.SubprocessProtocol",
+)
+
 #: attribute-call suffixes on the WAL chain that hit the disk.  Matched
 #: only when the receiver chain names the WAL (``self.wal.sync``,
 #: ``self.site.wal.close``) so an asyncio ``writer.close()`` stays clean;
@@ -111,6 +128,11 @@ class _Fn:
     is_seed: bool
     #: names callable from this body: same-class methods + module funcs
     calls: list[str] = field(default_factory=list)
+    #: method names called through another object (``a.b.name()``)
+    foreign_calls: list[str] = field(default_factory=list)
+    #: names this body hands to the loop as callbacks (same resolution
+    #: as ``calls``)
+    callbacks: list[str] = field(default_factory=list)
 
 
 def _own_nodes(fn: FnDef) -> list[ast.AST]:
@@ -159,52 +181,71 @@ def _yields_control(stmts: list[ast.stmt]) -> bool:
 
 
 def _index_module(path: Path, rel: str) -> tuple[
-    list[_Fn], dict[str, dict[str, _Fn]], dict[str, _Fn], ast.Module
+    list[_Fn], dict[str, dict[str, _Fn]], dict[str, _Fn], dict[str, str]
 ]:
-    """All functions of one module, keyed for traversal."""
+    """All functions of one module, keyed for traversal, and its imports."""
     tree = parse_module(path)
+    table = import_table(tree)
     fns: list[_Fn] = []
     by_class: dict[str, dict[str, _Fn]] = {}
     module_fns: dict[str, _Fn] = {}
 
-    def make(node: FnDef, class_name: str | None) -> _Fn:
+    def local_name(node: ast.expr) -> str | None:
+        """``self.helper`` / ``helper`` as the name traversal resolves."""
+        name = _dotted(node)
+        if name is None:
+            return None
+        if name.startswith("self.") and name.count(".") == 1:
+            return name[5:]
+        return None if "." in name else name
+
+    def make(node: FnDef, class_name: str | None, protocol: bool) -> _Fn:
         qual = (
             f"{class_name}.{node.name}" if class_name else node.name
         )
-        is_seed = isinstance(node, ast.AsyncFunctionDef) or _is_generator(
-            node
-        )
+        is_seed = protocol or isinstance(
+            node, ast.AsyncFunctionDef
+        ) or _is_generator(node)
         fn = _Fn(
             rel=rel, qualname=qual, node=node,
             class_name=class_name, is_seed=is_seed,
         )
         for sub in _own_nodes(node):
-            if isinstance(sub, ast.Call):
-                name = _dotted(sub.func)
-                if name is None:
-                    continue
-                if name.startswith("self.") and name.count(".") == 1:
-                    fn.calls.append(name[5:])
-                elif "." not in name:
-                    fn.calls.append(name)
+            if not isinstance(sub, ast.Call):
+                continue
+            name = local_name(sub.func)
+            if name is not None:
+                fn.calls.append(name)
+            elif isinstance(sub.func, ast.Attribute):
+                fn.foreign_calls.append(sub.func.attr)
+                if sub.func.attr in _CALLBACK_TAKERS:
+                    fn.callbacks.extend(
+                        handed for arg in sub.args
+                        if (handed := local_name(arg)) is not None
+                    )
         return fn
 
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = make(stmt, None)
+            fn = make(stmt, None, False)
             fns.append(fn)
             module_fns[stmt.name] = fn
         elif isinstance(stmt, ast.ClassDef):
+            protocol = any(
+                resolve_name(base, table) in _PROTOCOL_BASES
+                for base in stmt.bases
+                if isinstance(base, (ast.Attribute, ast.Name))
+            )
             methods: dict[str, _Fn] = {}
             for member in stmt.body:
                 if isinstance(
                     member, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
-                    fn = make(member, stmt.name)
+                    fn = make(member, stmt.name, protocol)
                     fns.append(fn)
                     methods[member.name] = fn
             by_class[stmt.name] = methods
-    return fns, by_class, module_fns, tree
+    return fns, by_class, module_fns, table
 
 
 def analyze_rt_blocking(root: Path) -> list[Finding]:
@@ -218,9 +259,24 @@ def analyze_rt_blocking(root: Path) -> list[Finding]:
 
 
 def _analyze_module(path: Path, rel: str) -> list[Finding]:
-    fns, by_class, module_fns, tree = _index_module(path, rel)
-    table = import_table(tree)
+    fns, by_class, module_fns, table = _index_module(path, rel)
     lines = path.read_text(encoding="utf-8").splitlines()
+
+    def local(fn: _Fn, name: str) -> _Fn | None:
+        target = by_class.get(fn.class_name or "", {}).get(name)
+        return target if target is not None else module_fns.get(name)
+
+    #: method name -> its one definition in this module (None if several)
+    unique: dict[str, _Fn | None] = {}
+    for methods in by_class.values():
+        for name, method in methods.items():
+            unique[name] = None if name in unique else method
+
+    for fn in fns:
+        for name in fn.callbacks:
+            handed = local(fn, name)
+            if handed is not None:
+                handed.is_seed = True
 
     # reachability: seeds, then same-class / same-module sync callees
     reachable: dict[int, tuple[_Fn, str]] = {}
@@ -232,12 +288,9 @@ def _analyze_module(path: Path, rel: str) -> list[Finding]:
         if id(fn.node) in reachable:
             continue
         reachable[id(fn.node)] = (fn, via)
-        for callee in fn.calls:
-            target: _Fn | None = None
-            if fn.class_name is not None:
-                target = by_class.get(fn.class_name, {}).get(callee)
-            if target is None:
-                target = module_fns.get(callee)
+        targets = [local(fn, callee) for callee in fn.calls]
+        targets += [unique.get(callee) for callee in fn.foreign_calls]
+        for target in targets:
             if target is not None and id(target.node) not in reachable:
                 queue.append((target, via))
 

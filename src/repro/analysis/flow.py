@@ -29,10 +29,16 @@ message-flow graph the engines induce:
     The networked runtime moves durability to the transport: under group
     commit the WAL buffers forced appends and every outbound frame must
     pass ``durability_gate`` (the group-commit barrier) before it reaches
-    the socket.  The rule requires ``TcpTransport._flush_outbound`` to
-    await the gate before any ``writer.write`` and both WAL hosts —
-    ``SiteDaemon`` and ``NetClient`` (the coordinator's DECIDE record) —
-    to install the gate (``self.transport.durability_gate = ...``).
+    the socket.  The rule requires ``TcpTransport.flush`` — the tail of
+    every pump turn — to await the gate before it writes; every
+    ``.write(`` in ``rt/transport.py`` to sit in ``TcpTransport._write``;
+    any caller of ``_write`` other than ``flush`` (the late write on
+    connect / ``resume_writing``) to pass messages it took from a link's
+    ``gated`` queue; and only ``_write`` to add to such a queue — so
+    nothing reaches a socket that did not pass a gate inside ``flush``.
+    Both WAL hosts — ``SiteDaemon`` and ``NetClient`` (the coordinator's
+    DECIDE record) — must install the gate
+    (``self.transport.durability_gate = ...``).
     ``NetClient.submit`` reveals the decision to its *caller* at the
     commit point, a path no frame travels: between the await that wakes
     it there (the one naming ``commit_point``) and every later ``return``
@@ -527,52 +533,132 @@ def analyze_force_before_send(root: Path) -> list[Finding]:
 # -- rule 2: the rt durability gate ----------------------------------------------
 
 
+def _assign_pairs(fn: FnDef) -> list[tuple[ast.expr, ast.expr]]:
+    """``(target, value)`` of every assignment in ``fn``, tuples unpacked."""
+    pairs: list[tuple[ast.expr, ast.expr]] = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.AnnAssign) and node.value is not None:
+            pairs.append((node.target, node.value))
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Tuple)
+                    and isinstance(node.value, ast.Tuple)
+                    and len(target.elts) == len(node.value.elts)
+                ):
+                    pairs.extend(zip(target.elts, node.value.elts))
+                else:
+                    pairs.append((target, node.value))
+    return pairs
+
+
+def _is_gated(node: ast.expr) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "gated"
+
+
+def _grows_gated(node: ast.AST) -> bool:
+    """``x.gated += ...`` / ``x.gated.append(...)`` / ``.extend(...)``."""
+    if isinstance(node, ast.AugAssign):
+        return _is_gated(node.target)
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("append", "extend")
+        and _is_gated(node.func.value)
+    )
+
+
+def _transport_gate(root: Path) -> list[Finding]:
+    """Nothing in ``rt/transport.py`` writes what no gate has covered."""
+    rel = "rt/transport.py"
+    tree = parse_module(root / rel)
+    flush = next(
+        (
+            stmt for stmt in _class_body(tree, "TcpTransport", root / rel).body
+            if isinstance(stmt, ast.AsyncFunctionDef) and stmt.name == "flush"
+        ),
+        None,
+    )
+    if flush is None:
+        raise AnalysisError(f"TcpTransport.flush not found in {root / rel}")
+    findings: list[Finding] = []
+
+    def error(lineno: int, message: str) -> None:
+        findings.append(Finding(
+            rule="flow/rt-durability-gate", severity=Severity.ERROR,
+            location=f"{rel}:{lineno}", message=message, anchor=_ANCHOR,
+        ))
+
+    gate = min(
+        (
+            node.lineno for node in ast.walk(flush)
+            if isinstance(node, ast.Await)
+            and isinstance(node.value, ast.Call)
+            and _dotted(node.value.func) == "self.durability_gate"
+        ),
+        default=None,
+    )
+    if gate is None:
+        error(flush.lineno, (
+            "TcpTransport.flush never awaits self.durability_gate() — "
+            "under group commit a frame could reveal a force point still "
+            "sitting in the WAL buffer"
+        ))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        from_gated = {
+            target.id for target, value in _assign_pairs(fn)
+            if isinstance(target, ast.Name) and _is_gated(value)
+        }
+        for node in ast.walk(fn):
+            if _grows_gated(node) and fn.name != "_write":
+                error(node.lineno, (
+                    f"{fn.name} adds to a gated queue at line "
+                    f"{node.lineno}; only TcpTransport._write, which "
+                    "flush calls behind the gate, may park messages"
+                ))
+            if not isinstance(node, ast.Call):
+                continue
+            name = _dotted(node.func) or ""
+            if name.endswith(".write"):
+                if fn.name != "_write":
+                    error(node.lineno, (
+                        f"{fn.name} writes to a socket at line "
+                        f"{node.lineno}, outside TcpTransport._write"
+                    ))
+            elif not name.endswith("._write"):
+                continue
+            elif fn is flush:
+                if gate is not None and node.lineno < gate:
+                    error(node.lineno, (
+                        f"frame written to the socket at line "
+                        f"{node.lineno}, before the durability gate "
+                        f"awaited at line {gate}"
+                    ))
+            elif not any(
+                isinstance(arg, ast.Name) and arg.id in from_gated
+                for arg in node.args[-1:]
+            ):
+                error(node.lineno, (
+                    f"{fn.name} calls _write with messages that were not "
+                    "taken from a link's gated queue — a late write may "
+                    "only carry what already passed a gate"
+                ))
+        for target, value in _assign_pairs(fn):
+            if _is_gated(target) and not (
+                isinstance(value, ast.List) and not value.elts
+            ):
+                error(target.lineno, (
+                    f"{fn.name} assigns a gated queue at line "
+                    f"{target.lineno}; it may only be emptied there"
+                ))
+    return findings
+
+
 def analyze_rt_gate(root: Path) -> list[Finding]:
     """Sends in the networked runtime route through ``durability_gate``."""
-    findings: list[Finding] = []
-    transport = _load_class(root, "rt/transport.py", "TcpTransport")
-    flush = transport.methods.get("_flush_outbound")
-    if flush is None:
-        raise AnalysisError(
-            f"TcpTransport._flush_outbound not found in {transport.path}"
-        )
-    gate_lineno: int | None = None
-    write_linenos: list[int] = []
-    for node in ast.walk(flush):
-        if isinstance(node, ast.Await) and isinstance(node.value, ast.Call):
-            if _dotted(node.value.func) == "self.durability_gate":
-                if gate_lineno is None or node.lineno < gate_lineno:
-                    gate_lineno = node.lineno
-        elif isinstance(node, ast.Call):
-            name = _dotted(node.func)
-            if name is not None and name.endswith(".write"):
-                write_linenos.append(node.lineno)
-    if gate_lineno is None:
-        findings.append(Finding(
-            rule="flow/rt-durability-gate",
-            severity=Severity.ERROR,
-            location=f"rt/transport.py:{flush.lineno}",
-            message=(
-                "TcpTransport._flush_outbound never awaits "
-                "self.durability_gate() — under group commit a frame could "
-                "reveal a force point still sitting in the WAL buffer"
-            ),
-            anchor=_ANCHOR,
-        ))
-    else:
-        for lineno in write_linenos:
-            if lineno < gate_lineno:
-                findings.append(Finding(
-                    rule="flow/rt-durability-gate",
-                    severity=Severity.ERROR,
-                    location=f"rt/transport.py:{lineno}",
-                    message=(
-                        f"frame written to the socket at line {lineno}, "
-                        f"before the durability gate awaited at line "
-                        f"{gate_lineno}"
-                    ),
-                    anchor=_ANCHOR,
-                ))
+    findings = _transport_gate(root)
     # Both hosts of a group-committed WAL: the daemon (PREPARE /
     # LOCAL_COMMIT / COMMIT / ABORT) and the client (the coordinator's
     # DECIDE record).

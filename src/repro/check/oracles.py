@@ -35,7 +35,6 @@ ABORT records for losers — the oracle must not mutate the history it judges.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.commit.base import CommitScheme
@@ -200,7 +199,7 @@ def _check_recovery(system: System) -> list[Violation]:
         # Clone the log: restart() appends ABORT records for losers, and
         # the oracle must not mutate the history it is judging.
         replayed = KVStore(site_id=f"{site_id}.replay")
-        report = RecoveryManager(replayed, copy.deepcopy(site.wal)).restart()
+        report = RecoveryManager(replayed, site.wal.clone()).restart()
         if o2pc and report.in_doubt:
             violations.append(Violation(
                 "recovery",

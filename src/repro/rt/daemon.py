@@ -40,7 +40,7 @@ from repro.rt.group_commit import GroupCommitFlusher
 from repro.rt.obs_sink import JsonlEventSink
 from repro.rt.pump import RealtimePump
 from repro.rt.transport import TcpTransport
-from repro.rt.wire import write_frame
+from repro.rt.wire import encode_frame
 from repro.sim.engine import Environment
 from repro.storage.recovery import RecoveryManager, RestartReport
 from repro.storage.wal import WriteAheadLog
@@ -214,6 +214,7 @@ class SiteDaemon:
             "fsync_groups": self.flusher.groups,
             "frames_sent": self.transport.frames_sent,
             "messages_framed": self.transport.messages_framed,
+            "frames_refused": self.transport.frames_refused,
             "keys": len(self.site.store.snapshot()),
             "subtxns": {
                 txn_id: {
@@ -233,30 +234,26 @@ class SiteDaemon:
             "messages": self.transport.counts_by_type(),
         }
 
-    async def _handle_admin(self, body: dict[str, Any], writer: Any) -> None:
+    def _handle_admin(self, body: dict[str, Any], writer: Any) -> None:
         cmd = body.get("cmd")
+        reply: dict[str, Any]
         if cmd == "status":
             if self.obs_sink is not None:
                 # Probing a site also drains its event stream, so a
                 # collector sees everything up to this status snapshot.
                 self.obs_sink.flush()
-            await write_frame(writer, {
-                "kind": "admin", "cmd": "status", "reply": self.status(),
-            })
+            reply = self.status()
         elif cmd == "read":
             key = body.get("key")
-            await write_frame(writer, {
-                "kind": "admin", "cmd": "read",
-                "reply": {
-                    "key": key,
-                    "value": self.site.store.snapshot().get(key),
-                },
-            })
+            reply = {"key": key, "value": self.site.store.snapshot().get(key)}
         elif cmd == "shutdown":
-            await write_frame(writer, {
-                "kind": "admin", "cmd": "shutdown", "reply": {"ok": True},
-            })
+            reply = {"ok": True}
             self.stop()
+        else:
+            return
+        writer.write(encode_frame(
+            {"kind": "admin", "cmd": cmd, "reply": reply}
+        ))
 
 
 def serve_forever(daemon: SiteDaemon) -> None:

@@ -31,6 +31,10 @@ exception, the last bullet).  So:
   the transactions it had in flight although their replies are waiting
   in its socket buffers).
 
+A wake is one *turn*: :meth:`Environment.advance` to the wall instant,
+await the transport's outbound flush inline, park.  What the drain sent
+leaves in the same loop iteration, behind one durability gate.
+
 ``time_scale`` maps simulation units to real seconds.  The default of
 10 ms per unit keeps protocol timeouts (hundreds of units) in the
 single-digit-second range while leaving message handling effectively
@@ -43,7 +47,7 @@ stands still between two ``run`` calls of a reused client).
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.sim.engine import Environment
 from repro.sim.events import Event
@@ -59,10 +63,10 @@ class RealtimePump:
     """Drives one :class:`Environment` against the asyncio clock.
 
     The wait primitive is a bare future resolved by :meth:`kick` — called
-    by whoever injected external input, or by the ``call_later`` armed
-    for the next scheduled simulation event.  Both wakes do the same
-    thing (advance the clock to the wall instant, drain what is due), so
-    the pump does not care which one it was.
+    by whoever injected external input, or by the ``call_at`` armed for
+    the next scheduled simulation event.  Both wakes do the same thing
+    (one turn), so the pump does not care which one it was, nor how many
+    frames on how many connections arrived in the loop iteration before.
     """
 
     def __init__(
@@ -72,8 +76,12 @@ class RealtimePump:
             raise ValueError(f"time_scale must be positive, got {time_scale}")
         self.env = env
         self.time_scale = time_scale
-        #: future the run loop is parked on (None while draining)
+        #: awaited after every drain: the transport's outbound flush
+        self.flush: Callable[[], Awaitable[None]] | None = None
+        #: future the run loop is parked on (None while in a turn)
         self._waiter: Any = None
+        #: a kick landed since the last drain finished
+        self._kicked = False
         self._running = False
 
     # -- external wake-ups ---------------------------------------------------
@@ -81,10 +89,10 @@ class RealtimePump:
     def kick(self) -> None:
         """Wake the pump: injected events (or a due timer) are ready to run.
 
-        A kick while the pump is draining needs no bookkeeping: nothing
-        can be injected between the end of a drain and the next park
-        (there is no ``await`` there), and every wake drains.
+        A kick during a drain is absorbed by it; one that lands while the
+        turn awaits a flush that suspends costs the park: another turn.
         """
+        self._kicked = True
         waiter = self._waiter
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
@@ -105,18 +113,11 @@ class RealtimePump:
         # The anchor: work queued before the pump started runs at sim0.
         sim0, wall0 = env.now, loop.time()
         woke = wall0
+        #: the earliest timer as the last drain left it
+        next_at = float("inf")
         while self._running:
             wall = max(env.now, sim0 + (woke - wall0) / scale)
-            # Where this drain starts: the first timer already due (it was
-            # scheduled before whatever a kick injected, and runs ahead of
-            # it), else the wall instant.  ``env.run(until=wall)`` alone
-            # would handle injected events -- they sit in the kernel's
-            # current-tick slot -- at the instant the pump *parked*, and
-            # any timer they arm would be short by the length of the park;
-            # the kernel has no public "advance with the slot carried
-            # forward", so the clock is moved here.
-            timers = env._queue
-            start = min(timers[0][0], wall) if timers else wall
+            start = min(next_at, wall)
             if wall - start > STALL_TICKS:
                 # Whole ticks past a due timer: this process was stalled,
                 # and no peer could be heard meanwhile.  Re-anchor so the
@@ -124,20 +125,23 @@ class RealtimePump:
                 # their distance from it in real time.
                 wall0 += (wall - start) * scale
                 wall = start
-            env._now = start
-            env.run(until=wall)
+            env.advance(wall)
             next_at = env.peek()
-            # Nothing scheduled: only a kick can end the park.
-            deadline = None if next_at == float("inf") else loop.call_at(
-                wall0 + (next_at - sim0) * scale, self.kick
-            )
-            self._waiter = waiter = loop.create_future()
-            try:
-                await waiter
-            finally:
-                self._waiter = None
-                if deadline is not None:
-                    deadline.cancel()
+            self._kicked = False
+            if self.flush is not None:
+                await self.flush()
+            if self._running and not self._kicked:
+                # Nothing scheduled: only a kick can end the park.
+                deadline = None if next_at == float("inf") else loop.call_at(
+                    wall0 + (next_at - sim0) * scale, self.kick
+                )
+                self._waiter = waiter = loop.create_future()
+                try:
+                    await waiter
+                finally:
+                    self._waiter = None
+                    if deadline is not None:
+                        deadline.cancel()
             woke = loop.time()
 
     def stop(self) -> None:

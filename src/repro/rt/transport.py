@@ -12,15 +12,18 @@ using the cluster's site list:
   sent over the connection that endpoint last used to reach us — the
   return-route table every socketed TM keeps, learned from inbound frames.
 
-Outbound traffic is *coalesced*: ``send()`` only enqueues, and a single
-flush task drains the queue once the pump yields, packing every message
-bound for the same peer connection into one multi-frame batch payload —
-one ``writev``-shaped syscall per peer per drain instead of one task and
-one syscall per message.  Before anything touches a socket the flush
-awaits the host's :attr:`~TcpTransport.durability_gate` (the group-commit
-barrier of the daemon's WAL, or of the client's decision log), which is
-what lets the WAL defer its fsyncs: no frame can reveal a force point
-that is not yet on disk.
+Both directions cost one event-loop turn.  Inbound, a connection is an
+:class:`asyncio.Protocol` whose ``data_received`` splits its bytes into
+frames (:func:`repro.rt.wire.split_frames`) and puts the messages straight
+into their inboxes — no stream reader, no per-connection task.  Outbound,
+``send()`` only enqueues: the pump's turn ends by awaiting
+:meth:`TcpTransport.flush` inline, which awaits the host's
+:attr:`~TcpTransport.durability_gate` once (the group-commit barrier of
+the daemon's WAL or the client's decision log, which is what lets a WAL
+defer its fsyncs: no frame can reveal a force point not yet on disk) and
+then writes one batch per peer.  Nothing in the turn waits on a peer: a
+site being dialled (by its own task) or a connection over its write
+buffer's high-water mark keeps its already-gated messages in its own queue.
 
 Failure semantics match the simulated :class:`~repro.net.network.Network`
 by contract (see :mod:`repro.net.transport`): an unreachable recipient —
@@ -48,42 +51,83 @@ from repro.rt.backoff import RedialPolicy
 from repro.rt.config import ClusterConfig
 from repro.rt.pump import RealtimePump
 from repro.rt.wire import (
+    WireError,
     encode_batch,
     message_from_json,
     message_to_json,
-    read_frame,
-    unbatch,
+    split_frames,
 )
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.sim.store import Store
 
-#: admin frames are handled by a host-installed coroutine: (body, writer)
-AdminHandler = Callable[[dict[str, Any], Any], Awaitable[None]]
 
+class _Link(asyncio.Protocol):
+    """One TCP connection, dialled or accepted.
 
-class _PeerLink:
-    """One outbound connection to a configured site daemon."""
+    A dialled link exists from its site's first message on and starts out
+    ``paused``: what arrives before the connect completes waits in
+    :attr:`gated`, exactly as it does behind a full write buffer.
+    """
 
-    def __init__(self, writer: Any, reader_task: Any) -> None:
-        self.writer = writer
-        self.reader_task = reader_task
+    def __init__(self, owner: TcpTransport, paused: bool = False) -> None:
+        self.owner = owner
+        #: the asyncio transport, from ``connection_made`` on
+        self.writer: Any = None
+        #: still dialling, or the write buffer is over its high-water mark
+        self.paused = paused
+        #: messages that passed a durability gate while ``paused``
+        self.gated: list[Message] = []
+        self._buffer = bytearray()
 
-    @property
-    def usable(self) -> bool:
-        return self.writer is not None and not self.writer.is_closing()
+    def connection_made(self, transport: Any) -> None:
+        self.writer = transport
+        self.owner._live.add(self)
 
-    async def close(self) -> None:
-        if self.reader_task is not None:
-            self.reader_task.cancel()
-            try:
-                await self.reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self.reader_task = None
-        if self.writer is not None:
+    def data_received(self, data: bytes) -> None:
+        """Deliver every complete frame read so far, in this callback.
+
+        Batch members and singletons take the same per-kind handling, so
+        counters and delivery order are identical to unbatched framing.  A
+        frame that cannot be decoded closes this connection, nothing else.
+        """
+        owner = self.owner
+        self._buffer += data
+        try:
+            for body in split_frames(self._buffer):
+                kind = body["kind"]
+                if kind == "msg":
+                    message = message_from_json(body)
+                    # ``send_time`` is not on the wire (it reads another
+                    # process's clock): stamp the arrival, so the hop
+                    # publishes latency 0, not ``now`` minus the sentinel.
+                    message.send_time = owner.env.now
+                    # Learn the return route: replies to this sender go
+                    # back over this connection.
+                    owner._routes[message.sender] = self
+                    if message.recipient in owner._inboxes:
+                        owner._deliver_local(message)
+                    else:
+                        owner._drop(message, "unknown_endpoint")
+                elif kind == "admin" and owner.admin_handler is not None:
+                    owner.admin_handler(body, self.writer)
+        except WireError:
+            owner.frames_refused += 1
             self.writer.close()
-            self.writer = None
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        gated, self.gated = self.gated, []
+        if gated:
+            self.owner._write(self, gated)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # EOF / reset: the next send re-dials (and, if the daemon is really
+        # down, counts a drop) instead of writing into a dead socket.
+        self.owner._retire(self, "connection_reset")
 
 
 class TcpTransport:
@@ -101,23 +145,26 @@ class TcpTransport:
         self.pump = pump
         #: the site this process hosts (None for a pure client)
         self.local_site = local_site
+        pump.flush = self.flush
         self._inboxes: dict[str, Store] = {}
-        self._links: dict[str, _PeerLink] = {}
-        #: learned return routes: endpoint id -> stream writer
-        self._routes: dict[str, Any] = {}
+        #: the dialled (or dialling) connection to each configured site
+        self._links: dict[str, _Link] = {}
+        #: learned return routes: endpoint id -> connection
+        self._routes: dict[str, _Link] = {}
+        #: every open connection, dialled or accepted
+        self._live: set[_Link] = set()
         self._server: Any = None
-        self._conn_tasks: set[Any] = set()
-        #: messages awaiting the next outbound flush (coalescing queue)
+        self._dial_tasks: set[asyncio.Task[None]] = set()
+        #: messages awaiting the next turn's flush (coalescing queue)
         self._outbound: list[Message] = []
-        self._flush_task: Any = None
         #: host hook awaited before outbound frames hit the socket; daemon
         #: and client install their WAL's group-commit barrier here so no
         #: frame can reveal a force point before its covering fsync
         self.durability_gate: Callable[[], Awaitable[None]] | None = None
         #: redial schedule for dead peer sites (capped exponential + jitter)
         self.redial = RedialPolicy(local_site or "client")
-        #: host hook for admin frames (status/shutdown); unset drops them
-        self.admin_handler: AdminHandler | None = None
+        #: host callback for admin frames, (body, writer); unset drops them
+        self.admin_handler: Callable[[dict[str, Any], Any], None] | None = None
         # -- counters, same shape as Network's (metrics + conformance) --
         self.sent: Counter[MsgType] = Counter()
         self.delivered: Counter[MsgType] = Counter()
@@ -129,6 +176,8 @@ class TcpTransport:
         self.frames_sent = 0
         #: protocol messages carried inside those frames
         self.messages_framed = 0
+        #: inbound frames refused (oversized, malformed): one closed link each
+        self.frames_refused = 0
 
     # -- Transport surface ---------------------------------------------------
 
@@ -166,10 +215,9 @@ class TcpTransport:
     def send(self, message: Message) -> None:
         """Send ``message``; remote delivery happens on the event loop.
 
-        Called from protocol code running inside the pump, so an event
-        loop is guaranteed to be running.  Remote messages are queued and
-        coalesced: the flush task drains the queue once the pump yields,
-        so everything produced by one drain shares syscalls.
+        Remote messages are only queued here: the pump turn that runs the
+        calling protocol code ends with :meth:`flush`, so everything one
+        drain produced shares a durability gate and one write per peer.
         """
         message.send_time = self.env.now
         self.sent[message.msg_type] += 1
@@ -182,11 +230,9 @@ class TcpTransport:
         if message.recipient in self._inboxes:
             self._deliver_local(message)
             return
+        if not self._outbound:
+            self.pump.kick()  # free inside a drain; gets one, outside
         self._outbound.append(message)
-        if self._flush_task is None:
-            self._flush_task = asyncio.get_running_loop().create_task(
-                self._flush_outbound()
-            )
 
     # -- local delivery ------------------------------------------------------
 
@@ -215,196 +261,125 @@ class TcpTransport:
 
     # -- remote delivery -----------------------------------------------------
 
-    async def _flush_outbound(self) -> None:
-        """Drain the coalescing queue: one batch payload per peer.
+    async def flush(self) -> None:
+        """The tail of a pump turn: gate once, then one write per peer.
 
-        Runs as the single outbound task.  Each pass first awaits the
-        durability gate (group commit: every force point appended before
-        these messages were queued gets its covering fsync), then snapshots
-        the queue, resolves a writer per message, and writes one
-        multi-frame batch per distinct connection.  Messages with no
-        usable route fall into the same ``unreachable``/``connection_reset``
-        drop buckets as before — coalescing changes the syscall count,
-        not the failure semantics.
+        The queue is taken *before* the gate is awaited (group commit:
+        every force point appended before these messages were queued gets
+        its covering fsync), so what is queued while a gate suspends waits
+        for the next turn's.  Then every connection gets one multi-frame
+        batch; one that is still dialling, or paused, keeps its share.
         """
-        try:
-            while self._outbound:
-                if self.durability_gate is not None:
-                    await self.durability_gate()
-                batch = self._outbound
-                self._outbound = []
-                by_writer: dict[int, tuple[Any, list[Message]]] = {}
-                for message in batch:
-                    writer = await self._writer_for(message.recipient)
-                    if writer is None:
-                        # Same bucket as the sim's recipient_down drops.
-                        self._drop(message, "unreachable")
-                        continue
-                    by_writer.setdefault(
-                        id(writer), (writer, [])
-                    )[1].append(message)
-                for writer, messages in by_writer.values():
-                    frames = encode_batch(
-                        [message_to_json(m) for m in messages]
-                    )
-                    try:
-                        for frame in frames:
-                            writer.write(frame)
-                        await writer.drain()
-                        self.frames_sent += len(frames)
-                        self.messages_framed += len(messages)
-                    except (ConnectionError, OSError):
-                        # Reset while the batch was in flight: the TCP
-                        # analogue of the severed-in-flight drop.
-                        for message in messages:
-                            self._drop(message, "connection_reset")
-                        await self._retire_writer(writer)
-        finally:
-            self._flush_task = None
+        batch, self._outbound = self._outbound, []
+        if batch and self.durability_gate is not None:
+            await self.durability_gate()
+        by_link: dict[_Link, list[Message]] = {}
+        for message in batch:
+            link = self._link_for(message)
+            if link is not None:
+                by_link.setdefault(link, []).append(message)
+        for link, messages in by_link.items():
+            self._write(link, messages)
 
-    async def _retire_writer(self, writer: Any) -> None:
-        """Forget a dead connection everywhere it is referenced."""
-        for site_id, link in list(self._links.items()):
-            if link.writer is writer:
-                self._links.pop(site_id, None)
-                await link.close()
-        self._prune_routes(writer)
+    def _write(self, link: _Link, messages: list[Message]) -> None:
+        """Write messages that have passed a durability gate to ``link``.
 
-    def _prune_routes(self, writer: Any) -> None:
-        for endpoint, route in list(self._routes.items()):
-            if route is writer:
-                self._routes.pop(endpoint, None)
+        The one place frames reach a socket and the one place messages
+        are parked for a link that cannot take them now, so the late write
+        on connect / ``resume_writing`` carries only what :meth:`flush`
+        handed over behind a gate.  A link that died meanwhile drops them:
+        the TCP analogue of the severed-in-flight drop.
+        """
+        if link.paused:
+            link.gated += messages
+        elif link.writer.is_closing():
+            for message in messages:
+                self._drop(message, "connection_reset")
+        else:
+            frames = encode_batch([message_to_json(m) for m in messages])
+            for frame in frames:
+                link.writer.write(frame)
+            self.frames_sent += len(frames)
+            self.messages_framed += len(messages)
 
-    async def _writer_for(self, endpoint_id: str) -> Any:
+    def _link_for(self, message: Message) -> _Link | None:
+        """The connection ``message`` leaves on; None when it was dropped
+        instead (same bucket as the sim's recipient_down drops)."""
         # Co-hosted endpoints (Paxos acceptors) route to their daemon.
-        host_site = self.cluster.route_site(endpoint_id)
-        if host_site is not None:
-            link = self._links.get(host_site)
-            if link is None or not link.usable:
-                link = await self._dial(host_site)
-                if link is None:
-                    return None
-                self._links[host_site] = link
-            return link.writer
-        writer = self._routes.get(endpoint_id)
-        if writer is not None and not writer.is_closing():
-            return writer
-        return None
-
-    async def _dial(self, site_id: str) -> _PeerLink | None:
+        site_id = self.cluster.route_site(message.recipient)
+        link = (
+            self._routes.get(message.recipient) if site_id is None
+            else self._links.get(site_id)
+        )
+        if link is not None and (link.paused or not link.writer.is_closing()):
+            return link
         loop = asyncio.get_running_loop()
-        if not self.redial.may_dial(site_id, loop.time()):
-            # Inside the backoff window: drop without a connect storm.
+        # Inside the backoff window: drop without a connect storm.
+        if site_id is None or not self.redial.may_dial(site_id, loop.time()):
+            self._drop(message, "unreachable")
             return None
-        spec = self.cluster.site(site_id)
+        # Dialled by its own task: the turn does not wait for the connect.
+        link = self._links[site_id] = _Link(self, paused=True)
+        task = loop.create_task(self._connect(site_id, link))
+        self._dial_tasks.add(task)
+        task.add_done_callback(self._dial_tasks.discard)
+        return link
+
+    async def _connect(self, site_id: str, link: _Link) -> None:
+        """Dial one site; then write (or drop) what waited for it."""
+        if await self._dial(site_id) is None:
+            self._retire(link, "unreachable")
+        else:
+            link.resume_writing()
+
+    async def _dial(self, site_id: str) -> _Link | None:
+        """Connect the site's link; None, and a backoff entry, on failure."""
+        loop = asyncio.get_running_loop()
+        link = self._links[site_id]
         self.dials += 1
         try:
-            reader, writer = await asyncio.open_connection(*spec.address)
+            await loop.create_connection(
+                lambda: link, *self.cluster.site(site_id).address
+            )
         except (ConnectionError, OSError):
             self.redial.record_failure(site_id, loop.time())
             return None
         self.redial.record_success(site_id)
-        task = asyncio.get_running_loop().create_task(
-            self._read_loop(reader, writer)
-        )
-        link = _PeerLink(writer, task)
-
-        def on_peer_gone(_task: Any) -> None:
-            # EOF / reset from the peer: retire the link so the next send
-            # re-dials (and, if the daemon is really down, counts a drop)
-            # instead of writing into a dead socket.
-            if self._links.get(site_id) is link:
-                self._links.pop(site_id, None)
-            if link.writer is not None:
-                self._prune_routes(link.writer)
-                link.writer.close()
-                link.writer = None
-
-        task.add_done_callback(on_peer_gone)
         return link
 
-    # -- inbound -------------------------------------------------------------
+    def _retire(self, link: _Link, reason: str) -> None:
+        """Forget a dead connection everywhere it is referenced."""
+        self._live.discard(link)
+        for table in (self._links, self._routes):
+            for key in [k for k, known in table.items() if known is link]:
+                del table[key]
+        gated, link.gated = link.gated, []
+        for message in gated:
+            self._drop(message, reason)
+
+    # -- lifecycle -----------------------------------------------------------
 
     async def serve(self) -> None:
         """Start listening on the local site's configured address."""
         assert self.local_site is not None, "pure clients do not listen"
         spec = self.cluster.site(self.local_site)
-        self._server = await asyncio.start_server(
-            self._on_connection, spec.host, spec.port,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Link(self), spec.host, spec.port,
         )
 
-    async def _on_connection(self, reader: Any, writer: Any) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            await self._read_loop(reader, writer)
-        except asyncio.CancelledError:
-            # Shutdown cancellation: complete quietly so the streams
-            # machinery does not log the cancelled handler task.
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            self._prune_routes(writer)
-            writer.close()
-
-    async def _read_loop(self, reader: Any, writer: Any) -> None:
-        """Shared frame loop for inbound connections and dialed links.
-
-        A wire frame may be a singleton or a batch envelope; either way
-        every carried body goes through the same per-kind handling, so
-        counters and delivery order are identical to unbatched framing.
-        """
-        while True:
-            try:
-                body = await read_frame(reader)
-                bodies = unbatch(body) if body is not None else None
-            except Exception:
-                return
-            if bodies is None:
-                return
-            for sub in bodies:
-                kind = sub.get("kind")
-                if kind == "msg":
-                    message = message_from_json(sub)
-                    # ``send_time`` is not on the wire (it is a reading of
-                    # the sender's clock, another process's): stamp the
-                    # arrival, so the hop publishes latency 0 rather than
-                    # ``now`` minus the unset sentinel.
-                    message.send_time = self.env.now
-                    # Learn the return route: replies to this sender go
-                    # back over this connection.
-                    self._routes[message.sender] = writer
-                    if message.recipient in self._inboxes:
-                        self._deliver_local(message)
-                    else:
-                        self._drop(message, "unknown_endpoint")
-                elif kind == "admin" and self.admin_handler is not None:
-                    await self.admin_handler(sub, writer)
-
-    # -- lifecycle -----------------------------------------------------------
-
     async def close(self) -> None:
-        """Close the server, every link, and cancel in-flight sends."""
-        task = self._flush_task
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._flush_task = None
+        """Close the server and every connection; abandon queued sends."""
         self._outbound.clear()
+        for task in list(self._dial_tasks):
+            task.cancel()
+        await asyncio.gather(*self._dial_tasks, return_exceptions=True)
+        for link in list(self._live):
+            link.writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for link in list(self._links.values()):
-            await link.close()
         self._links.clear()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._routes.clear()
 
     # -- accounting (same shape as Network) ----------------------------------

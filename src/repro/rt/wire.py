@@ -120,14 +120,19 @@ def message_to_json(message: Message) -> dict[str, Any]:
 def message_from_json(data: dict[str, Any]) -> Message:
     """Rebuild a protocol message from a frame body."""
     try:
-        return Message(
+        message = Message(
             msg_type=MsgType(data["type"]),
             sender=data["sender"],
             recipient=data["recipient"],
             txn_id=data["txn"],
             payload=_payload_from_json(data.get("payload", {})),
         )
-    except (KeyError, ValueError) as exc:
+        ids = (message.sender, message.recipient, message.txn_id)
+        if not all(type(value) is str for value in ids):
+            raise ValueError("sender, recipient and txn must be strings")
+        return message
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        # whatever its shape, hostile JSON is a refused frame, not a crash
         raise WireError(f"malformed message frame: {exc}") from exc
 
 
@@ -213,7 +218,7 @@ def encode_frame(body: dict[str, Any] | bytes) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-def decode_frame(payload: bytes) -> dict[str, Any]:
+def decode_frame(payload: bytes | bytearray) -> dict[str, Any]:
     """Decode one frame payload (the bytes after the length prefix)."""
     try:
         body = json.loads(payload)
@@ -224,16 +229,35 @@ def decode_frame(payload: bytes) -> dict[str, Any]:
     return body
 
 
+def split_frames(buffer: bytearray) -> list[dict[str, Any]]:
+    """Consume every complete frame at the front of ``buffer``.
+
+    A connection's receive path: whole frames are removed from the bytes
+    read so far, decoded and flattened (:func:`unbatch`) into message
+    bodies in arrival order; a torn tail stays for the next read.  A
+    length over ``MAX_FRAME`` is refused from its header alone.
+    """
+    bodies: list[dict[str, Any]] = []
+    offset, size = 0, len(buffer)
+    while size - offset >= _LEN.size:
+        (length,) = _LEN.unpack_from(buffer, offset)
+        if length > MAX_FRAME:
+            raise WireError(f"frame of {length} bytes exceeds MAX_FRAME")
+        end = offset + _LEN.size + length
+        if end > size:
+            break
+        bodies += unbatch(decode_frame(buffer[offset + _LEN.size:end]))
+        offset = end
+    del buffer[:offset]
+    return bodies
+
+
 async def read_frame(reader: Any) -> dict[str, Any] | None:
     """Read one frame from an asyncio stream; None on orderly EOF."""
     try:
-        header = await reader.readexactly(_LEN.size)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise WireError(f"announced frame of {length} bytes exceeds MAX_FRAME")
-    try:
+        (length,) = _LEN.unpack(await reader.readexactly(_LEN.size))
+        if length > MAX_FRAME:
+            raise WireError(f"frame of {length} bytes exceeds MAX_FRAME")
         payload = await reader.readexactly(length)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None

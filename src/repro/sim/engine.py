@@ -263,5 +263,23 @@ class Environment:
         self._now = max(self._now, deadline)
         return None
 
+    def advance(self, to: float) -> None:
+        """Move the clock to ``to``, running everything due on the way.
+
+        For a host that drives the kernel against another clock and
+        injects events between calls (the networked runtime's pump).
+        Unlike ``run(until=to)``, events sitting in the current-tick slot
+        are handled at the first due instant — the earliest timer if one
+        is due by ``to`` (it was scheduled before them and runs ahead of
+        them), else ``to`` itself — not at the instant the caller last
+        stopped, so a timer they arm counts from when they were seen.
+        """
+        to = float(to)
+        if to < self._now:
+            raise ValueError(f"to={to} is in the past (now={self._now})")
+        queue = self._queue
+        self._now = min(queue[0][0], to) if queue else to
+        self.run(until=to)
+
     def __repr__(self) -> str:
         return f"<Environment now={self._now} queued={self.queued}>"

@@ -314,6 +314,20 @@ class WriteAheadLog:
             self._persist(record, force)
         return record
 
+    def clone(self) -> "WriteAheadLog":
+        """An in-memory log holding the same records.
+
+        The record objects are shared — appending never changes an
+        earlier record — so whatever the clone's user appends (restart
+        recovery's ABORT records for losers) stays out of this log.
+        """
+        twin = WriteAheadLog(self.site_id)
+        twin._records = list(self._records)
+        twin._next_lsn = self._next_lsn
+        twin._base = self._base
+        twin._last_lsn = dict(self._last_lsn)
+        return twin
+
     # -- reading -------------------------------------------------------------------
 
     def __len__(self) -> int:

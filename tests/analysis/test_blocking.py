@@ -148,6 +148,91 @@ class TestReachability:
         assert rules(analyze_rt_blocking(root)) == ["blocking/sync-sleep"]
 
 
+class TestCallbacksAreSeeds:
+    """The loop runs more than coroutines: protocol methods and plain
+    callbacks block it just as well."""
+
+    def test_protocol_method(self, rt):
+        root = rt(
+            "import asyncio, os\n"
+            "class Link(asyncio.Protocol):\n"
+            "    def data_received(self, data):\n"
+            "        os.fsync(3)\n"
+        )
+        found = analyze_rt_blocking(root)
+        assert rules(found) == ["blocking/sync-fsync"]
+        assert "Link.data_received (runs on the event loop)" in (
+            found[0].message
+        )
+
+    def test_a_typing_protocol_is_not_a_loop_protocol(self, rt):
+        root = rt(
+            "import os\n"
+            "from typing import Protocol\n"
+            "class Shape(Protocol):\n"
+            "    def area(self):\n"
+            "        os.fsync(3)\n"
+        )
+        assert analyze_rt_blocking(root) == []
+
+    @pytest.mark.parametrize("taker", [
+        "loop.call_soon(self._tick)",
+        "loop.call_at(when, self._tick)",
+        "loop.call_later(0.1, self._tick)",
+        "task.add_done_callback(self._tick)",
+    ])
+    def test_method_handed_to_the_loop(self, rt, taker):
+        root = rt(
+            "import time\n"
+            "class Pump:\n"
+            "    def arm(self, loop, task, when):\n"
+            f"        {taker}\n"
+            "    def _tick(self, *args):\n"
+            "        time.sleep(1)\n"
+        )
+        assert rules(analyze_rt_blocking(root)) == ["blocking/sync-sleep"]
+
+    def test_module_function_handed_to_the_loop(self, rt):
+        root = rt(
+            "import time\n"
+            "def tick():\n"
+            "    time.sleep(1)\n"
+            "def arm(loop):\n"
+            "    loop.call_soon(tick)\n"
+        )
+        assert rules(analyze_rt_blocking(root)) == ["blocking/sync-sleep"]
+
+    def test_helper_reached_through_another_object(self, rt):
+        # the protocol hands its bytes to the transport that owns it
+        root = rt(
+            "import asyncio, os\n"
+            "class Link(asyncio.Protocol):\n"
+            "    def data_received(self, data):\n"
+            "        self.owner._on_readable(data)\n"
+            "class Transport:\n"
+            "    def _on_readable(self, data):\n"
+            "        os.fsync(3)\n"
+        )
+        found = analyze_rt_blocking(root)
+        assert rules(found) == ["blocking/sync-fsync"]
+        assert "reachable from Link.data_received" in found[0].message
+
+    def test_an_ambiguous_method_name_is_not_followed(self, rt):
+        root = rt(
+            "import asyncio, os\n"
+            "class Link(asyncio.Protocol):\n"
+            "    def data_received(self, data):\n"
+            "        self.peer.close()\n"
+            "class A:\n"
+            "    def close(self):\n"
+            "        os.fsync(3)\n"
+            "class B:\n"
+            "    def close(self):\n"
+            "        pass\n"
+        )
+        assert analyze_rt_blocking(root) == []
+
+
 class TestBusyLoop:
     def test_spin_without_yield(self, rt):
         root = rt(

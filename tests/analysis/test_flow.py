@@ -126,13 +126,57 @@ class TestRtGate:
     def test_removing_the_gate_await_fires(self, tree):
         edit(
             tree, "rt/transport.py",
-            "                if self.durability_gate is not None:\n"
-            "                    await self.durability_gate()\n",
+            "        if batch and self.durability_gate is not None:\n"
+            "            await self.durability_gate()\n",
             "",
         )
         found = analyze_rt_gate(tree)
         assert "flow/rt-durability-gate" in rules(found)
         assert any("never awaits" in f.message for f in found)
+
+    def test_writing_ahead_of_the_gate_fires(self, tree):
+        edit(
+            tree, "rt/transport.py",
+            "        if batch and self.durability_gate is not None:\n",
+            "        self._write(link, batch)\n"
+            "        if batch and self.durability_gate is not None:\n",
+        )
+        found = analyze_rt_gate(tree)
+        assert rules(found) == ["flow/rt-durability-gate"]
+        assert "before the durability gate" in found[0].message
+
+    def test_a_write_outside_the_one_write_site_fires(self, tree):
+        # e.g. a connect that greets its peer with whatever is queued
+        edit(
+            tree, "rt/transport.py",
+            "            link.resume_writing()\n",
+            "            link.writer.write(b\"\")\n",
+        )
+        found = analyze_rt_gate(tree)
+        assert rules(found) == ["flow/rt-durability-gate"]
+        assert "outside TcpTransport._write" in found[0].message
+
+    def test_a_late_write_of_ungated_messages_fires(self, tree):
+        # resume_writing handing over the queue no gate has seen yet
+        edit(
+            tree, "rt/transport.py",
+            "            self.owner._write(self, gated)\n",
+            "            self.owner._write(self, self.owner._outbound)\n",
+        )
+        found = analyze_rt_gate(tree)
+        assert rules(found) == ["flow/rt-durability-gate"]
+        assert "not taken from a link's gated queue" in found[0].message
+
+    def test_parking_messages_outside_the_write_site_fires(self, tree):
+        # send() parking straight into the link's queue skips the gate
+        edit(
+            tree, "rt/transport.py",
+            "        self._outbound.append(message)\n",
+            "        self._links[message.recipient].gated.append(message)\n",
+        )
+        found = analyze_rt_gate(tree)
+        assert rules(found) == ["flow/rt-durability-gate"]
+        assert "adds to a gated queue" in found[0].message
 
     def test_removing_the_daemon_install_fires(self, tree):
         edit(

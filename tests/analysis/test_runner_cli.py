@@ -148,9 +148,11 @@ class TestCli:
         )
         (tmp_path / "rt" / "transport.py").write_text(
             "class TcpTransport:\n"
-            "    async def _flush_outbound(self):\n"
+            "    async def flush(self):\n"
             "        await self.durability_gate()\n"
-            "        self.writer.write(b'')\n"
+            "        self._write(link, batch)\n"
+            "    def _write(self, link, messages):\n"
+            "        link.writer.write(b'')\n"
         )
         (tmp_path / "protocols").mkdir()
         (tmp_path / "protocols" / "paxos.py").write_text(

@@ -99,6 +99,13 @@ class TestSimulatedNetworkContract:
         assert self.net.total_sent() == 2
 
 
+def start_pump(transport):
+    """``send()`` only queues: the frames leave at the end of a pump turn
+    (``asyncio.run`` cancels the task with the scenario)."""
+    transport.pump_task = asyncio.ensure_future(transport.pump.run())
+    return transport
+
+
 class TestTcpTransportContract:
     """The same contract, over real sockets.
 
@@ -122,7 +129,7 @@ class TestTcpTransportContract:
         client_pump = RealtimePump(client_env)
         client = TcpTransport(client_env, cluster, client_pump)
         client.register("A")
-        return server, client
+        return start_pump(server), start_pump(client)
 
     @staticmethod
     async def settle():
@@ -215,7 +222,9 @@ class TestTcpTransportContract:
         async def scenario():
             cluster = local_cluster(["S1"], data_dir=".")  # nobody serves
             env = Environment()
-            client = TcpTransport(env, cluster, RealtimePump(env))
+            client = start_pump(
+                TcpTransport(env, cluster, RealtimePump(env))
+            )
             client.register("A")
             try:
                 client.send(msg("S1"))  # must not raise

@@ -93,16 +93,21 @@ class TestTransportUsesThePolicy:
             env = Environment()
             transport = TcpTransport(env, cluster, RealtimePump(env))
             transport.register("A")
+            pump_task = asyncio.ensure_future(transport.pump.run())
             try:
                 for i in range(5):
                     transport.send(Message(
                         msg_type=MsgType.SUBTXN_REQ, sender="A",
                         recipient="S1", txn_id=f"T{i}", payload={},
                     ))
-                    await asyncio.sleep(0.01)
+                    # the burst ends well inside the first backoff
+                    # window (>= 37.5 ms with the default jitter)
+                    await asyncio.sleep(0.005)
                 assert transport.dials == 1
                 assert transport.dropped[MsgType.SUBTXN_REQ] == 5
             finally:
+                transport.pump.stop()
+                await pump_task
                 await transport.close()
 
         asyncio.run(scenario())

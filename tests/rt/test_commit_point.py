@@ -229,24 +229,27 @@ class TestFraming:
         # caller hears of Tn, and waits for SUBTXN_ACK(Tn+1) before it
         # sends more.  Here every daemon dozes off after it has voted.
         batches = []
-        dozing = set()
-        encode_batch, read_frame = transport.encode_batch, transport.read_frame
+        dozing = {}  # connection -> bytes that arrived while it dozed
+        encode_batch = transport.encode_batch
+        data_received = transport._Link.data_received
 
         def recording(bodies):
             batches.append([(b["type"], b["txn"]) for b in bodies])
             return encode_batch(bodies)
 
-        async def dozy_read(reader):
-            if reader in dozing:
-                dozing.discard(reader)
-                await asyncio.sleep(0.03)
-            body = await read_frame(reader)
-            if body is not None and body.get("type") == "VOTE_REQ":
-                dozing.add(reader)
-            return body
+        def dozy_received(link, data):
+            if link in dozing:
+                dozing[link] += data
+                return
+            data_received(link, data)
+            if b'"VOTE_REQ"' in data:
+                dozing[link] = b""
+                asyncio.get_running_loop().call_later(
+                    0.03, lambda: data_received(link, dozing.pop(link)),
+                )
 
         monkeypatch.setattr(transport, "encode_batch", recording)
-        monkeypatch.setattr(transport, "read_frame", dozy_read)
+        monkeypatch.setattr(transport._Link, "data_received", dozy_received)
 
         async def scenario(cluster, daemons):
             client = NetClient(cluster, time_scale=0.002)

@@ -19,7 +19,7 @@ from repro.rt.config import local_cluster
 from repro.rt.daemon import SiteDaemon
 from repro.rt.group_commit import GroupCommitFlusher
 from repro.rt.pump import RealtimePump
-from repro.rt.transport import TcpTransport
+from repro.rt.transport import TcpTransport, _Link
 from repro.sim.engine import Environment
 from repro.storage.wal import RecordType, WriteAheadLog
 
@@ -98,7 +98,10 @@ class TestGate:
             wal = grouped_wal(tmp_path)
             transport.durability_gate = GroupCommitFlusher(wal).barrier
             spy = SpyWriter(wal)
-            transport._routes["coord.T1"] = spy  # the learned return route
+            link = _Link(transport)
+            link.writer = spy
+            transport._routes["coord.T1"] = link  # the learned return route
+            pump_task = asyncio.ensure_future(transport.pump.run())
 
             wal.append(RecordType.PREPARE, "T1", force=True)
             transport.send(Message(
@@ -109,6 +112,8 @@ class TestGate:
             assert (spy.writes, wal.fsyncs, wal.needs_sync) == ([], 0, True)
             for _ in range(3):
                 await asyncio.sleep(0)
+            transport.pump.stop()
+            await pump_task
             await transport.close()
             return spy.writes
 

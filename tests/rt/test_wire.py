@@ -23,6 +23,7 @@ from repro.rt.wire import (
     message_to_json,
     op_from_json,
     op_to_json,
+    split_frames,
     unbatch,
 )
 from repro.txn.operations import ReadOp, SemanticOp, WriteOp
@@ -243,3 +244,77 @@ class TestBatching:
     def test_missing_frames_list_refused(self):
         with pytest.raises(WireError):
             unbatch({"kind": "batch", "frames": "nope"})
+
+
+class TestSplitter:
+    """``split_frames``: the receive path of a connection."""
+
+    BODIES = [
+        {"kind": "msg", "n": 1},
+        {"kind": "msg", "n": 2, "blob": "x" * 300},
+        {"kind": "admin", "cmd": "status"},
+    ]
+
+    def stream(self):
+        # a singleton, a batch of two, a singleton: four bodies, three frames
+        return (
+            encode_frame(self.BODIES[0])
+            + encode_batch(self.BODIES[1:])[0]
+            + encode_frame(self.BODIES[0])
+        )
+
+    def test_one_read_of_many_frames_yields_every_body_in_order(self):
+        buffer = bytearray(self.stream())
+        assert split_frames(buffer) == [*self.BODIES, self.BODIES[0]]
+        assert buffer == b""
+
+    def test_a_stream_torn_at_every_offset_delivers_each_body_once(self):
+        stream = self.stream()
+        for cut in range(len(stream) + 1):
+            buffer = bytearray(stream[:cut])
+            first = split_frames(buffer)
+            buffer += stream[cut:]
+            assert first + split_frames(buffer) == [
+                *self.BODIES, self.BODIES[0],
+            ], cut
+            assert buffer == b""
+
+    def test_a_torn_tail_stays_in_the_buffer(self):
+        frame = encode_frame(self.BODIES[0])
+        buffer = bytearray(frame + frame[:5])
+        assert split_frames(buffer) == [self.BODIES[0]]
+        assert buffer == frame[:5]
+        assert split_frames(buffer) == []  # half a frame is no frame
+
+    def test_an_oversized_length_is_refused_from_the_header_alone(self):
+        buffer = bytearray((MAX_FRAME + 1).to_bytes(4, "big"))
+        with pytest.raises(WireError, match="MAX_FRAME"):
+            split_frames(buffer)
+
+    @pytest.mark.parametrize("payload", [
+        b"{not json",
+        b"[1, 2]",
+        b'{"no": "kind"}',
+        b'{"kind": "batch", "frames": [{"kind": "batch", "frames": []}]}',
+    ])
+    def test_malformed_frames_are_refused(self, payload):
+        buffer = bytearray(len(payload).to_bytes(4, "big") + payload)
+        with pytest.raises(WireError):
+            split_frames(buffer)
+
+    @pytest.mark.parametrize("damage", [
+        {"type": "NOT_A_TYPE"},
+        {"sender": None},
+        {"recipient": ["S1"]},
+        {"txn": {"T": 1}},
+        {"payload": "not-a-dict"},
+        {"payload": {"ops": [17]}},
+        {"payload": {"ops": "abc"}},
+    ])
+    def test_a_malformed_msg_body_is_a_wire_error(self, damage):
+        body = message_to_json(Message(
+            msg_type=MsgType.VOTE, sender="S1", recipient="coord.T1",
+            txn_id="T1", payload={"vote": "YES"},
+        ))
+        with pytest.raises(WireError):
+            message_from_json({**body, **damage})

@@ -149,3 +149,75 @@ def test_determinism_same_structure_same_order():
         return order
 
     assert build() == build() == [("y", 1.0), ("x", 3.0), ("z", 3.0)]
+
+
+def test_advance_against_a_hand_computed_schedule():
+    # A host that drives the kernel against another clock: it stops at 4,
+    # something is injected from outside (an inbox put: an event in the
+    # current-tick slot), and the next call advances to 10.
+    #
+    #   t=4   host stopped here; timers pending at 6 and 9
+    #   t=6   first due instant: timer A fires, *then* the injected event
+    #         (A was scheduled before it) -- which arms a 3-tick timer
+    #   t=9   timer B, then the injected event's timer (6 + 3), in
+    #         schedule order
+    #   t=10  the clock reads ``to``; the 12 timer is still pending
+    env = Environment()
+    log = []
+
+    def timer(tag, delay):
+        yield env.timeout(delay)
+        log.append((tag, env.now))
+
+    for tag, delay in (("A", 6), ("B", 9), ("C", 12)):
+        env.process(timer(tag, delay))
+    env.run(until=4)
+
+    injected = env.event()
+
+    def consumer():
+        yield injected
+        log.append(("injected", env.now))
+        yield env.timeout(3)
+        log.append(("armed-by-injected", env.now))
+
+    env.process(consumer())
+    injected.succeed()
+
+    env.advance(10)
+    assert log == [
+        ("A", 6.0), ("injected", 6.0),
+        ("B", 9.0), ("armed-by-injected", 9.0),
+    ]
+    assert env.now == 10.0 and env.peek() == 12.0
+
+    # run(until=) is the contrast: it handles the slot at the stale instant.
+    stale = Environment()
+    seen = []
+    stale.run(until=4)
+    event = stale.event()
+    event.callbacks.append(lambda _evt: seen.append(stale.now))
+    event.succeed()
+    stale.run(until=10)
+    assert seen == [4.0]
+
+
+def test_advance_with_no_timer_due_handles_the_slot_at_the_target():
+    env = Environment()
+    seen = []
+    env.process(iter_timeout(env, 50, seen))
+    env.run(until=1)
+    event = env.event()
+    event.callbacks.append(lambda _evt: seen.append(("slot", env.now)))
+    event.succeed()
+    env.advance(20)
+    assert seen == [("slot", 20.0)] and env.now == 20.0
+    env.advance(20)  # nothing due, nothing moves
+    assert env.now == 20.0
+    with pytest.raises(ValueError):
+        env.advance(19)
+
+
+def iter_timeout(env, delay, seen):
+    yield env.timeout(delay)
+    seen.append(("timer", env.now))

@@ -90,3 +90,31 @@ def test_payload_preserved():
     wal = WriteAheadLog()
     r = wal.append(RecordType.DECIDE, "T1", decision="ABORT", sites=["S1"])
     assert r.payload == {"decision": "ABORT", "sites": ["S1"]}
+
+
+def test_clone_replays_alike_and_keeps_its_appends_to_itself():
+    import copy
+
+    from repro.storage.kvstore import KVStore
+    from repro.storage.recovery import RecoveryManager
+
+    wal = WriteAheadLog("S1")
+    wal.checkpoint({"a": 1, "b": 2}, active=[])
+    wal.truncate_at_checkpoint()  # a non-zero base, as after a long run
+    wal.append(RecordType.BEGIN, "T1")
+    wal.append(RecordType.UPDATE, "T1", key="a", before=1, after=5)
+    wal.append(RecordType.COMMIT, "T1", force=True)
+    wal.append(RecordType.BEGIN, "T2")  # a loser: restart aborts it
+    wal.append(RecordType.UPDATE, "T2", key="b", before=2, after=9)
+    before = [repr(record) for record in wal]
+
+    def replay(log):
+        store = KVStore(site_id="replay")
+        report = RecoveryManager(store, log).restart()
+        return report, dict(store.items()), [repr(r) for r in log]
+
+    # the deep copy the recovery oracle used to take is the reference
+    assert replay(wal.clone()) == replay(copy.deepcopy(wal))
+    assert len(replay(wal.clone())[2]) > len(before)  # the ABORT for T2
+    assert [repr(record) for record in wal] == before
+    assert wal.status_of("T2") is RecordType.BEGIN

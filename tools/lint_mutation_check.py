@@ -108,17 +108,20 @@ MUTATIONS = [
     ),
     Mutation(
         name="inject-sync-fsync",
-        # a bare fsync inside the group-commit barrier coroutine stalls
-        # the daemon's event loop (the allowlisted wal.sync() is the one
-        # designated site)
-        paths=("repro/rt/group_commit.py",),
+        # a bare fsync in the receive path stalls the daemon's event loop
+        # on every frame.  Half of a hop is a plain callback now (the
+        # connection's data_received delivers straight to the inboxes), so
+        # this is caught only while protocol methods seed the analysis
+        # (the group-commit barrier's wal.sync() stays the one designated
+        # fsync site)
+        paths=("repro/rt/transport.py",),
         replacements=(
             ("from __future__ import annotations",
              "from __future__ import annotations\nimport os"),
             (
-                "        if self.wal.needs_sync:",
-                "        os.fsync(0)\n"
-                "        if self.wal.needs_sync:",
+                "            for body in split_frames(self._buffer):",
+                "            os.fsync(0)\n"
+                "            for body in split_frames(self._buffer):",
             ),
         ),
         append="",
