@@ -15,13 +15,14 @@ runs, and this package checks them without executing anything:
   iteration in protocol code, protecting checker replay and parallel
   report byte-identity;
 * **dispatch exhaustiveness** (:mod:`repro.analysis.dispatch`) — every
-  :class:`~repro.net.message.MsgType` has a receiving side;
+  :class:`~repro.net.message.MsgType` has a receiving side among the
+  roles the engine registry names;
 * **protocol flow** (:mod:`repro.analysis.flow`) — every outcome-revealing
   send is dominated by its covering WAL force point (force-before-send),
   the networked runtime's frames route through the group-commit durability
   gate, the declared force points match the method bodies, and each
   scheme's role→MsgType→role flow graph is closed (no orphan sends, no
-  dead handlers, every edge routable over TCP);
+  dead handlers);
 * **event-loop blocking** (:mod:`repro.analysis.blocking`) — no sync
   fsync/file-IO/sleep/subprocess/busy loop reachable from the runtime's
   coroutines.
@@ -37,10 +38,7 @@ from repro.analysis.commute import (
     ops_commute,
 )
 from repro.analysis.determinism import analyze_file, analyze_tree
-from repro.analysis.dispatch import (
-    analyze_dispatch,
-    analyze_runtime_dispatch,
-)
+from repro.analysis.dispatch import analyze_dispatch
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.flow import (
     analyze_flow,
@@ -68,7 +66,6 @@ __all__ = [
     "analyze_message_flow",
     "analyze_registry",
     "analyze_rt_blocking",
-    "analyze_runtime_dispatch",
     "analyze_tree",
     "analyze_workload_commutativity",
     "analyze_workloads",

@@ -1,39 +1,29 @@
 """Family 4: handler exhaustiveness over the wire vocabulary.
 
-Every :class:`~repro.net.message.MsgType` must have a receiving side:
-either the participant's dispatch table (``Participant._HANDLERS``) or the
-coordinator's collect surface (``Coordinator._COLLECTS``).  Both are
-class-level literals that the runtime actually binds — the participant
-builds its handler map from ``_HANDLERS`` and the coordinator asserts every
-``_collect`` against ``_COLLECTS`` — so this check reads the single source
-of truth, statically.
+Every :class:`~repro.net.message.MsgType` must have a receiving side: some
+role of some registered engine must declare it in its dispatch table
+(``_HANDLERS``, bound by the participant's and acceptor's dispatch loops)
+or its collect surface (``_COLLECTS``, asserted by every coordinator
+``_collect``).  Both are class-level literals the runtime actually binds,
+and which classes play which role is read off the engine registry
+(:data:`repro.protocols.ENGINES`, see :func:`scheme_roles`) — so this
+check reads the single source of truth, statically.
 
-A message type outside both sets would be *silently dropped* by the
-participant's dispatch loop, which is exactly how a protocol extension
-(say, a termination-protocol inquiry round) rots: the sender compiles, the
+A message type outside every surface would be *silently dropped* by the
+dispatch loops, which is exactly how a protocol extension (say, a
+termination-protocol inquiry round) rots: the sender compiles, the
 receiver ignores, and only a timeout-shaped symptom remains.
 
 Rules:
 
 ``dispatch/missing-handler``
-    An enum member neither handled by the participant nor collected by the
-    coordinator.
+    An enum member no role of any registered engine receives.
 
 ``dispatch/unknown-msg-type``
     A dispatch declaration references an enum member that does not exist.
 
 ``dispatch/duplicate-handler``
     The same member appears twice in one declaration.
-
-``dispatch/runtime-mismatch``
-    The networked runtime's wire entry points (``SiteDaemon._INBOUND``,
-    ``NetClient._INBOUND``) disagree with the simulation-side dispatch
-    surfaces they must mirror — the *union* of every participant-side
-    engine's ``_HANDLERS`` (base, Paxos, Short, plus the acceptor the
-    daemon co-hosts) and of every coordinator-side engine's ``_COLLECTS``.
-    The daemon and client run the *same* protocol engines over TCP; a type
-    accepted in one world and not the other is a frame that commits in the
-    simulator and vanishes in production (or vice versa).
 
 ``dispatch/missing-engine``
     A :class:`~repro.commit.base.CommitScheme` member has no engine
@@ -49,9 +39,15 @@ from pathlib import Path
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.source import parse_module
+from repro.commit.base import CommitScheme
 from repro.errors import AnalysisError
+from repro.protocols import ENGINES
 
 _ANCHOR = "Section 2 (2PC message vocabulary)"
+
+#: one role's classes as (file relative to the package root, class name),
+#: subclass first
+Chain = tuple[tuple[str, str], ...]
 
 
 def _class_body(tree: ast.Module, class_name: str, path: Path) -> ast.ClassDef:
@@ -89,8 +85,9 @@ def _msgtype_keys(nodes: list[ast.expr]) -> list[tuple[str, int]]:
 
 def _declaration(
     path: Path, class_name: str, attr_name: str
-) -> list[tuple[str, int]]:
-    """The ``MsgType`` members declared in a class-level dict/tuple literal."""
+) -> list[tuple[str, int]] | None:
+    """The ``MsgType`` members declared in a class-level dict/tuple literal
+    (None: the class body does not assign ``attr_name``)."""
     tree = parse_module(path)
     cls = _class_body(tree, class_name, path)
     for stmt in cls.body:
@@ -117,44 +114,78 @@ def _declaration(
             f"{class_name}.{attr_name} in {path} is not a literal "
             f"dict/tuple"
         )
+    return None
+
+
+def class_rel(cls: type[object]) -> str:
+    """The file defining ``cls``, relative to the package root."""
+    return cls.__module__.partition(".")[2].replace(".", "/") + ".py"
+
+
+def scheme_roles() -> dict[str, dict[str, Chain]]:
+    """Per scheme, each role's class chain, read off the engine registry.
+
+    A chain is the role class's MRO restricted to this package, subclass
+    first; the acceptor role exists only where the engine names one.  The
+    classes come from the running registry, their ASTs from whatever root
+    the caller scans.
+    """
+    roles: dict[str, dict[str, Chain]] = {}
+    for scheme, engine in sorted(ENGINES.items(), key=lambda kv: kv[0].name):
+        classes: dict[str, type[object]] = {
+            "coordinator": engine.coordinator,
+            "participant": engine.participant,
+        }
+        if engine.acceptor is not None:
+            classes["acceptor"] = engine.acceptor
+        roles[scheme.name] = {
+            role: tuple(
+                (class_rel(c), c.__name__) for c in cls.__mro__
+                if c.__module__.partition(".")[0] == "repro"
+            )
+            for role, cls in classes.items()
+        }
+    return roles
+
+
+def receive_surface(
+    root: Path, chain: Chain
+) -> tuple[tuple[str, str], list[tuple[str, int]]]:
+    """A role's receive surface, resolved like the attribute lookup the
+    dispatch loops do: the first ``_HANDLERS`` or ``_COLLECTS`` literal up
+    ``chain``, with the ``(rel, class)`` that declares it."""
+    for rel, class_name in chain:
+        for attr in ("_HANDLERS", "_COLLECTS"):
+            declared = _declaration(root / rel, class_name, attr)
+            if declared is not None:
+                return (rel, class_name), declared
     raise AnalysisError(
-        f"{class_name}.{attr_name} declaration not found in {path}"
+        f"no _HANDLERS/_COLLECTS declaration found up the chain "
+        f"{[class_name for _rel, class_name in chain]} under {root}"
     )
 
 
-#: a dispatch declaration site: (file, class name, attribute name)
-Surface = tuple[Path, str, str]
+def analyze_dispatch(root: Path) -> list[Finding]:
+    """Exhaustiveness of every registered engine's receive surfaces.
 
-
-def analyze_dispatch(
-    message_path: Path,
-    coordinator_path: Path,
-    participant_path: Path,
-    extra_surfaces: tuple[Surface, ...] = (),
-) -> list[Finding]:
-    """Exhaustiveness of the coordinator + participant receive surfaces.
-
-    ``extra_surfaces`` adds the competitor engines' declarations (Paxos
-    coordinator/participant, acceptor, Short participant) to the receivable
-    set; each is also individually checked for unknown members and
-    duplicates.
+    Each role's surface is checked once for unknown members and
+    duplicates, however many schemes share it; the receivable set is
+    their union.
     """
+    message_path = root / "net" / "message.py"
     members = enum_members(message_path)
     member_names = {name for name, _ in members}
-    handled = _declaration(participant_path, "Participant", "_HANDLERS")
-    collected = _declaration(coordinator_path, "Coordinator", "_COLLECTS")
-    surfaces: list[tuple[list[tuple[str, int]], Path]] = [
-        (handled, participant_path),
-        (collected, coordinator_path),
-    ]
-    for path, class_name, attr_name in extra_surfaces:
-        surfaces.append((_declaration(path, class_name, attr_name), path))
+    surfaces = dict(
+        receive_surface(root, chain)
+        for roles in scheme_roles().values()
+        for chain in roles.values()
+    )
 
     findings: list[Finding] = []
-    for declared, source_path in surfaces:
+    for (rel, _class_name), declared in sorted(surfaces.items()):
         seen: set[str] = set()
         for name, lineno in declared:
-            location = f"{source_path.name}:{lineno}"
+            location = f"{rel}:{lineno}"
             if name not in member_names:
                 findings.append(Finding(
                     rule="dispatch/unknown-msg-type",
@@ -176,9 +207,9 @@ def analyze_dispatch(
                 ))
             seen.add(name)
 
-    receivable: set[str] = set()
-    for declared, _source_path in surfaces:
-        receivable.update(name for name, _ in declared)
+    receivable = {
+        name for declared in surfaces.values() for name, _ in declared
+    }
     for name, lineno in members:
         if name not in receivable:
             findings.append(Finding(
@@ -195,123 +226,13 @@ def analyze_dispatch(
     return findings
 
 
-def analyze_runtime_dispatch(
-    message_path: Path,
-    coordinator_path: Path,
-    participant_path: Path,
-    daemon_path: Path,
-    client_path: Path,
-    extra_participant_surfaces: tuple[Surface, ...] = (),
-    extra_coordinator_surfaces: tuple[Surface, ...] = (),
-) -> list[Finding]:
-    """The runtime's wire entry points mirror the sim dispatch surfaces.
-
-    The daemon hosts every participant-side engine (plus the co-hosted
-    acceptor), the client every coordinator-side engine, so each
-    ``_INBOUND`` must equal the *union* of its engines' declarations.
-    """
-    member_names = {name for name, _ in enum_members(message_path)}
-
-    def union(
-        base: list[tuple[str, int]], extras: tuple[Surface, ...]
-    ) -> list[tuple[str, int]]:
-        merged = list(base)
-        for path, class_name, attr_name in extras:
-            merged.extend(_declaration(path, class_name, attr_name))
-        return merged
-
-    pairs = (
-        (
-            _declaration(daemon_path, "SiteDaemon", "_INBOUND"),
-            daemon_path,
-            "SiteDaemon._INBOUND",
-            union(
-                _declaration(participant_path, "Participant", "_HANDLERS"),
-                extra_participant_surfaces,
-            ),
-            "the participant-side _HANDLERS union",
-        ),
-        (
-            _declaration(client_path, "NetClient", "_INBOUND"),
-            client_path,
-            "NetClient._INBOUND",
-            union(
-                _declaration(coordinator_path, "Coordinator", "_COLLECTS"),
-                extra_coordinator_surfaces,
-            ),
-            "the coordinator-side _COLLECTS union",
-        ),
-    )
-
-    findings: list[Finding] = []
-    for inbound, source_path, inbound_name, mirrored, mirrored_name in pairs:
-        seen: set[str] = set()
-        decl_line = inbound[0][1] if inbound else 1
-        for name, lineno in inbound:
-            location = f"{source_path.name}:{lineno}"
-            if name not in member_names:
-                findings.append(Finding(
-                    rule="dispatch/unknown-msg-type",
-                    severity=Severity.ERROR,
-                    location=location,
-                    message=(
-                        f"{inbound_name} references MsgType.{name}, which "
-                        f"is not an enum member"
-                    ),
-                    anchor=_ANCHOR,
-                ))
-            if name in seen:
-                findings.append(Finding(
-                    rule="dispatch/duplicate-handler",
-                    severity=Severity.ERROR,
-                    location=location,
-                    message=(
-                        f"MsgType.{name} is declared twice in {inbound_name}"
-                    ),
-                    anchor=_ANCHOR,
-                ))
-            seen.add(name)
-
-        mirrored_names = {name for name, _ in mirrored}
-        for name, lineno in inbound:
-            if name in member_names and name not in mirrored_names:
-                findings.append(Finding(
-                    rule="dispatch/runtime-mismatch",
-                    severity=Severity.ERROR,
-                    location=f"{source_path.name}:{lineno}",
-                    message=(
-                        f"{inbound_name} accepts MsgType.{name} but "
-                        f"{mirrored_name} has no entry for it — the frame "
-                        f"would be read off the wire and silently ignored"
-                    ),
-                    anchor=_ANCHOR,
-                ))
-        for name in sorted(mirrored_names - seen):
-            findings.append(Finding(
-                rule="dispatch/runtime-mismatch",
-                severity=Severity.ERROR,
-                location=f"{source_path.name}:{decl_line}",
-                message=(
-                    f"{mirrored_name} handles MsgType.{name} but "
-                    f"{inbound_name} does not list it — over TCP that "
-                    f"message can never reach its handler"
-                ),
-                anchor=_ANCHOR,
-            ))
-    return findings
-
-
 def analyze_engines() -> list[Finding]:
     """Every :class:`CommitScheme` member has a registered engine.
 
-    This is the one check in the family that imports the runtime instead
-    of reading the AST: the registry *is* runtime state (populated by
-    module import), and importing it is exactly what the harness does —
-    so a member missing here is a member the harness cannot construct.
+    The registry *is* runtime state (populated by module import), and
+    importing it is exactly what the harness does — so a member missing
+    here is a member the harness cannot construct.
     """
-    from repro.commit.base import CommitScheme
-    from repro.protocols import ENGINES
-
     findings: list[Finding] = []
     for scheme in CommitScheme:
         if scheme not in ENGINES:

@@ -58,17 +58,11 @@ message-flow graph the engines induce:
     closed: every sent type has a receiving role, every handled type has
     a sender.  This generalizes the dispatch family's set-equality check
     to actual flow — a handler deleted from *one* engine is caught even
-    while the union over all engines still covers the type.
-
-``msgflow/runtime-unroutable`` / ``msgflow/runtime-dead-inbound``
-    Every flow edge must be routable over TCP: edges into participant or
-    acceptor roles must appear in ``SiteDaemon._INBOUND``, edges into the
-    coordinator in ``NetClient._INBOUND``.  Inbound entries no scheme's
-    flow ever produces are flagged as warnings (dead wire surface).
-
-``msgflow/unmapped-scheme``
-    A :class:`~repro.commit.base.CommitScheme` member this analyzer has
-    no role map for — adding a fifth engine requires declaring its flow.
+    while the union over all engines still covers the type.  The roles
+    are the classes the engine registry names
+    (:func:`~repro.analysis.dispatch.scheme_roles`), so the graph is the
+    one that runs: register the wrong class for a role and its sends go
+    unanswered here.
 
 The per-scheme graphs are exported as Graphviz DOT via ``repro lint
 --flow-dot`` (see :func:`render_flow_dot`) for the docs.
@@ -80,10 +74,20 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.dispatch import _class_body, _declaration
+from repro.analysis.dispatch import (
+    _class_body,
+    class_rel,
+    receive_surface,
+    scheme_roles,
+)
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.source import parse_module
+from repro.commit.coordinator import Coordinator
+from repro.commit.participant import Participant
 from repro.errors import AnalysisError
+from repro.protocols.acceptor import Acceptor
+from repro.protocols.paxos import PaxosParticipant
+from repro.protocols.short import ShortParticipant
 
 _ANCHOR = "Section 4 (force the log record before revealing the outcome)"
 
@@ -244,8 +248,8 @@ class Obligation:
 
     #: what the contract protects, for the finding message
     what: str
-    class_name: str
-    rel: str  # path relative to the scanned root
+    #: the engine class bound by it (its AST is read from the scanned root)
+    cls: type[object]
     msg_type: str
     #: payload key carrying the outcome (None: every send is obligated)
     tag_key: str | None
@@ -260,8 +264,7 @@ class Obligation:
 OBLIGATIONS: tuple[Obligation, ...] = (
     Obligation(
         what="a YES vote reveals the prepare/local-commit force point",
-        class_name="Participant",
-        rel="commit/participant.py",
+        cls=Participant,
         msg_type="VOTE",
         tag_key="vote",
         exempt=frozenset({"NO"}),
@@ -269,8 +272,7 @@ OBLIGATIONS: tuple[Obligation, ...] = (
     ),
     Obligation(
         what="a Short-Commit YES vote reveals the prepare force point",
-        class_name="ShortParticipant",
-        rel="protocols/short.py",
+        cls=ShortParticipant,
         msg_type="VOTE",
         tag_key="vote",
         exempt=frozenset({"NO"}),
@@ -278,8 +280,7 @@ OBLIGATIONS: tuple[Obligation, ...] = (
     ),
     Obligation(
         what="a ballot-0 YES accept reveals the prepare force point",
-        class_name="PaxosParticipant",
-        rel="protocols/paxos.py",
+        cls=PaxosParticipant,
         msg_type="PAXOS_ACCEPT",
         tag_key="value",
         exempt=frozenset({"NO"}),
@@ -287,8 +288,7 @@ OBLIGATIONS: tuple[Obligation, ...] = (
     ),
     Obligation(
         what="a DECISION reveals the decision-log force point",
-        class_name="Coordinator",
-        rel="commit/coordinator.py",
+        cls=Coordinator,
         msg_type="DECISION",
         tag_key="decision",
         # presumed abort: an ABORT decision needs no log record — a
@@ -298,8 +298,7 @@ OBLIGATIONS: tuple[Obligation, ...] = (
     ),
     Obligation(
         what="PAXOS_ACCEPTED reveals the acceptor's durable accept",
-        class_name="Acceptor",
-        rel="protocols/acceptor.py",
+        cls=Acceptor,
         msg_type="PAXOS_ACCEPTED",
         tag_key=None,
         exempt=frozenset(),
@@ -500,7 +499,7 @@ def analyze_force_before_send(root: Path) -> list[Finding]:
     """Run every :data:`OBLIGATIONS` row; one finding per unforced path."""
     findings: list[Finding] = []
     for ob in OBLIGATIONS:
-        model = _load_class(root, ob.rel, ob.class_name)
+        model = _load_class(root, class_rel(ob.cls), ob.cls.__name__)
         flow = _ForceFlow(model, ob.covering)
         for method in flow.roots():
             flow.run(method)
@@ -518,9 +517,9 @@ def analyze_force_before_send(root: Path) -> list[Finding]:
             findings.append(Finding(
                 rule="flow/unforced-send",
                 severity=Severity.ERROR,
-                location=f"{ob.rel}:{send.lineno}",
+                location=f"{model.rel}:{send.lineno}",
                 message=(
-                    f"{ob.class_name}.{send.chain} sends "
+                    f"{model.name}.{send.chain} sends "
                     f"MsgType.{ob.msg_type} on a path where no covering "
                     f"force point ({', '.join(ob.covering)}) is guaranteed "
                     f"to have executed — {ob.what}"
@@ -836,62 +835,17 @@ def analyze_flow(root: Path) -> list[Finding]:
 # -- the message-flow graph ------------------------------------------------------
 
 
-#: role → (path, class) chains, subclass first, per scheme.  Adding a
-#: scheme to :class:`CommitScheme` requires a row here (enforced by
-#: ``msgflow/unmapped-scheme``).
-_BASE_COORD = ("commit/coordinator.py", "Coordinator")
-_BASE_PART = ("commit/participant.py", "Participant")
-
-SCHEME_ROLES: dict[str, dict[str, tuple[tuple[str, str], ...]]] = {
-    "TWO_PL": {
-        "coordinator": (_BASE_COORD,),
-        "participant": (_BASE_PART,),
-    },
-    "O2PC": {
-        "coordinator": (_BASE_COORD,),
-        "participant": (_BASE_PART,),
-    },
-    "PAXOS": {
-        "coordinator": (
-            ("protocols/paxos.py", "PaxosCommitCoordinator"),
-            _BASE_COORD,
-        ),
-        "participant": (
-            ("protocols/paxos.py", "PaxosParticipant"),
-            _BASE_PART,
-        ),
-        "acceptor": (("protocols/acceptor.py", "Acceptor"),),
-    },
-    "SHORT": {
-        "coordinator": (_BASE_COORD,),
-        "participant": (
-            ("protocols/short.py", "ShortParticipant"),
-            _BASE_PART,
-        ),
-    },
-}
-
-
 @dataclass
 class RoleFlow:
     """One role's receive surface and send sites within a scheme."""
 
     role: str
     #: MsgType member → declaration lineno (from _HANDLERS/_COLLECTS)
-    receives: dict[str, int] = field(default_factory=dict)
+    receives: dict[str, int]
     #: where the declaration lives, for finding locations
-    receives_rel: str = ""
+    receives_rel: str
     #: MsgType member → sorted list of "rel:lineno" send sites
     sends: dict[str, list[str]] = field(default_factory=dict)
-
-
-def _try_declaration(
-    path: Path, class_name: str, attr: str
-) -> list[tuple[str, int]] | None:
-    try:
-        return _declaration(path, class_name, attr)
-    except AnalysisError:
-        return None
 
 
 def _collect_sends(
@@ -962,27 +916,14 @@ def build_flow_graphs(root: Path) -> dict[str, list[RoleFlow]]:
             models[key] = _load_class(root, rel, class_name)
         return models[key]
 
-    for scheme, roles in sorted(SCHEME_ROLES.items()):
+    for scheme, roles in scheme_roles().items():
         flows: list[RoleFlow] = []
         for role, chain_spec in sorted(roles.items()):
-            chain = [load(rel, cls) for rel, cls in chain_spec]
-            flow = RoleFlow(role=role)
-            for model in chain:
-                for attr in ("_HANDLERS", "_COLLECTS"):
-                    decl = _try_declaration(model.path, model.name, attr)
-                    if decl is not None:
-                        flow.receives = dict(decl)
-                        flow.receives_rel = model.rel
-                        break
-                if flow.receives:
-                    break
-            if not flow.receives:
-                raise AnalysisError(
-                    f"no _HANDLERS/_COLLECTS declaration found for role "
-                    f"{role!r} of scheme {scheme} (chain "
-                    f"{[c.name for c in chain]})"
-                )
-            _collect_sends(chain, flow.sends)
+            (rel, _class_name), declared = receive_surface(root, chain_spec)
+            flow = RoleFlow(
+                role=role, receives=dict(declared), receives_rel=rel,
+            )
+            _collect_sends([load(*link) for link in chain_spec], flow.sends)
             for sites in flow.sends.values():
                 sites.sort()
             flows.append(flow)
@@ -1002,21 +943,9 @@ def flow_edges(flows: list[RoleFlow]) -> list[tuple[str, str, str]]:
 
 
 def analyze_message_flow(root: Path) -> list[Finding]:
-    """Orphan sends, dead handlers, and runtime routability per scheme."""
-    graphs = build_flow_graphs(root)
-    daemon_inbound = {
-        name for name, _ in
-        _declaration(root / "rt" / "daemon.py", "SiteDaemon", "_INBOUND")
-    }
-    client_inbound = {
-        name for name, _ in
-        _declaration(root / "rt" / "client.py", "NetClient", "_INBOUND")
-    }
-
+    """Orphan sends and dead handlers per scheme."""
     findings: list[Finding] = []
-    delivered_daemon: set[str] = set()
-    delivered_client: set[str] = set()
-    for scheme, flows in sorted(graphs.items()):
+    for scheme, flows in sorted(build_flow_graphs(root).items()):
         receivable: dict[str, list[str]] = {}
         sent: dict[str, list[str]] = {}
         for flow in flows:
@@ -1053,79 +982,6 @@ def analyze_message_flow(root: Path) -> list[Finding]:
                         ),
                         anchor=_ANCHOR,
                     ))
-
-        for sender_role, msg_type, receiver_role in flow_edges(flows):
-            if receiver_role in ("participant", "acceptor"):
-                delivered_daemon.add(msg_type)
-                if msg_type not in daemon_inbound:
-                    findings.append(Finding(
-                        rule="msgflow/runtime-unroutable",
-                        severity=Severity.ERROR,
-                        location="rt/daemon.py:1",
-                        message=(
-                            f"scheme {scheme}: flow edge {sender_role} "
-                            f"-[{msg_type}]-> {receiver_role} is not "
-                            f"routable over TCP — SiteDaemon._INBOUND "
-                            f"does not list MsgType.{msg_type}"
-                        ),
-                        anchor=_ANCHOR,
-                    ))
-            if receiver_role == "coordinator":
-                delivered_client.add(msg_type)
-                if msg_type not in client_inbound:
-                    findings.append(Finding(
-                        rule="msgflow/runtime-unroutable",
-                        severity=Severity.ERROR,
-                        location="rt/client.py:1",
-                        message=(
-                            f"scheme {scheme}: flow edge {sender_role} "
-                            f"-[{msg_type}]-> {receiver_role} is not "
-                            f"routable over TCP — NetClient._INBOUND "
-                            f"does not list MsgType.{msg_type}"
-                        ),
-                        anchor=_ANCHOR,
-                    ))
-
-    for msg_type in sorted(daemon_inbound - delivered_daemon):
-        findings.append(Finding(
-            rule="msgflow/runtime-dead-inbound",
-            severity=Severity.WARNING,
-            location="rt/daemon.py:1",
-            message=(
-                f"SiteDaemon._INBOUND lists MsgType.{msg_type} but no "
-                f"scheme's flow graph ever delivers it to a daemon-hosted "
-                f"role — dead wire surface"
-            ),
-            anchor=_ANCHOR,
-        ))
-    for msg_type in sorted(client_inbound - delivered_client):
-        findings.append(Finding(
-            rule="msgflow/runtime-dead-inbound",
-            severity=Severity.WARNING,
-            location="rt/client.py:1",
-            message=(
-                f"NetClient._INBOUND lists MsgType.{msg_type} but no "
-                f"scheme's flow graph ever delivers it to the coordinator "
-                f"role — dead wire surface"
-            ),
-            anchor=_ANCHOR,
-        ))
-
-    from repro.commit.base import CommitScheme
-
-    for scheme_member in CommitScheme:
-        if scheme_member.name not in SCHEME_ROLES:
-            findings.append(Finding(
-                rule="msgflow/unmapped-scheme",
-                severity=Severity.ERROR,
-                location=f"base.py:CommitScheme.{scheme_member.name}",
-                message=(
-                    f"CommitScheme.{scheme_member.name} has no role map in "
-                    f"repro.analysis.flow.SCHEME_ROLES — declare the new "
-                    f"engine's message flow so it is verified"
-                ),
-                anchor=_ANCHOR,
-            ))
     return findings
 
 

@@ -24,11 +24,7 @@ from repro.analysis.commute import (
 )
 from repro.analysis.determinism import analyze_tree
 from repro.analysis.flow import analyze_flow, analyze_message_flow
-from repro.analysis.dispatch import (
-    analyze_dispatch,
-    analyze_engines,
-    analyze_runtime_dispatch,
-)
+from repro.analysis.dispatch import analyze_dispatch, analyze_engines
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.repertoire import analyze_registry, analyze_workloads
 from repro.compensation.actions import standard_registry
@@ -67,32 +63,7 @@ def run_all(root: Path | None = None) -> LintReport:
     findings.extend(analyze_matrix(registry))
     findings.extend(analyze_workload_commutativity(registry, scenarios))
     findings.extend(analyze_tree(scan_root))
-    paxos_py = scan_root / "protocols" / "paxos.py"
-    short_py = scan_root / "protocols" / "short.py"
-    acceptor_py = scan_root / "protocols" / "acceptor.py"
-    participant_surfaces = (
-        (paxos_py, "PaxosParticipant", "_HANDLERS"),
-        (short_py, "ShortParticipant", "_HANDLERS"),
-        (acceptor_py, "Acceptor", "_HANDLERS"),
-    )
-    coordinator_surfaces = (
-        (paxos_py, "PaxosCommitCoordinator", "_COLLECTS"),
-    )
-    findings.extend(analyze_dispatch(
-        scan_root / "net" / "message.py",
-        scan_root / "commit" / "coordinator.py",
-        scan_root / "commit" / "participant.py",
-        extra_surfaces=participant_surfaces + coordinator_surfaces,
-    ))
-    findings.extend(analyze_runtime_dispatch(
-        scan_root / "net" / "message.py",
-        scan_root / "commit" / "coordinator.py",
-        scan_root / "commit" / "participant.py",
-        scan_root / "rt" / "daemon.py",
-        scan_root / "rt" / "client.py",
-        extra_participant_surfaces=participant_surfaces,
-        extra_coordinator_surfaces=coordinator_surfaces,
-    ))
+    findings.extend(analyze_dispatch(scan_root))
     findings.extend(analyze_engines())
     findings.extend(analyze_flow(scan_root))
     findings.extend(analyze_message_flow(scan_root))

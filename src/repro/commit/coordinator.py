@@ -30,7 +30,7 @@ from repro.commit.base import CommitConfig, CommitScheme
 from repro.core.protocols import MarkingProtocol, NoProtocol
 from repro.net.failures import FailureInjector
 from repro.net.message import Message, MsgType
-from repro.net.network import Network
+from repro.net.transport import Transport
 from repro.obs.events import (
     DecisionReached,
     PhaseEntered,
@@ -59,13 +59,16 @@ class Coordinator:
     def __init__(
         self,
         env: Environment,
-        network: Network,
+        network: Transport,
         spec: GlobalTxnSpec,
         scheme: CommitScheme = CommitScheme.O2PC,
         marking: MarkingProtocol | None = None,
         config: CommitConfig | None = None,
         failures: FailureInjector | None = None,
+        acceptors: tuple[str, ...] = (),
     ) -> None:
+        # ``acceptors`` completes the registry's keyword set
+        # (repro.protocols.EngineSpec); 2PC has none.
         self.env = env
         self.network = network
         self.spec = spec

@@ -39,12 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.commit.base import CommitScheme
+from repro.commit.base import CommitConfig, CommitScheme
 from repro.compensation.executor import CompensationExecutor
 from repro.core.protocols import MarkingProtocol, NoProtocol
 from repro.errors import DeadlockDetected, LockTimeout, TransactionAborted
 from repro.net.message import Message, MsgType
-from repro.net.network import Network
+from repro.net.transport import Transport
 from repro.obs.events import (
     DecisionApplied,
     LocallyCommitted,
@@ -97,17 +97,25 @@ class Participant:
     def __init__(
         self,
         site: Site,
-        network: Network,
+        network: Transport,
         scheme: CommitScheme = CommitScheme.O2PC,
         marking: MarkingProtocol | None = None,
         compensation_retry_delay: float = 1.0,
         lock_marks: bool = False,
+        commit: CommitConfig | None = None,
+        acceptors: tuple[str, ...] = (),
     ) -> None:
+        # ``acceptors`` completes the registry's keyword set
+        # (repro.protocols.EngineSpec); 2PC has none.
         self.site = site
         self.env = site.env
         self.network = network
         self.scheme = scheme
         self.marking = marking or NoProtocol()
+        #: the coordinator-side timeouts, for engines that act on them at
+        #: the participant (Short-Commit's dependency wait, Paxos Commit's
+        #: termination watchdog)
+        self.commit = commit or CommitConfig()
         #: store the marking set as a lockable database item (Section 6.2's
         #: first option): the R1 check read-locks it, and the compensating
         #: subtransaction writes it as its last action — the configuration
@@ -120,6 +128,8 @@ class Participant:
             lock_marks=lock_marks,
         )
         self.subtxns: dict[str, _SubtxnState] = {}
+        #: SUBTXN_REQs refused because their transaction id was taken
+        self.reused_ids_refused = 0
         #: live handler processes — killed on crash, since a handler
         #: suspended mid-protocol must not keep running against wiped state
         self._handlers: set[Any] = set()
@@ -164,6 +174,21 @@ class Participant:
         txn_id = msg.txn_id
         payload = msg.payload
         transmarks: set[str] = set(payload.get("transmarks", ()))
+
+        if txn_id in self.subtxns:
+            # A reused transaction id.  Executing it would re-acquire locks
+            # the first incarnation released (a 2PL violation) and replace
+            # the state its decision applies to, so refuse it before
+            # anything changes: once the first incarnation is decided, the
+            # ABORT its reuser's coordinator sends is only acknowledged.
+            self.reused_ids_refused += 1
+            self._reply(msg, MsgType.SUBTXN_ACK, {
+                "executed": False,
+                "rejected": True,
+                "retriable": False,
+                "reason": "transaction id already in use",
+            })
+            return
 
         check = self.marking.check_spawn(txn_id, self.site.site_id, transmarks)
         if not check.ok:

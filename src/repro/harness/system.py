@@ -194,7 +194,7 @@ class System:
         )
         if self.config.observability:
             self.obs.enable()
-        #: the commit-scheme engine (factories from the protocols registry)
+        #: the commit-scheme engine (role classes from the protocols registry)
         self.engine = engine_for(self.config.scheme)
         #: acceptor processes (Paxos Commit only; empty otherwise).  Sim
         #: acceptor state is durable by convention — crashing an acceptor
@@ -202,12 +202,12 @@ class System:
         #: the coordinator's decision log.
         self.acceptors: dict[str, Acceptor] = {}
         self._acceptor_ids: tuple[str, ...] = ()
-        if self.engine.uses_acceptors:
+        if self.engine.acceptor is not None:
             self._acceptor_ids = acceptor_ids(
                 self.config.commit.paxos_acceptors
             )
             for acc_id in self._acceptor_ids:
-                self.acceptors[acc_id] = Acceptor(
+                self.acceptors[acc_id] = self.engine.acceptor(
                     self.env, self.network, acc_id
                 )
                 self.failures.register_site(acc_id)

@@ -2,17 +2,21 @@
 
 The harness (sim backend) and the networked runtime (net backend) both
 construct their protocol engines through this registry instead of naming
-:class:`~repro.commit.coordinator.Coordinator` /
-:class:`~repro.commit.participant.Participant` directly.  Each
-:class:`~repro.commit.base.CommitScheme` member maps to an
-:class:`EngineSpec` — a coordinator factory, a participant factory, and a
-flag for schemes that need acceptor processes.
+engine classes themselves.  An engine is one ``register(EngineSpec(...))``
+row at the bottom of this module: the :class:`~repro.commit.base.CommitScheme`
+member and the class that plays each role — coordinator, participant and,
+for schemes that have one, acceptor.  Everything else that needs to know
+which class plays which role (the hosts, ``repro lint``'s dispatch and
+message-flow families) reads it off :data:`ENGINES`.
 
 Registered engines:
 
-* ``TWO_PL`` / ``O2PC`` — the incumbent pair (:mod:`repro.protocols.o2pc`):
-  standard 2PC with strict distributed 2PL, and the paper's optimistic
-  variant that locally commits at the YES vote.
+* ``TWO_PL`` / ``O2PC`` — the incumbent pair: the base
+  :class:`~repro.commit.coordinator.Coordinator` and
+  :class:`~repro.commit.participant.Participant`, standard 2PC with strict
+  distributed 2PL, and the paper's optimistic variant that locally
+  commits at the YES vote (the scheme member selects the participant's
+  vote-time behavior).
 * ``PAXOS`` — Paxos Commit (:mod:`repro.protocols.paxos`): one consensus
   instance per participant vote over 2F+1 acceptors
   (:mod:`repro.protocols.acceptor`); non-blocking under coordinator crash
@@ -29,10 +33,12 @@ statically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
 
 from repro.commit.base import CommitScheme
+from repro.commit.coordinator import Coordinator
+from repro.commit.participant import Participant
 from repro.errors import UnknownScheme
+from repro.protocols.acceptor import Acceptor
 
 __all__ = [
     "EngineSpec",
@@ -45,26 +51,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One commit scheme's engine factories.
+    """One commit scheme's engine: the class that plays each role.
 
-    ``coordinator`` is called with keyword arguments ``env``, ``network``,
-    ``spec``, ``scheme``, ``marking``, ``config``, ``failures``, and
-    ``acceptors`` (a tuple of acceptor endpoint ids; empty for schemes that
-    do not use acceptors).  ``participant`` is called with ``site``,
-    ``network``, ``scheme``, ``marking``, ``lock_marks``, ``commit`` (the
-    :class:`~repro.commit.base.CommitConfig`), and ``acceptors``.
-    Factories ignore the keywords their engine does not need, so the
-    harness can construct any scheme uniformly.
+    Hosts construct every engine the same way:
+    ``coordinator(env=, network=, spec=, scheme=, marking=, config=,
+    failures=, acceptors=)``, ``participant(site=, network=, scheme=,
+    marking=, lock_marks=, commit=, acceptors=)`` and, when set,
+    ``acceptor(env, network, acceptor_id, path=)``.  ``acceptors`` is the
+    tuple of acceptor endpoint ids (empty for schemes without acceptors);
+    the base classes accept it and ignore it.
     """
 
     scheme: CommitScheme
-    coordinator: Callable[..., Any]
-    participant: Callable[..., Any]
-    #: the scheme needs 2F+1 acceptor processes per system
-    uses_acceptors: bool = False
+    coordinator: type[Coordinator]
+    participant: type[Participant]
+    #: the role of the scheme's 2F+1 acceptor processes (None: no acceptors)
+    acceptor: type[Acceptor] | None = None
 
 
-#: the engine registry, populated by the scheme modules imported below
+#: the engine registry, populated by the rows below
 ENGINES: dict[CommitScheme, EngineSpec] = {}
 
 
@@ -89,8 +94,18 @@ def acceptor_ids(n: int) -> tuple[str, ...]:
     return tuple(f"acc.{i}" for i in range(1, n + 1))
 
 
-# Populate the registry.  Imported at the bottom so the scheme modules can
-# import ``register``/``EngineSpec`` from this module.
-from repro.protocols import o2pc as _o2pc  # noqa: E402,F401
-from repro.protocols import paxos as _paxos  # noqa: E402,F401
-from repro.protocols import short as _short  # noqa: E402,F401
+# The engine modules import ``acceptor_ids`` from this module, so they are
+# imported after it is defined.
+from repro.protocols.paxos import (  # noqa: E402
+    PaxosCommitCoordinator,
+    PaxosParticipant,
+)
+from repro.protocols.short import ShortParticipant  # noqa: E402
+
+register(EngineSpec(CommitScheme.O2PC, Coordinator, Participant))
+register(EngineSpec(CommitScheme.TWO_PL, Coordinator, Participant))
+register(EngineSpec(
+    CommitScheme.PAXOS, PaxosCommitCoordinator, PaxosParticipant,
+    acceptor=Acceptor,
+))
+register(EngineSpec(CommitScheme.SHORT, Coordinator, ShortParticipant))

@@ -38,7 +38,7 @@ from repro.commit.coordinator import Coordinator
 from repro.commit.participant import Participant
 from repro.net.message import Message, MsgType
 from repro.obs.events import Prepared
-from repro.protocols import EngineSpec, acceptor_ids, register
+from repro.protocols import acceptor_ids
 from repro.protocols.acceptor import Ballot, ballot_of
 from repro.sim.process import Process
 from repro.txn.transaction import VotePolicy
@@ -217,7 +217,7 @@ class PaxosCommitCoordinator(Coordinator):
     ) -> None:
         super().__init__(
             env, network, spec, scheme=scheme, marking=marking,
-            config=config, failures=failures,
+            config=config, failures=failures, acceptors=acceptors,
         )
         self.acceptors: tuple[str, ...] = (
             tuple(acceptors) or acceptor_ids(self.config.paxos_acceptors)
@@ -336,9 +336,8 @@ class PaxosParticipant(Participant):
         super().__init__(
             site, network, scheme=scheme, marking=marking,
             compensation_retry_delay=compensation_retry_delay,
-            lock_marks=lock_marks,
+            lock_marks=lock_marks, commit=commit, acceptors=acceptors,
         )
-        self.commit = commit or CommitConfig()
         self.acceptors: tuple[str, ...] = (
             tuple(acceptors) or acceptor_ids(self.commit.paxos_acceptors)
         )
@@ -526,47 +525,3 @@ class PaxosParticipant(Participant):
             # intersect the promise quorum.
             self._arm_watchdog(txn_id, self.acceptors, 1.0)
         return report
-
-
-# -- registration ----------------------------------------------------------------
-
-
-def make_coordinator(
-    *,
-    env: Any,
-    network: Any,
-    spec: Any,
-    scheme: CommitScheme,
-    marking: Any = None,
-    config: Any = None,
-    failures: Any = None,
-    acceptors: tuple[str, ...] = (),
-) -> PaxosCommitCoordinator:
-    return PaxosCommitCoordinator(
-        env, network, spec, scheme=scheme, marking=marking, config=config,
-        failures=failures, acceptors=acceptors,
-    )
-
-
-def make_participant(
-    *,
-    site: Any,
-    network: Any,
-    scheme: CommitScheme,
-    marking: Any = None,
-    lock_marks: bool = False,
-    commit: Any = None,
-    acceptors: tuple[str, ...] = (),
-) -> PaxosParticipant:
-    return PaxosParticipant(
-        site, network, scheme=scheme, marking=marking,
-        lock_marks=lock_marks, commit=commit, acceptors=acceptors,
-    )
-
-
-register(EngineSpec(
-    scheme=CommitScheme.PAXOS,
-    coordinator=make_coordinator,
-    participant=make_participant,
-    uses_acceptors=True,
-))

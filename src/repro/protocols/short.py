@@ -31,8 +31,6 @@ from repro.commit.base import CommitConfig, CommitScheme
 from repro.commit.participant import Participant
 from repro.net.message import Message, MsgType
 from repro.obs.events import Prepared, SubtxnFailed
-from repro.protocols import EngineSpec, register
-from repro.protocols.o2pc import make_coordinator
 from repro.txn.operations import ReadOp
 from repro.txn.transaction import VotePolicy
 
@@ -45,7 +43,7 @@ class ShortParticipant(Participant):
 
     The coordinator side is the unmodified 2PC coordinator — all the
     scheme's behavior is participant-local, which is why the engine
-    registers the base coordinator factory.
+    registers the base coordinator class.
     """
 
     #: receive surface — identical vocabulary to the base participant
@@ -66,13 +64,13 @@ class ShortParticipant(Participant):
         compensation_retry_delay: float = 1.0,
         lock_marks: bool = False,
         commit: CommitConfig | None = None,
+        acceptors: tuple[str, ...] = (),
     ) -> None:
         super().__init__(
             site, network, scheme=scheme, marking=marking,
             compensation_retry_delay=compensation_retry_delay,
-            lock_marks=lock_marks,
+            lock_marks=lock_marks, commit=commit, acceptors=acceptors,
         )
-        self.commit = commit or CommitConfig()
         #: txn → keys it exposed at its YES vote (prepared, undecided)
         self._exposed_keys: dict[str, set[str]] = {}
         #: key → the txn currently exposing it
@@ -86,9 +84,10 @@ class ShortParticipant(Participant):
     # -- SUBTXN_REQ ---------------------------------------------------------------
 
     def _handle_subtxn(self, msg: Message) -> Any:
+        reused = msg.txn_id in self.subtxns  # refused by the base handler
         yield from super()._handle_subtxn(msg)
         state = self.subtxns.get(msg.txn_id)
-        if state is None or not state.executed:
+        if reused or state is None or not state.executed:
             return
         # Record commit dependencies after execution: strict 2PL ordering
         # means any key this subtransaction touched that is exposed *now*
@@ -254,29 +253,3 @@ class ShortParticipant(Participant):
     # write locks (its pre-crash dependents died with the site, so no
     # exposure tracking survives — blocking until the decision is the safe
     # post-crash behavior, and the recovery oracle's WAL replay holds).
-
-
-# -- registration ----------------------------------------------------------------
-
-
-def make_participant(
-    *,
-    site: Any,
-    network: Any,
-    scheme: CommitScheme,
-    marking: Any = None,
-    lock_marks: bool = False,
-    commit: Any = None,
-    acceptors: tuple[str, ...] = (),
-) -> ShortParticipant:
-    return ShortParticipant(
-        site, network, scheme=scheme, marking=marking,
-        lock_marks=lock_marks, commit=commit,
-    )
-
-
-register(EngineSpec(
-    scheme=CommitScheme.SHORT,
-    coordinator=make_coordinator,
-    participant=make_participant,
-))

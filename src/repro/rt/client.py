@@ -72,17 +72,6 @@ from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
 class NetClient:
     """Coordinator driver for the networked backend."""
 
-    #: message types the client accepts from the wire — must mirror the
-    #: union of every coordinator-side engine's ``_COLLECTS`` (checked by
-    #: ``repro lint``'s dispatch rule, same contract as
-    #: ``SiteDaemon._INBOUND``)
-    _INBOUND = (
-        MsgType.SUBTXN_ACK, MsgType.VOTE, MsgType.ACK,
-        # Paxos Commit: promises/accepteds flow to the coordinator when it
-        # acts as recovery leader, and accepteds carry the votes.
-        MsgType.PAXOS_PROMISE, MsgType.PAXOS_ACCEPTED,
-    )
-
     def __init__(
         self,
         cluster: ClusterConfig,
@@ -105,7 +94,7 @@ class NetClient:
         self.engine = engine_for(scheme)
         self.acceptors: tuple[str, ...] = (
             acceptor_ids(len(cluster.site_ids))
-            if self.engine.uses_acceptors else ()
+            if self.engine.acceptor is not None else ()
         )
         self.outcomes: list[TxnOutcome] = []
         #: wall-clock seconds from submit until the caller was told, in the
@@ -157,8 +146,8 @@ class NetClient:
         ``DECIDE`` record is on disk, and the coordinator runs on behind
         the caller as an ack tail.  An ABORT or a failed spawn phase
         resolves at termination, because ``compensated_sites`` comes from
-        the ACKs.  The outcome of a COMMIT told at the commit point is a
-        copy the tail never touches, with ``end_time`` = ``decision_time``
+        the ACKs.  The outcome of a COMMIT is a copy the tail never
+        touches, with ``end_time`` = ``decision_time``
         (its ``latency`` reads submit → decision); :attr:`outcomes` holds
         the same objects.
         """
@@ -198,16 +187,24 @@ class NetClient:
                 [termination, *(t for t in self._tails if not t.done())],
                 return_when=asyncio.FIRST_COMPLETED,
             )
-        if termination.done():
+        if not commit_point.done():
             outcome = termination.result()
         else:
-            self._tails.add(termination)
-            termination.add_done_callback(self._tail_done)
-            self.ack_tails_peak = max(self.ack_tails_peak, self.ack_tails)
-            # The drain that forced the DECIDE ran on to the first DECISION
-            # send before this task woke, so the decision fields are set.
+            # Told at the commit point, even when the ACK round has ended
+            # too (it can end in the same pump turn as the tail this submit
+            # waited for).  The drain that forced the DECIDE ran on to the
+            # first DECISION send before this task woke, so the decision
+            # fields are set.
             decided = coordinator.outcome
             outcome = replace(decided, end_time=decided.decision_time)
+            if termination.done():
+                termination.result()  # a failed coordinator fails submit
+            else:
+                self._tails.add(termination)
+                termination.add_done_callback(self._tail_done)
+                self.ack_tails_peak = max(
+                    self.ack_tails_peak, self.ack_tails
+                )
         # Durable before told.  The transport's gate puts the DECIDE on
         # disk ahead of the DECISION frames, but whether that flush ran
         # before this wake is the event loop's business, not a guarantee.

@@ -32,7 +32,6 @@ from repro.commit.base import CommitConfig, CommitScheme
 from repro.core.marks import MARKS_KEY, MarkingDirectory
 from repro.core.protocols import MarkingProtocol, NoProtocol
 from repro.harness.system import PROTOCOLS
-from repro.net.message import MsgType
 from repro.protocols import acceptor_ids, engine_for
 from repro.protocols.acceptor import Acceptor
 from repro.rt.config import ClusterConfig
@@ -49,19 +48,6 @@ from repro.txn.site import Site
 
 class SiteDaemon:
     """One site of the cluster as a standalone asyncio service."""
-
-    #: message types this daemon accepts from the wire — must mirror the
-    #: union of every participant-side engine's ``_HANDLERS`` plus the
-    #: co-hosted acceptor's (checked by ``repro lint``'s dispatch rule: a
-    #: handler the daemon never receives is dead code, a frame type
-    #: without a handler is a protocol hole)
-    _INBOUND = (
-        MsgType.SUBTXN_REQ, MsgType.VOTE_REQ, MsgType.DECISION,
-        # Paxos Commit: the co-hosted acceptor receives 1a/2a, the
-        # participant's termination leader receives 1b/2b.
-        MsgType.PAXOS_PREPARE, MsgType.PAXOS_ACCEPT,
-        MsgType.PAXOS_PROMISE, MsgType.PAXOS_ACCEPTED,
-    )
 
     def __init__(
         self,
@@ -111,7 +97,7 @@ class SiteDaemon:
         # cluster is its own 2F+1 ensemble (see ClusterConfig.route_site).
         acceptors = (
             acceptor_ids(len(cluster.site_ids))
-            if engine.uses_acceptors else ()
+            if engine.acceptor is not None else ()
         )
         self.participant = engine.participant(
             site=self.site, network=self.transport, scheme=scheme,
@@ -120,10 +106,10 @@ class SiteDaemon:
         #: the co-hosted Paxos acceptor (None outside PAXOS), with its
         #: durable state in a JSON file next to the site's WAL
         self.acceptor: Acceptor | None = None
-        if engine.uses_acceptors:
+        if engine.acceptor is not None:
             acc_id = cluster.acceptor_hosted_by(site_id)
             if acc_id is not None:
-                self.acceptor = Acceptor(
+                self.acceptor = engine.acceptor(
                     self.env, self.transport, acc_id,
                     path=cluster.acceptor_path(acc_id),
                 )
@@ -215,6 +201,7 @@ class SiteDaemon:
             "frames_sent": self.transport.frames_sent,
             "messages_framed": self.transport.messages_framed,
             "frames_refused": self.transport.frames_refused,
+            "reused_ids_refused": self.participant.reused_ids_refused,
             "keys": len(self.site.store.snapshot()),
             "subtxns": {
                 txn_id: {

@@ -4,74 +4,28 @@ import shutil
 
 import pytest
 
-from repro.analysis import (
-    analyze_dispatch,
-    analyze_runtime_dispatch,
-    default_root,
-)
+from repro.analysis import analyze_dispatch, default_root
 from repro.errors import AnalysisError
 from repro.net.message import MsgType
 
 
-def repo_paths():
-    root = default_root()
-    return (
-        root / "net" / "message.py",
-        root / "commit" / "coordinator.py",
-        root / "commit" / "participant.py",
-    )
+@pytest.fixture()
+def tree(tmp_path):
+    """A scratch copy of the real package tree, safe to mutate."""
+    root = tmp_path / "repro"
+    shutil.copytree(default_root(), root)
+    return root
 
 
-def runtime_paths():
-    root = default_root()
-    return repo_paths() + (
-        root / "rt" / "daemon.py",
-        root / "rt" / "client.py",
-    )
-
-
-def participant_surfaces():
-    """The competitor engines' participant-side dispatch declarations."""
-    root = default_root()
-    return (
-        (root / "protocols" / "paxos.py", "PaxosParticipant", "_HANDLERS"),
-        (root / "protocols" / "short.py", "ShortParticipant", "_HANDLERS"),
-        (root / "protocols" / "acceptor.py", "Acceptor", "_HANDLERS"),
-    )
-
-
-def coordinator_surfaces():
-    root = default_root()
-    return (
-        (root / "protocols" / "paxos.py", "PaxosCommitCoordinator",
-         "_COLLECTS"),
-    )
-
-
-def all_surfaces():
-    return participant_surfaces() + coordinator_surfaces()
-
-
-def copied_paths(tmp_path):
-    out = []
-    for src in repo_paths():
-        dst = tmp_path / src.name
-        shutil.copy(src, dst)
-        out.append(dst)
-    return out
-
-
-def copied_runtime_paths(tmp_path):
-    out = []
-    for src in runtime_paths():
-        dst = tmp_path / src.name
-        shutil.copy(src, dst)
-        out.append(dst)
-    return out
+def edit(root, rel, old, new):
+    path = root / rel
+    text = path.read_text()
+    assert old in text, f"mutation pattern drifted out of {rel}: {old!r}"
+    path.write_text(text.replace(old, new))
 
 
 def test_shipped_dispatch_is_exhaustive():
-    assert analyze_dispatch(*repo_paths(), extra_surfaces=all_surfaces()) == []
+    assert analyze_dispatch(default_root()) == []
 
 
 def test_declarations_match_runtime_enum():
@@ -79,168 +33,61 @@ def test_declarations_match_runtime_enum():
     # analysis is checking a phantom vocabulary.
     from repro.analysis.dispatch import enum_members
 
-    names = {name for name, _ in enum_members(repo_paths()[0])}
+    names = {
+        name for name, _ in enum_members(default_root() / "net" / "message.py")
+    }
     assert names == {m.name for m in MsgType}
 
 
-def test_missing_participant_handler_is_flagged(tmp_path):
-    message, coordinator, participant = copied_paths(tmp_path)
-    text = participant.read_text()
-    doctored = text.replace(
-        'MsgType.DECISION: "_handle_decision",\n', ""
-    )
-    assert doctored != text
-    participant.write_text(doctored)
-    # No extra surfaces: the competitor engines also declare DECISION and
-    # would mask the removal.  Without them the Paxos vocabulary is
-    # (correctly) unhandled too, so filter for the doctored member.
-    findings = analyze_dispatch(message, coordinator, participant)
-    assert {f.rule for f in findings} == {"dispatch/missing-handler"}
-    matched = [f for f in findings if "MsgType.DECISION" in f.message]
-    assert len(matched) == 1
-    assert matched[0].location.startswith("message.py:")
+def test_missing_participant_handler_is_flagged(tree):
+    # Every participant-side engine declares DECISION, so it must vanish
+    # from all of them before the type becomes unreceivable.
+    for rel in (
+        "commit/participant.py", "protocols/paxos.py", "protocols/short.py",
+    ):
+        edit(tree, rel, 'MsgType.DECISION: "_handle_decision",\n', "")
+    findings = analyze_dispatch(tree)
+    assert [f.rule for f in findings] == ["dispatch/missing-handler"]
+    assert "MsgType.DECISION" in findings[0].message
+    assert findings[0].location.startswith("message.py:")
 
 
-def test_new_msg_type_without_handler_is_flagged(tmp_path):
-    message, coordinator, participant = copied_paths(tmp_path)
-    text = message.read_text()
-    doctored = text.replace(
-        'ACK = "ACK"', 'ACK = "ACK"\n    INQUIRE = "INQUIRE"'
+def test_new_msg_type_without_handler_is_flagged(tree):
+    edit(
+        tree, "net/message.py",
+        'ACK = "ACK"', 'ACK = "ACK"\n    INQUIRE = "INQUIRE"',
     )
-    assert doctored != text
-    message.write_text(doctored)
-    findings = analyze_dispatch(
-        message, coordinator, participant, extra_surfaces=all_surfaces()
-    )
+    findings = analyze_dispatch(tree)
     assert [f.rule for f in findings] == ["dispatch/missing-handler"]
     assert "MsgType.INQUIRE" in findings[0].message
 
 
-def test_unknown_msg_type_in_declaration(tmp_path):
-    message, coordinator, participant = copied_paths(tmp_path)
-    text = coordinator.read_text()
-    doctored = text.replace("MsgType.ACK,", "MsgType.ACK,\n        MsgType.NACK,")
-    assert doctored != text
-    coordinator.write_text(doctored)
-    findings = analyze_dispatch(
-        message, coordinator, participant, extra_surfaces=all_surfaces()
+def test_unknown_msg_type_in_declaration(tree):
+    edit(
+        tree, "commit/coordinator.py",
+        "MsgType.ACK,\n    )", "MsgType.ACK,\n        MsgType.NACK,\n    )",
     )
+    findings = analyze_dispatch(tree)
     assert [f.rule for f in findings] == ["dispatch/unknown-msg-type"]
     assert "MsgType.NACK" in findings[0].message
+    assert findings[0].location.startswith("commit/coordinator.py:")
 
 
-def test_duplicate_declaration_is_flagged(tmp_path):
-    message, coordinator, participant = copied_paths(tmp_path)
-    text = coordinator.read_text()
-    doctored = text.replace("MsgType.ACK,", "MsgType.ACK,\n        MsgType.ACK,")
-    assert doctored != text
-    coordinator.write_text(doctored)
-    findings = analyze_dispatch(
-        message, coordinator, participant, extra_surfaces=all_surfaces()
+def test_duplicate_declaration_is_flagged(tree):
+    # The base coordinator plays its role in three schemes; its
+    # declaration is still reported once.
+    edit(
+        tree, "commit/coordinator.py",
+        "MsgType.ACK,\n    )", "MsgType.ACK,\n        MsgType.ACK,\n    )",
     )
+    findings = analyze_dispatch(tree)
     assert [f.rule for f in findings] == ["dispatch/duplicate-handler"]
 
 
-def test_missing_declaration_is_an_analysis_error(tmp_path):
-    message, coordinator, participant = copied_paths(tmp_path)
-    text = participant.read_text()
-    doctored = text.replace("_HANDLERS", "_RENAMED")
-    participant.write_text(doctored)
+def test_missing_declaration_is_an_analysis_error(tree):
+    edit(tree, "commit/participant.py", "_HANDLERS", "_RENAMED")
     with pytest.raises(AnalysisError):
-        analyze_dispatch(message, coordinator, participant)
-
-
-class TestRuntimeDispatch:
-    """The rt daemon/client wire surfaces mirror the sim dispatch tables."""
-
-    def test_shipped_runtime_surfaces_match(self):
-        assert analyze_runtime_dispatch(
-            *runtime_paths(),
-            extra_participant_surfaces=participant_surfaces(),
-            extra_coordinator_surfaces=coordinator_surfaces(),
-        ) == []
-
-    def test_inbound_literals_match_runtime_objects(self):
-        # The AST-read declarations must be what the classes really bind:
-        # each _INBOUND is the union over the engines that side hosts.
-        from repro.commit.coordinator import Coordinator
-        from repro.commit.participant import Participant
-        from repro.protocols.acceptor import Acceptor
-        from repro.protocols.paxos import (
-            PaxosCommitCoordinator,
-            PaxosParticipant,
-        )
-        from repro.protocols.short import ShortParticipant
-        from repro.rt.client import NetClient
-        from repro.rt.daemon import SiteDaemon
-
-        assert set(SiteDaemon._INBOUND) == (
-            set(Participant._HANDLERS)
-            | set(PaxosParticipant._HANDLERS)
-            | set(ShortParticipant._HANDLERS)
-            | set(Acceptor._HANDLERS)
-        )
-        assert set(NetClient._INBOUND) == (
-            set(Coordinator._COLLECTS)
-            | set(PaxosCommitCoordinator._COLLECTS)
-        )
-
-    def test_daemon_missing_inbound_entry_is_flagged(self, tmp_path):
-        paths = copied_runtime_paths(tmp_path)
-        daemon = paths[3]
-        text = daemon.read_text()
-        doctored = text.replace("MsgType.DECISION,\n", "")
-        assert doctored != text
-        daemon.write_text(doctored)
-        findings = analyze_runtime_dispatch(
-            *paths,
-            extra_participant_surfaces=participant_surfaces(),
-            extra_coordinator_surfaces=coordinator_surfaces(),
-        )
-        assert [f.rule for f in findings] == ["dispatch/runtime-mismatch"]
-        assert "MsgType.DECISION" in findings[0].message
-        assert "_HANDLERS union" in findings[0].message
-
-    def test_client_extra_inbound_entry_is_flagged(self, tmp_path):
-        paths = copied_runtime_paths(tmp_path)
-        client = paths[4]
-        text = client.read_text()
-        doctored = text.replace(
-            "MsgType.ACK,", "MsgType.ACK, MsgType.DECISION,"
-        )
-        assert doctored != text
-        client.write_text(doctored)
-        findings = analyze_runtime_dispatch(
-            *paths,
-            extra_participant_surfaces=participant_surfaces(),
-            extra_coordinator_surfaces=coordinator_surfaces(),
-        )
-        assert [f.rule for f in findings] == ["dispatch/runtime-mismatch"]
-        assert "MsgType.DECISION" in findings[0].message
-        assert "silently ignored" in findings[0].message
-
-    def test_unknown_member_in_inbound_is_flagged(self, tmp_path):
-        paths = copied_runtime_paths(tmp_path)
-        daemon = paths[3]
-        text = daemon.read_text()
-        doctored = text.replace(
-            "MsgType.DECISION,", "MsgType.DECISION, MsgType.NACK,"
-        )
-        assert doctored != text
-        daemon.write_text(doctored)
-        findings = analyze_runtime_dispatch(
-            *paths,
-            extra_participant_surfaces=participant_surfaces(),
-            extra_coordinator_surfaces=coordinator_surfaces(),
-        )
-        assert "dispatch/unknown-msg-type" in [f.rule for f in findings]
-
-    def test_missing_inbound_declaration_is_an_analysis_error(self, tmp_path):
-        paths = copied_runtime_paths(tmp_path)
-        daemon = paths[3]
-        daemon.write_text(daemon.read_text().replace("_INBOUND", "_RENAMED"))
-        with pytest.raises(AnalysisError):
-            analyze_runtime_dispatch(*paths)
+        analyze_dispatch(tree)
 
 
 class TestEngineRegistry:

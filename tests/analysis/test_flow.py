@@ -46,7 +46,7 @@ class TestShippedTreeIsClean:
         assert analyze_flow(default_root()) == []
 
     def test_obligations_cover_every_engine(self):
-        classes = {ob.class_name for ob in OBLIGATIONS}
+        classes = {ob.cls.__name__ for ob in OBLIGATIONS}
         # base 2PC/O2PC participant + coordinator, Short-Commit, Paxos
         # Commit participant, and the acceptor ensemble
         assert classes == {

@@ -7,14 +7,51 @@ import shutil
 import pytest
 
 from repro.analysis import default_root
+from repro.analysis.dispatch import scheme_roles
 from repro.analysis.flow import (
-    SCHEME_ROLES,
     analyze_message_flow,
     build_flow_graphs,
     flow_edges,
     render_flow_dot,
 )
 from repro.commit.base import CommitScheme
+from repro.commit.participant import Participant
+from repro.protocols import ENGINES, EngineSpec
+
+SCHEMES = sorted(m.name for m in CommitScheme)
+
+#: the role map the analyzer used to keep by hand, before it was derived
+#: from the engine registry
+_BASE_COORD = ("commit/coordinator.py", "Coordinator")
+_BASE_PART = ("commit/participant.py", "Participant")
+EXPECTED_ROLES = {
+    "TWO_PL": {
+        "coordinator": (_BASE_COORD,),
+        "participant": (_BASE_PART,),
+    },
+    "O2PC": {
+        "coordinator": (_BASE_COORD,),
+        "participant": (_BASE_PART,),
+    },
+    "PAXOS": {
+        "coordinator": (
+            ("protocols/paxos.py", "PaxosCommitCoordinator"),
+            _BASE_COORD,
+        ),
+        "participant": (
+            ("protocols/paxos.py", "PaxosParticipant"),
+            _BASE_PART,
+        ),
+        "acceptor": (("protocols/acceptor.py", "Acceptor"),),
+    },
+    "SHORT": {
+        "coordinator": (_BASE_COORD,),
+        "participant": (
+            ("protocols/short.py", "ShortParticipant"),
+            _BASE_PART,
+        ),
+    },
+}
 
 
 @pytest.fixture()
@@ -37,9 +74,34 @@ def rules(findings):
 
 class TestGraphs:
     def test_every_scheme_is_mapped(self):
-        assert set(SCHEME_ROLES) == {m.name for m in CommitScheme}
+        assert sorted(scheme_roles()) == SCHEMES
 
-    @pytest.mark.parametrize("scheme", sorted(SCHEME_ROLES))
+    def test_derived_roles_are_the_hand_kept_map(self):
+        assert scheme_roles() == EXPECTED_ROLES
+
+    def test_swapping_a_registry_row_changes_the_paxos_graph(
+        self, monkeypatch,
+    ):
+        # The base participant votes with VOTE, which no PAXOS role
+        # collects, and never sends the ballot-0 accepts.
+        monkeypatch.setitem(ENGINES, CommitScheme.PAXOS, EngineSpec(
+            CommitScheme.PAXOS,
+            ENGINES[CommitScheme.PAXOS].coordinator,
+            Participant,
+            acceptor=ENGINES[CommitScheme.PAXOS].acceptor,
+        ))
+        assert scheme_roles()["PAXOS"]["participant"] == (_BASE_PART,)
+        edges = set(flow_edges(build_flow_graphs(default_root())["PAXOS"]))
+        assert ("participant", "PAXOS_ACCEPT", "acceptor") not in edges
+        found = analyze_message_flow(default_root())
+        assert "msgflow/orphan-send" in rules(found)
+        assert any(
+            "MsgType.VOTE " in f.message
+            and f.location.startswith("commit/participant.py:")
+            for f in found
+        )
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_voting_round_trip_present(self, scheme):
         # Every engine shares the 2PC skeleton: the coordinator asks for
         # votes, the participant answers, a decision goes back out.
@@ -103,42 +165,11 @@ class TestRules:
         found = analyze_message_flow(tree)
         assert "msgflow/dead-handler" in rules(found)
 
-    def test_runtime_unroutable_when_inbound_shrinks(self, tree):
-        edit(
-            tree, "rt/daemon.py",
-            "MsgType.SUBTXN_REQ, MsgType.VOTE_REQ, MsgType.DECISION,",
-            "MsgType.SUBTXN_REQ, MsgType.DECISION,",
-        )
-        found = analyze_message_flow(tree)
-        unroutable = [
-            f for f in found if f.rule == "msgflow/runtime-unroutable"
-        ]
-        assert unroutable
-        assert all("VOTE_REQ" in f.message for f in unroutable)
-
-    def test_runtime_dead_inbound_warns(self, tree):
-        # VOTE flows to the coordinator (the client), never to a daemon.
-        edit(
-            tree, "rt/daemon.py",
-            "MsgType.SUBTXN_REQ, MsgType.VOTE_REQ, MsgType.DECISION,",
-            "MsgType.SUBTXN_REQ, MsgType.VOTE_REQ, MsgType.DECISION, "
-            "MsgType.VOTE,",
-        )
-        found = analyze_message_flow(tree)
-        assert rules(found) == ["msgflow/runtime-dead-inbound"]
-        assert found[0].severity.value == "warning"
-
-    def test_unmapped_scheme_fires(self, monkeypatch):
-        monkeypatch.delitem(SCHEME_ROLES, "SHORT")
-        found = analyze_message_flow(default_root())
-        assert rules(found) == ["msgflow/unmapped-scheme"]
-        assert "CommitScheme.SHORT" in found[0].message
-
 
 class TestDot:
     def test_one_graph_per_scheme(self):
         graphs = render_flow_dot(default_root())
-        assert set(graphs) == set(SCHEME_ROLES)
+        assert sorted(graphs) == SCHEMES
 
     def test_dot_shape_and_determinism(self):
         a = render_flow_dot(default_root())

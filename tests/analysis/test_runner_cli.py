@@ -132,13 +132,11 @@ class TestCli:
         )
         (tmp_path / "rt" / "daemon.py").write_text(
             "class SiteDaemon:\n"
-            "    _INBOUND = (MsgType.SUBTXN_REQ,)\n"
             "    def boot(self):\n"
             "        self.transport.durability_gate = gate\n"
         )
         (tmp_path / "rt" / "client.py").write_text(
             "class NetClient:\n"
-            "    _INBOUND = (MsgType.VOTE,)\n"
             "    def __init__(self):\n"
             "        self.transport.durability_gate = gate\n"
             "    async def submit(self, spec):\n"
@@ -155,15 +153,16 @@ class TestCli:
             "        link.writer.write(b'')\n"
         )
         (tmp_path / "protocols").mkdir()
+        # The registered engine subclasses inherit their base's surface.
         (tmp_path / "protocols" / "paxos.py").write_text(
             "class PaxosCommitCoordinator:\n"
-            "    _COLLECTS = ()\n"
+            "    pass\n"
             "class PaxosParticipant:\n"
-            "    _HANDLERS = {}\n"
+            "    pass\n"
         )
         (tmp_path / "protocols" / "short.py").write_text(
             "class ShortParticipant:\n"
-            "    _HANDLERS = {}\n"
+            "    pass\n"
         )
         (tmp_path / "protocols" / "acceptor.py").write_text(
             "class Acceptor:\n"

@@ -153,11 +153,12 @@ class TestTickOpening:
 
 
 class TestCensusPin:
-    """Schedule census per engine, recorded on the all-heap scheduler.
+    """Schedule census per engine, with and without crash injection.
 
-    The tick-opening scheduler must explore exactly the schedules the
-    pop-everything one did: same count, same choice points on the default
-    schedule, with and without crash injection.
+    The controlled scheduler opens the calendar queue one tick at a time.
+    The pinned schedule counts and default-schedule choice points predate
+    that (they were recorded when every event sat in one heap), so a
+    change to either is a change in what the checker explores.
     """
 
     @pytest.mark.parametrize("scheme,crashes,explored,choice_points", [

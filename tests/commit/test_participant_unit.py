@@ -8,7 +8,7 @@ from repro.txn import ReadOp, Site, WriteOp
 from repro.txn.transaction import VotePolicy
 
 
-def make_participant(scheme=CommitScheme.O2PC):
+def new_participant(scheme=CommitScheme.O2PC):
     env = Environment()
     net = Network(env, rng=Rng(0), latency=LatencyModel(base=1.0))
     net.register("coord")
@@ -39,7 +39,7 @@ def drain_coord(env, net, count):
 
 
 def test_subtxn_then_vote_then_commit_flow():
-    env, net, site, participant = make_participant()
+    env, net, site, participant = new_participant()
     net.send(msg(MsgType.SUBTXN_REQ, ops=[WriteOp("k0", 7)],
                  vote=VotePolicy.AUTO, real_action=False))
     (ack,) = drain_coord(env, net, 1)
@@ -56,14 +56,14 @@ def test_subtxn_then_vote_then_commit_flow():
 
 
 def test_vote_req_for_unknown_transaction_votes_no():
-    env, net, site, participant = make_participant()
+    env, net, site, participant = new_participant()
     net.send(msg(MsgType.VOTE_REQ, txn="T99"))
     (vote,) = drain_coord(env, net, 1)
     assert vote.payload["vote"] == "NO"
 
 
 def test_decision_for_unknown_transaction_acked():
-    env, net, site, participant = make_participant()
+    env, net, site, participant = new_participant()
     net.send(msg(MsgType.DECISION, txn="T99", decision="ABORT"))
     (ack,) = drain_coord(env, net, 1)
     assert ack.msg_type is MsgType.ACK
@@ -71,14 +71,14 @@ def test_decision_for_unknown_transaction_acked():
 
 
 def test_unknown_message_type_ignored():
-    env, net, site, participant = make_participant()
+    env, net, site, participant = new_participant()
     net.send(msg(MsgType.ACK))  # a participant never handles ACK
     env.run()
     assert len(net.inbox("coord")) == 0
 
 
 def test_force_no_vote_rolls_back_before_replying():
-    env, net, site, participant = make_participant()
+    env, net, site, participant = new_participant()
     net.send(msg(MsgType.SUBTXN_REQ, ops=[WriteOp("k0", 7)],
                  vote=VotePolicy.FORCE_NO, real_action=False))
     drain_coord(env, net, 1)
@@ -90,7 +90,7 @@ def test_force_no_vote_rolls_back_before_replying():
 
 
 def test_2pl_participant_keeps_locks_at_vote():
-    env, net, site, participant = make_participant(CommitScheme.TWO_PL)
+    env, net, site, participant = new_participant(CommitScheme.TWO_PL)
     net.send(msg(MsgType.SUBTXN_REQ, ops=[WriteOp("k0", 7)],
                  vote=VotePolicy.AUTO, real_action=False))
     drain_coord(env, net, 1)
@@ -104,7 +104,7 @@ def test_2pl_participant_keeps_locks_at_vote():
 
 
 def test_read_only_subtxn_abort_has_no_compensation():
-    env, net, site, participant = make_participant()
+    env, net, site, participant = new_participant()
     net.send(msg(MsgType.SUBTXN_REQ, ops=[ReadOp("k0")],
                  vote=VotePolicy.AUTO, real_action=False))
     drain_coord(env, net, 1)
@@ -116,3 +116,30 @@ def test_read_only_subtxn_abort_has_no_compensation():
     assert ack.payload["compensated"]
     assert participant.compensator.stats.completed == 1
     assert site.store.get("k0") == 100
+
+
+def test_reused_transaction_id_is_refused_and_its_abort_only_acked():
+    env, net, site, participant = new_participant()
+    net.send(msg(MsgType.SUBTXN_REQ, ops=[WriteOp("k0", 7)],
+                 vote=VotePolicy.AUTO, real_action=False))
+    drain_coord(env, net, 1)
+    net.send(msg(MsgType.VOTE_REQ))
+    drain_coord(env, net, 1)
+    net.send(msg(MsgType.DECISION, decision="COMMIT"))
+    drain_coord(env, net, 1)
+    first = participant.subtxns["T1"]
+
+    net.send(msg(MsgType.SUBTXN_REQ, ops=[WriteOp("k0", 9)],
+                 vote=VotePolicy.AUTO, real_action=False))
+    (ack,) = drain_coord(env, net, 1)
+    assert ack.payload["rejected"] and not ack.payload["retriable"]
+    assert not ack.payload["executed"]
+    assert participant.reused_ids_refused == 1
+    assert participant.subtxns["T1"] is first
+    # The reuser's coordinator aborts; the decided first incarnation
+    # only acknowledges.
+    net.send(msg(MsgType.DECISION, decision="ABORT"))
+    (ack2,) = drain_coord(env, net, 1)
+    assert ack2.msg_type is MsgType.ACK and not ack2.payload["compensated"]
+    assert first.decided == "COMMIT"
+    assert site.store.get("k0") == 7

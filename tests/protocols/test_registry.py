@@ -5,6 +5,7 @@ import pytest
 from repro.commit.base import CommitScheme
 from repro.errors import UnknownScheme
 from repro.protocols import ENGINES, acceptor_ids, engine_for
+from repro.protocols.acceptor import Acceptor
 
 
 class TestRegistry:
@@ -21,8 +22,11 @@ class TestRegistry:
         assert callable(spec.participant)
 
     def test_only_paxos_uses_acceptors(self):
-        with_acceptors = {s for s in ENGINES if ENGINES[s].uses_acceptors}
+        with_acceptors = {
+            s for s in ENGINES if ENGINES[s].acceptor is not None
+        }
         assert with_acceptors == {CommitScheme.PAXOS}
+        assert ENGINES[CommitScheme.PAXOS].acceptor is Acceptor
 
     def test_unregistered_scheme_raises_unknown_scheme(self):
         spec = ENGINES.pop(CommitScheme.PAXOS)

@@ -11,7 +11,7 @@ import asyncio
 
 import pytest
 
-from repro.commit.base import CommitScheme
+from repro.commit.base import CommitConfig, CommitScheme
 from repro.rt.client import NetClient
 from repro.rt.config import local_cluster
 from repro.rt.daemon import SiteDaemon
@@ -121,6 +121,45 @@ class TestDaemonRoundTrip:
             tmp_path, [transfer_spec()], scheme=CommitScheme.TWO_PL,
         ))
         assert outcomes[0].committed
+
+    def test_a_reused_transaction_id_is_refused_and_serving_goes_on(
+        self, tmp_path,
+    ):
+        # Three client sessions, as three `repro client` runs would be:
+        # T1, T1 again, then a fresh T2.
+        async def scenario():
+            cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+            daemons = [SiteDaemon(s, cluster, time_scale=0.002)
+                       for s in cluster.site_ids]
+            for daemon in daemons:
+                await daemon.start()
+            client = NetClient(cluster, time_scale=0.002)
+            try:
+                outcomes = []
+                for spec in (
+                    transfer_spec("T1"), transfer_spec("T1"),
+                    transfer_spec("T2", amount=10),
+                ):
+                    outcomes += await client.run_session([spec])
+                return outcomes, client.latencies, [
+                    (d.status(), d.site.store.snapshot()["k0"])
+                    for d in daemons
+                ]
+            finally:
+                for daemon in daemons:
+                    await daemon.shutdown()
+
+        outcomes, latencies, sites = asyncio.run(scenario())
+        assert [o.committed for o in outcomes] == [True, False, True]
+        # Refused at once, not aborted by the spawn timeout.
+        assert outcomes[1].rejections == 1
+        assert latencies[1] < CommitConfig().spawn_timeout * 0.002
+        # Exactly one T1 (30) and one T2 (10) moved between the sites.
+        assert [k0 for _status, k0 in sites] == [60, 140]
+        # The spawn is sequential and stopped at S1's refusal.
+        assert [s["reused_ids_refused"] for s, _k0 in sites] == [1, 0]
+        for status, _k0 in sites:
+            assert status["subtxns"]["T1"]["voted"] == "YES"
 
 
 class TestCompetitorSchemesOverSockets:

@@ -151,6 +151,19 @@ MUTATIONS = [
         append="",
         expect_rule="flow/rt-durability-gate",
     ),
+    Mutation(
+        name="register-base-participant-for-paxos",
+        # the wrong class in one registry row: every engine's declarations
+        # stay intact, but the PAXOS participant now answers VOTE_REQ with
+        # a VOTE no PAXOS role collects — the vote is stranded at runtime
+        paths=("repro/protocols/__init__.py",),
+        replacements=((
+            "CommitScheme.PAXOS, PaxosCommitCoordinator, PaxosParticipant,",
+            "CommitScheme.PAXOS, PaxosCommitCoordinator, Participant,",
+        ),),
+        append="",
+        expect_rule="msgflow/orphan-send",
+    ),
 ]
 
 
