@@ -11,7 +11,8 @@ Reproduces the paper's central correctness hazard as an observable event:
 
 Running the same schedule under protocol P1 shows rule R1 rejecting T2's
 subtransaction until the compensation has run, the retry succeeding, and
-the criterion holding.
+the criterion holding.  Each run prints its timeline, the cycle's
+step-by-step explanation (when there is one) and the marking audit trail.
 
 Run:  python3 examples/correctness_audit.py
 """
@@ -23,7 +24,12 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.commit import CommitScheme
 from repro.harness import System, SystemConfig
-from repro.sg import check_atomicity_of_compensation, find_regular_cycle
+from repro.sg import (
+    check_atomicity_of_compensation,
+    explain_cycle,
+    find_regular_cycle,
+    render_explanation,
+)
 from repro.txn import GlobalTxnSpec, ReadOp, SubtxnSpec, VotePolicy, WriteOp
 
 
@@ -61,18 +67,23 @@ def report(protocol: str) -> None:
     }
     print(f"T2 read k0 at S1 as {reads['S1'].get('k0')!r}, "
           f"at S2 as {reads['S2'].get('k0')!r}")
+    print(system.timeline())
 
     gsg = system.global_sg()
     cycle = find_regular_cycle(gsg, system.effective_regular_nodes())
     atomicity = check_atomicity_of_compensation(system.global_history())
     if cycle:
         print("regular cycle:", " -> ".join(cycle), " (INCORRECT history)")
+        print(render_explanation(
+            explain_cycle(gsg, cycle, system.global_history())
+        ))
     else:
         print("no regular cycle (criterion holds)")
     print("atomicity of compensation:",
           "violated by " + ", ".join(f"{r} read both {t} and CT"
                                      for r, t in atomicity.violations)
           if atomicity.violations else "preserved")
+    print(system.marking_audit())
 
 
 def main() -> None:

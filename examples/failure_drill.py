@@ -9,7 +9,9 @@ through the same outage.
 
 The drill crashes the coordinator for 150 time units right between
 collecting the votes and sending the decision, then measures how long a
-bystander transaction at one of the participant sites is stalled.
+bystander transaction at one of the participant sites is stalled, and
+draws S1's lock timeline: 2PL bars span the outage, O2PC bars end at the
+vote.
 
 Run:  python3 examples/failure_drill.py
 """
@@ -66,6 +68,7 @@ def drill(scheme: CommitScheme) -> None:
           f"(decision delayed by the {OUTAGE:.0f}-unit coordinator outage)")
     print(f"T1's longest lock hold: {max_hold:.1f} time units")
     print(f"bystander stalled for: {stall['time']:.1f} time units")
+    print(system.lock_gantt("S1"))
 
 
 def main() -> None:

@@ -4,7 +4,8 @@
 Builds a three-site multidatabase, runs a cross-site funds transfer under
 the optimistic two-phase commit protocol, then runs a second transfer that
 a site refuses — showing the compensation path restore the money — and
-finally checks the paper's correctness criterion on the whole run.
+finally checks the paper's correctness criterion on the whole run and
+draws both transactions on a timeline.
 
 Run:  python3 examples/quickstart.py
 """
@@ -69,6 +70,9 @@ def main() -> None:
         if edges:
             print(f"  SG_{site_id}:",
                   ", ".join(f"{a}->{b}" for a, b in edges))
+
+    print()
+    print(system.timeline())
 
 
 if __name__ == "__main__":

@@ -2,14 +2,6 @@
 
 Commands:
 
-* ``demo`` — a narrated end-to-end run (commit, abort + compensation,
-  correctness check);
-* ``drill`` — the coordinator-failure drill with lock timelines for both
-  schemes (the paper's blocking problem, visually);
-* ``sweep`` — the abort-probability sweep (CLAIM-THRU's table) from the
-  command line, with configurable sizes;
-* ``audit`` — the adversarial interleaving that forms a regular cycle,
-  under a chosen protocol, with the marking audit trail;
 * ``trace`` — run a workload with observability on and emit the typed
   event stream as deterministic JSONL (same seed → byte-identical output);
 * ``metrics`` — run a workload with streaming metrics; ``--watch`` prints
@@ -20,10 +12,9 @@ Commands:
   preset; ``--jobs N`` shards the search with an identical report);
 * ``compare`` — every registered commit scheme (O2PC, 2PC/2PL, Paxos
   Commit, Short-Commit) over identical seeded workloads plus the
-  coordinator-crash drill: blocking time, lock-hold tail, abort and
-  compensation rates, messages per transaction (``BENCH_compare.json``,
-  gated against the committed baseline in ``benchmarks/baselines/``;
-  ``--vote-timeout`` sweeps the collection timeout);
+  coordinator-crash drill: one deterministic table of blocking time,
+  lock-hold tail, abort and compensation rates and messages per
+  transaction (``--vote-timeout`` sweeps the collection timeout);
 * ``lint`` — the static compensation-soundness and determinism analyzers:
   repertoire inverse closure, Theorem 2 write coverage, commutativity /
   stratification preconditions, the determinism lint over the sources, and
@@ -35,7 +26,10 @@ Commands:
   shut down one daemon over its admin channel.
 
 Performance is measured by ``bench/run.py`` (see ``bench/README.md``),
-not by a verb here.
+not by a verb here.  Narrated walk-throughs (a transfer and its
+compensation, the coordinator-failure drill, the regular-cycle audit) are
+the scripts in ``examples/``; the paper's claims are asserted by
+``tests/claims/``.
 
 Shared options (``--seed``, ``--protocol``, ``--scheme``) are defined
 once as parent parsers and accepted uniformly by the verbs that take
@@ -56,9 +50,7 @@ from repro.harness import (
     format_table,
 )
 from repro.harness.system import PROTOCOLS
-from repro.net.failures import CrashPlan
-from repro.sg import explain_cycle, find_regular_cycle, render_explanation
-from repro.txn import GlobalTxnSpec, ReadOp, SemanticOp, SubtxnSpec, VotePolicy
+from repro.txn import GlobalTxnSpec, SemanticOp, SubtxnSpec
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
 
@@ -69,222 +61,6 @@ def _positive_float(text: str) -> float:
             f"must be a positive number, got {text!r}"
         )
     return value
-
-
-def cmd_demo(args: argparse.Namespace) -> int:
-    """Narrated end-to-end run: commit, refused transfer, criterion check."""
-    system = System(SystemConfig(
-        n_sites=3, scheme=CommitScheme.O2PC, protocol=args.protocol,
-        seed=args.seed,
-    ))
-    print("== O2PC demo:", ", ".join(sorted(system.sites)), "==")
-    ok = system.run_transaction(GlobalTxnSpec(txn_id="T1", subtxns=[
-        SubtxnSpec("S1", [SemanticOp("withdraw", "k0", {"amount": 30})]),
-        SubtxnSpec("S2", [SemanticOp("deposit", "k0", {"amount": 30})]),
-    ]))
-    print(f"T1 transfer: {'COMMIT' if ok.committed else 'ABORT'} "
-          f"in {ok.latency:.1f}u; S1.k0={system.sites['S1'].store.get('k0')} "
-          f"S2.k0={system.sites['S2'].store.get('k0')}")
-    bad = system.run_transaction(GlobalTxnSpec(txn_id="T2", subtxns=[
-        SubtxnSpec("S1", [SemanticOp("withdraw", "k0", {"amount": 50})]),
-        SubtxnSpec("S3", [SemanticOp("deposit", "k0", {"amount": 50})],
-                   vote=VotePolicy.FORCE_NO),
-    ]))
-    system.env.run()
-    print(f"T2 refused transfer: {'COMMIT' if bad.committed else 'ABORT'}; "
-          f"compensated at {bad.compensated_sites}; "
-          f"S1.k0={system.sites['S1'].store.get('k0')} (restored)")
-    system.check_correctness()
-    print("correctness criterion: OK")
-    print()
-    print(system.timeline())
-    return 0
-
-
-def cmd_drill(args: argparse.Namespace) -> int:
-    """Coordinator-crash drill with lock timelines for both schemes."""
-    for scheme in (CommitScheme.TWO_PL, CommitScheme.O2PC):
-        system = System(SystemConfig(scheme=scheme, seed=args.seed))
-        proc = system.submit(GlobalTxnSpec(txn_id="T1", subtxns=[
-            SubtxnSpec("S1", [SemanticOp("withdraw", "k0", {"amount": 10})]),
-            SubtxnSpec("S2", [SemanticOp("deposit", "k0", {"amount": 10})]),
-        ]))
-        system.failures.schedule(
-            CrashPlan(site_id="coord.T1", at=6.2, duration=args.outage)
-        )
-        outcome = system.env.run(proc)
-        system.env.run()
-        print(f"== {scheme.value}: coordinator down for {args.outage:.0f}u ==")
-        print(f"T1 {'COMMIT' if outcome.committed else 'ABORT'} "
-              f"at t={outcome.end_time:.1f}")
-        print(system.lock_gantt("S1"))
-        print()
-    print("2PL bars span the outage; O2PC bars end at the vote.")
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Abort-probability sweep: throughput and lock-wait, 2PL vs O2PC."""
-    rows = []
-    for p in (0.0, 0.1, 0.25, 0.5):
-        measures: dict[str, float] = {}
-        for scheme in (CommitScheme.TWO_PL, CommitScheme.O2PC):
-            system = System(SystemConfig(
-                scheme=scheme, n_sites=args.sites, keys_per_site=8,
-                seed=args.seed,
-            ))
-            gen = WorkloadGenerator(system, WorkloadConfig(
-                n_transactions=args.transactions, abort_probability=p,
-                read_fraction=0.4, arrival_mean=2.0, zipf_theta=0.6,
-            ), seed=args.seed)
-            elapsed = gen.run()
-            report = system.metrics(elapsed)
-            tag = "2pl" if scheme is CommitScheme.TWO_PL else "o2pc"
-            measures[f"thru_{tag}"] = report.throughput
-            measures[f"wait_{tag}"] = report.total_lock_wait
-            if scheme is CommitScheme.O2PC:
-                measures["compensations"] = report.compensations
-        rows.append(ExperimentResult(params={"abort_p": p}, measures=measures))
-    print(format_table(
-        rows, title="throughput / lock-wait vs abort probability",
-    ))
-    return 0
-
-
-def cmd_audit(args: argparse.Namespace) -> int:
-    """Adversarial interleaving: show (or show prevented) a regular cycle."""
-    system = System(SystemConfig(
-        scheme=CommitScheme.O2PC, protocol=args.protocol, n_sites=2,
-        seed=args.seed,
-    ))
-    system.submit(GlobalTxnSpec(txn_id="T1", subtxns=[
-        SubtxnSpec("S1", [SemanticOp("set", "k0", {"value": "dirty"})]),
-        SubtxnSpec("S2", [SemanticOp("set", "k0", {"value": "dirty"})],
-                   vote=VotePolicy.FORCE_NO),
-    ]))
-
-    def submit_t2():
-        yield system.env.timeout(4.2)
-        yield system.submit(GlobalTxnSpec(txn_id="T2", subtxns=[
-            SubtxnSpec("S2", [ReadOp("k0")]),
-            SubtxnSpec("S1", [ReadOp("k0")]),
-        ]))
-
-    system.env.process(submit_t2())
-    system.env.run()
-    cycle = find_regular_cycle(
-        system.global_sg(), system.effective_regular_nodes()
-    )
-    print(f"protocol={args.protocol}")
-    print(system.timeline())
-    print()
-    if cycle:
-        print("regular cycle:", " -> ".join(cycle), "(history INCORRECT)")
-        print(render_explanation(explain_cycle(
-            system.global_sg(), cycle, system.global_history(),
-        )))
-    else:
-        print("no regular cycle (criterion holds)")
-    print()
-    print(system.marking_audit())
-    return 0
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    """Regenerate the quick experiment set and write a markdown report.
-
-    Writes ``report.md`` plus one JSON file per experiment into ``--out``
-    (created if missing).  A lighter-weight alternative to
-    ``pytest benchmarks/ -s`` when only the artifact files are wanted.
-    """
-    import os
-
-    from repro.harness.experiment import save_results, to_markdown
-    from repro.net.network import LatencyModel
-
-    os.makedirs(args.out, exist_ok=True)
-    sections: list[str] = ["# O2PC experiment report", ""]
-
-    def emit(name: str, title: str, rows: list[ExperimentResult]) -> None:
-        save_results(rows, os.path.join(args.out, f"{name}.json"))
-        sections.append(to_markdown(rows, title=title))
-        sections.append("")
-        print(f"  wrote {name} ({len(rows)} rows)")
-
-    # CLAIM-LOCK (compact)
-    rows = []
-    for base in (0.5, 1.0, 2.0):
-        measures: dict[str, float] = {}
-        for scheme in (CommitScheme.TWO_PL, CommitScheme.O2PC):
-            system = System(SystemConfig(
-                scheme=scheme, n_sites=4, keys_per_site=100,
-                latency=LatencyModel(base=base), seed=args.seed,
-            ))
-            gen = WorkloadGenerator(system, WorkloadConfig(
-                n_transactions=40, read_fraction=0.3,
-                arrival_mean=4.0 * base,
-            ), seed=args.seed)
-            elapsed = gen.run()
-            report = system.metrics(elapsed)
-            tag = "2pl" if scheme is CommitScheme.TWO_PL else "o2pc"
-            measures[f"hold_{tag}"] = report.mean_lock_hold
-        measures["gap"] = measures["hold_2pl"] - measures["hold_o2pc"]
-        rows.append(ExperimentResult(params={"latency": base},
-                                     measures=measures))
-    emit("claim_lock", "CLAIM-LOCK: mean lock-hold vs latency", rows)
-
-    # CLAIM-BLOCK (compact)
-    rows = []
-    for outage in (25.0, 100.0):
-        measures = {}
-        for scheme in (CommitScheme.TWO_PL, CommitScheme.O2PC):
-            system = System(SystemConfig(scheme=scheme, seed=args.seed))
-            proc = system.submit(GlobalTxnSpec(txn_id="T1", subtxns=[
-                SubtxnSpec("S1", [SemanticOp("withdraw", "k0",
-                                             {"amount": 1})]),
-                SubtxnSpec("S2", [SemanticOp("deposit", "k0",
-                                             {"amount": 1})]),
-            ]))
-            system.failures.schedule(
-                CrashPlan(site_id="coord.T1", at=6.2, duration=outage)
-            )
-            system.env.run(proc)
-            system.env.run()
-            tag = "2pl" if scheme is CommitScheme.TWO_PL else "o2pc"
-            measures[f"max_hold_{tag}"] = max(
-                h.duration for s in system.sites.values()
-                for h in s.locks.hold_log
-            )
-        rows.append(ExperimentResult(params={"outage": outage},
-                                     measures=measures))
-    emit("claim_block", "CLAIM-BLOCK: max lock-hold vs outage", rows)
-
-    # CLAIM-MSG (compact)
-    rows = []
-    for label, scheme, protocol in (
-        ("2PC/2PL", CommitScheme.TWO_PL, "none"),
-        ("O2PC", CommitScheme.O2PC, "none"),
-        ("O2PC/P1", CommitScheme.O2PC, "P1"),
-    ):
-        system = System(SystemConfig(
-            scheme=scheme, protocol=protocol, n_sites=3,
-            keys_per_site=100, seed=args.seed,
-        ))
-        gen = WorkloadGenerator(system, WorkloadConfig(
-            n_transactions=20, arrival_mean=6.0, read_fraction=1.0,
-        ), seed=args.seed)
-        gen.run()
-        rows.append(ExperimentResult(
-            params={"scheme": label},
-            measures=dict(system.network.counts_by_type()),
-        ))
-    emit("claim_msg", "CLAIM-MSG: wire messages by scheme", rows)
-
-    path = os.path.join(args.out, "report.md")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(sections))
-    print(f"report: {path}")
-    return 0
 
 
 def _observed_run(args: argparse.Namespace) -> tuple[System, "WorkloadGenerator"]:
@@ -474,76 +250,29 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """Head-to-head commit-scheme comparison; writes BENCH_compare.json.
+    """Head-to-head commit-scheme comparison as one deterministic table.
 
     Every registered scheme runs the same seeded contention workload and
-    the same coordinator-crash drill (see :mod:`repro.harness.compare`).
-    ``--vote-timeout`` (repeatable) sweeps the coordinator's vote-collection
-    timeout across every scheme.  The gated metrics are compared to the
-    ``--baseline`` directory's copy: exit 1 on a regression beyond
-    ``--tolerance`` or on anything the baseline has that this run lacks
-    (so a sweep needs its own baseline directory), exit 2 when there is no
-    baseline to compare against.  ``--update-baseline`` rewrites the
-    baseline from this run instead (deliberately, on the reference host).
+    the same coordinator-crash drill (see :mod:`repro.harness.compare`);
+    every column is simulation-derived, so the same ``--seed`` prints
+    byte-identical output.  ``--vote-timeout`` (repeatable) sweeps the
+    coordinator's vote-collection timeout across every scheme.
     """
-    import json as _json
-    import os
+    from repro.harness.compare import compare_schemes
 
-    from repro.harness.compare import (
-        compare_to_baseline, run_compare, to_json,
+    results = compare_schemes(
+        seed=args.seed, vote_timeouts=tuple(args.vote_timeout or ()),
     )
-
-    payloads = run_compare(
-        smoke=args.smoke, seed=args.seed,
-        vote_timeouts=tuple(args.vote_timeout or ()),
-    )
-    os.makedirs(args.out, exist_ok=True)
-    for name, payload in payloads.items():
-        path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_json(payload))
-        print(f"wrote {path}")
-        for block, metrics in sorted(payload["results"].items()):
-            print(
-                f"  {block}: txns_per_s={metrics['txns_per_s']:.1f}  "
-                f"msgs/txn={metrics['messages_per_txn']:.1f}  "
-                f"abort={metrics['abort_rate']:.2f}  "
-                f"comp={metrics['compensation_rate']:.2f}  "
-                f"hold_p99={metrics['lock_hold_p99']:.1f}  "
-                f"blocking={metrics['blocking_time']:.1f}"
-                f"{' (decided in outage)' if metrics['decided_in_outage'] else ''}"
-            )
-
-    if args.update_baseline:
-        os.makedirs(args.baseline, exist_ok=True)
-        for name, payload in payloads.items():
-            path = os.path.join(args.baseline, name)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(to_json(payload))
-            print(f"baseline updated: {path}")
-        return 0
-
-    regressions: list[str] = []
-    for name, payload in payloads.items():
-        path = os.path.join(args.baseline, name)
-        if not os.path.exists(path):
-            print(
-                f"repro compare: no baseline {path} to gate against "
-                "(record one with --update-baseline)",
-                file=sys.stderr,
-            )
-            return 2
-        with open(path, encoding="utf-8") as handle:
-            baseline = _json.load(handle)
-        regressions.extend(
-            compare_to_baseline(payload, baseline, args.tolerance)
+    rows = [
+        ExperimentResult(
+            params={"block": block.removeprefix("compare_")}, measures=metrics,
         )
-    if regressions:
-        print("PERF REGRESSION:")
-        for line in regressions:
-            print(f"  {line}")
-        return 1
-    print(f"within {args.tolerance:.0%} of baseline")
+        for block, metrics in sorted(results.items())
+    ]
+    print(format_table(
+        rows, title=f"commit schemes head to head (seed {args.seed})",
+        precision=2,
+    ))
     return 0
 
 
@@ -710,30 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", parents=[seed_parent(), protocol_parent()],
-                          help="narrated end-to-end run")
-    demo.set_defaults(fn=cmd_demo, protocol="P1")
-
-    drill = sub.add_parser("drill", parents=[seed_parent()],
-                           help="coordinator-failure drill")
-    drill.add_argument("--outage", type=float, default=100.0)
-    drill.set_defaults(fn=cmd_drill)
-
-    sweep = sub.add_parser("sweep", parents=[seed_parent()],
-                           help="abort-probability sweep")
-    sweep.add_argument("--transactions", type=int, default=60)
-    sweep.add_argument("--sites", type=int, default=4)
-    sweep.set_defaults(fn=cmd_sweep)
-
-    report = sub.add_parser("report", parents=[seed_parent()],
-                            help="write experiment artifacts")
-    report.add_argument("--out", default="results")
-    report.set_defaults(fn=cmd_report)
-
-    audit = sub.add_parser("audit", parents=[seed_parent(), protocol_parent()],
-                           help="regular-cycle audit")
-    audit.set_defaults(fn=cmd_audit, protocol="none")
-
     trace = sub.add_parser(
         "trace", parents=[seed_parent(), protocol_parent(), scheme_parent()],
         help="emit a deterministic JSONL event trace",
@@ -795,25 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser(
         "compare", parents=[seed_parent()],
-        help="head-to-head commit schemes; BENCH_compare.json + gate",
+        help="head-to-head commit schemes plus the crash drill",
     )
-    compare.add_argument("--smoke", action="store_true",
-                         help="CI-sized workload (same metrics, smaller "
-                              "pins)")
     compare.add_argument("--vote-timeout", type=_positive_float,
                          action="append", metavar="UNITS",
                          help="sweep the coordinator's vote-collection "
-                              "timeout (repeatable; one result block per "
+                              "timeout (repeatable; one result row per "
                               "scheme x value)")
-    compare.add_argument("--out", default="bench-artifacts",
-                         help="directory for BENCH_compare.json")
-    compare.add_argument("--baseline", default="benchmarks/baselines",
-                         help="committed baseline directory for the "
-                              "regression gate")
-    compare.add_argument("--tolerance", type=_positive_float, default=0.25,
-                         help="allowed fractional drop in gated metrics")
-    compare.add_argument("--update-baseline", action="store_true",
-                         help="rewrite the baseline file from this run")
     compare.set_defaults(fn=cmd_compare)
 
     lint = sub.add_parser(

@@ -1,12 +1,12 @@
-"""Experiment harness: system assembly, metrics, experiment running.
+"""Experiment harness: system assembly, metrics, result tables.
 
 :class:`~repro.harness.system.System` wires a full multidatabase out of the
 substrates (simulation kernel, network, sites, participants, marking
 protocol) and exposes one-call transaction submission plus the
 observability surface (:meth:`System.metrics`, :meth:`System.timeline`,
 :meth:`System.events`; see :mod:`repro.obs`).
-:mod:`repro.harness.experiment` provides parameter sweeps and table
-formatting for the benchmark suite and EXPERIMENTS.md.
+:mod:`repro.harness.experiment` formats result rows as the tables printed
+by ``tests/claims/`` and ``repro compare``, and recorded in EXPERIMENTS.md.
 
 ``SystemConfig(backend="net")`` selects the networked runtime
 (:mod:`repro.rt`) instead of the simulation; build it with
@@ -14,7 +14,7 @@ formatting for the benchmark suite and EXPERIMENTS.md.
 ``backend="sim"`` implementation).
 """
 
-from repro.harness.experiment import ExperimentResult, Sweep, format_table
+from repro.harness.experiment import ExperimentResult, format_table
 from repro.harness.system import BACKENDS, PROTOCOLS, System, SystemConfig
 from repro.obs.metrics import MetricsReport
 
@@ -23,7 +23,6 @@ __all__ = [
     "ExperimentResult",
     "MetricsReport",
     "PROTOCOLS",
-    "Sweep",
     "System",
     "SystemConfig",
     "format_table",

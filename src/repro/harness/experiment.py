@@ -1,14 +1,14 @@
-"""Parameter sweeps and result tables for the benchmark suite.
+"""Result tables for the claim suite and ``repro compare``.
 
-A :class:`Sweep` runs a builder function across parameter values and
-collects one :class:`ExperimentResult` row per point; :func:`format_table`
-renders rows the way EXPERIMENTS.md and the benchmark output present them.
+An :class:`ExperimentResult` is one row (a parameter point and its
+measurements); :func:`format_table` renders rows the way EXPERIMENTS.md,
+``tests/claims/`` and ``repro compare`` present them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 
 @dataclass
@@ -23,29 +23,10 @@ class ExperimentResult:
         return {**self.params, **self.measures}
 
 
-@dataclass
-class Sweep:
-    """Run ``fn(value)`` for every value of one swept parameter."""
-
-    name: str
-    values: list[Any]
-    fn: Callable[[Any], dict[str, float]]
-
-    def run(self) -> list[ExperimentResult]:
-        """Execute the sweep; returns one result per parameter value."""
-        results = []
-        for value in self.values:
-            measures = self.fn(value)
-            results.append(
-                ExperimentResult(params={self.name: value}, measures=measures)
-            )
-        return results
-
-
 def format_table(
     rows: list[ExperimentResult], title: str = "", precision: int = 3
 ) -> str:
-    """Render results as an aligned text table (printed by benchmarks)."""
+    """Render results as an aligned text table."""
     if not rows:
         return f"{title}\n(no rows)"
     headers = list(rows[0].as_row().keys())
@@ -72,48 +53,3 @@ def _fmt(value: Any, precision: int) -> str:
     if isinstance(value, float):
         return f"{value:.{precision}f}"
     return str(value)
-
-
-def save_results(rows: list[ExperimentResult], path: str) -> None:
-    """Persist experiment rows as JSON (one object per row)."""
-    import json
-
-    payload = [
-        {"params": row.params, "measures": row.measures} for row in rows
-    ]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-
-
-def load_results(path: str) -> list[ExperimentResult]:
-    """Load rows written by :func:`save_results`."""
-    import json
-
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return [
-        ExperimentResult(params=entry["params"], measures=entry["measures"])
-        for entry in payload
-    ]
-
-
-def to_markdown(
-    rows: list[ExperimentResult], title: str = "", precision: int = 3
-) -> str:
-    """Render results as a GitHub-flavored markdown table."""
-    if not rows:
-        return f"**{title}**\n\n(no rows)" if title else "(no rows)"
-    headers = list(rows[0].as_row().keys())
-    lines = []
-    if title:
-        lines.append(f"**{title}**")
-        lines.append("")
-    lines.append("| " + " | ".join(headers) + " |")
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        flat = row.as_row()
-        lines.append(
-            "| " + " | ".join(_fmt(flat.get(h), precision) for h in headers)
-            + " |"
-        )
-    return "\n".join(lines)

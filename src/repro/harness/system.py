@@ -18,7 +18,7 @@ sites, participants, and the marking protocol, and provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.commit.coordinator import Coordinator
@@ -119,23 +119,12 @@ class SystemConfig:
     #: real seconds per simulation time unit for backend="net" daemons and
     #: client (ignored by the sim backend, which runs as fast as possible)
     time_scale: float = 0.01
-    #: override of the coordinator's vote-collection timeout (simulation
-    #: time units); None keeps :attr:`CommitConfig.vote_timeout`.  A
-    #: top-level knob so experiment sweeps (``repro compare
-    #: --vote-timeout``) do not have to rebuild the whole CommitConfig.
-    vote_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.metrics_window <= 0:
             raise ValueError(
                 f"metrics_window must be positive, got {self.metrics_window}"
             )
-        if self.vote_timeout is not None:
-            if self.vote_timeout <= 0:
-                raise ValueError(
-                    f"vote_timeout must be positive, got {self.vote_timeout}"
-                )
-            self.commit = replace(self.commit, vote_timeout=self.vote_timeout)
         if self.backend not in BACKENDS:
             valid = ", ".join(BACKENDS)
             raise ValueError(

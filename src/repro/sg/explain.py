@@ -4,8 +4,8 @@
 each boundary segment into evidence a human can act on — the site whose
 local SG realizes it, one concrete local path, and for each hop of that
 path the earliest conflicting operation pair (reader/writer, key, history
-positions).  The CLI's ``audit`` command and the correctness tests print
-these.
+positions).  ``examples/correctness_audit.py`` and the correctness tests
+print these.
 """
 
 from __future__ import annotations

@@ -100,7 +100,8 @@ class TestStratificationRisk:
         ) == []
 
     def test_crossing_set_writers_warned(self, registry):
-        # The cli `audit` shape: dirty set at both sites, reader behind it.
+        # The correctness-audit shape: dirty set at both sites, reader
+        # behind it.
         findings = analyze_workload_commutativity(registry, crossing(
             lambda: SemanticOp("set", "k0", {"value": "dirty"}),
             lambda: ReadOp("k0"),

@@ -92,8 +92,3 @@ def test_quiescence_clearing_restores_throughput(ablation):
         if not r.params["quiescence"]
     )
     assert with_q > without_q
-
-
-def test_bench_ablated_run(benchmark):
-    metrics, violated, _ = benchmark(run_once, False, False, 1)
-    assert not violated

@@ -91,8 +91,3 @@ def test_2pl_subordination_is_a_decision_round(autonomy_rows):
             2 * latency + 0.5, abs=0.01,
         )
         assert 0 < row.measures["subordination_2pl"] < row.measures["max_2pl"]
-
-
-def test_bench_window_measurement(benchmark):
-    windows = benchmark(subordination_windows, CommitScheme.O2PC)
-    assert windows

@@ -87,8 +87,3 @@ def test_o2pc_hold_flat(outage_sweep):
     holds = [r.measures["max_hold_o2pc"] for r in outage_sweep]
     assert max(holds) - min(holds) < 1e-9
     assert max(holds) < 10.0
-
-
-def test_bench_outage_run(benchmark):
-    hold, outcome = benchmark(run_with_outage, CommitScheme.O2PC, 100.0)
-    assert outcome.committed

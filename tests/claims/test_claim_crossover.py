@@ -96,8 +96,3 @@ def test_o2pc_advantage_shrinks_as_aborts_grow(abort_sweep):
 
     assert thru_ratio(abort_sweep[0]) > thru_ratio(abort_sweep[-1])
     assert wait_ratio(abort_sweep[0]) > wait_ratio(abort_sweep[-1])
-
-
-def test_bench_contended_o2pc(benchmark):
-    result = benchmark(run_once, CommitScheme.O2PC, 0.2, 1)
-    assert result.committed > 0

@@ -87,8 +87,3 @@ def test_compensation_persists_in_both_modes(deadlock_rows):
     for row in deadlock_rows:
         assert row.measures["compensations"] >= 1
         assert row.measures["k0@S1"] == 100
-
-
-def test_bench_deadlock_scenario(benchmark):
-    system = benchmark(run_once, True)
-    assert system.participants["S1"].compensator.stats.completed == 1

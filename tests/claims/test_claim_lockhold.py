@@ -83,13 +83,3 @@ def test_o2pc_reduces_waiting(latency_sweep):
     total_2pl = sum(r.measures["wait_2pl"] for r in latency_sweep)
     total_o2pc = sum(r.measures["wait_o2pc"] for r in latency_sweep)
     assert total_o2pc <= total_2pl
-
-
-def test_bench_o2pc_workload(benchmark):
-    result = benchmark(run_once, CommitScheme.O2PC)
-    assert result.committed > 0
-
-
-def test_bench_2pl_workload(benchmark):
-    result = benchmark(run_once, CommitScheme.TWO_PL)
-    assert result.committed > 0

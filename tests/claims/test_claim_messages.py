@@ -95,8 +95,3 @@ def test_marking_protocols_add_no_message_types(message_matrix):
         assert set(measures) <= base_types
         # Commit-protocol rounds never exceed one per transaction per site.
         assert measures["VOTE_REQ"] <= by_key[("O2PC", 0.3)]["VOTE_REQ"]
-
-
-def test_bench_message_accounting(benchmark):
-    counts = benchmark(run_counts, CommitScheme.O2PC, "P1", 0.2)
-    assert counts["TOTAL"] > 0

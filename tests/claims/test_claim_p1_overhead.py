@@ -146,9 +146,3 @@ def test_unprotected_baseline_violates_where_p1_does_not():
 
     assert run("none") is not None
     assert run("P1") is None
-
-
-def test_bench_p1_run(benchmark):
-    result, violated = benchmark(run_once, "P1", 0.15, 1)
-    assert result.committed > 0
-    assert not violated

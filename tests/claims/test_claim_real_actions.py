@@ -79,8 +79,3 @@ def test_real_action_site_holds_longer(hold_rows):
     slowest_comp = max(r.measures["mean_hold"] for r in comp)
     for row in real:
         assert row.measures["mean_hold"] > slowest_comp
-
-
-def test_bench_mixed_workload(benchmark):
-    system = benchmark(run_mixed, 20)
-    assert system.outcomes

@@ -74,8 +74,3 @@ def test_holds_grow_with_span_under_both_schemes(span_sweep):
 def test_o2pc_throughput_at_least_matches_at_every_span(span_sweep):
     for row in span_sweep:
         assert row.measures["thru_o2pc"] >= row.measures["thru_2pl"]
-
-
-def test_bench_wide_transaction_run(benchmark):
-    report = benchmark(run_once, CommitScheme.O2PC, 5)
-    assert report.committed > 0

@@ -16,15 +16,13 @@ Three facets:
   confined to revoked transactions.  The census column ``strict_cycles``
   reports how often that residue occurs — a reproduction finding about the
   protocol, not a bug in the checker.
-
-The benchmark measures the full history → SG → verdict pipeline.
 """
 
 import pytest
 
 from repro.commit import CommitScheme
 from repro.harness import ExperimentResult, System, SystemConfig, format_table
-from repro.sg import GlobalSG, find_regular_cycle
+from repro.sg import find_regular_cycle
 from repro.sg.cycles import find_local_cycle
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
@@ -108,16 +106,3 @@ def test_no_aborts_means_no_compensations_at_all():
 
     assert not gsg.nodes_of_kind(TxnKind.COMPENSATING)
     assert find_regular_cycle(gsg) is None
-
-
-def test_bench_sg_pipeline(benchmark):
-    system = run_workload("P1", 0.3, 1)
-    history = system.global_history()
-    effective = system.effective_regular_nodes()
-
-    def pipeline():
-        gsg = GlobalSG.from_history(history)
-        return find_regular_cycle(gsg, effective), find_local_cycle(gsg)
-
-    regular, local = benchmark(pipeline)
-    assert regular is None and local is None

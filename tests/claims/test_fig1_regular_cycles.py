@@ -1,15 +1,13 @@
 """FIG1 — Figure 1: regular-cycle detection.
 
 Regenerates the paper's Figure 1 configurations (reconstructed from the
-text; the original is an image) and verifies the detector's verdict on each,
-then benchmarks detection on those shapes and on large synthetic SGs.
+text; the original is an image) and verifies the detector's verdict on each.
 """
 
 import pytest
 
 from repro.harness import ExperimentResult, format_table
 from repro.sg import GlobalSG, find_regular_cycle
-from repro.sim import Rng
 
 
 def fig1_configurations() -> dict[str, tuple[GlobalSG, bool]]:
@@ -51,27 +49,6 @@ def fig1_configurations() -> dict[str, tuple[GlobalSG, bool]]:
     return configs
 
 
-def random_gsg(n_txns: int, n_sites: int, seed: int = 1) -> GlobalSG:
-    """Large synthetic SG respecting 2PL-consistent global order."""
-    rng = Rng(seed)
-    gsg = GlobalSG()
-    for s in range(1, n_sites + 1):
-        sg = gsg.site(f"S{s}")
-        order = []
-        for t in range(1, n_txns + 1):
-            if rng.chance(0.5):
-                order.append(f"T{t}")
-                if rng.chance(0.2):
-                    order.append(f"CT{t}")
-        for i, src in enumerate(order):
-            for dst in order[i + 1:]:
-                if rng.chance(0.15):
-                    if src.startswith("CT") and dst == src[1:]:
-                        continue
-                    sg.add_edge(src, dst)
-    return gsg
-
-
 def test_fig1_table():
     rows = []
     for name, (gsg, expected) in fig1_configurations().items():
@@ -92,18 +69,3 @@ def test_fig1_table():
 def test_each_configuration_verdict(name):
     gsg, expected = fig1_configurations()[name]
     assert (find_regular_cycle(gsg) is not None) == expected
-
-
-def test_bench_detection_on_figure_shapes(benchmark):
-    configs = fig1_configurations()
-
-    def detect_all():
-        return [find_regular_cycle(g) for g, _ in configs.values()]
-
-    results = benchmark(detect_all)
-    assert sum(1 for r in results if r) == 4
-
-
-def test_bench_detection_on_large_sg(benchmark):
-    gsg = random_gsg(n_txns=120, n_sites=5)
-    benchmark(find_regular_cycle, gsg)

@@ -76,8 +76,3 @@ def test_abort_path_costs_more_forces_under_o2pc(force_rows):
           for r in force_rows}
     assert (by[("O2PC", 0.25)]["forces_per_txn"]
             > by[("2PC/2PL", 0.25)]["forces_per_txn"])
-
-
-def test_bench_forced_write_accounting(benchmark):
-    report = benchmark(run_once, CommitScheme.O2PC)
-    assert report.forced_log_writes > 0

@@ -3,8 +3,7 @@
 Graph level: on randomized structured SGs, whenever S1 or S2 holds there is
 no regular cycle (the theorem), and whenever a regular cycle exists both
 properties fail (the contrapositive used by the property tests).  System
-level: executions under P1 never exhibit regular cycles.  The benchmark
-measures the cost of evaluating the stratification properties.
+level: executions under P1 never exhibit regular cycles.
 """
 
 import pytest
@@ -83,21 +82,3 @@ def test_census_is_not_vacuous(census):
     """The generator actually produces both populations."""
     assert census["s1_or_s2"] > 0
     assert census["cycle"] > 0
-
-
-def test_bench_stratification_check(benchmark):
-    graphs = [random_structured_gsg(seed) for seed in range(20)]
-
-    def check_all():
-        return [
-            stratification_s1(g) or stratification_s2(g) for g in graphs
-        ]
-
-    results = benchmark(check_all)
-    assert len(results) == 20
-
-
-def test_bench_regular_cycle_scan(benchmark):
-    graphs = [random_structured_gsg(seed) for seed in range(20)]
-    results = benchmark(lambda: [find_regular_cycle(g) for g in graphs])
-    assert len(results) == 20

@@ -85,10 +85,3 @@ def test_precondition_holds_by_construction(atomicity_rows):
 
 def test_runs_actually_compensated(atomicity_rows):
     assert any(r.measures["compensated_txns"] > 0 for r in atomicity_rows)
-
-
-def test_bench_atomicity_checker(benchmark):
-    system = run_protected(1)
-    history = system.global_history()
-    report = benchmark(check_atomicity_of_compensation, history)
-    assert report.ok

@@ -1,8 +1,7 @@
-"""Unit tests for metric aggregation, sweeps, and table formatting."""
+"""Unit tests for metric aggregation and table formatting."""
 
 from repro.harness import (
     ExperimentResult,
-    Sweep,
     System,
     SystemConfig,
     format_table,
@@ -65,15 +64,6 @@ class TestCollectMetrics:
 
 
 class TestSweepAndTable:
-    def test_sweep_runs_each_value(self):
-        sweep = Sweep(
-            name="x", values=[1, 2, 3],
-            fn=lambda v: {"double": float(v * 2)},
-        )
-        rows = sweep.run()
-        assert [r.params["x"] for r in rows] == [1, 2, 3]
-        assert [r.measures["double"] for r in rows] == [2.0, 4.0, 6.0]
-
     def test_format_table_alignment_and_precision(self):
         rows = [
             ExperimentResult(params={"p": 0.1},
@@ -93,35 +83,3 @@ class TestSweepAndTable:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="empty")
-
-
-class TestResultPersistence:
-    def rows(self):
-        return [
-            ExperimentResult(params={"p": 0.1}, measures={"v": 1.5}),
-            ExperimentResult(params={"p": 0.2}, measures={"v": 2.5}),
-        ]
-
-    def test_save_load_roundtrip(self, tmp_path):
-        from repro.harness.experiment import load_results, save_results
-
-        path = tmp_path / "rows.json"
-        save_results(self.rows(), str(path))
-        loaded = load_results(str(path))
-        assert [r.as_row() for r in loaded] == [
-            r.as_row() for r in self.rows()
-        ]
-
-    def test_markdown_rendering(self):
-        from repro.harness.experiment import to_markdown
-
-        text = to_markdown(self.rows(), title="demo", precision=1)
-        assert "**demo**" in text
-        assert "| p | v |" in text
-        assert "| 0.1 | 1.5 |" in text
-        assert text.count("|---|") == 1
-
-    def test_markdown_empty(self):
-        from repro.harness.experiment import to_markdown
-
-        assert "(no rows)" in to_markdown([], title="x")

@@ -41,17 +41,6 @@ class TestAssembly:
         with pytest.raises(ValueError, match="metrics_window"):
             SystemConfig(metrics_window=0.0)
 
-    def test_vote_timeout_override_reaches_commit_config(self):
-        # The top-level sweep knob (repro compare --vote-timeout) rewrites
-        # the CommitConfig so the coordinator sees the swept value.
-        config = SystemConfig(vote_timeout=5.0)
-        assert config.commit.vote_timeout == 5.0
-        assert SystemConfig().commit.vote_timeout != 5.0
-
-    def test_nonpositive_vote_timeout_rejected(self):
-        with pytest.raises(ValueError, match="vote_timeout"):
-            SystemConfig(vote_timeout=-1.0)
-
     def test_scheme_selects_engine(self):
         # The registry is the only construction path: each scheme builds
         # its own participant type, and only PAXOS spawns acceptors.

@@ -71,7 +71,7 @@ VOTE_REQ = (MsgType.VOTE_REQ, {"transmarks": []})
 @pytest.mark.xfail(
     strict=True,
     reason="post-crash compensation restores WAL before-images "
-           "(FINDINGS.md §10, ROADMAP item 5)",
+           "(FINDINGS.md §10, ROADMAP item 1)",
 )
 def test_compensation_after_restart_keeps_interleaved_updates(
     cluster, cluster_file,  # noqa: F811

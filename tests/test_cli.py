@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from tests.test_examples import run_example
 
 
 def run_cli(capsys, *argv):
@@ -13,44 +14,23 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
-def test_demo_commits_and_audits(capsys):
-    code, out = run_cli(capsys, "demo")
-    assert code == 0
-    assert "COMMIT" in out
-    assert "correctness criterion: OK" in out
-    assert "restored" in out
+def _audit_sections():
+    # The regular-cycle audit is examples/correctness_audit.py, which runs
+    # the adversarial interleaving under protocol none, then under P1.
+    out = run_example("correctness_audit.py")
+    unprotected, protected = out.split("=== O2PC + protocol P1 ===")
+    return unprotected, protected
 
 
-def test_demo_protocol_choice(capsys):
-    code, out = run_cli(capsys, "demo", "--protocol", "none")
-    assert code == 0
-
-
-def test_drill_shows_both_schemes(capsys):
-    code, out = run_cli(capsys, "drill", "--outage", "25")
-    assert code == 0
-    assert "== 2PL" in out and "== O2PC" in out
-    assert out.count("locks at S1") == 2
-
-
-def test_audit_none_flags_cycle(capsys):
-    code, out = run_cli(capsys, "audit", "--protocol", "none")
-    assert code == 0
+def test_audit_none_flags_cycle():
+    out, _ = _audit_sections()
     assert "regular cycle" in out
     assert "INCORRECT" in out
 
 
-def test_audit_p1_is_clean(capsys):
-    code, out = run_cli(capsys, "audit", "--protocol", "P1")
-    assert code == 0
+def test_audit_p1_is_clean():
+    _, out = _audit_sections()
     assert "no regular cycle" in out
-
-
-def test_sweep_prints_table(capsys):
-    code, out = run_cli(capsys, "sweep", "--transactions", "10")
-    assert code == 0
-    assert "abort_p" in out
-    assert "thru_o2pc" in out
 
 
 @pytest.mark.parametrize("scheme", ["O2PC", "TWO_PL", "PAXOS", "SHORT"])
@@ -112,21 +92,9 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
-def test_report_writes_artifacts(tmp_path, capsys):
-    code, out = run_cli(capsys, "report", "--out", str(tmp_path))
-    assert code == 0
-    report = (tmp_path / "report.md").read_text()
-    assert "CLAIM-LOCK" in report
-    assert "CLAIM-BLOCK" in report
-    assert "CLAIM-MSG" in report
-    assert (tmp_path / "claim_lock.json").exists()
-    from repro.harness.experiment import load_results
-
-    rows = load_results(str(tmp_path / "claim_block.json"))
-    assert all(
-        r.measures["max_hold_2pl"] > r.measures["max_hold_o2pc"]
-        for r in rows
-    )
+def test_compare_rejects_nonpositive_vote_timeout():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["compare", "--vote-timeout", "-1"])
 
 
 class TestSharedParents:
@@ -139,8 +107,6 @@ class TestSharedParents:
     """
 
     @pytest.mark.parametrize("verb,expected", [
-        (["demo"], {"protocol": "P1"}),
-        (["audit"], {"protocol": "none"}),
         (["trace"], {"protocol": "P1", "scheme": "O2PC"}),
         (["metrics"], {"protocol": "P1", "scheme": "O2PC"}),
         (["check"], {"protocol": "P1", "scheme": "O2PC"}),
@@ -164,12 +130,21 @@ class TestSharedParents:
         ["bench", "--smoke"],
         ["trace", "--backend", "sim"],
         ["serve", "S1", "--cluster", "c.json", "--backend", "net"],
+        ["demo"],
+        ["drill"],
+        ["audit"],
+        ["sweep"],
+        ["report"],
+        ["compare", "--baseline", "x"],
+        ["compare", "--update-baseline"],
     ])
     def test_removed_verb_and_option_are_parser_errors(self, argv):
-        # The backend is fixed per verb and performance is measured by
-        # bench/run.py: neither spelling may linger as a silent no-op.
-        with pytest.raises(SystemExit):
+        # The backend is fixed per verb, performance is measured by
+        # bench/run.py and narration lives in examples/: no removed
+        # spelling may linger as a silent no-op.
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     def test_metrics_cluster_file_alone_selects_live_aggregation(
         self, tmp_path, capsys,
