@@ -15,7 +15,8 @@ component and reports :class:`Violation`\\ s.  The mapping to the paper:
   terminal record).
 * ``marking`` — Section 6's bookkeeping: when the run terminates, the
   marking directory must have no in-flight transactions and no unresolved
-  locally-committed marks.
+  locally-committed marks; with the quiescence clearing rule on, no site
+  may end the run undone with respect to anything.
 * ``recovery`` — Section 5: restarting every site from its (cloned) log must
   reproduce the live store, and under O2PC must report *no in-doubt
   transactions* — the non-blocking property that motivates the protocol.
@@ -185,6 +186,18 @@ def _check_marking(system: System) -> list[Violation]:
                 f"{site_id} ended the run locally committed with respect "
                 f"to {sorted(lc_marks)} (decision never resolved)",
             ))
+    if directory.quiescence_enabled and not directory.active:
+        # With nothing in flight the quiescence rule must have drained
+        # every mark.  (Without it UDUM1 is the only clearing rule, and a
+        # mark may legitimately wait for witnesses forever.)
+        for site_id in sorted(directory.machines):
+            undone = directory.machines[site_id].undone_set()
+            if undone:
+                violations.append(Violation(
+                    "marking",
+                    f"{site_id} ended a quiesced run undone with respect "
+                    f"to {sorted(undone)} (a mark no rule can clear)",
+                ))
     return violations
 
 

@@ -37,7 +37,7 @@ lets the site kill a subtransaction any time before it votes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.compensation.executor import CompensationExecutor
@@ -231,7 +231,7 @@ class Participant:
             yield from self.site.ltm.run_ops(txn_id, state.ops)
         except (DeadlockDetected, LockTimeout) as exc:
             ct_id = self.site.ltm.rollback_subtxn(txn_id)
-            self.marking.on_vote_abort(txn_id, self.site.site_id)
+            self._mark(self.marking.on_vote_abort, txn_id)
             if bus.enabled:
                 bus.publish(SubtxnFailed(
                     txn_id=txn_id, site_id=self.site.site_id,
@@ -311,7 +311,7 @@ class Participant:
         if not can_commit:
             if state is not None and self.site.ltm.is_active(txn_id):
                 self.site.ltm.rollback_subtxn(txn_id)
-                self.marking.on_vote_abort(txn_id, self.site.site_id)
+                self._mark(self.marking.on_vote_abort, txn_id)
             if state is not None:
                 state.voted = "NO"
             self._reply(msg, MsgType.VOTE, {"vote": "NO"})
@@ -333,8 +333,7 @@ class Participant:
                 bus.publish(Prepared(
                     txn_id=txn_id, site_id=self.site.site_id,
                 ))
-        if self.scheme is CommitScheme.O2PC:
-            self.marking.on_vote_commit(txn_id, self.site.site_id)
+        self._mark(self.marking.on_vote_commit, txn_id)
         state.voted = "YES"
         self._reply(msg, MsgType.VOTE, {"vote": "YES"})
         return
@@ -361,8 +360,7 @@ class Participant:
                 self.site.ltm.commit_recovered(txn_id)
             else:
                 self.site.ltm.complete_commit(txn_id)
-            if self.scheme is CommitScheme.O2PC:
-                self.marking.on_decision_commit(txn_id, self.site.site_id)
+            self._mark(self.marking.on_decision_commit, txn_id)
             if bus.enabled:
                 bus.publish(DecisionApplied(
                     txn_id=txn_id, site_id=self.site.site_id,
@@ -374,6 +372,10 @@ class Participant:
         # ABORT decision.
         if state.recovered and status is TxnStatus.PREPARED:
             self.site.ltm.abort_recovered(txn_id)
+            # A recovered in-doubt site under O2PC is a prepared
+            # real-action site, restored locally committed: the abort's
+            # nothing-to-undo is its CT_ik (R2).
+            self._mark(self.marking.on_decision_abort_compensated, txn_id)
             if bus.enabled:
                 bus.publish(DecisionApplied(
                     txn_id=txn_id, site_id=self.site.site_id,
@@ -386,21 +388,17 @@ class Participant:
             # subtransaction, scheduled as a local transaction.
             yield from self.compensator.run(txn_id)
             state.compensated = True
-            self.marking.on_decision_abort_compensated(
-                txn_id, self.site.site_id
-            )
+            self._mark(self.marking.on_decision_abort_compensated, txn_id)
         elif status in (TxnStatus.ACTIVE, TxnStatus.PREPARED):
             # Locks still held: standard roll-back (the degenerate CT_ik).
             self.site.ltm.rollback_subtxn(txn_id)
-            if self.scheme is CommitScheme.O2PC:
-                if state.voted == "YES":
-                    # A prepared real-action site: it was marked
-                    # locally-committed at vote time.
-                    self.marking.on_decision_abort_compensated(
-                        txn_id, self.site.site_id
-                    )
-                else:
-                    self.marking.on_vote_abort(txn_id, self.site.site_id)
+            # A prepared real-action site was marked locally committed at
+            # vote time; an unvoted one goes straight to undone.
+            self._mark(
+                self.marking.on_decision_abort_compensated
+                if state.voted == "YES" else self.marking.on_vote_abort,
+                txn_id,
+            )
         if bus.enabled:
             bus.publish(DecisionApplied(
                 txn_id=txn_id, site_id=self.site.site_id,
@@ -429,6 +427,12 @@ class Participant:
                 proc.defused = True
                 proc.interrupt(cause=f"site {self.site.site_id} crashed")
         self._handlers.clear()
+        # The crash rolls back every unvoted subtransaction: that roll-back
+        # is its degenerate CT_ik, so R2's undone mark fires now.  (Its
+        # ABORT decision will find no state and only be acknowledged.)
+        for txn_id in sorted(self.subtxns):
+            if self.site.ltm.is_active(txn_id):
+                self._mark(self.marking.on_vote_abort, txn_id)
         self.site.crash()
         self.subtxns.clear()
 
@@ -461,12 +465,9 @@ class Participant:
             )
             self.subtxns[txn_id] = state
             yield from self.site.ltm.recover_in_doubt(txn_id)
-            if self.scheme is CommitScheme.O2PC:
-                # An in-doubt site under O2PC is a prepared real-action
-                # site: its YES vote marked it locally committed.
-                self.marking.restore_locally_committed(
-                    txn_id, self.site.site_id
-                )
+            # An in-doubt site under O2PC is a prepared real-action site:
+            # its YES vote marked it locally committed.
+            self._mark(self.marking.restore_locally_committed, txn_id)
         for txn_id in report.locally_committed:
             state = _SubtxnState(
                 txn_id=txn_id, ops=[], vote_policy=VotePolicy.AUTO,
@@ -477,7 +478,7 @@ class Participant:
             # Re-derive the marking the crash wiped (no-op in the sim,
             # whose directory survives): the decision's transition must
             # fire from LOCALLY_COMMITTED.
-            self.marking.restore_locally_committed(txn_id, self.site.site_id)
+            self._mark(self.marking.restore_locally_committed, txn_id)
         return report
 
     # -- autonomy ------------------------------------------------------------------------
@@ -496,12 +497,25 @@ class Participant:
         if not self.site.ltm.is_active(txn_id):
             return False
         self.site.ltm.rollback_subtxn(txn_id)
-        if self.scheme is CommitScheme.O2PC:
-            self.marking.on_vote_abort(txn_id, self.site.site_id)
+        self._mark(self.marking.on_vote_abort, txn_id)
         state.executed = False
         return True
 
     # -- helpers -------------------------------------------------------------------------
+
+    def _mark(
+        self, transition: Callable[[str, str], None], txn_id: str
+    ) -> None:
+        """Fire one Figure 2 marking transition for ``txn_id`` here.
+
+        Every marking transition at a participant goes through this gate.
+        Marks exist to keep O2PC's *exposed* updates consistent (Section
+        6); the 2PL family exposes nothing, so it marks nothing.  A NO
+        voter marked while its prepared peers roll back unmarked would
+        leave a mark that no clearing rule can drain.
+        """
+        if self.scheme is CommitScheme.O2PC:
+            transition(txn_id, self.site.site_id)
 
     def _reply(
         self, msg: Message, msg_type: MsgType, payload: dict[str, Any]

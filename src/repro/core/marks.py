@@ -146,6 +146,9 @@ class MarkingDirectory:
 
     def _clear(self, marked: str, enabler: str) -> None:
         self.blockers.pop(marked, None)
+        # No site will be undone wrt ``marked`` again (a straggler mark is
+        # dropped on arrival), so its UDUM1 witnesses are dead weight.
+        self.witnesses.pop(marked, None)
         still_marked = False
         for machine in self.machines.values():
             if marked in machine.undone_set():

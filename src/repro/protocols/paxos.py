@@ -371,7 +371,7 @@ class PaxosParticipant(Participant):
         if not can_commit:
             if state is not None and self.site.ltm.is_active(txn_id):
                 self.site.ltm.rollback_subtxn(txn_id)
-                self.marking.on_vote_abort(txn_id, self.site.site_id)
+                self._mark(self.marking.on_vote_abort, txn_id)
             if state is not None:
                 state.voted = "NO"
             self._send_ballot_zero(txn_id, "NO", acceptors, msg.sender)

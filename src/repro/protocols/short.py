@@ -155,7 +155,7 @@ class ShortParticipant(Participant):
         if not can_commit:
             if state is not None and self.site.ltm.is_active(txn_id):
                 self.site.ltm.rollback_subtxn(txn_id)
-                self.marking.on_vote_abort(txn_id, self.site.site_id)
+                self._mark(self.marking.on_vote_abort, txn_id)
             if state is not None:
                 state.voted = "NO"
             self._deps.pop(txn_id, None)

@@ -2,12 +2,19 @@
 
 This is the checker checking itself: if neutering P1's R1 check and
 vote-time validation does *not* produce a counterexample, the oracles (or
-the scenarios) have lost their teeth.
+the scenarios) have lost their teeth.  The same goes for a participant
+whose marking transitions leave a mark behind that no rule can clear.
 """
+
+import pytest
 
 from repro.check.explorer import CheckConfig, ModelChecker, replay
 from repro.check.trace import render_counterexample
+from repro.commit.base import CommitScheme
+from repro.commit.coordinator import Coordinator
+from repro.commit.participant import Participant
 from repro.core.protocols import CheckResult, P1Protocol
+from repro.protocols import ENGINES, EngineSpec
 
 
 class _BrokenP1(P1Protocol):
@@ -61,3 +68,47 @@ class TestMutationIsCaught:
         assert "replay vector:" in text
         assert "regular cycle" in text
         assert "comp.start" in text  # the compensation is on the trace
+
+
+class _SkipsCompensatedMark(Participant):
+    """Forgets R2's undone mark after a compensation (``CT_ik``) runs."""
+
+    def _mark(self, transition, txn_id):
+        if transition != self.marking.on_decision_abort_compensated:
+            super()._mark(transition, txn_id)
+
+
+class _NoVoterMarksUnderEveryScheme(Participant):
+    """Lets the NO vote's undone mark past the O2PC gate: under 2PL the
+    NO voter is marked while its prepared peers never are."""
+
+    def _mark(self, transition, txn_id):
+        if transition == self.marking.on_vote_abort:
+            transition(txn_id, self.site.site_id)
+        else:
+            super()._mark(transition, txn_id)
+
+
+class TestStuckMarkIsCaught:
+    @pytest.fixture(params=[
+        (CommitScheme.O2PC, _SkipsCompensatedMark),
+        (CommitScheme.TWO_PL, _NoVoterMarksUnderEveryScheme),
+    ], ids=["o2pc-skips-compensated-mark", "two_pl-no-voter-marks"])
+    def mutant(self, request, monkeypatch):
+        scheme, participant = request.param
+        monkeypatch.setitem(
+            ENGINES, scheme, EngineSpec(scheme, Coordinator, participant),
+        )
+        return _config(protocol="P1", scheme=scheme)
+
+    def test_marking_oracle_catches_it_with_a_replayable_vector(self, mutant):
+        report = ModelChecker(mutant).run()
+        assert not report.ok
+        counterexample = report.counterexamples[0]
+        assert any(
+            v.oracle == "marking" and "ended a quiesced run undone" in v.detail
+            for v in counterexample.violations
+        )
+        outcome = replay(mutant, counterexample.choices)
+        assert outcome.violations == counterexample.violations
+        assert outcome.system.obs.jsonl() == counterexample.jsonl

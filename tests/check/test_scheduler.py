@@ -159,17 +159,30 @@ class TestCensusPin:
     The pinned schedule counts and default-schedule choice points predate
     that (they were recorded when every event sat in one heap), so a
     change to either is a change in what the checker explores.
+
+    The non-O2PC rows moved when marking became O2PC-only.  Their NO voter
+    used to mark ``T1`` undone at ``S2`` while the prepared ``S1`` rolled
+    back unmarked, so the mark never cleared and P1 rejected ``T2`` at
+    ``S2`` for it.  Admitting ``T2`` opens schedules the rejection used to
+    cut: ``TWO_PL`` and ``SHORT`` went 16 → 32 schedules (4 → 5 choice
+    points); with crashes, ``TWO_PL`` 9 → 14 and ``SHORT`` 9 → 13 choice
+    points; ``PAXOS`` 11 → 19 and 16 → 28.  The O2PC rows are unchanged,
+    and every row ends each schedule with no undone mark left.  The same
+    leak showed in ``repro trace --seed 7`` under the default P1: TWO_PL,
+    PAXOS and SHORT logged 121, 121 and 143 ``mark.r1`` rejections and
+    sent 20, 20 and 16 of 48 vote requests; they now log none and send
+    all 48, while the O2PC trace is byte-identical.
     """
 
     @pytest.mark.parametrize("scheme,crashes,explored,choice_points", [
-        ("TWO_PL", 0, 16, 4),
-        ("TWO_PL", 2, 200, 9),
+        ("TWO_PL", 0, 32, 5),
+        ("TWO_PL", 2, 200, 14),
         ("O2PC", 0, 32, 5),
         ("O2PC", 2, 200, 15),
-        ("PAXOS", 0, 200, 11),
-        ("PAXOS", 2, 200, 16),
-        ("SHORT", 0, 16, 4),
-        ("SHORT", 2, 200, 9),
+        ("PAXOS", 0, 200, 19),
+        ("PAXOS", 2, 200, 28),
+        ("SHORT", 0, 32, 5),
+        ("SHORT", 2, 200, 13),
     ])
     def test_census(self, scheme, crashes, explored, choice_points):
         report = ModelChecker(CheckConfig(
