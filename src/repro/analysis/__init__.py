@@ -3,13 +3,6 @@
 O2PC's correctness rests on facts that are checkable *before* any schedule
 runs, and this package checks them without executing anything:
 
-* **repertoire/compensation soundness** (:mod:`repro.analysis.repertoire`)
-  — inverse closure over the :class:`~repro.compensation.actions.ActionRegistry`,
-  Theorem 2 write-coverage per workload transaction, and Section 2's
-  real-action lock-holding requirement;
-* **commutativity** (:mod:`repro.analysis.commute`) — the declared/derived
-  commutes-with matrix and warnings for workloads that can violate the
-  A1–A4 stratification preconditions;
 * **determinism** (:mod:`repro.analysis.determinism`) — an AST lint
   forbidding wall-clock, unseeded randomness, OS entropy, and bare-set
   iteration in protocol code, protecting checker replay and parallel
@@ -24,19 +17,17 @@ runs, and this package checks them without executing anything:
   scheme's role→MsgType→role flow graph is closed (no orphan sends, no
   dead handlers);
 * **event-loop blocking** (:mod:`repro.analysis.blocking`) — no sync
-  fsync/file-IO/sleep/subprocess/busy loop reachable from the runtime's
-  coroutines.
+  fsync/file-IO/sleep/subprocess reachable from the runtime's
+  coroutines and loop callbacks.
 
-See ``docs/ANALYSIS.md`` for each rule with its paper anchor.
+The action repertoire's obligations (a predeclared counter-task per
+compensatable action, real actions only in lock-holding subtransactions)
+are tier-1 tests over the one registry and the shipped scenarios, not
+rules here.  See ``docs/ANALYSIS.md`` for each rule and the seeded
+mutation that justifies it.
 """
 
 from repro.analysis.blocking import analyze_rt_blocking
-from repro.analysis.commute import (
-    analyze_matrix,
-    analyze_workload_commutativity,
-    build_matrix,
-    ops_commute,
-)
 from repro.analysis.determinism import analyze_file, analyze_tree
 from repro.analysis.dispatch import analyze_dispatch
 from repro.analysis.findings import Finding, Severity, sort_findings
@@ -46,7 +37,6 @@ from repro.analysis.flow import (
     build_flow_graphs,
     render_flow_dot,
 )
-from repro.analysis.repertoire import analyze_registry, analyze_workloads
 from repro.analysis.runner import (
     LintReport,
     default_root,
@@ -62,18 +52,12 @@ __all__ = [
     "analyze_dispatch",
     "analyze_file",
     "analyze_flow",
-    "analyze_matrix",
     "analyze_message_flow",
-    "analyze_registry",
     "analyze_rt_blocking",
     "analyze_tree",
-    "analyze_workload_commutativity",
-    "analyze_workloads",
     "build_flow_graphs",
-    "build_matrix",
     "default_root",
     "render_flow_dot",
-    "ops_commute",
     "render_json",
     "render_text",
     "run_all",

@@ -1,4 +1,4 @@
-"""Family 6: blocking calls reachable from the event loop (``repro.rt``).
+"""Family 4: blocking calls reachable from the event loop (``repro.rt``).
 
 The networked runtime is a single asyncio loop per process.  One
 synchronous ``fsync`` (or ``time.sleep``, or a file rename) on that loop
@@ -41,9 +41,8 @@ Rules (all errors):
     ``subprocess.*`` or ``os.system`` — process spawns block and belong
     in the harness (``rt/system.py``), never on the loop.
 
-``blocking/busy-loop``
-    ``while True:`` with no ``await``/``yield`` in its body: the loop
-    never yields control back, starving every other task.
+A spinning loop is not a rule: it is loud (the daemon stops answering),
+while every call above succeeds and only slows the loop down.
 
 A line ending in ``# lint: allow-blocking`` suppresses its findings; the
 surrounding comment must say why the block is safe there (boot/shutdown
@@ -160,24 +159,6 @@ def _is_generator(fn: FnDef) -> bool:
         isinstance(node, (ast.Yield, ast.YieldFrom))
         for node in _own_nodes(fn)
     )
-
-
-def _yields_control(stmts: list[ast.stmt]) -> bool:
-    """True when the block awaits or yields (excluding nested defs)."""
-    stack: list[ast.AST] = list(stmts)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Await, ast.Yield, ast.YieldFrom)):
-            return True
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
-                 ast.Lambda),
-            ):
-                continue
-            stack.append(child)
-    return False
 
 
 def _index_module(path: Path, rel: str) -> tuple[
@@ -317,59 +298,43 @@ def _analyze_module(path: Path, rel: str) -> list[Finding]:
             else f"{fn.qualname} (reachable from {via})"
         )
         for node in _own_nodes(fn.node):
-            if isinstance(node, ast.Call):
-                name = _dotted(node.func)
-                resolved = (
-                    resolve_name(node.func, table)
-                    if isinstance(node.func, (ast.Attribute, ast.Name))
-                    else None
-                )
-                if resolved is not None:
-                    rule = _FORBIDDEN.get(resolved)
-                    if rule is None and resolved.startswith(
-                        _SUBPROCESS_PREFIX
-                    ):
-                        rule = "blocking/subprocess"
-                    if rule is not None:
-                        add(
-                            rule, node.lineno,
-                            f"{origin} calls {resolved}() — blocks the "
-                            f"loop; move it off-thread or behind the "
-                            f"group-commit barrier",
-                        )
-                        continue
-                if (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id == "open"
-                ):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _dotted(node.func)
+            resolved = (
+                resolve_name(node.func, table)
+                if isinstance(node.func, (ast.Attribute, ast.Name))
+                else None
+            )
+            if resolved is not None:
+                rule = _FORBIDDEN.get(resolved)
+                if rule is None and resolved.startswith(_SUBPROCESS_PREFIX):
+                    rule = "blocking/subprocess"
+                if rule is not None:
                     add(
-                        "blocking/sync-file-io", node.lineno,
-                        f"{origin} calls builtin open() — synchronous "
-                        f"file IO on the loop",
+                        rule, node.lineno,
+                        f"{origin} calls {resolved}() — blocks the "
+                        f"loop; move it off-thread or behind the "
+                        f"group-commit barrier",
                     )
                     continue
-                if name is not None:
-                    on_wal = name.startswith("wal.") or ".wal." in name
-                    if (
-                        on_wal and name.endswith(_WAL_SUFFIXES)
-                    ) or name.endswith(".checkpoint"):
-                        add(
-                            "blocking/sync-fsync", node.lineno,
-                            f"{origin} calls {name}() — a WAL-chain "
-                            f"durability call that fsyncs on the loop; "
-                            f"route force points through the "
-                            f"group-commit barrier",
-                        )
-            elif isinstance(node, ast.While):
-                test = node.test
-                is_true = isinstance(test, ast.Constant) and bool(
-                    test.value
-                ) and test.value in (True, 1)
-                if is_true and not _yields_control(node.body):
+            if isinstance(node.func, ast.Name) and node.func.id == "open":
+                add(
+                    "blocking/sync-file-io", node.lineno,
+                    f"{origin} calls builtin open() — synchronous "
+                    f"file IO on the loop",
+                )
+                continue
+            if name is not None:
+                on_wal = name.startswith("wal.") or ".wal." in name
+                if (
+                    on_wal and name.endswith(_WAL_SUFFIXES)
+                ) or name.endswith(".checkpoint"):
                     add(
-                        "blocking/busy-loop", node.lineno,
-                        f"{origin} contains `while True:` with no "
-                        f"await/yield in the body — starves every other "
-                        f"task on the loop",
+                        "blocking/sync-fsync", node.lineno,
+                        f"{origin} calls {name}() — a WAL-chain "
+                        f"durability call that fsyncs on the loop; "
+                        f"route force points through the "
+                        f"group-commit barrier",
                     )
     return findings

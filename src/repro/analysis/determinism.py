@@ -1,4 +1,4 @@
-"""Family 3: the determinism lint over the protocol/sim/check sources.
+"""Family 1: the determinism lint over the protocol/sim/check sources.
 
 The model checker's replay (``repro check --replay``) and the byte-identity
 of parallel reports (``--jobs N`` vs ``--jobs 1``) rest on a property

@@ -1,4 +1,4 @@
-"""Family 4: handler exhaustiveness over the wire vocabulary.
+"""Family 2: handler exhaustiveness over the wire vocabulary.
 
 Every :class:`~repro.net.message.MsgType` must have a receiving side: some
 role of some registered engine must declare it in its dispatch table

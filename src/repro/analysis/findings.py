@@ -1,9 +1,9 @@
 """The finding model shared by every ``repro lint`` analyzer.
 
 A :class:`Finding` is one rule violation: a stable rule identifier
-(``family/rule-name``), a severity, a location pointer (source ``file:line``
-or a logical ``registry:action`` / ``workload:...`` path), a human message,
-and the paper anchor the rule reproduces (Theorem 2, Section 2, A1–A4, ...).
+(``family/rule-name``), a severity, a location pointer (a source
+``file:line``), a human message, and the fact the rule protects (a paper
+section, checker replay, event-loop liveness, ...).
 
 Findings are plain data — analyzers return lists of them, the runner sorts
 and renders them — so the same results drive the human output, ``--json``,
@@ -18,24 +18,22 @@ from typing import Iterable
 
 
 class Severity(enum.Enum):
-    """How a finding gates: both levels fail the lint, the label differs."""
+    """The label a finding renders with; every finding fails the lint."""
 
     ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
 class Finding:
     """One rule violation discovered statically."""
 
-    #: stable rule id, ``family/rule-name`` (e.g. ``repertoire/uncovered-write``)
+    #: stable rule id, ``family/rule-name`` (e.g. ``flow/unforced-send``)
     rule: str
     severity: Severity
-    #: ``path:line`` for source findings; ``registry:<action>`` or
-    #: ``workload:<name>/<txn>@<site>`` for declaration findings
+    #: ``path:line`` (or ``path:symbol``) of the offending source
     location: str
     message: str
-    #: where in the paper the violated fact comes from
+    #: where the violated fact comes from
     anchor: str = ""
 
     def render(self) -> str:

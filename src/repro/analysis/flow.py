@@ -1,4 +1,4 @@
-"""Family 5: protocol-flow verification (force-before-send + message flow).
+"""Family 3: protocol-flow verification (force-before-send + message flow).
 
 The paper's recovery argument rests on an ordering discipline the code
 previously enforced only by convention: a force-log point must

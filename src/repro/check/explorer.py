@@ -89,9 +89,6 @@ class CheckConfig:
     #: simulate a shared sibling stem once and ``os.fork`` per alternative
     #: (POSIX; silently falls back to re-running where unavailable)
     prefix_reuse: bool = True
-    #: cross-check the incremental conflict index against the O(n²)
-    #: pairwise SG rebuild after every run (mismatch = counterexample)
-    paranoid: bool = False
 
 
 @dataclass
@@ -204,13 +201,6 @@ class ModelChecker:
                         "queue drained",
                     ))
             violations.extend(run_oracles(system, strict=config.strict))
-        if config.paranoid:
-            from repro.sg.graph import verify_conflict_index
-
-            try:
-                verify_conflict_index(system.global_history())
-            except HistoryError as exc:
-                violations.append(Violation("paranoid", str(exc)))
         return RunOutcome(
             vector=policy.vector,
             log=tuple(policy.log),

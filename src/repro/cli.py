@@ -15,10 +15,9 @@ Commands:
   coordinator-crash drill: one deterministic table of blocking time,
   lock-hold tail, abort and compensation rates and messages per
   transaction (``--vote-timeout`` sweeps the collection timeout);
-* ``lint`` — the static compensation-soundness and determinism analyzers:
-  repertoire inverse closure, Theorem 2 write coverage, commutativity /
-  stratification preconditions, the determinism lint over the sources, and
-  dispatch exhaustiveness — zero schedules executed, exit 1 on findings;
+* ``lint`` — the static analyzers over the sources: determinism,
+  dispatch exhaustiveness, force-before-send and message flow, and
+  event-loop blocking — zero schedules executed, exit 1 on findings;
 * ``serve`` — run one site as a real daemon over TCP (the ``net``
   backend): the unmodified Participant state machine with a file-backed
   WAL that survives ``kill -9`` (see ``docs/RUNTIME.md``);
@@ -191,7 +190,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         time_budget=args.budget,
         strict=args.strict,
         jobs=args.jobs,
-        paranoid=args.paranoid,
     )
     smoke_quota = 0
     if args.smoke:
@@ -279,14 +277,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static analyzers; exit 1 when any rule fires.
 
-    Six families (see ``docs/ANALYSIS.md``): repertoire/compensation
-    soundness (inverse closure, Theorem 2 write coverage, Section 2 real
-    actions), the commutativity matrix against the A1–A4 stratification
-    preconditions, the determinism lint over ``src/repro``,
-    coordinator/participant dispatch exhaustiveness, protocol-flow
-    verification (force-before-send plus per-scheme message-flow graphs),
-    and the event-loop blocking-call analyzer over ``repro.rt``.  Nothing
-    is executed: no schedules, no simulation, no state.
+    Four families (see ``docs/ANALYSIS.md``): the determinism lint over
+    ``src/repro``, coordinator/participant dispatch exhaustiveness,
+    protocol-flow verification (force-before-send plus per-scheme
+    message-flow graphs), and the event-loop blocking-call analyzer over
+    ``repro.rt``.  Nothing is executed: no schedules, no simulation, no
+    state.
     """
     from pathlib import Path
 
@@ -485,9 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--jobs", type=int, default=1,
                        help="worker processes; report is byte-identical "
                             "to --jobs 1")
-    check.add_argument("--paranoid", action="store_true",
-                       help="cross-check the incremental conflict index "
-                            "against the O(n^2) SG rebuild on every run")
     check.add_argument("--smoke", action="store_true",
                        help="CI preset: conflict/P1, crashes, 1k-schedule "
                             "quota")
@@ -511,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static compensation-soundness + determinism analyzers",
+        help="static determinism, dispatch, flow and blocking analyzers",
     )
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report (stable key order)")

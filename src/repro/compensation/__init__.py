@@ -11,7 +11,6 @@
 """
 
 from repro.compensation.actions import (
-    ADDITIVE_ACTIONS,
     ActionRegistry,
     SemanticAction,
     standard_registry,
@@ -19,7 +18,6 @@ from repro.compensation.actions import (
 from repro.compensation.executor import CompensationExecutor
 
 __all__ = [
-    "ADDITIVE_ACTIONS",
     "ActionRegistry",
     "CompensationExecutor",
     "SemanticAction",

@@ -34,31 +34,20 @@ InverseFn = Callable[[dict[str, Any], Any], tuple[str, dict[str, Any]]]
 
 @dataclass(frozen=True)
 class SemanticAction:
-    """One entry in a site's operation repertoire.
+    """One entry in a site's operation repertoire: ``(name, apply, inverse)``.
 
-    Beyond the executable ``apply``/``inverse`` pair, an action carries
-    *declarative* metadata that the static analyzer (``repro lint``)
-    consumes without executing anything:
-
-    * ``inverse_name`` — the repertoire name the ``inverse`` constructor
-      produces.  The analyzer checks the declared name is registered, that
-      inverse chains stay inside the registry, and (when a workload
-      supplies concrete params) that the constructor really produces it.
-    * ``commutes_with`` — names of repertoire actions this action commutes
-      with on the same data item (include the action itself when it
-      self-commutes).  The analyzer takes the symmetric closure and uses
-      the matrix to warn about workloads that can violate the A1–A4
-      stratification preconditions (Section 5).
+    That the inverse constructor names a registered action, targets the
+    forward key and restores the before-value is pinned for every
+    compensatable action of :func:`standard_registry` by
+    ``tests/compensation/test_roundtrip_properties.py``;
+    :class:`~repro.txn.local_manager.LocalTransactionManager` builds each
+    inverse eagerly, while the forward operation executes.
     """
 
     name: str
     apply: ApplyFn
     #: None marks a real (non-compensatable) action
     inverse: InverseFn | None = None
-    #: declared name of the action ``inverse`` constructs (None iff real)
-    inverse_name: str | None = None
-    #: declared commutativity on the same key (symmetric closure is taken)
-    commutes_with: frozenset[str] = frozenset()
 
     @property
     def compensatable(self) -> bool:
@@ -120,14 +109,6 @@ class ActionRegistry:
         return self.known(op.name) and self.get(op.name).compensatable
 
 
-#: the standard repertoire's additive group: each of these adds or subtracts
-#: a delta, so any pair (including an action with itself) commutes on a key
-ADDITIVE_ACTIONS = frozenset({
-    "cancel", "decrement", "deposit", "dispense", "increment", "reserve",
-    "withdraw",
-})
-
-
 def standard_registry() -> ActionRegistry:
     """The built-in repertoire used by examples, tests, and workloads.
 
@@ -153,47 +134,36 @@ def standard_registry() -> ActionRegistry:
         name="deposit",
         apply=lambda current, amount: (current or 0) + amount,
         inverse=lambda params, before: ("withdraw", {"amount": params["amount"]}),
-        inverse_name="withdraw",
-        commutes_with=ADDITIVE_ACTIONS,
     ))
     registry.register(SemanticAction(
         name="withdraw",
         apply=lambda current, amount: (current or 0) - amount,
         inverse=lambda params, before: ("deposit", {"amount": params["amount"]}),
-        inverse_name="deposit",
-        commutes_with=ADDITIVE_ACTIONS,
     ))
     registry.register(SemanticAction(
         name="increment",
         apply=lambda current: (current or 0) + 1,
         inverse=lambda params, before: ("decrement", {}),
-        inverse_name="decrement",
-        commutes_with=ADDITIVE_ACTIONS,
     ))
     registry.register(SemanticAction(
         name="decrement",
         apply=lambda current: (current or 0) - 1,
         inverse=lambda params, before: ("increment", {}),
-        inverse_name="increment",
-        commutes_with=ADDITIVE_ACTIONS,
     ))
     registry.register(SemanticAction(
         name="insert",
         apply=lambda current, value: value,
         inverse=lambda params, before: ("delete", {}),
-        inverse_name="delete",
     ))
     registry.register(SemanticAction(
         name="delete",
         apply=lambda current: None,
         inverse=lambda params, before: ("insert", {"value": before}),
-        inverse_name="insert",
     ))
     registry.register(SemanticAction(
         name="set",
         apply=lambda current, value: value,
         inverse=lambda params, before: ("set", {"value": before}),
-        inverse_name="set",
     ))
     registry.register(SemanticAction(
         name="reserve",
@@ -201,8 +171,6 @@ def standard_registry() -> ActionRegistry:
         inverse=lambda params, before: (
             "cancel", {"count": params.get("count", 1)}
         ),
-        inverse_name="cancel",
-        commutes_with=ADDITIVE_ACTIONS,
     ))
     registry.register(SemanticAction(
         name="cancel",
@@ -210,13 +178,10 @@ def standard_registry() -> ActionRegistry:
         inverse=lambda params, before: (
             "reserve", {"count": params.get("count", 1)}
         ),
-        inverse_name="reserve",
-        commutes_with=ADDITIVE_ACTIONS,
     ))
     registry.register(SemanticAction(
         name="dispense",
         apply=lambda current, amount: (current or 0) - amount,
         inverse=None,  # cash left the machine: a real action
-        commutes_with=ADDITIVE_ACTIONS,
     ))
     return registry

@@ -20,13 +20,7 @@ from repro.sg.atomicity import check_atomicity_of_compensation
 from repro.sg.conflicts import OpKind, Operation, conflicts
 from repro.sg.cycles import find_regular_cycle, is_correct
 from repro.sg.explain import explain_cycle, render_explanation
-from repro.sg.graph import (
-    SG,
-    GlobalSG,
-    TxnKind,
-    classify,
-    verify_conflict_index,
-)
+from repro.sg.graph import SG, GlobalSG, TxnKind, classify
 from repro.sg.history import GlobalHistory, SiteHistory
 from repro.sg.index import ConflictIndex
 from repro.sg.order import is_serializable, serialization_order
@@ -80,5 +74,4 @@ __all__ = [
     "predicate_a4",
     "stratification_s1",
     "stratification_s2",
-    "verify_conflict_index",
 ]

@@ -19,8 +19,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro import ids
-from repro.errors import HistoryError
-from repro.sg.conflicts import conflicts
 from repro.sg.history import GlobalHistory, SiteHistory
 
 
@@ -73,34 +71,9 @@ class SG:
         restoring writes.
 
         The edge set is read from the history's incremental
-        :class:`~repro.sg.index.ConflictIndex` — O(edges) instead of the
-        O(n²) pairwise rescan, which survives as
-        :meth:`from_history_scan` for the ``--paranoid`` cross-check.
-        """
-        from repro.core.marks import MARKS_KEY
-
-        sg = cls(site_id=history.site_id)
-        included = cls._included_nodes(history)
-        for txn_id in included:
-            sg.add_node(txn_id)
-        # Marking-set accesses are protocol bookkeeping, not data (see
-        # from_history_scan): edges induced only by MARKS_KEY are skipped.
-        for (src, dst), keys in history.index.edges():
-            if (
-                src in included
-                and dst in included
-                and any(key != MARKS_KEY for key in keys)
-            ):
-                sg.add_edge(src, dst)
-        return sg
-
-    @classmethod
-    def from_history_scan(cls, history: SiteHistory) -> "SG":
-        """Reference builder: the original O(n²) pairwise conflict scan.
-
-        Kept as the oracle for :func:`verify_conflict_index` (the checker's
-        ``--paranoid`` flag) and the property tests; produces the same graph
-        as :meth:`from_history` by construction.
+        :class:`~repro.sg.index.ConflictIndex` — O(edges) instead of an
+        O(n²) pairwise rescan, which survives only as the test-side
+        reference in ``tests/sg/scan_reference.py``.
         """
         from repro.core.marks import MARKS_KEY
 
@@ -114,15 +87,14 @@ class SG:
         # paper's Section 6.2 remark shows to be deadlock-prone and which
         # the practical compromise abandons).  Recorded without that
         # discipline they inject non-2PL-consistent edges and fabricate
-        # cycles, so the serialization graph is built over data items only.
-        ops = [
-            op for op in history.ops
-            if op.txn_id in included and op.key != MARKS_KEY
-        ]
-        for i, earlier in enumerate(ops):
-            for later in ops[i + 1:]:
-                if conflicts(earlier, later):
-                    sg.add_edge(earlier.txn_id, later.txn_id)
+        # cycles, so edges induced only by MARKS_KEY are skipped.
+        for (src, dst), keys in history.index.edges():
+            if (
+                src in included
+                and dst in included
+                and any(key != MARKS_KEY for key in keys)
+            ):
+                sg.add_edge(src, dst)
         return sg
 
     @staticmethod
@@ -254,16 +226,6 @@ class GlobalSG:
             }
         )
 
-    @classmethod
-    def from_history_scan(cls, history: GlobalHistory) -> "GlobalSG":
-        """Reference builder over the pairwise scan (see ``SG.from_history_scan``)."""
-        return cls(
-            locals={
-                site_id: SG.from_history_scan(site_history)
-                for site_id, site_history in history.sites.items()
-            }
-        )
-
     def site(self, site_id: str) -> SG:
         """Get or create the local SG of ``site_id`` (for direct building)."""
         if site_id not in self.locals:
@@ -300,22 +262,3 @@ class GlobalSG:
     def __repr__(self) -> str:
         return f"<GlobalSG sites={sorted(self.locals)}>"
 
-
-def verify_conflict_index(history: GlobalHistory) -> None:
-    """Cross-check the incremental index against the pairwise scan.
-
-    Raises :class:`~repro.errors.HistoryError` when the index-backed SG of
-    any site differs from the O(n²) rebuild.  This is the ``repro check
-    --paranoid`` oracle: it converts a hypothetical index-maintenance bug
-    into a loud, replayable counterexample instead of a silently wrong
-    serialization graph.
-    """
-    for site_id, site_history in sorted(history.sites.items()):
-        fast = SG.from_history(site_history)
-        slow = SG.from_history_scan(site_history)
-        if fast.nodes != slow.nodes or fast.edges() != slow.edges():
-            raise HistoryError(
-                f"conflict index diverged from pairwise scan at {site_id}: "
-                f"index nodes={sorted(fast.nodes)} edges={fast.edges()} vs "
-                f"scan nodes={sorted(slow.nodes)} edges={slow.edges()}"
-            )

@@ -1,8 +1,8 @@
 """Incremental per-key conflict index over one site's history.
 
-The pairwise scan in :meth:`repro.sg.graph.SG.from_history_scan` costs
-O(n²) conflict tests per build and is re-run for every oracle invocation —
-once per explored schedule in the model checker.  The index maintains the
+A pairwise scan of a site history costs O(n²) conflict tests per build,
+and an SG is built for every oracle invocation — once per explored
+schedule in the model checker.  The index maintains the
 same information *as operations are recorded*: for every key it keeps the
 set of transactions that accessed it (and the subset that wrote it), and
 materializes a conflict edge the moment a later operation conflicts with an
@@ -11,9 +11,10 @@ amortized constant for the checker's workloads — and building an SG becomes
 a filter over the already-known edge set instead of a quadratic rescan.
 
 Semantics match the pairwise scan *exactly* (including transitive edges
-``w1→w2→w3`` plus ``w1→w3``): the property test in
-``tests/sg/test_index.py`` asserts index == rebuild on random histories,
-and ``repro check --paranoid`` cross-checks every explored schedule.
+``w1→w2→w3`` plus ``w1→w3``): ``tests/sg/scan_reference.py`` keeps the
+scan, the property test in ``tests/sg/test_index.py`` asserts index ==
+rebuild on random histories, and ``tests/check/test_parallel.py`` does
+the same on the histories of explored checker schedules.
 
 Edges are stored with the set of keys that induced them so the SG view can
 exclude bookkeeping keys (the marking directory's ``MARKS_KEY``) without

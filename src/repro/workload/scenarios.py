@@ -27,9 +27,10 @@ def standard_scenarios(
     """Every declarative domain workload, keyed by name.
 
     The default builds of the three scenario families against a canonical
-    three-site system — the input set ``repro lint`` analyzes statically
-    (repertoire soundness, Theorem 2 write coverage, commutativity), and a
-    convenient way to iterate all of them in tests and experiments.
+    three-site system — a convenient way to iterate all of them in tests
+    and experiments.  ``tests/workload/test_generator.py`` pins that every
+    operation outside a lock-holding (``real_action``) subtransaction has
+    a registered inverse (Sections 2 and 3.2).
     """
     sites = site_ids if site_ids is not None else ["S1", "S2", "S3"]
     return {

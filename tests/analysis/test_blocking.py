@@ -1,4 +1,4 @@
-"""Family 6: the event-loop blocking-call analyzer
+"""Family 4: the event-loop blocking-call analyzer
 (``repro.analysis.blocking``).
 
 Most cases run against tiny synthetic ``rt/`` trees: the analyzer is
@@ -229,25 +229,6 @@ class TestCallbacksAreSeeds:
             "class B:\n"
             "    def close(self):\n"
             "        pass\n"
-        )
-        assert analyze_rt_blocking(root) == []
-
-
-class TestBusyLoop:
-    def test_spin_without_yield(self, rt):
-        root = rt(
-            "async def spin():\n"
-            "    while True:\n"
-            "        pass\n"
-        )
-        assert rules(analyze_rt_blocking(root)) == ["blocking/busy-loop"]
-
-    def test_awaiting_loop_is_fine(self, rt):
-        root = rt(
-            "import asyncio\n"
-            "async def serve():\n"
-            "    while True:\n"
-            "        await asyncio.sleep(0)\n"
         )
         assert analyze_rt_blocking(root) == []
 

@@ -1,4 +1,4 @@
-"""Family 3: the determinism lint (AST pass, no execution)."""
+"""Family 1: the determinism lint (AST pass, no execution)."""
 
 import textwrap
 

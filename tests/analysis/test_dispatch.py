@@ -1,4 +1,4 @@
-"""Family 4: handler exhaustiveness over the MsgType vocabulary."""
+"""Family 2: handler exhaustiveness over the MsgType vocabulary."""
 
 import shutil
 

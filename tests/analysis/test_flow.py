@@ -1,4 +1,4 @@
-"""Family 5: force-before-send, the runtime durability gate, and
+"""Family 3: force-before-send, the runtime durability gate, and
 force-point drift (``repro.analysis.flow``, part 1).
 
 Every mutation test copies the installed package tree, breaks ONE force

@@ -1,4 +1,4 @@
-"""Family 5, part 2: the per-scheme message-flow graph
+"""Family 3, part 2: the per-scheme message-flow graph
 (``repro.analysis.flow``: ``build_flow_graphs`` and the msgflow rules).
 """
 

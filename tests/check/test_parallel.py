@@ -15,6 +15,7 @@ import pytest
 from repro.check import parallel
 from repro.check.explorer import CheckConfig, CheckReport, ModelChecker
 from repro.check.parallel import ParallelRunner, plan_groups
+from tests.sg.scan_reference import verify_conflict_index
 
 
 def _fingerprint(report: CheckReport):
@@ -88,12 +89,26 @@ class TestPrefixReuse:
         assert _fingerprint(forked) == _fingerprint(rerun)
 
 
-class TestParanoid:
-    def test_paranoid_smoke_is_clean(self):
-        report = _run(CLEAN, max_schedules=30, paranoid=True)
-        assert report.ok, [
-            str(v) for ce in report.counterexamples for v in ce.violations
-        ]
+class TestScanParity:
+    def test_index_matches_scan_on_clean_schedules(self):
+        """The conflict index behind ``SG.from_history`` agrees with the
+        pairwise-scan reference on every explored schedule's history."""
+        checked = []
+
+        class ScanParity(ModelChecker):
+            def execute(self, policy):
+                outcome = super().execute(policy)
+                verify_conflict_index(outcome.system.global_history())
+                checked.append(outcome.vector)
+                return outcome
+
+        # in-process and unforked, so every run passes through execute here
+        config = dataclasses.replace(
+            CLEAN, max_schedules=30, prefix_reuse=False,
+        )
+        report = ScanParity(config).run()
+        assert report.ok
+        assert report.explored == len(checked) == 30
 
 
 class TestPlanGroups:

@@ -1,7 +1,7 @@
 """The incremental ConflictIndex agrees with the pairwise scan — always.
 
-``SG.from_history`` is now a view over :class:`repro.sg.index.ConflictIndex`;
-``SG.from_history_scan`` keeps the original O(n²) rebuild as the oracle.
+``SG.from_history`` is a view over :class:`repro.sg.index.ConflictIndex`;
+``tests/sg/scan_reference.py`` keeps the original O(n²) rebuild as the oracle.
 The property test here drives random histories (including aborts, commits,
 and expunges) through both builders and demands identical graphs; the unit
 tests pin the individual invariants the view relies on.
@@ -11,15 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.marks import MARKS_KEY
 from repro.errors import HistoryError
-from repro.sg import (
-    SG,
-    ConflictIndex,
-    GlobalHistory,
-    GlobalSG,
-    SiteHistory,
+from repro.sg import SG, ConflictIndex, GlobalHistory, GlobalSG, SiteHistory
+from repro.sg.conflicts import OpKind, Operation
+from tests.sg.scan_reference import (
+    global_sg_from_scan,
+    sg_from_scan,
     verify_conflict_index,
 )
-from repro.sg.conflicts import OpKind, Operation
 
 
 TXNS = ["T1", "T2", "CT1", "L1", "L2"]
@@ -74,7 +72,7 @@ def random_history(draw):
 @given(random_history())
 def test_index_view_matches_pairwise_scan(history):
     fast = GlobalSG.from_history(history)
-    slow = GlobalSG.from_history_scan(history)
+    slow = global_sg_from_scan(history)
     assert fast.nodes == slow.nodes
     assert fast.union_edges() == slow.union_edges()
     for site_id, sg in fast.locals.items():
@@ -117,7 +115,7 @@ class TestConflictIndex:
         h.commit("T2")
         assert len(h.index) == 1  # the edge exists in the index ...
         assert SG.from_history(h).edges() == []  # ... but not in the SG
-        assert SG.from_history_scan(h).edges() == []
+        assert sg_from_scan(h).edges() == []
 
     def test_forget_removes_incident_edges_only(self):
         index = ConflictIndex()
@@ -150,7 +148,7 @@ class TestExpungeConsistency:
         h.abort("L1")
         h.expunge("L1")
         assert {pair for pair, _ in h.index.edges()} == set()
-        assert SG.from_history(h).edges() == SG.from_history_scan(h).edges()
+        assert SG.from_history(h).edges() == sg_from_scan(h).edges()
 
     def test_expunge_does_not_reuse_seq(self):
         """Regression: seq must stay monotonic across expunges.

@@ -137,6 +137,7 @@ class TestSharedParents:
         ["report"],
         ["compare", "--baseline", "x"],
         ["compare", "--update-baseline"],
+        ["check", "--paranoid"],
     ])
     def test_removed_verb_and_option_are_parser_errors(self, argv):
         # The backend is fixed per verb, performance is measured by

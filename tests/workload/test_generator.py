@@ -179,3 +179,24 @@ class TestScenarios:
         system.env.run()
         assert system.outcomes
         system.check_correctness()
+
+    def test_optimistic_subtransactions_are_compensatable(self):
+        """Paper §2: a real action belongs only in a lock-holding
+        (``real_action``) subtransaction; every other operation of the
+        shipped scenarios needs a registered inverse (§3.2)."""
+        from repro.compensation import standard_registry
+        from repro.workload import standard_scenarios
+
+        registry = standard_registry()
+        optimistic = [
+            op
+            for specs in standard_scenarios().values()
+            for spec in specs
+            for sub in spec.subtxns
+            if not sub.real_action
+            for op in sub.ops
+        ]
+        assert len(optimistic) > 60
+        assert [
+            op for op in optimistic if not registry.is_compensatable(op)
+        ] == []

@@ -24,6 +24,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
+#: the first line of ``RealtimePump.wait_for`` after its loop lookup
+_WAIT_FOR = "        future: asyncio.Future[Any] = loop.create_future()\n"
+
 
 @dataclass(frozen=True)
 class Mutation:
@@ -38,27 +41,39 @@ class Mutation:
 
 MUTATIONS = [
     Mutation(
-        name="delete-deposit-inverse",
-        paths=("repro/compensation/actions.py",),
-        replacements=(
-            (
-                'inverse=lambda params, before: '
-                '("withdraw", {"amount": params["amount"]}),',
-                "inverse=None,",
-            ),
-            ('inverse_name="withdraw",', "inverse_name=None,"),
-        ),
-        append="",
-        # deposit silently becomes a real action: every workload deposit in
-        # a non-lock-holding subtransaction loses its counter-task
-        expect_rule="repertoire/real-action-unlocked",
-    ),
-    Mutation(
         name="inject-wall-clock",
         paths=("repro/commit/base.py",),
         replacements=(),
         append="\nimport time\n_LINT_CANARY = time.time()\n",
         expect_rule="determinism/wall-clock",
+    ),
+    Mutation(
+        name="inject-unseeded-random",
+        # the process-global generator: a replayed schedule draws
+        # different numbers than the run that found it
+        paths=("repro/commit/base.py",),
+        replacements=(),
+        append="\nimport random\n_LINT_CANARY = random.random()\n",
+        expect_rule="determinism/unseeded-random",
+    ),
+    Mutation(
+        name="inject-os-entropy",
+        paths=("repro/commit/base.py",),
+        replacements=(),
+        append="\nimport os\n_LINT_CANARY = os.urandom(8)\n",
+        expect_rule="determinism/entropy",
+    ),
+    Mutation(
+        name="inject-set-iteration",
+        # string hashing is salted per process, so two --jobs workers
+        # walk this set in different orders
+        paths=("repro/commit/base.py",),
+        replacements=(),
+        append=(
+            "\n_LINT_CANARY = "
+            "[name for name in set(CommitScheme.__members__)]\n"
+        ),
+        expect_rule="determinism/set-iteration",
     ),
     Mutation(
         name="drop-decision-handler",
@@ -126,6 +141,40 @@ MUTATIONS = [
         ),
         append="",
         expect_rule="blocking/sync-fsync",
+    ),
+    Mutation(
+        name="inject-sync-sleep",
+        # this and the next two block inside RealtimePump.wait_for, the
+        # coroutine a caller awaits its transaction in: the call succeeds,
+        # and every connection on the loop waits for it
+        paths=("repro/rt/pump.py",),
+        replacements=(
+            ("from __future__ import annotations",
+             "from __future__ import annotations\nimport time"),
+            (_WAIT_FOR, "        time.sleep(0.001)\n" + _WAIT_FOR),
+        ),
+        append="",
+        expect_rule="blocking/sync-sleep",
+    ),
+    Mutation(
+        name="inject-sync-file-io",
+        paths=("repro/rt/pump.py",),
+        replacements=((
+            _WAIT_FOR, '        open("/dev/null").close()\n' + _WAIT_FOR,
+        ),),
+        append="",
+        expect_rule="blocking/sync-file-io",
+    ),
+    Mutation(
+        name="inject-subprocess",
+        paths=("repro/rt/pump.py",),
+        replacements=(
+            ("from __future__ import annotations",
+             "from __future__ import annotations\nimport subprocess"),
+            (_WAIT_FOR, '        subprocess.run(["true"])\n' + _WAIT_FOR),
+        ),
+        append="",
+        expect_rule="blocking/subprocess",
     ),
     Mutation(
         name="drop-client-durability-gate",
