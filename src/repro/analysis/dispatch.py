@@ -14,22 +14,16 @@ dispatch loops, which is exactly how a protocol extension (say, a
 termination-protocol inquiry round) rots: the sender compiles, the
 receiver ignores, and only a timeout-shaped symptom remains.
 
-Rules:
+Rule:
 
 ``dispatch/missing-handler``
     An enum member no role of any registered engine receives.
 
-``dispatch/unknown-msg-type``
-    A dispatch declaration references an enum member that does not exist.
-
-``dispatch/duplicate-handler``
-    The same member appears twice in one declaration.
-
-``dispatch/missing-engine``
-    A :class:`~repro.commit.base.CommitScheme` member has no engine
-    registered in :mod:`repro.protocols` — a scheme added to the enum but
-    not to the registry would pass configuration validation and then crash
-    (or worse, silently fall back) at system construction.
+A declaration naming a member the enum lacks fails at import
+(``AttributeError``) before any rule runs; a member bound twice keeps only
+its last handler, which the commit tests catch at once; and a scheme with
+no registered engine is ``tests/protocols/test_registry.py``'s subject —
+none of them needs a rule.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from pathlib import Path
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.source import parse_module
-from repro.commit.base import CommitScheme
 from repro.errors import AnalysisError
 from repro.protocols import ENGINES
 
@@ -168,49 +161,18 @@ def receive_surface(
 def analyze_dispatch(root: Path) -> list[Finding]:
     """Exhaustiveness of every registered engine's receive surfaces.
 
-    Each role's surface is checked once for unknown members and
-    duplicates, however many schemes share it; the receivable set is
-    their union.
+    Each role chain is read once, however many schemes share it; the
+    receivable set is the union of their surfaces.
     """
     message_path = root / "net" / "message.py"
-    members = enum_members(message_path)
-    member_names = {name for name, _ in members}
-    surfaces = dict(
-        receive_surface(root, chain)
-        for roles in scheme_roles().values()
-        for chain in roles.values()
-    )
-
-    findings: list[Finding] = []
-    for (rel, _class_name), declared in sorted(surfaces.items()):
-        seen: set[str] = set()
-        for name, lineno in declared:
-            location = f"{rel}:{lineno}"
-            if name not in member_names:
-                findings.append(Finding(
-                    rule="dispatch/unknown-msg-type",
-                    severity=Severity.ERROR,
-                    location=location,
-                    message=(
-                        f"declaration references MsgType.{name}, which is "
-                        f"not an enum member"
-                    ),
-                    anchor=_ANCHOR,
-                ))
-            if name in seen:
-                findings.append(Finding(
-                    rule="dispatch/duplicate-handler",
-                    severity=Severity.ERROR,
-                    location=location,
-                    message=f"MsgType.{name} is declared twice",
-                    anchor=_ANCHOR,
-                ))
-            seen.add(name)
-
+    chains = sorted({
+        chain for roles in scheme_roles().values() for chain in roles.values()
+    })
     receivable = {
-        name for declared in surfaces.values() for name, _ in declared
+        name for chain in chains for name, _ in receive_surface(root, chain)[1]
     }
-    for name, lineno in members:
+    findings: list[Finding] = []
+    for name, lineno in enum_members(message_path):
         if name not in receivable:
             findings.append(Finding(
                 rule="dispatch/missing-handler",
@@ -220,30 +182,6 @@ def analyze_dispatch(root: Path) -> list[Finding]:
                     f"MsgType.{name} has no participant handler and no "
                     f"coordinator collect — a message of this type would "
                     f"be silently dropped"
-                ),
-                anchor=_ANCHOR,
-            ))
-    return findings
-
-
-def analyze_engines() -> list[Finding]:
-    """Every :class:`CommitScheme` member has a registered engine.
-
-    The registry *is* runtime state (populated by module import), and
-    importing it is exactly what the harness does — so a member missing
-    here is a member the harness cannot construct.
-    """
-    findings: list[Finding] = []
-    for scheme in CommitScheme:
-        if scheme not in ENGINES:
-            findings.append(Finding(
-                rule="dispatch/missing-engine",
-                severity=Severity.ERROR,
-                location=f"base.py:CommitScheme.{scheme.name}",
-                message=(
-                    f"CommitScheme.{scheme.name} has no engine registered "
-                    f"in repro.protocols — the harness cannot construct a "
-                    f"system for it"
                 ),
                 anchor=_ANCHOR,
             ))

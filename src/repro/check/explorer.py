@@ -18,12 +18,12 @@ vector (trailing default choices stripped), every oracle verdict, and the
 run's JSONL event trace; :func:`replay` re-executes it byte-for-byte.
 
 Both search modes drain the frontier in fixed-size *waves* handed to a
-runner (:mod:`repro.check.parallel`): wave composition, result order, and
+:class:`~repro.check.parallel.Runner`: wave composition, result order, and
 budget checks are independent of how a wave is executed, so ``jobs=N``
 reports are byte-identical to ``jobs=1`` (modulo ``elapsed``) — parallelism
-and prefix reuse change wall-clock time only.  The one caveat is
-``time_budget``: a wall-clock cutoff lands on whatever wave boundary the
-host reaches in time, on any job count.
+changes wall-clock time only.  The one caveat is ``time_budget``: a
+wall-clock cutoff lands on whatever wave boundary the host reaches in time,
+on any job count.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Sequence
 
 from repro.check.crashes import CrashInjector
 from repro.check.oracles import Violation, run_oracles
-from repro.check.parallel import WAVE_SIZE, RunRecord, make_runner
+from repro.check.parallel import WAVE_SIZE, RunRecord, Runner
 from repro.check.scheduler import (
     Choice,
     ChoicePolicy,
@@ -86,9 +86,6 @@ class CheckConfig:
     #: worker processes; > 1 shards waves over a multiprocessing pool with
     #: a report byte-identical to ``jobs=1``
     jobs: int = 1
-    #: simulate a shared sibling stem once and ``os.fork`` per alternative
-    #: (POSIX; silently falls back to re-running where unavailable)
-    prefix_reuse: bool = True
 
 
 @dataclass
@@ -215,7 +212,7 @@ class ModelChecker:
         # Wall-budget accounting only: elapsed time never influences which
         # schedules are explored, just when the search stops.
         started = time.monotonic()  # lint: allow-nondeterminism
-        runner = make_runner(self)
+        runner = Runner(self)
         try:
             if self.config.bounded > 0:
                 report = self._run_bounded(started, runner)

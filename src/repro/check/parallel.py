@@ -1,35 +1,21 @@
-"""Run execution for the explorer: serial, multiprocessing, prefix-forking.
+"""Run execution for the explorer: one path, in-process or on a pool.
 
-The explorer (see :mod:`repro.check.explorer`) asks a *runner* to execute
-waves of work — choice-vector prefixes in DFS mode, walk indices in bounded
-mode — and gets back picklable :class:`RunRecord` results in submission
-order.  Because wave composition and result processing are independent of
-how the wave was executed, ``--jobs N`` produces a byte-identical report to
+The explorer (see :mod:`repro.check.explorer`) asks a :class:`Runner` to
+execute waves of work — choice-vector prefixes in DFS mode, walk indices in
+bounded mode — and gets back picklable :class:`RunRecord` results in
+submission order.  Every vector runs from scratch through :func:`run_one`
+and every walk through :func:`run_walk`: with ``jobs == 1`` the runner
+calls them in-process, with ``jobs > 1`` it maps them over a
+``multiprocessing`` pool whose workers each rebuild their own
+``ModelChecker`` from the :class:`~repro.check.explorer.CheckConfig`.
+Because wave composition and result processing are independent of how the
+wave was executed, ``--jobs N`` produces a byte-identical report to
 ``--jobs 1``: parallelism changes wall-clock time only.
-
-Two speedups live here:
-
-* :class:`ParallelRunner` fans a wave out over a ``multiprocessing`` pool
-  (fork start method where available).  Workers are initialized once with
-  the :class:`~repro.check.explorer.CheckConfig` and rebuild their own
-  ``ModelChecker``; tasks and results are small primitive tuples.
-* Prefix reuse: sibling vectors (same stem, different last choice) would
-  each re-simulate the identical stem from scratch.  On POSIX the stem is
-  simulated *once*; at the first free choice the process ``os.fork()``\\ s
-  one child per sibling, each continuing from the shared in-memory state
-  with its own alternative.  Simulation state (generators, lambdas) is not
-  picklable, so ``fork`` is the only zero-copy snapshot the platform
-  offers — children return their (picklable) records over pipes and exit
-  with ``os._exit``, never touching the parent's runtime.  Where ``fork``
-  is unavailable the runner transparently falls back to re-running each
-  sibling, with identical results.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -43,35 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: runs per wave.  Fixed (never derived from ``--jobs``) so the frontier
 #: evolves identically for every job count — the determinism contract.
 WAVE_SIZE = 64
-
-#: fork only when the shared stem is at least this long
-FORK_MIN_STEM = 2
-#: ... and a run costs at least this much wall time.  fork + pipe + pickle
-#: costs on the order of a millisecond; re-simulating the stem of a cheap
-#: run is faster than snapshotting it, so tiny scenarios (the smoke
-#: workload's ~1 ms runs) skip forking entirely.  The gate is timing-based
-#: but only ever changes *how* a sibling is executed, never its record.
-FORK_MIN_RUN_SECONDS = 0.005
-
-_FORK_AVAILABLE = hasattr(os, "fork")
-
-
-class _CostTracker:
-    """Mean wall-clock cost of from-scratch runs (drives the fork gate)."""
-
-    __slots__ = ("total", "count")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-
-    def add(self, seconds: float) -> None:
-        self.total += seconds
-        self.count += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
 
 @dataclass(frozen=True)
@@ -103,20 +60,9 @@ def _to_record(prefix: Sequence[int], outcome) -> RunRecord:
     )
 
 
-# -- single-run primitives ----------------------------------------------------
-
-
-def run_one(
-    checker: "ModelChecker",
-    vector: tuple[int, ...],
-    tracker: _CostTracker | None = None,
-) -> RunRecord:
+def run_one(checker: "ModelChecker", vector: tuple[int, ...]) -> RunRecord:
     """Execute one schedule from scratch."""
-    started = time.perf_counter()
-    outcome = checker.execute(ChoicePolicy(vector))
-    if tracker is not None:
-        tracker.add(time.perf_counter() - started)
-    return _to_record(vector, outcome)
+    return _to_record(vector, checker.execute(ChoicePolicy(vector)))
 
 
 def run_walk(checker: "ModelChecker", walk: int) -> RunRecord:
@@ -129,248 +75,70 @@ def run_walk(checker: "ModelChecker", walk: int) -> RunRecord:
     return _to_record((), checker.execute(RandomPolicy(rng)))
 
 
-# -- sibling groups and prefix reuse ------------------------------------------
-
-
-def plan_groups(
-    wave: Sequence[tuple[int, ...]],
-) -> list[tuple[tuple[int, ...], list[int]]]:
-    """Group consecutive sibling vectors by shared stem (``vector[:-1]``).
-
-    Returns ``(stem, alts)`` pairs whose flattened order reproduces the
-    wave order exactly.  ``alts`` is empty only for the root vector ``()``,
-    which has no final choice to vary.
-    """
-    groups: list[tuple[tuple[int, ...], list[int]]] = []
-    for vector in wave:
-        if not vector:
-            groups.append(((), []))
-            continue
-        stem, alt = vector[:-1], vector[-1]
-        if groups and groups[-1][1] and groups[-1][0] == stem:
-            groups[-1][1].append(alt)
-        else:
-            groups.append((stem, [alt]))
-    return groups
-
-
-def run_group(
-    checker: "ModelChecker",
-    stem: tuple[int, ...],
-    alts: list[int],
-    tracker: _CostTracker | None = None,
-) -> list[RunRecord]:
-    """Execute one sibling group, reusing the shared stem when profitable.
-
-    The fork path and the re-run path produce identical records (state at
-    the fork point is a pure function of the stem), so the gate is free to
-    decide on cost alone.
-    """
-    if not alts:
-        return [run_one(checker, stem, tracker)]
-    if (
-        len(alts) >= 2
-        and checker.config.prefix_reuse
-        and _FORK_AVAILABLE
-        and len(stem) >= FORK_MIN_STEM
-        and tracker is not None
-        and tracker.mean >= FORK_MIN_RUN_SECONDS
-    ):
-        return _run_group_forked(checker, stem, alts)
-    return [run_one(checker, stem + (alt,), tracker) for alt in alts]
-
-
-class _ForkPoint(Exception):
-    """Unwinds the parent's run once every sibling child is forked."""
-
-
-class _ForkingPolicy(ChoicePolicy):
-    """Replays the stem, then forks one child per sibling alternative.
-
-    The parent never simulates past the fork point (it raises
-    :class:`_ForkPoint`); each child takes its own alternative and runs to
-    completion from the shared snapshot.  A child's choice log is identical
-    to a from-scratch ``ChoicePolicy(stem + (alt,))`` run by determinism:
-    state at the fork point is a pure function of the stem.
-    """
-
-    def __init__(self, stem: tuple[int, ...], alts: list[int]) -> None:
-        super().__init__(stem)
-        self.stem = tuple(stem)
-        self.alts = alts
-        self.pipes: list[tuple[int, int]] = []
-        self.pids: list[int] = []
-        self.child_alt: int | None = None
-        self.child_wfd: int | None = None
-        self._forked = False
-
-    def _pick_free(
-        self, kind: str, labels: Sequence[str], branch: Sequence[int]
-    ) -> int:
-        if self._forked or len(self.log) != len(self.stem):
-            return 0
-        self._forked = True
-        for alt in self.alts:
-            rfd, wfd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # Child: drop every inherited pipe end except our write
-                # end, then continue the simulation with our alternative.
-                os.close(rfd)
-                for other_rfd, other_wfd in self.pipes:
-                    os.close(other_rfd)
-                    os.close(other_wfd)
-                self.child_alt = alt
-                self.child_wfd = wfd
-                return alt
-            self.pipes.append((rfd, wfd))
-            self.pids.append(pid)
-        raise _ForkPoint()
-
-
-def _run_group_forked(
-    checker: "ModelChecker", stem: tuple[int, ...], alts: list[int]
-) -> list[RunRecord]:
-    policy = _ForkingPolicy(stem, alts)
-    outcome = None
-    try:
-        outcome = checker.execute(policy)
-    except _ForkPoint:
-        pass
-    if policy.child_wfd is not None:
-        # Forked child: ship the record over our pipe and vanish without
-        # running any parent cleanup (atexit, buffers, pytest hooks).
-        try:
-            payload = pickle.dumps(_to_record(
-                stem + (policy.child_alt,), outcome
-            ))
-            view = memoryview(payload)
-            while view:
-                written = os.write(policy.child_wfd, view)
-                view = view[written:]
-            os.close(policy.child_wfd)
-        finally:
-            os._exit(0)
-    if not policy.pids:
-        # The run ended before reaching a free choice (cannot happen for
-        # vectors derived from a recorded log, but fail safe): the siblings
-        # are re-run from scratch, which is always equivalent.
-        return [run_one(checker, stem + (alt,)) for alt in alts]
-    records: list[RunRecord] = []
-    for (rfd, wfd), pid, alt in zip(policy.pipes, policy.pids, alts):
-        os.close(wfd)
-        chunks = []
-        while True:
-            chunk = os.read(rfd, 65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-        os.close(rfd)
-        os.waitpid(pid, 0)
-        if not chunks:
-            raise RuntimeError(
-                f"prefix-fork child for vector {stem + (alt,)} exited "
-                "without returning a record"
-            )
-        records.append(pickle.loads(b"".join(chunks)))
-    return records
-
-
-# -- runners -------------------------------------------------------------------
-
-
-class SerialRunner:
-    """Executes waves in-process (``--jobs 1``), with prefix reuse."""
-
-    def __init__(self, checker: "ModelChecker") -> None:
-        self.checker = checker
-        self.tracker = _CostTracker()
-
-    def run_vectors(
-        self, wave: Sequence[tuple[int, ...]]
-    ) -> list[RunRecord]:
-        records: list[RunRecord] = []
-        for stem, alts in plan_groups(wave):
-            records.extend(
-                run_group(self.checker, stem, alts, self.tracker)
-            )
-        return records
-
-    def run_walks(self, walks: Sequence[int]) -> list[RunRecord]:
-        return [run_walk(self.checker, walk) for walk in walks]
-
-    def close(self) -> None:
-        pass
-
-
 # Per-worker state, built once by the pool initializer: config travels to
 # the worker a single time instead of once per task.
 _WORKER_CHECKER: "ModelChecker | None" = None
-_WORKER_TRACKER: _CostTracker | None = None
 
 
 def _init_worker(config) -> None:
-    global _WORKER_CHECKER, _WORKER_TRACKER
+    global _WORKER_CHECKER
     from repro.check.explorer import ModelChecker
 
     _WORKER_CHECKER = ModelChecker(config)
-    _WORKER_TRACKER = _CostTracker()
 
 
-def _worker_group(
-    group: tuple[tuple[int, ...], list[int]]
-) -> list[RunRecord]:
-    stem, alts = group
-    return run_group(_WORKER_CHECKER, stem, alts, _WORKER_TRACKER)
+def _worker_vector(vector: tuple[int, ...]) -> RunRecord:
+    return run_one(_WORKER_CHECKER, vector)
 
 
 def _worker_walk(walk: int) -> RunRecord:
     return run_walk(_WORKER_CHECKER, walk)
 
 
-class ParallelRunner:
-    """Executes waves on a ``multiprocessing`` pool (``--jobs N``).
+class Runner:
+    """Executes waves in-process (``jobs == 1``) or on a pool (``jobs > 1``).
 
-    Sibling groups are the unit of distribution, so prefix reuse still
-    applies within each worker.  ``pool.map`` preserves task order, which
-    is all the determinism contract needs — the explorer does the rest by
-    keeping wave composition independent of the job count.
+    ``pool.map`` preserves task order, which is all the determinism
+    contract needs — the explorer does the rest by keeping wave
+    composition independent of the job count.
     """
 
-    def __init__(self, config, jobs: int) -> None:
-        import multiprocessing
+    def __init__(self, checker: "ModelChecker") -> None:
+        self.checker = checker
+        self.pool = None
+        config = checker.config
+        if config.jobs > 1:
+            import multiprocessing
 
-        try:
-            pickle.dumps(config)
-        except Exception as exc:
-            raise ValueError(
-                "--jobs > 1 requires a picklable CheckConfig (named "
-                f"scenario/protocol, no closures): {exc}"
-            ) from exc
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        self.pool = context.Pool(
-            processes=jobs, initializer=_init_worker, initargs=(config,)
-        )
+            try:
+                pickle.dumps(config)
+            except Exception as exc:
+                raise ValueError(
+                    "--jobs > 1 requires a picklable CheckConfig (named "
+                    f"scenario/protocol, no closures): {exc}"
+                ) from exc
+            methods = multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else None
+            )
+            self.pool = context.Pool(
+                processes=config.jobs, initializer=_init_worker,
+                initargs=(config,),
+            )
 
     def run_vectors(
         self, wave: Sequence[tuple[int, ...]]
     ) -> list[RunRecord]:
-        grouped = self.pool.map(_worker_group, plan_groups(wave))
-        return [record for group in grouped for record in group]
+        if self.pool is None:
+            return [run_one(self.checker, vector) for vector in wave]
+        return self.pool.map(_worker_vector, list(wave))
 
     def run_walks(self, walks: Sequence[int]) -> list[RunRecord]:
+        if self.pool is None:
+            return [run_walk(self.checker, walk) for walk in walks]
         return self.pool.map(_worker_walk, list(walks))
 
     def close(self) -> None:
-        self.pool.close()
-        self.pool.join()
-
-
-def make_runner(checker: "ModelChecker"):
-    """The runner matching ``checker.config.jobs``."""
-    if checker.config.jobs > 1:
-        return ParallelRunner(checker.config, checker.config.jobs)
-    return SerialRunner(checker)
+        if self.pool is not None:
+            self.pool.close()
+            self.pool.join()

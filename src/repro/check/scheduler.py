@@ -59,9 +59,10 @@ class Choice:
 class ChoicePolicy:
     """Replays a choice-vector prefix, then picks defaults (DFS baseline).
 
-    Subclasses override :meth:`_pick_free` to change what happens *past* the
-    prefix; the prefix-replay and logging machinery is shared, which is what
-    makes counterexamples replayable by construction.
+    :class:`RandomPolicy` overrides :meth:`_pick_free` to change what
+    happens *past* the prefix; the prefix-replay and logging machinery is
+    shared, which is what makes counterexamples replayable by construction.
+    Every run is a from-scratch execution under one such policy.
     """
 
     def __init__(self, prefix: Sequence[int] = ()) -> None:

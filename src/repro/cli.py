@@ -62,6 +62,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _observed_run(args: argparse.Namespace) -> tuple[System, "WorkloadGenerator"]:
     """A system with observability on plus its (unrun) workload generator."""
     system = System(SystemConfig(
@@ -478,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget in seconds")
     check.add_argument("--strict", action="store_true",
                        help="literal criterion instead of effective")
-    check.add_argument("--jobs", type=int, default=1,
+    check.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes; report is byte-identical "
                             "to --jobs 1")
     check.add_argument("--smoke", action="store_true",

@@ -1,9 +1,9 @@
 """Commit protocols: the base 2PC machinery and its four schemes.
 
 This package holds the shared coordinator/participant state machines; the
-per-scheme engines live in :mod:`repro.protocols` (see docs/PROTOCOLS.md
-for the full comparison).  The incumbent pair shares the message flow
-(SUBTXN_REQ/ACK, VOTE_REQ, VOTE, DECISION, ACK — O2PC adds **nothing**)
+per-scheme engines live in :mod:`repro.protocols` (docs/PROTOCOLS.md walks
+the message flows in §1–§6 and compares the schemes in §7–§14).  The
+incumbent pair shares the message flow (SUBTXN_REQ/ACK, VOTE_REQ, VOTE, DECISION, ACK — O2PC adds **nothing**)
 and differs only in what a participant does when it votes YES:
 
 * :data:`~repro.commit.base.CommitScheme.TWO_PL` — the participant enters

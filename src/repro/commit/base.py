@@ -10,7 +10,8 @@ class CommitScheme(enum.Enum):
     """Which commit protocol participants run.
 
     Every member must have an engine registered in
-    :mod:`repro.protocols` (``repro lint`` enforces this).
+    :mod:`repro.protocols` (``tests/protocols/test_registry.py`` enforces
+    this).
     """
 
     #: standard 2PC + strict distributed 2PL (locks held until decision)

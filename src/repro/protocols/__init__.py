@@ -25,9 +25,9 @@ Registered engines:
   release at the YES vote with a commit-dependency list instead of
   compensation.
 
-``repro lint`` (``dispatch/missing-engine``) fails when an enum member has
-no entry here, so adding a scheme to the enum without an engine is caught
-statically.
+``tests/protocols/test_registry.py`` fails when an enum member has no
+entry here, so adding a scheme to the enum without an engine is caught in
+tier-1.
 """
 
 from __future__ import annotations

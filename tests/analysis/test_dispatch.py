@@ -62,52 +62,7 @@ def test_new_msg_type_without_handler_is_flagged(tree):
     assert "MsgType.INQUIRE" in findings[0].message
 
 
-def test_unknown_msg_type_in_declaration(tree):
-    edit(
-        tree, "commit/coordinator.py",
-        "MsgType.ACK,\n    )", "MsgType.ACK,\n        MsgType.NACK,\n    )",
-    )
-    findings = analyze_dispatch(tree)
-    assert [f.rule for f in findings] == ["dispatch/unknown-msg-type"]
-    assert "MsgType.NACK" in findings[0].message
-    assert findings[0].location.startswith("commit/coordinator.py:")
-
-
-def test_duplicate_declaration_is_flagged(tree):
-    # The base coordinator plays its role in three schemes; its
-    # declaration is still reported once.
-    edit(
-        tree, "commit/coordinator.py",
-        "MsgType.ACK,\n    )", "MsgType.ACK,\n        MsgType.ACK,\n    )",
-    )
-    findings = analyze_dispatch(tree)
-    assert [f.rule for f in findings] == ["dispatch/duplicate-handler"]
-
-
 def test_missing_declaration_is_an_analysis_error(tree):
     edit(tree, "commit/participant.py", "_HANDLERS", "_RENAMED")
     with pytest.raises(AnalysisError):
         analyze_dispatch(tree)
-
-
-class TestEngineRegistry:
-    """dispatch/missing-engine: every enum member must be constructible."""
-
-    def test_shipped_registry_is_complete(self):
-        from repro.analysis.dispatch import analyze_engines
-
-        assert analyze_engines() == []
-
-    def test_unregistered_member_is_an_error(self):
-        from repro.analysis.dispatch import analyze_engines
-        from repro.commit.base import CommitScheme
-        from repro.protocols import ENGINES
-
-        spec = ENGINES.pop(CommitScheme.SHORT)
-        try:
-            findings = analyze_engines()
-        finally:
-            ENGINES[CommitScheme.SHORT] = spec
-        assert [f.rule for f in findings] == ["dispatch/missing-engine"]
-        assert "SHORT" in findings[0].message
-        assert findings[0].severity.name == "ERROR"

@@ -1,20 +1,18 @@
 """Parallel exploration is a pure wall-clock optimization.
 
-The contract (see :mod:`repro.check.parallel`): ``--jobs N`` and prefix
-reuse never change *what* the checker reports — explored counts,
-counterexample vectors, violations, and choice logs are identical to the
-serial, no-reuse search.  These tests pin that equivalence on real
-configurations (clean and failing, DFS and bounded) plus the unit behavior
-of the wave planner and the fork gate.
+The contract (see :mod:`repro.check.parallel`): ``--jobs N`` never changes
+*what* the checker reports — explored counts, counterexample vectors,
+violations, and choice logs are identical to the in-process search.  These
+tests pin that equivalence on real configurations (clean and failing, DFS
+and bounded).
 """
 
 import dataclasses
 
 import pytest
 
-from repro.check import parallel
 from repro.check.explorer import CheckConfig, CheckReport, ModelChecker
-from repro.check.parallel import ParallelRunner, plan_groups
+from repro.check.parallel import Runner
 from tests.sg.scan_reference import verify_conflict_index
 
 
@@ -64,29 +62,9 @@ class TestJobsDeterminism:
         assert _fingerprint(sharded) == _fingerprint(serial)
 
     def test_unpicklable_config_fails_loudly(self):
+        config = dataclasses.replace(CLEAN, protocol=lambda: None, jobs=2)
         with pytest.raises(ValueError, match="picklable CheckConfig"):
-            ParallelRunner(lambda: None, jobs=2)
-
-
-class TestPrefixReuse:
-    def test_forked_siblings_match_rerun_siblings(self, monkeypatch):
-        """Force the fork path (the gate normally skips these cheap runs)
-        and demand records identical to from-scratch re-execution."""
-        if not parallel._FORK_AVAILABLE:
-            pytest.skip("os.fork unavailable")
-        monkeypatch.setattr(parallel, "FORK_MIN_RUN_SECONDS", 0.0)
-        forked = _run(CLEAN, prefix_reuse=True)
-        rerun = _run(CLEAN, prefix_reuse=False)
-        assert _fingerprint(forked) == _fingerprint(rerun)
-
-    def test_forked_counterexamples_survive_the_pipe(self, monkeypatch):
-        if not parallel._FORK_AVAILABLE:
-            pytest.skip("os.fork unavailable")
-        monkeypatch.setattr(parallel, "FORK_MIN_RUN_SECONDS", 0.0)
-        forked = _run(FAILING, prefix_reuse=True)
-        rerun = _run(FAILING, prefix_reuse=False)
-        assert not rerun.ok
-        assert _fingerprint(forked) == _fingerprint(rerun)
+            Runner(ModelChecker(config))
 
 
 class TestScanParity:
@@ -102,36 +80,7 @@ class TestScanParity:
                 checked.append(outcome.vector)
                 return outcome
 
-        # in-process and unforked, so every run passes through execute here
-        config = dataclasses.replace(
-            CLEAN, max_schedules=30, prefix_reuse=False,
-        )
-        report = ScanParity(config).run()
+        # jobs=1 runs in-process, so every run passes through execute here
+        report = ScanParity(dataclasses.replace(CLEAN, max_schedules=30)).run()
         assert report.ok
         assert report.explored == len(checked) == 30
-
-
-class TestPlanGroups:
-    def test_consecutive_siblings_share_a_group(self):
-        wave = [(0, 1), (0, 2), (0, 3)]
-        assert plan_groups(wave) == [((0,), [1, 2, 3])]
-
-    def test_stem_change_starts_a_new_group(self):
-        wave = [(0, 1), (0, 2), (1, 0), (0, 3)]
-        assert plan_groups(wave) == [
-            ((0,), [1, 2]),
-            ((1,), [0]),
-            ((0,), [3]),
-        ]
-
-    def test_root_vector_stays_alone(self):
-        assert plan_groups([(), (1,)]) == [((), []), ((), [1])]
-
-    def test_flattened_order_is_wave_order(self):
-        wave = [(2, 0), (2, 1), (0, 0, 5), (0, 0, 6), (3,)]
-        flattened = []
-        for stem, alts in plan_groups(wave):
-            if not alts:
-                flattened.append(stem)
-            flattened.extend(stem + (alt,) for alt in alts)
-        assert flattened == wave

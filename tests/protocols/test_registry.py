@@ -10,8 +10,9 @@ from repro.protocols.acceptor import Acceptor
 
 class TestRegistry:
     def test_every_scheme_has_an_engine(self):
-        # The static lint (dispatch/missing-engine) enforces this at
-        # source level; this is the runtime half of the same contract.
+        # The one check of this contract: a scheme added to the enum
+        # without an engine row would pass configuration validation and
+        # fail only at system construction.
         assert set(ENGINES) == set(CommitScheme)
 
     @pytest.mark.parametrize("scheme", list(CommitScheme))

@@ -138,11 +138,14 @@ class TestSharedParents:
         ["compare", "--baseline", "x"],
         ["compare", "--update-baseline"],
         ["check", "--paranoid"],
+        ["check", "--jobs", "0"],
+        ["check", "--jobs", "-3"],
     ])
     def test_removed_verb_and_option_are_parser_errors(self, argv):
         # The backend is fixed per verb, performance is measured by
         # bench/run.py and narration lives in examples/: no removed
-        # spelling may linger as a silent no-op.
+        # spelling may linger as a silent no-op, and neither may a job
+        # count below one.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2

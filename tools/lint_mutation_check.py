@@ -213,6 +213,34 @@ MUTATIONS = [
         append="",
         expect_rule="msgflow/orphan-send",
     ),
+    Mutation(
+        name="drop-prepare-force",
+        # the 2PL YES vote's PREPARE record becomes a lazy append while
+        # _FORCE_POINTS still promises a force: the vote can leave the
+        # site before the prepared state is durable
+        paths=("repro/txn/local_manager.py",),
+        replacements=((
+            "        self.site.wal.append(RecordType.PREPARE, txn_id, "
+            "force=True)\n        self.status[txn_id] = TxnStatus.PREPARED\n",
+            "        self.site.wal.append(RecordType.PREPARE, txn_id)\n"
+            "        self.status[txn_id] = TxnStatus.PREPARED\n",
+        ),),
+        append="",
+        expect_rule="flow/force-point-drift",
+    ),
+    Mutation(
+        name="vote-req-never-sent",
+        # the base coordinator opens its vote phase with the wrong type:
+        # the participants' VOTE_REQ handler is never reached, so no
+        # participant of O2PC, TWO_PL or SHORT ever votes
+        paths=("repro/commit/coordinator.py",),
+        replacements=((
+            "                msg_type=MsgType.VOTE_REQ,\n",
+            "                msg_type=MsgType.SUBTXN_REQ,\n",
+        ),),
+        append="",
+        expect_rule="msgflow/dead-handler",
+    ),
 ]
 
 
