@@ -144,10 +144,13 @@ def _check_exposure(system: System) -> list[Violation]:
     """No transaction may end the run with unrevoked exposed updates."""
     violations: list[Violation] = []
     for outcome in system.outcomes:
-        coordinator = system.coordinators.get(outcome.txn_id)
-        if coordinator is None:
+        spec = system.specs.get(outcome.txn_id)
+        if spec is None:
+            violations.append(Violation(
+                "atomicity", f"{outcome.txn_id} has an outcome but no spec",
+            ))
             continue
-        for site_id in coordinator.spec.site_ids:
+        for site_id in spec.site_ids:
             status = system.sites[site_id].wal.status_of(outcome.txn_id)
             if outcome.committed:
                 if status not in (None, RecordType.COMMIT):

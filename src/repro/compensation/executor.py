@@ -139,7 +139,6 @@ class CompensationExecutor:
                 # attempt from the history, so only the successful run
                 # appears in the SG.)
                 ltm.abort_local(ct_id)
-                ltm.status.pop(ct_id, None)
                 self.stats.retries += 1
                 yield self.site.env.timeout(self.retry_delay)
 

@@ -223,7 +223,12 @@ class System:
                 commit=self.config.commit, acceptors=self._acceptor_ids,
             )
             self.failures.register_site(sid)
+        #: coordinators still in flight, by txn id (a finished one is dropped
+        #: and its endpoint unregistered)
         self.coordinators: dict[str, Coordinator] = {}
+        #: every submitted spec by txn id: what a finished transaction is
+        #: judged by, in place of its coordinator
+        self.specs: dict[str, GlobalTxnSpec] = {}
         self.outcomes: list[TxnOutcome] = []
         self._local_seq = 0
         # Wire participant crash/recovery to the failure injector: a
@@ -279,9 +284,14 @@ class System:
             acceptors=self._acceptor_ids,
         )
         self.coordinators[spec.txn_id] = coordinator
+        self.specs[spec.txn_id] = spec
 
         def runner():
             outcome = yield from coordinator.run()
+            if self.coordinators.get(spec.txn_id) is coordinator:
+                # A resubmitted id shares this endpoint: the latest retires it.
+                del self.coordinators[spec.txn_id]
+                self.network.unregister(coordinator.endpoint)
             self.outcomes.append(outcome)
             return outcome
 
@@ -341,7 +351,6 @@ class System:
                     return True
                 except (DeadlockDetected, LockTimeout):
                     site.ltm.abort_local(txn_id)
-                    site.ltm.status.pop(txn_id, None)
                     yield self.env.timeout(retry_delay)
             return False
 

@@ -66,6 +66,8 @@ class Network:
         self.latency = latency or LatencyModel()
         self.loss_probability = loss_probability
         self._inboxes: dict[str, Store] = {}
+        #: every endpoint ever registered: the valid recipients
+        self._known: set[str] = set()
         #: per-link latency overrides keyed by (sender, recipient)
         self._link_latency: dict[tuple[str, str], LatencyModel] = {}
         #: endpoints currently considered crashed (set by FailureInjector)
@@ -86,7 +88,17 @@ class Network:
         """Create (or return) the inbox for ``endpoint_id``."""
         if endpoint_id not in self._inboxes:
             self._inboxes[endpoint_id] = Store(self.env, name=f"inbox:{endpoint_id}")
+            self._known.add(endpoint_id)
         return self._inboxes[endpoint_id]
+
+    def unregister(self, endpoint_id: str) -> None:
+        """Drop a finished endpoint's inbox (a completed coordinator).
+
+        Late messages for it (votes, acceptor replies, ACKs) are still sent,
+        counted and published as delivered — then discarded, so traces do
+        not depend on when it retired.  Registering again gives a fresh inbox.
+        """
+        self._inboxes.pop(endpoint_id, None)
 
     def inbox(self, endpoint_id: str) -> Store:
         """The inbox of a registered endpoint."""
@@ -169,7 +181,7 @@ class Network:
         also race a crash or a link cut), or hit by the loss probability
         are counted as dropped.
         """
-        if message.recipient not in self._inboxes:
+        if message.recipient not in self._known:
             raise UnknownSiteError(
                 f"recipient {message.recipient!r} not registered"
             )
@@ -255,7 +267,8 @@ class Network:
             self._drop(message, "severed_in_flight")
             return
         message.deliver_time = self.env.now
-        self._inboxes[message.recipient].put(message)
+        if message.recipient in self._inboxes:
+            self._inboxes[message.recipient].put(message)
         self.delivered[message.msg_type] += 1
         bus = self.env.bus
         if bus.enabled:

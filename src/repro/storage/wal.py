@@ -414,11 +414,18 @@ class WriteAheadLog:
         return chain
 
     def updates_for(self, txn_id: str) -> list[LogRecord]:
-        """Only the UPDATE records of one transaction, oldest first."""
-        return [
-            r for r in self.records_for(txn_id)
-            if r.record_type is RecordType.UPDATE
-        ]
+        """The UPDATE records of ``txn_id``'s latest attempt, oldest first.
+
+        A retried id (a local transaction, a compensation) begins again;
+        its earlier attempts' updates were undone by their own aborts.
+        """
+        updates: list[LogRecord] = []
+        for record in reversed(self.records_for(txn_id)):
+            if record.record_type is RecordType.BEGIN:
+                break
+            if record.record_type is RecordType.UPDATE:
+                updates.append(record)
+        return updates[::-1]
 
     def status_of(self, txn_id: str) -> RecordType | None:
         """The most decisive record type logged for ``txn_id``.

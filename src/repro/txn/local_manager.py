@@ -65,13 +65,11 @@ class LocalTransactionManager:
         self.site = site
         #: current status of every transaction seen at this site
         self.status: dict[str, TxnStatus] = {}
-        #: recorded semantic inverses, newest last (restricted model)
-        self._inverses: dict[str, list[SemanticOp]] = {}
         #: unified undo program, one entry per forward update in order:
         #: the semantic inverse for semantic operations, a before-image
         #: restoring write for generic ones.  Applying it in reverse undoes
         #: the transaction even when semantic and generic updates interleave
-        #: on the same key.
+        #: on the same key.  Dropped at the terminal state (:meth:`_terminate`).
         self._undo_program: dict[str, list[Op]] = {}
         #: values returned by reads, per transaction (for workloads)
         self.read_results: dict[str, dict[str, Any]] = {}
@@ -84,7 +82,6 @@ class LocalTransactionManager:
             raise InvalidTransactionState(f"{txn_id} already active")
         self.site.wal.append(RecordType.BEGIN, txn_id)
         self.status[txn_id] = TxnStatus.ACTIVE
-        self._inverses[txn_id] = []
         self._undo_program[txn_id] = []
         self.read_results[txn_id] = {}
 
@@ -128,9 +125,9 @@ class LocalTransactionManager:
             self.site.history.read(txn_id, op.key)
             after = self.site.registry.apply(op, before)
             if self.site.registry.is_compensatable(op):
-                inverse = self.site.registry.invert(op, before)
-                self._inverses[txn_id].append(inverse)
-                self._undo_program[txn_id].append(inverse)
+                self._undo_program[txn_id].append(
+                    self.site.registry.invert(op, before)
+                )
             else:
                 # Real action executed anyway (the participant is expected
                 # to have held locks): fall back to state restoration.
@@ -189,7 +186,7 @@ class LocalTransactionManager:
         self._require_active(txn_id)
         self.site.wal.append(RecordType.COMMIT, txn_id, force=True)
         self.site.history.commit(txn_id)
-        self.status[txn_id] = TxnStatus.COMMITTED
+        self._terminate(txn_id, TxnStatus.COMMITTED)
         self.site.locks.release_all(txn_id)
 
     def abort_local(self, txn_id: str) -> None:
@@ -205,7 +202,7 @@ class LocalTransactionManager:
             self.site.store.apply_image(record.key, record.before)
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
         self.site.history.expunge(txn_id)
-        self.status[txn_id] = TxnStatus.ABORTED
+        self._terminate(txn_id, TxnStatus.ABORTED)
         self.site.locks.release_all(txn_id)
         self.site.locks.forget(txn_id)
 
@@ -253,7 +250,7 @@ class LocalTransactionManager:
                 f"cannot commit {txn_id} in state {status}"
             )
         self.site.wal.append(RecordType.COMMIT, txn_id, force=True)
-        self.status[txn_id] = TxnStatus.COMMITTED
+        self._terminate(txn_id, TxnStatus.COMMITTED)
 
     def rollback_subtxn(self, txn_id: str) -> str:
         """Undo a not-yet-locally-committed subtransaction.
@@ -287,7 +284,7 @@ class LocalTransactionManager:
             self.site.history.commit(ct_id)
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
         self.site.history.abort(txn_id)
-        self.status[txn_id] = TxnStatus.ABORTED
+        self._terminate(txn_id, TxnStatus.ABORTED)
         self.status[ct_id] = TxnStatus.COMMITTED
         self.site.locks.release_all(txn_id)
         self.site.locks.forget(txn_id)
@@ -348,7 +345,7 @@ class LocalTransactionManager:
             assert record.key is not None
             self.site.store.apply_image(record.key, record.after)
         self.site.wal.append(RecordType.COMMIT, txn_id, force=True)
-        self.status[txn_id] = TxnStatus.COMMITTED
+        self._terminate(txn_id, TxnStatus.COMMITTED)
         self.site.locks.release_all(txn_id)
 
     def abort_recovered(self, txn_id: str) -> None:
@@ -363,14 +360,15 @@ class LocalTransactionManager:
             )
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
         self.site.history.abort(txn_id)
-        self.status[txn_id] = TxnStatus.ABORTED
+        self._terminate(txn_id, TxnStatus.ABORTED)
         self.site.locks.release_all(txn_id)
 
     # -- compensation support -------------------------------------------------------
 
     def recorded_inverses(self, txn_id: str) -> list[SemanticOp]:
         """Semantic inverses recorded during forward execution, newest first."""
-        return list(reversed(self._inverses.get(txn_id, [])))
+        program = self.undo_program(txn_id)
+        return [op for op in program if isinstance(op, SemanticOp)]
 
     def undo_program(self, txn_id: str) -> list[Op]:
         """The transaction's undo program, in application (reverse) order.
@@ -396,7 +394,7 @@ class LocalTransactionManager:
             RecordType.COMPENSATION, txn_id, force=True
         )
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
-        self.status[txn_id] = TxnStatus.COMPENSATED
+        self._terminate(txn_id, TxnStatus.COMPENSATED)
 
     # -- crash support -----------------------------------------------------------------
 
@@ -416,9 +414,16 @@ class LocalTransactionManager:
             if status is TxnStatus.ACTIVE:
                 self.site.history.expunge(txn_id)
             if status in (TxnStatus.ACTIVE, TxnStatus.PREPARED):
-                self.status[txn_id] = TxnStatus.ABORTED
+                self._terminate(txn_id, TxnStatus.ABORTED)
 
     # -- helpers --------------------------------------------------------------------------
+
+    def _terminate(self, txn_id: str, status: TxnStatus) -> None:
+        """Enter a terminal ``status`` and drop the undo program: nothing
+        rolls back or compensates a terminated transaction.  (``read_results``
+        stays; workloads read it after commit.)"""
+        self.status[txn_id] = status
+        self._undo_program.pop(txn_id, None)
 
     def _require_active(self, txn_id: str) -> None:
         if not self.is_active(txn_id):

@@ -22,6 +22,16 @@ class TestVerdicts:
         assert "serializability" in oracles
         assert "atomicity" in oracles
 
+    def test_outcome_without_spec_is_an_atomicity_violation(self):
+        # The exposure check reads each outcome's sites from System.specs;
+        # an outcome it cannot place is reported, never skipped.
+        system = _finished_run("P1").system
+        txn_id = system.outcomes[0].txn_id
+        del system.specs[txn_id]
+        assert [str(v) for v in run_oracles(system)] == [
+            f"[atomicity] {txn_id} has an outcome but no spec",
+        ]
+
     def test_strict_mode_is_at_least_as_harsh(self):
         outcome = _finished_run("none")
         effective = run_oracles(outcome.system, strict=False)

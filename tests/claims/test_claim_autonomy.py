@@ -29,7 +29,7 @@ def subordination_windows(scheme, latency=1.0, seed=4):
 
     windows = []
     for outcome in system.outcomes:
-        spec = system.coordinators[outcome.txn_id].spec
+        spec = system.specs[outcome.txn_id]
         # The vote happens one hop after the coordinator's VOTE_REQ; the
         # participant's own clock for it is the moment its locks shrink to
         # the post-vote set.  Measure: last lock release minus first

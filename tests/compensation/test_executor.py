@@ -143,3 +143,36 @@ def test_compensation_retries_after_deadlock_victimization():
     # L1 won the deadlock and committed its writes before compensation: the
     # final values must reflect compensation last (it restored 1).
     assert "CT9" in site.history.committed
+
+
+def test_second_deadlock_undoes_only_the_retry():
+    """CT9 loses two deadlocks; L1 commits y = 555 between them.  The second
+    undo must stop at the retry's BEGIN: walking back into the first attempt
+    would restore its stale 150 and the compensation would end at 100."""
+    env, site = make_site()
+    site.load({"x": 1, "y": 100})
+    locally_commit_forward(env, site, "T9", [
+        WriteOp("x", 5), SemanticOp("deposit", "y", {"amount": 50}),
+    ])
+    executor = CompensationExecutor(site, retry_delay=2.0)
+
+    def blocker(txn_id, start, last_op):
+        # Holds x, then asks for y while CT9 holds y and waits for x.
+        yield env.timeout(start)
+        site.ltm.begin(txn_id)
+        yield from site.ltm.execute(txn_id, WriteOp("x", 7))
+        yield env.timeout(4)
+        yield from site.ltm.execute(txn_id, last_op)
+        site.ltm.commit(txn_id)
+
+    def compensate():
+        yield env.timeout(1)
+        yield from executor.run("T9")
+
+    env.process(blocker("L1", 0, WriteOp("y", 555)))
+    env.process(blocker("L2", 6, ReadOp("y")))
+    env.process(compensate())
+    env.run()
+    assert executor.stats.retries == 2
+    assert site.store.get("y") == 505  # L1's 555, less T9's deposit
+    assert site.store.get("x") == 1

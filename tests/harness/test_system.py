@@ -7,7 +7,7 @@ from repro.core.marks import MarkingDirectory
 from repro.core.protocols import P2Protocol
 from repro.harness import System, SystemConfig
 from repro.locking.modes import LockMode
-from repro.txn import GlobalTxnSpec, SemanticOp, SubtxnSpec, VotePolicy
+from repro.txn import GlobalTxnSpec, SemanticOp, SubtxnSpec, VotePolicy, WriteOp
 
 
 def spec(txn_id="T1", sites=("S1", "S2")):
@@ -126,6 +126,26 @@ class TestRunning:
             e for e in system.events() if e.kind == "lock.timeout"
         ]
         assert timeouts and timeouts[0].txn_id == "L1"
+
+    def test_run_local_second_abort_keeps_interleaved_commit(self):
+        # L1 writes k0, times out on k1 and is undone (k0 back to 100); L2
+        # commits k0 = 555; L1's retry times out again.  Its undo must stop
+        # at the retry's BEGIN, not restore the first attempt's 100.
+        system = System(SystemConfig(n_sites=1, lock_timeout=3.0))
+        site = system.sites["S1"]
+        site.locks.acquire("B1", "k1", LockMode.X)
+
+        def interleaved():
+            yield system.env.timeout(5.0)
+            yield system.run_local("S1", "L2", [WriteOp("k0", 555)])
+
+        system.env.process(interleaved())
+        proc = system.run_local(
+            "S1", "L1", [WriteOp("k0", 1), WriteOp("k1", 1)],
+            max_retries=2, retry_delay=10.0,
+        )
+        assert system.env.run(proc) is False
+        assert site.store.get("k0") == 555
 
     def test_global_history_and_sg_views(self):
         system = System()

@@ -71,7 +71,7 @@ def test_balances_consistent_despite_loss():
     system, report = run_lossy(loss=0.1, seed=5)
     system.env.run()
     for outcome in system.outcomes:
-        for sub in system.coordinators[outcome.txn_id].spec.subtxns:
+        for sub in system.specs[outcome.txn_id].subtxns:
             status = system.sites[sub.site_id].ltm.status.get(outcome.txn_id)
             if outcome.committed:
                 assert status is TxnStatus.COMMITTED, (

@@ -9,6 +9,11 @@ only holds if every Transport honors the same contract (documented on
 2. ``send`` NEVER raises for an unreachable recipient — the message is
    dropped and counted in ``dropped``; the sender learns only by timeout.
 3. ``sent`` / ``delivered`` / ``dropped`` counters are per-``MsgType``.
+4. ``unregister`` retires a finished endpoint: its messages never reach an
+   inbox, and registering the name again gives an empty one.  The one
+   difference: a late message is a ``dropped`` (``unknown_endpoint``) frame
+   over TCP, but still ``delivered`` — then discarded — in the simulation,
+   whose traces must not depend on when a coordinator retired.
 
 Rule 2 is the failure-semantics mapping this PR documents: the simulated
 network's *severed-in-flight* drop (a message on a link that is cut
@@ -97,6 +102,16 @@ class TestSimulatedNetworkContract:
         assert self.net.sent[MsgType.VOTE_REQ] == 1
         assert self.net.sent[MsgType.DECISION] == 1
         assert self.net.total_sent() == 2
+
+    def test_retired_endpoint_messages_never_reach_an_inbox(self):
+        self.net.send(msg("B"))  # in flight when B retires
+        self.net.unregister("B")
+        self.net.send(msg("B", txn="T2"))  # addressed after: still no raise
+        self.drain()
+        assert self.net.delivered[MsgType.SUBTXN_REQ] == 2
+        assert self.net.dropped[MsgType.SUBTXN_REQ] == 0
+        assert "B" not in self.net.endpoints
+        assert self.net.register("B").items == []
 
 
 def start_pump(transport):
@@ -295,6 +310,30 @@ class TestTcpTransportContract:
                 )
                 await self.settle()
                 assert server.dropped[MsgType.ACK] == 1
+                writer.close()
+            finally:
+                await client.close()
+                await server.close()
+
+        self.run_async(scenario())
+
+    def test_retired_endpoint_messages_never_reach_an_inbox(self):
+        from repro.rt.wire import message_to_json, write_frame
+
+        async def scenario():
+            server, client = await self.make_pair()
+            server.register("coord.T1")
+            server.unregister("coord.T1")
+            try:
+                spec = server.cluster.site("S1")
+                _, writer = await asyncio.open_connection(*spec.address)
+                await write_frame(writer, message_to_json(
+                    msg("coord.T1", msg_type=MsgType.ACK)
+                ))
+                await self.settle()
+                assert server.dropped[MsgType.ACK] == 1
+                assert server.delivered[MsgType.ACK] == 0
+                assert server.register("coord.T1").items == []
                 writer.close()
             finally:
                 await client.close()
