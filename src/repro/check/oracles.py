@@ -102,7 +102,7 @@ def _check_serializability(system: System, strict: bool) -> list[Violation]:
     if strict:
         regular = gsg.nodes_of_kind(TxnKind.GLOBAL)
     else:
-        regular = system.effective_regular_nodes()
+        regular = system.effective_regular_nodes(gsg)
     cycle = find_regular_cycle(gsg, regular)
     if cycle is not None:
         violations.append(Violation(

@@ -48,7 +48,7 @@ from repro.obs.spans import Span
 from repro.protocols import acceptor_ids, engine_for
 from repro.protocols.acceptor import Acceptor
 from repro.sg.cycles import assert_correct
-from repro.sg.graph import GlobalSG
+from repro.sg.graph import GlobalSG, TxnKind
 from repro.sg.history import GlobalHistory
 from repro.sim.engine import Environment
 from repro.sim.process import Process
@@ -373,19 +373,19 @@ class System:
         """The run's global serialization graph."""
         return GlobalSG.from_history(self.global_history())
 
-    def effective_regular_nodes(self) -> set[str]:
+    def effective_regular_nodes(self, gsg: GlobalSG | None = None) -> set[str]:
         """Global transactions that count as regular for the *effective*
         criterion: everything except globally-aborted ones.
 
         An aborted transaction's exposed updates were all revoked by its
         compensation; together with its ``CT_i`` it belongs to the
         compensation population, so cycles confined to such pairs are
-        treated like the CT-only cycles the criterion allows.
+        treated like the CT-only cycles the criterion allows.  Pass the
+        ``gsg`` already built to save building it again.
         """
         aborted = {o.txn_id for o in self.outcomes if not o.committed}
-        from repro.sg.graph import TxnKind
-
-        return self.global_sg().nodes_of_kind(TxnKind.GLOBAL) - aborted
+        gsg = gsg or self.global_sg()
+        return gsg.nodes_of_kind(TxnKind.GLOBAL) - aborted
 
     def check_correctness(self, strict: bool = False) -> None:
         """Assert the paper's correctness criterion on the run so far.
@@ -400,8 +400,9 @@ class System:
         :class:`~repro.errors.CorrectnessViolation` with the offending
         cycle on failure.
         """
-        regular = None if strict else self.effective_regular_nodes()
-        assert_correct(self.global_sg(), regular)
+        gsg = self.global_sg()
+        regular = None if strict else self.effective_regular_nodes(gsg)
+        assert_correct(gsg, regular)
 
     # -- observability surface ----------------------------------------------------------
 

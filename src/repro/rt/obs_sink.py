@@ -6,7 +6,7 @@ A ``SiteDaemon`` started with observability on subscribes a
 schema ``repro trace`` writes, appended across restarts so a recovered
 daemon's history stays in one file.
 
-The read side closes ROADMAP item 1's metrics gap: ``repro metrics
+The read side closes ROADMAP item 6's metrics gap: ``repro metrics
 --cluster c.json`` calls :func:`aggregate_cluster`, which
 replays every site's stream through the normal
 :class:`~repro.obs.metrics.StreamingMetrics` fold.  Commit/abort counts

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.sg.conflicts import Operation, conflicts
 from repro.sg.graph import GlobalSG
 from repro.sg.history import GlobalHistory
-from repro.sg.paths import SegmentGraph
+from repro.sg.paths import segment_sites
 
 
 @dataclass
@@ -96,10 +96,9 @@ def explain_cycle(
     when the originating :class:`GlobalHistory` is supplied, each hop of
     the local path carries the concrete conflicting operation pair.
     """
-    graph = SegmentGraph(gsg)
     explanations: list[SegmentExplanation] = []
     for src, dst in zip(cycle, cycle[1:]):
-        sites = sorted(graph.sites_for(src, dst))
+        sites = sorted(segment_sites(gsg, src, dst))
         if not sites:
             raise ValueError(f"{src} -> {dst} is not a segment of this SG")
         site = sites[0]

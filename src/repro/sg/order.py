@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.errors import CorrectnessViolation
 from repro.sg.cycles import find_local_cycle, find_regular_cycle
 from repro.sg.graph import GlobalSG, TxnKind, classify
-from repro.sg.paths import SegmentGraph, strongly_connected_components
+from repro.sg.paths import SegmentGraph, strongly_connected_components, union_components
 
 
 def serialization_order(
@@ -77,8 +77,4 @@ def is_serializable(gsg: GlobalSG) -> bool:
     The paper's criterion reduces to this when no global transaction
     aborts (no compensations exist).
     """
-    graph = SegmentGraph(gsg)
-    components = strongly_connected_components(
-        sorted(graph.nodes), graph.successors
-    )
-    return all(len(component) == 1 for component in components)
+    return all(len(component) == 1 for component in union_components(gsg))

@@ -12,11 +12,11 @@ the one-segment representation inside ``SG2`` is shorter than the two-segment
 one through ``T2``.
 
 The computational core is the *segment graph*: a directed graph on SG nodes
-with an edge ``u → v`` (labeled with sites) whenever some local SG has a
-local path ``u → v``.  Representations of a global path correspond exactly to
-walks in the segment graph, and minimal representations to shortest walks, so
-"includes" reduces to the classic "does this node lie on a shortest path"
-test.
+with an edge ``u → v`` whenever some local SG has a local path ``u → v``
+(:func:`segment_sites` names the sites).  Representations of a global path
+correspond exactly to walks in the segment graph, and minimal
+representations to shortest walks, so "includes" reduces to the classic
+"does this node lie on a shortest path" test.
 """
 
 from __future__ import annotations
@@ -45,22 +45,19 @@ class Segment:
 
 
 class SegmentGraph:
-    """Per-site transitive closure, unioned with site labels."""
+    """Per-site transitive closure, unioned; ``within`` keeps only the
+    segments among those nodes (exact for a union-graph component)."""
 
-    def __init__(self, gsg: GlobalSG) -> None:
+    def __init__(self, gsg: GlobalSG, within: set[str] | None = None) -> None:
         self._succ: dict[str, set[str]] = {}
-        self._labels: dict[tuple[str, str], set[str]] = {}
-        for site_id, sg in sorted(gsg.locals.items()):
-            closure = _transitive_closure(sg)
-            for src, dsts in closure.items():
-                for dst in dsts:
-                    if src == dst:
-                        # A local cycle: excluded here (local histories are
-                        # serializable); local-cycle detection is separate.
-                        continue
-                    self._succ.setdefault(src, set()).add(dst)
-                    self._labels.setdefault((src, dst), set()).add(site_id)
-        self.nodes: set[str] = set(gsg.nodes)
+        for sg in gsg.locals.values():
+            for src, dsts in _transitive_closure(sg, within).items():
+                # A local cycle is excluded here (local histories are
+                # serializable); local-cycle detection is separate.
+                dsts.discard(src)
+                if dsts:
+                    self._succ.setdefault(src, set()).update(dsts)
+        self.nodes: set[str] = set(gsg.nodes if within is None else within)
 
     def successors(self, node: str) -> set[str]:
         """Nodes reachable from ``node`` by a single segment."""
@@ -69,10 +66,6 @@ class SegmentGraph:
     def has_segment(self, src: str, dst: str) -> bool:
         """True if some local SG has a local path ``src → dst``."""
         return dst in self._succ.get(src, ())
-
-    def sites_for(self, src: str, dst: str) -> frozenset[str]:
-        """Sites realizing the segment ``src → dst``."""
-        return frozenset(self._labels.get((src, dst), ()))
 
     def distances_from(self, src: str) -> dict[str, int]:
         """BFS segment-count distances from ``src`` (``src`` itself: 0)."""
@@ -174,10 +167,26 @@ def strongly_connected_components(
     return components
 
 
-def _transitive_closure(sg: SG) -> dict[str, set[str]]:
-    """Per-node reachability via SCC condensation and bitmask unions."""
-    nodes = sorted(sg.nodes)
-    components = strongly_connected_components(nodes, sg.successors)
+def union_components(gsg: GlobalSG) -> list[list[str]]:
+    """Strongly connected components of the union graph, in O(V+E): the
+    segment graph's too, since the two have the same reachability."""
+    succ: dict[str, set[str]] = {}
+    for sg in gsg.locals.values():
+        for node in sg.nodes:
+            succ.setdefault(node, set()).update(sg.successors(node))
+    return strongly_connected_components(sorted(succ), succ.__getitem__)
+
+
+def _transitive_closure(sg: SG, within: set[str] | None = None) -> dict[str, set[str]]:
+    """Per-node reachability via SCC condensation and bitmask unions, in
+    the subgraph of ``sg`` induced by ``within`` (default: all of it)."""
+    keep = sg.nodes if within is None else within & sg.nodes
+
+    def successors(node: str) -> set[str]:
+        return sg.successors(node) & keep
+
+    nodes = sorted(keep)
+    components = strongly_connected_components(nodes, successors)
     comp_of: dict[str, int] = {}
     for cid, members in enumerate(components):
         for member in members:
@@ -188,7 +197,7 @@ def _transitive_closure(sg: SG) -> dict[str, set[str]]:
     for cid, members in enumerate(components):
         mask = 1 << cid if len(members) > 1 else 0
         for member in members:
-            for succ in sg.successors(member):
+            for succ in successors(member):
                 scid = comp_of[succ]
                 if scid != cid:
                     mask |= comp_mask[scid] | (1 << scid)
@@ -212,6 +221,14 @@ def _transitive_closure(sg: SG) -> dict[str, set[str]]:
             reach.update(comp_members[comp_of[node]])
         closure[node] = reach
     return closure
+
+
+def segment_sites(gsg: GlobalSG, src: str, dst: str) -> frozenset[str]:
+    """Sites whose local SG realizes the segment ``src → dst``."""
+    return frozenset(
+        site_id for site_id, sg in gsg.locals.items()
+        if src != dst and sg.reachable(src, dst)
+    )
 
 
 def global_path_exists(gsg: GlobalSG, src: str, dst: str) -> bool:
@@ -247,12 +264,12 @@ def minimal_representations(
             if succ == dst:
                 if used == total:
                     results.append(
-                        prefix + [Segment(node, succ, graph.sites_for(node, succ))]
+                        prefix + [Segment(node, succ, segment_sites(gsg, node, succ))]
                     )
                 continue
             if remaining is None or used + remaining != total:
                 continue
-            prefix.append(Segment(node, succ, graph.sites_for(node, succ)))
+            prefix.append(Segment(node, succ, segment_sites(gsg, node, succ)))
             extend(succ, prefix)
             prefix.pop()
 

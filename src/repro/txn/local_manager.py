@@ -186,8 +186,8 @@ class LocalTransactionManager:
         self._require_active(txn_id)
         self.site.wal.append(RecordType.COMMIT, txn_id, force=True)
         self.site.history.commit(txn_id)
-        self._terminate(txn_id, TxnStatus.COMMITTED)
         self.site.locks.release_all(txn_id)
+        self._terminate(txn_id, TxnStatus.COMMITTED)
 
     def abort_local(self, txn_id: str) -> None:
         """Abort a local transaction: plain undo, expunged from the SG.
@@ -202,9 +202,8 @@ class LocalTransactionManager:
             self.site.store.apply_image(record.key, record.before)
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
         self.site.history.expunge(txn_id)
-        self._terminate(txn_id, TxnStatus.ABORTED)
         self.site.locks.release_all(txn_id)
-        self.site.locks.forget(txn_id)
+        self._terminate(txn_id, TxnStatus.ABORTED)
 
     # -- termination: subtransactions ----------------------------------------------
 
@@ -284,10 +283,9 @@ class LocalTransactionManager:
             self.site.history.commit(ct_id)
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
         self.site.history.abort(txn_id)
+        self.site.locks.release_all(txn_id)
         self._terminate(txn_id, TxnStatus.ABORTED)
         self.status[ct_id] = TxnStatus.COMMITTED
-        self.site.locks.release_all(txn_id)
-        self.site.locks.forget(txn_id)
         return ct_id
 
     def _undo_write(self, ct_id: str, key: str, image: Any) -> None:
@@ -345,8 +343,8 @@ class LocalTransactionManager:
             assert record.key is not None
             self.site.store.apply_image(record.key, record.after)
         self.site.wal.append(RecordType.COMMIT, txn_id, force=True)
-        self._terminate(txn_id, TxnStatus.COMMITTED)
         self.site.locks.release_all(txn_id)
+        self._terminate(txn_id, TxnStatus.COMMITTED)
 
     def abort_recovered(self, txn_id: str) -> None:
         """ABORT decision for a recovered in-doubt transaction.
@@ -360,8 +358,8 @@ class LocalTransactionManager:
             )
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
         self.site.history.abort(txn_id)
-        self._terminate(txn_id, TxnStatus.ABORTED)
         self.site.locks.release_all(txn_id)
+        self._terminate(txn_id, TxnStatus.ABORTED)
 
     # -- compensation support -------------------------------------------------------
 
@@ -419,11 +417,13 @@ class LocalTransactionManager:
     # -- helpers --------------------------------------------------------------------------
 
     def _terminate(self, txn_id: str, status: TxnStatus) -> None:
-        """Enter a terminal ``status`` and drop the undo program: nothing
-        rolls back or compensates a terminated transaction.  (``read_results``
-        stays; workloads read it after commit.)"""
+        """Enter a terminal ``status``, drop the undo program (nothing rolls
+        back or compensates a terminated transaction) and the lock table's
+        shrink-phase entry — so every caller releases its locks first.
+        (``read_results`` stays; workloads read it after commit.)"""
         self.status[txn_id] = status
         self._undo_program.pop(txn_id, None)
+        self.site.locks.forget(txn_id)
 
     def _require_active(self, txn_id: str) -> None:
         if not self.is_active(txn_id):

@@ -2,7 +2,8 @@
 
 A terminated transaction keeps what it is judged by — WAL records, history,
 lock-hold log, outcome — and nothing that only its execution needed: its
-coordinator, the coordinator's inbox, and the sites' undo programs.
+coordinator, the coordinator's inbox, the sites' undo programs, and the
+lock tables' shrink-phase entries.
 """
 
 import gc
@@ -11,9 +12,12 @@ import weakref
 import pytest
 
 from repro.commit import CommitScheme
+from repro.errors import TwoPhaseViolation
 from repro.harness import System, SystemConfig
+from repro.locking.modes import LockMode
 from repro.net.message import Message, MsgType
 from repro.obs.events import MessageDelivered
+from repro.txn import WriteOp
 from repro.workload import WorkloadConfig, WorkloadGenerator
 
 
@@ -42,8 +46,25 @@ def test_quiesced_run_retains_no_execution_state(scheme):
     assert [e for e in system.network.endpoints if e.startswith("coord.")] == []
     for site in system.sites.values():
         assert site.ltm._undo_program == {}, site.site_id
+        assert site.locks._shrinking == set(), site.site_id
     gc.collect()
     assert finished() is None
+
+
+def test_released_transaction_still_cannot_acquire():
+    """Forgetting happens at termination, not at release: a subtransaction
+    that released its locks at vote time is still in its shrinking phase."""
+    system = System(SystemConfig(scheme=CommitScheme.O2PC))
+    site = system.sites["S1"]
+    site.ltm.begin("T1")
+    system.env.run(system.env.process(
+        site.ltm.run_ops("T1", [WriteOp("k0", 7)])
+    ))
+    site.ltm.local_commit("T1")
+    with pytest.raises(TwoPhaseViolation):
+        site.locks.acquire("T1", "k1", LockMode.S)
+    site.ltm.complete_commit("T1")
+    assert site.locks._shrinking == set()
 
 
 def test_late_ack_to_retired_endpoint_is_delivered_then_discarded():

@@ -108,6 +108,21 @@ class TestRunning:
         system.check_correctness()
         system.check_correctness(strict=True)
 
+    def test_one_judgment_builds_the_global_sg_once(self, monkeypatch):
+        from repro.check.oracles import _check_serializability
+        from repro.sg.graph import GlobalSG
+
+        system = System()
+        system.run_transaction(spec())
+        builds = []
+        build = GlobalSG.from_history.__func__
+        monkeypatch.setattr(GlobalSG, "from_history", classmethod(
+            lambda cls, history: builds.append(1) or build(cls, history)
+        ))
+        system.check_correctness()
+        assert _check_serializability(system, strict=False) == []
+        assert len(builds) == 2
+
     def test_run_local_retries_after_lock_timeout(self):
         system = System(SystemConfig(lock_timeout=2.0, observability=True))
         site = system.sites["S1"]

@@ -10,13 +10,14 @@ Invariants of the Section-5 machinery on random multi-site SGs:
 * ``path_includes`` agrees with membership in the enumerated minimal
   representations;
 * the segment graph's transitive-closure construction agrees with naive
-  per-site DFS reachability.
+  per-site DFS reachability, and restricted to a strongly connected
+  component of the union graph it keeps exactly the members' segments.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sg import GlobalSG, global_path_exists, minimal_representations, path_includes
-from repro.sg.paths import SegmentGraph
+from repro.sg.paths import SegmentGraph, segment_sites, union_components
 
 
 NODES = [f"N{i}" for i in range(6)]
@@ -57,13 +58,29 @@ def naive_reachable(sg, src, dst):
 @given(random_gsg())
 def test_segment_graph_matches_naive_reachability(gsg):
     graph = SegmentGraph(gsg)
-    for site_id, sg in gsg.locals.items():
-        for src in sg.nodes:
-            for dst in sg.nodes:
-                if src == dst:
-                    continue
-                has = site_id in graph.sites_for(src, dst)
-                assert has == naive_reachable(sg, src, dst)
+    nodes = sorted(gsg.nodes)
+    for src in nodes:
+        for dst in nodes:
+            sites = {
+                site_id for site_id, sg in gsg.locals.items()
+                if src != dst and naive_reachable(sg, src, dst)
+            }
+            assert segment_sites(gsg, src, dst) == sites
+            assert graph.has_segment(src, dst) == bool(sites)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_gsg())
+def test_component_restricted_closure_is_exact(gsg):
+    """Inside a strongly connected component of the union graph, the
+    closure restricted to its members has exactly the full segments."""
+    graph = SegmentGraph(gsg)
+    for component in union_components(gsg):
+        restricted = SegmentGraph(gsg, within=set(component))
+        for src in component:
+            assert restricted.successors(src) == (
+                graph.successors(src) & set(component)
+            )
 
 
 @settings(max_examples=150, deadline=None)
