@@ -39,9 +39,11 @@ class SemanticAction:
     That the inverse constructor names a registered action, targets the
     forward key and restores the before-value is pinned for every
     compensatable action of :func:`standard_registry` by
-    ``tests/compensation/test_roundtrip_properties.py``;
+    ``tests/compensation/test_roundtrip_properties.py``.
     :class:`~repro.txn.local_manager.LocalTransactionManager` builds each
-    inverse eagerly, while the forward operation executes.
+    inverse while the forward operation executes, so a constructor that
+    raises fails that operation; it drops the result and rebuilds the
+    inverse from the logged forward operation when compensating.
     """
 
     name: str

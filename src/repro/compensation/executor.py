@@ -4,10 +4,11 @@ When an O2PC participant receives an ABORT decision for a transaction it
 locally committed, it invokes the compensating subtransaction ``CT_ij``
 (Section 2).  This executor:
 
-* builds the compensation's operations — semantic inverses recorded during
-  forward execution (restricted model) when available, otherwise before-image
-  restoring writes from the WAL (generic model).  Either way ``CT_i`` writes
-  at least every item ``T_i`` wrote, satisfying Theorem 2's precondition;
+* builds the compensation's operations from the WAL's ``UPDATE`` records —
+  the semantic inverse of each logged forward operation (restricted model),
+  a before-image restoring write for each generic one (generic model) — so
+  ``CT_i`` writes at least every item ``T_i`` wrote, satisfying Theorem 2's
+  precondition, and is built the same way after a crash as before one;
 * runs the compensation **as a local transaction** under local strict 2PL
   (Section 3.2) — it acquires its own locks, because the forward
   transaction's locks were released at vote time and other transactions may
@@ -65,33 +66,10 @@ class CompensationExecutor:
     # -- building --------------------------------------------------------------
 
     def build_ops(self, txn_id: str) -> list[Op]:
-        """Operations of ``CT_ij`` for the locally-committed ``txn_id``.
-
-        Uses the transaction's recorded *undo program* — one step per
-        forward update, in reverse order: the semantic inverse where one is
-        registered, a before-image write otherwise.  This is correct even
-        when semantic and generic updates interleave on the same key
-        (undoing only the newest semantic step would leave the key wrong).
-        After a crash the volatile program is gone; the WAL's before-images
-        are the (generic-model) fallback — oldest update first per key, so
-        each key is restored to its true pre-transaction value.
-        """
-        ltm = self.site.ltm
-        program = ltm.undo_program(txn_id)
-        ops: list[Op]
-        if program:
-            ops = list(program)
-        else:
-            # Oldest update first: its before-image is the key's true
-            # pre-transaction value (a newest-first dedup would restore an
-            # intermediate value for multiply-updated keys).
-            ops = []
-            seen: set[str] = set()
-            for key, before in reversed(ltm.forward_before_images(txn_id)):
-                if key in seen:
-                    continue
-                seen.add(key)
-                ops.append(WriteOp(key=key, value=before))
+        """Operations of ``CT_ij`` for the locally-committed ``txn_id``:
+        the site's undo program for it (``ltm.undo_program``: one step per
+        forward update, newest first, rebuilt from the log)."""
+        ops = self.site.ltm.undo_program(txn_id)
         if self.lock_marks:
             from repro.core.marks import MARKS_KEY
 

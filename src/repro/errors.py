@@ -85,10 +85,6 @@ class WALError(StorageError):
     """Write-ahead-log invariant violation (bad LSN order, truncated record)."""
 
 
-class RecoveryError(StorageError):
-    """Recovery could not restore a consistent state from the log."""
-
-
 # ---------------------------------------------------------------------------
 # Locking
 # ---------------------------------------------------------------------------

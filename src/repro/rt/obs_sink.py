@@ -21,7 +21,7 @@ import json
 from typing import Any
 
 from repro.obs.events import DecisionApplied, Event
-from repro.obs.export import event_from_dict, event_to_dict
+from repro.obs.export import event_to_dict, read_jsonl
 from repro.obs.metrics import MetricsReport, StreamingMetrics
 from repro.rt.config import ClusterConfig
 
@@ -70,13 +70,8 @@ class JsonlEventSink:
 
 def read_events(path: str) -> list[Event]:
     """Load one site's event stream back into typed events."""
-    events: list[Event] = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(event_from_dict(json.loads(line)))
-    return events
+        return list(read_jsonl(handle))
 
 
 def aggregate_cluster(

@@ -1,11 +1,11 @@
 """Per-site storage engine: key-value store, write-ahead log, recovery.
 
 Each site owns one :class:`~repro.storage.kvstore.KVStore` guarded by a
-:class:`~repro.storage.wal.WriteAheadLog`.  Transactions write before-images
-to the log before updating the store; :class:`~repro.storage.recovery.RecoveryManager`
-implements transaction rollback (undo from log — the paper's "standard
-roll-back recovery") and full crash-restart recovery (redo committed work,
-undo in-flight work).
+:class:`~repro.storage.wal.WriteAheadLog`.  Transactions log each update
+(before- and after-image, and the semantic operation that made it) before
+updating the store; :class:`~repro.storage.recovery.RecoveryManager`
+implements crash-restart recovery (redo committed work, undo in-flight
+work).
 """
 
 from repro.storage.kvstore import KVStore

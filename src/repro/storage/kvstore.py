@@ -4,7 +4,8 @@ Values are arbitrary Python objects; keys are strings.  The store itself is
 oblivious to transactions — atomicity and isolation are layered on top by the
 WAL, the recovery manager, and the lock manager.  A tombstone-free design is
 used: deletion removes the key, and the WAL records ``TOMBSTONE`` as the
-before/after image so undo/redo can restore deletions faithfully.
+before-image of a write to an absent key and as the after-image of a write
+that deletes, so undo and redo both restore absence faithfully.
 """
 
 from __future__ import annotations
@@ -59,17 +60,6 @@ class KVStore:
         Unlike :meth:`get`, this does not count as a logical read — it is used
         by the WAL layer to capture undo information.
         """
-        return self._data.get(key, TOMBSTONE)
-
-    def snapshot_read(self, key: str) -> Any:
-        """Before-image of ``key`` that *does* count as a logical read.
-
-        The write path captures the before-image exactly once and reuses
-        it for both the undo program and the WAL record; this variant
-        keeps the read accounting of :meth:`get_or` while preserving the
-        ``TOMBSTONE`` distinction :meth:`snapshot_value` provides.
-        """
-        self.read_count += 1
         return self._data.get(key, TOMBSTONE)
 
     # -- writes ------------------------------------------------------------------

@@ -1,26 +1,19 @@
-"""Recovery: transaction rollback and crash-restart replay.
+"""Recovery: crash-restart replay.
 
-Two operations:
-
-* :meth:`RecoveryManager.rollback` — undo one in-flight transaction from its
-  log chain (before-images, newest first).  This is the paper's "standard
-  roll-back recovery" used at sites that vote NO, and is modeled in the
-  serialization-graph layer as a degenerate compensating subtransaction
-  (Section 3.2).
-
-* :meth:`RecoveryManager.restart` — rebuild the volatile store after a crash:
-  redo every update of a transaction that reached COMMIT or LOCAL_COMMIT
-  (an O2PC local commit exposes updates, so they must survive a crash), then
-  undo every update of a transaction that did not.  Prepared-but-undecided
-  transactions are reported to the caller: under standard 2PC they must stay
-  blocked; under O2PC they do not exist (a YES vote locally commits).
+:meth:`RecoveryManager.restart` rebuilds the volatile store after a crash:
+redo every update of a transaction that reached COMMIT or LOCAL_COMMIT (an
+O2PC local commit exposes updates, so they must survive a crash), then undo
+every update of a transaction that did not.  Prepared-but-undecided
+transactions are reported to the caller: under standard 2PC they must stay
+blocked; under O2PC they do not exist (a YES vote locally commits).
+Rolling back one live transaction is the local transaction manager's job
+(``abort_local``, ``rollback_subtxn``), from the same log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import RecoveryError
 from repro.storage.kvstore import KVStore
 from repro.storage.wal import RecordType, WriteAheadLog
 
@@ -44,30 +37,6 @@ class RecoveryManager:
     def __init__(self, store: KVStore, wal: WriteAheadLog) -> None:
         self.store = store
         self.wal = wal
-
-    # -- transaction rollback -----------------------------------------------
-
-    def rollback(self, txn_id: str) -> int:
-        """Undo ``txn_id``'s updates from the log; returns #updates undone.
-
-        Must not be called for a transaction that already terminated or that
-        locally committed (those need compensation, not state-based undo).
-        """
-        status = self.wal.status_of(txn_id)
-        if status in (RecordType.COMMIT, RecordType.ABORT):
-            raise RecoveryError(
-                f"cannot roll back terminated transaction {txn_id}"
-            )
-        if status is RecordType.LOCAL_COMMIT:
-            raise RecoveryError(
-                f"{txn_id} locally committed: requires compensation, not undo"
-            )
-        updates = self.wal.updates_for(txn_id)
-        for record in reversed(updates):
-            assert record.key is not None
-            self.store.apply_image(record.key, record.before)
-        self.wal.append(RecordType.ABORT, txn_id, force=True)
-        return len(updates)
 
     # -- crash restart ------------------------------------------------------
 

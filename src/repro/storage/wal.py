@@ -1,9 +1,13 @@
 """Write-ahead log with undo/redo records.
 
 The log is the site's durable state: it survives crashes (the KV store does
-not).  Records carry before- and after-images, so the recovery manager can
-undo (transaction rollback, the paper's "standard roll-back recovery") and
-redo (crash restart) any update.
+not).  Records carry before- and after-images, so any update can be undone
+(transaction rollback, the paper's "standard roll-back recovery") and
+redone (crash restart).  An ``UPDATE`` made by a semantic operation also
+names that forward operation (:attr:`LogRecord.op`), so the log is the one
+undo record: :meth:`~repro.txn.local_manager.LocalTransactionManager.undo_program`
+rebuilds a locally-committed transaction's *semantic* compensation from it,
+before and after a crash alike.
 
 2PC durability points are modeled faithfully with dedicated record types:
 a participant force-writes ``PREPARE`` before voting YES, the coordinator
@@ -24,7 +28,11 @@ hosting daemon.  Reopening the same path replays the file; a torn or
 corrupt final frame — the signature of a crash mid-append — is detected by
 the length/checksum pair and truncated away (the record it belonged to was
 never acknowledged as durable), matching what a real recovery pass does
-with a torn tail.
+with a torn tail.  In a frame, ``TOMBSTONE`` ("the key did not exist")
+travels as the tagged value ``{"$tombstone": true}``, and a semantic
+``UPDATE``'s operation as ``"op": [name, params]``; a frame without
+``"op"`` is a generic write, which is all a frame written before the field
+existed could say.
 """
 
 from __future__ import annotations
@@ -35,9 +43,13 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import WALError
+from repro.storage.kvstore import TOMBSTONE
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (txn imports us)
+    from repro.txn.operations import SemanticOp
 
 #: on-disk frame header: payload length + CRC32 of the payload
 _FRAME_HEADER = struct.Struct(">II")
@@ -65,31 +77,54 @@ class RecordType(enum.Enum):
 _TERMINAL = {RecordType.COMMIT, RecordType.ABORT}
 
 
+#: JSON stand-in for ``TOMBSTONE`` in a frame (a stored value equal to it
+#: would read back as "absent")
+_TOMBSTONE_JSON = {"$tombstone": True}
+
+
+def _image_to_json(image: Any) -> Any:
+    return _TOMBSTONE_JSON if image is TOMBSTONE else image
+
+
+def _image_from_json(image: Any) -> Any:
+    return TOMBSTONE if image == _TOMBSTONE_JSON else image
+
+
 def _record_to_json(record: "LogRecord") -> dict[str, Any]:
     """JSON form of one record (values must be JSON-serializable)."""
-    return {
+    data: dict[str, Any] = {
         "lsn": record.lsn,
         "type": record.record_type.value,
         "txn": record.txn_id,
         "key": record.key,
-        "before": record.before,
-        "after": record.after,
+        "before": _image_to_json(record.before),
+        "after": _image_to_json(record.after),
         "prev": record.prev_lsn,
         "payload": record.payload,
     }
+    if record.op is not None:
+        data["op"] = [record.op.name, record.op.params]
+    return data
 
 
 def _record_from_json(data: dict[str, Any]) -> "LogRecord":
     """Inverse of :func:`_record_to_json`."""
+    op = None
+    if "op" in data:
+        from repro.txn.operations import SemanticOp
+
+        name, params = data["op"]
+        op = SemanticOp(name=name, key=data["key"], params=params)
     return LogRecord(
         lsn=data["lsn"],
         record_type=RecordType(data["type"]),
         txn_id=data["txn"],
         key=data["key"],
-        before=data["before"],
-        after=data["after"],
+        before=_image_from_json(data["before"]),
+        after=_image_from_json(data["after"]),
         prev_lsn=data["prev"],
         payload=data["payload"],
+        op=op,
     )
 
 
@@ -106,6 +141,9 @@ class LogRecord:
     #: LSN of this transaction's previous record (backward chain for undo)
     prev_lsn: int | None = None
     payload: dict[str, Any] = field(default_factory=dict)
+    #: the forward semantic operation an ``UPDATE`` applied (None for a
+    #: generic write) — what the undo program inverts
+    op: "SemanticOp | None" = None
 
     def __repr__(self) -> str:
         core = f"LSN={self.lsn} {self.record_type.value} txn={self.txn_id}"
@@ -199,7 +237,7 @@ class WriteAheadLog:
                 break
             try:
                 records.append(_record_from_json(json.loads(payload)))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise WALError(
                     f"{path}: undecodable record at byte {offset}: {exc}"
                 ) from exc
@@ -285,6 +323,7 @@ class WriteAheadLog:
         before: Any = None,
         after: Any = None,
         force: bool = False,
+        op: "SemanticOp | None" = None,
         **payload: Any,
     ) -> LogRecord:
         """Append a record; returns it.
@@ -305,6 +344,7 @@ class WriteAheadLog:
             prev_lsn=self._last_lsn.get(txn_id),
             # ``**payload`` is already a fresh dict; no defensive copy
             payload=payload,
+            op=op,
         )
         self._records.append(record)
         self._last_lsn[txn_id] = lsn

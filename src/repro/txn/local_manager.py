@@ -37,9 +37,6 @@ from repro.txn.transaction import TxnStatus
 if TYPE_CHECKING:  # pragma: no cover
     from repro.txn.site import Site
 
-#: sentinel: "no precomputed before-image" (None is a real image)
-_MISSING = object()
-
 
 class LocalTransactionManager:
     """Executes transactions against one site under strict 2PL."""
@@ -65,12 +62,6 @@ class LocalTransactionManager:
         self.site = site
         #: current status of every transaction seen at this site
         self.status: dict[str, TxnStatus] = {}
-        #: unified undo program, one entry per forward update in order:
-        #: the semantic inverse for semantic operations, a before-image
-        #: restoring write for generic ones.  Applying it in reverse undoes
-        #: the transaction even when semantic and generic updates interleave
-        #: on the same key.  Dropped at the terminal state (:meth:`_terminate`).
-        self._undo_program: dict[str, list[Op]] = {}
         #: values returned by reads, per transaction (for workloads)
         self.read_results: dict[str, dict[str, Any]] = {}
 
@@ -82,7 +73,6 @@ class LocalTransactionManager:
             raise InvalidTransactionState(f"{txn_id} already active")
         self.site.wal.append(RecordType.BEGIN, txn_id)
         self.status[txn_id] = TxnStatus.ACTIVE
-        self._undo_program[txn_id] = []
         self.read_results[txn_id] = {}
 
     def is_active(self, txn_id: str) -> bool:
@@ -109,15 +99,7 @@ class LocalTransactionManager:
             return value
         if isinstance(op, WriteOp):
             yield from self._acquire(txn_id, op.key, LockMode.X)
-            # One store lookup serves both undo structures: the captured
-            # image goes into the undo program (None = "key was absent",
-            # undone by the delete path) and, untranslated, into the WAL
-            # record as the before-image.
-            before = self.site.store.snapshot_read(op.key)
-            self._undo_program[txn_id].append(
-                WriteOp(op.key, None if before is TOMBSTONE else before)
-            )
-            self._logged_write(txn_id, op.key, op.value, before)
+            self._logged_write(txn_id, op.key, op.value)
             return op.value
         if isinstance(op, SemanticOp):
             yield from self._acquire(txn_id, op.key, LockMode.X)
@@ -125,14 +107,11 @@ class LocalTransactionManager:
             self.site.history.read(txn_id, op.key)
             after = self.site.registry.apply(op, before)
             if self.site.registry.is_compensatable(op):
-                self._undo_program[txn_id].append(
-                    self.site.registry.invert(op, before)
-                )
-            else:
-                # Real action executed anyway (the participant is expected
-                # to have held locks): fall back to state restoration.
-                self._undo_program[txn_id].append(WriteOp(op.key, before))
-            self._logged_write(txn_id, op.key, after)
+                # Build the inverse now and drop it: an inverse constructor
+                # that raises fails the forward operation, before any vote,
+                # never a compensation.  undo_program rebuilds it from the log.
+                self.site.registry.invert(op, before)
+            self._logged_write(txn_id, op.key, after, op)
             return after
         raise TypeError(f"unknown operation {op!r}")
 
@@ -166,12 +145,14 @@ class LocalTransactionManager:
         return results
 
     def _logged_write(
-        self, txn_id: str, key: str, value: Any, before: Any = _MISSING
+        self, txn_id: str, key: str, value: Any, op: SemanticOp | None = None,
     ) -> None:
-        if before is _MISSING:
-            before = self.site.store.snapshot_value(key)
+        """Log, then apply, one update; ``None`` deletes the key, logged
+        as a ``TOMBSTONE`` after-image so restart redo deletes it too."""
+        after = TOMBSTONE if value is None else value
         self.site.wal.append(
-            RecordType.UPDATE, txn_id, key=key, before=before, after=value,
+            RecordType.UPDATE, txn_id, key=key,
+            before=self.site.store.snapshot_value(key), after=after, op=op,
         )
         if value is None:
             self.site.store.delete(key)
@@ -363,28 +344,27 @@ class LocalTransactionManager:
 
     # -- compensation support -------------------------------------------------------
 
-    def recorded_inverses(self, txn_id: str) -> list[SemanticOp]:
-        """Semantic inverses recorded during forward execution, newest first."""
-        program = self.undo_program(txn_id)
-        return [op for op in program if isinstance(op, SemanticOp)]
-
     def undo_program(self, txn_id: str) -> list[Op]:
-        """The transaction's undo program, in application (reverse) order.
+        """The transaction's undo program, in application (newest-first) order.
 
-        One step per forward update — semantic inverses where registered,
-        before-image writes otherwise — correct even when semantic and
-        generic updates interleave on the same key.  Empty after a crash
-        (it is volatile); callers fall back to the WAL's before-images.
+        Rebuilt from the log's ``UPDATE`` records, one step per forward
+        update: the registered inverse where the record names a
+        compensatable operation, a before-image write otherwise.  Undoing
+        every update in reverse stays correct when semantic and generic
+        updates interleave on the same key, and the log survives a crash,
+        so a restarted site compensates semantically too.
         """
-        return list(reversed(self._undo_program.get(txn_id, [])))
-
-    def forward_before_images(self, txn_id: str) -> list[tuple[str, Any]]:
-        """(key, before image) pairs of the forward updates, newest first."""
-        return [
-            (r.key, r.before)
-            for r in reversed(self.site.wal.updates_for(txn_id))
-            if r.key is not None
-        ]
+        registry = self.site.registry
+        program: list[Op] = []
+        for record in reversed(self.site.wal.updates_for(txn_id)):
+            before = None if record.before is TOMBSTONE else record.before
+            op = record.op
+            if op is not None and registry.is_compensatable(op):
+                program.append(registry.invert(op, before))
+            else:
+                assert record.key is not None
+                program.append(WriteOp(record.key, before))
+        return program
 
     def mark_compensated(self, txn_id: str) -> None:
         """Record that the locally-committed ``txn_id`` was compensated-for."""
@@ -417,12 +397,10 @@ class LocalTransactionManager:
     # -- helpers --------------------------------------------------------------------------
 
     def _terminate(self, txn_id: str, status: TxnStatus) -> None:
-        """Enter a terminal ``status``, drop the undo program (nothing rolls
-        back or compensates a terminated transaction) and the lock table's
+        """Enter a terminal ``status`` and drop the lock table's
         shrink-phase entry — so every caller releases its locks first.
         (``read_results`` stays; workloads read it after commit.)"""
         self.status[txn_id] = status
-        self._undo_program.pop(txn_id, None)
         self.site.locks.forget(txn_id)
 
     def _require_active(self, txn_id: str) -> None:

@@ -71,13 +71,6 @@ class GlobalTxnSpec:
         """Sites this transaction executes at, in spec order."""
         return [sub.site_id for sub in self.subtxns]
 
-    def subtxn_at(self, site_id: str) -> SubtxnSpec:
-        """The subtransaction spec for ``site_id``."""
-        for sub in self.subtxns:
-            if sub.site_id == site_id:
-                return sub
-        raise KeyError(f"{self.txn_id} has no subtransaction at {site_id}")
-
 
 @dataclass
 class TxnOutcome:

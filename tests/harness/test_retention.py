@@ -2,8 +2,8 @@
 
 A terminated transaction keeps what it is judged by — WAL records, history,
 lock-hold log, outcome — and nothing that only its execution needed: its
-coordinator, the coordinator's inbox, the sites' undo programs, and the
-lock tables' shrink-phase entries.
+coordinator, the coordinator's inbox, and the lock tables' shrink-phase
+entries.  (A site keeps no undo program: it rebuilds one from the WAL.)
 """
 
 import gc
@@ -45,7 +45,6 @@ def test_quiesced_run_retains_no_execution_state(scheme):
     assert len(system.specs) == 301
     assert [e for e in system.network.endpoints if e.startswith("coord.")] == []
     for site in system.sites.values():
-        assert site.ltm._undo_program == {}, site.site_id
         assert site.locks._shrinking == set(), site.site_id
     gc.collect()
     assert finished() is None

@@ -5,17 +5,15 @@ locks.  If it is then killed, restarts, serves another transaction on the
 same item, and only then learns that ``T1`` aborted, the compensating
 subtransaction must *withdraw what T1 deposited* — not put the item back
 to what it was before ``T1``, which silently erases the transaction in
-between.  The forward execution knows the inverse operation; the WAL's
-``UPDATE`` record keeps only before/after images, so the restarted site
-falls back to restoring them.  The chaos soak trips over this about once
-in a hundred runs; this is the deterministic version, expected to fail
-until the inverse is logged.
+between.  The WAL's ``UPDATE`` record names the forward operation, so the
+restarted site rebuilds the semantic inverse from its log.  The chaos
+soak reaches this window at random; this is the deterministic version
+(``tests/compensation/test_compensation_after_restart.py`` is the same
+scenario without daemons).
 """
 
 import asyncio
 import signal
-
-import pytest
 
 from repro.net.message import Message, MsgType
 from repro.rt.client import site_read, site_shutdown
@@ -68,11 +66,6 @@ def subtxn(action, amount):
 VOTE_REQ = (MsgType.VOTE_REQ, {"transmarks": []})
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="post-crash compensation restores WAL before-images "
-           "(FINDINGS.md §10, ROADMAP item 1)",
-)
 def test_compensation_after_restart_keeps_interleaved_updates(
     cluster, cluster_file,  # noqa: F811
 ):

@@ -1,10 +1,17 @@
-"""Unit tests for rollback and crash-restart recovery."""
+"""Unit tests for rollback and crash-restart recovery.
+
+Rolling back a live transaction is ``LocalTransactionManager.abort_local``
+(before-images from the log, newest first); crash restart is
+``RecoveryManager.restart``.
+"""
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import InvalidTransactionState
+from repro.sim import Environment
 from repro.storage import KVStore, RecordType, RecoveryManager, WriteAheadLog
 from repro.storage.kvstore import TOMBSTONE
+from repro.txn import SemanticOp, Site, WriteOp
 
 
 def make_engine():
@@ -20,45 +27,56 @@ def logged_put(store, wal, txn, key, value):
     store.put(key, value)
 
 
+def site_with(txn_id, ops, data=None):
+    """A site where ``txn_id`` has run ``ops`` and is still active."""
+    env = Environment()
+    site = Site(env, "S1")
+    site.load(data or {})
+    site.ltm.begin(txn_id)
+    env.run(env.process(site.ltm.run_ops(txn_id, ops)))
+    return site
+
+
 def test_rollback_restores_before_images():
-    store, wal, rec = make_engine()
-    store.put("x", 10)
-    wal.append(RecordType.BEGIN, "T1")
-    logged_put(store, wal, "T1", "x", 99)
-    logged_put(store, wal, "T1", "y", 1)
-    undone = rec.rollback("T1")
-    assert undone == 2
-    assert store.get("x") == 10
-    assert not store.exists("y")
-    assert wal.status_of("T1") is RecordType.ABORT
+    site = site_with("T1", [WriteOp("x", 99), WriteOp("y", 1)], {"x": 10})
+    site.ltm.abort_local("T1")
+    assert site.store.snapshot() == {"x": 10}
+    assert site.wal.status_of("T1") is RecordType.ABORT
 
 
 def test_rollback_undoes_in_reverse_order():
-    store, wal, rec = make_engine()
-    wal.append(RecordType.BEGIN, "T1")
-    logged_put(store, wal, "T1", "x", 1)
-    logged_put(store, wal, "T1", "x", 2)
-    rec.rollback("T1")
-    assert not store.exists("x")
+    site = site_with("T1", [WriteOp("x", 1), WriteOp("x", 2)])
+    site.ltm.abort_local("T1")
+    assert not site.store.exists("x")
 
 
 def test_rollback_of_terminated_rejected():
-    store, wal, rec = make_engine()
-    wal.append(RecordType.BEGIN, "T1")
-    wal.append(RecordType.COMMIT, "T1")
-    with pytest.raises(RecoveryError):
-        rec.rollback("T1")
+    site = site_with("T1", [WriteOp("x", 1)])
+    site.ltm.commit("T1")
+    with pytest.raises(InvalidTransactionState):
+        site.ltm.abort_local("T1")
 
 
 def test_rollback_of_locally_committed_rejected():
     """A locally-committed transaction exposed its updates: compensation,
     not state-based undo, is the only legal revocation (Section 2)."""
-    store, wal, rec = make_engine()
-    wal.append(RecordType.BEGIN, "T1")
-    logged_put(store, wal, "T1", "x", 5)
-    wal.append(RecordType.LOCAL_COMMIT, "T1")
-    with pytest.raises(RecoveryError, match="compensation"):
-        rec.rollback("T1")
+    site = site_with("T1", [WriteOp("x", 5)])
+    site.ltm.local_commit("T1")
+    with pytest.raises(InvalidTransactionState, match="LOCALLY_COMMITTED"):
+        site.ltm.abort_local("T1")
+    assert site.store.get("x") == 5
+
+
+def test_deleted_key_stays_deleted_after_restart():
+    """A delete logs ``TOMBSTONE`` as its after-image, so restart redo
+    removes the key instead of reinstalling it with the value None."""
+    site = site_with("T1", [SemanticOp("delete", "k0")], {"k0": 100})
+    site.ltm.commit("T1")
+    assert site.wal.updates_for("T1")[0].after is TOMBSTONE
+    live = site.store.snapshot()
+    site.crash()
+    site.restart()
+    assert site.store.snapshot() == live == {}
 
 
 def test_restart_redoes_committed():

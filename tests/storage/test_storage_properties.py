@@ -1,14 +1,17 @@
 """Property-based tests: storage-engine invariants.
 
-* rollback is an exact inverse — after undoing a transaction, the store
-  equals its pre-transaction snapshot, whatever the update sequence;
+* rollback (``abort_local``) is an exact inverse — after undoing a
+  transaction, the store equals its pre-transaction snapshot, whatever the
+  update sequence;
 * crash-restart is equivalent to replaying only committed work;
 * WAL chains are complete and ordered per transaction.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro.sim import Environment
 from repro.storage import KVStore, RecordType, RecoveryManager, WriteAheadLog
+from repro.txn import Site, WriteOp
 
 keys = st.sampled_from(["a", "b", "c", "d"])
 values = st.integers(min_value=-100, max_value=100)
@@ -26,16 +29,16 @@ def logged_put(store, wal, txn, key, value):
     st.lists(st.tuples(keys, values), min_size=1, max_size=15),
 )
 def test_rollback_restores_exact_pretransaction_state(initial, updates):
-    store, wal = KVStore(), WriteAheadLog()
-    for k, v in initial.items():
-        store.put(k, v)
-    rec = RecoveryManager(store, wal)
-    snapshot = store.snapshot()
-    wal.append(RecordType.BEGIN, "T1")
-    for key, value in updates:
-        logged_put(store, wal, "T1", key, value)
-    rec.rollback("T1")
-    assert store.snapshot() == snapshot
+    env = Environment()
+    site = Site(env, "S1")
+    site.load(initial)
+    snapshot = site.store.snapshot()
+    site.ltm.begin("T1")
+    env.run(env.process(site.ltm.run_ops(
+        "T1", [WriteOp(key, value) for key, value in updates],
+    )))
+    site.ltm.abort_local("T1")
+    assert site.store.snapshot() == snapshot
 
 
 @settings(max_examples=200, deadline=None)

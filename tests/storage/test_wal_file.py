@@ -8,6 +8,7 @@ and recover everything before it.  Crashing recovery on a torn tail
 would turn every unlucky kill into a permanently dead site.
 """
 
+import json
 import os
 import struct
 import zlib
@@ -16,8 +17,9 @@ import pytest
 
 from repro.errors import WALError
 from repro.storage.recovery import RecoveryManager
-from repro.storage.kvstore import KVStore
+from repro.storage.kvstore import TOMBSTONE, KVStore
 from repro.storage.wal import RecordType, WriteAheadLog
+from repro.txn.operations import SemanticOp
 
 
 def wal_at(tmp_path, name="site.wal"):
@@ -68,6 +70,74 @@ class TestFileBacking:
         assert record.before == {"n": 1}
         assert record.after == {"n": 2}
         assert record.prev_lsn == 1
+
+    def test_tombstone_images_roundtrip(self, tmp_path):
+        # A write to an absent key logs TOMBSTONE as its before-image, a
+        # delete as its after-image; both must reach the file and come
+        # back as TOMBSTONE, not fail to encode or return as a value.
+        wal = wal_at(tmp_path)
+        wal.append(RecordType.BEGIN, "T1")
+        wal.append(
+            RecordType.UPDATE, "T1", key="k9", before=TOMBSTONE, after=5,
+        )
+        wal.append(
+            RecordType.UPDATE, "T1", key="k9", before=5, after=TOMBSTONE,
+            force=True,
+        )
+        wal.close()
+
+        inserted, deleted = wal_at(tmp_path).updates_for("T1")
+        assert inserted.before is TOMBSTONE and inserted.after == 5
+        assert deleted.before == 5 and deleted.after is TOMBSTONE
+
+    def test_semantic_op_roundtrips(self, tmp_path):
+        wal = wal_at(tmp_path)
+        wal.append(RecordType.BEGIN, "T1")
+        wal.append(
+            RecordType.UPDATE, "T1", key="k0", before=100, after=102,
+            op=SemanticOp("deposit", "k0", {"amount": 2}),
+        )
+        wal.append(
+            RecordType.UPDATE, "T1", key="k0", before=102, after=7,
+            force=True,
+        )
+        wal.close()
+
+        semantic, generic = wal_at(tmp_path).updates_for("T1")
+        assert semantic.op == SemanticOp("deposit", "k0", {"amount": 2})
+        assert generic.op is None
+
+    def test_frame_without_op_is_a_generic_write(self, tmp_path):
+        # Pin the older format: an UPDATE frame with no "op" field (all a
+        # log written before the field existed can hold) still decodes,
+        # as a generic write undone by its before-image.
+        path = tmp_path / "site.wal"
+        frames = b""
+        for record in (
+            {"lsn": 1, "type": "BEGIN", "txn": "T1", "key": None,
+             "before": None, "after": None, "prev": None, "payload": {}},
+            {"lsn": 2, "type": "UPDATE", "txn": "T1", "key": "k0",
+             "before": 100, "after": 102, "prev": 1, "payload": {}},
+        ):
+            payload = json.dumps(record).encode()
+            frames += struct.pack(">II", len(payload), zlib.crc32(payload))
+            frames += payload
+        path.write_bytes(frames)
+
+        (update,) = wal_at(tmp_path).updates_for("T1")
+        assert (update.op, update.before, update.after) == (None, 100, 102)
+
+    def test_malformed_op_field_raises(self, tmp_path):
+        path = tmp_path / "site.wal"
+        payload = json.dumps(
+            {"lsn": 1, "type": "UPDATE", "txn": "T1", "key": "k0",
+             "before": 1, "after": 2, "prev": None, "payload": {}, "op": 5},
+        ).encode()
+        path.write_bytes(
+            struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+        )
+        with pytest.raises(WALError):
+            wal_at(tmp_path)
 
     def test_checkpoint_truncation_rewrites_the_file(self, tmp_path):
         path = tmp_path / "site.wal"

@@ -9,7 +9,7 @@ def test_hierarchy_rooted_at_repro_error():
     leaves = [
         errors.SimulationDeadlock, errors.ProcessInterrupted,
         errors.SiteDownError, errors.UnknownSiteError,
-        errors.KeyNotFound, errors.WALError, errors.RecoveryError,
+        errors.KeyNotFound, errors.WALError,
         errors.LockNotHeld, errors.DeadlockDetected, errors.LockTimeout,
         errors.TwoPhaseViolation, errors.TransactionAborted,
         errors.InvalidTransactionState, errors.SubtransactionRejected,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compensation import SemanticAction
 from repro.errors import DeadlockDetected, InvalidTransactionState
 from repro.locking import LockMode
 from repro.sim import Environment
@@ -61,24 +62,62 @@ def test_semantic_op_applies_and_records_inverse():
 
     assert run(env, proc()) == 150
     assert site.store.get("acct") == 150
-    inverses = site.ltm.recorded_inverses("T1")
-    assert len(inverses) == 1
-    assert inverses[0].name == "withdraw"
-    assert inverses[0].params == {"amount": 50}
+    (update,) = site.wal.updates_for("T1")
+    assert update.op == SemanticOp("deposit", "acct", {"amount": 50})
+    assert site.ltm.undo_program("T1") == [
+        SemanticOp("withdraw", "acct", {"amount": 50}),
+    ]
 
 
 def test_inverses_returned_newest_first():
+    """One undo step per update, newest first: semantic inverses, and
+    before-image writes for generic updates (None = the key was absent)."""
     env, site = make_site()
+    site.load({"c": 7})
 
     def proc():
         site.ltm.begin("T1")
         yield from site.ltm.run_ops("T1", [
             SemanticOp("deposit", "a", {"amount": 1}),
+            WriteOp("c", 8),
             SemanticOp("deposit", "b", {"amount": 2}),
+            WriteOp("d", 9),
         ])
 
     run(env, proc())
-    assert [op.key for op in site.ltm.recorded_inverses("T1")] == ["b", "a"]
+    assert site.ltm.undo_program("T1") == [
+        WriteOp("d", None),
+        SemanticOp("withdraw", "b", {"amount": 2}),
+        WriteOp("c", 7),
+        SemanticOp("withdraw", "a", {"amount": 1}),
+    ]
+
+
+def test_inverse_constructor_error_fails_the_forward_operation():
+    """The inverse is built while the forward operation runs: a constructor
+    that raises fails that operation before it logs or writes anything,
+    so it can never fail a compensation after the vote."""
+    env, site = make_site()
+    site.load({"acct": 100})
+
+    def broken_inverse(params, before):
+        raise ValueError("no inverse for these params")
+
+    site.registry.register(SemanticAction(
+        name="credit", apply=lambda current, amount: current + amount,
+        inverse=broken_inverse,
+    ))
+
+    def proc():
+        site.ltm.begin("T1")
+        with pytest.raises(ValueError, match="no inverse"):
+            yield from site.ltm.execute(
+                "T1", SemanticOp("credit", "acct", {"amount": 5}),
+            )
+
+    run(env, proc())
+    assert site.store.get("acct") == 100
+    assert site.wal.updates_for("T1") == []
 
 
 def test_commit_releases_locks_and_records():
