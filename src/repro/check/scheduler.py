@@ -203,13 +203,15 @@ class ControlledEnvironment(Environment):
 
     def _open_tick(self) -> None:
         """Advance the clock to the next tick and sort its heap entries."""
-        queue = self._queue
-        if not queue:
+        if not self.queued:
             self._raise_deadlock("no scheduled events")
-        self._now = now = queue[0][0]
+        self._now = now = self._next_timer()
+        queue = self._queue
         while queue and queue[0][0] == now:
             _, priority, _, event = heapq.heappop(queue)
-            if event.annotation is not None:
+            if event.callbacks is None:  # a cancelled timer
+                self._cancelled -= 1
+            elif event.annotation is not None:
                 self._ready.append(event)
             elif priority <= URGENT:
                 self._slot_urgent.append(event)

@@ -340,25 +340,12 @@ class Coordinator:
         assert msg_type in self._COLLECTS, (
             f"{msg_type} missing from Coordinator._COLLECTS"
         )
-        deadline = None
+        deadline = self.env.now + timeout
         while True:
-            get = self.inbox.get()
-            if get.triggered:
-                # Fast path: a message was already queued, so take it
-                # directly and skip the timeout/any_of machinery.  No
-                # simulation time passes here, so deferring the deadline
-                # clock until we actually have to wait leaves the expiry
-                # instant unchanged.
-                msg = yield get
-            else:
-                if deadline is None:
-                    deadline = self.env.timeout(timeout)
-                yield self.env.any_of([get, deadline])
-                if not get.triggered:
-                    self.inbox.cancel_get(get)
-                    return None
-                msg = get.value
-            if msg.msg_type is msg_type:
+            # Clamped: a pumped clock can pass the deadline between an
+            # arrival and its handling (repro.rt.pump).
+            msg = yield self.inbox.get(max(deadline - self.env.now, 0.0))
+            if msg is None or msg.msg_type is msg_type:
                 return msg
 
     def _await_alive(self):
@@ -374,5 +361,3 @@ class Coordinator:
         # After an outage, resume from the durable decision log if we had
         # already decided (retransmission is handled by the caller's flow:
         # _decision_phase is only entered once, after _await_alive).
-        return
-        yield  # pragma: no cover - ensure generator when failures is None

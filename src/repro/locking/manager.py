@@ -23,7 +23,13 @@ from collections import deque
 from dataclasses import dataclass
 from sys import intern
 
-from repro.errors import DeadlockDetected, LockNotHeld, TwoPhaseViolation
+from repro.errors import (
+    DeadlockDetected,
+    LockNotHeld,
+    LockTimeout,
+    TransactionAborted,
+    TwoPhaseViolation,
+)
 from repro.locking.deadlock import DeadlockDetector, WaitsForGraph
 from repro.locking.modes import LockMode, stronger
 from repro.obs.events import (
@@ -34,7 +40,7 @@ from repro.obs.events import (
     LockTimedOut,
 )
 from repro.sim.engine import Environment
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 
 @dataclass(slots=True)
@@ -47,6 +53,8 @@ class LockRequest:
     event: Event
     requested_at: float
     is_upgrade: bool = False
+    #: the armed lock-timeout timer (None: no timeout, or left the queue)
+    timer: Timeout | None = None
 
 
 @dataclass(slots=True)
@@ -105,8 +113,9 @@ class LockManager:
         #: per-request wait durations (metrics): (txn, key, wait_time)
         self.wait_log: list[tuple[str, str, float]] = []
         #: recycled :class:`LockRequest` objects (grant path stays
-        #: allocation-free under contention).  Only used when no timeout
-        #: watchdog can hold a stale reference (``lock_timeout is None``).
+        #: allocation-free under contention).  Safe with a lock timeout
+        #: too: a request's timer is cancelled whenever it leaves the
+        #: queue, so no timer can reach a retired request.
         self._request_pool: list[LockRequest] = []
 
     # -- introspection ---------------------------------------------------------
@@ -161,24 +170,19 @@ class LockManager:
             return event
 
         is_upgrade = held is LockMode.S and mode is LockMode.X
-        if self._grantable(txn_id, key, mode, is_upgrade):
-            bus = self.env.bus
-            if bus.enabled:
-                bus.publish(LockRequested(
-                    site_id=self.site_id, txn_id=txn_id, key=key,
-                    mode=mode.value, immediate=True,
-                ))
-            self._grant(txn_id, key, mode, requested_at=self.env.now)
-            event.succeed((key, mode))
-            return event
+        grantable = self._grantable(txn_id, key, mode, is_upgrade)
         bus = self.env.bus
         if bus.enabled:
             bus.publish(LockRequested(
                 site_id=self.site_id, txn_id=txn_id, key=key,
-                mode=mode.value, immediate=False,
+                mode=mode.value, immediate=grantable,
             ))
+        if grantable:
+            self._grant(txn_id, key, mode, requested_at=self.env.now)
+            event.succeed((key, mode))
+            return event
 
-        if self._request_pool and self.lock_timeout is None:
+        if self._request_pool:
             # Recycle a retired request object (see the pool comment above).
             request = self._request_pool.pop()
             request.txn_id = txn_id
@@ -205,24 +209,20 @@ class LockManager:
         self._record_waits(request)
         self._detect_deadlock(request)
         if self.lock_timeout is not None and not event.triggered:
-            self.env.process(
-                self._timeout_watchdog(request),
-                name=f"locktimeout:{txn_id}:{key}",
+            request.timer = timer = self.env.timeout(
+                self.lock_timeout, request
             )
+            timer.callbacks.append(self._expire)
         return event
 
-    def _timeout_watchdog(self, request: LockRequest):
-        from repro.errors import LockTimeout
-
-        yield self.env.timeout(self.lock_timeout)
-        if request.event.triggered:
-            return
-        queue = self._queues.get(request.key)
-        if queue is None or request not in queue:
-            return
+    def _expire(self, timer: Timeout) -> None:
+        """A blocked request's lock timeout: fail it and leave the queue."""
+        request: LockRequest = timer.value
+        request.timer = None
+        queue = self._queues[request.key]
         queue.remove(request)
         if not queue:
-            self._queues.pop(request.key, None)
+            del self._queues[request.key]
         self.waits_for.remove_waiter(request.txn_id)
         bus = self.env.bus
         if bus.enabled:
@@ -235,6 +235,12 @@ class LockManager:
             f"{request.key} at {self.site_id}"
         ))
         self._wake_waiters(request.key)
+
+    def _disarm(self, request: LockRequest) -> None:
+        """Cancel ``request``'s lock timeout as it leaves the queue."""
+        if request.timer is not None:
+            self.env.cancel(request.timer)
+            request.timer = None
 
     def _grantable(
         self, txn_id: str, key: str, mode: LockMode, is_upgrade: bool
@@ -349,8 +355,6 @@ class LockManager:
         :class:`~repro.errors.TransactionAborted`, waking their waiting
         process so it can unwind.  Returns the number cancelled.
         """
-        from repro.errors import TransactionAborted
-
         cancelled = 0
         for qkey, queue in list(self._queues.items()):
             if key is not None and qkey != key:
@@ -359,6 +363,7 @@ class LockManager:
             for request in queue:
                 if request.txn_id == txn_id:
                     cancelled += 1
+                    self._disarm(request)
                     if not request.event.triggered:
                         exc = TransactionAborted(
                             txn_id, f"lock request on {qkey} cancelled"
@@ -386,26 +391,21 @@ class LockManager:
         queue = self._queues.get(key)
         if not queue:
             return
-        recyclable = self.lock_timeout is None
+        # Every other exit (cancel, deadlock victim, lock timeout) takes a
+        # request out of its queue, so the head is always still waiting.
         progressed = True
         while progressed and queue:
             progressed = False
             head = queue[0]
-            if head.event.triggered:
-                queue.popleft()
-                if recyclable:
-                    self._request_pool.append(head)
-                progressed = True
-                continue
             if self._holders_compatible(head):
                 queue.popleft()
+                self._disarm(head)
                 self._grant(
                     head.txn_id, head.key, head.mode, head.requested_at
                 )
                 self.waits_for.remove_waiter(head.txn_id)
                 head.event.succeed((head.key, head.mode))
-                if recyclable:
-                    self._request_pool.append(head)
+                self._request_pool.append(head)
                 progressed = True
         if not queue:
             self._queues.pop(key, None)
@@ -463,6 +463,7 @@ class LockManager:
             remaining: deque[LockRequest] = deque()
             for queued in queue:
                 if queued.txn_id == victim and not queued.event.triggered:
+                    self._disarm(queued)
                     queued.event.fail(exc)
                 else:
                     remaining.append(queued)

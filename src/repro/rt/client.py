@@ -347,32 +347,26 @@ class NetClient:
         """Re-send one logged decision; returns the still-unacked sites."""
         endpoint = f"coord.{txn_id}"
         inbox = self.transport.register(endpoint)
-        for site_id in pending:
-            self.transport.send(Message(
-                msg_type=MsgType.DECISION,
-                sender=endpoint,
-                recipient=site_id,
-                txn_id=txn_id,
-                payload={"decision": decision},
-            ))
         acked: set[str] = set()
-        deadline = self.env.now + self.commit.ack_timeout
-        while len(acked) < len(pending):
-            remaining = deadline - self.env.now
-            if remaining <= 0:
-                break
-            get = inbox.get()
-            if get.triggered:
-                msg = yield get
-            else:
-                timeout = self.env.timeout(remaining)
-                yield self.env.any_of([get, timeout])
-                if not get.triggered:
-                    inbox.cancel_get(get)
+        try:
+            for site_id in pending:
+                self.transport.send(Message(
+                    msg_type=MsgType.DECISION,
+                    sender=endpoint,
+                    recipient=site_id,
+                    txn_id=txn_id,
+                    payload={"decision": decision},
+                ))
+            deadline = self.env.now + self.commit.ack_timeout
+            while len(acked) < len(pending):
+                msg = yield inbox.get(max(deadline - self.env.now, 0.0))
+                if msg is None:
                     break
-                msg = get.value
-            if msg.msg_type is MsgType.ACK and msg.sender in pending:
-                acked.add(msg.sender)
+                if msg.msg_type is MsgType.ACK and msg.sender in pending:
+                    acked.add(msg.sender)
+        finally:
+            # Late ACKs drop as unknown_endpoint (see _await_termination).
+            self.transport.unregister(endpoint)
         return sorted(set(pending) - acked)
 
     async def resend_session(self) -> dict[str, list[str]]:

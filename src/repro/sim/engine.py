@@ -18,6 +18,10 @@ predates every slot entry, so only the priority needs comparing), so dispatch
 order is the total ``(time, priority, sequence)`` order a single heap would
 give (``tests/sim/test_calendar_queue.py`` holds that reference).
 
+Most timers are deadlines of waits that end early: ``cancel`` marks one,
+drops it lazily at the heap top and rebuilds the heap once marked entries
+outnumber live ones (asyncio's rule for cancelled timer handles).
+
 The model checker's :class:`~repro.check.scheduler.ControlledEnvironment`
 steers the same queue: it opens each tick by draining that tick's heap
 entries into the slot, and branches only among the tick's deliveries.
@@ -31,12 +35,15 @@ from typing import Any, Callable, Generator, Iterator
 
 from repro.errors import SimulationDeadlock
 from repro.obs.events import EventBus
-from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout, URGENT
+from repro.sim.events import AllOf, Event, NORMAL, Timeout, URGENT
 from repro.sim.process import Process
 
 _INF = float("inf")
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+#: rebuild the heap once cancelled timers are over half of it and over
+#: this many (asyncio's ``_MIN_SCHEDULED_TIMER_HANDLES``)
+_MIN_CANCELLED = 100
 
 
 class Environment:
@@ -56,10 +63,13 @@ class Environment:
         #: current-tick slot: bare events at time == now, FIFO per priority
         self._slot_urgent: deque[Event] = deque()
         self._slot_normal: deque[Event] = deque()
-        #: monotonically increasing count of ``schedule`` calls.  Doubles as
-        #: the heap sequence tiebreak, and the network uses it as a watermark
-        #: to prove nothing was interleaved between two sends before merging
-        #: them into one batched arrival.
+        #: heap entries whose timer was cancelled (not yet dropped)
+        self._cancelled = 0
+        #: monotonically increasing count of ``schedule`` calls (a
+        #: cancelled timer's included).  Doubles as the heap sequence
+        #: tiebreak, and the network uses it as a watermark to prove nothing
+        #: was interleaved between two sends before merging them into one
+        #: batched arrival.
         self.schedule_count = 0
         self._active_process: Process | None = None
         #: observability event bus (disabled by default; instrumented
@@ -87,7 +97,16 @@ class Environment:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         if self._slot_urgent or self._slot_normal:
             return self._now
-        return self._queue[0][0] if self._queue else _INF
+        return self._next_timer()
+
+    def _next_timer(self) -> float:
+        """Time of the heap's first live entry (cancelled ones dropped)."""
+        queue = self._queue
+        if self._cancelled:
+            while queue and queue[0][3].callbacks is None:
+                _heappop(queue)
+                self._cancelled -= 1
+        return queue[0][0] if queue else _INF
 
     @property
     def queued(self) -> int:
@@ -99,6 +118,7 @@ class Environment:
         """
         return (
             len(self._queue)
+            - self._cancelled
             + len(self._slot_urgent)
             + len(self._slot_normal)
         )
@@ -108,7 +128,8 @@ class Environment:
         yield from self._slot_urgent
         yield from self._slot_normal
         for _when, _prio, _seq, event in self._queue:
-            yield event
+            if event.callbacks is not None:
+                yield event
 
     # -- scheduling ----------------------------------------------------------
 
@@ -143,6 +164,8 @@ class Environment:
         sequence numbers are smaller and only priorities need comparing.
         Raises ``IndexError`` when everything is empty.
         """
+        if self._cancelled:
+            self._next_timer()  # drops cancelled timers off the heap top
         queue = self._queue
         now = self._now
         slot_urgent = self._slot_urgent
@@ -180,9 +203,29 @@ class Environment:
         """Event that triggers when all of ``events`` have triggered."""
         return AllOf(self, events)
 
-    def any_of(self, events: list[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` triggers."""
-        return AnyOf(self, events)
+    def cancel(self, timer: Timeout) -> None:
+        """Withdraw a pending ``timer``: its callbacks never run.
+
+        One due later is never dispatched, never moves the clock, is not
+        queued and reads as processed.  One due by now sits with this
+        tick's events and is disarmed (dispatched as a no-op).  A timer
+        that already ran is left alone.
+        """
+        callbacks = timer.callbacks
+        if callbacks is None:
+            return
+        if timer.at <= self._now:  # due: with this tick's events, unchecked
+            callbacks.clear()
+            return
+        timer.callbacks = None
+        timer._value = None
+        self._cancelled = cancelled = self._cancelled + 1
+        queue = self._queue
+        if cancelled > _MIN_CANCELLED and 2 * cancelled > len(queue):
+            # Survivors keep their (time, priority, seq) keys and order.
+            queue[:] = [e for e in queue if e[3].callbacks is not None]
+            heapq.heapify(queue)
+            self._cancelled = 0
 
     # -- execution -------------------------------------------------------------
 
@@ -270,15 +313,14 @@ class Environment:
         injects events between calls (the networked runtime's pump).
         Unlike ``run(until=to)``, events sitting in the current-tick slot
         are handled at the first due instant — the earliest timer if one
-        is due by ``to`` (it was scheduled before them and runs ahead of
-        them), else ``to`` itself — not at the instant the caller last
-        stopped, so a timer they arm counts from when they were seen.
+        is due by ``to`` (it runs ahead of them), else ``to`` itself — not
+        at the instant the caller last stopped, so a timer they arm counts
+        from when they were seen.
         """
         to = float(to)
         if to < self._now:
             raise ValueError(f"to={to} is in the past (now={self._now})")
-        queue = self._queue
-        self._now = min(queue[0][0], to) if queue else to
+        self._now = min(self._next_timer(), to)
         self.run(until=to)
 
     def __repr__(self) -> str:

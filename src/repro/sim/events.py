@@ -4,9 +4,11 @@ An :class:`Event` is a one-shot occurrence with a value.  Processes wait on
 events by yielding them; the kernel resumes the process with the event's value
 (or throws the event's exception into it).
 
-Composite events :class:`AnyOf` and :class:`AllOf` let a process wait on
-several events at once — the idiom protocols use to race a message arrival
-against a timeout.
+:class:`AllOf` lets a process wait on several events at once (a batch of
+spawned processes).  A wait that may time out is not a composite: it is
+one event, :meth:`Store.get(timeout) <repro.sim.store.Store.get>`, backed
+by a timer the kernel can withdraw (:meth:`Environment.cancel
+<repro.sim.engine.Environment.cancel>`).
 """
 
 from __future__ import annotations
@@ -107,14 +109,6 @@ class Event:
         self.env.schedule(self, priority=priority)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Mirror another event's outcome onto this one (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event.defused = True
-            self.fail(event._value)
-
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed
@@ -125,21 +119,23 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers ``delay`` time units after its creation."""
+    """An event that triggers ``delay`` time units after its creation;
+    the one event :meth:`Environment.cancel` can withdraw."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("at",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
-        self.delay = delay
+        #: the instant it is due (``Environment.cancel`` reads it)
+        self.at = env._now + delay
         self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
 
     def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}>"
+        return f"<Timeout at={self.at}>"
 
 
 class Initialize(Event):
@@ -155,12 +151,9 @@ class Initialize(Event):
         env.schedule(self, priority=URGENT)
 
 
-class Condition(Event):
-    """Base for composite events over a fixed set of sub-events.
-
-    Triggers when ``evaluate`` says enough sub-events have fired; its value is
-    an ordered dict of the *triggered* sub-events and their values.
-    """
+class AllOf(Event):
+    """Triggers once *all* of a fixed set of sub-events have happened;
+    its value maps each to its value, and the first failure fails it."""
 
     __slots__ = ("_events", "_count")
 
@@ -189,10 +182,6 @@ class Condition(Event):
         # the kernel processes it.
         return {e: e._value for e in self._events if e.processed}
 
-    def evaluate(self, count: int, total: int) -> bool:
-        """Return True when the condition is satisfied."""
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             # Late-arriving failures must not vanish silently.
@@ -204,23 +193,5 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self.evaluate(self._count, len(self._events)):
+        if self._count == len(self._events):
             self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Triggers once *all* sub-events have triggered."""
-
-    __slots__ = ()
-
-    def evaluate(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(Condition):
-    """Triggers as soon as *any* sub-event triggers."""
-
-    __slots__ = ()
-
-    def evaluate(self, count: int, total: int) -> bool:
-        return count >= 1

@@ -1,9 +1,10 @@
 """FIFO store: the producer/consumer channel used for site inboxes.
 
 ``put`` never blocks (stores are unbounded); ``get`` returns an event that
-triggers with the oldest item as soon as one is available.  Delivery order is
-strictly FIFO for both items and waiting getters, which keeps message
-processing deterministic.
+triggers with the oldest item as soon as one is available, or — given a
+``timeout`` — with ``None`` once that many time units pass first.  Delivery
+order is strictly FIFO for both items and waiting getters, which keeps
+message processing deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Environment
@@ -24,7 +25,8 @@ class Store:
         self.env = env
         self.name = name
         self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
+        #: waiting getters, each with its deadline timer (or None)
+        self._getters: deque[tuple[Event, Timeout | None]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -36,33 +38,37 @@ class Store:
 
     def put(self, item: Any) -> None:
         """Add ``item``; wakes the oldest waiting getter, if any."""
-        # Skip over getters that were cancelled/triggered elsewhere.
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.succeed(item)
-                return
+        if self._getters:
+            getter, timer = self._getters.popleft()
+            getter.succeed(item)
+            if timer is not None:
+                self.env.cancel(timer)
+            return
         self._items.append(item)
 
-    def get(self) -> Event:
-        """Return an event that triggers with the next item."""
+    def get(self, timeout: float | None = None) -> Event:
+        """Return an event that triggers with the next item, or with
+        ``None`` once ``timeout`` time units pass first.
+
+        An expired getter is withdrawn, so it never takes a later item; an
+        item that comes first cancels the timer; an item already queued is
+        taken at once and arms no timer.
+        """
         event = Event(self.env)
         if self._items:
             event.succeed(self._items.popleft())
+        elif timeout is None:
+            self._getters.append((event, None))
         else:
-            self._getters.append(event)
+            timer = Timeout(self.env, timeout, event)
+            timer.callbacks.append(self._expire)
+            self._getters.append((event, timer))
         return event
 
-    def cancel_get(self, event: Event) -> None:
-        """Withdraw a waiting getter (e.g. after losing a timeout race).
-
-        A triggered getter cannot be withdrawn — it already consumed an
-        item; callers must check ``event.triggered`` first.
-        """
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
+    def _expire(self, timer: Timeout) -> None:
+        getter = timer._value
+        self._getters.remove((getter, timer))
+        getter.succeed(None)
 
     def clear(self) -> list[Any]:
         """Drop and return all queued items (used on site crash)."""

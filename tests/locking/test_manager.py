@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (
     DeadlockDetected,
     LockNotHeld,
+    LockTimeout,
     TwoPhaseViolation,
 )
 from repro.locking import LockManager, LockMode
@@ -238,3 +239,39 @@ def test_blocking_process_integration():
     env.process(second(env))
     env.run()
     assert order == [("T1-got", 0.0), ("T2-got", 10.0)]
+
+
+def test_recycled_request_is_not_expired_by_its_old_timer():
+    # With a lock timeout, requests are recycled too: a granted request's
+    # timer is cancelled as it leaves the queue, so when the same object
+    # blocks again for another transaction, the first timer's instant (5)
+    # does not expire it; only its own timer (2 + 5 = 7) does.
+    env, lm = make_lm(lock_timeout=5.0)
+    lm.acquire("T1", "x", LockMode.X)
+    lm.acquire("T3", "y", LockMode.X)
+    timed_out = []
+
+    def first():
+        yield lm.acquire("T2", "x", LockMode.X)
+
+    def second():
+        yield env.timeout(2.0)
+        try:
+            yield lm.acquire("T4", "y", LockMode.X)
+        except LockTimeout:
+            timed_out.append(env.now)
+
+    def releaser():
+        yield env.timeout(1.0)
+        lm.release("T1", "x")
+
+    env.process(first())
+    env.process(second())
+    env.process(releaser())
+    env.run(until=1.5)
+    recycled = lm._request_pool[-1]
+    env.run(until=2.5)
+    assert lm._queues["y"][0] is recycled
+    env.run()
+    assert timed_out == [7.0]
+    assert lm.held_mode("T2", "x") is LockMode.X

@@ -263,6 +263,37 @@ class TestAnchoredClock:
         assert (at1, at2) == (20, 50)
         assert wall2 - wall1 >= 0.029
 
+    def test_a_finished_wait_is_not_a_due_timer(self):
+        # A wait whose item came first leaves no deadline behind: a loop
+        # busy for 20 ticks afterwards is not taken for a stall past that
+        # dead deadline, which would drag the clock back to it (5.0).
+        async def scenario():
+            env = Environment()
+            pump = RealtimePump(env, time_scale=0.02)
+            store = Store(env)
+            got = []
+
+            def waiter():
+                got.append((yield store.get(timeout=5)))
+
+            env.process(waiter())
+            task = asyncio.ensure_future(pump.run())
+            await asyncio.sleep(0.02)  # tick 1
+            store.put("frame")
+            pump.kick()
+            await asyncio.sleep(0.002)  # the pump hands the frame over
+            time.sleep(0.4)  # the loop is busy for 20 ticks
+            pump.kick()
+            await asyncio.sleep(0.005)
+            now = env.now
+            pump.stop()
+            await task
+            return got, now
+
+        got, now = run(scenario())
+        assert got == ["frame"]
+        assert now >= 20
+
     def test_stop_exits_a_parked_pump(self):
         async def scenario():
             pump = RealtimePump(Environment(), time_scale=0.001)

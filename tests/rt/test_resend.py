@@ -129,6 +129,20 @@ class TestPendingDecisions:
         assert results == {"T1": ["S1"]}
         assert client.pending_decisions == {"T1": ("COMMIT", ["S1"])}
 
+    def test_resend_unregisters_its_coordinator_endpoint(self, tmp_path):
+        # Late ACKs for a finished re-send drop as unknown_endpoint, as
+        # they do after a submitted transaction's coordinator, instead of
+        # piling into an inbox nobody reads.
+        cluster = local_cluster(["S1"], data_dir=str(tmp_path))
+        client = NetClient(cluster, commit=CLIENT_COMMIT, time_scale=0.002)
+        client.pending_decisions["T1"] = ("COMMIT", ["S1"])
+        client.pending_decisions["T2"] = ("ABORT", ["S1"])
+        client.resend_pending()
+        assert not [
+            endpoint for endpoint in client.transport._inboxes
+            if endpoint.startswith("coord.")
+        ]
+
     def test_acknowledged_decisions_leave_nothing_pending(self, tmp_path):
         async def scenario():
             cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))

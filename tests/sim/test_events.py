@@ -1,4 +1,4 @@
-"""Unit tests for event primitives (Event, Timeout, AnyOf, AllOf)."""
+"""Unit tests for event primitives (Event, Timeout, AllOf)."""
 
 import pytest
 
@@ -59,20 +59,6 @@ def test_timeout_carries_value():
     assert env.run(env.process(proc(env))) == "ding"
 
 
-def test_anyof_triggers_on_first():
-    env = Environment()
-
-    def proc(env):
-        slow = env.timeout(10, value="slow")
-        fast = env.timeout(1, value="fast")
-        result = yield env.any_of([slow, fast])
-        return (env.now, list(result.values()))
-
-    now, values = env.run(env.process(proc(env)))
-    assert now == 1.0
-    assert values == ["fast"]
-
-
 def test_allof_waits_for_all():
     env = Environment()
 
@@ -95,20 +81,6 @@ def test_allof_empty_list_triggers_immediately():
         return result
 
     assert env.run(env.process(proc(env))) == {}
-
-
-def test_anyof_includes_already_processed_event():
-    env = Environment()
-
-    def proc(env):
-        done = env.timeout(0, value="early")
-        yield env.timeout(5)
-        result = yield env.any_of([done, env.timeout(100)])
-        return (env.now, list(result.values()))
-
-    now, values = env.run(env.process(proc(env)))
-    assert now == 5.0
-    assert values == ["early"]
 
 
 def test_condition_failure_propagates():

@@ -15,7 +15,7 @@ from repro.locking.modes import LockMode
 from repro.net.message import Message, MsgType
 from repro.sg.conflicts import OpKind, Operation
 from repro.sim import Environment
-from repro.sim.events import AllOf, AnyOf, Condition, Event, Initialize, Timeout
+from repro.sim.events import AllOf, Event, Initialize, Timeout
 from repro.sim.process import Process
 from repro.storage.wal import LogRecord, RecordType
 from repro.txn.operations import ReadOp, SemanticOp, WriteOp
@@ -35,9 +35,7 @@ def _instances():
         event,
         timeout,
         Initialize(env, process),
-        Condition(env, [event]),
         AllOf(env, [event]),
-        AnyOf(env, [event]),
         process,
         Message(
             msg_type=MsgType.VOTE, sender="S1", recipient="coord.T1",

@@ -90,33 +90,55 @@ def test_clear_drops_and_returns_items():
     assert len(store) == 0
 
 
-def test_cancel_get_withdraws_waiter():
+def test_expired_get_withdraws_its_waiter():
     env = Environment()
     store = Store(env)
-    getter = store.get()
-    assert not getter.triggered
-    store.cancel_get(getter)
+    getter = store.get(timeout=5)
+    env.run()
+    assert env.now == 5.0
+    assert getter.processed and getter.value is None
     store.put("x")
-    # The cancelled getter must not consume the item.
+    # The expired getter must not consume the item.
     assert store.items == ["x"]
-    assert not getter.triggered
 
 
-def test_cancel_get_of_triggered_event_is_noop():
+def test_get_of_a_queued_item_arms_no_timer():
     env = Environment()
     store = Store(env)
     store.put("x")
-    getter = store.get()
-    assert getter.triggered
-    store.cancel_get(getter)  # no error, nothing to withdraw
-    assert getter.value == "x"
+    getter = store.get(timeout=5)
+    assert getter.triggered and getter.value == "x"
+    assert env.queued == 1  # the getter itself; no timer
+    assert env.peek() == env.now
 
 
-def test_cancelled_getter_does_not_block_later_getters():
+def test_expired_getter_does_not_block_later_getters():
     env = Environment()
     store = Store(env)
-    stale = store.get()
-    store.cancel_get(stale)
+    stale = store.get(timeout=1)
+    env.run(until=2)
+    assert stale.value is None
     live = store.get()
     store.put("y")
     assert live.triggered and live.value == "y"
+
+
+def test_an_item_first_cancels_the_timer():
+    env = Environment()
+    store = Store(env)
+    got = []
+
+    def consumer(env):
+        got.append((yield store.get(timeout=100)))
+
+    def producer(env):
+        yield env.timeout(1)
+        store.put("z")
+
+    env.process(consumer(env))
+    env.process(producer(env))
+    env.run()
+    # The withdrawn deadline neither ran nor moved the clock to 100.
+    assert got == ["z"]
+    assert env.now == 1.0
+    assert env.queued == 0
