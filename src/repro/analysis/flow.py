@@ -302,7 +302,7 @@ OBLIGATIONS: tuple[Obligation, ...] = (
         msg_type="PAXOS_ACCEPTED",
         tag_key=None,
         exempt=frozenset(),
-        covering=("_persist",),
+        covering=("wal.append",),
     ),
 )
 

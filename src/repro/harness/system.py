@@ -53,6 +53,7 @@ from repro.sg.history import GlobalHistory
 from repro.sim.engine import Environment
 from repro.sim.process import Process
 from repro.sim.rng import Rng
+from repro.storage.wal import WriteAheadLog
 from repro.txn.operations import Op
 from repro.txn.site import Site
 from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
@@ -185,10 +186,8 @@ class System:
             self.obs.enable()
         #: the commit-scheme engine (role classes from the protocols registry)
         self.engine = engine_for(self.config.scheme)
-        #: acceptor processes (Paxos Commit only; empty otherwise).  Sim
-        #: acceptor state is durable by convention — crashing an acceptor
-        #: endpoint drops its messages but keeps its promises, exactly like
-        #: the coordinator's decision log.
+        #: acceptor processes (Paxos Commit only; empty otherwise), each on
+        #: its own in-memory log, from which recovery rebuilds its tables
         self.acceptors: dict[str, Acceptor] = {}
         self._acceptor_ids: tuple[str, ...] = ()
         if self.engine.acceptor is not None:
@@ -197,7 +196,7 @@ class System:
             )
             for acc_id in self._acceptor_ids:
                 self.acceptors[acc_id] = self.engine.acceptor(
-                    self.env, self.network, acc_id
+                    self.env, self.network, acc_id, WriteAheadLog(acc_id)
                 )
                 self.failures.register_site(acc_id)
         self.sites: dict[str, Site] = {}
@@ -257,6 +256,8 @@ class System:
         participant = self.participants.get(endpoint_id)
         if participant is not None:
             participant.crash()
+        if endpoint_id in self.acceptors:
+            self.acceptors[endpoint_id].crash()
 
     def _on_site_recover(self, endpoint_id: str) -> None:
         participant = self.participants.get(endpoint_id)
@@ -264,6 +265,8 @@ class System:
             self.env.process(
                 participant.recover(), name=f"recover:{endpoint_id}"
             )
+        if endpoint_id in self.acceptors:
+            self.acceptors[endpoint_id].recover()
 
     # -- running global transactions ----------------------------------------------
 
@@ -435,6 +438,8 @@ class System:
         # Forced log writes are a storage-layer counter, not a bus event.
         for site in self.sites.values():
             report.forced_log_writes += site.wal.forced_writes
+        for acceptor in self.acceptors.values():
+            report.forced_log_writes += acceptor.wal.forced_writes
         return report
 
     def timeline(self, width: int = 50) -> str:

@@ -321,6 +321,8 @@ def report_from_logs(
         waits.extend(w for _, _, w in site.locks.wait_log)
         report.deadlocks += len(site.locks.detector.detected)
         report.forced_log_writes += site.wal.forced_writes
+    for acceptor in system.acceptors.values():
+        report.forced_log_writes += acceptor.wal.forced_writes
     report.mean_lock_hold = mean(holds)
     report.max_lock_hold = max(holds) if holds else 0.0
     report.mean_lock_wait = mean(waits)

@@ -57,7 +57,7 @@ class EngineSpec:
     ``coordinator(env=, network=, spec=, scheme=, marking=, config=,
     failures=, acceptors=)``, ``participant(site=, network=, scheme=,
     marking=, lock_marks=, commit=, acceptors=)`` and, when set,
-    ``acceptor(env, network, acceptor_id, path=)``.  ``acceptors`` is the
+    ``acceptor(env, network, acceptor_id, wal)``.  ``acceptors`` is the
     tuple of acceptor endpoint ids (empty for schemes without acceptors);
     the base classes accept it and ignore it.
     """

@@ -14,21 +14,20 @@ case.  Recovery leaders (a timed-out participant, or the restarted
 coordinator) use rounds ≥ 1 with their own endpoint id as tiebreaker, so no
 two proposers ever share a ballot.
 
-Acceptor state is durable by definition — that is what the protocol's
-non-blocking guarantee rests on.  In the simulator the Python object simply
-survives the crash (only messages are dropped while the endpoint is down,
-exactly like the coordinator's ``decision_log``).  In the networked runtime
-the state is persisted to a JSON file next to the site's WAL and reloaded
-on restart (``path=...``).
+Acceptor state is durable by definition: the non-blocking guarantee rests
+on it.  Each change of the tables is forced to a write-ahead log as one
+``ACCEPTOR`` record (keyed by the acceptor's id, so site recovery skips
+it) before the reply that reveals it; :meth:`Acceptor.recover` replays
+the changes in LSN order.  The sim gives each acceptor its own in-memory
+log; a daemon's acceptor shares its site's WAL and group commit.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any
 
 from repro.net.message import Message, MsgType
+from repro.storage.wal import RecordType, WriteAheadLog
 
 #: a ballot: (round, proposer endpoint).  Compared lexicographically.
 Ballot = tuple[int, str]
@@ -59,13 +58,13 @@ class Acceptor:
         env: Any,
         network: Any,
         acceptor_id: str,
-        path: str | None = None,
+        wal: WriteAheadLog,
     ) -> None:
         self.env = env
         self.network = network
         self.acceptor_id = acceptor_id
-        #: JSON persistence path (networked runtime); None = in-memory
-        self.path = path
+        #: the durable record: one forced ACCEPTOR record per table change
+        self.wal = wal
         #: txn → highest promised ballot
         self.promised: dict[str, Ballot] = {}
         #: txn → instance (participant site) → (ballot, value)
@@ -74,12 +73,46 @@ class Acceptor:
         #: ballot-0 accepts; recovery leaders read it back from promises
         #: to learn the instance set
         self.sites: dict[str, list[str]] = {}
-        if path is not None and os.path.exists(path):
-            self._load()
+        #: True from :meth:`crash` to :meth:`recover`: it receives nothing
+        self.crashed = False
+        self.recover()
         network.register(acceptor_id)
         self._dispatcher = env.process(
             self._dispatch(), name=f"acceptor:{acceptor_id}"
         )
+
+    # -- crash and restart -----------------------------------------------------------
+
+    def crash(self) -> None:
+        """The acceptor crashed: its tables are gone, its log is not."""
+        self.crashed = True
+        self.promised = {}
+        self.accepted = {}
+        self.sites = {}
+
+    def recover(self) -> None:
+        """Rebuild the tables from the log, oldest change first."""
+        for record in self.wal.records_for(self.acceptor_id):
+            self._apply(record.payload)
+        self.crashed = False
+
+    def _record(self, change: dict[str, Any]) -> None:
+        """Force ``change`` to the log, then apply it to the tables."""
+        self.wal.append(
+            RecordType.ACCEPTOR, self.acceptor_id, force=True, **change
+        )
+        self._apply(change)
+
+    def _apply(self, change: dict[str, Any]) -> None:
+        txn_id = change["txn"]
+        ballot = ballot_of(change["promised"])
+        self.promised[txn_id] = ballot
+        if "instance" in change:
+            self.accepted.setdefault(txn_id, {})[change["instance"]] = (
+                ballot, change["value"],
+            )
+        if "sites" in change:
+            self.sites[txn_id] = list(change["sites"])
 
     # -- dispatch -----------------------------------------------------------------
 
@@ -91,7 +124,7 @@ class Acceptor:
         while True:
             msg = yield self.network.receive(self.acceptor_id)
             handler = handlers.get(msg.msg_type)
-            if handler is None:
+            if handler is None or self.crashed:
                 continue
             # Acceptor handlers never suspend: state update + one reply.
             handler(msg)
@@ -102,8 +135,7 @@ class Acceptor:
         txn_id = msg.txn_id
         ballot = ballot_of(msg.payload["ballot"])
         if ballot > self.promised.get(txn_id, BALLOT_ZERO):
-            self.promised[txn_id] = ballot
-            self._persist()
+            self._record({"txn": txn_id, "promised": list(ballot)})
         # Always reply: a promise at a higher ballot than the leader's is
         # the nack that tells it to retry with a bigger round.
         accepted = {
@@ -135,12 +167,12 @@ class Acceptor:
             return
         instance = str(msg.payload["instance"])
         value = str(msg.payload["value"])
-        self.promised[txn_id] = ballot
-        self.accepted.setdefault(txn_id, {})[instance] = (ballot, value)
+        change: dict[str, Any] = {"txn": txn_id, "promised": list(ballot),
+                                  "instance": instance, "value": value}
         sites = msg.payload.get("sites")
         if sites:
-            self.sites[txn_id] = [str(s) for s in sites]
-        self._persist()
+            change["sites"] = [str(s) for s in sites]
+        self._record(change)
         self.network.send(Message(
             msg_type=MsgType.PAXOS_ACCEPTED,
             sender=self.acceptor_id,
@@ -152,47 +184,3 @@ class Acceptor:
                 "value": value,
             },
         ))
-
-    # -- persistence (networked runtime) ---------------------------------------------
-
-    def _persist(self) -> None:
-        if self.path is None:
-            return
-        state = {
-            "promised": {
-                txn: list(b) for txn, b in sorted(self.promised.items())
-            },
-            "accepted": {
-                txn: {
-                    instance: [list(entry[0]), entry[1]]
-                    for instance, entry in sorted(entries.items())
-                }
-                for txn, entries in sorted(self.accepted.items())
-            },
-            "sites": {
-                txn: list(s) for txn, s in sorted(self.sites.items())
-            },
-        }
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True)
-        os.replace(tmp, self.path)
-
-    def _load(self) -> None:
-        assert self.path is not None
-        with open(self.path, encoding="utf-8") as fh:
-            state = json.load(fh)
-        self.promised = {
-            txn: ballot_of(b) for txn, b in state.get("promised", {}).items()
-        }
-        self.accepted = {
-            txn: {
-                instance: (ballot_of(entry[0]), str(entry[1]))
-                for instance, entry in entries.items()
-            }
-            for txn, entries in state.get("accepted", {}).items()
-        }
-        self.sites = {
-            txn: [str(s) for s in sites]
-            for txn, sites in state.get("sites", {}).items()
-        }

@@ -63,10 +63,6 @@ class ClusterConfig:
         """Path of one site's durable write-ahead log file."""
         return os.path.join(self.data_dir, f"{site_id}.wal")
 
-    def acceptor_path(self, acceptor_id: str) -> str:
-        """Path of one co-hosted acceptor's durable state file."""
-        return os.path.join(self.data_dir, f"{acceptor_id}.json")
-
     def decision_log_path(self) -> str:
         """Path of the coordinating client's durable decision log.
 

@@ -103,15 +103,14 @@ class SiteDaemon:
             site=self.site, network=self.transport, scheme=scheme,
             marking=self.marking, commit=self.commit, acceptors=acceptors,
         )
-        #: the co-hosted Paxos acceptor (None outside PAXOS), with its
-        #: durable state in a JSON file next to the site's WAL
+        #: the co-hosted Paxos acceptor (None outside PAXOS); it logs to
+        #: the site's WAL, so it rebuilds its tables from the replayed file
         self.acceptor: Acceptor | None = None
         if engine.acceptor is not None:
             acc_id = cluster.acceptor_hosted_by(site_id)
             if acc_id is not None:
                 self.acceptor = engine.acceptor(
-                    self.env, self.transport, acc_id,
-                    path=cluster.acceptor_path(acc_id),
+                    self.env, self.transport, acc_id, self.site.wal,
                 )
         #: recovery classification of the last restart (None on first boot)
         self.restart_report: RestartReport | None = None

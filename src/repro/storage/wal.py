@@ -19,7 +19,9 @@ models the write as ``decision_log_delay``), and ``COMMIT``/``ABORT``
 mark local transaction termination.  O2PC participants write
 ``LOCAL_COMMIT`` when they release locks early (Section 2), which is what a
 recovering site uses to know compensation — not state-based undo — is the
-only way to revoke the transaction.
+only way to revoke the transaction.  A Paxos acceptor forces each change
+of its tables as an ``ACCEPTOR`` record keyed by its own id, which site
+recovery never reads (:mod:`repro.protocols.acceptor`).
 
 File backing (the ``net`` backend): constructed with a ``path``, the log
 appends every record to that file as a length-prefixed, CRC32-checked JSON
@@ -71,6 +73,8 @@ class RecordType(enum.Enum):
     #: compensation completed for the given transaction
     COMPENSATION = "COMPENSATION"
     CHECKPOINT = "CHECKPOINT"
+    #: one change of a Paxos acceptor's tables (``txn_id``: the acceptor)
+    ACCEPTOR = "ACCEPTOR"
 
 
 #: record types that terminate a transaction locally

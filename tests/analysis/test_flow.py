@@ -75,7 +75,7 @@ _FORCE_MUTATIONS = {
     ),
     "ACCEPTOR": (
         "protocols/acceptor.py",
-        "        self._persist()\n        self.network.send(Message(\n",
+        "        self._record(change)\n        self.network.send(Message(\n",
     ),
 }
 

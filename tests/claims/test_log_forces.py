@@ -7,6 +7,10 @@ the updates durable obligations (a crashed participant must redo them and
 compensate, not undo).  This experiment counts forced writes per committed
 transaction for both schemes: the optimistic protocol trades a small,
 constant durability overhead for its lock-window gains.
+
+Paxos Commit moves the vote's durability into its acceptors: Gray &
+Lamport count each acceptor's phase-2b acceptance as a stable write, and
+the acceptors' logs are counted here beside the sites'.
 """
 
 import pytest
@@ -32,23 +36,30 @@ def run_once(scheme, abort_p=0.0, seed=6):
     ), seed=seed)
     elapsed = gen.run()
     report = system.metrics(elapsed)
-    return report
+    return report, system
 
 
 @pytest.fixture(scope="module")
 def force_rows():
     rows = []
     for label, scheme in (("2PC/2PL", CommitScheme.TWO_PL),
-                          ("O2PC", CommitScheme.O2PC)):
+                          ("O2PC", CommitScheme.O2PC),
+                          ("PAXOS", CommitScheme.PAXOS)):
         for p in (0.0, 0.25):
-            report = run_once(scheme, p)
+            report, system = run_once(scheme, p)
             done = report.committed + report.aborted
+            acceptor_forces = sum(
+                acceptor.wal.forced_writes
+                for acceptor in system.acceptors.values()
+            )
             rows.append(ExperimentResult(
                 params={"scheme": label, "abort_p": p},
                 measures={
                     "txns": done,
+                    "committed": report.committed,
                     "forced_writes": report.forced_log_writes,
                     "forces_per_txn": report.forced_log_writes / done,
+                    "acceptor_forces": acceptor_forces,
                 },
             ))
     return rows
@@ -76,3 +87,17 @@ def test_abort_path_costs_more_forces_under_o2pc(force_rows):
           for r in force_rows}
     assert (by[("O2PC", 0.25)]["forces_per_txn"]
             > by[("2PC/2PL", 0.25)]["forces_per_txn"])
+
+
+def test_paxos_acceptors_force_a_quorum_per_instance(force_rows):
+    """Each of N instances needs F+1 acceptors to force its accept."""
+    by = {(r.params["scheme"], r.params["abort_p"]): r.measures
+          for r in force_rows}
+    paxos = by[("PAXOS", 0.0)]
+    n_instances, quorum = 2, 2  # two sites per txn; 2F+1 = 3 acceptors
+    assert paxos["committed"] > 0
+    assert (paxos["acceptor_forces"] / paxos["committed"]
+            >= n_instances * quorum)
+    # The sites force what 2PC's sites force; the acceptors' are on top.
+    assert (paxos["forced_writes"] - paxos["acceptor_forces"]
+            == by[("2PC/2PL", 0.0)]["forced_writes"])

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.commit import CommitScheme
+from repro.harness import System, SystemConfig
 from repro.obs.metrics import (
     Histogram,
     WindowedSeries,
@@ -10,6 +12,8 @@ from repro.obs.metrics import (
     report_from_logs,
 )
 from repro.sim import Rng
+from repro.txn.operations import WriteOp
+from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec
 from tests.obs.test_events import observed_workload
 
 
@@ -117,6 +121,23 @@ class TestStreamingParity:
             "rejections", "forced_log_writes",
         ):
             assert getattr(streamed, name) == getattr(exact, name), name
+
+    def test_both_paths_count_the_acceptors_forced_writes(self):
+        system = System(SystemConfig(
+            scheme=CommitScheme.PAXOS, n_sites=2, observability=True,
+        ))
+        assert system.run_transaction(GlobalTxnSpec("T1", [
+            SubtxnSpec("S1", [WriteOp("k0", 1)]),
+            SubtxnSpec("S2", [WriteOp("k0", 1)]),
+        ])).committed
+        sites = sum(site.wal.forced_writes for site in system.sites.values())
+        acceptors = sum(
+            acceptor.wal.forced_writes
+            for acceptor in system.acceptors.values()
+        )
+        assert acceptors > 0
+        assert system.metrics().forced_log_writes == sites + acceptors
+        assert report_from_logs(system).forced_log_writes == sites + acceptors
 
     def test_sums_and_means_exact(self, reports):
         streamed, exact = reports

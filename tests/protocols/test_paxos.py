@@ -127,3 +127,19 @@ class TestNonBlocking:
             assert state.decided == "COMMIT", site_id
             assert state.decided_at is not None
             assert state.decided_at > 0.5 + OUTAGE, site_id
+
+
+class TestAcceptorRestart:
+    def test_recovery_rebuilds_the_tables_a_crash_cleared(self):
+        system = make_system()
+        assert system.run_transaction(transfer()).committed
+        acceptor = system.acceptors["acc.1"]
+        tables = (acceptor.promised, acceptor.accepted, acceptor.sites)
+        assert set(acceptor.accepted["T1"]) == {"S1", "S2"}
+
+        system.failures.crash("acc.1")
+        assert (acceptor.promised, acceptor.accepted, acceptor.sites) == (
+            {}, {}, {},
+        )
+        system.failures.recover("acc.1")
+        assert (acceptor.promised, acceptor.accepted, acceptor.sites) == tables

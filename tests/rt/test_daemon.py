@@ -15,6 +15,7 @@ from repro.commit.base import CommitConfig, CommitScheme
 from repro.rt.client import NetClient
 from repro.rt.config import local_cluster
 from repro.rt.daemon import SiteDaemon
+from repro.storage.wal import RecordType, WriteAheadLog
 from repro.txn.operations import SemanticOp
 from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec, VotePolicy
 
@@ -191,16 +192,22 @@ class TestCompetitorSchemesOverSockets:
         asyncio.run(run_cluster(
             tmp_path, [transfer_spec()], scheme=CommitScheme.PAXOS,
         ))
-        # Each daemon persisted its co-hosted acceptor next to its WAL.
-        import json
-        import os
-
-        for acc in ("acc.1", "acc.2"):
-            path = os.path.join(str(tmp_path), f"{acc}.json")
-            assert os.path.exists(path), f"{acc} state file missing"
-            with open(path, encoding="utf-8") as fh:
-                state = json.load(fh)
-            assert "T1" in state["accepted"]
+        # Each daemon's co-hosted acceptor logged to the site's own WAL,
+        # keyed by the acceptor's id, not the transaction's.
+        for site_id, acc in (("S1", "acc.1"), ("S2", "acc.2")):
+            wal = WriteAheadLog(site_id, path=str(tmp_path / f"{site_id}.wal"))
+            records = [
+                r for r in wal if r.record_type is RecordType.ACCEPTOR
+            ]
+            wal.close()
+            assert {r.txn_id for r in records} == {acc}
+            assert "T1" in {r.payload["txn"] for r in records}
+        # Observability is off: the data dir holds WALs and nothing else
+        # (the sites' logs and the client's decision log).
+        assert not list(tmp_path.glob("acc.*.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "S1.wal", "S2.wal", "client.decisions.wal",
+        ]
 
     def test_short_commits_over_sockets(self, tmp_path):
         outcomes, _ = asyncio.run(run_cluster(

@@ -229,6 +229,26 @@ MUTATIONS = [
         expect_rule="flow/force-point-drift",
     ),
     Mutation(
+        name="acceptor-reply-before-force",
+        # the acceptor's PAXOS_ACCEPTED leaves before its ACCEPTOR record
+        # is forced: a power loss can forget a vote the leader counted
+        paths=("repro/protocols/acceptor.py",),
+        replacements=(
+            (
+                "        self._record(change)\n"
+                "        self.network.send(Message(\n",
+                "        self.network.send(Message(\n",
+            ),
+            (
+                '                "value": value,\n            },\n        ))\n',
+                '                "value": value,\n            },\n        ))\n'
+                "        self._record(change)\n",
+            ),
+        ),
+        append="",
+        expect_rule="flow/unforced-send",
+    ),
+    Mutation(
         name="vote-req-never-sent",
         # the base coordinator opens its vote phase with the wrong type:
         # the participants' VOTE_REQ handler is never reached, so no
