@@ -9,6 +9,12 @@ compensation.  The :class:`CrashInjector` therefore listens on the
 observability bus and turns each *protocol-significant* event into a crash
 choice point, as long as the per-run crash budget is not exhausted.
 
+The injector owns the bus it needs: subscribing turns emission on, also in
+the explorer's unrecorded runs, and once the budget is spent it
+unsubscribes and turns emission off unless another subscriber (the
+system's recorder) still listens, so the rest of the run constructs no
+events.
+
 Candidate 0 is always "continue"; candidate ``i > 0`` crashes one currently
 up target — a participant site or a coordinator endpoint (``coord.Tn``, the
 paper's motivating failure).  The chosen crash is not executed inside the
@@ -60,6 +66,7 @@ class CrashInjector:
         self.injected: list[tuple[str, str]] = []
         if budget > 0:
             system.env.bus.subscribe(self._on_event)
+            system.env.bus.enable()
 
     def _on_event(self, event: ObsEvent) -> None:
         if self.remaining <= 0 or event.kind not in SIGNIFICANT_KINDS:
@@ -76,6 +83,11 @@ class CrashInjector:
         if chosen == 0:
             return
         self.remaining -= 1
+        if self.remaining == 0:
+            bus = self.system.env.bus
+            bus.unsubscribe(self._on_event)
+            if not bus.has_subscribers:
+                bus.disable()
         target = candidates[chosen - 1]
         self.injected.append((target, point))
         # Deferred execution: crash from a kernel callback, not from inside

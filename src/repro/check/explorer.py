@@ -16,6 +16,8 @@ depth bound would cut off.
 A failed run becomes a :class:`Counterexample` carrying the minimal choice
 vector (trailing default choices stripped), every oracle verdict, and the
 run's JSONL event trace; :func:`replay` re-executes it byte-for-byte.
+Only that trace is ever recorded: exploration runs with observability off
+(see :mod:`repro.check.parallel`).
 
 Both search modes drain the frontier in fixed-size *waves* handed to a
 :class:`~repro.check.parallel.Runner`: wave composition, result order, and
@@ -140,6 +142,9 @@ class ModelChecker:
     """Drives the search described in the module docstring."""
 
     config: CheckConfig
+    #: build each run's system with observability on; the runner clears it
+    #: while it explores (see :mod:`repro.check.parallel`)
+    recording: bool = field(init=False, default=True)
     _scenario: Scenario = field(init=False)
 
     def __post_init__(self) -> None:
@@ -148,7 +153,12 @@ class ModelChecker:
     # -- single-run execution -------------------------------------------------
 
     def execute(self, policy: ChoicePolicy) -> RunOutcome:
-        """Run one schedule under ``policy``; judge it with the oracles."""
+        """Run one schedule under ``policy``; judge it with the oracles.
+
+        The outcome's ``system.obs`` holds the run's events when
+        :attr:`recording` is on (the default, and always for
+        :func:`replay`).
+        """
         config = self.config
         env = ControlledEnvironment(
             policy, max_steps=config.max_steps, prune=config.prune
@@ -156,7 +166,7 @@ class ModelChecker:
         system = System(
             make_system_config(
                 self._scenario, config.protocol, config.seed,
-                scheme=config.scheme,
+                scheme=config.scheme, observability=self.recording,
             ),
             env=env,
         )

@@ -11,6 +11,12 @@ calls them in-process, with ``jobs > 1`` it maps them over a
 Because wave composition and result processing are independent of how the
 wave was executed, ``--jobs N`` produces a byte-identical report to
 ``--jobs 1``: parallelism changes wall-clock time only.
+
+Both paths run a schedule with recording off (``ModelChecker.recording``),
+so it builds and publishes no events the verdict does not read.  A failing
+schedule runs once more from its full choice vector with recording on; the
+replay guarantee (same config and vector, byte-identical run) makes that
+JSONL the failing run's own.
 """
 
 from __future__ import annotations
@@ -49,8 +55,20 @@ class RunRecord:
         return not self.violations
 
 
-def _to_record(prefix: Sequence[int], outcome) -> RunRecord:
-    jsonl = outcome.system.obs.jsonl() if outcome.violations else None
+def _explore(
+    checker: "ModelChecker", prefix: Sequence[int], policy: ChoicePolicy
+) -> RunRecord:
+    """Execute one schedule unrecorded; record only a failing one, by
+    running its vector again."""
+    checker.recording = False
+    try:
+        outcome = checker.execute(policy)
+    finally:
+        checker.recording = True
+    jsonl = None
+    if outcome.violations:
+        replayed = checker.execute(ChoicePolicy(outcome.vector))
+        jsonl = replayed.system.obs.jsonl()
     return RunRecord(
         prefix=tuple(prefix),
         vector=outcome.vector,
@@ -62,7 +80,7 @@ def _to_record(prefix: Sequence[int], outcome) -> RunRecord:
 
 def run_one(checker: "ModelChecker", vector: tuple[int, ...]) -> RunRecord:
     """Execute one schedule from scratch."""
-    return _to_record(vector, checker.execute(ChoicePolicy(vector)))
+    return _explore(checker, vector, ChoicePolicy(vector))
 
 
 def run_walk(checker: "ModelChecker", walk: int) -> RunRecord:
@@ -72,7 +90,7 @@ def run_walk(checker: "ModelChecker", walk: int) -> RunRecord:
     walk is reconstructible from its index alone — in any process.
     """
     rng = Rng(checker.config.seed).fork("bounded-walks").fork(f"walk-{walk}")
-    return _to_record((), checker.execute(RandomPolicy(rng)))
+    return _explore(checker, (), RandomPolicy(rng))
 
 
 # Per-worker state, built once by the pool initializer: config travels to

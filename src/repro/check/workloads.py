@@ -201,13 +201,15 @@ def make_system_config(
     protocol: "ProtocolSpec",
     seed: int,
     scheme: CommitScheme = CommitScheme.O2PC,
+    observability: bool = True,
 ) -> SystemConfig:
     """The checker's standard system configuration for ``scenario``.
 
     Fixed unit latency (no jitter) keeps message arrival times a pure
     function of send times, so the controlled scheduler's choice points are
-    identical across same-vector runs; observability is always on (the
-    crash enumerator and the trace renderer both ride the event bus).
+    identical across same-vector runs.  ``observability`` records the run's
+    events for the trace renderer; the explorer turns it off (emission is
+    passive, so the run is the same either way).
     """
     return SystemConfig(
         n_sites=scenario.n_sites,
@@ -232,5 +234,5 @@ def make_system_config(
             paxos_decision_timeout=10.0,
             short_dependency_timeout=25.0,
         ),
-        observability=True,
+        observability=observability,
     )

@@ -21,6 +21,7 @@ subtransactions containing them as lock-holding (Section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable
 
 from repro.errors import NotCompensatable, UnknownAction
@@ -58,13 +59,22 @@ class SemanticAction:
 
 
 class ActionRegistry:
-    """Name → :class:`SemanticAction` mapping (one per site, shareable)."""
+    """Name → :class:`SemanticAction` mapping (sites may share one)."""
 
     def __init__(self) -> None:
         self._actions: dict[str, SemanticAction] = {}
+        self._frozen = False
 
     def register(self, action: SemanticAction) -> None:
-        """Register an action; re-registration replaces."""
+        """Register an action; re-registration replaces.
+
+        Raises :class:`TypeError` on the frozen :func:`shared_registry`.
+        """
+        if self._frozen:
+            raise TypeError(
+                f"cannot register {action.name!r}: this registry is frozen "
+                "(build a mutable one with standard_registry())"
+            )
         self._actions[action.name] = action
 
     def get(self, name: str) -> SemanticAction:
@@ -111,8 +121,23 @@ class ActionRegistry:
         return self.known(op.name) and self.get(op.name).compensatable
 
 
+@cache
+def shared_registry() -> ActionRegistry:
+    """:func:`standard_registry`, built once per process and frozen.
+
+    Every :class:`~repro.txn.site.Site` built without a registry holds this
+    one object, so a system pays for no repertoire of its own.  It refuses
+    :meth:`~ActionRegistry.register`, so no caller's actions leak into the
+    next system: code that adds actions builds its own registry.
+    """
+    registry = standard_registry()
+    registry._frozen = True
+    return registry
+
+
 def standard_registry() -> ActionRegistry:
-    """The built-in repertoire used by examples, tests, and workloads.
+    """A fresh, mutable copy of the built-in repertoire used by examples,
+    tests, and workloads.
 
     ===========  ================================  =====================
     operation    effect                            compensation

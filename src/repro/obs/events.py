@@ -343,11 +343,19 @@ class EventBus:
             self._subscribers.append(callback)
 
     def unsubscribe(self, callback: Callable[[Event], None]) -> None:
-        """Remove a previously registered callback (no-op if absent)."""
-        try:
-            self._subscribers.remove(callback)
-        except ValueError:
-            pass
+        """Remove a previously registered callback (no-op if absent).
+
+        Safe inside a callback: the list is replaced, not edited, so a
+        ``publish`` in progress still reaches every subscriber.
+        """
+        self._subscribers = [
+            other for other in self._subscribers if other != callback
+        ]
+
+    @property
+    def has_subscribers(self) -> bool:
+        """True while at least one callback is registered."""
+        return bool(self._subscribers)
 
     def enable(self) -> None:
         """Turn emission on."""

@@ -89,14 +89,3 @@ def to_jsonl(events: Iterable[Event]) -> str:
         for event in events
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(events: Iterable[Event], handle: IO[str]) -> int:
-    """Write events as JSONL to an open text handle; returns line count."""
-    count = 0
-    for event in events:
-        handle.write(json.dumps(event_to_dict(event), sort_keys=True,
-                                separators=(",", ":")))
-        handle.write("\n")
-        count += 1
-    return count

@@ -5,7 +5,9 @@ Bundles the bus with its two standing subscribers — the retained
 :class:`~repro.obs.metrics.StreamingMetrics` — behind enable/disable, and
 exposes the derived views (events, spans, JSONL, report).  Disabled by
 default: :meth:`enable` attaches the subscribers and flips the bus's
-emission guard on.
+emission guard on.  The two subscribers are built on first use (the first
+:meth:`enable` or the first view read), so a system that never records
+builds neither.
 """
 
 from __future__ import annotations
@@ -21,18 +23,39 @@ class Observability:
 
     def __init__(self, bus: EventBus, window: float = 10.0) -> None:
         self.bus = bus
-        self.log = EventLog()
-        self.stream = StreamingMetrics(window=window)
+        self._window = window
+        self._log: EventLog | None = None
+        self._stream: StreamingMetrics | None = None
+        self._attached = False
+
+    @property
+    def log(self) -> EventLog:
+        """The retained recorder (empty until :meth:`enable`)."""
+        if self._log is None:
+            self._log = EventLog()
+        return self._log
+
+    @property
+    def stream(self) -> StreamingMetrics:
+        """The streaming aggregator (empty until :meth:`enable`)."""
+        if self._stream is None:
+            self._stream = StreamingMetrics(window=self._window)
+        return self._stream
 
     @property
     def enabled(self) -> bool:
-        """True while the bus is emitting into this hub."""
-        return self.bus.enabled
+        """True while the bus is emitting into this hub.
+
+        Another subscriber (the model checker's crash enumerator) may turn
+        the bus on without the recorder attached; that is not recording.
+        """
+        return self._attached and self.bus.enabled
 
     def enable(self) -> None:
         """Attach the recorder and streaming metrics; start emission."""
         self.bus.subscribe(self.log)
         self.bus.subscribe(self.stream)
+        self._attached = True
         self.bus.enable()
 
     def disable(self) -> None:

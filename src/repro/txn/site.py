@@ -39,7 +39,7 @@ class Site:
     ) -> None:
         # imported here to break the module cycle: the compensation package
         # imports the txn package for operation types
-        from repro.compensation.actions import standard_registry
+        from repro.compensation.actions import shared_registry
         from repro.txn.local_manager import LocalTransactionManager
 
         self.env = env
@@ -52,7 +52,9 @@ class Site:
         )
         self.recovery = RecoveryManager(self.store, self.wal)
         self.history = SiteHistory(site_id)
-        self.registry = registry or standard_registry()
+        #: the operation repertoire; without one, the process-wide frozen
+        #: standard registry
+        self.registry = registry or shared_registry()
         #: simulated processing time per operation (after its lock is held)
         self.op_duration = op_duration
         #: name of the marking-set data item when a marking protocol is

@@ -92,3 +92,41 @@ class TestInjectedCrashes:
         assert len(taken) == 1
         assert crash_choices[-1] is taken[0]
         assert len(_events(outcome, "site.crash")) == 1
+
+
+
+CRASH_ONCE = CheckConfig(scenario="conflict", protocol="P1", crashes=1)
+
+
+def _unrecorded(vector):
+    checker = ModelChecker(CRASH_ONCE)
+    checker.recording = False
+    return checker.execute(ChoicePolicy(vector)).system
+
+
+class TestBusOwnership:
+    """The injector turns the bus on for itself and off when it is done."""
+
+    def test_unrecorded_run_turns_the_bus_off_after_the_crash(self):
+        vector = _crash_vector(CRASH_ONCE, "S1@subtxn.local_commit:T1")
+        system = _unrecorded(vector)
+        assert system.sites["S1"].crash_count == 1
+        assert not system.env.bus.enabled
+        assert not system.env.bus.has_subscribers
+        assert system.events() == []
+
+    def test_bus_stays_on_while_no_crash_is_taken(self):
+        system = _unrecorded(())
+        assert system.env.bus.enabled and system.env.bus.has_subscribers
+        # the injector's bus is not the system's recorder: metrics come
+        # from the logs, not from an empty stream
+        assert not system.obs.enabled
+        assert system.metrics().committed == 1
+
+    def test_recorder_keeps_the_bus_on_after_the_crash(self):
+        vector = _crash_vector(CRASH_ONCE, "S1@subtxn.local_commit:T1")
+        system = ModelChecker(CRASH_ONCE).execute(ChoicePolicy(vector)).system
+        assert system.env.bus.enabled and system.obs.enabled
+        kinds = [event.kind for event in system.events()]
+        # recording continues past the crash the injector retired at
+        assert "site.crash" in kinds and kinds[-1] == "txn.end"

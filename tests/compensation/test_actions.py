@@ -3,7 +3,9 @@
 import pytest
 
 from repro.compensation import ActionRegistry, SemanticAction, standard_registry
+from repro.compensation.actions import shared_registry
 from repro.errors import NotCompensatable, UnknownAction
+from repro.harness import System, SystemConfig
 from repro.txn import SemanticOp
 
 
@@ -103,3 +105,34 @@ class TestRegistry:
         a = SemanticOp("deposit", "x", {"amount": 1})
         b = SemanticOp("deposit", "x", {"amount": 1})
         assert hash(a) == hash(b)
+
+
+class TestSharedRegistry:
+    """Sites built without a registry share one frozen repertoire."""
+
+    def test_default_sites_of_two_systems_share_one_registry(self):
+        first, second = System(SystemConfig(n_sites=2)), System()
+        registries = {
+            id(site.registry)
+            for system in (first, second)
+            for site in system.sites.values()
+        }
+        assert registries == {id(shared_registry())}
+
+    def test_the_shared_registry_refuses_register(self):
+        shared = shared_registry()
+        with pytest.raises(TypeError, match="frozen"):
+            shared.register(SemanticAction(
+                name="leak", apply=lambda current: current,
+            ))
+        assert not shared.known("leak")
+        assert shared.names() == standard_registry().names()
+
+    def test_standard_registry_is_fresh_and_mutable(self):
+        registry = standard_registry()
+        assert registry is not shared_registry()
+        assert registry is not standard_registry()
+        registry.register(SemanticAction(
+            name="triple", apply=lambda current: current * 3,
+        ))
+        assert registry.known("triple")

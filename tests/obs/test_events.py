@@ -74,6 +74,22 @@ class TestEventBus:
         bus.publish(TxnSubmitted(txn_id="T1", sites=()))
         assert len(log) == 0
 
+    def test_unsubscribe_inside_a_callback_skips_no_one(self):
+        bus = EventBus()
+        log = EventLog()
+
+        def once(event):
+            bus.unsubscribe(once)
+
+        bus.subscribe(once)
+        bus.subscribe(log)
+        bus.publish(TxnSubmitted(txn_id="T1", sites=()))
+        bus.publish(TxnSubmitted(txn_id="T2", sites=()))
+        assert len(log) == 2
+        assert bus.has_subscribers
+        bus.unsubscribe(log)
+        assert not bus.has_subscribers
+
 
 class TestEventLog:
     def make_log(self):
@@ -108,6 +124,7 @@ class TestSystemRecording:
         system.run_transaction(spec())
         system.env.run()
         assert not system.obs.enabled
+        assert system.obs._log is None and system.obs._stream is None
         assert system.events() == []
         assert system.spans() == {}
 

@@ -1,10 +1,9 @@
 """Unit tests for the deterministic JSONL export."""
 
-import io
 import json
 
 from repro.obs.events import EventBus, TxnSubmitted, TxnTerminated
-from repro.obs.export import event_to_dict, to_jsonl, write_jsonl
+from repro.obs.export import event_to_dict, to_jsonl
 
 
 class FakeClock:
@@ -58,16 +57,3 @@ class TestToJsonl:
             for line in to_jsonl(stamped_events()).splitlines()
         ]
         assert [r["seq"] for r in records] == [0, 1]
-
-
-class TestWriteJsonl:
-    def test_matches_to_jsonl_and_counts(self):
-        events = stamped_events()
-        handle = io.StringIO()
-        assert write_jsonl(events, handle) == 2
-        assert handle.getvalue() == to_jsonl(events)
-
-    def test_empty(self):
-        handle = io.StringIO()
-        assert write_jsonl([], handle) == 0
-        assert handle.getvalue() == ""

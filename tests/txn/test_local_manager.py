@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compensation import SemanticAction
+from repro.compensation import SemanticAction, standard_registry
 from repro.errors import DeadlockDetected, InvalidTransactionState
 from repro.locking import LockMode
 from repro.sim import Environment
@@ -97,7 +97,8 @@ def test_inverse_constructor_error_fails_the_forward_operation():
     """The inverse is built while the forward operation runs: a constructor
     that raises fails that operation before it logs or writes anything,
     so it can never fail a compensation after the vote."""
-    env, site = make_site()
+    env = Environment()
+    site = Site(env, "S1", registry=standard_registry())
     site.load({"acct": 100})
 
     def broken_inverse(params, before):
