@@ -36,14 +36,12 @@ message-flow graph the engines induce:
     connect / ``resume_writing``) to pass messages it took from a link's
     ``gated`` queue; and only ``_write`` to add to such a queue — so
     nothing reaches a socket that did not pass a gate inside ``flush``.
-    Both WAL hosts — ``SiteDaemon`` and ``NetClient`` (the coordinator's
-    DECIDE record) — must install the gate
-    (``self.transport.durability_gate = ...``).
-    ``NetClient.submit`` reveals the decision to its *caller* at the
-    commit point, a path no frame travels: between the await that wakes
-    it there (the one naming ``commit_point``) and every later ``return``
-    it must ``await self.flusher.barrier()`` itself — both as statements
-    of ``submit``'s own body, so no branch can lead around the barrier.
+    The WAL's host, ``SiteDaemon`` — its participant's force points and
+    its coordinators' DECIDE records — must install the gate
+    (``self.transport.durability_gate = ...``) and must write no frame
+    itself: every reply, the told COMMIT of a commit point included,
+    leaves through ``TcpTransport.tell``, which ``flush`` writes behind
+    the gate, so no caller hears of a DECIDE the log could still lose.
 
 ``flow/force-point-drift``
     ``LocalTransactionManager._FORCE_POINTS`` declares which methods are
@@ -658,91 +656,40 @@ def _transport_gate(root: Path) -> list[Finding]:
 def analyze_rt_gate(root: Path) -> list[Finding]:
     """Sends in the networked runtime route through ``durability_gate``."""
     findings = _transport_gate(root)
-    # Both hosts of a group-committed WAL: the daemon (PREPARE /
-    # LOCAL_COMMIT / COMMIT / ABORT) and the client (the coordinator's
-    # DECIDE record).
-    for rel, class_name in (
-        ("rt/daemon.py", "SiteDaemon"), ("rt/client.py", "NetClient"),
-    ):
-        host = _load_class(root, rel, class_name)
-        installed = any(
-            _dotted(target) == "self.transport.durability_gate"
-            for fn in host.methods.values()
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Assign)
-            for target in node.targets
-        )
-        if not installed:
-            findings.append(Finding(
-                rule="flow/rt-durability-gate",
-                severity=Severity.ERROR,
-                location=f"{rel}:1",
-                message=(
-                    f"{class_name} never installs the group-commit barrier "
-                    "as self.transport.durability_gate — buffered force "
-                    "points would never gate outbound frames"
-                ),
-                anchor=_ANCHOR,
-            ))
-        if class_name == "NetClient":
-            findings.extend(_commit_point_barrier(host))
-    return findings
+    rel = "rt/daemon.py"
+    daemon = _load_class(root, rel, "SiteDaemon")
 
+    def error(lineno: int, message: str) -> None:
+        findings.append(Finding(
+            rule="flow/rt-durability-gate", severity=Severity.ERROR,
+            location=f"{rel}:{lineno}", message=message, anchor=_ANCHOR,
+        ))
 
-def _commit_point_barrier(client: _ClassModel) -> list[Finding]:
-    """``NetClient.submit``: commit-point wake, then barrier, then return.
-
-    Wake and barrier must be statements of ``submit``'s own body, so that
-    no branch leads from the wake to a ``return`` around the barrier.
-    """
-    submit = client.methods.get("submit")
-    if submit is None:
-        raise AnalysisError(f"NetClient.submit not found in {client.path}")
-    wake: int | None = None
-    unbarriered: list[ast.Return] = []
-    for stmt in submit.body:
-        if wake is None:
-            if (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Await)
-                and any(
-                    isinstance(name, ast.Name) and name.id == "commit_point"
-                    for name in ast.walk(stmt)
+    installed = False
+    for name, fn in daemon.methods.items():
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                installed |= any(
+                    _dotted(target) == "self.transport.durability_gate"
+                    for target in node.targets
                 )
-            ):
-                wake = stmt.lineno
-        elif (
-            isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Await)
-            and isinstance(stmt.value.value, ast.Call)
-            and _dotted(stmt.value.value.func) == "self.flusher.barrier"
-        ):
-            break
-        else:
-            unbarriered.extend(
-                node for node in ast.walk(stmt)
-                if isinstance(node, ast.Return)
-            )
-    if wake is None:
-        raise AnalysisError(
-            "NetClient.submit has no top-level await of its commit_point "
-            f"in {client.path}"
-        )
-    return [
-        Finding(
-            rule="flow/rt-durability-gate",
-            severity=Severity.ERROR,
-            location=f"{client.rel}:{node.lineno}",
-            message=(
-                f"NetClient.submit returns at line {node.lineno} without "
-                "a top-level await of self.flusher.barrier() after its "
-                f"commit-point wake (line {wake}) — the caller could be "
-                "told of a DECIDE record still sitting in the WAL buffer"
-            ),
-            anchor=_ANCHOR,
-        )
-        for node in unbarriered
-    ]
+            elif isinstance(node, ast.Call) and (
+                _dotted(node.func) or ""
+            ).endswith(".write"):
+                error(node.lineno, (
+                    f"SiteDaemon.{name} writes to a socket at line "
+                    f"{node.lineno} — a reply must leave through "
+                    "self.transport.tell, behind the durability gate, or "
+                    "a told COMMIT can reveal a DECIDE still in the WAL "
+                    "buffer"
+                ))
+    if not installed:
+        error(1, (
+            "SiteDaemon never installs the group-commit barrier as "
+            "self.transport.durability_gate — buffered force points "
+            "would never gate outbound frames"
+        ))
+    return findings
 
 
 # -- rule 3: force-point drift ---------------------------------------------------

@@ -21,8 +21,9 @@ Commands:
 * ``serve`` — run one site as a real daemon over TCP (the ``net``
   backend): the unmodified Participant state machine with a file-backed
   WAL that survives ``kill -9`` (see ``docs/RUNTIME.md``);
-* ``client`` — drive a transaction against a live cluster, or query /
-  shut down one daemon over its admin channel.
+* ``client`` — submit a transaction to a live cluster (its first site's
+  daemon coordinates it, under the scheme and marking protocol that
+  daemon serves), or query / shut down one daemon over its admin channel.
 
 Performance is measured by ``bench/run.py`` (see ``bench/README.md``),
 not by a verb here.  Narrated walk-throughs (a transfer and its
@@ -382,9 +383,7 @@ def cmd_client(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     src, dst = sites[0], sites[1]
-    client = NetClient(
-        cluster, scheme=CommitScheme[args.scheme], protocol=args.protocol,
-    )
+    client = NetClient(cluster)
     outcome = client.run_transaction(GlobalTxnSpec(
         txn_id=args.txn,
         subtxns=[
@@ -547,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(fn=cmd_serve, protocol="none")
 
     client = sub.add_parser(
-        "client", parents=[seed_parent(), protocol_parent()],
+        "client", parents=[seed_parent()],
         help="run a transaction / admin command against a live cluster",
     )
     client.add_argument("--cluster", required=True,
@@ -556,14 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print one daemon's status snapshot as JSON")
     client.add_argument("--shutdown", metavar="SITE", default=None,
                         help="ask one daemon to shut down cleanly")
-    client.add_argument("--scheme", default="O2PC",
-                        choices=sorted(s.name for s in CommitScheme))
     client.add_argument("--txn", default="T1", help="transaction id")
     client.add_argument("--key", default="k0",
                         help="key moved by the transfer demo")
     client.add_argument("--amount", type=int, default=10,
                         help="amount moved by the transfer demo")
-    client.set_defaults(fn=cmd_client, protocol="none")
+    client.set_defaults(fn=cmd_client)
     return parser
 
 

@@ -18,9 +18,11 @@ Pieces:
   so generator-based protocol code runs unmodified;
 * :mod:`repro.rt.transport` — :class:`TcpTransport`, the asyncio
   implementation of the :class:`~repro.net.transport.Transport` protocol;
-* :mod:`repro.rt.daemon` — :class:`SiteDaemon`, one site's Participant as
-  a network service with WAL-backed restart recovery;
-* :mod:`repro.rt.client` — :class:`NetClient`, a coordinator driver;
+* :mod:`repro.rt.daemon` — :class:`SiteDaemon`, one site's Participant,
+  and the Coordinators of the transactions submitted to it, as a network
+  service with WAL-backed restart recovery;
+* :mod:`repro.rt.client` — :class:`NetClient`, which submits transactions
+  to their coordinating daemons and awaits their outcomes;
 * :mod:`repro.rt.system` — :class:`NetSystem`, the ``backend="net"``
   implementation of the System API.
 

@@ -1,401 +1,279 @@
-"""NetClient: drive global transactions against a live cluster.
+"""NetClient: submit global transactions to a live cluster and await them.
 
-The client is the coordinator's host: it runs the unmodified
-:class:`~repro.commit.coordinator.Coordinator` state machine on a local
-pumped environment, registering the coordinator endpoint
-(``coord.<txn>``) on its :class:`~repro.rt.transport.TcpTransport`.
-Daemons learn the return route from the first frame and send
-SUBTXN_ACK/VOTE/ACK replies back over the same connection.
-
-The coordinator's decision is durable here, as the paper (and Gray &
-Lamport's "+1 stable write") require: the client owns a group-committed
-:class:`~repro.storage.wal.WriteAheadLog` at
-``<data_dir>/client.decisions.wal``.  The coordinator force-writes a
-``DECIDE`` record (transaction, decision, sites) through the
-``force_decision`` seam instead of sleeping out the simulator's
-``decision_log_delay``; the log's flusher is the client transport's
-durability gate, so no DECISION frame leaves before its covering fsync.
-Once every site acknowledged, an unforced ``COMMIT``/``ABORT`` end record
-closes the entry.  Construction replays the file: a ``DECIDE`` without
-its end record is a pending decision, so a client killed after deciding
-comes back knowing what it owes to whom (:meth:`NetClient.resend_pending`).
-One coordinating client per ``data_dir``.
-
-A transaction is committed the moment that ``DECIDE`` record is on disk —
-the *commit point* — and that is when :meth:`NetClient.submit` tells its
-caller.  The ACK round after it lets the coordinator forget and tells the
-caller nothing, so the coordinator process runs on behind the caller as an
-*ack tail* (DECISION, ACKs, retransmission, end record), bounded to one
-tail per session and drained before the pump stops.
-
-``failures=None`` is deliberate: over real sockets nobody hands the
-coordinator an oracle of site liveness — a dead participant is exactly a
-missed timeout, which is the paper's failure model and what the protocol
-already handles.
-
-Each :meth:`run_transaction` call runs one event loop (dial, execute,
-hang up), which is the natural shape for the ``repro client`` CLI.
-:meth:`run_pipelined` is the throughput shape: a bounded window of
-concurrent coordinator sessions multiplexed on one pump and one set of
-per-site connections.  Demultiplexing is free — every coordinator
-registers its own ``coord.<txn>`` endpoint, so inbound frames route by
-transaction id — and the unmodified engines run as concurrent
-simulation processes exactly like the sim's concurrent-coordinator
-bench.
+The client coordinates nothing: each transaction's coordinator runs in the
+daemon of its first site (:mod:`repro.rt.daemon`).  :meth:`NetClient.submit`
+sends that daemon one ``submit`` frame (the spec and the client's
+:class:`~repro.commit.base.CommitConfig`) and awaits one ``told`` reply —
+a COMMIT at the commit point, behind the fsync of its ``DECIDE``; anything
+else at termination, ``compensated_sites`` included.  If the connection
+dies first, the caller asks the restarted daemon: only a ``DECIDE(COMMIT)``
+in its log means committed.  A submission no daemon accepted did not
+commit either.  A run returns once every coordinator it started has
+terminated (an admin ``drain``).  Any number of clients may share a cluster.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import time
-from dataclasses import replace
-from functools import partial
+from dataclasses import asdict
 from typing import Any
 
 from repro.commit.base import CommitConfig, CommitScheme
-from repro.core.marks import MarkingDirectory
-from repro.core.protocols import MarkingProtocol
-from repro.harness.system import PROTOCOLS
-from repro.net.message import Message, MsgType
-from repro.protocols import acceptor_ids, engine_for
+from repro.errors import CommitProtocolError
+from repro.rt.backoff import RedialPolicy
 from repro.rt.config import ClusterConfig
-from repro.rt.group_commit import GroupCommitFlusher
-from repro.rt.pump import RealtimePump
-from repro.rt.transport import TcpTransport
-from repro.rt.wire import read_frame, write_frame
-from repro.sim.engine import Environment
-from repro.storage.wal import RecordType, WriteAheadLog
+from repro.rt.wire import (
+    encode_frame,
+    read_frame,
+    spec_to_json,
+    split_frames,
+    write_frame,
+)
 from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
+
+#: how long a caller whose coordinating daemon was lost waits for it to
+#: come back, in ticks at the client's ``time_scale``: ten default spawn
+#: timeouts, far longer than a daemon restart
+LOST_COORDINATOR_TICKS = 2000.0
+
+
+class _Connection(asyncio.Protocol):
+    """One connection to a daemon: frames out (one write per loop
+    iteration), ``told`` replies in, matched to their waiter by txn id."""
+
+    def __init__(self) -> None:
+        self.writer: Any = None
+        #: txn -> future of its told body (None: the connection died)
+        self.waiting: dict[str, asyncio.Future[dict[str, Any] | None]] = {}
+        self._buffer = bytearray()
+        self._queued: list[bytes] = []
+
+    def connection_made(self, transport: Any) -> None:
+        self.writer = transport
+
+    def send(self, frame: bytes) -> None:
+        if not self._queued:
+            asyncio.get_running_loop().call_soon(self._write)
+        self._queued.append(frame)
+
+    def _write(self) -> None:
+        frames, self._queued = self._queued, []
+        if not self.writer.is_closing():
+            self.writer.write(b"".join(frames))
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        for body in split_frames(self._buffer):
+            future = self.waiting.pop(body.get("txn"), None)
+            if future is not None and not future.done():
+                future.set_result(body)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        waiting, self.waiting = self.waiting, {}
+        for future in waiting.values():
+            if not future.done():
+                future.set_result(None)
+
+
+class SubmitTransport:
+    """The client's connections, one per coordinating daemon.
+
+    The counters a daemon's transport keeps of the protocol frames it
+    writes are all 0 here: the coordinators live in the daemons, and a
+    submission, like an admin frame, is not protocol traffic.
+    """
+
+    frames_sent = 0
+    messages_framed = 0
+
+    def __init__(self, cluster: ClusterConfig) -> None:
+        self.cluster = cluster
+        self._dials: dict[str, asyncio.Task[_Connection]] = {}
+
+    def total_sent(self) -> int:
+        return 0
+
+    async def request(
+        self, site_id: str, body: dict[str, Any], txn_id: str,
+    ) -> dict[str, Any] | None:
+        """Send ``body``; await the told reply for ``txn_id`` (None: the
+        connection died first).  :class:`OSError`: nothing was sent."""
+        loop = asyncio.get_running_loop()
+        dial = self._dials.get(site_id)
+        if dial is None or dial.done() and (
+            dial.exception() is not None or dial.result().writer.is_closing()
+        ):
+            # One dial per site, shared by the submissions racing it.
+            dial = self._dials[site_id] = loop.create_task(
+                self._dial(site_id)
+            )
+        link = await dial
+        if txn_id in link.waiting:
+            raise CommitProtocolError(f"{txn_id} is already in flight")
+        future: asyncio.Future[dict[str, Any] | None] = loop.create_future()
+        link.waiting[txn_id] = future
+        link.send(encode_frame(body))
+        return await future
+
+    async def _dial(self, site_id: str) -> _Connection:
+        link = _Connection()
+        await asyncio.get_running_loop().create_connection(
+            lambda: link, *self.cluster.site(site_id).address,
+        )
+        return link
+
+    def close(self) -> None:
+        """Hang up (the connections belong to one event loop)."""
+        for dial in self._dials.values():
+            if dial.done() and dial.exception() is None:
+                dial.result().writer.close()
+            else:
+                dial.cancel()
+        self._dials.clear()
 
 
 class NetClient:
-    """Coordinator driver for the networked backend."""
+    """Submits transactions to their coordinating daemons."""
 
     def __init__(
         self,
         cluster: ClusterConfig,
-        scheme: CommitScheme = CommitScheme.O2PC,
-        protocol: str | MarkingProtocol = "none",
+        scheme: CommitScheme | None = None,
         commit: CommitConfig | None = None,
         time_scale: float = 0.01,
     ) -> None:
         self.cluster = cluster
+        #: the scheme the caller expects; a daemon running another refuses
+        #: the submission (None: whatever the daemons run)
         self.scheme = scheme
+        #: the coordinators' timeouts, sent with every submission
         self.commit = commit or CommitConfig()
+        #: wall seconds per tick, as the daemons run them
         self.time_scale = time_scale
-        self.env = Environment()
-        self.pump = RealtimePump(self.env, time_scale=time_scale)
-        self.transport = TcpTransport(self.env, cluster, self.pump)
-        if isinstance(protocol, MarkingProtocol):
-            self.marking: MarkingProtocol = protocol
-        else:
-            self.marking = PROTOCOLS[protocol](directory=MarkingDirectory())
-        self.engine = engine_for(scheme)
-        self.acceptors: tuple[str, ...] = (
-            acceptor_ids(len(cluster.site_ids))
-            if self.engine.acceptor is not None else ()
-        )
+        self.transport = SubmitTransport(cluster)
+        #: what differs from the defaults, which the daemons share
+        defaults = asdict(CommitConfig())
+        self._commit_json = {
+            k: v for k, v in asdict(self.commit).items() if v != defaults[k]
+        }
+        #: the daemons coordinating what this client submitted
+        self._coordinators: set[str] = set()
         self.outcomes: list[TxnOutcome] = []
-        #: wall-clock seconds from submit until the caller was told, in the
-        #: order callers were told: the commit point (``DECIDE`` on disk)
-        #: for a COMMIT, termination (every ACK in, or the ack rounds
-        #: expired) for anything else
+        #: wall seconds from submit until the caller was told, in the order
+        #: callers were told
         self.latencies: list[float] = []
-        #: wall-clock seconds from submit until the coordinator terminated
-        #: and its decision was settled (completion order) — what
-        #: ``latencies`` held while submit waited for the ACK round
-        self.settle_latencies: list[float] = []
-        #: every live ack tail, plus any that failed (kept so the failure
-        #: leaves with the session instead of with the garbage collector)
-        self._tails: set[asyncio.Task[TxnOutcome]] = set()
-        #: most ack tails ever outstanding; never above the session count,
-        #: which :meth:`_with_pump` sets as the cap
-        self.ack_tails_peak = 0
-        self._tail_cap = 1
-        log_path = cluster.decision_log_path()
-        os.makedirs(os.path.dirname(log_path) or ".", exist_ok=True)
-        #: the durable decision log: a forced DECIDE before any DECISION
-        #: frame, an unforced COMMIT/ABORT end record once all sites acked
-        self.wal = WriteAheadLog("client", path=log_path)
-        #: decisions some site never acknowledged: txn -> (decision,
-        #: pending sites), rebuilt from the log at construction.  A daemon
-        #: that was down for the decision round restarts *in doubt* and
-        #: blocks until someone re-sends — that someone is
-        #: :meth:`resend_pending`.
-        self.pending_decisions: dict[str, tuple[str, list[str]]] = {}
-        for record in self.wal:
-            if record.record_type is RecordType.DECIDE:
-                self.pending_decisions[record.txn_id] = (
-                    record.payload["decision"], record.payload["sites"],
-                )
-            else:
-                self.pending_decisions.pop(record.txn_id, None)
-        # Group commit: DECIDE appends are deferred to the flusher, and
-        # every outbound flush passes its barrier before reaching a socket.
-        self.wal.group_commit = True
-        self.flusher = GroupCommitFlusher(self.wal)
-        self.transport.durability_gate = self.flusher.barrier
-
-    # -- running transactions ------------------------------------------------
 
     async def submit(self, spec: GlobalTxnSpec) -> TxnOutcome:
-        """Run one global transaction (the pump must already be running).
-
-        Resolves at the commit point: a COMMIT returns as soon as its
-        ``DECIDE`` record is on disk, and the coordinator runs on behind
-        the caller as an ack tail.  An ABORT or a failed spawn phase
-        resolves at termination, because ``compensated_sites`` comes from
-        the ACKs.  The outcome of a COMMIT is a copy the tail never
-        touches, with ``end_time`` = ``decision_time``
-        (its ``latency`` reads submit → decision); :attr:`outcomes` holds
-        the same objects.
-        """
+        """Run one global transaction; resolves when the caller is told."""
         started = time.perf_counter()
-        for tail in self._tails:
-            if tail.done():  # only a failed tail is done and still listed
-                tail.result()
-        coordinator = self.engine.coordinator(
-            env=self.env,
-            network=self.transport,
-            spec=spec,
-            scheme=self.scheme,
-            marking=self.marking,
-            config=self.commit,
-            failures=None,
-            acceptors=self.acceptors,
-        )
-        loop = asyncio.get_running_loop()
-        commit_point: asyncio.Future[None] = loop.create_future()
-        coordinator.force_decision = partial(
-            self._force_decision, spec.txn_id, commit_point
-        )
-        proc = self.env.process(
-            coordinator.run(), name=f"coordinator:{spec.txn_id}"
-        )
-        termination = loop.create_task(
-            self._await_termination(coordinator, proc, started)
-        )
-        await asyncio.wait(
-            (commit_point, termination), return_when=asyncio.FIRST_COMPLETED
-        )
-        # Decided COMMIT, ACKs outstanding.  One tail per session: with the
-        # cap reached (a silent site) this waits for a tail to settle — or
-        # for its own coordinator, as submit used to.
-        while not termination.done() and self.ack_tails >= self._tail_cap:
-            await asyncio.wait(
-                [termination, *(t for t in self._tails if not t.done())],
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        if not commit_point.done():
-            outcome = termination.result()
-        else:
-            # Told at the commit point, even when the ACK round has ended
-            # too (it can end in the same pump turn as the tail this submit
-            # waited for).  The drain that forced the DECIDE ran on to the
-            # first DECISION send before this task woke, so the decision
-            # fields are set.
-            decided = coordinator.outcome
-            outcome = replace(decided, end_time=decided.decision_time)
-            if termination.done():
-                termination.result()  # a failed coordinator fails submit
-            else:
-                self._tails.add(termination)
-                termination.add_done_callback(self._tail_done)
-                self.ack_tails_peak = max(
-                    self.ack_tails_peak, self.ack_tails
-                )
-        # Durable before told.  The transport's gate puts the DECIDE on
-        # disk ahead of the DECISION frames, but whether that flush ran
-        # before this wake is the event loop's business, not a guarantee.
-        await self.flusher.barrier()
+        site_id = spec.subtxns[0].site_id
+        self._coordinators.add(site_id)
+        body: dict[str, Any] = {
+            "kind": "submit", "spec": spec_to_json(spec),
+            "commit": self._commit_json,
+        }
+        if self.scheme is not None:
+            body["scheme"] = self.scheme.value
+        try:
+            told = await self.transport.request(site_id, body, spec.txn_id)
+        except OSError:
+            told = {"outcome": {"txn_id": spec.txn_id, "committed": False}}
+        if told is None:
+            told = await self._ask(site_id, spec.txn_id)
+        if "error" in told:
+            raise CommitProtocolError(told["error"])
+        outcome = TxnOutcome(**told["outcome"])
         self.outcomes.append(outcome)
         self.latencies.append(time.perf_counter() - started)
         return outcome
 
-    async def _await_termination(
-        self, coordinator: Any, proc: Any, started: float,
-    ) -> TxnOutcome:
-        """Await the coordinator's termination; book its decision round."""
-        try:
-            outcome: TxnOutcome = await self.pump.wait_for(proc)
-        finally:
-            # The coordinator endpoint is done; late frames for it drop as
-            # unknown_endpoint instead of piling into a dead inbox.
-            self.transport.unregister(coordinator.endpoint)
-        self.settle_latencies.append(time.perf_counter() - started)
-        if coordinator.decision_log:
-            self._settle(outcome.txn_id, coordinator.decision_log[-1], [
-                s for s in coordinator.decision_sites
-                if s not in coordinator.decision_acks
-            ])
-        return outcome
-
-    @property
-    def ack_tails(self) -> int:
-        """Coordinators still running behind a resolved submit."""
-        return sum(1 for tail in self._tails if not tail.done())
-
-    def _tail_done(self, tail: asyncio.Task[TxnOutcome]) -> None:
-        if tail.cancelled() or tail.exception() is None:
-            self._tails.discard(tail)
-
-    def _force_decision(
-        self, txn_id: str, commit_point: asyncio.Future[None],
-        decision: str, sites: list[str],
-    ) -> None:
-        """The coordinator's forced DECIDE record (fsynced by the gate, or
-        by the submit this wakes — whichever gets there first)."""
-        self.wal.append(
-            RecordType.DECIDE, txn_id, force=True,
-            decision=decision, sites=list(sites),
-        )
-        if decision == "COMMIT":
-            commit_point.set_result(None)
-
-    def _settle(self, txn_id: str, decision: str, unacked: list[str]) -> None:
-        """Book one decision round: unacked sites stay pending; a fully
-        acknowledged decision gets its (unforced) end record."""
-        if unacked:
-            self.pending_decisions[txn_id] = (decision, unacked)
-        else:
-            self.pending_decisions.pop(txn_id, None)
-            self.wal.append(RecordType[decision], txn_id)
-
-    async def _with_pump(self, body: Any, sessions: int = 1) -> Any:
-        """Run ``body()`` with the pump running; tear both down after.
-
-        ``sessions`` caps the ack tails.  They are drained before the pump
-        stops, so every decision is settled (and a failed tail has raised)
-        by the time this returns.
-        """
-        self._tail_cap = sessions
-        pump_task = asyncio.get_running_loop().create_task(self.pump.run())
-        try:
-            result = await body()
-            await asyncio.gather(*self._tails)
-            return result
-        finally:
-            for tail in self._tails:
-                tail.cancel()
-            self._tails.clear()
-            self.pump.stop()
+    async def _ask(self, site_id: str, txn_id: str) -> dict[str, Any]:
+        """What became of ``txn_id``, from a daemon we lost (and that may
+        still be restarting)."""
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + LOST_COORDINATOR_TICKS * self.time_scale
+        redial = RedialPolicy(f"ask:{txn_id}")
+        query = {"kind": "admin", "cmd": "outcome", "txn": txn_id}
+        while True:
             try:
-                await pump_task
-            except asyncio.CancelledError:
+                told = await self.transport.request(site_id, query, txn_id)
+                if told is not None:
+                    return told
+            except OSError:
                 pass
-            await self.transport.close()
-            # Session over, nothing left to starve: put the trailing end
-            # records on disk so a later client does not re-send them.
-            self.wal.sync()  # lint: allow-blocking
-
-    async def run_session(
-        self, specs: list[GlobalTxnSpec]
-    ) -> list[TxnOutcome]:
-        """Run transactions sequentially under one pump/loop."""
-
-        async def body() -> list[TxnOutcome]:
-            return [await self.submit(spec) for spec in specs]
-
-        return await self._with_pump(body)
+            if loop.time() >= give_up:
+                raise TimeoutError(
+                    f"{txn_id}: {site_id} did not come back; outcome unknown"
+                )
+            await asyncio.sleep(redial.record_failure(site_id, loop.time()))
 
     async def run_pipelined(
         self, specs: list[GlobalTxnSpec], sessions: int = 16,
     ) -> list[TxnOutcome]:
-        """Run transactions through a bounded window of concurrent sessions.
-
-        Up to ``sessions`` coordinators are in flight at once, all
-        multiplexed on this client's pump and per-site connections; the
-        window keeps a burst of specs from opening thousands of
-        simultaneous coordinator processes.  Outcomes return in ``specs``
-        order (:attr:`outcomes` keeps completion order).
-        """
+        """Run transactions as ``sessions`` closed-loop sessions sharing
+        one queue of specs; outcomes in ``specs`` order.  Returns once
+        every coordinator it started has terminated."""
         if sessions < 1:
             raise ValueError(f"sessions must be >= 1, got {sessions}")
-        window = asyncio.Semaphore(sessions)
         results: list[TxnOutcome | None] = [None] * len(specs)
+        todo = iter(enumerate(specs))
 
-        async def one(index: int, spec: GlobalTxnSpec) -> None:
-            async with window:
+        async def session() -> None:
+            for index, spec in todo:
                 results[index] = await self.submit(spec)
 
-        async def body() -> list[TxnOutcome]:
-            await asyncio.gather(
-                *(one(i, spec) for i, spec in enumerate(specs))
+        try:
+            await asyncio.gather(*(session() for _ in range(sessions)))
+            replies = await _admin_all(
+                self.cluster, "drain", sorted(self._coordinators),
             )
-            return [outcome for outcome in results if outcome is not None]
+        finally:
+            self.transport.close()
+        failed = [f for reply in replies.values() for f in reply["failed"]]
+        if failed:
+            raise CommitProtocolError("; ".join(failed))
+        return [outcome for outcome in results if outcome is not None]
 
-        return await self._with_pump(body, sessions)
+    async def run_session(
+        self, specs: list[GlobalTxnSpec],
+    ) -> list[TxnOutcome]:
+        """Run transactions one after the other."""
+        return await self.run_pipelined(specs, sessions=1)
 
     def run_transaction(self, spec: GlobalTxnSpec) -> TxnOutcome:
-        """Blocking convenience wrapper: one transaction, one event loop."""
+        """Blocking wrapper: one transaction, one event loop."""
         return asyncio.run(self.run_session([spec]))[0]
 
     def run_transactions(
         self, specs: list[GlobalTxnSpec], sessions: int = 1,
     ) -> list[TxnOutcome]:
         """Blocking wrapper: serial (``sessions=1``) or pipelined batch."""
-        if sessions <= 1:
-            return asyncio.run(self.run_session(specs))
-        return asyncio.run(self.run_pipelined(specs, sessions=sessions))
+        return asyncio.run(self.run_pipelined(specs, max(1, sessions)))
 
-    # -- decision retransmission ---------------------------------------------
-
-    def _resend_one(
-        self, txn_id: str, decision: str, pending: list[str],
-    ) -> Any:
-        """Re-send one logged decision; returns the still-unacked sites."""
-        endpoint = f"coord.{txn_id}"
-        inbox = self.transport.register(endpoint)
-        acked: set[str] = set()
-        try:
-            for site_id in pending:
-                self.transport.send(Message(
-                    msg_type=MsgType.DECISION,
-                    sender=endpoint,
-                    recipient=site_id,
-                    txn_id=txn_id,
-                    payload={"decision": decision},
-                ))
-            deadline = self.env.now + self.commit.ack_timeout
-            while len(acked) < len(pending):
-                msg = yield inbox.get(max(deadline - self.env.now, 0.0))
-                if msg is None:
-                    break
-                if msg.msg_type is MsgType.ACK and msg.sender in pending:
-                    acked.add(msg.sender)
-        finally:
-            # Late ACKs drop as unknown_endpoint (see _await_termination).
-            self.transport.unregister(endpoint)
-        return sorted(set(pending) - acked)
-
-    async def resend_session(self) -> dict[str, list[str]]:
-        """Re-send every pending decision (the pump must be running).
-
-        The client half of the 2PC termination protocol over real sockets:
-        a daemon that was down for the decision round restarted *in doubt*
-        and blocks (holding its write locks) until the decision reaches it.
-        Returns {txn: sites still unacked}; fully acknowledged transactions
-        leave :attr:`pending_decisions`.
-        """
-        results: dict[str, list[str]] = {}
-        for txn_id in sorted(self.pending_decisions):
-            decision, pending = self.pending_decisions[txn_id]
-            proc = self.env.process(
-                self._resend_one(txn_id, decision, list(pending)),
-                name=f"resend:{txn_id}",
-            )
-            still: list[str] = await self.pump.wait_for(proc)
-            self._settle(txn_id, decision, still)
-            results[txn_id] = still
-        return results
+    @property
+    def pending_decisions(self) -> dict[str, tuple[str, list[str]]]:
+        """What the cluster's coordinators still owe some site:
+        txn -> (decision, unacked sites), from every daemon that answers."""
+        replies = asyncio.run(_admin_all(self.cluster, "status"))
+        return {
+            txn_id: (decision, sites)
+            for reply in replies.values()
+            for txn_id, (decision, sites) in reply["pending"].items()
+        }
 
     def resend_pending(self) -> dict[str, list[str]]:
-        """Blocking wrapper for :meth:`resend_session` (own event loop)."""
-        return asyncio.run(self._with_pump(self.resend_session))
+        """Have every daemon re-send what it owes (the coordinator half of
+        the 2PC termination protocol); returns {txn: sites still unacked}."""
+        replies = asyncio.run(_admin_all(self.cluster, "resend"))
+        return {
+            txn_id: sites
+            for reply in replies.values()
+            for txn_id, (_decision, sites) in reply["pending"].items()
+        }
 
 
-# -- admin helpers (status / shutdown frames) ---------------------------------
+# -- admin helpers (status / drain / shutdown frames) ---------------------------
 
 async def _admin_roundtrip(
     cluster: ClusterConfig, site_id: str, cmd: str, **extra: Any,
@@ -410,6 +288,25 @@ async def _admin_roundtrip(
     if reply is None:
         return None
     return reply.get("reply")
+
+
+async def _admin_all(
+    cluster: ClusterConfig, cmd: str, site_ids: list[str] | None = None,
+) -> dict[str, dict[str, Any]]:
+    """``cmd`` to every daemon (of ``site_ids``) at once; the replies of
+    those that answer (a daemon that is down is skipped)."""
+    site_ids = cluster.site_ids if site_ids is None else site_ids
+    replies = await asyncio.gather(
+        *(_admin_roundtrip(cluster, s, cmd) for s in site_ids),
+        return_exceptions=True,
+    )
+    answered: dict[str, dict[str, Any]] = {}
+    for site_id, reply in zip(site_ids, replies):
+        if isinstance(reply, dict):
+            answered[site_id] = reply
+        elif not isinstance(reply, (OSError, type(None))):
+            raise reply
+    return answered
 
 
 def site_status(

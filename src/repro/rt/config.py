@@ -15,10 +15,9 @@ A cluster file is plain JSON:
 Every daemon and every client reads the *same* file, so site identity and
 addressing have a single source of truth (the pattern of the exemplar
 socketed-TM systems: one config, N processes).  ``data_dir`` holds one WAL
-file per site (``<data_dir>/<site_id>.wal``) — the durable state that
-``repro serve`` restart recovery replays — and the coordinating client's
-decision log (``<data_dir>/client.decisions.wal``): one coordinating
-client per ``data_dir``.
+file per site (``<data_dir>/<site_id>.wal``) — the durable state of the
+site and of the coordinators it hosts, which ``repro serve`` restart
+recovery replays.  Any number of clients may use one cluster.
 """
 
 from __future__ import annotations
@@ -62,14 +61,6 @@ class ClusterConfig:
     def wal_path(self, site_id: str) -> str:
         """Path of one site's durable write-ahead log file."""
         return os.path.join(self.data_dir, f"{site_id}.wal")
-
-    def decision_log_path(self) -> str:
-        """Path of the coordinating client's durable decision log.
-
-        One file per ``data_dir``, so at most one coordinating client may
-        run against a ``data_dir`` at a time (two would interleave LSNs).
-        """
-        return os.path.join(self.data_dir, "client.decisions.wal")
 
     def events_path(self, site_id: str) -> str:
         """Path of one site's observability event stream (JSONL)."""

@@ -9,10 +9,10 @@ daemon's history stays in one file.
 The read side closes ROADMAP item 6's metrics gap: ``repro metrics
 --cluster c.json`` calls :func:`aggregate_cluster`, which
 replays every site's stream through the normal
-:class:`~repro.obs.metrics.StreamingMetrics` fold.  Commit/abort counts
-come from ``subtxn.decision`` events (the daemon-side record of a global
-decision) because ``txn.end`` is published on the *client's* bus, not
-the daemons'.
+:class:`~repro.obs.metrics.StreamingMetrics` fold — the sim's fold,
+unchanged.  Each coordinator runs in (and publishes to) the daemon of its
+transaction's first site, so every transaction's one ``txn.end`` is in
+exactly one stream, and commit/abort counts come from it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.obs.events import DecisionApplied, Event
+from repro.obs.events import Event
 from repro.obs.export import event_to_dict, read_jsonl
 from repro.obs.metrics import MetricsReport, StreamingMetrics
 from repro.rt.config import ClusterConfig
@@ -89,7 +89,6 @@ def aggregate_cluster(
 
     metrics = StreamingMetrics()
     per_site: dict[str, int] = {}
-    decisions: dict[str, str] = {}
     elapsed = 0.0
     for site_id in cluster.site_ids:
         path = cluster.events_path(site_id)
@@ -102,13 +101,4 @@ def aggregate_cluster(
             metrics(event)
             if event.ts > elapsed:
                 elapsed = event.ts
-            if isinstance(event, DecisionApplied):
-                decisions[event.txn_id] = event.decision
-    # One global decision per txn, however many sites applied it.
-    metrics.committed = sum(
-        1 for decision in decisions.values() if decision == "COMMIT"
-    )
-    metrics.aborted = sum(
-        1 for decision in decisions.values() if decision != "COMMIT"
-    )
     return metrics.report(elapsed or None), per_site

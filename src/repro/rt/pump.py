@@ -40,8 +40,7 @@ leaves in the same loop iteration, behind one durability gate.
 single-digit-second range while leaving message handling effectively
 instantaneous — and, unlike the simulation, the wall clock is shared with
 the operating system, so a ``kill -9``'d daemon really does go silent.
-``env.now`` therefore reads "ticks since this pump first ran" (the clock
-stands still between two ``run`` calls of a reused client).
+``env.now`` therefore reads "ticks since this pump first ran".
 """
 
 from __future__ import annotations
@@ -82,7 +81,9 @@ class RealtimePump:
         self._waiter: Any = None
         #: a kick landed since the last drain finished
         self._kicked = False
-        self._running = False
+        #: False once :meth:`stop` was called — even before :meth:`run`
+        #: started, so a host that stops right after starting never hangs
+        self._running = True
 
     # -- external wake-ups ---------------------------------------------------
 
@@ -104,9 +105,8 @@ class RealtimePump:
 
         Exceptions escaping event callbacks (unhandled process failures)
         propagate out of this coroutine — the host decides whether that
-        kills the daemon or the client call.
+        kills the daemon.  A stopped pump stays stopped.
         """
-        self._running = True
         env = self.env
         loop = asyncio.get_running_loop()
         scale = self.time_scale

@@ -2,8 +2,9 @@
 
 Where :class:`~repro.harness.system.System` assembles everything inside
 one simulated environment, :class:`NetSystem` launches one **real
-operating-system process per site** (``repro serve`` daemons) and runs
-coordinators against them through a :class:`~repro.rt.client.NetClient`.
+operating-system process per site** (``repro serve`` daemons), each the
+host of the coordinators of the transactions it is first site of, and
+submits transactions to them through a :class:`~repro.rt.client.NetClient`.
 The protocol code is byte-for-byte the same; only the substrate changes.
 
 Use it as a context manager::
@@ -54,7 +55,7 @@ def wait_for_port(
 
 
 class NetSystem:
-    """A cluster of ``repro serve`` daemons plus a coordinator client."""
+    """A cluster of ``repro serve`` daemons plus a submitting client."""
 
     def __init__(self, config: Any) -> None:
         # Imported here: harness.system imports this module's sibling
@@ -83,7 +84,6 @@ class NetSystem:
         self.client = NetClient(
             self.cluster,
             scheme=config.scheme,
-            protocol=config.protocol,
             commit=config.commit,
             time_scale=config.time_scale,
         )

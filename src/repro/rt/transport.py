@@ -1,41 +1,35 @@
 """TcpTransport: the asyncio socket implementation of ``Transport``.
 
-One transport serves one process — a site daemon (which also listens) or a
-client (which only dials out).  Endpoints registered locally get inboxes on
-the process's simulation environment; everything else is reached over TCP
-using the cluster's site list:
+One transport serves one site daemon.  Endpoints registered locally get
+inboxes on the process's simulation environment; a configured site is
+reached over a per-site connection (dialled on demand, redialled under
+capped exponential backoff with jitter — :mod:`repro.rt.backoff`); any
+other endpoint (another daemon's coordinator, ``coord.T1``) over the
+connection it last used to reach us — the return-route table every
+socketed TM keeps.  A route lives for one exchange: the ACK that ends it
+forgets it, and a closed connection forgets (and reports, see
+:attr:`TcpTransport.routes_lost`) every route it carried, so the table is
+bounded by the coordinators this site is still talking to.
 
-* messages to a configured site are sent over a per-site outbound
-  connection (dialed on demand, redialed under capped exponential
-  backoff with jitter after failures — see :mod:`repro.rt.backoff`);
-* messages to a non-site endpoint (a coordinator, e.g. ``coord.T1``) are
-  sent over the connection that endpoint last used to reach us — the
-  return-route table every socketed TM keeps, learned from inbound frames.
-
-Both directions cost one event-loop turn.  Inbound, a connection is an
-:class:`asyncio.Protocol` whose ``data_received`` splits its bytes into
-frames (:func:`repro.rt.wire.split_frames`) and puts the messages straight
-into their inboxes — no stream reader, no per-connection task.  Outbound,
-``send()`` only enqueues: the pump's turn ends by awaiting
-:meth:`TcpTransport.flush` inline, which awaits the host's
-:attr:`~TcpTransport.durability_gate` once (the group-commit barrier of
-the daemon's WAL or the client's decision log, which is what lets a WAL
-defer its fsyncs: no frame can reveal a force point not yet on disk) and
-then writes one batch per peer.  Nothing in the turn waits on a peer: a
-site being dialled (by its own task) or a connection over its write
+Inbound, a connection is an :class:`asyncio.Protocol` whose
+``data_received`` splits its bytes into frames and puts the messages
+straight into their inboxes.  Outbound, ``send()`` only enqueues: the
+pump's turn ends by awaiting :meth:`TcpTransport.flush`, which awaits the
+host's :attr:`~TcpTransport.durability_gate` once (the group-commit
+barrier of the daemon's WAL: no frame can reveal a force point not yet on
+disk) and then writes one batch per peer.  Replies to control frames (a
+transaction told its outcome, a drained daemon, a status) queue with
+:meth:`TcpTransport.tell` and leave behind the same gate.  Nothing in the
+turn waits on a peer: a site being dialled or a connection over its write
 buffer's high-water mark keeps its already-gated messages in its own queue.
 
 Failure semantics match the simulated :class:`~repro.net.network.Network`
-by contract (see :mod:`repro.net.transport`): an unreachable recipient —
-connection refused (daemon down, the crash case) or reset mid-flight (the
-severed-link case) — makes the message *dropped and counted*, never an
-exception in the sender's protocol logic.  The sender finds out by
-timeout, exactly as in the simulation and exactly as the paper's failure
-model demands.
-
-The same :class:`~repro.obs.events` message events are published on the
-environment's bus (when enabled), so traces and metrics work identically
-on both backends.
+(see :mod:`repro.net.transport`): an unreachable recipient — connection
+refused or reset — makes the message *dropped and counted*, never an
+exception in the sender's protocol logic; the sender finds out by timeout,
+as the paper's failure model demands.  The same message events are
+published on the environment's bus, so traces and metrics work
+identically on both backends.
 """
 
 from __future__ import annotations
@@ -76,8 +70,9 @@ class _Link(asyncio.Protocol):
         self.writer: Any = None
         #: still dialling, or the write buffer is over its high-water mark
         self.paused = paused
-        #: messages that passed a durability gate while ``paused``
-        self.gated: list[Message] = []
+        #: messages (and told replies) that passed a durability gate
+        #: while ``paused``
+        self.gated: list[Message | dict[str, Any]] = []
         self._buffer = bytearray()
 
     def connection_made(self, transport: Any) -> None:
@@ -102,15 +97,16 @@ class _Link(asyncio.Protocol):
                     # process's clock): stamp the arrival, so the hop
                     # publishes latency 0, not ``now`` minus the sentinel.
                     message.send_time = owner.env.now
-                    # Learn the return route: replies to this sender go
-                    # back over this connection.
-                    owner._routes[message.sender] = self
+                    if owner.cluster.route_site(message.sender) is None:
+                        # Learn the return route: replies to this
+                        # coordinator go back over this connection.
+                        owner._routes[message.sender] = self
                     if message.recipient in owner._inboxes:
                         owner._deliver_local(message)
                     else:
                         owner._drop(message, "unknown_endpoint")
-                elif kind == "admin" and owner.admin_handler is not None:
-                    owner.admin_handler(body, self.writer)
+                elif owner.control_handler is not None:
+                    owner.control_handler(body, self)
         except WireError:
             owner.frames_refused += 1
             self.writer.close()
@@ -143,7 +139,7 @@ class TcpTransport:
         self.env = env
         self.cluster = cluster
         self.pump = pump
-        #: the site this process hosts (None for a pure client)
+        #: the site this process hosts (None: a transport that only dials)
         self.local_site = local_site
         pump.flush = self.flush
         self._inboxes: dict[str, Store] = {}
@@ -157,14 +153,22 @@ class TcpTransport:
         self._dial_tasks: set[asyncio.Task[None]] = set()
         #: messages awaiting the next turn's flush (coalescing queue)
         self._outbound: list[Message] = []
-        #: host hook awaited before outbound frames hit the socket; daemon
-        #: and client install their WAL's group-commit barrier here so no
-        #: frame can reveal a force point before its covering fsync
+        #: control replies awaiting the next turn's flush: (link, body)
+        self._told: list[tuple[_Link, dict[str, Any]]] = []
+        #: host hook awaited before outbound frames hit the socket; the
+        #: daemon installs its WAL's group-commit barrier here so no frame
+        #: can reveal a force point before its covering fsync
         self.durability_gate: Callable[[], Awaitable[None]] | None = None
         #: redial schedule for dead peer sites (capped exponential + jitter)
         self.redial = RedialPolicy(local_site or "client")
-        #: host callback for admin frames, (body, writer); unset drops them
-        self.admin_handler: Callable[[dict[str, Any], Any], None] | None = None
+        #: host callback for non-protocol frames (admin, submit), called
+        #: with (body, link); unset drops them
+        self.control_handler: (
+            Callable[[dict[str, Any], _Link], None] | None
+        ) = None
+        #: host callback for the return routes a closed connection took
+        #: with it (the coordinators whose exchange with this site it cut)
+        self.routes_lost: Callable[[list[str]], None] | None = None
         # -- counters, same shape as Network's (metrics + conformance) --
         self.sent: Counter[MsgType] = Counter()
         self.delivered: Counter[MsgType] = Counter()
@@ -230,9 +234,19 @@ class TcpTransport:
         if message.recipient in self._inboxes:
             self._deliver_local(message)
             return
-        if not self._outbound:
+        if not self._outbound and not self._told:
             self.pump.kick()  # free inside a drain; gets one, outside
         self._outbound.append(message)
+
+    def tell(self, link: _Link, body: dict[str, Any]) -> None:
+        """Queue a control reply on ``link`` for the end of this turn.
+
+        It leaves behind the turn's durability gate, so it cannot reveal
+        a force point (a DECIDE, say) before the fsync that covers it.
+        """
+        if not self._outbound and not self._told:
+            self.pump.kick()
+        self._told.append((link, body))
 
     # -- local delivery ------------------------------------------------------
 
@@ -271,46 +285,68 @@ class TcpTransport:
         batch; one that is still dialling, or paused, keeps its share.
         """
         batch, self._outbound = self._outbound, []
-        if batch and self.durability_gate is not None:
+        told, self._told = self._told, []
+        if (batch or told) and self.durability_gate is not None:
             await self.durability_gate()
-        by_link: dict[_Link, list[Message]] = {}
+        by_link: dict[_Link, list[Message | dict[str, Any]]] = {}
         for message in batch:
             link = self._link_for(message)
             if link is not None:
                 by_link.setdefault(link, []).append(message)
+        for link, body in told:
+            by_link.setdefault(link, []).append(body)
         for link, messages in by_link.items():
             self._write(link, messages)
 
-    def _write(self, link: _Link, messages: list[Message]) -> None:
-        """Write messages that have passed a durability gate to ``link``.
+    def _write(
+        self, link: _Link, messages: list[Message | dict[str, Any]],
+    ) -> None:
+        """Write what has passed a durability gate to ``link``.
 
         The one place frames reach a socket and the one place messages
         are parked for a link that cannot take them now, so the late write
         on connect / ``resume_writing`` carries only what :meth:`flush`
         handed over behind a gate.  A link that died meanwhile drops them:
-        the TCP analogue of the severed-in-flight drop.
+        the TCP analogue of the severed-in-flight drop.  A ``dict`` is a
+        control reply's body (:meth:`tell`): framed, not counted (it goes
+        to a client, where no protocol message goes, so every frame is
+        one or the other).
         """
         if link.paused:
             link.gated += messages
         elif link.writer.is_closing():
-            for message in messages:
-                self._drop(message, "connection_reset")
+            self._drop_all(messages, "connection_reset")
         else:
-            frames = encode_batch([message_to_json(m) for m in messages])
+            bodies = [
+                m if isinstance(m, dict) else message_to_json(m)
+                for m in messages
+            ]
+            frames = encode_batch(bodies)
             for frame in frames:
                 link.writer.write(frame)
-            self.frames_sent += len(frames)
-            self.messages_framed += len(messages)
+            if not isinstance(messages[0], dict):
+                self.frames_sent += len(frames)
+                self.messages_framed += len(messages)
+
+    def _drop_all(
+        self, messages: list[Message | dict[str, Any]], reason: str,
+    ) -> None:
+        for message in messages:
+            if not isinstance(message, dict):
+                self._drop(message, reason)
 
     def _link_for(self, message: Message) -> _Link | None:
         """The connection ``message`` leaves on; None when it was dropped
         instead (same bucket as the sim's recipient_down drops)."""
         # Co-hosted endpoints (Paxos acceptors) route to their daemon.
         site_id = self.cluster.route_site(message.recipient)
-        link = (
-            self._routes.get(message.recipient) if site_id is None
-            else self._links.get(site_id)
-        )
+        if site_id is None:
+            link = self._routes.get(message.recipient)
+            if message.msg_type is MsgType.ACK:
+                # The ACK ends the coordinator's exchange with this site.
+                self._routes.pop(message.recipient, None)
+        else:
+            link = self._links.get(site_id)
         if link is not None and (link.paused or not link.writer.is_closing()):
             return link
         loop = asyncio.get_running_loop()
@@ -350,12 +386,15 @@ class TcpTransport:
     def _retire(self, link: _Link, reason: str) -> None:
         """Forget a dead connection everywhere it is referenced."""
         self._live.discard(link)
-        for table in (self._links, self._routes):
-            for key in [k for k, known in table.items() if known is link]:
-                del table[key]
+        for key in [k for k, known in self._links.items() if known is link]:
+            del self._links[key]
+        lost = [k for k, known in self._routes.items() if known is link]
+        for key in lost:
+            del self._routes[key]
         gated, link.gated = link.gated, []
-        for message in gated:
-            self._drop(message, reason)
+        self._drop_all(gated, reason)
+        if lost and self.routes_lost is not None:
+            self.routes_lost(lost)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -370,6 +409,7 @@ class TcpTransport:
     async def close(self) -> None:
         """Close the server and every connection; abandon queued sends."""
         self._outbound.clear()
+        self._told.clear()
         for task in list(self._dial_tasks):
             task.cancel()
         await asyncio.gather(*self._dial_tasks, return_exceptions=True)

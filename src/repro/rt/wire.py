@@ -1,7 +1,7 @@
 """Wire format of the networked runtime: length-prefixed JSON frames.
 
 Every frame is a 4-byte big-endian payload length followed by a UTF-8 JSON
-object.  Two frame kinds travel on the same connection:
+object.  These frame kinds travel on the same connection:
 
 * ``{"kind": "msg", ...}`` — a serialized protocol
   :class:`~repro.net.message.Message`.  The payload's typed values
@@ -13,6 +13,13 @@ object.  Two frame kinds travel on the same connection:
   tests.  Admin frames are *not* part of the protocol vocabulary — they
   never reach the Participant's dispatch loop, so the ``MsgType``
   message-count claims (CLAIM-MSG) are unaffected.
+* ``{"kind": "submit", "spec": ..., "commit": ...}`` — a client hands
+  one global transaction (:func:`spec_to_json`) and the fields of its
+  :class:`~repro.commit.base.CommitConfig` that differ from the defaults
+  to the daemon of the transaction's first site, which coordinates it
+  and answers with a
+  ``{"kind": "told", "txn": ..., "outcome": ...}`` frame.  Like admin
+  frames, neither is protocol vocabulary.
 * ``{"kind": "batch", "frames": [...]}`` — several ``msg`` bodies
   coalesced into one frame (one length prefix, one syscall at each end).
   The envelope is strictly an optimization: :func:`encode_batch` emits a
@@ -33,7 +40,7 @@ from typing import Any
 
 from repro.net.message import Message, MsgType
 from repro.txn.operations import Op, ReadOp, SemanticOp, WriteOp
-from repro.txn.transaction import VotePolicy
+from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec, VotePolicy
 
 #: 4-byte big-endian payload length
 _LEN = struct.Struct(">I")
@@ -134,6 +141,31 @@ def message_from_json(data: dict[str, Any]) -> Message:
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         # whatever its shape, hostile JSON is a refused frame, not a crash
         raise WireError(f"malformed message frame: {exc}") from exc
+
+
+# -- submitted transactions ---------------------------------------------------
+
+def spec_to_json(spec: GlobalTxnSpec) -> dict[str, Any]:
+    """JSON form of a global transaction, as a ``submit`` frame carries it."""
+    return {
+        "txn": spec.txn_id,
+        "subtxns": [_payload_to_json(vars(sub)) for sub in spec.subtxns],
+    }
+
+
+def spec_from_json(data: Any) -> GlobalTxnSpec:
+    """Inverse of :func:`spec_to_json`; a malformed spec is a WireError."""
+    try:
+        spec = GlobalTxnSpec(txn_id=data["txn"], subtxns=[
+            SubtxnSpec(**_payload_from_json(sub)) for sub in data["subtxns"]
+        ])
+        if not spec.subtxns or not all(
+            type(v) is str for v in (spec.txn_id, *spec.site_ids)
+        ):
+            raise ValueError("txn and sites must be strings, one site or more")
+        return spec
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise WireError(f"malformed transaction spec: {exc}") from exc
 
 
 # -- batching -----------------------------------------------------------------

@@ -11,12 +11,14 @@ before and after a crash alike.
 
 2PC durability points are modeled faithfully with dedicated record types:
 a participant force-writes ``PREPARE`` before voting YES, the coordinator
-force-writes ``DECIDE`` before sending its decision (on the ``net`` backend
-:class:`~repro.rt.client.NetClient` writes it to
-``<data_dir>/client.decisions.wal`` and closes it with an unforced
-``COMMIT``/``ABORT`` once every site acknowledged; the simulated coordinator
-models the write as ``decision_log_delay``), and ``COMMIT``/``ABORT``
-mark local transaction termination.  O2PC participants write
+force-writes ``DECIDE`` before sending its decision, and ``COMMIT``/``ABORT``
+mark local transaction termination.  The simulated coordinator models the
+decision write as ``decision_log_delay``; on the ``net`` backend the
+coordinator lives in the daemon of its transaction's first site
+(:class:`~repro.rt.daemon.SiteDaemon`) and logs to that site's WAL, keyed
+by its ``coord.<txn>`` endpoint so participant recovery never reads it: an
+unforced ``COORD_BEGIN`` with the site list, the forced ``DECIDE``, and an
+unforced ``COORD_END`` once every site acknowledged.  O2PC participants write
 ``LOCAL_COMMIT`` when they release locks early (Section 2), which is what a
 recovering site uses to know compensation — not state-based undo — is the
 only way to revoke the transaction.  A Paxos acceptor forces each change
@@ -68,6 +70,10 @@ class RecordType(enum.Enum):
     LOCAL_COMMIT = "LOCAL_COMMIT"
     #: coordinator decision record
     DECIDE = "DECIDE"
+    #: a daemon-hosted coordinator began (payload: its sites)
+    COORD_BEGIN = "COORD_BEGIN"
+    #: every site acknowledged that coordinator's decision
+    COORD_END = "COORD_END"
     COMMIT = "COMMIT"
     ABORT = "ABORT"
     #: compensation completed for the given transaction

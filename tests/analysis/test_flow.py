@@ -126,7 +126,7 @@ class TestRtGate:
     def test_removing_the_gate_await_fires(self, tree):
         edit(
             tree, "rt/transport.py",
-            "        if batch and self.durability_gate is not None:\n"
+            "        if (batch or told) and self.durability_gate is not None:\n"
             "            await self.durability_gate()\n",
             "",
         )
@@ -137,9 +137,9 @@ class TestRtGate:
     def test_writing_ahead_of_the_gate_fires(self, tree):
         edit(
             tree, "rt/transport.py",
-            "        if batch and self.durability_gate is not None:\n",
+            "        if (batch or told) and self.durability_gate is not None:\n",
             "        self._write(link, batch)\n"
-            "        if batch and self.durability_gate is not None:\n",
+            "        if (batch or told) and self.durability_gate is not None:\n",
         )
         found = analyze_rt_gate(tree)
         assert rules(found) == ["flow/rt-durability-gate"]
@@ -181,7 +181,7 @@ class TestRtGate:
     def test_removing_the_daemon_install_fires(self, tree):
         edit(
             tree, "rt/daemon.py",
-            "            self.transport.durability_gate = "
+            "        self.transport.durability_gate = "
             "self.flusher.barrier\n",
             "",
         )
@@ -189,51 +189,33 @@ class TestRtGate:
         assert "flow/rt-durability-gate" in rules(found)
         assert any("never installs" in f.message for f in found)
 
-    def test_removing_the_client_install_fires(self, tree):
-        # The coordinator's DECIDE record is a deferred append too.
-        edit(
-            tree, "rt/client.py",
-            "        self.transport.durability_gate = self.flusher.barrier\n",
-            "",
-        )
-        found = analyze_rt_gate(tree)
-        assert rules(found) == ["flow/rt-durability-gate"]
-        assert "NetClient never installs" in found[0].message
-
     def test_removing_the_commit_point_barrier_fires(self, tree):
-        # The gate covers frames; submit() tells its caller directly.
+        # The daemon tells its caller "committed" right after the DECIDE
+        # append: written straight to the socket, the reply skips the gate.
         edit(
-            tree, "rt/client.py",
-            "        await self.flusher.barrier()\n", "",
+            tree, "rt/daemon.py",
+            "        self.transport.tell(link, {\"kind\": \"told\", \"txn\": "
+            "txn_id, **body})\n",
+            "        link.writer.write(encode_frame({\"kind\": \"told\", "
+            "\"txn\": txn_id, **body}))\n",
         )
         found = analyze_rt_gate(tree)
         assert rules(found) == ["flow/rt-durability-gate"]
-        assert "commit-point wake" in found[0].message
+        assert "SiteDaemon._reply writes to a socket" in found[0].message
 
-    def test_a_barrier_ahead_of_the_wake_does_not_count(self, tree):
+    def test_any_daemon_reply_written_around_the_gate_fires(self, tree):
+        # Not only the commit point: a status reply may not reveal a
+        # force point either (it reports forced_writes).
         edit(
-            tree, "rt/client.py",
-            "        await self.flusher.barrier()\n", "",
-        )
-        edit(
-            tree, "rt/client.py",
-            "        await asyncio.wait(\n            (commit_point,",
-            "        await self.flusher.barrier()\n"
-            "        await asyncio.wait(\n            (commit_point,",
-        )
-        assert rules(analyze_rt_gate(tree)) == ["flow/rt-durability-gate"]
-
-    def test_a_barrier_under_a_branch_does_not_count(self, tree):
-        # A return path that skips the branch would skip the barrier.
-        edit(
-            tree, "rt/client.py",
-            "        await self.flusher.barrier()\n",
-            "        if outcome.committed:\n"
-            "            await self.flusher.barrier()\n",
+            tree, "rt/daemon.py",
+            '        self.transport.tell(link, {"kind": "admin", "cmd": cmd, '
+            '"reply": reply})\n',
+            '        link.writer.write(encode_frame({"kind": "admin", '
+            '"cmd": cmd, "reply": reply}))\n',
         )
         found = analyze_rt_gate(tree)
         assert rules(found) == ["flow/rt-durability-gate"]
-        assert "top-level await" in found[0].message
+        assert "SiteDaemon._handle_control writes" in found[0].message
 
 
 class TestForcePointDrift:

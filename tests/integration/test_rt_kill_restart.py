@@ -13,7 +13,9 @@ The test speaks the wire protocol itself (it *is* the coordinator), so
 the kill lands deterministically between two specific frames rather than
 at a scheduler's whim.  The 2PL variant pins the other bucket: a
 prepared participant restarts *in doubt*, holding its write locks until
-the decision arrives.
+the decision arrives.  The decision-retransmission tests put the decision
+where a daemon-hosted coordinator keeps it — a ``DECIDE`` record in its
+site's WAL — and check that the restarted daemon delivers it.
 """
 
 import asyncio
@@ -25,13 +27,13 @@ import time
 
 import pytest
 
-from repro.commit.base import CommitConfig, CommitScheme
 from repro.net.message import Message, MsgType
 from repro.rt.client import NetClient, site_read, site_shutdown, site_status
 from repro.rt.config import local_cluster
 from repro.rt.system import wait_for_port
 from repro.rt.wire import message_from_json, message_to_json, read_frame, \
     write_frame
+from repro.storage.wal import RecordType, WriteAheadLog
 from repro.txn.operations import SemanticOp
 
 COORD = "coord.T1"
@@ -219,32 +221,39 @@ class TestKillRestartO2PC:
                     proc.wait()
 
 
+def log_decision(cluster, site_id, decision, sites):
+    """Append the DECIDE a coordinator hosted at ``site_id`` forced before
+    the daemon died (its DECISIONs never left)."""
+    wal = WriteAheadLog(site_id, path=cluster.wal_path(site_id))
+    wal.append(
+        RecordType.DECIDE, COORD, force=True, decision=decision, sites=sites,
+    )
+    wal.close()
+
+
 class TestDecisionRetransmission:
     def test_resend_pending_finalizes_a_restarted_in_doubt_daemon(
         self, cluster, cluster_file,
     ):
         # The full termination loop over real processes: the daemon is
-        # SIGKILLed between its vote and the decision, restarts *in
-        # doubt* (write locks re-acquired), and learns the outcome from
-        # the client's decision retransmission — the state a coordinator
-        # leaves in ``pending_decisions`` when its decision rounds go
-        # unacknowledged (see tests/rt/test_resend.py for the organic
-        # population over sockets).
+        # SIGKILLed between its vote and the decision, with the decision
+        # already in its log (a coordinator it hosted had forced it).  It
+        # restarts *in doubt* (write locks re-acquired) and its own
+        # coordinator role re-delivers the decision — to itself, here.
         proc = spawn_daemon(cluster_file, scheme="TWO_PL")
         try:
             daemon_ready(cluster)
             execute_and_vote(cluster)
             proc.send_signal(signal.SIGKILL)
             proc.wait()
+            log_decision(cluster, "S1", "COMMIT", ["S1"])
 
             proc = spawn_daemon(cluster_file, scheme="TWO_PL")
             status = daemon_ready(cluster, recovered=True)
             assert status["recovered"]["in_doubt"] == ["T1"]
 
-            client = NetClient(cluster, scheme=CommitScheme.TWO_PL)
-            client.pending_decisions["T1"] = ("COMMIT", ["S1"])
-            results = client.resend_pending()
-            assert results == {"T1": []}
+            client = NetClient(cluster)
+            assert client.resend_pending() == {}
             assert client.pending_decisions == {}
             # The in-doubt transaction was finalized: update applied,
             # locks released (a fresh read gets through immediately).
@@ -258,17 +267,33 @@ class TestDecisionRetransmission:
                     proc.kill()
                     proc.wait()
 
-    def test_resend_pending_times_out_against_a_dead_daemon(self, cluster):
-        # No daemon at all: the retransmission round expires and the
-        # decision stays pending for the next attempt.
-        client = NetClient(
-            cluster, scheme=CommitScheme.TWO_PL,
-            commit=CommitConfig(ack_timeout=5.0, decision_retries=1),
-        )
-        client.pending_decisions["T1"] = ("ABORT", ["S1"])
-        results = client.resend_pending()
-        assert results == {"T1": ["S1"]}
-        assert client.pending_decisions == {"T1": ("ABORT", ["S1"])}
+    def test_resend_pending_times_out_against_a_dead_daemon(self, tmp_path):
+        # The coordinator's daemon is up; the participant it owes (S2) is
+        # not.  The retransmission round expires and the decision stays
+        # pending for the next attempt.
+        cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+        cluster_file = str(tmp_path / "cluster.json")
+        cluster.save(cluster_file)
+        proc = spawn_daemon(cluster_file, scheme="TWO_PL")
+        try:
+            daemon_ready(cluster)
+            site_shutdown(cluster, "S1")
+            proc.wait(timeout=5)
+            log_decision(cluster, "S1", "ABORT", ["S2"])
+            proc = spawn_daemon(cluster_file, scheme="TWO_PL")
+            daemon_ready(cluster, recovered=True)
+
+            client = NetClient(cluster)
+            assert client.resend_pending() == {"T1": ["S2"]}
+            assert client.pending_decisions == {"T1": ("ABORT", ["S2"])}
+        finally:
+            if proc.poll() is None:
+                try:
+                    site_shutdown(cluster, "S1")
+                    proc.wait(timeout=5)
+                except (OSError, subprocess.TimeoutExpired):
+                    proc.kill()
+                    proc.wait()
 
 
 class TestKillRestart2PL:

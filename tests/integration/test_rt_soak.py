@@ -2,10 +2,13 @@
 
 Waves of concurrent cross-site transfers run against a live cluster;
 during each wave one randomly chosen daemon is ``kill -9``-ed and
-restarted mid-pipeline.  Transactions racing the crash abort on timeout
-or land in ``pending_decisions``; the client's decision retransmission
-then finalizes every survivor.  The invariants at the end are the
-paper's whole durability story in one assertion each:
+restarted mid-pipeline, killing the coordinators it hosts with it.
+Transactions racing the crash abort on timeout, are presumed aborted by
+the restarted daemon, or land in ``pending_decisions``; the coordinating
+daemons' decision retransmission then finalizes every survivor, and a
+caller whose daemon died asks the restarted one what became of its
+transaction.  The invariants at the end are the paper's whole
+durability story in one assertion each:
 
 * **balance conservation** — transfers only move value, so however many
   transactions committed, aborted, or were compensated, the cluster-wide

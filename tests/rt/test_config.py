@@ -33,10 +33,6 @@ class TestClusterConfig:
         )
         assert cluster.wal_path("S1").endswith("S1.wal")
         assert str(tmp_path) in cluster.wal_path("S1")
-        # ... and one decision log for the (single) coordinating client
-        assert cluster.decision_log_path() == str(
-            tmp_path / "client.decisions.wal"
-        )
 
     def test_site_ids_sorted(self):
         cluster = ClusterConfig(sites={

@@ -2,9 +2,10 @@
 
 The same Coordinator/Participant code that runs inside ``System`` runs
 here over real sockets on localhost — one event loop hosting both
-daemons and the client, which keeps the test fast and deterministic
-while still exercising the full wire path (frames, learned return
-routes, WAL file, admin surface).
+daemons (S1 also hosts the coordinators) and the submitting client,
+which keeps the test fast and deterministic while still exercising the
+full wire path (submissions, frames, learned return routes, WAL file,
+admin surface).
 """
 
 import asyncio
@@ -117,6 +118,45 @@ class TestDaemonRoundTrip:
         assert status["recovered"]["redone"] >= 1
         assert status["keys"] == 20
 
+    def test_coordinator_records_stay_out_of_participant_recovery(
+        self, tmp_path,
+    ):
+        # S1 hosts T1's coordinator.  Its local ACK skipped the gate, so
+        # the coordinator could finish before S1's COMMIT was fsynced:
+        # safe only because COORD_END follows that COMMIT in the one log.
+        # And recovery, which classifies records by txn id, must not read
+        # the coord.T1 records as a transaction.
+        async def scenario():
+            cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+            daemons = [SiteDaemon(s, cluster, time_scale=0.002)
+                       for s in cluster.site_ids]
+            for daemon in daemons:
+                await daemon.start()
+            client = NetClient(cluster, time_scale=0.002)
+            try:
+                await client.run_session([transfer_spec()])
+            finally:
+                for daemon in daemons:
+                    await daemon.shutdown()
+            rebooted = SiteDaemon("S1", cluster, time_scale=0.002)
+            await rebooted.start()
+            try:
+                return list(rebooted.site.wal), rebooted.restart_report
+            finally:
+                await rebooted.shutdown()
+
+        records, report = asyncio.run(scenario())
+        lsn = {(r.txn_id, r.record_type): r.lsn for r in records}
+        assert lsn[("coord.T1", RecordType.COORD_END)] > lsn[
+            ("T1", RecordType.COMMIT)
+        ]
+        classified = [
+            *report.redone, *report.undone, *report.in_doubt,
+            *report.locally_committed,
+        ]
+        assert "T1" in classified
+        assert not [t for t in classified if t.startswith("coord.")]
+
     def test_two_pl_scheme_also_commits(self, tmp_path):
         outcomes, _ = asyncio.run(run_cluster(
             tmp_path, [transfer_spec()], scheme=CommitScheme.TWO_PL,
@@ -202,11 +242,11 @@ class TestCompetitorSchemesOverSockets:
             wal.close()
             assert {r.txn_id for r in records} == {acc}
             assert "T1" in {r.payload["txn"] for r in records}
-        # Observability is off: the data dir holds WALs and nothing else
-        # (the sites' logs and the client's decision log).
+        # Observability is off: the data dir holds the sites' WALs and
+        # nothing else (the coordinators log to their sites' WALs).
         assert not list(tmp_path.glob("acc.*.json"))
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "S1.wal", "S2.wal", "client.decisions.wal",
+            "S1.wal", "S2.wal",
         ]
 
     def test_short_commits_over_sockets(self, tmp_path):
@@ -223,3 +263,82 @@ class TestCompetitorSchemesOverSockets:
         outcome = outcomes[0]
         assert not outcome.committed
         assert outcome.compensated_sites == []
+
+
+class TestSubmissions:
+    """What a daemon refuses to coordinate, and how."""
+
+    @staticmethod
+    async def submit_raw(cluster, site_id, body):
+        from repro.rt.wire import read_frame, write_frame
+
+        reader, writer = await asyncio.open_connection(
+            *cluster.site(site_id).address
+        )
+        try:
+            await write_frame(writer, body)
+            return await read_frame(reader)
+        finally:
+            writer.close()
+
+    def run(self, tmp_path, scenario):
+        async def main():
+            cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+            daemons = [
+                SiteDaemon(s, cluster, time_scale=0.002)
+                for s in cluster.site_ids
+            ]
+            for daemon in daemons:
+                await daemon.start()
+            try:
+                return await scenario(cluster, daemons)
+            finally:
+                for daemon in daemons:
+                    await daemon.shutdown()
+
+        return asyncio.run(main())
+
+    def test_a_client_expecting_another_scheme_is_refused(self, tmp_path):
+        from repro.errors import CommitProtocolError
+
+        async def scenario(cluster, daemons):
+            client = NetClient(
+                cluster, scheme=CommitScheme.TWO_PL, time_scale=0.002,
+            )
+            with pytest.raises(CommitProtocolError, match="S1 runs O2PC"):
+                await client.run_session([transfer_spec()])
+            return daemons[0].status()
+
+        status = self.run(tmp_path, scenario)
+        assert status["subtxns"] == {} and status["coordinators"] == 0
+
+    def test_only_the_first_site_coordinates(self, tmp_path):
+        from repro.rt.wire import spec_to_json
+
+        async def scenario(cluster, daemons):
+            return await self.submit_raw(cluster, "S2", {
+                "kind": "submit", "spec": spec_to_json(transfer_spec()),
+                "commit": {},
+            })
+
+        told = self.run(tmp_path, scenario)
+        assert told == {
+            "kind": "told", "txn": "T1", "error": "submit to the first site",
+        }
+
+    def test_a_malformed_submission_closes_only_its_connection(
+        self, tmp_path,
+    ):
+        async def scenario(cluster, daemons):
+            refused = await self.submit_raw(cluster, "S1", {
+                "kind": "submit", "spec": {"txn": "T1", "subtxns": [{}]},
+            })
+            outcomes = await NetClient(
+                cluster, time_scale=0.002,
+            ).run_session([transfer_spec()])
+            return refused, outcomes, daemons[0].status()
+
+        refused, outcomes, status = self.run(tmp_path, scenario)
+        assert refused is None  # hung up on, no reply
+        assert status["frames_refused"] == 1
+        assert outcomes[0].committed  # and serving goes on

@@ -5,8 +5,8 @@ points pending is one ``wal.sync()``, a barrier without is free.  What
 these tests pin is the contract the transport gate gives the protocol —
 no frame that was queued after a forced append reaches a socket before
 the fsync covering that append — on both hosts of a group-committed WAL:
-the daemon (PREPARE before its YES vote) and the client (the
-coordinator's DECIDE record before its DECISION).
+the daemon's participant (PREPARE before its YES vote) and its hosted
+coordinators (the DECIDE record before its DECISION).
 """
 
 import asyncio
@@ -123,6 +123,8 @@ class TestGate:
     def test_a_decision_waits_for_the_fsync_covering_its_decide(
         self, tmp_path,
     ):
+        # S1 hosts T1's coordinator: its DECISION to S2 is the first frame
+        # that reveals the DECIDE record in S1's WAL.
         async def scenario():
             cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
             daemons = [
@@ -131,32 +133,37 @@ class TestGate:
             ]
             for daemon in daemons:
                 await daemon.start()
-            client = NetClient(cluster, time_scale=0.002)
+            host = daemons[0]
             spies = []
-            dial = client.transport._dial
+            dial = host.transport._dial
 
             async def spying_dial(site_id):
                 link = await dial(site_id)
                 if link is not None:
-                    link.writer = SpyWriter(client.wal, link.writer)
+                    link.writer = SpyWriter(host.site.wal, link.writer)
                     spies.append(link.writer)
                 return link
 
-            client.transport._dial = spying_dial
+            host.transport._dial = spying_dial
+            booted = host.site.wal.fsyncs  # the fresh-boot checkpoint
+            client = NetClient(cluster, time_scale=0.002)
             try:
                 outcomes = await client.run_session([transfer_spec()])
             finally:
                 for daemon in daemons:
                     await daemon.shutdown()
-            return outcomes, client, [w for spy in spies for w in spy.writes]
+            return outcomes, host, [
+                (frame, fsyncs - booted, needs_sync)
+                for spy in spies for frame, fsyncs, needs_sync in spy.writes
+            ]
 
-        outcomes, client, writes = asyncio.run(scenario())
+        outcomes, host, writes = asyncio.run(scenario())
         assert outcomes[0].committed
-        decisions = [w for w in writes if b'"DECISION"' in w[0]]
-        assert len(decisions) == 2  # one per site
-        for _frame, fsyncs, needs_sync in decisions:
-            assert fsyncs == 1 and not needs_sync
-        # Everything before the decision left without touching the disk.
-        assert all(w[1] == 0 for w in writes if w not in decisions)
-        assert client.flusher.groups == 1
-        assert client.flusher.forces_covered == 1
+        (decision,) = [w for w in writes if b'"DECISION"' in w[0]]
+        # the vote's fsync, then the one covering DECIDE (and S1's COMMIT)
+        assert decision[1:] == (2, False)
+        # The spawn left without touching the disk; VOTE_REQ waited for
+        # the fsync of S1's own vote.
+        assert [w[1] for w in writes if w is not decision] == [0, 1]
+        assert host.flusher.groups == 2
+        assert host.flusher.forces_covered == 4

@@ -5,9 +5,11 @@ The sink is the daemon half of live observability (``repro serve
 metrics --cluster``).  The contract worth pinning: events round-trip
 through JSONL losslessly (including tuple fields and bus stamps), sinks
 append across restarts, and the aggregator derives commit/abort counts
-from ``subtxn.decision`` events — one global decision per transaction,
-however many sites applied it.
+from each transaction's one ``txn.end`` (published by its coordinator,
+in its first site's stream) — however many sites applied the decision.
 """
+
+import asyncio
 
 import json
 
@@ -130,12 +132,17 @@ class TestAggregateCluster:
 
     def test_decisions_count_once_per_transaction(self, tmp_path):
         cluster = self.cluster(tmp_path)
-        # Both sites apply T1's COMMIT; only S1 records T2's ABORT.
+        # Both sites apply T1's COMMIT; only S1 records T2's ABORT; S1
+        # coordinated both, so its stream holds their txn.end events.
         self.write_stream(cluster, "S1", [
             DecisionApplied(txn_id="T1", site_id="S1", decision="COMMIT",
                             compensated=False),
+            TxnTerminated(txn_id="T1", committed=True, latency=3.0,
+                          compensated_sites=()),
             DecisionApplied(txn_id="T2", site_id="S1", decision="ABORT",
                             compensated=True),
+            TxnTerminated(txn_id="T2", committed=False, latency=4.0,
+                          compensated_sites=("S1",)),
         ])
         self.write_stream(cluster, "S2", [
             DecisionApplied(txn_id="T1", site_id="S2", decision="COMMIT",
@@ -144,7 +151,7 @@ class TestAggregateCluster:
         report, per_site = aggregate_cluster(cluster)
         assert report.committed == 1
         assert report.aborted == 1
-        assert per_site == {"S1": 2, "S2": 1}
+        assert per_site == {"S1": 4, "S2": 1}
 
     def test_missing_streams_count_zero(self, tmp_path):
         cluster = self.cluster(tmp_path)
@@ -163,3 +170,49 @@ class TestAggregateCluster:
         report, _ = aggregate_cluster(cluster)
         assert report.mean_lock_hold == 2.0
         assert report.mean_lock_wait == 0.5
+
+
+class TestLiveCluster:
+    def test_folded_outcomes_equal_the_clients(self, tmp_path):
+        # A pipelined run over daemons with their sinks on: the fold of
+        # the streams counts what the client was told, no more, no less.
+        from repro.commit.base import CommitConfig
+        from repro.rt.client import NetClient
+        from repro.rt.config import local_cluster
+        from repro.rt.daemon import SiteDaemon
+        from repro.txn.transaction import VotePolicy
+
+        from tests.rt.test_daemon import transfer_spec
+
+        async def scenario():
+            cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+            daemons = [
+                SiteDaemon(s, cluster, time_scale=0.002,
+                           obs_path=cluster.events_path(s))
+                for s in cluster.site_ids
+            ]
+            for daemon in daemons:
+                await daemon.start()
+            client = NetClient(
+                cluster, commit=CommitConfig(), time_scale=0.002,
+            )
+            specs = [
+                transfer_spec(f"T{i}", amount=1, vote=(
+                    VotePolicy.FORCE_NO if i % 4 == 0 else VotePolicy.AUTO
+                ))
+                for i in range(12)
+            ]
+            try:
+                outcomes = await client.run_pipelined(specs, sessions=4)
+            finally:
+                for daemon in daemons:
+                    await daemon.shutdown()
+            return cluster, outcomes
+
+        cluster, outcomes = asyncio.run(scenario())
+        report, _ = aggregate_cluster(cluster)
+        committed = sum(1 for o in outcomes if o.committed)
+        assert (report.committed, report.aborted) == (
+            committed, len(outcomes) - committed,
+        )
+        assert committed == 9

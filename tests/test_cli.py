@@ -161,7 +161,8 @@ class TestSharedParents:
         (["metrics"], {"protocol": "P1", "scheme": "O2PC"}),
         (["check"], {"protocol": "P1", "scheme": "O2PC"}),
         (["serve", "S1", "--cluster", "c.json"], {"protocol": "none"}),
-        (["client", "--cluster", "c.json"], {"protocol": "none"}),
+        # the daemons decide scheme and protocol: seed is all it shares
+        (["client", "--cluster", "c.json"], {"seed": 0}),
     ])
     def test_per_verb_defaults_do_not_leak(self, verb, expected):
         args = build_parser().parse_args(verb)
@@ -190,6 +191,8 @@ class TestSharedParents:
         ["check", "--paranoid"],
         ["check", "--jobs", "0"],
         ["check", "--jobs", "-3"],
+        ["client", "--cluster", "c.json", "--scheme", "TWO_PL"],
+        ["client", "--cluster", "c.json", "--protocol", "P1"],
     ])
     def test_removed_verb_and_option_are_parser_errors(self, argv):
         # The backend is fixed per verb, performance is measured by

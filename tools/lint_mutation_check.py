@@ -177,12 +177,14 @@ MUTATIONS = [
         expect_rule="blocking/subprocess",
     ),
     Mutation(
-        name="drop-client-durability-gate",
-        # the client's DECIDE record is a deferred (group-commit) append:
-        # without the gate a DECISION frame can leave before its fsync
-        paths=("repro/rt/client.py",),
+        name="drop-coordinator-host-durability-gate",
+        # the coordinator's DECIDE record is a deferred (group-commit)
+        # append in its daemon's WAL: without the gate a DECISION frame can
+        # leave before its fsync
+        paths=("repro/rt/daemon.py",),
         replacements=((
-            "        self.transport.durability_gate = self.flusher.barrier\n",
+            "        self.transport.durability_gate = "
+            "self.flusher.barrier\n",
             "",
         ),),
         append="",
@@ -190,12 +192,16 @@ MUTATIONS = [
     ),
     Mutation(
         name="drop-commit-point-barrier",
-        # submit() tells its caller "committed" at the commit point; the
-        # gate only covers frames, so without its own barrier the caller
-        # can hear of a DECIDE record the log could still lose
-        paths=("repro/rt/client.py",),
+        # the daemon tells a caller "committed" at the commit point; written
+        # straight to the socket instead of through transport.tell, the
+        # reply skips the barrier and can reveal a DECIDE record the log
+        # could still lose
+        paths=("repro/rt/daemon.py",),
         replacements=((
-            "        await self.flusher.barrier()\n", "",
+            "        self.transport.tell(link, {\"kind\": \"told\", \"txn\": "
+            "txn_id, **body})\n",
+            "        link.writer.write(encode_frame({\"kind\": \"told\", "
+            "\"txn\": txn_id, **body}))\n",
         ),),
         append="",
         expect_rule="flow/rt-durability-gate",
