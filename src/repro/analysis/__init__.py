@@ -10,16 +10,16 @@ runs, and this package checks them without executing anything:
 * **dispatch exhaustiveness** (:mod:`repro.analysis.dispatch`) — every
   :class:`~repro.net.message.MsgType` has a receiving side among the
   roles the engine registry names;
-* **protocol flow** (:mod:`repro.analysis.flow`) — every outcome-revealing
-  send is dominated by its covering WAL force point (force-before-send),
-  the networked runtime's frames route through the group-commit durability
-  gate, the declared force points match the method bodies, and each
-  scheme's role→MsgType→role flow graph is closed (no orphan sends, no
-  dead handlers);
+* **protocol flow** (:mod:`repro.analysis.flow`) — the networked
+  runtime's frames route through the group-commit durability gate, and
+  each scheme's role→MsgType→role flow graph is closed (no orphan sends,
+  no dead handlers);
 * **event-loop blocking** (:mod:`repro.analysis.blocking`) — no sync
   fsync/file-IO/sleep/subprocess reachable from the runtime's
   coroutines and loop callbacks.
 
+Force-before-send itself is not a rule here: the simulated network checks
+every send against the covering table (:data:`repro.net.message.COVERING`).
 The action repertoire's obligations (a predeclared counter-task per
 compensatable action, real actions only in lock-holding subtransactions)
 are tier-1 tests over the one registry and the shipped scenarios, not
@@ -32,8 +32,8 @@ from repro.analysis.determinism import analyze_file, analyze_tree
 from repro.analysis.dispatch import analyze_dispatch
 from repro.analysis.findings import Finding, Severity, sort_findings
 from repro.analysis.flow import (
-    analyze_flow,
     analyze_message_flow,
+    analyze_rt_gate,
     build_flow_graphs,
     render_flow_dot,
 )
@@ -51,9 +51,9 @@ __all__ = [
     "Severity",
     "analyze_dispatch",
     "analyze_file",
-    "analyze_flow",
     "analyze_message_flow",
     "analyze_rt_blocking",
+    "analyze_rt_gate",
     "analyze_tree",
     "build_flow_graphs",
     "default_root",

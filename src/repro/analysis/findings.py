@@ -27,7 +27,7 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation discovered statically."""
 
-    #: stable rule id, ``family/rule-name`` (e.g. ``flow/unforced-send``)
+    #: stable rule id, ``family/rule-name`` (e.g. ``flow/rt-durability-gate``)
     rule: str
     severity: Severity
     #: ``path:line`` (or ``path:symbol``) of the offending source

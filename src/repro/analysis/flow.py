@@ -1,29 +1,16 @@
-"""Family 3: protocol-flow verification (force-before-send + message flow).
+"""Family 3: protocol-flow verification (durability gate + message flow).
 
-The paper's recovery argument rests on an ordering discipline the code
-previously enforced only by convention: a force-log point must
-happen-before the message that *reveals* its outcome.  A participant
-forces PREPARE (or LOCAL_COMMIT under O2PC) before voting YES, the
-coordinator appends to its decision log before any non-presumed DECISION
-leaves, and a Paxos acceptor persists its promise/accept state before the
-PAXOS_ACCEPTED reply.  Swap a force past a send and every test still
-passes — the bug only exists in the crash window between them.
+The paper's recovery argument rests on one ordering rule: a force-log
+point must happen-before the message that *reveals* its outcome (§4).
+That rule is a run-time check now, not a lint: the covering table
+(:data:`repro.net.message.COVERING`) names every revealing message and
+the records that may cover it, each sender stamps the covering record on
+the message, and the simulated network's ``send`` refuses a message whose
+stamp is missing, of the wrong kind or not yet durable — on every path a
+test, a checker schedule or a benchmark run executes.
 
-This module checks the discipline statically, per engine, plus the
-message-flow graph the engines induce:
-
-``flow/unforced-send``
-    An AST dataflow pass over each registered engine class.  Per handler
-    it tracks, along every path, whether a *covering force point* has
-    definitely executed, splicing same-class helper calls (with literal
-    argument mapping, so ``self._send_ballot_zero(txn, "NO", ...)`` is
-    recognized as the exempt NO vote) and flags any outcome-revealing
-    send reachable with the force not yet guaranteed.  Presumed-abort
-    sends (``DECISION`` carrying a literal ``"ABORT"``) and NO votes are
-    exempt by the protocol's own argument.  Loops and ``try`` blocks are
-    handled conservatively (coverage gained inside is not trusted
-    afterwards); branch merges require the force on *all* live arms.
-    Suppress a deliberate exception with ``# lint: allow-unforced-send``.
+This module checks what no simulated send can see, plus the message-flow
+graph the engines induce:
 
 ``flow/rt-durability-gate``
     The networked runtime moves durability to the transport: under group
@@ -42,13 +29,6 @@ message-flow graph the engines induce:
     itself: every reply, the told COMMIT of a commit point included,
     leaves through ``TcpTransport.tell``, which ``flush`` writes behind
     the gate, so no caller hears of a DECIDE the log could still lose.
-
-``flow/force-point-drift``
-    ``LocalTransactionManager._FORCE_POINTS`` declares which methods are
-    force points.  The rule checks the declaration against the method
-    bodies in both directions: a declared method must contain a
-    ``wal.append(..., force=True)`` and every method containing one must
-    be declared — so a refactor that silently drops a force shows up.
 
 ``msgflow/orphan-send`` / ``msgflow/dead-handler``
     Per scheme, the role→MsgType→role flow graph built from send-site
@@ -74,24 +54,16 @@ from pathlib import Path
 
 from repro.analysis.dispatch import (
     _class_body,
-    class_rel,
     receive_surface,
     scheme_roles,
 )
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.source import parse_module
-from repro.commit.coordinator import Coordinator
-from repro.commit.participant import Participant
 from repro.errors import AnalysisError
-from repro.protocols.acceptor import Acceptor
-from repro.protocols.paxos import PaxosParticipant
-from repro.protocols.short import ShortParticipant
 
 _ANCHOR = "Section 4 (force the log record before revealing the outcome)"
 
-PRAGMA = "lint: allow-unforced-send"
-
-#: splice depth bound for helper/super resolution (cycle-guarded anyway)
+#: splice depth bound for super / module-function resolution
 _MAX_DEPTH = 8
 
 
@@ -121,74 +93,32 @@ def _msgtype_name(node: ast.expr | None) -> str | None:
     return None
 
 
-def _tag_value(
-    node: ast.expr | None, bindings: dict[str, str | None]
-) -> str | None:
-    """A payload value as a literal string, through parameter bindings.
-
-    Returns the literal when statically known, None when dynamic — the
-    caller must treat None conservatively (obligated).
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    if isinstance(node, ast.Name):
-        return bindings.get(node.id)
-    return None
-
-
-def _payload_tags(
-    node: ast.expr | None, bindings: dict[str, str | None]
-) -> dict[str, str | None]:
-    """String-keyed payload entries resolved to literals where possible."""
-    tags: dict[str, str | None] = {}
-    if isinstance(node, ast.Dict):
-        for key, value in zip(node.keys, node.values):
-            if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                tags[key.value] = _tag_value(value, bindings)
-    return tags
-
-
-def _extract_send(
-    call: ast.Call, bindings: dict[str, str | None]
-) -> tuple[str, dict[str, str | None]] | None:
-    """(msg type name, payload tags) when ``call`` is a protocol send.
+def _extract_send(call: ast.Call) -> str | None:
+    """The message type name when ``call`` builds a protocol message.
 
     Recognized shapes — the only two the engines use:
 
-    * ``<anything>.send(Message(msg_type=MsgType.X, ..., payload={...}))``
-    * ``<anything>._reply(msg, MsgType.X, {...})``
+    * ``Message(msg_type=MsgType.X, ...)`` (sent at once, or stamped
+      first and then sent)
+    * ``<anything>._reply(msg, MsgType.X, ...)``
 
-    A send whose message type is not a literal ``MsgType.X`` (e.g. the
-    generic forward inside ``_reply`` itself) is not an event; the call
-    *sites* carry the literal and are extracted instead.
+    A message whose type is not a literal ``MsgType.X`` (e.g. the generic
+    one inside ``Message.reply``) is not an event; the call *sites* carry
+    the literal and are extracted instead.
     """
     func = call.func
-    name = _dotted(func)
-    if name is not None and (name == "send" or name.endswith(".send")):
-        if (
-            call.args
-            and isinstance(call.args[0], ast.Call)
-            and isinstance(call.args[0].func, ast.Name)
-            and call.args[0].func.id == "Message"
-        ):
-            message = call.args[0]
-            msg_type: ast.expr | None = None
-            payload: ast.expr | None = None
-            for kw in message.keywords:
-                if kw.arg == "msg_type":
-                    msg_type = kw.value
-                elif kw.arg == "payload":
-                    payload = kw.value
-            member = _msgtype_name(msg_type)
-            if member is not None:
-                return member, _payload_tags(payload, bindings)
+    if isinstance(func, ast.Name) and func.id == "Message":
+        for kw in call.keywords:
+            if kw.arg == "msg_type":
+                return _msgtype_name(kw.value)
         return None
-    if name is not None and (name == "_reply" or name.endswith("._reply")):
-        if len(call.args) >= 2:
-            member = _msgtype_name(call.args[1])
-            if member is not None:
-                payload = call.args[2] if len(call.args) >= 3 else None
-                return member, _payload_tags(payload, bindings)
+    name = _dotted(func)
+    if (
+        name is not None
+        and (name == "_reply" or name.endswith("._reply"))
+        and len(call.args) >= 2
+    ):
+        return _msgtype_name(call.args[1])
     return None
 
 
@@ -202,15 +132,9 @@ FnDef = ast.FunctionDef | ast.AsyncFunctionDef
 class _ClassModel:
     """One engine class: its methods and the module around it."""
 
-    name: str
-    path: Path
     rel: str
     methods: dict[str, FnDef]
     module_functions: dict[str, FnDef]
-    lines: list[str]
-
-    def suppressed(self, lineno: int) -> bool:
-        return 0 < lineno <= len(self.lines) and PRAGMA in self.lines[lineno - 1]
 
 
 def _load_class(root: Path, rel: str, class_name: str) -> _ClassModel:
@@ -228,306 +152,13 @@ def _load_class(root: Path, rel: str, class_name: str) -> _ClassModel:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     return _ClassModel(
-        name=class_name,
-        path=path,
         rel=rel,
         methods=methods,
         module_functions=module_functions,
-        lines=path.read_text(encoding="utf-8").splitlines(),
     )
 
 
-# -- rule 1: force-before-send ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Obligation:
-    """One force-before-send contract on one engine class."""
-
-    #: what the contract protects, for the finding message
-    what: str
-    #: the engine class bound by it (its AST is read from the scanned root)
-    cls: type[object]
-    msg_type: str
-    #: payload key carrying the outcome (None: every send is obligated)
-    tag_key: str | None
-    #: literal tag values exempt from the rule (presumed outcomes)
-    exempt: frozenset[str]
-    #: dotted suffixes; executing any one of them satisfies the contract
-    covering: tuple[str, ...]
-
-
-#: the discipline, straight from the paper's recovery argument (and Gray &
-#: Lamport's for the Paxos rows)
-OBLIGATIONS: tuple[Obligation, ...] = (
-    Obligation(
-        what="a YES vote reveals the prepare/local-commit force point",
-        cls=Participant,
-        msg_type="VOTE",
-        tag_key="vote",
-        exempt=frozenset({"NO"}),
-        covering=("ltm.prepare", "ltm.local_commit"),
-    ),
-    Obligation(
-        what="a Short-Commit YES vote reveals the prepare force point",
-        cls=ShortParticipant,
-        msg_type="VOTE",
-        tag_key="vote",
-        exempt=frozenset({"NO"}),
-        covering=("ltm.prepare",),
-    ),
-    Obligation(
-        what="a ballot-0 YES accept reveals the prepare force point",
-        cls=PaxosParticipant,
-        msg_type="PAXOS_ACCEPT",
-        tag_key="value",
-        exempt=frozenset({"NO"}),
-        covering=("ltm.prepare",),
-    ),
-    Obligation(
-        what="a DECISION reveals the decision-log force point",
-        cls=Coordinator,
-        msg_type="DECISION",
-        tag_key="decision",
-        # presumed abort: an ABORT decision needs no log record — a
-        # coordinator that forgot the transaction answers ABORT anyway
-        exempt=frozenset({"ABORT"}),
-        covering=("decision_log.append",),
-    ),
-    Obligation(
-        what="PAXOS_ACCEPTED reveals the acceptor's durable accept",
-        cls=Acceptor,
-        msg_type="PAXOS_ACCEPTED",
-        tag_key=None,
-        exempt=frozenset(),
-        covering=("wal.append",),
-    ),
-)
-
-
-@dataclass
-class _SendEvent:
-    msg_type: str
-    tags: dict[str, str | None]
-    covered: bool
-    lineno: int
-    chain: str
-
-
-class _ForceFlow:
-    """The per-class dataflow pass behind ``flow/unforced-send``.
-
-    State is a single boolean — "some member of the covering set has
-    definitely executed on every path to here" — threaded through the
-    statement list.  If-merges AND the arms still live; loop and try
-    bodies are analyzed for their send events but any coverage they gain
-    is discarded (they may run zero times / raise early).
-    """
-
-    def __init__(self, model: _ClassModel, covering: tuple[str, ...]) -> None:
-        self.model = model
-        self.covering = covering
-        self.sends: list[_SendEvent] = []
-
-    # entry point -----------------------------------------------------------
-
-    def run(self, method_name: str) -> None:
-        fn = self.model.methods[method_name]
-        self._block(fn.body, False, {}, (method_name,))
-
-    def roots(self) -> list[str]:
-        """Methods never invoked as ``self.X(...)`` by a class peer."""
-        called: set[str] = set()
-        for fn in self.model.methods.values():
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    helper = self._helper_name(node)
-                    if helper is not None:
-                        called.add(helper)
-        return sorted(set(self.model.methods) - called)
-
-    # statement dispatch ----------------------------------------------------
-
-    def _block(
-        self,
-        stmts: list[ast.stmt],
-        covered: bool,
-        bindings: dict[str, str | None],
-        stack: tuple[str, ...],
-    ) -> tuple[bool, bool]:
-        terminated = False
-        for stmt in stmts:
-            if terminated:
-                break
-            covered, terminated = self._stmt(stmt, covered, bindings, stack)
-        return covered, terminated
-
-    def _stmt(
-        self,
-        stmt: ast.stmt,
-        covered: bool,
-        bindings: dict[str, str | None],
-        stack: tuple[str, ...],
-    ) -> tuple[bool, bool]:
-        if isinstance(stmt, ast.If):
-            covered = self._scan(stmt.test, covered, bindings, stack)
-            c1, t1 = self._block(stmt.body, covered, bindings, stack)
-            c2, t2 = self._block(stmt.orelse, covered, bindings, stack)
-            if t1 and t2:
-                return covered, True
-            if t1:
-                return c2, False
-            if t2:
-                return c1, False
-            return c1 and c2, False
-        if isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            head = stmt.test if isinstance(stmt, ast.While) else stmt.iter
-            covered = self._scan(head, covered, bindings, stack)
-            # conservative: the body may run zero times, so its events are
-            # checked at entry coverage and its gains are discarded
-            self._block(stmt.body, covered, bindings, stack)
-            self._block(stmt.orelse, covered, bindings, stack)
-            return covered, False
-        if isinstance(stmt, ast.Try):
-            # conservative: the body may raise between any two statements
-            self._block(stmt.body, covered, bindings, stack)
-            for handler in stmt.handlers:
-                self._block(handler.body, covered, bindings, stack)
-            self._block(stmt.orelse, covered, bindings, stack)
-            _c, t = self._block(stmt.finalbody, covered, bindings, stack)
-            return covered, t
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                covered = self._scan(
-                    item.context_expr, covered, bindings, stack
-                )
-            return self._block(stmt.body, covered, bindings, stack)
-        if isinstance(stmt, ast.Return):
-            covered = self._scan(stmt.value, covered, bindings, stack)
-            return covered, True
-        if isinstance(stmt, ast.Raise):
-            covered = self._scan(stmt.exc, covered, bindings, stack)
-            return covered, True
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return covered, True
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            return covered, False
-        return self._scan(stmt, covered, bindings, stack), False
-
-    # expression-level events -----------------------------------------------
-
-    def _scan(
-        self,
-        node: ast.AST | None,
-        covered: bool,
-        bindings: dict[str, str | None],
-        stack: tuple[str, ...],
-    ) -> bool:
-        if node is None:
-            return covered
-        for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
-            send = _extract_send(call, bindings)
-            if send is not None:
-                msg_type, tags = send
-                self.sends.append(_SendEvent(
-                    msg_type=msg_type,
-                    tags=tags,
-                    covered=covered,
-                    lineno=call.lineno,
-                    chain=" -> ".join(stack),
-                ))
-                continue
-            if self._is_force(call):
-                covered = True
-                continue
-            helper = self._helper_name(call)
-            if (
-                helper is not None
-                and helper not in stack
-                and len(stack) < _MAX_DEPTH
-            ):
-                fn = self.model.methods[helper]
-                child = self._bind(fn, call, bindings)
-                gained, _t = self._block(
-                    fn.body, covered, child, stack + (helper,)
-                )
-                covered = covered or gained
-        return covered
-
-    def _is_force(self, call: ast.Call) -> bool:
-        name = _dotted(call.func)
-        if name is None:
-            return False
-        return any(
-            name == member or name.endswith("." + member)
-            for member in self.covering
-        )
-
-    def _helper_name(self, call: ast.Call) -> str | None:
-        name = _dotted(call.func)
-        if (
-            name is not None
-            and name.startswith("self.")
-            and name.count(".") == 1
-            and name[5:] in self.model.methods
-        ):
-            return name[5:]
-        return None
-
-    def _bind(
-        self,
-        fn: FnDef,
-        call: ast.Call,
-        caller_bindings: dict[str, str | None],
-    ) -> dict[str, str | None]:
-        """Map the helper's parameters to literal argument values."""
-        params = [a.arg for a in fn.args.args[1:]]  # skip self
-        bindings: dict[str, str | None] = {}
-        for param, arg in zip(params, call.args):
-            bindings[param] = _tag_value(arg, caller_bindings)
-        for kw in call.keywords:
-            if kw.arg is not None:
-                bindings[kw.arg] = _tag_value(kw.value, caller_bindings)
-        return bindings
-
-
-def analyze_force_before_send(root: Path) -> list[Finding]:
-    """Run every :data:`OBLIGATIONS` row; one finding per unforced path."""
-    findings: list[Finding] = []
-    for ob in OBLIGATIONS:
-        model = _load_class(root, class_rel(ob.cls), ob.cls.__name__)
-        flow = _ForceFlow(model, ob.covering)
-        for method in flow.roots():
-            flow.run(method)
-        for send in flow.sends:
-            if send.msg_type != ob.msg_type:
-                continue
-            if ob.tag_key is not None:
-                tag = send.tags.get(ob.tag_key)
-                if tag is not None and tag in ob.exempt:
-                    continue
-            if send.covered:
-                continue
-            if model.suppressed(send.lineno):
-                continue
-            findings.append(Finding(
-                rule="flow/unforced-send",
-                severity=Severity.ERROR,
-                location=f"{model.rel}:{send.lineno}",
-                message=(
-                    f"{model.name}.{send.chain} sends "
-                    f"MsgType.{ob.msg_type} on a path where no covering "
-                    f"force point ({', '.join(ob.covering)}) is guaranteed "
-                    f"to have executed — {ob.what}"
-                ),
-                anchor=_ANCHOR,
-            ))
-    return findings
-
-
-# -- rule 2: the rt durability gate ----------------------------------------------
+# -- the rt durability gate ----------------------------------------------
 
 
 def _assign_pairs(fn: FnDef) -> list[tuple[ast.expr, ast.expr]]:
@@ -692,93 +323,6 @@ def analyze_rt_gate(root: Path) -> list[Finding]:
     return findings
 
 
-# -- rule 3: force-point drift ---------------------------------------------------
-
-
-def analyze_force_points(root: Path) -> list[Finding]:
-    """``_FORCE_POINTS`` ⟺ methods containing ``wal.append(force=True)``."""
-    rel = "txn/local_manager.py"
-    path = root / rel
-    tree = parse_module(path)
-    cls = _class_body(tree, "LocalTransactionManager", path)
-
-    declared: dict[str, int] = {}
-    decl_lineno: int | None = None
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "_FORCE_POINTS"
-            for t in stmt.targets
-        ):
-            if not isinstance(stmt.value, (ast.Tuple, ast.List)):
-                raise AnalysisError(
-                    f"_FORCE_POINTS in {path} is not a literal tuple"
-                )
-            decl_lineno = stmt.lineno
-            for elt in stmt.value.elts:
-                if isinstance(elt, ast.Constant) and isinstance(
-                    elt.value, str
-                ):
-                    declared[elt.value] = elt.lineno
-    if decl_lineno is None:
-        raise AnalysisError(
-            f"LocalTransactionManager._FORCE_POINTS not found in {path}"
-        )
-
-    forcing: dict[str, int] = {}
-    for stmt in cls.body:
-        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                name = _dotted(node.func)
-                if name is None or not name.endswith("wal.append"):
-                    continue
-                for kw in node.keywords:
-                    if (
-                        kw.arg == "force"
-                        and isinstance(kw.value, ast.Constant)
-                        and kw.value.value is True
-                    ):
-                        forcing.setdefault(stmt.name, stmt.lineno)
-
-    findings: list[Finding] = []
-    for method, lineno in sorted(declared.items()):
-        if method not in forcing:
-            findings.append(Finding(
-                rule="flow/force-point-drift",
-                severity=Severity.ERROR,
-                location=f"{rel}:{lineno}",
-                message=(
-                    f"_FORCE_POINTS declares {method!r} but the method "
-                    f"contains no wal.append(..., force=True) — the "
-                    f"declared durability contract is no longer met"
-                ),
-                anchor=_ANCHOR,
-            ))
-    for method, lineno in sorted(forcing.items()):
-        if method not in declared:
-            findings.append(Finding(
-                rule="flow/force-point-drift",
-                severity=Severity.ERROR,
-                location=f"{rel}:{lineno}",
-                message=(
-                    f"{method!r} contains a wal.append(..., force=True) "
-                    f"but is not declared in _FORCE_POINTS — declare it "
-                    f"(and audit its callers' send ordering)"
-                ),
-                anchor=_ANCHOR,
-            ))
-    return findings
-
-
-def analyze_flow(root: Path) -> list[Finding]:
-    """The force-before-send family: all three rules."""
-    findings = analyze_force_before_send(root)
-    findings.extend(analyze_rt_gate(root))
-    findings.extend(analyze_force_points(root))
-    return findings
-
-
 # -- the message-flow graph ------------------------------------------------------
 
 
@@ -813,9 +357,9 @@ def _collect_sends(
 
     def emit(model: _ClassModel, node: ast.AST) -> None:
         for call in (n for n in ast.walk(node) if isinstance(n, ast.Call)):
-            send = _extract_send(call, {})
+            send = _extract_send(call)
             if send is not None:
-                sink.setdefault(send[0], []).append(
+                sink.setdefault(send, []).append(
                     f"{model.rel}:{call.lineno}"
                 )
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.analysis.blocking import analyze_rt_blocking
 from repro.analysis.determinism import analyze_tree
-from repro.analysis.flow import analyze_flow, analyze_message_flow
+from repro.analysis.flow import analyze_message_flow, analyze_rt_gate
 from repro.analysis.dispatch import analyze_dispatch
 from repro.analysis.findings import Finding, sort_findings
 
@@ -50,7 +50,7 @@ def run_all(root: Path | None = None) -> LintReport:
     findings: list[Finding] = []
     findings.extend(analyze_tree(scan_root))
     findings.extend(analyze_dispatch(scan_root))
-    findings.extend(analyze_flow(scan_root))
+    findings.extend(analyze_rt_gate(scan_root))
     findings.extend(analyze_message_flow(scan_root))
     findings.extend(analyze_rt_blocking(scan_root))
 

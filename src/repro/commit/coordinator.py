@@ -39,7 +39,17 @@ from repro.obs.events import (
     VoteRecorded,
 )
 from repro.sim.engine import Environment
+from repro.storage.wal import Cover, LogRecord, RecordType
 from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
+
+
+class DecisionLog(list[str]):
+    """A coordinator's decisions, oldest first.  An entry is durable once
+    appended: the simulator models the write as ``decision_log_delay``."""
+
+    @property
+    def durable_lsn(self) -> int:
+        return len(self)
 
 
 class Coordinator:
@@ -79,11 +89,14 @@ class Coordinator:
         self.endpoint = f"coord.{spec.txn_id}"
         self.inbox = network.register(self.endpoint)
         #: durable decision log (survives coordinator crashes)
-        self.decision_log: list[str] = []
-        #: host hook ``(decision, sites)`` that really force-writes the
-        #: decision record (the networked client's WAL); None = the
-        #: simulator's modelled ``decision_log_delay``
-        self.force_decision: Callable[[str, list[str]], None] | None = None
+        self.decision_log = DecisionLog()
+        #: host hook ``(decision, sites) -> stamp`` that really force-writes
+        #: the decision record (the daemon's WAL); None = the simulator's
+        #: modelled ``decision_log_delay``
+        self.force_decision: Callable[[str, list[str]], Cover] | None = None
+        #: what this coordinator's DECISION messages are stamped with: the
+        #: DECIDE entry that covers them (force-before-send)
+        self.decision_cover: Cover | None = None
         #: the sites the last decision round targeted, and the acks it got
         #: back — read by the networked client to re-send the decision to
         #: sites that never acknowledged (a restarted in-doubt daemon)
@@ -274,13 +287,19 @@ class Coordinator:
         (participants prepared, no decision).  The simulator models the
         write as ``decision_log_delay``; a host that owns a real log
         installs :attr:`force_decision` and pays the write, not the sleep.
+        Either way the written entry stamps every DECISION
+        (:attr:`decision_cover`).
         """
         if self.force_decision is not None:
-            self.force_decision(decision, sites)
+            self.decision_cover = self.force_decision(decision, sites)
         elif self.config.decision_log_delay > 0:
             yield self.env.timeout(self.config.decision_log_delay)
         yield from self._await_alive()
         self.decision_log.append(decision)
+        if self.decision_cover is None:
+            self.decision_cover = (self.decision_log, LogRecord(
+                len(self.decision_log), RecordType.DECIDE, self.endpoint,
+            ))
 
     def _decision_phase(self, decision: str, sites: list[str]):
         """Send DECISION, re-sending to unacknowledged sites; returns
@@ -304,6 +323,7 @@ class Coordinator:
                     recipient=site_id,
                     txn_id=self.spec.txn_id,
                     payload={"decision": decision},
+                    covers=self.decision_cover,
                 ))
             deadline = self.env.now + self.config.ack_timeout
             while len(acks) < len(sites):

@@ -43,7 +43,7 @@ from repro.commit.base import CommitConfig, CommitScheme
 from repro.compensation.executor import CompensationExecutor
 from repro.core.protocols import MarkingProtocol, NoProtocol
 from repro.errors import DeadlockDetected, LockTimeout, TransactionAborted
-from repro.net.message import Message, MsgType
+from repro.net.message import PRESUMED_ABORT, Message, MsgType
 from repro.net.transport import Transport
 from repro.obs.events import (
     DecisionApplied,
@@ -57,6 +57,7 @@ from repro.obs.events import (
     SubtxnStarted,
 )
 from repro.sim.process import Process
+from repro.storage.wal import Cover
 from repro.txn.operations import Op
 from repro.txn.site import Site
 from repro.txn.transaction import TxnStatus, VotePolicy
@@ -335,7 +336,9 @@ class Participant:
                 ))
         self._mark(self.marking.on_vote_commit, txn_id)
         state.voted = "YES"
-        self._reply(msg, MsgType.VOTE, {"vote": "YES"})
+        self._reply(
+            msg, MsgType.VOTE, {"vote": "YES"}, self.site.wal.cover(txn_id),
+        )
         return
         yield  # pragma: no cover - make this handler a generator
 
@@ -347,7 +350,7 @@ class Participant:
         state = self.subtxns.get(txn_id)
         if state is None or state.decided is not None:
             # Duplicate decision (coordinator retransmission): just ACK.
-            self._reply(msg, MsgType.ACK, {"compensated": False})
+            self._ack(msg, False)
             return
         state.decided = decision
         state.decided_at = self.env.now
@@ -366,7 +369,7 @@ class Participant:
                     txn_id=txn_id, site_id=self.site.site_id,
                     decision=decision, compensated=False,
                 ))
-            self._reply(msg, MsgType.ACK, {"compensated": False})
+            self._ack(msg, False)
             return
 
         # ABORT decision.
@@ -381,7 +384,7 @@ class Participant:
                     txn_id=txn_id, site_id=self.site.site_id,
                     decision=decision, compensated=False,
                 ))
-            self._reply(msg, MsgType.ACK, {"compensated": False})
+            self._ack(msg, False)
             return
         if status is TxnStatus.LOCALLY_COMMITTED:
             # Updates are exposed: semantic undo via the compensating
@@ -404,7 +407,7 @@ class Participant:
                 txn_id=txn_id, site_id=self.site.site_id,
                 decision=decision, compensated=state.compensated,
             ))
-        self._reply(msg, MsgType.ACK, {"compensated": state.compensated})
+        self._ack(msg, state.compensated)
 
     # -- crash / recovery -----------------------------------------------------------------
 
@@ -518,6 +521,18 @@ class Participant:
             transition(txn_id, self.site.site_id)
 
     def _reply(
-        self, msg: Message, msg_type: MsgType, payload: dict[str, Any]
+        self, msg: Message, msg_type: MsgType, payload: dict[str, Any],
+        covers: Cover | None = None,
     ) -> None:
-        self.network.send(msg.reply(msg_type, payload))
+        reply = msg.reply(msg_type, payload)
+        reply.covers = covers
+        self.network.send(reply)
+
+    def _ack(self, msg: Message, compensated: bool) -> None:
+        """ACK a decision: a COMMIT's ACK is stamped with the transaction's
+        end record here, which must be a durable COMMIT."""
+        self._reply(
+            msg, MsgType.ACK, {"compensated": compensated},
+            self.site.wal.cover(msg.txn_id)
+            if msg.payload["decision"] == "COMMIT" else PRESUMED_ABORT,
+        )

@@ -52,14 +52,6 @@ class NetworkError(ReproError):
     """Base class for network-substrate errors."""
 
 
-class SiteDownError(NetworkError):
-    """An operation was attempted on a crashed site."""
-
-    def __init__(self, site_id: str) -> None:
-        super().__init__(f"site {site_id!r} is down")
-        self.site_id = site_id
-
-
 class UnknownSiteError(NetworkError):
     """A message was addressed to a site id not registered on the network."""
 
@@ -139,24 +131,6 @@ class TransactionAborted(TransactionError):
 
 class InvalidTransactionState(TransactionError):
     """An operation is illegal in the transaction's current state."""
-
-
-class SubtransactionRejected(TransactionError):
-    """Rule R1 (the ``compatible`` check) rejected spawning a subtransaction.
-
-    ``retriable`` distinguishes rejections that may succeed later from
-    incompatibilities that can only be resolved by aborting the global
-    transaction (Section 6.2 of the paper).
-    """
-
-    def __init__(self, txn_id: str, site_id: str, *, retriable: bool) -> None:
-        kind = "retriable" if retriable else "fatal"
-        super().__init__(
-            f"subtransaction of {txn_id} rejected at {site_id} ({kind})"
-        )
-        self.txn_id = txn_id
-        self.site_id = site_id
-        self.retriable = retriable
 
 
 # ---------------------------------------------------------------------------

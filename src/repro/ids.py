@@ -10,10 +10,6 @@ hash, sort, and print, and histories stay human-readable in test output.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-
 # Prefixes used to build printable ids.
 GLOBAL_PREFIX = "T"
 LOCAL_PREFIX = "L"
@@ -81,28 +77,3 @@ def split_subtransaction_id(sub_id: str) -> tuple[str, str]:
     if not txn or not site:
         raise ValueError(f"{sub_id!r} is not a subtransaction id")
     return txn, site
-
-
-@dataclass
-class IdGenerator:
-    """Monotonic id factory for one simulation run.
-
-    Keeping generation centralized makes runs deterministic and ids dense,
-    which in turn keeps histories and serialization graphs readable.
-    """
-
-    _global: "itertools.count[int]" = field(default_factory=lambda: itertools.count(1))
-    _local: "itertools.count[int]" = field(default_factory=lambda: itertools.count(1))
-    _site: "itertools.count[int]" = field(default_factory=lambda: itertools.count(1))
-
-    def next_global(self) -> str:
-        """Return a fresh global-transaction id."""
-        return global_txn_id(next(self._global))
-
-    def next_local(self) -> str:
-        """Return a fresh local-transaction id."""
-        return local_txn_id(next(self._local))
-
-    def next_site(self) -> str:
-        """Return a fresh site id."""
-        return site_id(next(self._site))

@@ -167,22 +167,6 @@ class FailureInjector:
         self.register_site(plan.site_id)
         self.env.process(self._execute(plan), name=f"crashplan:{plan.site_id}")
 
-    def schedule_random(
-        self,
-        rng: Rng,
-        sites: Sequence[str],
-        config: RandomCrashConfig | None = None,
-    ) -> list[CrashPlan]:
-        """Draw and install a seeded random crash schedule; returns the plans.
-
-        Deterministic for a given RNG seed — a convenience wrapper over
-        :func:`random_crash_plans` + :meth:`schedule`.
-        """
-        plans = random_crash_plans(rng, sites, config)
-        for plan in plans:
-            self.schedule(plan)
-        return plans
-
     def _execute(self, plan: CrashPlan):
         if plan.at > self.env.now:
             yield self.env.timeout(plan.at - self.env.now)
@@ -190,16 +174,3 @@ class FailureInjector:
         if plan.duration is not None:
             yield self.env.timeout(plan.duration)
             self.recover(plan.site_id)
-
-    # -- metrics -------------------------------------------------------------------
-
-    def total_downtime(self, site_id: str, now: float | None = None) -> float:
-        """Accumulated downtime of ``site_id`` up to ``now``."""
-        now = self.env.now if now is None else now
-        total = 0.0
-        for outage in self.outages:
-            if outage.site_id != site_id:
-                continue
-            end = outage.end if outage.end is not None else now
-            total += max(0.0, end - outage.start)
-        return total

@@ -1,7 +1,10 @@
 """The simulated network connecting sites.
 
 Each registered endpoint gets an inbox (:class:`~repro.sim.store.Store`).
-``send`` stamps the message, applies the latency model, may drop it (loss
+``send`` first enforces force-before-send: a message the covering table
+(:data:`~repro.net.message.COVERING`) names must carry a durable record of
+a covering kind, or :class:`~repro.errors.ProtocolViolation` is raised.  It
+then stamps the message, applies the latency model, may drop it (loss
 probability or recipient down), and schedules delivery.  All delivered and
 dropped messages are counted per type — the ``CLAIM-MSG`` benchmark reads
 these counters to verify O2PC adds no messages over standard 2PC.
@@ -13,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import UnknownSiteError
-from repro.net.message import Message, MsgType
+from repro.net.message import COVERING, Message, MsgType
 from repro.obs.events import MessageDelivered, MessageDropped, MessageSent
 from repro.sim.engine import Environment
 from repro.sim.events import Event
@@ -179,12 +182,17 @@ class Network:
         Messages sent *by* a down endpoint, *to* a down endpoint, over a
         severed link (both checked again at delivery time, so a message can
         also race a crash or a link cut), or hit by the loss probability
-        are counted as dropped.
+        are counted as dropped.  A message that reveals an outcome its
+        covering record does not yet make durable raises
+        :class:`~repro.errors.ProtocolViolation`.
         """
         if message.recipient not in self._known:
             raise UnknownSiteError(
                 f"recipient {message.recipient!r} not registered"
             )
+        covering = COVERING.get(message.msg_type)
+        if covering is not None:
+            covering.check(message)
         message.send_time = self.env.now
         self.sent[message.msg_type] += 1
         bus = self.env.bus

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.net.message import Message, MsgType
-from repro.storage.wal import RecordType, WriteAheadLog
+from repro.storage.wal import Cover, RecordType, WriteAheadLog
 
 #: a ballot: (round, proposer endpoint).  Compared lexicographically.
 Ballot = tuple[int, str]
@@ -96,12 +96,15 @@ class Acceptor:
             self._apply(record.payload)
         self.crashed = False
 
-    def _record(self, change: dict[str, Any]) -> None:
-        """Force ``change`` to the log, then apply it to the tables."""
+    def _record(self, change: dict[str, Any]) -> Cover:
+        """Force ``change`` to the log, then apply it to the tables.
+
+        Returns the stamp of the reply that reveals it."""
         self.wal.append(
             RecordType.ACCEPTOR, self.acceptor_id, force=True, **change
         )
         self._apply(change)
+        return self.wal.cover(self.acceptor_id)
 
     def _apply(self, change: dict[str, Any]) -> None:
         txn_id = change["txn"]
@@ -154,6 +157,9 @@ class Acceptor:
                 "accepted": accepted,
                 "sites": list(self.sites.get(txn_id, [])),
             },
+            # the newest record: every change the promise reveals is
+            # durable with it (one sequential log)
+            covers=self.wal.cover(self.acceptor_id),
         ))
 
     # -- phase 2: accept / accepted ---------------------------------------------------
@@ -172,8 +178,7 @@ class Acceptor:
         sites = msg.payload.get("sites")
         if sites:
             change["sites"] = [str(s) for s in sites]
-        self._record(change)
-        self.network.send(Message(
+        accepted = Message(
             msg_type=MsgType.PAXOS_ACCEPTED,
             sender=self.acceptor_id,
             recipient=str(msg.payload["leader"]),
@@ -183,4 +188,6 @@ class Acceptor:
                 "ballot": list(ballot),
                 "value": value,
             },
-        ))
+        )
+        accepted.covers = self._record(change)
+        self.network.send(accepted)

@@ -36,7 +36,7 @@ from typing import Any
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.commit.coordinator import Coordinator
 from repro.commit.participant import Participant
-from repro.net.message import Message, MsgType
+from repro.net.message import QUORUM, Message, MsgType
 from repro.obs.events import Prepared
 from repro.protocols import acceptor_ids
 from repro.protocols.acceptor import Ballot, ballot_of
@@ -404,6 +404,7 @@ class PaxosParticipant(Participant):
         ballot 0, carrying the site list so acceptors can reconstruct the
         instance set for any future recovery leader."""
         sites = self._txn_sites.get(txn_id) or [self.site.site_id]
+        cover = self.site.wal.cover(txn_id)
         for acc in acceptors:
             self.network.send(Message(
                 msg_type=MsgType.PAXOS_ACCEPT,
@@ -417,6 +418,7 @@ class PaxosParticipant(Participant):
                     "leader": leader,
                     "sites": sites,
                 },
+                covers=cover,
             ))
 
     # -- termination watchdog -----------------------------------------------------
@@ -486,6 +488,7 @@ class PaxosParticipant(Participant):
                         recipient=site_id,
                         txn_id=txn_id,
                         payload={"decision": decision},
+                        covers=QUORUM,
                     ))
                 return
             rnd += 1

@@ -178,7 +178,9 @@ class ShortParticipant(Participant):
         if bus.enabled:
             bus.publish(Prepared(txn_id=txn_id, site_id=self.site.site_id))
         state.voted = "YES"
-        self._reply(msg, MsgType.VOTE, {"vote": "YES"})
+        self._reply(
+            msg, MsgType.VOTE, {"vote": "YES"}, self.site.wal.cover(txn_id),
+        )
 
     # -- DECISION -----------------------------------------------------------------
 

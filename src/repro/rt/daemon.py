@@ -72,7 +72,7 @@ from repro.rt.wire import WireError, spec_from_json
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.storage.recovery import RecoveryManager, RestartReport
-from repro.storage.wal import RecordType, WriteAheadLog
+from repro.storage.wal import Cover, RecordType, WriteAheadLog
 from repro.txn.site import Site
 from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
 
@@ -360,8 +360,9 @@ class SiteDaemon:
 
     def _force_decision(
         self, coordinator: Coordinator, decision: str, sites: list[str],
-    ) -> None:
-        """The coordinator's forced DECIDE; a COMMIT is told behind it."""
+    ) -> Cover:
+        """The coordinator's forced DECIDE, which stamps its DECISIONs; a
+        COMMIT is told behind it."""
         self.site.wal.append(
             RecordType.DECIDE, coordinator.endpoint, force=True,
             decision=decision, sites=list(sites),
@@ -372,6 +373,7 @@ class SiteDaemon:
                 **vars(coordinator.outcome), "committed": True,
                 "decision_time": now, "end_time": now,
             })
+        return self.site.wal.cover(coordinator.endpoint)
 
     def _reply(self, link: _Link, txn_id: str, **body: Any) -> None:
         self.transport.tell(link, {"kind": "told", "txn": txn_id, **body})
@@ -452,6 +454,10 @@ class SiteDaemon:
 
         def work(coordinator: Coordinator) -> Generator[Event, Any, Any]:
             coordinator.decision_log.append(decision)
+            # the DECIDE this site's WAL already holds
+            coordinator.decision_cover = self.site.wal.cover(
+                coordinator.endpoint
+            )
             return coordinator._decision_phase(decision, sites)
 
         self.pending[txn_id] = (decision, sites)

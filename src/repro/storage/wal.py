@@ -47,7 +47,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator, Protocol
 
 from repro.errors import WALError
 from repro.storage.kvstore import TOMBSTONE
@@ -81,10 +81,6 @@ class RecordType(enum.Enum):
     CHECKPOINT = "CHECKPOINT"
     #: one change of a Paxos acceptor's tables (``txn_id``: the acceptor)
     ACCEPTOR = "ACCEPTOR"
-
-
-#: record types that terminate a transaction locally
-_TERMINAL = {RecordType.COMMIT, RecordType.ABORT}
 
 
 #: JSON stand-in for ``TOMBSTONE`` in a frame (a stored value equal to it
@@ -185,6 +181,10 @@ class WriteAheadLog:
         #: commit one fsync covers many force points, so fsyncs <
         #: forced_writes is the whole point of the optimization
         self.fsyncs = 0
+        #: highest LSN known durable: a forced append advances it, or,
+        #: under group commit, the :meth:`sync` that covers it (one
+        #: sequential log, so every earlier record is durable with it)
+        self.durable_lsn = 0
         #: group-commit mode: a forced append marks the log *sync-needed*
         #: instead of fsyncing inline; an external flusher (the daemon's
         #: :class:`~repro.rt.group_commit.GroupCommitFlusher`) later calls
@@ -268,6 +268,8 @@ class WriteAheadLog:
         self._records.append(record)
         self._last_lsn[record.txn_id] = record.lsn
         self._next_lsn = record.lsn + 1
+        # replayed from the file: on disk, so durable
+        self.durable_lsn = record.lsn
 
     def _persist(self, record: LogRecord, force: bool) -> None:
         payload = json.dumps(
@@ -305,6 +307,7 @@ class WriteAheadLog:
         covered = self._pending_forces
         if self._file is not None and (covered or self._write_buffer):
             self._flush_buffer()
+        self.durable_lsn = self._next_lsn - 1
         return covered
 
     def _rewrite_file(self) -> None:
@@ -338,9 +341,9 @@ class WriteAheadLog:
     ) -> LogRecord:
         """Append a record; returns it.
 
-        ``force=True`` models a forced (synchronous) log write; it only bumps
-        the ``forced_writes`` counter since the simulated log is always
-        durable.
+        ``force=True`` is a forced (synchronous) log write: it makes the
+        record durable (:attr:`durable_lsn`) at once, or, under group
+        commit, at the next :meth:`sync`.
         """
         lsn = self._next_lsn
         self._next_lsn = lsn + 1
@@ -360,9 +363,19 @@ class WriteAheadLog:
         self._last_lsn[txn_id] = lsn
         if force:
             self.forced_writes += 1
+            if not self.group_commit:
+                self.durable_lsn = lsn
         if self._file is not None:
             self._persist(record, force)
         return record
+
+    def cover(self, txn_id: str) -> "Cover":
+        """The stamp of a message revealing ``txn_id``'s latest record here
+        (:attr:`~repro.net.message.Message.covers`)."""
+        lsn = self._last_lsn.get(txn_id)
+        if lsn is None:
+            return (self, None)
+        return (self, self._records[lsn - 1 - self._base])
 
     def clone(self) -> "WriteAheadLog":
         """An in-memory log holding the same records.
@@ -376,6 +389,7 @@ class WriteAheadLog:
         twin._next_lsn = self._next_lsn
         twin._base = self._base
         twin._last_lsn = dict(self._last_lsn)
+        twin.durable_lsn = self.durable_lsn
         return twin
 
     # -- reading -------------------------------------------------------------------
@@ -498,19 +512,14 @@ class WriteAheadLog:
                 return decisive
         return None
 
-    def is_terminated(self, txn_id: str) -> bool:
-        """True if a COMMIT or ABORT record exists for ``txn_id``."""
-        return any(
-            r.record_type in _TERMINAL for r in self.records_for(txn_id)
-        )
 
-    def active_transactions(self) -> list[str]:
-        """Transactions with a BEGIN but no terminal record (oldest first)."""
-        begun: list[str] = []
-        terminated: set[str] = set()
-        for record in self._records:
-            if record.record_type is RecordType.BEGIN:
-                begun.append(record.txn_id)
-            elif record.record_type in _TERMINAL:
-                terminated.add(record.txn_id)
-        return [t for t in begun if t not in terminated]
+class Durable(Protocol):
+    """A log as the send seam sees it: how far its records are durable."""
+
+    @property
+    def durable_lsn(self) -> int: ...
+
+
+#: a message's stamp: the sender's log and the record that covers the
+#: message, or None when the log holds nothing for its transaction
+Cover = tuple[Durable, "LogRecord | None"]

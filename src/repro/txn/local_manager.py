@@ -20,6 +20,13 @@ Execution methods are generators: they yield lock events and must run inside
 a simulation process.  :class:`~repro.errors.DeadlockDetected` propagates to
 the caller, which decides whether to abort (local transactions, forward
 subtransactions) or retry (compensations — persistence of compensation).
+
+Every termination path ends in a forced WAL append (``force=True``): its
+record is durable when the method returns, so a message sent after it may
+reveal it.  The simulated network checks that for each revealing message
+(:data:`repro.net.message.COVERING`), and
+``tests/txn/test_force_points.py`` drives each of these methods and
+checks its record's durability.
 """
 
 from __future__ import annotations
@@ -40,23 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class LocalTransactionManager:
     """Executes transactions against one site under strict 2PL."""
-
-    #: methods whose WAL append is a *force point* (``force=True``): the
-    #: record must be durable before any message revealing its outcome is
-    #: sent.  ``repro lint``'s ``flow/force-point-drift`` rule verifies this
-    #: list against the method bodies in both directions, so a refactor
-    #: that drops (or adds) a forced append shows up at lint time.
-    _FORCE_POINTS = (
-        "commit",
-        "abort_local",
-        "prepare",
-        "local_commit",
-        "complete_commit",
-        "rollback_subtxn",
-        "commit_recovered",
-        "abort_recovered",
-        "mark_compensated",
-    )
 
     def __init__(self, site: "Site") -> None:
         self.site = site

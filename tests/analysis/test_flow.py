@@ -1,10 +1,15 @@
-"""Family 3: force-before-send, the runtime durability gate, and
-force-point drift (``repro.analysis.flow``, part 1).
+"""Force-before-send and the runtime durability gate
+(``repro.analysis.flow``, part 1).
 
-Every mutation test copies the installed package tree, breaks ONE force
-discipline, and asserts the exact rule fires — parameterized across all
-four commit-scheme engines plus the Paxos acceptor, since each engine
-has its own force point and its own outcome-revealing send.
+Force-before-send is a run-time check: the simulated network refuses a
+revealing message its covering record does not make durable
+(``repro.net.message.COVERING``).  ``TestUnforcedSend`` deletes each
+engine's force point in-process — across all four commit-scheme engines
+plus the Paxos acceptor, since each has its own force point and its own
+outcome-revealing send — and expects the send to raise.  The durability
+gate of the networked runtime stays a static rule: each ``TestRtGate``
+case copies the installed package tree, breaks the gate ONE way, and
+asserts the rule fires.
 """
 
 import shutil
@@ -12,14 +17,13 @@ import shutil
 import pytest
 
 from repro.analysis import default_root
-from repro.analysis.flow import (
-    OBLIGATIONS,
-    PRAGMA,
-    analyze_flow,
-    analyze_force_before_send,
-    analyze_force_points,
-    analyze_rt_gate,
-)
+from repro.analysis.flow import analyze_rt_gate
+from repro.commit.base import CommitScheme
+from repro.errors import ProtocolViolation
+from repro.protocols.acceptor import Acceptor
+from repro.txn.local_manager import LocalTransactionManager
+from repro.txn.transaction import VotePolicy
+from tests.net.test_covering import transfer
 
 
 @pytest.fixture()
@@ -43,83 +47,54 @@ def rules(findings):
 
 class TestShippedTreeIsClean:
     def test_no_findings(self):
-        assert analyze_flow(default_root()) == []
-
-    def test_obligations_cover_every_engine(self):
-        classes = {ob.cls.__name__ for ob in OBLIGATIONS}
-        # base 2PC/O2PC participant + coordinator, Short-Commit, Paxos
-        # Commit participant, and the acceptor ensemble
-        assert classes == {
-            "Participant", "Coordinator", "ShortParticipant",
-            "PaxosParticipant", "Acceptor",
-        }
+        assert analyze_rt_gate(default_root()) == []
 
 
-#: engine → (file, force statement whose deletion uncovers the send)
+def _skip(*_args, **_kwargs):
+    """A force point deleted: the method no longer logs anything."""
+
+
+#: engine → (scheme run, the class and method whose force is deleted)
 _FORCE_MUTATIONS = {
-    "TWO_PL": (
-        "commit/participant.py",
-        "            self.site.ltm.prepare(txn_id)\n",
-    ),
-    "O2PC": (
-        "commit/participant.py",
-        "            self.site.ltm.local_commit(txn_id)\n",
-    ),
-    "SHORT": (
-        "protocols/short.py",
-        "        self.site.ltm.prepare(txn_id)\n",
-    ),
-    "PAXOS": (
-        "protocols/paxos.py",
-        "        self.site.ltm.prepare(txn_id)\n",
-    ),
-    "ACCEPTOR": (
-        "protocols/acceptor.py",
-        "        self._record(change)\n        self.network.send(Message(\n",
-    ),
+    "TWO_PL": (CommitScheme.TWO_PL, LocalTransactionManager, "prepare"),
+    "O2PC": (CommitScheme.O2PC, LocalTransactionManager, "local_commit"),
+    "SHORT": (CommitScheme.SHORT, LocalTransactionManager, "prepare"),
+    "PAXOS": (CommitScheme.PAXOS, LocalTransactionManager, "prepare"),
+    # the acceptor applies the change but logs nothing: its reply goes
+    # out with no record to stamp
+    "ACCEPTOR": (CommitScheme.PAXOS, Acceptor, "_record"),
 }
 
 
 class TestUnforcedSend:
     @pytest.mark.parametrize("engine", sorted(_FORCE_MUTATIONS))
-    def test_deleting_the_force_point_fires(self, tree, engine):
-        rel, stmt = _FORCE_MUTATIONS[engine]
-        if engine == "ACCEPTOR":
-            edit(tree, rel, stmt, "        self.network.send(Message(\n")
+    def test_deleting_the_force_point_fires(self, monkeypatch, engine):
+        scheme, cls, method = _FORCE_MUTATIONS[engine]
+        if cls is Acceptor:
+            monkeypatch.setattr(
+                cls, method, lambda self, change: self._apply(change),
+            )
         else:
-            edit(tree, rel, stmt, "")
-        found = analyze_force_before_send(tree)
-        assert "flow/unforced-send" in rules(found)
-        assert all(rel in f.location for f in found)
+            monkeypatch.setattr(cls, method, _skip)
+        with pytest.raises(ProtocolViolation):
+            transfer(scheme)
 
-    def test_both_vote_branches_must_force(self, tree):
+    def test_both_vote_branches_must_force(self, monkeypatch):
         # Deleting only the 2PL-branch prepare leaves the O2PC branch
-        # covered — the if-merge is an AND, so the YES send is still
-        # reported as reachable without a force.
-        edit(
-            tree, "commit/participant.py",
-            "            self.site.ltm.prepare(txn_id)\n", "",
-        )
-        found = analyze_force_before_send(tree)
-        assert rules(found) == ["flow/unforced-send"]
-
-    def test_pragma_suppresses(self, tree):
-        edit(
-            tree, "protocols/short.py",
-            "        self.site.ltm.prepare(txn_id)\n", "",
-        )
-        edit(
-            tree, "protocols/short.py",
-            '        self._reply(msg, MsgType.VOTE, {"vote": "YES"})',
-            '        self._reply(msg, MsgType.VOTE, {"vote": "YES"})'
-            f"  # {PRAGMA}",
-        )
-        assert analyze_force_before_send(tree) == []
+        # covered: an O2PC run still commits, but a real-action site (the
+        # branch that prepares) sends its YES vote uncovered.
+        monkeypatch.setattr(LocalTransactionManager, "prepare", _skip)
+        assert transfer(CommitScheme.O2PC).committed
+        with pytest.raises(ProtocolViolation, match="VOTE"):
+            transfer(CommitScheme.O2PC, real_action=True)
 
     def test_no_votes_stay_exempt(self):
-        # The shipped tree's NO replies are presumed-abort: uncovered by
-        # design, and not findings.
-        assert analyze_force_before_send(default_root()) == []
+        # A NO vote and the presumed-abort DECISION that follows reveal
+        # nothing logged: they go out unstamped, and the seam lets them.
+        for scheme in CommitScheme:
+            outcome = transfer(scheme, vote=VotePolicy.FORCE_NO)
+            assert not outcome.committed
+            assert outcome.no_votes == ["S1"]
 
 
 class TestRtGate:
@@ -216,21 +191,3 @@ class TestRtGate:
         found = analyze_rt_gate(tree)
         assert rules(found) == ["flow/rt-durability-gate"]
         assert "SiteDaemon._handle_control writes" in found[0].message
-
-
-class TestForcePointDrift:
-    def test_undeclared_force_point_fires(self, tree):
-        edit(tree, "txn/local_manager.py", '"prepare",', "")
-        found = analyze_force_points(tree)
-        assert rules(found) == ["flow/force-point-drift"]
-        assert "not declared" in found[0].message
-
-    def test_declared_but_unforced_fires(self, tree):
-        edit(
-            tree, "txn/local_manager.py",
-            '"commit",', '"commit", "made_up",',
-        )
-        found = analyze_force_points(tree)
-        assert rules(found) == ["flow/force-point-drift"]
-        assert "'made_up'" in found[0].message
-        assert "no longer met" in found[0].message

@@ -41,7 +41,7 @@ class TestRunner:
 
     def test_findings_render_with_anchor(self):
         f = Finding(
-            "flow/unforced-send", Severity.ERROR,
+            "flow/rt-durability-gate", Severity.ERROR,
             "commit/participant.py:7", "VOTE before its force",
             anchor="Section 4",
         )
@@ -96,13 +96,10 @@ class TestCli:
         # A minimal fake tree: clean dispatch/flow/msgflow/blocking
         # declarations but a wall-clock leak — proves --root rescans, and
         # the exit code gates.  A tiny SUBTXN_REQ/VOTE round-trip keeps
-        # the message-flow graph closed, and the participant forces its
-        # log (ltm.prepare) before the YES vote so the force-before-send
-        # family is satisfied too.
+        # the message-flow graph closed.
         (tmp_path / "net").mkdir()
         (tmp_path / "commit").mkdir()
         (tmp_path / "rt").mkdir()
-        (tmp_path / "txn").mkdir()
         (tmp_path / "net" / "message.py").write_text(
             "class MsgType:\n"
             "    SUBTXN_REQ = 1\n"
@@ -122,14 +119,7 @@ class TestCli:
             "    _HANDLERS = {MsgType.SUBTXN_REQ: '_handle'}\n"
             "    WALL = time.time()\n"
             "    def _handle(self, msg):\n"
-            "        self.site.ltm.prepare('t')\n"
             "        self._reply(msg, MsgType.VOTE, {'vote': 'YES'})\n"
-        )
-        (tmp_path / "txn" / "local_manager.py").write_text(
-            "class LocalTransactionManager:\n"
-            "    _FORCE_POINTS = ('prepare',)\n"
-            "    def prepare(self, txn_id):\n"
-            "        self.wal.append('PREPARE', force=True)\n"
         )
         (tmp_path / "rt" / "daemon.py").write_text(
             "class SiteDaemon:\n"

@@ -3,7 +3,9 @@
 from repro.commit import CommitConfig, CommitScheme
 from repro.harness import System, SystemConfig
 from repro.net.message import MsgType
+from repro.storage.wal import RecordType
 from repro.txn import GlobalTxnSpec, SemanticOp, SubtxnSpec, VotePolicy
+from tests.stamps import durable
 
 
 def spec(sites=("S1", "S2"), txn_id="T1"):
@@ -91,6 +93,7 @@ def test_duplicate_decision_is_acked_idempotently():
     system.network.send(Message(
         msg_type=MsgType.DECISION, sender="coord.T1", recipient="S1",
         txn_id="T1", payload={"decision": "COMMIT"},
+        covers=durable(RecordType.DECIDE),
     ))
     system.env.run()
     assert system.network.delivered[MsgType.DECISION] >= 3

@@ -4,8 +4,10 @@ from repro.commit import CommitScheme, Participant
 from repro.harness import System, SystemConfig
 from repro.net import LatencyModel, Message, MsgType, Network
 from repro.sim import Environment, Rng
+from repro.storage.wal import RecordType
 from repro.txn import ReadOp, Site, WriteOp
 from repro.txn.transaction import VotePolicy
+from tests.stamps import durable
 
 
 def new_participant(scheme=CommitScheme.O2PC):
@@ -18,10 +20,16 @@ def new_participant(scheme=CommitScheme.O2PC):
     return env, net, site, participant
 
 
+#: what the test, posing as the coordinator, stamps a message it sends
+_STAMPS = {MsgType.DECISION: RecordType.DECIDE, MsgType.ACK: RecordType.COMMIT}
+
+
 def msg(mtype, txn="T1", **payload):
+    stamp = _STAMPS.get(mtype)
     return Message(
         msg_type=mtype, sender="coord", recipient="S1", txn_id=txn,
         payload=payload,
+        covers=None if stamp is None else durable(stamp, txn),
     )
 
 

@@ -74,6 +74,7 @@ def test_late_ack_to_retired_endpoint_is_delivered_then_discarded():
     system.network.send(Message(
         msg_type=MsgType.ACK, sender="S1", recipient="coord.T1",
         txn_id="T1", payload={},
+        covers=system.sites["S1"].wal.cover("T1"),  # its durable COMMIT
     ))
     system.env.run()
     assert system.network.delivered[MsgType.ACK] == delivered + 1

@@ -78,20 +78,3 @@ def test_callbacks_fire():
     inj.crash("S1")
     inj.recover("S1")
     assert events == [("crash", "S1"), ("recover", "S1")]
-
-
-def test_total_downtime_accumulates():
-    env, net, inj = make_injector()
-    net.register("S1")
-    inj.schedule(CrashPlan(site_id="S1", at=2.0, duration=3.0))
-    inj.schedule(CrashPlan(site_id="S1", at=10.0, duration=5.0))
-    env.run()
-    assert inj.total_downtime("S1") == 8.0
-
-
-def test_total_downtime_open_outage_counts_to_now():
-    env, net, inj = make_injector()
-    net.register("S1")
-    inj.schedule(CrashPlan(site_id="S1", at=1.0, duration=None))
-    env.run(until=11.0)
-    assert inj.total_downtime("S1") == 10.0

@@ -1,4 +1,4 @@
-"""Seeded random crash schedules (FailureInjector.schedule_random)."""
+"""Seeded random crash schedules (random_crash_plans, run by FailureInjector)."""
 
 import pytest
 
@@ -61,10 +61,12 @@ class TestScheduling:
             env, injector = _injector()
             for site in ("S1", "S2"):
                 injector.register_site(site)
-            plans = injector.schedule_random(
+            plans = random_crash_plans(
                 Rng(11), ["S1", "S2"],
                 RandomCrashConfig(n_crashes=3, window=(0.0, 30.0)),
             )
+            for plan in plans:
+                injector.schedule(plan)
             env.run(until=100.0)
             observed.append([
                 (o.site_id, o.start, o.end) for o in injector.outages
@@ -75,11 +77,12 @@ class TestScheduling:
 
     def test_scheduled_sites_recover_after_outage(self):
         env, injector = _injector()
-        injector.schedule_random(
+        for plan in random_crash_plans(
             Rng(5), ["S1"],
             RandomCrashConfig(n_crashes=1, window=(1.0, 2.0),
                               min_outage=3.0, max_outage=4.0),
-        )
+        ):
+            injector.schedule(plan)
         env.run(until=50.0)
         assert injector.is_up("S1")
         outage = injector.outages[0]

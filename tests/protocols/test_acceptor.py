@@ -13,6 +13,7 @@ from repro.protocols.acceptor import BALLOT_ZERO, Acceptor, ballot_of
 from repro.sim.engine import Environment
 from repro.sim.rng import Rng
 from repro.storage.wal import RecordType, WriteAheadLog, _record_to_json
+from tests.stamps import durable
 
 LEADER = "leader.1"
 
@@ -63,6 +64,8 @@ def accept(ballot, instance="S1", value="YES", txn_id="T1", sites=None):
             "ballot": list(ballot), "instance": instance, "value": value,
             "leader": LEADER, "sites": sites or ["S1", "S2"],
         },
+        # a ballot-0 YES stands for a participant's vote: its PREPARE
+        covers=durable(RecordType.PREPARE, txn_id),
     )
 
 

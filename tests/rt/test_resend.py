@@ -36,6 +36,12 @@ from repro.storage.wal import RecordType, WriteAheadLog
 
 from tests.rt.test_daemon import transfer_spec
 
+
+def terminated(wal, txn_id):
+    """True once ``txn_id`` has a COMMIT or ABORT record in ``wal``."""
+    return wal.status_of(txn_id) in (RecordType.COMMIT, RecordType.ABORT)
+
+
 #: short retransmission rounds so the failed decision phase is quick
 #: (2 rounds x 10 units x 0.002 s/unit = 40 ms of wall clock)
 CLIENT_COMMIT = CommitConfig(ack_timeout=10.0, decision_retries=1)
@@ -312,7 +318,7 @@ class TestDecisionLogReplay:
         try:
             seen = await decide(cluster, daemons)
             in_doubt = [
-                not d.site.wal.is_terminated("T1") for d in daemons
+                not terminated(d.site.wal, "T1") for d in daemons
             ]
             # S1 dies with its coordinator; nothing after the DECIDE's
             # fsync reaches its log.
@@ -329,7 +335,7 @@ class TestDecisionLogReplay:
                 daemons[0].pending.items()
             }
             results = await resend(NetClient(cluster))
-            finalized = [d.site.wal.is_terminated("T1") for d in daemons]
+            finalized = [terminated(d.site.wal, "T1") for d in daemons]
             records = [
                 r.record_type for r in daemons[0].site.wal
                 if r.txn_id == "coord.T1"

@@ -110,7 +110,7 @@ def test_restart_undoes_in_flight():
     report = rec.restart()
     assert not store.exists("x")
     assert report.undone == ["T1"]
-    assert wal.is_terminated("T1")
+    assert wal.status_of("T1") is RecordType.ABORT
 
 
 def test_restart_reports_in_doubt():
@@ -121,7 +121,7 @@ def test_restart_reports_in_doubt():
     store.wipe()
     report = rec.restart()
     assert report.in_doubt == ["T1"]
-    assert not wal.is_terminated("T1")
+    assert wal.status_of("T1") is RecordType.PREPARE
 
 
 def test_restart_mixed_outcomes():

@@ -65,17 +65,6 @@ def test_status_of_progression():
     assert wal.status_of("T1") is RecordType.LOCAL_COMMIT
     wal.append(RecordType.COMMIT, "T1")
     assert wal.status_of("T1") is RecordType.COMMIT
-    assert wal.is_terminated("T1")
-
-
-def test_active_transactions():
-    wal = WriteAheadLog()
-    wal.append(RecordType.BEGIN, "T1")
-    wal.append(RecordType.BEGIN, "T2")
-    wal.append(RecordType.BEGIN, "T3")
-    wal.append(RecordType.COMMIT, "T2")
-    wal.append(RecordType.ABORT, "T3")
-    assert wal.active_transactions() == ["T1"]
 
 
 def test_forced_writes_counter():

@@ -8,11 +8,11 @@ from repro import errors
 def test_hierarchy_rooted_at_repro_error():
     leaves = [
         errors.SimulationDeadlock, errors.ProcessInterrupted,
-        errors.SiteDownError, errors.UnknownSiteError,
+        errors.UnknownSiteError,
         errors.KeyNotFound, errors.WALError,
         errors.LockNotHeld, errors.DeadlockDetected, errors.LockTimeout,
         errors.TwoPhaseViolation, errors.TransactionAborted,
-        errors.InvalidTransactionState, errors.SubtransactionRejected,
+        errors.InvalidTransactionState,
         errors.NotCompensatable, errors.UnknownAction,
         errors.PersistenceViolation,
         errors.ProtocolViolation, errors.HistoryError,
@@ -38,15 +38,6 @@ def test_transaction_aborted_attributes():
 def test_process_interrupted_cause():
     exc = errors.ProcessInterrupted(cause={"why": "test"})
     assert exc.cause == {"why": "test"}
-
-
-def test_subtransaction_rejected_flags():
-    retriable = errors.SubtransactionRejected("T1", "S2", retriable=True)
-    assert retriable.retriable
-    assert "retriable" in str(retriable)
-    fatal = errors.SubtransactionRejected("T1", "S2", retriable=False)
-    assert not fatal.retriable
-    assert "fatal" in str(fatal)
 
 
 def test_key_not_found_carries_key():
@@ -75,10 +66,6 @@ def test_unknown_action_distinct_from_real_action():
 def test_correctness_violation_cycle_defaults_empty():
     assert errors.CorrectnessViolation("msg").cycle == []
     assert errors.CorrectnessViolation("msg", ["A", "B"]).cycle == ["A", "B"]
-
-
-def test_site_down_carries_site():
-    assert errors.SiteDownError("S3").site_id == "S3"
 
 
 def test_catch_all_pattern():

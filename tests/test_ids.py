@@ -38,15 +38,6 @@ def test_subtransaction_ids():
         ids.split_subtransaction_id("no-at-sign")
 
 
-def test_generator_monotonic_and_independent():
-    gen = ids.IdGenerator()
-    assert [gen.next_global() for _ in range(3)] == ["T1", "T2", "T3"]
-    assert [gen.next_local() for _ in range(2)] == ["L1", "L2"]
-    assert gen.next_site() == "S1"
-    other = ids.IdGenerator()
-    assert other.next_global() == "T1"
-
-
 @given(st.integers(min_value=1, max_value=10_000))
 def test_compensation_roundtrip_property(n):
     txn = ids.global_txn_id(n)

@@ -1,11 +1,16 @@
 #!/usr/bin/env python
-"""Self-test for ``repro lint``: seeded mutations must be caught.
+"""Self-test for ``repro lint`` and the run-time protocol checks: seeded
+mutations must be caught.
 
-A linter that never fires is indistinguishable from a working one, so CI
+A check that never fires is indistinguishable from a working one, so CI
 runs this script after the clean lint pass: it copies ``src/`` to a temp
 directory, applies one protocol-breaking mutation at a time, and asserts
-the lint exits 1 with the expected rule.  The unmutated copy must stay
-clean (exit 0) to prove the harness itself isn't producing the findings.
+either that the lint exits 1 with the expected rule (``expect_rule``) or
+that the named tier-1 test (``expect_test``, a pytest node id), run
+against the mutated copy, fails with ``ProtocolViolation`` — the run-time
+force-before-send check at the simulated send seam.  The unmutated copy
+must stay clean (lint exit 0, every named test passing) to prove the
+harness itself isn't producing the failures.
 
 Run from the repo root: ``python tools/lint_mutation_check.py``
 """
@@ -28,15 +33,21 @@ SRC = REPO / "src"
 _WAIT_FOR = "        future: asyncio.Future[Any] = loop.create_future()\n"
 
 
+#: the run-time check a dynamic mutation's test must fail with
+_VIOLATION = "ProtocolViolation"
+
+
 @dataclass(frozen=True)
 class Mutation:
-    """One seeded defect: edit ``paths`` and expect ``expect_rule`` to fire."""
+    """One seeded defect: edit ``paths`` and expect ``expect_rule`` to fire
+    or the ``expect_test`` node to fail with ``ProtocolViolation``."""
 
     name: str
     paths: tuple[str, ...]  # relative to the copied src/ tree
     replacements: tuple[tuple[str, str], ...]  # (old, new); "" new = delete
     append: str  # text appended to each file (for injections)
-    expect_rule: str
+    expect_rule: str | None = None
+    expect_test: str | None = None
 
 
 MUTATIONS = [
@@ -94,19 +105,28 @@ MUTATIONS = [
     Mutation(
         name="move-force-after-send",
         # swap the 2PL prepare force point to AFTER the YES vote leaves
-        # the site: the O2PC branch still forces via local_commit, so
-        # the AND-merge over the if-arms leaves the send uncovered
+        # the site: the O2PC branch still forces via local_commit, but the
+        # 2PL vote is stamped with the transaction's last UPDATE
         paths=("repro/commit/participant.py",),
         replacements=(
             ("            self.site.ltm.prepare(txn_id)\n", ""),
             (
-                '        self._reply(msg, MsgType.VOTE, {"vote": "YES"})\n',
-                '        self._reply(msg, MsgType.VOTE, {"vote": "YES"})\n'
+                "        self._reply(\n"
+                '            msg, MsgType.VOTE, {"vote": "YES"}, '
+                "self.site.wal.cover(txn_id),\n"
+                "        )\n",
+                "        self._reply(\n"
+                '            msg, MsgType.VOTE, {"vote": "YES"}, '
+                "self.site.wal.cover(txn_id),\n"
+                "        )\n"
                 "        self.site.ltm.prepare(txn_id)\n",
             ),
         ),
         append="",
-        expect_rule="flow/unforced-send",
+        expect_test=(
+            "tests/net/test_covering.py::"
+            "test_a_committing_transaction_passes_the_seam[TWO_PL]"
+        ),
     ),
     Mutation(
         name="drop-paxos-decision-handler",
@@ -221,9 +241,8 @@ MUTATIONS = [
     ),
     Mutation(
         name="drop-prepare-force",
-        # the 2PL YES vote's PREPARE record becomes a lazy append while
-        # _FORCE_POINTS still promises a force: the vote can leave the
-        # site before the prepared state is durable
+        # the 2PL YES vote's PREPARE record becomes a lazy append: the vote
+        # can leave the site before the prepared state is durable
         paths=("repro/txn/local_manager.py",),
         replacements=((
             "        self.site.wal.append(RecordType.PREPARE, txn_id, "
@@ -232,27 +251,47 @@ MUTATIONS = [
             "        self.status[txn_id] = TxnStatus.PREPARED\n",
         ),),
         append="",
-        expect_rule="flow/force-point-drift",
+        expect_test=(
+            "tests/net/test_covering.py::"
+            "test_a_committing_transaction_passes_the_seam[TWO_PL]"
+        ),
     ),
     Mutation(
         name="acceptor-reply-before-force",
         # the acceptor's PAXOS_ACCEPTED leaves before its ACCEPTOR record
         # is forced: a power loss can forget a vote the leader counted
         paths=("repro/protocols/acceptor.py",),
-        replacements=(
-            (
-                "        self._record(change)\n"
-                "        self.network.send(Message(\n",
-                "        self.network.send(Message(\n",
-            ),
-            (
-                '                "value": value,\n            },\n        ))\n',
-                '                "value": value,\n            },\n        ))\n'
-                "        self._record(change)\n",
-            ),
-        ),
+        replacements=((
+            "        accepted.covers = self._record(change)\n"
+            "        self.network.send(accepted)\n",
+            "        self.network.send(accepted)\n"
+            "        accepted.covers = self._record(change)\n",
+        ),),
         append="",
-        expect_rule="flow/unforced-send",
+        expect_test=(
+            "tests/net/test_covering.py::"
+            "test_a_committing_transaction_passes_the_seam[PAXOS]"
+        ),
+    ),
+    Mutation(
+        name="ack-before-commit-force",
+        # the participant's COMMIT record becomes a lazy append: its ACK
+        # can reach the coordinator, which then forgets the transaction,
+        # before a crash could no longer lose the COMMIT (restart would
+        # ask, hear the presumed ABORT and undo a committed transaction)
+        paths=("repro/txn/local_manager.py",),
+        replacements=((
+            "        self.site.wal.append(RecordType.COMMIT, txn_id, "
+            "force=True)\n        self._terminate(txn_id, "
+            "TxnStatus.COMMITTED)\n",
+            "        self.site.wal.append(RecordType.COMMIT, txn_id)\n"
+            "        self._terminate(txn_id, TxnStatus.COMMITTED)\n",
+        ),),
+        append="",
+        expect_test=(
+            "tests/net/test_covering.py::"
+            "test_a_committing_transaction_passes_the_seam[O2PC]"
+        ),
     ),
     Mutation(
         name="vote-req-never-sent",
@@ -283,6 +322,31 @@ def run_lint(src_dir: Path) -> tuple[int, dict]:
     return proc.returncode, json.loads(proc.stdout)
 
 
+def run_tests(checkout: Path, nodes: list[str]) -> tuple[int, str]:
+    """Run pytest ``nodes`` in ``checkout`` (a src/ copy plus the tests)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *nodes],
+        capture_output=True, text=True, cwd=checkout,
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def checkout(root: Path, mutation: Mutation | None) -> Path:
+    """A copy of ``src/`` under ``root`` with ``mutation`` applied; a
+    dynamic mutation gets the tests and their conftest beside it."""
+    root.mkdir()
+    shutil.copytree(SRC, root / "src")
+    if mutation is not None:
+        mutate(root / "src", mutation)
+    if mutation is None or mutation.expect_test is not None:
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        shutil.copytree(REPO / "tests", root / "tests", ignore=ignore)
+        for name in ("conftest.py", "pyproject.toml"):
+            shutil.copy(REPO / name, root / name)
+    return root
+
+
 def mutate(src_dir: Path, mutation: Mutation) -> None:
     for path in mutation.paths:
         target = src_dir / path
@@ -298,34 +362,47 @@ def mutate(src_dir: Path, mutation: Mutation) -> None:
         target.write_text(text + mutation.append)
 
 
+def caught(root: Path, mutation: Mutation) -> tuple[bool, str]:
+    """Whether the mutated checkout at ``root`` fails as expected."""
+    if mutation.expect_test is not None:
+        code, output = run_tests(root, [mutation.expect_test])
+        if code == 1 and _VIOLATION in output:
+            return True, f"{mutation.expect_test} ({_VIOLATION})"
+        return False, f"{mutation.expect_test} exit {code}"
+    code, report = run_lint(root / "src")
+    rules = [f["rule"] for f in report["findings"]]
+    if code == 1 and mutation.expect_rule in rules:
+        return True, str(mutation.expect_rule)
+    return False, f"exit {code}, rules {rules}"
+
+
 def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory(prefix="lint-mutation-") as tmp:
-        pristine = Path(tmp) / "src"
-        shutil.copytree(SRC, pristine)
-
-        code, report = run_lint(pristine)
+        pristine = checkout(Path(tmp) / "pristine", None)
+        code, report = run_lint(pristine / "src")
         if code != 0 or report["findings"]:
             raise SystemExit(
                 "pristine copy is not clean — fix the lint findings before "
                 f"trusting the mutation check:\n{json.dumps(report, indent=2)}"
             )
-        print("pristine copy: clean (exit 0)")
+        nodes = sorted({m.expect_test for m in MUTATIONS if m.expect_test})
+        code, output = run_tests(pristine, nodes)
+        if code != 0:
+            raise SystemExit(
+                "a named test fails on the pristine copy — fix it before "
+                f"trusting the mutation check:\n{output}"
+            )
+        print("pristine copy: clean (lint exit 0, named tests pass)")
 
         for mutation in MUTATIONS:
-            mutated = Path(tmp) / f"src-{mutation.name}"
-            shutil.copytree(SRC, mutated)
-            mutate(mutated, mutation)
-            code, report = run_lint(mutated)
-            rules = [f["rule"] for f in report["findings"]]
-            if code == 1 and mutation.expect_rule in rules:
-                print(f"{mutation.name}: caught by {mutation.expect_rule}")
+            root = checkout(Path(tmp) / mutation.name, mutation)
+            ok, detail = caught(root, mutation)
+            if ok:
+                print(f"{mutation.name}: caught by {detail}")
             else:
                 failures.append(mutation.name)
-                print(
-                    f"{mutation.name}: NOT CAUGHT "
-                    f"(exit {code}, rules {rules})"
-                )
+                print(f"{mutation.name}: NOT CAUGHT ({detail})")
 
     if failures:
         print(f"\n{len(failures)} mutation(s) survived: {failures}")
