@@ -11,15 +11,15 @@ runs, and this package checks them without executing anything:
   :class:`~repro.net.message.MsgType` has a receiving side among the
   roles the engine registry names;
 * **protocol flow** (:mod:`repro.analysis.flow`) — the networked
-  runtime's frames route through the group-commit durability gate, and
+  runtime writes frames only at the transport's checked write seam, and
   each scheme's role→MsgType→role flow graph is closed (no orphan sends,
   no dead handlers);
 * **event-loop blocking** (:mod:`repro.analysis.blocking`) — no sync
   fsync/file-IO/sleep/subprocess reachable from the runtime's
   coroutines and loop callbacks.
 
-Force-before-send itself is not a rule here: the simulated network checks
-every send against the covering table (:data:`repro.net.message.COVERING`).
+Force-before-send itself is not a rule here: both send seams check what
+they send against the covering table (:data:`repro.net.message.COVERING`).
 The action repertoire's obligations (a predeclared counter-task per
 compensatable action, real actions only in lock-holding subtransactions)
 are tier-1 tests over the one registry and the shipped scenarios, not

@@ -1,34 +1,19 @@
-"""Family 3: protocol-flow verification (durability gate + message flow).
+"""Family 3: protocol-flow verification (socket-write seam + message flow).
 
-The paper's recovery argument rests on one ordering rule: a force-log
-point must happen-before the message that *reveals* its outcome (§4).
-That rule is a run-time check now, not a lint: the covering table
-(:data:`repro.net.message.COVERING`) names every revealing message and
-the records that may cover it, each sender stamps the covering record on
-the message, and the simulated network's ``send`` refuses a message whose
-stamp is missing, of the wrong kind or not yet durable — on every path a
-test, a checker schedule or a benchmark run executes.
-
-This module checks what no simulated send can see, plus the message-flow
-graph the engines induce:
+Force-before-send (§4: a force-log point must happen-before the message
+that *reveals* its outcome) is a run-time check, not a lint: senders
+stamp the covering record (:data:`repro.net.message.COVERING`), and both
+send seams — the simulated network's ``send`` and the TCP transport's
+``_write`` — refuse a stamp that is missing, of the wrong kind or not yet
+durable.  This module checks what no run-time check can see, plus the
+message-flow graph the engines induce:
 
 ``flow/rt-durability-gate``
-    The networked runtime moves durability to the transport: under group
-    commit the WAL buffers forced appends and every outbound frame must
-    pass ``durability_gate`` (the group-commit barrier) before it reaches
-    the socket.  The rule requires ``TcpTransport.flush`` — the tail of
-    every pump turn — to await the gate before it writes; every
-    ``.write(`` in ``rt/transport.py`` to sit in ``TcpTransport._write``;
-    any caller of ``_write`` other than ``flush`` (the late write on
-    connect / ``resume_writing``) to pass messages it took from a link's
-    ``gated`` queue; and only ``_write`` to add to such a queue — so
-    nothing reaches a socket that did not pass a gate inside ``flush``.
-    The WAL's host, ``SiteDaemon`` — its participant's force points and
-    its coordinators' DECIDE records — must install the gate
-    (``self.transport.durability_gate = ...``) and must write no frame
-    itself: every reply, the told COMMIT of a commit point included,
-    leaves through ``TcpTransport.tell``, which ``flush`` writes behind
-    the gate, so no caller hears of a DECIDE the log could still lose.
+    A run-time check sees only the writes that go through it, so no
+    ``.write(`` in ``rt/transport.py`` or ``rt/daemon.py`` may sit outside
+    ``TcpTransport._write``: every reply of the daemon (a told COMMIT
+    included) leaves through ``TcpTransport.tell``, behind the turn's
+    durability gate and through the check.
 
 ``msgflow/orphan-send`` / ``msgflow/dead-handler``
     Per scheme, the role→MsgType→role flow graph built from send-site
@@ -52,14 +37,9 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.dispatch import (
-    _class_body,
-    receive_surface,
-    scheme_roles,
-)
+from repro.analysis.dispatch import _class_body, receive_surface, scheme_roles
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.source import parse_module
-from repro.errors import AnalysisError
 
 _ANCHOR = "Section 4 (force the log record before revealing the outcome)"
 
@@ -158,168 +138,41 @@ def _load_class(root: Path, rel: str, class_name: str) -> _ClassModel:
     )
 
 
-# -- the rt durability gate ----------------------------------------------
-
-
-def _assign_pairs(fn: FnDef) -> list[tuple[ast.expr, ast.expr]]:
-    """``(target, value)`` of every assignment in ``fn``, tuples unpacked."""
-    pairs: list[tuple[ast.expr, ast.expr]] = []
-    for node in ast.walk(fn):
-        if isinstance(node, ast.AnnAssign) and node.value is not None:
-            pairs.append((node.target, node.value))
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Tuple)
-                    and isinstance(node.value, ast.Tuple)
-                    and len(target.elts) == len(node.value.elts)
-                ):
-                    pairs.extend(zip(target.elts, node.value.elts))
-                else:
-                    pairs.append((target, node.value))
-    return pairs
-
-
-def _is_gated(node: ast.expr) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "gated"
-
-
-def _grows_gated(node: ast.AST) -> bool:
-    """``x.gated += ...`` / ``x.gated.append(...)`` / ``.extend(...)``."""
-    if isinstance(node, ast.AugAssign):
-        return _is_gated(node.target)
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("append", "extend")
-        and _is_gated(node.func.value)
-    )
-
-
-def _transport_gate(root: Path) -> list[Finding]:
-    """Nothing in ``rt/transport.py`` writes what no gate has covered."""
-    rel = "rt/transport.py"
-    tree = parse_module(root / rel)
-    flush = next(
-        (
-            stmt for stmt in _class_body(tree, "TcpTransport", root / rel).body
-            if isinstance(stmt, ast.AsyncFunctionDef) and stmt.name == "flush"
-        ),
-        None,
-    )
-    if flush is None:
-        raise AnalysisError(f"TcpTransport.flush not found in {root / rel}")
-    findings: list[Finding] = []
-
-    def error(lineno: int, message: str) -> None:
-        findings.append(Finding(
-            rule="flow/rt-durability-gate", severity=Severity.ERROR,
-            location=f"{rel}:{lineno}", message=message, anchor=_ANCHOR,
-        ))
-
-    gate = min(
-        (
-            node.lineno for node in ast.walk(flush)
-            if isinstance(node, ast.Await)
-            and isinstance(node.value, ast.Call)
-            and _dotted(node.value.func) == "self.durability_gate"
-        ),
-        default=None,
-    )
-    if gate is None:
-        error(flush.lineno, (
-            "TcpTransport.flush never awaits self.durability_gate() — "
-            "under group commit a frame could reveal a force point still "
-            "sitting in the WAL buffer"
-        ))
-    for fn in ast.walk(tree):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        from_gated = {
-            target.id for target, value in _assign_pairs(fn)
-            if isinstance(target, ast.Name) and _is_gated(value)
-        }
-        for node in ast.walk(fn):
-            if _grows_gated(node) and fn.name != "_write":
-                error(node.lineno, (
-                    f"{fn.name} adds to a gated queue at line "
-                    f"{node.lineno}; only TcpTransport._write, which "
-                    "flush calls behind the gate, may park messages"
-                ))
-            if not isinstance(node, ast.Call):
-                continue
-            name = _dotted(node.func) or ""
-            if name.endswith(".write"):
-                if fn.name != "_write":
-                    error(node.lineno, (
-                        f"{fn.name} writes to a socket at line "
-                        f"{node.lineno}, outside TcpTransport._write"
-                    ))
-            elif not name.endswith("._write"):
-                continue
-            elif fn is flush:
-                if gate is not None and node.lineno < gate:
-                    error(node.lineno, (
-                        f"frame written to the socket at line "
-                        f"{node.lineno}, before the durability gate "
-                        f"awaited at line {gate}"
-                    ))
-            elif not any(
-                isinstance(arg, ast.Name) and arg.id in from_gated
-                for arg in node.args[-1:]
-            ):
-                error(node.lineno, (
-                    f"{fn.name} calls _write with messages that were not "
-                    "taken from a link's gated queue — a late write may "
-                    "only carry what already passed a gate"
-                ))
-        for target, value in _assign_pairs(fn):
-            if _is_gated(target) and not (
-                isinstance(value, ast.List) and not value.elts
-            ):
-                error(target.lineno, (
-                    f"{fn.name} assigns a gated queue at line "
-                    f"{target.lineno}; it may only be emptied there"
-                ))
-    return findings
+# -- the runtime's socket-write seam ---------------------------------------
 
 
 def analyze_rt_gate(root: Path) -> list[Finding]:
-    """Sends in the networked runtime route through ``durability_gate``."""
-    findings = _transport_gate(root)
-    rel = "rt/daemon.py"
-    daemon = _load_class(root, rel, "SiteDaemon")
-
-    def error(lineno: int, message: str) -> None:
-        findings.append(Finding(
-            rule="flow/rt-durability-gate", severity=Severity.ERROR,
-            location=f"{rel}:{lineno}", message=message, anchor=_ANCHOR,
-        ))
-
-    installed = False
-    for name, fn in daemon.methods.items():
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign):
-                installed |= any(
-                    _dotted(target) == "self.transport.durability_gate"
-                    for target in node.targets
+    """No ``.write(`` in the runtime's transport or daemon outside
+    ``TcpTransport._write``, the seam that checks force-before-send."""
+    findings: list[Finding] = []
+    for rel in ("rt/transport.py", "rt/daemon.py"):
+        tree = parse_module(root / rel)
+        scopes = [("", tree.body)] + [
+            (f"{node.name}.", node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+        ]
+        for prefix, body in scopes:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = prefix + fn.name
+                if (rel, name) == ("rt/transport.py", "TcpTransport._write"):
+                    continue
+                findings.extend(
+                    Finding(
+                        rule="flow/rt-durability-gate", severity=Severity.ERROR,
+                        location=f"{rel}:{node.lineno}", anchor=_ANCHOR,
+                        message=(
+                            f"{name} writes to a socket at line {node.lineno}, "
+                            "outside TcpTransport._write — the frame skips the "
+                            "durability gate and the force-before-send check"
+                        ),
+                    )
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write"
                 )
-            elif isinstance(node, ast.Call) and (
-                _dotted(node.func) or ""
-            ).endswith(".write"):
-                error(node.lineno, (
-                    f"SiteDaemon.{name} writes to a socket at line "
-                    f"{node.lineno} — a reply must leave through "
-                    "self.transport.tell, behind the durability gate, or "
-                    "a told COMMIT can reveal a DECIDE still in the WAL "
-                    "buffer"
-                ))
-    if not installed:
-        error(1, (
-            "SiteDaemon never installs the group-commit barrier as "
-            "self.transport.durability_gate — buffered force points "
-            "would never gate outbound frames"
-        ))
     return findings
 
 

@@ -18,8 +18,8 @@ protocol a recovery leader runs when the coordinator goes silent.
 :data:`COVERING` is the paper's force-before-send rule (§4) as one table:
 a message that reveals a logged outcome carries, in :attr:`Message.covers`,
 the record that covers it, and :meth:`Covering.check` (run by the
-simulated network on every send) refuses it unless that record is of a
-covering kind and durable.
+simulated network on every send, and by the TCP transport on every
+write) refuses it unless that record is of a covering kind and durable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.errors import ProtocolViolation
 from repro.storage.wal import RecordType
@@ -133,6 +133,17 @@ QUORUM = "quorum"
 PRESUMED_ABORT = "presumed abort"
 
 
+class Revealing(Protocol):
+    """What :meth:`Covering.check` reads: a :class:`Message`, or a reply
+    to a client that reveals what one would."""
+
+    @property
+    def payload(self) -> dict[str, Any]: ...
+
+    @property
+    def covers(self) -> "Cover | str | None": ...
+
+
 @dataclass(frozen=True, slots=True)
 class Covering:
     """One row of the force-before-send table."""
@@ -149,7 +160,7 @@ class Covering:
     #: :data:`PRESUMED_ABORT`)
     exempt: frozenset[str] = frozenset()
 
-    def check(self, message: Message) -> bool:
+    def check(self, message: Revealing) -> bool:
         """Raise :class:`ProtocolViolation` unless ``message`` is covered.
 
         Returns True when a stamped record was checked, False when the

@@ -18,9 +18,10 @@ disk before any remote VOTE_REQ leaves; the forced ``DECIDE``; an unforced
 roles, which makes the in-process shortcut safe: the local ACK reaches the
 coordinator before the local COMMIT is fsynced, but ``COORD_END`` follows
 that COMMIT in the log and cannot be durable without it.  A COMMIT is told
-to the caller right after its ``DECIDE`` append, through
-:meth:`TcpTransport.tell`, so behind the barrier that fsyncs it; anything
-else is told at termination.  An admin ``drain`` is answered once no
+to the caller right after its ``DECIDE`` append, stamped with it, through
+:meth:`TcpTransport.tell`: behind the barrier that fsyncs it, and checked
+at the transport's write seam like a DECISION; anything else is told at
+termination.  An admin ``drain`` is answered once no
 coordinator is live; a decision some site never acknowledged stays in
 :attr:`SiteDaemon.pending` until a ``resend`` round gets its ACKs.
 
@@ -165,9 +166,9 @@ class SiteDaemon:
                 )
         #: recovery classification of the last restart (None on first boot)
         self.restart_report: RestartReport | None = None
-        #: fsync coalescing for the WAL (armed after boot); the transport's
-        #: durability gate routes every outbound frame through its barrier,
-        #: so a force point is never revealed before its covering fsync
+        #: fsync coalescing for the WAL (armed after boot); the transport
+        #: awaits its barrier before every write, which checks that no frame
+        #: reveals a force point before its covering fsync
         self.flusher = GroupCommitFlusher(self.site.wal)
         #: per-site JSONL event stream (None = observability off)
         self.obs_sink: JsonlEventSink | None = None
@@ -176,6 +177,7 @@ class SiteDaemon:
             self.env.bus.subscribe(self.obs_sink)
             self.env.bus.enable()
         self._pump_task: Any = None
+        self._hang_up: asyncio.Task[None] | None = None  # see _fail_stop
         self._stop = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------------
@@ -186,6 +188,7 @@ class SiteDaemon:
         self._pump_task = asyncio.get_running_loop().create_task(
             self.pump.run()
         )
+        self._pump_task.add_done_callback(self._fail_stop)
         if self.fresh_boot:
             self.site.load({
                 f"k{i}": self.initial_value
@@ -211,7 +214,8 @@ class SiteDaemon:
             self._recover_coordinators()
 
     async def run(self) -> None:
-        """Serve until :meth:`stop` (or an admin shutdown frame)."""
+        """Serve until :meth:`stop`, an admin shutdown frame, or a pump
+        failure (which this re-raises)."""
         await self.start()
         await self._stop.wait()
         await self.shutdown()
@@ -220,21 +224,35 @@ class SiteDaemon:
         """Ask :meth:`run` to exit."""
         self._stop.set()
 
+    def _fail_stop(self, task: asyncio.Task[None]) -> None:
+        """A pump that raised answers nothing more: hang up on everyone,
+        so callers see a lost connection, and let :meth:`run` exit."""
+        if not task.cancelled() and task.exception() is not None:
+            self._hang_up = asyncio.ensure_future(self.transport.close())
+            self.stop()
+
     async def shutdown(self) -> None:
-        """Stop the pump, close every connection, and close the WAL."""
+        """Stop the pump, close every connection, and close the WAL; then
+        re-raise what failed the pump, if anything did."""
         self.pump.stop()
+        failure: Exception | None = None
         if self._pump_task is not None:
             try:
                 await self._pump_task
             except asyncio.CancelledError:
                 pass
+            except Exception as exc:
+                failure = exc
             self._pump_task = None
-        await self.transport.flush()  # what the last turn told
-        await self.transport.close()
+        if failure is None:
+            await self.transport.flush()  # what the last turn told
+        await (self._hang_up or self.transport.close())
         # Shutdown path: the transport is closed, nothing left to starve.
         self.site.wal.close()  # lint: allow-blocking
         if self.obs_sink is not None:
             self.obs_sink.close()
+        if failure is not None:
+            raise failure
 
     # -- admin surface -------------------------------------------------------
 
@@ -367,20 +385,23 @@ class SiteDaemon:
             RecordType.DECIDE, coordinator.endpoint, force=True,
             decision=decision, sites=list(sites),
         )
+        cover = self.site.wal.cover(coordinator.endpoint)
         if decision == "COMMIT":
             now = self.env.now
-            self._tell(coordinator.spec.txn_id, outcome={
+            self._tell(coordinator.spec.txn_id, cover, outcome={
                 **vars(coordinator.outcome), "committed": True,
                 "decision_time": now, "end_time": now,
             })
-        return self.site.wal.cover(coordinator.endpoint)
+        return cover
 
-    def _reply(self, link: _Link, txn_id: str, **body: Any) -> None:
-        self.transport.tell(link, {"kind": "told", "txn": txn_id, **body})
+    def _reply(
+        self, link: _Link, txn_id: str, covers: Cover | None = None, **body: Any,
+    ) -> None:
+        self.transport.tell(link, {"kind": "told", "txn": txn_id, **body}, covers)
 
-    def _tell(self, txn_id: str, **body: Any) -> None:
+    def _tell(self, txn_id: str, covers: Cover | None = None, **body: Any) -> None:
         for link in self._callers.pop(txn_id, ()):
-            self._reply(link, txn_id, **body)
+            self._reply(link, txn_id, covers, **body)
 
     def _terminated(self, coordinator: Coordinator, event: Event) -> None:
         """A coordination ended: tell its callers, book its decision."""
@@ -393,7 +414,10 @@ class SiteDaemon:
             self._failures.append(error)
             self._tell(txn_id, error=error)
         elif isinstance(event.value, TxnOutcome):
-            self._tell(txn_id, outcome=vars(event.value))
+            self._tell(
+                txn_id, self.site.wal.cover(coordinator.endpoint),
+                outcome=vars(event.value),
+            )
         decision = (  # a failed spawn logs nothing: presumed abort
             coordinator.decision_log[-1] if coordinator.decision_log
             else "ABORT"
@@ -436,17 +460,17 @@ class SiteDaemon:
     def _ask(self, txn_id: str, link: _Link) -> None:
         """A caller lost its connection: a live undecided coordinator tells
         it as it tells its submitter; otherwise only a ``DECIDE(COMMIT)``
-        in the log (on disk once the reply passes the gate) is a commit."""
+        in the log, which stamps the reply, is a commit."""
         if txn_id in self._callers:
             self._callers[txn_id].append(link)
             return
-        decided = [
-            record.payload["decision"]
-            for record in self.site.wal.records_for(f"coord.{txn_id}")
-            if record.record_type is RecordType.DECIDE
-        ]
-        self._reply(link, txn_id, outcome={
-            "txn_id": txn_id, "committed": decided[-1:] == ["COMMIT"],
+        decide = None
+        for record in self.site.wal.records_for(f"coord.{txn_id}"):
+            if record.record_type is RecordType.DECIDE:
+                decide = record
+        self._reply(link, txn_id, (self.site.wal, decide), outcome={
+            "txn_id": txn_id, "committed": decide is not None
+            and decide.payload["decision"] == "COMMIT",
         })
 
     def _resend(self, txn_id: str, decision: str, sites: list[str]) -> None:

@@ -16,11 +16,13 @@ Inbound, a connection is an :class:`asyncio.Protocol` whose
 straight into their inboxes.  Outbound, ``send()`` only enqueues: the
 pump's turn ends by awaiting :meth:`TcpTransport.flush`, which awaits the
 host's :attr:`~TcpTransport.durability_gate` once (the group-commit
-barrier of the daemon's WAL: no frame can reveal a force point not yet on
-disk) and then writes one batch per peer.  Replies to control frames (a
+barrier of the daemon's WAL) and then writes one batch per peer, each
+message checked against :data:`~repro.net.message.COVERING` as the
+simulated network checks every send (in-process deliveries share the
+daemon's fate and stay unchecked).  Replies to control frames (a
 transaction told its outcome, a drained daemon, a status) queue with
-:meth:`TcpTransport.tell` and leave behind the same gate.  Nothing in the
-turn waits on a peer: a site being dialled or a connection over its write
+:meth:`TcpTransport.tell` and leave the same way.  Nothing in the turn
+waits on a peer: a site being dialled or a connection over its write
 buffer's high-water mark keeps its already-gated messages in its own queue.
 
 Failure semantics match the simulated :class:`~repro.net.network.Network`
@@ -36,10 +38,11 @@ from __future__ import annotations
 
 import asyncio
 from collections import Counter
+from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
 
 from repro.errors import UnknownSiteError
-from repro.net.message import Message, MsgType
+from repro.net.message import COVERING, Message, MsgType
 from repro.obs.events import MessageDelivered, MessageDropped, MessageSent
 from repro.rt.backoff import RedialPolicy
 from repro.rt.config import ClusterConfig
@@ -54,6 +57,23 @@ from repro.rt.wire import (
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.sim.store import Store
+from repro.storage.wal import Cover
+
+
+@dataclass(slots=True)
+class Told:
+    """A control reply (:meth:`TcpTransport.tell`), checked as a DECISION:
+    one that reports a commit reveals the DECIDE record a
+    ``DECISION(COMMIT)`` reveals; any other reveals nothing."""
+
+    body: dict[str, Any]
+    covers: Cover | None = field(default=None, repr=False)
+    msg_type = MsgType.DECISION
+
+    @property
+    def payload(self) -> dict[str, Any]:
+        outcome = self.body.get("outcome")
+        return {"decision": "COMMIT"} if outcome and outcome.get("committed") else {}
 
 
 class _Link(asyncio.Protocol):
@@ -72,7 +92,7 @@ class _Link(asyncio.Protocol):
         self.paused = paused
         #: messages (and told replies) that passed a durability gate
         #: while ``paused``
-        self.gated: list[Message | dict[str, Any]] = []
+        self.gated: list[Message | Told] = []
         self._buffer = bytearray()
 
     def connection_made(self, transport: Any) -> None:
@@ -153,11 +173,11 @@ class TcpTransport:
         self._dial_tasks: set[asyncio.Task[None]] = set()
         #: messages awaiting the next turn's flush (coalescing queue)
         self._outbound: list[Message] = []
-        #: control replies awaiting the next turn's flush: (link, body)
-        self._told: list[tuple[_Link, dict[str, Any]]] = []
+        #: control replies awaiting the next turn's flush
+        self._told: list[tuple[_Link, Told]] = []
         #: host hook awaited before outbound frames hit the socket; the
-        #: daemon installs its WAL's group-commit barrier here so no frame
-        #: can reveal a force point before its covering fsync
+        #: daemon installs its WAL's group-commit barrier here, which makes
+        #: the force points of the turn durable before :meth:`_write` checks
         self.durability_gate: Callable[[], Awaitable[None]] | None = None
         #: redial schedule for dead peer sites (capped exponential + jitter)
         self.redial = RedialPolicy(local_site or "client")
@@ -238,15 +258,17 @@ class TcpTransport:
             self.pump.kick()  # free inside a drain; gets one, outside
         self._outbound.append(message)
 
-    def tell(self, link: _Link, body: dict[str, Any]) -> None:
+    def tell(
+        self, link: _Link, body: dict[str, Any], covers: Cover | None = None,
+    ) -> None:
         """Queue a control reply on ``link`` for the end of this turn.
 
-        It leaves behind the turn's durability gate, so it cannot reveal
-        a force point (a DECIDE, say) before the fsync that covers it.
+        It leaves behind the turn's durability gate; one that reports a
+        commit must be stamped with the DECIDE record that covers it.
         """
         if not self._outbound and not self._told:
             self.pump.kick()
-        self._told.append((link, body))
+        self._told.append((link, Told(body, covers)))
 
     # -- local delivery ------------------------------------------------------
 
@@ -288,51 +310,50 @@ class TcpTransport:
         told, self._told = self._told, []
         if (batch or told) and self.durability_gate is not None:
             await self.durability_gate()
-        by_link: dict[_Link, list[Message | dict[str, Any]]] = {}
+        by_link: dict[_Link, list[Message | Told]] = {}
         for message in batch:
             link = self._link_for(message)
             if link is not None:
                 by_link.setdefault(link, []).append(message)
-        for link, body in told:
-            by_link.setdefault(link, []).append(body)
+        for link, reply in told:
+            by_link.setdefault(link, []).append(reply)
         for link, messages in by_link.items():
             self._write(link, messages)
 
-    def _write(
-        self, link: _Link, messages: list[Message | dict[str, Any]],
-    ) -> None:
-        """Write what has passed a durability gate to ``link``.
+    def _write(self, link: _Link, messages: list[Message | Told]) -> None:
+        """Check ``messages`` against :data:`~repro.net.message.COVERING`,
+        then write them to ``link``.
 
-        The one place frames reach a socket and the one place messages
-        are parked for a link that cannot take them now, so the late write
-        on connect / ``resume_writing`` carries only what :meth:`flush`
-        handed over behind a gate.  A link that died meanwhile drops them:
-        the TCP analogue of the severed-in-flight drop.  A ``dict`` is a
-        control reply's body (:meth:`tell`): framed, not counted (it goes
-        to a client, where no protocol message goes, so every frame is
-        one or the other).
+        The one place frames reach a socket (the late write on connect /
+        ``resume_writing`` included) and messages are parked for a link
+        that cannot take them now.  A link that died meanwhile drops them:
+        the TCP analogue of the severed-in-flight drop.  A :class:`Told`
+        reply is framed, not counted (it goes to a client, where no
+        protocol message goes, so every frame is one or the other).
         """
+        for message in messages:
+            covering = COVERING.get(message.msg_type)
+            if covering is not None:
+                covering.check(message)
         if link.paused:
             link.gated += messages
         elif link.writer.is_closing():
             self._drop_all(messages, "connection_reset")
         else:
             bodies = [
-                m if isinstance(m, dict) else message_to_json(m)
+                m.body if isinstance(m, Told) else message_to_json(m)
                 for m in messages
             ]
             frames = encode_batch(bodies)
             for frame in frames:
                 link.writer.write(frame)
-            if not isinstance(messages[0], dict):
+            if not isinstance(messages[0], Told):
                 self.frames_sent += len(frames)
                 self.messages_framed += len(messages)
 
-    def _drop_all(
-        self, messages: list[Message | dict[str, Any]], reason: str,
-    ) -> None:
+    def _drop_all(self, messages: list[Message | Told], reason: str) -> None:
         for message in messages:
-            if not isinstance(message, dict):
+            if not isinstance(message, Told):
                 self._drop(message, reason)
 
     def _link_for(self, message: Message) -> _Link | None:

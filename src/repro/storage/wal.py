@@ -191,7 +191,7 @@ class WriteAheadLog:
         #: :meth:`sync` once for the whole group.  The durability contract
         #: shifts, it does not weaken: the host must not acknowledge a
         #: forced record (send the frame that reveals it) before the
-        #: covering sync — the transport's durability gate enforces that.
+        #: covering sync — the transport's write seam checks that.
         self.group_commit = False
         #: force points appended since the last fsync (group-commit mode)
         self._pending_forces = 0

@@ -14,6 +14,9 @@ only holds if every Transport honors the same contract (documented on
    difference: a late message is a ``dropped`` (``unknown_endpoint``) frame
    over TCP, but still ``delivered`` — then discarded — in the simulation,
    whose traces must not depend on when a coordinator retired.
+5. A message :data:`~repro.net.message.COVERING` names is refused with
+   :class:`~repro.errors.ProtocolViolation` unless its stamp is durable:
+   at every simulated send, and where the TCP transport writes a frame.
 
 Rule 2 is the failure-semantics mapping this PR documents: the simulated
 network's *severed-in-flight* drop (a message on a link that is cut
@@ -25,15 +28,21 @@ protocol's timeout machinery is the only failure detector.
 
 import asyncio
 
+import pytest
+
+from repro.errors import ProtocolViolation
 from repro.net.message import Message, MsgType
 from repro.net.network import LatencyModel, Network
 from repro.net.transport import Transport
 from repro.obs.events import EventLog, MessageDelivered
 from repro.rt.config import local_cluster
 from repro.rt.pump import RealtimePump
-from repro.rt.transport import TcpTransport
+from repro.rt.transport import TcpTransport, _Link
 from repro.sim.engine import Environment
 from repro.sim.rng import Rng
+from repro.storage.wal import RecordType, WriteAheadLog
+
+from tests.rt.test_group_commit import SpyWriter
 
 
 def msg(recipient, sender="A", msg_type=MsgType.SUBTXN_REQ, txn="T1"):
@@ -119,6 +128,64 @@ def start_pump(transport):
     (``asyncio.run`` cancels the task with the scenario)."""
     transport.pump_task = asyncio.ensure_future(transport.pump.run())
     return transport
+
+
+class TestForceBeforeSendConformance:
+    """Both seams run :data:`~repro.net.message.COVERING` on what they
+    send: ``Network.send`` on every send, ``TcpTransport`` on every write
+    (here its ``flush``, with no durability gate installed)."""
+
+    @staticmethod
+    def sim_send(message):
+        network = Network(
+            Environment(), rng=Rng(0), latency=LatencyModel(base=1.0),
+        )
+        network.register("coord.T1")
+        network.send(message)
+        return network.sent[MsgType.VOTE]
+
+    @staticmethod
+    def tcp_send(message):
+        async def scenario():
+            env = Environment()
+            transport = TcpTransport(
+                env, local_cluster(["S1"], data_dir="."), RealtimePump(env),
+                local_site="S1",
+            )
+            link = _Link(transport)
+            link.writer = SpyWriter(WriteAheadLog("S1"))
+            transport._routes["coord.T1"] = link  # the learned return route
+            transport.send(message)
+            try:
+                await transport.flush()
+            finally:
+                await transport.close()
+            return len(link.writer.writes)
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "stamp", ["unstamped", "not yet synced", "durable"],
+    )
+    def test_both_seams_agree_on_a_yes_vote(self, stamp):
+        def vote():
+            wal = WriteAheadLog("S1")
+            wal.group_commit = True  # a forced append waits for sync()
+            wal.append(RecordType.PREPARE, "T1", force=True)
+            if stamp == "durable":
+                wal.sync()
+            return Message(
+                msg_type=MsgType.VOTE, sender="S1", recipient="coord.T1",
+                txn_id="T1", payload={"vote": "YES"},
+                covers=None if stamp == "unstamped" else wal.cover("T1"),
+            )
+
+        for seam in (self.sim_send, self.tcp_send):
+            if stamp == "durable":
+                assert seam(vote()) == 1
+            else:
+                with pytest.raises(ProtocolViolation, match="VOTE"):
+                    seam(vote())
 
 
 class TestTcpTransportContract:

@@ -7,7 +7,9 @@ behind the caller (DECISION, ACKs, retransmission, end record).  Pinned
 here:
 
 * durable before told — the told reply leaves behind the durability gate
-  that fsyncs its ``DECIDE``, even when that gate is running late;
+  that fsyncs its ``DECIDE``, even when that gate is running late, and the
+  transport's write seam refuses a told commit its ``DECIDE`` does not
+  cover;
 * the rest of the decision round still happens (``pending``, end record)
   and a session returns only once it is over;
 * anything but a COMMIT is told at termination;
@@ -23,15 +25,19 @@ import asyncio
 import pytest
 
 from repro.commit.base import CommitScheme
-from repro.errors import CommitProtocolError
+from repro.errors import CommitProtocolError, ProtocolViolation
 from repro.rt import transport
 from repro.rt.client import NetClient
 from repro.rt.config import local_cluster
 from repro.rt.daemon import SiteDaemon
-from repro.storage.wal import RecordType
+from repro.rt.pump import RealtimePump
+from repro.rt.transport import TcpTransport
+from repro.sim.engine import Environment
+from repro.storage.wal import RecordType, WriteAheadLog
 from repro.txn.transaction import VotePolicy
 
 from tests.rt.test_daemon import transfer_spec
+from tests.rt.test_group_commit import SpyWriter
 from tests.rt.test_resend import CLIENT_COMMIT, start_silent_site
 
 #: two ack rounds of ``CLIENT_COMMIT`` in wall seconds
@@ -111,6 +117,32 @@ class TestDurableBeforeTold:
         (told,) = [w for w in writes if b'"told"' in w[0]]
         # written after the DECIDE was appended, and after its fsync
         assert told[1:] == (True, False)
+
+    @pytest.mark.parametrize("committed", [True, False])
+    def test_only_a_told_commit_needs_its_decide(self, committed):
+        # The write seam poses a told COMMIT as a DECISION(COMMIT): it
+        # needs a durable DECIDE stamp; anything else reveals nothing.
+        async def scenario():
+            env = Environment()
+            sink = TcpTransport(
+                env, local_cluster(["S1"], data_dir="."), RealtimePump(env),
+            )
+            link = transport._Link(sink)
+            link.writer = SpyWriter(WriteAheadLog("S1"))
+            sink.tell(link, {"kind": "told", "txn": "T1", "outcome": {
+                "txn_id": "T1", "committed": committed,
+            }})
+            try:
+                await sink.flush()
+            finally:
+                await sink.close()
+            return link.writer.writes
+
+        if committed:
+            with pytest.raises(ProtocolViolation, match="stamped None"):
+                asyncio.run(scenario())
+        else:
+            assert len(asyncio.run(scenario())) == 1
 
 
 class TestAckTail:

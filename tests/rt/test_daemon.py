@@ -342,3 +342,34 @@ class TestSubmissions:
         assert refused is None  # hung up on, no reply
         assert status["frames_refused"] == 1
         assert outcomes[0].committed  # and serving goes on
+
+
+class TestFailStop:
+    def test_a_pump_that_raises_hangs_up_and_shutdown_reraises(
+        self, tmp_path,
+    ):
+        # The group-commit barrier fails (a disk that refuses fsync): the
+        # pump task dies in its first flush.  The daemon stops answering
+        # by closing every connection and its listener, so the caller
+        # loses it and gives up in bounded time instead of waiting on a
+        # daemon that listens and answers nothing.
+        async def scenario():
+            cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+            daemon = SiteDaemon("S1", cluster, time_scale=0.002)
+            await daemon.start()
+
+            async def failing_gate():
+                raise OSError("fsync refused")
+
+            daemon.transport.durability_gate = failing_gate
+            client = NetClient(cluster, time_scale=0.0005)
+            with pytest.raises(TimeoutError, match="did not come back"):
+                await asyncio.wait_for(client.submit(transfer_spec()), 10)
+            client.transport.close()
+            with pytest.raises(OSError, match="fsync refused"):
+                await daemon.shutdown()
+            return daemon
+
+        daemon = asyncio.run(scenario())
+        assert daemon.transport._live == set()
+        assert daemon.transport._server is None

@@ -107,6 +107,7 @@ class TestGate:
             transport.send(Message(
                 msg_type=MsgType.VOTE, sender="S1", recipient="coord.T1",
                 txn_id="T1", payload={"vote": "YES"},
+                covers=wal.cover("T1"),
             ))
             # Queued, not written; deferred, not synced.
             assert (spy.writes, wal.fsyncs, wal.needs_sync) == ([], 0, True)

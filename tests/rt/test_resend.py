@@ -165,8 +165,12 @@ class TestPendingDecisions:
             assert outcomes[0].committed
             assert daemon.pending == {"T1": ("COMMIT", ["S2"])}
 
-            # S2 comes back as a real daemon; the re-sent decision is
+            # S2 comes back as a real daemon, its log holding the PREPARE
+            # the fake's YES vote claimed; the re-sent decision is
             # acknowledged and the pending entry drains.
+            wal = WriteAheadLog("S2", path=cluster.wal_path("S2"))
+            wal.append(RecordType.PREPARE, "T1", force=True)
+            wal.close()
             replacement = await boot(cluster, "S2")
             try:
                 results = await resend_until_acked(client)

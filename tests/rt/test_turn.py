@@ -11,13 +11,16 @@ write one batch per peer.  Pinned here:
 * nothing in the turn waits on a peer: a paused connection or a dial that
   hangs holds back its own messages only, timers keep firing, and what is
   written late (on ``resume_writing`` / on connect) is only what already
-  passed a gate;
+  passed a gate, and meets the force-before-send check again;
 * hostile input at the splitter closes that connection only, is counted,
   and leaves the daemon serving everybody else.
 """
 
 import asyncio
 
+import pytest
+
+from repro.errors import ProtocolViolation
 from repro.net.message import Message, MsgType
 from repro.rt.config import local_cluster
 from repro.rt.daemon import SiteDaemon
@@ -89,6 +92,7 @@ class Site:
             self.transport.send(Message(
                 msg_type=MsgType.VOTE, sender="S1", recipient=msg.sender,
                 txn_id=msg.txn_id, payload={"vote": "YES"},
+                covers=self.wal.cover(msg.txn_id),
             ))
 
     def connection(self):
@@ -186,6 +190,7 @@ class TestOneTurn:
                 site.transport.send(Message(
                     msg_type=MsgType.VOTE, sender="S1", recipient="slow",
                     txn_id="T9", payload={"vote": "YES"},
+                    covers=site.wal.cover("T9"),
                 ))
                 slow.resume_writing()
                 assert written(slow.writer) == [[("VOTE", "T1")]]
@@ -197,6 +202,26 @@ class TestOneTurn:
         assert written(spy) == [[("VOTE", "T1")], [("VOTE", "T9")]]
         assert spy.writes[1][1:] == (2, False)
         assert site.transport.dropped == {}
+
+    def test_a_late_write_meets_the_covering_check(self, tmp_path):
+        # However a message got into a parked queue, its late write on
+        # resume_writing checks it: a vote whose PREPARE is not yet synced
+        # is refused, not written.
+        async def scenario():
+            async with Site(tmp_path) as site:
+                slow = site.connection()
+                slow.pause_writing()
+                site.wal.append(RecordType.PREPARE, "T9", force=True)
+                slow.gated.append(Message(
+                    msg_type=MsgType.VOTE, sender="S1", recipient="slow",
+                    txn_id="T9", payload={"vote": "YES"},
+                    covers=site.wal.cover("T9"),
+                ))
+                with pytest.raises(ProtocolViolation, match="durable"):
+                    slow.resume_writing()
+                return slow.writer
+
+        assert asyncio.run(scenario()).writes == []
 
     def test_a_hung_dial_delays_only_that_site_and_no_timer(self, tmp_path):
         async def scenario():

@@ -8,7 +8,8 @@ directory, applies one protocol-breaking mutation at a time, and asserts
 either that the lint exits 1 with the expected rule (``expect_rule``) or
 that the named tier-1 test (``expect_test``, a pytest node id), run
 against the mutated copy, fails with ``ProtocolViolation`` — the run-time
-force-before-send check at the simulated send seam.  The unmutated copy
+force-before-send check at the send seams (the simulated network's
+``send``, the TCP transport's ``_write``).  The unmutated copy
 must stay clean (lint exit 0, every named test passing) to prove the
 harness itself isn't producing the failures.
 
@@ -199,8 +200,8 @@ MUTATIONS = [
     Mutation(
         name="drop-coordinator-host-durability-gate",
         # the coordinator's DECIDE record is a deferred (group-commit)
-        # append in its daemon's WAL: without the gate a DECISION frame can
-        # leave before its fsync
+        # append in its daemon's WAL: without the gate a DECISION frame
+        # reaches the transport's write seam before its fsync
         paths=("repro/rt/daemon.py",),
         replacements=((
             "        self.transport.durability_gate = "
@@ -208,7 +209,44 @@ MUTATIONS = [
             "",
         ),),
         append="",
-        expect_rule="flow/rt-durability-gate",
+        expect_test=(
+            "tests/rt/test_group_commit.py::TestGate::"
+            "test_a_decision_waits_for_the_fsync_covering_its_decide"
+        ),
+    ),
+    Mutation(
+        name="drop-transport-gate-await",
+        # the gate is installed but flush never awaits it: the same frame
+        # meets the write seam with its DECIDE still in the WAL buffer
+        paths=("repro/rt/transport.py",),
+        replacements=((
+            "        if (batch or told) and self.durability_gate is not None:\n"
+            "            await self.durability_gate()\n",
+            "",
+        ),),
+        append="",
+        expect_test=(
+            "tests/rt/test_group_commit.py::TestGate::"
+            "test_a_decision_waits_for_the_fsync_covering_its_decide"
+        ),
+    ),
+    Mutation(
+        name="told-ahead-of-the-gate",
+        # flush writes the turn's told replies before it awaits the gate:
+        # the caller hears "committed" of a DECIDE the log could lose
+        paths=("repro/rt/transport.py",),
+        replacements=((
+            "        told, self._told = self._told, []\n",
+            "        told, self._told = self._told, []\n"
+            "        for link, reply in told:\n"
+            "            self._write(link, [reply])\n"
+            "        told = []\n",
+        ),),
+        append="",
+        expect_test=(
+            "tests/rt/test_commit_point.py::TestDurableBeforeTold::"
+            "test_submit_resolves_after_the_fsync_covering_its_decide"
+        ),
     ),
     Mutation(
         name="drop-commit-point-barrier",
@@ -219,7 +257,7 @@ MUTATIONS = [
         paths=("repro/rt/daemon.py",),
         replacements=((
             "        self.transport.tell(link, {\"kind\": \"told\", \"txn\": "
-            "txn_id, **body})\n",
+            "txn_id, **body}, covers)\n",
             "        link.writer.write(encode_frame({\"kind\": \"told\", "
             "\"txn\": txn_id, **body}))\n",
         ),),
