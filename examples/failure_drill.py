@@ -7,11 +7,13 @@ decision arrives, so a coordinator crash freezes the participant's data
 for the whole outage.  O2PC participants release at vote time and sail
 through the same outage.
 
-The drill crashes the coordinator for 150 time units right between
-collecting the votes and sending the decision, then measures how long a
-bystander transaction at one of the participant sites is stalled, and
-draws S1's lock timeline: 2PL bars span the outage, O2PC bars end at the
-vote.
+A coordinator lives in its transaction's first site (S1) and dies with
+it.  The drill crashes S1 for 150 time units right between collecting the
+votes and logging the decision, then measures how long a bystander
+transaction at the surviving participant S2 is stalled, and draws S2's
+lock timeline: 2PL bars span the outage, O2PC bars end at the vote.  With
+no decision in its log, the restarted S1 presumes abort, so T1 aborts
+under both schemes (O2PC compensates the deposit it exposed).
 
 Run:  python3 examples/failure_drill.py
 """
@@ -36,19 +38,17 @@ def drill(scheme: CommitScheme) -> None:
         SubtxnSpec("S2", [SemanticOp("deposit", "k0", {"amount": 10})]),
     ]))
     # Votes reach the coordinator at t=6; the decision record is forced at
-    # t=6.5.  Crash inside that window.
-    system.failures.schedule(
-        CrashPlan(site_id="coord.T1", at=6.2, duration=OUTAGE)
-    )
+    # t=6.5.  Crash its site inside that window.
+    system.failures.schedule(CrashPlan(site_id="S1", at=6.2, duration=OUTAGE))
 
-    # A bystander arrives at t=10 wanting the same account at S1.
+    # A bystander arrives at t=10 wanting the same account at S2.
     stall = {}
 
     def bystander():
         yield system.env.timeout(10.0)
         requested = system.env.now
         yield system.run_local(
-            "S1", "L1", [SemanticOp("deposit", "k0", {"amount": 1})],
+            "S2", "L1", [SemanticOp("deposit", "k0", {"amount": 1})],
         )
         stall["time"] = system.env.now - requested
 
@@ -58,27 +58,27 @@ def drill(scheme: CommitScheme) -> None:
 
     max_hold = max(
         h.duration
-        for site in system.sites.values()
-        for h in site.locks.hold_log
+        for h in system.sites["S2"].locks.hold_log
         if h.txn_id == "T1"
     )
     print(f"\n=== {scheme.value} ===")
     print(f"T1 {'committed' if outcome.committed else 'aborted'} "
           f"at t={outcome.end_time:.1f} "
-          f"(decision delayed by the {OUTAGE:.0f}-unit coordinator outage)")
-    print(f"T1's longest lock hold: {max_hold:.1f} time units")
+          f"(decision delayed by the {OUTAGE:.0f}-unit outage of S1)")
+    print(f"T1's longest lock hold at S2: {max_hold:.1f} time units")
     print(f"bystander stalled for: {stall['time']:.1f} time units")
-    print(system.lock_gantt("S1"))
+    print(system.lock_gantt("S2"))
 
 
 def main() -> None:
-    print(f"Coordinator crashes for {OUTAGE:.0f} time units after the votes.")
+    print(f"S1, T1's coordinating site, crashes for {OUTAGE:.0f} time units "
+          "after the votes.")
     drill(CommitScheme.TWO_PL)
     drill(CommitScheme.O2PC)
     print(
-        "\nUnder 2PL the participants sat in the prepared state holding"
-        "\nlocks for the whole outage (the blocking problem); under O2PC"
-        "\nthey had already released at vote time, so the bystander ran"
+        "\nUnder 2PL the surviving participant sat in the prepared state"
+        "\nholding locks for the whole outage (the blocking problem); under"
+        "\nO2PC it had already released at vote time, so the bystander ran"
         "\nimmediately and only the transaction's own completion waited."
     )
 

@@ -1,11 +1,12 @@
-"""Crash-point enumeration: site/coordinator crashes as choice points.
+"""Crash-point enumeration: site crashes as choice points.
 
 Enumerating a crash at *every* event would square the search space for no
 insight — most instants are equivalent with respect to the commit protocol.
 The interesting crash points are exactly the protocol transitions the paper
 reasons about: immediately after a site locally commits (the O2PC exposure
-window opens), after a vote, around the coordinator's decision, and during
-compensation.  The :class:`CrashInjector` therefore listens on the
+window opens), after a vote, around the coordinator's decision, during
+compensation, and — with budget for a second crash — the instant another
+site crashes (two sites lost together).  The :class:`CrashInjector` therefore listens on the
 observability bus and turns each *protocol-significant* event into a crash
 choice point, as long as the per-run crash budget is not exhausted.
 
@@ -16,18 +17,18 @@ system's recorder) still listens, so the rest of the run constructs no
 events.
 
 Candidate 0 is always "continue"; candidate ``i > 0`` crashes one currently
-up target — a participant site or a coordinator endpoint (``coord.Tn``, the
-paper's motivating failure).  The chosen crash is not executed inside the
-bus callback (subscribers must not mutate simulation state); instead an
-URGENT, unannotated kernel event is scheduled whose callback performs the
-crash before any further message delivery, and a background process recovers
-the target after a fixed outage shorter than the coordinator's decision
-retransmission window (so every explored run still terminates).
+up site — with the coordinators it hosts (:mod:`repro.commit.host`): a
+transaction's first site is where the paper's motivating failure strikes.
+The chosen crash is not
+executed inside the bus callback (subscribers must not mutate simulation
+state); instead an URGENT, unannotated kernel event is scheduled whose
+callback performs the crash before any further message delivery, and a
+background process recovers the target after a fixed outage shorter than
+the coordinator's decision retransmission window (so every explored run
+still terminates).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from repro.check.scheduler import ChoicePolicy
 from repro.harness.system import System
@@ -41,6 +42,7 @@ SIGNIFICANT_KINDS = (
     "txn.vote",             # after a vote, before the decision
     "txn.decision",         # around the decision force-write
     "comp.start",           # mid-compensation
+    "site.crash",           # another site died: a second, correlated crash
 )
 
 
@@ -52,16 +54,14 @@ class CrashInjector:
         system: System,
         policy: ChoicePolicy,
         budget: int = 1,
-        targets: Sequence[str] | None = None,
         outage: float = 10.0,
     ) -> None:
         self.system = system
         self.policy = policy
         self.remaining = budget
         self.outage = outage
-        if targets is None:
-            targets = sorted(system.sites)
-        self.targets = list(targets)
+        #: the sites; a coordinator dies with its first site
+        self.targets = sorted(system.sites)
         #: audit of injected crashes: (target, significant point label)
         self.injected: list[tuple[str, str]] = []
         if budget > 0:

@@ -71,8 +71,6 @@ class CheckConfig:
     #: outage length of injected crashes; must stay below the decision
     #: retransmission window or explored runs stop terminating
     crash_outage: float = 10.0
-    #: crash targets; None = participant sites + coordinator endpoints
-    crash_targets: Sequence[str] | None = None
     #: stop after this many schedules (the search reports ``exhausted=False``)
     max_schedules: int = 2000
     #: per-run event budget (livelock guard)
@@ -171,15 +169,9 @@ class ModelChecker:
             env=env,
         )
         if config.crashes > 0:
-            targets = config.crash_targets
-            if targets is None:
-                targets = sorted(system.sites) + [
-                    f"coord.{txn_id}" for txn_id in self._scenario.txn_ids
-                ]
             CrashInjector(
                 system, policy,
                 budget=config.crashes,
-                targets=targets,
                 outage=config.crash_outage,
             )
         processes = self._scenario.build(system)

@@ -12,7 +12,7 @@ component and reports :class:`Violation`\\ s.  The mapping to the paper:
   may have read a forward update of an aborted transaction at one site and
   miss it at another; compensations must cover every forward write; an
   aborted transaction must not leave a site exposed (LOCAL_COMMIT with no
-  terminal record).
+  terminal record) or committed.
 * ``marking`` — Section 6's bookkeeping: when the run terminates, the
   marking directory must have no in-flight transactions and no unresolved
   locally-committed marks; with the quiescence clearing rule on, no site
@@ -20,12 +20,14 @@ component and reports :class:`Violation`\\ s.  The mapping to the paper:
 * ``recovery`` — Section 5: restarting every site from its (cloned) log must
   reproduce the live store, and under O2PC must report *no in-doubt
   transactions* — the non-blocking property that motivates the protocol.
-* ``nonblocking`` — Paxos Commit's defining guarantee: when a coordinator
-  stays down well past the decision timeout, every participant that voted
-  YES must still reach a decision within a bounded budget of the crash (the
-  termination protocol needs only an acceptor majority).  2PC-family
-  schemes legitimately block in that window, so the oracle applies to
-  PAXOS only.
+* ``nonblocking`` — when a coordinating site (a transaction's first site,
+  which hosts its coordinator) stays down well past the decision timeout,
+  a subtransaction elsewhere that never voted must not keep its locks past
+  a bounded budget of the crash (the paper's §1 autonomy: the site aborts
+  what a lost coordinator left unvoted).  Under PAXOS, every participant
+  elsewhere that voted YES must also reach a decision within that budget
+  (Paxos Commit's defining guarantee: the termination protocol needs only
+  an acceptor majority); 2PC-family schemes legitimately block there.
 * ``liveness`` — every submitted transaction terminated before the event
   queue drained (checked by the explorer, which owns the process handles).
 
@@ -166,6 +168,10 @@ def _check_exposure(system: System) -> list[Violation]:
                     f"locally committed at {site_id} (exposed updates "
                     "never revoked)",
                 ))
+            elif status is RecordType.COMMIT:
+                violations.append(Violation("atomicity", (
+                    f"{outcome.txn_id} aborted globally but committed at {site_id}"
+                )))
     return violations
 
 
@@ -247,49 +253,53 @@ _NONBLOCKING_SLACK = 60.0
 
 
 def _check_nonblocking(system: System) -> list[Violation]:
-    """Decisions must not wait for the crashed coordinator (PAXOS only).
+    """Nothing elsewhere may wait for a crashed coordinating site.
 
-    For every coordinator outage that lasted at least the decision budget
-    (``paxos_decision_timeout`` + slack), each participant that voted YES
-    on that transaction must have applied a decision before the budget ran
-    out.  Shorter outages are vacuous: the coordinator came back in time
-    to finish the protocol itself, so no termination duty arises.
+    For every outage of a coordinating site that lasted at least the
+    budget (``paxos_decision_timeout`` + slack), at every other site: a
+    subtransaction of a transaction coordinated there that never voted
+    holds no lock across the budget's end, and under PAXOS a YES voter
+    decided within it.  Shorter outages are vacuous: the coordinator came
+    back in time to finish the protocol itself.
     """
-    if system.config.scheme is not CommitScheme.PAXOS:
-        return []
+    paxos = system.config.scheme is CommitScheme.PAXOS
     violations: list[Violation] = []
     budget = (
         system.config.commit.paxos_decision_timeout + _NONBLOCKING_SLACK
     )
     for outage in system.failures.outages:
-        if not outage.site_id.startswith("coord."):
+        down, deadline = outage.site_id, outage.start + budget
+        if outage.end is not None and outage.end < deadline:
             continue
-        txn_id = outage.site_id[len("coord."):]
-        deadline = outage.start + budget
-        end = float("inf") if outage.end is None else outage.end
-        if end < deadline:
-            continue
-        for site_id in sorted(system.participants):
-            state = system.participants[site_id].subtxns.get(txn_id)
-            if state is None or state.voted != "YES":
+        why = f"its coordinating site {down} was down from {outage.start:g}"
+        for txn_id, spec in system.specs.items():
+            if not spec.subtxns or spec.subtxns[0].site_id != down:
                 continue
-            if state.decided is None:
-                violations.append(Violation(
-                    "nonblocking",
-                    f"{site_id} voted YES on {txn_id} but never decided "
-                    f"although its coordinator was down from "
-                    f"{outage.start:g} past the termination budget "
-                    f"(t={deadline:g}) — Paxos Commit must not block",
-                ))
-            elif state.decided_at is not None and state.decided_at > deadline:
-                violations.append(Violation(
-                    "nonblocking",
-                    f"{site_id} decided {txn_id} only at "
-                    f"t={state.decided_at:g}, after the termination budget "
-                    f"(t={deadline:g}) of the coordinator outage starting "
-                    f"at {outage.start:g} — it blocked on recovery instead "
-                    "of running the termination protocol",
-                ))
+            for site_id in sorted(set(system.participants) - {down}):
+                state = system.participants[site_id].subtxns.get(txn_id)
+                if state is not None and state.voted is None:
+                    held = [
+                        h.key for h in system.sites[site_id].locks.hold_log
+                        if h.txn_id == txn_id
+                        and h.granted_at <= deadline < h.released_at
+                    ]
+                    if held:
+                        violations.append(Violation("nonblocking", (
+                            f"{site_id} held {held[0]} for {txn_id}, which "
+                            f"it never voted on, past t={deadline:g}: {why}"
+                            " — an orphan must be aborted, not kept"
+                        )))
+                elif paxos and state is not None and state.voted == "YES":
+                    decided_at = (
+                        float("inf") if state.decided is None
+                        else state.decided_at
+                    )
+                    if decided_at is not None and decided_at > deadline:
+                        violations.append(Violation("nonblocking", (
+                            f"{site_id} voted YES on {txn_id} but had not "
+                            f"decided by t={deadline:g}: {why} — Paxos "
+                            "Commit must not block"
+                        )))
     return violations
 
 

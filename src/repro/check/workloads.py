@@ -15,13 +15,14 @@ is that the *conflict structure* covers the paper's danger cases:
 * ``duel`` — two writers crossing: ``T1`` writes ``S1`` then ``S2``, ``T2``
   writes ``S2`` then ``S1``, both forced to abort at their second site; both
   compensations race each other and any reader of the marking state.
-* ``crashcoord`` — the blocking drill: a two-site transfer whose coordinator
-  crashes *after the votes land but before any decision*, and stays down far
+* ``crashcoord`` — the blocking drill: a two-site transfer whose
+  coordinating site ``S1`` crashes *after the votes land but before the
+  decision is logged*, taking the coordinator with it, and stays down far
   longer than every protocol timeout (with one acceptor down too, so Paxos
-  must decide from a bare 2-of-3 quorum).  Under PAXOS the participants'
-  termination protocol must reach a decision during the outage — the
-  non-blocking oracle asserts exactly that; 2PC-family schemes legitimately
-  sit in doubt until the coordinator returns.
+  must decide from a bare 2-of-3 quorum).  Under PAXOS the surviving
+  participant's termination protocol must reach a decision during the
+  outage — the non-blocking oracle asserts exactly that; 2PC-family schemes
+  legitimately sit in doubt until ``S1`` returns and presumes abort.
 
 Commit timeouts are compressed relative to the library defaults so a single
 run stays short, but the decision-retransmission window (``decision_retries
@@ -106,22 +107,23 @@ def _build_duel(system: System) -> list[Process]:
     ]
 
 
-#: when the crashcoord coordinator goes down (after votes, before decision;
-#: with unit latency votes land by ~6) and for how long (far beyond every
-#: protocol timeout, so only a termination protocol can decide in time)
-_CRASHCOORD_AT = 6.2
-_CRASHCOORD_OUTAGE = 400.0
+#: when the crashcoord coordinating site goes down (after votes, before
+#: the decision is logged; with unit latency votes land by ~6) and for how
+#: long (far beyond every protocol timeout, so only a termination protocol
+#: can decide in time)
+CRASHCOORD_AT = 6.2
+CRASHCOORD_OUTAGE = 400.0
 
 
 def _build_crashcoord(system: System) -> list[Process]:
-    # One acceptor down from the start: the ensemble must decide from a
-    # bare majority (harmless under non-PAXOS schemes — the endpoint is
-    # simply never addressed).
-    system.failures.schedule(
-        CrashPlan("acc.3", at=0.5, duration=_CRASHCOORD_OUTAGE)
-    )
+    if system.acceptors:
+        # One acceptor down from the start: the ensemble must decide from
+        # a bare majority.
+        system.failures.schedule(
+            CrashPlan("acc.3", at=0.5, duration=CRASHCOORD_OUTAGE)
+        )
     system.failures.schedule(CrashPlan(
-        "coord.T1", at=_CRASHCOORD_AT, duration=_CRASHCOORD_OUTAGE,
+        "S1", at=CRASHCOORD_AT, duration=CRASHCOORD_OUTAGE,
     ))
     t1 = GlobalTxnSpec("T1", [
         SubtxnSpec("S1", [WriteOp("k0", 1)]),
@@ -149,8 +151,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             name="crashcoord",
-            description="coordinator down after the votes, one acceptor "
-            "down throughout",
+            description="coordinating site down after the votes, one "
+            "acceptor down throughout",
             n_sites=2,
             txn_ids=("T1",),
             build=_build_crashcoord,
@@ -196,6 +198,23 @@ def make_protocol(protocol: "ProtocolSpec") -> "str | MarkingProtocol":
     return protocol
 
 
+#: the checker's (and ``repro compare``'s) commit timeouts, compressed: a
+#: Paxos watchdog waiting the default 60 units would outlast the run
+CHECK_COMMIT = CommitConfig(
+    spawn_timeout=30.0,
+    spawn_retry_delay=2.0,
+    max_spawn_retries=10,
+    vote_timeout=30.0,
+    ack_timeout=15.0,
+    decision_retries=5,
+    decision_log_delay=0.5,
+    sequential_spawn=True,
+    paxos_acceptors=3,
+    paxos_decision_timeout=10.0,
+    short_dependency_timeout=25.0,
+)
+
+
 def make_system_config(
     scenario: Scenario,
     protocol: "ProtocolSpec",
@@ -218,21 +237,6 @@ def make_system_config(
         seed=seed,
         latency=LatencyModel(base=1.0, jitter=0.0),
         message_loss=0.0,
-        commit=CommitConfig(
-            spawn_timeout=30.0,
-            spawn_retry_delay=2.0,
-            max_spawn_retries=10,
-            vote_timeout=30.0,
-            ack_timeout=15.0,
-            decision_retries=5,
-            decision_log_delay=0.5,
-            sequential_spawn=True,
-            # Competitor-scheme knobs, compressed like the 2PC timeouts:
-            # a Paxos watchdog that waited the library-default 60 units
-            # would outlast the whole run.
-            paxos_acceptors=3,
-            paxos_decision_timeout=10.0,
-            short_dependency_timeout=25.0,
-        ),
+        commit=CHECK_COMMIT,
         observability=observability,
     )

@@ -11,24 +11,22 @@ sequentially and ``transmarks.j`` accumulates from each SUBTXN_ACK; a
 retriable R1 rejection is retried after a delay (bounded), a fatal one
 aborts the global transaction.
 
-Failure model: the coordinator checks its own liveness (via an optional
-:class:`~repro.net.failures.FailureInjector`) at every protocol step.  While
-crashed it makes no progress — messages it would have sent are simply not
-sent, and messages sent to it are dropped by the network — and on recovery
-it resumes from its durable decision log: if it had decided, it re-sends the
-decision; if it crashed before deciding, it decides ABORT (presumed abort).
-This reproduces the paper's motivating scenario: 2PL participants blocked in
-the prepared state for the whole coordinator outage, O2PC participants
+Failure model: the coordinator lives in its transaction's first site
+(:class:`~repro.commit.host.CoordinatorHost`), logs to that site's WAL
+and dies with it; the restarted site re-sends a logged decision, or
+decides by :meth:`Coordinator.recover_decision` (presumed abort; Paxos
+Commit asks its acceptors).  A crash between the votes and the
+``DECIDE`` is the paper's motivating scenario: 2PL participants blocked
+in the prepared state for the whole outage, O2PC participants
 unaffected.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.core.protocols import MarkingProtocol, NoProtocol
-from repro.net.failures import FailureInjector
 from repro.net.message import Message, MsgType
 from repro.net.transport import Transport
 from repro.obs.events import (
@@ -39,17 +37,11 @@ from repro.obs.events import (
     VoteRecorded,
 )
 from repro.sim.engine import Environment
-from repro.storage.wal import Cover, LogRecord, RecordType
+from repro.storage.wal import Cover
 from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
 
-
-class DecisionLog(list[str]):
-    """A coordinator's decisions, oldest first.  An entry is durable once
-    appended: the simulator models the write as ``decision_log_delay``."""
-
-    @property
-    def durable_lsn(self) -> int:
-        return len(self)
+if TYPE_CHECKING:  # pragma: no cover - the host imports this module
+    from repro.commit.host import CoordinatorHost
 
 
 class Coordinator:
@@ -74,32 +66,29 @@ class Coordinator:
         scheme: CommitScheme = CommitScheme.O2PC,
         marking: MarkingProtocol | None = None,
         config: CommitConfig | None = None,
-        failures: FailureInjector | None = None,
+        host: "CoordinatorHost | None" = None,
         acceptors: tuple[str, ...] = (),
     ) -> None:
-        # ``acceptors`` completes the registry's keyword set
-        # (repro.protocols.EngineSpec); 2PC has none.
         self.env = env
         self.network = network
         self.spec = spec
         self.scheme = scheme
         self.marking = marking or NoProtocol()
         self.config = config or CommitConfig()
-        self.failures = failures
+        #: the site's coordinator host, which logs the decision
+        self.host = host
+        #: the acceptor endpoints (Paxos Commit; 2PC has none)
+        self.acceptors = acceptors
         self.endpoint = f"coord.{spec.txn_id}"
         self.inbox = network.register(self.endpoint)
-        #: durable decision log (survives coordinator crashes)
-        self.decision_log = DecisionLog()
-        #: host hook ``(decision, sites) -> stamp`` that really force-writes
-        #: the decision record (the daemon's WAL); None = the simulator's
-        #: modelled ``decision_log_delay``
-        self.force_decision: Callable[[str, list[str]], Cover] | None = None
         #: what this coordinator's DECISION messages are stamped with: the
         #: DECIDE entry that covers them (force-before-send)
         self.decision_cover: Cover | None = None
+        #: the decision the last round sent ("ABORT" until one is reached)
+        self.decision = "ABORT"
         #: the sites the last decision round targeted, and the acks it got
-        #: back — read by the networked client to re-send the decision to
-        #: sites that never acknowledged (a restarted in-doubt daemon)
+        #: back — the host keeps the decision owed to sites that never
+        #: acknowledged (a restarted in-doubt site)
         self.decision_sites: list[str] = []
         self.decision_acks: dict[str, dict[str, Any]] = {}
         self.outcome = TxnOutcome(txn_id=spec.txn_id, committed=False)
@@ -186,7 +175,6 @@ class Coordinator:
                 if not ok:
                     return executed, False
         else:
-            yield from self._await_alive()
             for sub in self.spec.subtxns:
                 self._send_subtxn_req(sub, transmarks)
             for _ in self.spec.subtxns:
@@ -204,7 +192,6 @@ class Coordinator:
         attempts = 0
         while True:
             attempts += 1
-            yield from self._await_alive()
             self._send_subtxn_req(sub, transmarks)
             msg = yield from self._collect(
                 MsgType.SUBTXN_ACK, self.config.spawn_timeout
@@ -243,7 +230,6 @@ class Coordinator:
 
     def _vote_phase(self):
         """Send VOTE_REQ everywhere; returns {site: vote} (missing = absent)."""
-        yield from self._await_alive()
         transmarks = sorted(self._final_transmarks())
         for sub in self.spec.subtxns:
             self.network.send(Message(
@@ -285,21 +271,21 @@ class Coordinator:
 
         A crash inside this window is the paper's blocking scenario
         (participants prepared, no decision).  The simulator models the
-        write as ``decision_log_delay``; a host that owns a real log
-        installs :attr:`force_decision` and pays the write, not the sleep.
-        Either way the written entry stamps every DECISION
-        (:attr:`decision_cover`).
+        write's latency as ``decision_log_delay`` (a daemon pays the real
+        fsync and sleeps nothing); the host appends the forced ``DECIDE``,
+        which stamps every DECISION (:attr:`decision_cover`).
         """
-        if self.force_decision is not None:
-            self.decision_cover = self.force_decision(decision, sites)
-        elif self.config.decision_log_delay > 0:
+        if self.config.decision_log_delay > 0:
             yield self.env.timeout(self.config.decision_log_delay)
-        yield from self._await_alive()
-        self.decision_log.append(decision)
-        if self.decision_cover is None:
-            self.decision_cover = (self.decision_log, LogRecord(
-                len(self.decision_log), RecordType.DECIDE, self.endpoint,
-            ))
+        assert self.host is not None, "a coordinator logs through its host"
+        self.decision_cover = self.host.decide(self, decision, sites)
+
+    def recover_decision(self, sites: list[str]):
+        """The decision of a restarted site's coordinator that logged none
+        (generator): presumed abort — no participant can have committed
+        without a logged decision."""
+        return "ABORT"
+        yield  # pragma: no cover - make this a generator
 
     def _decision_phase(self, decision: str, sites: list[str]):
         """Send DECISION, re-sending to unacknowledged sites; returns
@@ -309,13 +295,13 @@ class Coordinator:
         termination protocol: a participant that crashed after voting
         learns the outcome from a later round once it has recovered.
         """
+        self.decision = decision
         self.decision_sites = list(sites)
         acks = self.decision_acks
         for _round in range(1 + max(0, self.config.decision_retries)):
             pending = [s for s in sites if s not in acks]
             if not pending:
                 break
-            yield from self._await_alive()
             for site_id in pending:
                 self.network.send(Message(
                     msg_type=MsgType.DECISION,
@@ -367,17 +353,3 @@ class Coordinator:
             msg = yield self.inbox.get(max(deadline - self.env.now, 0.0))
             if msg is None or msg.msg_type is msg_type:
                 return msg
-
-    def _await_alive(self):
-        """Block while the coordinator endpoint is crashed.
-
-        Polls the failure injector; granularity of one time unit is enough
-        since outages are scheduled in whole units in the experiments.
-        """
-        if self.failures is None:
-            return
-        while not self.failures.is_up(self.endpoint):
-            yield self.env.timeout(1.0)
-        # After an outage, resume from the durable decision log if we had
-        # already decided (retransmission is handled by the caller's flow:
-        # _decision_phase is only entered once, after _await_alive).

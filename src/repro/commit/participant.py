@@ -106,12 +106,12 @@ class Participant:
         commit: CommitConfig | None = None,
         acceptors: tuple[str, ...] = (),
     ) -> None:
-        # ``acceptors`` completes the registry's keyword set
-        # (repro.protocols.EngineSpec); 2PC has none.
         self.site = site
         self.env = site.env
         self.network = network
         self.scheme = scheme
+        #: the acceptor endpoints (Paxos Commit; 2PC has none)
+        self.acceptors = acceptors
         self.marking = marking or NoProtocol()
         #: the coordinator-side timeouts, for engines that act on them at
         #: the participant (Short-Commit's dependency wait, Paxos Commit's

@@ -10,12 +10,13 @@ and seeds — the engine is the *only* independent variable):
   where the schemes' lock-release trades show up: O2PC and Short-Commit
   release at the vote, 2PC and Paxos Commit hold through the decision.
 * **crash drill** — the checker's ``crashcoord`` shape: a two-site
-  transfer whose coordinator dies after the votes and stays down far
-  beyond every timeout (one acceptor down too).  ``blocking_time`` is how
-  long the participants sat on their YES votes before a decision was
-  applied; ``decided_in_outage`` is 1.0 when the decision landed while
-  the coordinator was still dead — Paxos Commit's termination protocol
-  does, the 2PC family waits for recovery.
+  transfer whose coordinating site ``S1`` dies after the votes, taking the
+  coordinator with it, and stays down far beyond every timeout (one
+  acceptor down too).  ``blocking_time`` is how long the surviving
+  participant ``S2`` sat on its YES vote before a decision was applied;
+  ``decided_in_outage`` is 1.0 when that decision landed while ``S1`` was
+  still dead — Paxos Commit's termination protocol does, the 2PC family
+  waits for recovery (and its presumed abort).
 
 :func:`compare_schemes` returns one result block per scheme
 (``compare_<SCHEME>``, or ``compare_<SCHEME>@vt<v>`` under a
@@ -27,34 +28,17 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro.check.workloads import (
+    CHECK_COMMIT,
+    CRASHCOORD_AT,
+    CRASHCOORD_OUTAGE,
+    get_scenario,
+)
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.harness.system import System, SystemConfig
-from repro.net.failures import CrashPlan
 from repro.obs.metrics import percentile
 from repro.protocols import ENGINES
-from repro.txn.operations import WriteOp
-from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
-
-#: commit timeouts compressed exactly like the checker's (a Paxos
-#: watchdog waiting the library-default 60 units would dominate the run)
-_COMPARE_COMMIT = CommitConfig(
-    spawn_timeout=30.0,
-    spawn_retry_delay=2.0,
-    max_spawn_retries=10,
-    vote_timeout=30.0,
-    ack_timeout=15.0,
-    decision_retries=5,
-    decision_log_delay=0.5,
-    sequential_spawn=True,
-    paxos_acceptors=3,
-    paxos_decision_timeout=10.0,
-    short_dependency_timeout=25.0,
-)
-
-#: the crash drill's outage window (same shape as the checker scenario)
-_DRILL_CRASH_AT = 6.2
-_DRILL_OUTAGE = 400.0
 
 
 def _contention_leg(
@@ -94,29 +78,22 @@ def _crash_drill(
     system = System(SystemConfig(
         n_sites=2, scheme=scheme, protocol="none", seed=seed, commit=commit,
     ))
-    system.failures.schedule(CrashPlan("acc.3", at=0.5, duration=_DRILL_OUTAGE))
-    system.failures.schedule(CrashPlan(
-        "coord.T1", at=_DRILL_CRASH_AT, duration=_DRILL_OUTAGE,
-    ))
-    system.submit(GlobalTxnSpec("T1", [
-        SubtxnSpec("S1", [WriteOp("k0", 1)]),
-        SubtxnSpec("S2", [WriteOp("k1", 1)]),
-    ]))
+    get_scenario("crashcoord").build(system)
     system.env.run()
     decided_at = [
         state.decided_at
-        for participant in system.participants.values()
-        for state in participant.subtxns.values()
+        for state in system.participants["S2"].subtxns.values()
         if state.decided_at is not None
     ]
     last = max(decided_at) if decided_at else float("inf")
-    outage_end = _DRILL_CRASH_AT + _DRILL_OUTAGE
     return {
         "blocking_time": (
-            max(0.0, last - _DRILL_CRASH_AT)
-            if decided_at else _DRILL_OUTAGE
+            max(0.0, last - CRASHCOORD_AT)
+            if decided_at else CRASHCOORD_OUTAGE
         ),
-        "decided_in_outage": 1.0 if last < outage_end else 0.0,
+        "decided_in_outage": (
+            1.0 if last < CRASHCOORD_AT + CRASHCOORD_OUTAGE else 0.0
+        ),
     }
 
 
@@ -136,7 +113,7 @@ def compare_schemes(
     for scheme in sorted(ENGINES, key=lambda s: s.name):
         for vt in sweeps:
             key = f"compare_{scheme.name}"
-            commit = _COMPARE_COMMIT
+            commit = CHECK_COMMIT
             if vt is not None:
                 key += f"@vt{vt:g}"
                 commit = replace(commit, vote_timeout=vt)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.commit.base import CommitConfig, CommitScheme
-from repro.commit.coordinator import Coordinator
+from repro.commit.host import CoordinatorHost
 from repro.commit.participant import Participant
 from repro.core.marks import MarkingDirectory
 from repro.core.protocols import (
@@ -201,6 +201,10 @@ class System:
                 self.failures.register_site(acc_id)
         self.sites: dict[str, Site] = {}
         self.participants: dict[str, Participant] = {}
+        #: each site's coordinator host: the coordinators of the
+        #: transactions it is the first site of
+        self.hosts: dict[str, CoordinatorHost] = {}
+        self.outcomes: list[TxnOutcome] = []
         for n in range(1, self.config.n_sites + 1):
             sid = make_site_id(n)
             site = Site(
@@ -221,19 +225,19 @@ class System:
                 marking=self.marking, lock_marks=self.config.lock_marks,
                 commit=self.config.commit, acceptors=self._acceptor_ids,
             )
+            self.hosts[sid] = CoordinatorHost(
+                self.participants[sid], outcomes=self.outcomes,
+            )
             self.failures.register_site(sid)
-        #: coordinators still in flight, by txn id (a finished one is dropped
-        #: and its endpoint unregistered)
-        self.coordinators: dict[str, Coordinator] = {}
         #: every submitted spec by txn id: what a finished transaction is
         #: judged by, in place of its coordinator
         self.specs: dict[str, GlobalTxnSpec] = {}
-        self.outcomes: list[TxnOutcome] = []
         self._local_seq = 0
-        # Wire participant crash/recovery to the failure injector: a
-        # crashed site loses its volatile state immediately; on recovery it
-        # restarts from its log (re-installing in-doubt and locally
-        # committed transactions) in a background process.
+        # Wire site crash/recovery to the failure injector: a crashed site
+        # loses its volatile state and its coordinators immediately; on
+        # recovery it restarts from its log (re-installing in-doubt and
+        # locally committed transactions, then its coordinators) in a
+        # background process.
         self.failures.on_crash(self._on_site_crash)
         self.failures.on_recover(self._on_site_recover)
         self.env.add_deadlock_diagnostic(self._waits_for_snapshot)
@@ -256,49 +260,41 @@ class System:
         participant = self.participants.get(endpoint_id)
         if participant is not None:
             participant.crash()
+            lost = self.hosts[endpoint_id].crash()
+            # What a lost coordinator left unvoted elsewhere is orphaned.
+            for host in self.hosts.values():
+                if lost and host.site.site_id != endpoint_id:
+                    host.orphaned(lost)
         if endpoint_id in self.acceptors:
             self.acceptors[endpoint_id].crash()
 
     def _on_site_recover(self, endpoint_id: str) -> None:
-        participant = self.participants.get(endpoint_id)
-        if participant is not None:
+        if endpoint_id in self.participants:
             self.env.process(
-                participant.recover(), name=f"recover:{endpoint_id}"
+                self._restart(endpoint_id), name=f"recover:{endpoint_id}"
             )
         if endpoint_id in self.acceptors:
             self.acceptors[endpoint_id].recover()
 
+    def _restart(self, site_id: str):
+        """The participant first, so a re-sent decision finds its locally
+        committed / in-doubt state rebuilt; then the coordinators."""
+        report = yield from self.participants[site_id].recover()
+        self.hosts[site_id].recover()
+        return report
+
     # -- running global transactions ----------------------------------------------
 
     def submit(self, spec: GlobalTxnSpec) -> Process:
-        """Start a coordinator for ``spec``; returns its process.
+        """Start ``spec``'s coordinator at its first site; returns its
+        process.
 
         The process's value is the :class:`TxnOutcome`; it is also appended
         to :attr:`outcomes` on completion.
         """
-        coordinator = self.engine.coordinator(
-            env=self.env,
-            network=self.network,
-            spec=spec,
-            scheme=self.config.scheme,
-            marking=self.marking,
-            config=self.config.commit,
-            failures=self.failures,
-            acceptors=self._acceptor_ids,
-        )
-        self.coordinators[spec.txn_id] = coordinator
         self.specs[spec.txn_id] = spec
-
-        def runner():
-            outcome = yield from coordinator.run()
-            if self.coordinators.get(spec.txn_id) is coordinator:
-                # A resubmitted id shares this endpoint: the latest retires it.
-                del self.coordinators[spec.txn_id]
-                self.network.unregister(coordinator.endpoint)
-            self.outcomes.append(outcome)
-            return outcome
-
-        return self.env.process(runner(), name=f"coord:{spec.txn_id}")
+        host = self.hosts[spec.subtxns[0].site_id]
+        return host.submit(spec, self.config.commit)
 
     def run_transaction(self, spec: GlobalTxnSpec) -> TxnOutcome:
         """Submit ``spec`` and run the simulation until it terminates."""
@@ -408,10 +404,6 @@ class System:
         assert_correct(gsg, regular)
 
     # -- observability surface ----------------------------------------------------------
-
-    def enable_observability(self) -> None:
-        """Start recording typed events (idempotent; see :mod:`repro.obs`)."""
-        self.obs.enable()
 
     def events(self) -> list[Event]:
         """Every recorded event, in publish order (empty when disabled)."""

@@ -17,16 +17,6 @@ COMPENSATION_PREFIX = "CT"
 SITE_PREFIX = "S"
 
 
-def global_txn_id(n: int) -> str:
-    """Return the id of the *n*-th global transaction, e.g. ``T3``."""
-    return f"{GLOBAL_PREFIX}{n}"
-
-
-def local_txn_id(n: int) -> str:
-    """Return the id of the *n*-th independent local transaction, e.g. ``L7``."""
-    return f"{LOCAL_PREFIX}{n}"
-
-
 def site_id(n: int) -> str:
     """Return the id of the *n*-th site, e.g. ``S2``."""
     return f"{SITE_PREFIX}{n}"
@@ -69,11 +59,3 @@ def subtransaction_id(txn_id: str, site: str) -> str:
     'T1@S2'
     """
     return f"{txn_id}@{site}"
-
-
-def split_subtransaction_id(sub_id: str) -> tuple[str, str]:
-    """Split a subtransaction id into (transaction id, site id)."""
-    txn, _, site = sub_id.rpartition("@")
-    if not txn or not site:
-        raise ValueError(f"{sub_id!r} is not a subtransaction id")
-    return txn, site

@@ -2,10 +2,13 @@
 
 The paper's motivating failure is a *coordinator crash after participants
 vote* — under standard 2PC this leaves participants blocked in the prepared
-state holding locks until the coordinator recovers (Section 1).  The
-``CLAIM-BLOCK`` benchmark drives exactly that schedule.
+state holding locks until the coordinator recovers (Section 1).  A
+coordinator lives in its transaction's first site and dies with it, so
+the ``CLAIM-BLOCK`` benchmark drives exactly that schedule by crashing the
+coordinating site.
 
-A :class:`FailureInjector` owns the up/down state of every site, notifies the
+A :class:`FailureInjector` owns the up/down state of every registered site
+(and Paxos acceptor), refuses to crash anything else, notifies the
 :class:`~repro.net.network.Network` (so in-flight messages are dropped), and
 fires registered crash/recovery callbacks so site processes can abort local
 work and run recovery.
@@ -136,9 +139,14 @@ class FailureInjector:
 
     # -- direct control --------------------------------------------------------
 
+    def _known(self, site_id: str) -> None:
+        if site_id not in self._status:
+            raise ValueError(f"cannot crash unregistered {site_id!r}")
+
     def crash(self, site_id: str) -> None:
-        """Crash ``site_id`` now (idempotent)."""
-        if self._status.get(site_id) is SiteStatus.DOWN:
+        """Crash ``site_id`` now (idempotent); it must be registered."""
+        self._known(site_id)
+        if self._status[site_id] is SiteStatus.DOWN:
             return
         self._status[site_id] = SiteStatus.DOWN
         self.network.mark_down(site_id)
@@ -163,8 +171,9 @@ class FailureInjector:
     # -- scheduling --------------------------------------------------------------
 
     def schedule(self, plan: CrashPlan) -> None:
-        """Install a crash plan executed by a background process."""
-        self.register_site(plan.site_id)
+        """Install a crash plan executed by a background process; its
+        target must be registered."""
+        self._known(plan.site_id)
         self.env.process(self._execute(plan), name=f"crashplan:{plan.site_id}")
 
     def _execute(self, plan: CrashPlan):

@@ -388,14 +388,3 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def of_kind(self, kind: str) -> list[Event]:
-        """Events whose ``kind`` matches (exact string)."""
-        return [e for e in self.events if e.kind == kind]
-
-    def for_txn(self, txn_id: str) -> list[Event]:
-        """Events carrying a ``txn_id`` field equal to ``txn_id``."""
-        return [
-            e for e in self.events
-            if getattr(e, "txn_id", None) == txn_id
-        ]

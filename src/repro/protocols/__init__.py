@@ -39,6 +39,8 @@ from repro.commit.coordinator import Coordinator
 from repro.commit.participant import Participant
 from repro.errors import UnknownScheme
 from repro.protocols.acceptor import Acceptor
+from repro.protocols.paxos import PaxosCommitCoordinator, PaxosParticipant
+from repro.protocols.short import ShortParticipant
 
 __all__ = [
     "EngineSpec",
@@ -55,7 +57,7 @@ class EngineSpec:
 
     Hosts construct every engine the same way:
     ``coordinator(env=, network=, spec=, scheme=, marking=, config=,
-    failures=, acceptors=)``, ``participant(site=, network=, scheme=,
+    host=, acceptors=)``, ``participant(site=, network=, scheme=,
     marking=, lock_marks=, commit=, acceptors=)`` and, when set,
     ``acceptor(env, network, acceptor_id, wal)``.  ``acceptors`` is the
     tuple of acceptor endpoint ids (empty for schemes without acceptors);
@@ -93,14 +95,6 @@ def acceptor_ids(n: int) -> tuple[str, ...]:
     """The endpoint ids of ``n`` acceptor processes (``acc.1`` .. ``acc.n``)."""
     return tuple(f"acc.{i}" for i in range(1, n + 1))
 
-
-# The engine modules import ``acceptor_ids`` from this module, so they are
-# imported after it is defined.
-from repro.protocols.paxos import (  # noqa: E402
-    PaxosCommitCoordinator,
-    PaxosParticipant,
-)
-from repro.protocols.short import ShortParticipant  # noqa: E402
 
 register(EngineSpec(CommitScheme.O2PC, Coordinator, Participant))
 register(EngineSpec(CommitScheme.TWO_PL, Coordinator, Participant))

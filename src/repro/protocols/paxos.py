@@ -33,12 +33,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.commit.base import CommitConfig, CommitScheme
 from repro.commit.coordinator import Coordinator
 from repro.commit.participant import Participant
 from repro.net.message import QUORUM, Message, MsgType
 from repro.obs.events import Prepared
-from repro.protocols import acceptor_ids
 from repro.protocols.acceptor import Ballot, ballot_of
 from repro.sim.process import Process
 from repro.txn.transaction import VotePolicy
@@ -189,10 +187,11 @@ class PaxosCommitCoordinator(Coordinator):
 
     Spawn and decision phases are the base coordinator's; the vote phase
     collects instance outcomes from the acceptors instead of VOTE messages,
-    falling back to the termination protocol when the vote window expires
-    (e.g. after its own crash outage: presumed abort is *wrong* here — the
-    acceptors may have chosen COMMIT, so the recovered coordinator asks
-    them instead of assuming).
+    falling back to the termination protocol when the vote window expires.
+    A restarted site's coordinator without a logged decision runs the same
+    termination (:meth:`recover_decision`): presumed abort is *wrong* here
+    — the acceptors may have chosen COMMIT — so it asks them instead of
+    assuming.
     """
 
     #: receive surface (see ``Coordinator._COLLECTS``): votes arrive as
@@ -204,28 +203,8 @@ class PaxosCommitCoordinator(Coordinator):
         MsgType.ACK,
     )
 
-    def __init__(
-        self,
-        env: Any,
-        network: Any,
-        spec: Any,
-        scheme: CommitScheme = CommitScheme.PAXOS,
-        marking: Any = None,
-        config: CommitConfig | None = None,
-        failures: Any = None,
-        acceptors: tuple[str, ...] = (),
-    ) -> None:
-        super().__init__(
-            env, network, spec, scheme=scheme, marking=marking,
-            config=config, failures=failures, acceptors=acceptors,
-        )
-        self.acceptors: tuple[str, ...] = (
-            tuple(acceptors) or acceptor_ids(self.config.paxos_acceptors)
-        )
-
     def _vote_phase(self) -> Any:
         """Returns ``{site: "YES"|"NO"}`` learned through the acceptors."""
-        yield from self._await_alive()
         transmarks = sorted(self._final_transmarks())
         sites = [sub.site_id for sub in self.spec.subtxns]
         for sub in self.spec.subtxns:
@@ -278,7 +257,6 @@ class PaxosCommitCoordinator(Coordinator):
         """
         rnd = 1
         while True:
-            yield from self._await_alive()
             result = yield from run_termination(
                 env=self.env,
                 network=self.network,
@@ -296,6 +274,16 @@ class PaxosCommitCoordinator(Coordinator):
                 return {**decided, **result}
             rnd += 1
             yield self.env.timeout(self.config.spawn_retry_delay)
+
+    def recover_decision(self, sites: list[str]) -> Any:
+        """Ask the acceptors: a participant's termination may have
+        committed already."""
+        decided = yield from self._terminate(sites, {})
+        if len(decided) == len(sites) and all(
+            v == "YES" for v in decided.values()
+        ):
+            return "COMMIT"
+        return "ABORT"
 
 
 # -- participant ----------------------------------------------------------------
@@ -322,25 +310,8 @@ class PaxosParticipant(Participant):
         MsgType.PAXOS_ACCEPTED: "_handle_accepted",
     }
 
-    def __init__(
-        self,
-        site: Any,
-        network: Any,
-        scheme: CommitScheme = CommitScheme.PAXOS,
-        marking: Any = None,
-        compensation_retry_delay: float = 1.0,
-        lock_marks: bool = False,
-        commit: CommitConfig | None = None,
-        acceptors: tuple[str, ...] = (),
-    ) -> None:
-        super().__init__(
-            site, network, scheme=scheme, marking=marking,
-            compensation_retry_delay=compensation_retry_delay,
-            lock_marks=lock_marks, commit=commit, acceptors=acceptors,
-        )
-        self.acceptors: tuple[str, ...] = (
-            tuple(acceptors) or acceptor_ids(self.commit.paxos_acceptors)
-        )
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self._mailboxes: dict[str, _TermMailbox] = {}
         #: txn → participant list from the VOTE_REQ payload (volatile;
         #: recovery leaders fall back to the acceptors' stored site lists)

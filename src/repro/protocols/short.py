@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.commit.base import CommitConfig, CommitScheme
 from repro.commit.participant import Participant
 from repro.net.message import Message, MsgType
 from repro.obs.events import Prepared, SubtxnFailed
@@ -55,22 +54,8 @@ class ShortParticipant(Participant):
         MsgType.DECISION: "_handle_decision",
     }
 
-    def __init__(
-        self,
-        site: Any,
-        network: Any,
-        scheme: CommitScheme = CommitScheme.SHORT,
-        marking: Any = None,
-        compensation_retry_delay: float = 1.0,
-        lock_marks: bool = False,
-        commit: CommitConfig | None = None,
-        acceptors: tuple[str, ...] = (),
-    ) -> None:
-        super().__init__(
-            site, network, scheme=scheme, marking=marking,
-            compensation_retry_delay=compensation_retry_delay,
-            lock_marks=lock_marks, commit=commit, acceptors=acceptors,
-        )
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         #: txn → keys it exposed at its YES vote (prepared, undecided)
         self._exposed_keys: dict[str, set[str]] = {}
         #: key → the txn currently exposing it

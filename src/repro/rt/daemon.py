@@ -6,47 +6,28 @@ machine on its own discrete-event environment, pumped in real time, with
 a :class:`~repro.rt.transport.TcpTransport` in place of the simulated
 network and a file-backed write-ahead log in place of the in-memory one.
 
-It also hosts the unmodified :class:`~repro.commit.coordinator.Coordinator`
-of every transaction submitted to it (a client's ``submit`` frame; the
-daemon must be the transaction's first site, so the coordinator's
-exchanges with this site are in-process deliveries).  Its records go to
-the site's group-committed WAL, keyed by its ``coord.<txn>`` endpoint so
-participant recovery never reads them: an unforced ``COORD_BEGIN`` (the
-site list) at submission, which the fsync of this site's own vote puts on
-disk before any remote VOTE_REQ leaves; the forced ``DECIDE``; an unforced
-``COORD_END`` once every site acknowledged.  One sequential log holds both
-roles, which makes the in-process shortcut safe: the local ACK reaches the
-coordinator before the local COMMIT is fsynced, but ``COORD_END`` follows
-that COMMIT in the log and cannot be durable without it.  A COMMIT is told
-to the caller right after its ``DECIDE`` append, stamped with it, through
-:meth:`TcpTransport.tell`: behind the barrier that fsyncs it, and checked
-at the transport's write seam like a DECISION; anything else is told at
-termination.  An admin ``drain`` is answered once no
-coordinator is live; a decision some site never acknowledged stays in
-:attr:`SiteDaemon.pending` until a ``resend`` round gets its ACKs.
+Its :class:`~repro.commit.host.CoordinatorHost`, the one the simulator
+builds per site, runs the coordinator of every transaction submitted to
+it (the daemon must be the transaction's first site, so the
+coordinator's exchanges with this site are in-process deliveries) and
+logs to the site's group-committed WAL.  One sequential log holds both
+roles, which makes the in-process shortcut safe: the local ACK reaches
+the coordinator before the local COMMIT is fsynced, but ``COORD_END``
+follows that COMMIT in the log and cannot be durable without it.  The
+daemon keeps only the wire: ``submit``; the ``told`` replies, through
+:meth:`TcpTransport.tell` behind the barrier that fsyncs what they
+reveal; admin ``drain`` (answered once no coordinator is live),
+``resend`` and ``outcome``.
 
-Boot is where the paper's recovery story becomes operational:
-
-* **first boot** (no WAL file): preload the site's keys, then take a
-  quiescent checkpoint so the initial contents are durable — ``load()``
-  itself is pre-history and never logged;
-* **restart** (WAL file exists): replay the log and run
-  :meth:`Participant.recover` — exactly the classification the simulated
-  restart oracle checks: *in-doubt* transactions (prepared under 2PL)
-  re-acquire their write locks and block on the decision; *locally
-  committed* ones (O2PC) have their updates redone and await the decision
-  with compensation armed.  A ``kill -9`` between the YES vote and the
-  decision therefore lands in the second bucket, and a later ABORT runs
-  the compensating subtransaction.  Then the coordinator role is rebuilt:
-  a ``DECIDE`` without ``COORD_END`` is re-sent; a ``COORD_BEGIN`` without
-  ``DECIDE`` is presumed aborted (not under Paxos Commit, whose acceptors
-  may have chosen COMMIT).  A caller that lost its connection asks the
-  restarted daemon (admin ``outcome``).
-
-When the connection of a coordinator elsewhere drops, a subtransaction it
-left executed and unvoted here is unilaterally aborted
-(:meth:`Participant.unilateral_abort`, the paper's §1 autonomy property)
-instead of holding its locks until this site restarts.
+Boot: a **first boot** (no WAL file) preloads the site's keys and takes
+a quiescent checkpoint so they are durable.  A **restart** replays the
+log and runs :meth:`Participant.recover` — the classification the
+simulated restart oracle checks: *in-doubt* transactions (prepared under
+2PL) re-acquire their write locks and block on the decision; *locally
+committed* ones (O2PC) have their updates redone and await the decision
+with compensation armed.  Then the host rebuilds the coordinator role
+from the WAL.  When the connection of a coordinator elsewhere drops, the
+host aborts what it left executed and unvoted here.
 """
 
 from __future__ import annotations
@@ -54,11 +35,10 @@ from __future__ import annotations
 import asyncio
 import os
 from dataclasses import replace
-from functools import partial
-from typing import Any, Callable, Generator
+from typing import Any
 
 from repro.commit.base import CommitConfig, CommitScheme
-from repro.commit.coordinator import Coordinator
+from repro.commit.host import CoordinatorHost
 from repro.core.marks import MARKS_KEY, MarkingDirectory
 from repro.core.protocols import MarkingProtocol, NoProtocol
 from repro.harness.system import PROTOCOLS
@@ -71,16 +51,10 @@ from repro.rt.pump import RealtimePump
 from repro.rt.transport import TcpTransport, _Link
 from repro.rt.wire import WireError, spec_from_json
 from repro.sim.engine import Environment
-from repro.sim.events import Event
 from repro.storage.recovery import RecoveryManager, RestartReport
-from repro.storage.wal import Cover, RecordType, WriteAheadLog
+from repro.storage.wal import Cover, WriteAheadLog
 from repro.txn.site import Site
-from repro.txn.transaction import GlobalTxnSpec, TxnOutcome
-
-#: the coordinator's records in the site WAL (keyed by its endpoint)
-_COORD_RECORDS = (
-    RecordType.COORD_BEGIN, RecordType.DECIDE, RecordType.COORD_END,
-)
+from repro.txn.transaction import TxnOutcome
 
 
 class SiteDaemon:
@@ -129,7 +103,7 @@ class SiteDaemon:
 
         self.commit = commit or CommitConfig()
         self.scheme = scheme
-        self.engine = engine = engine_for(scheme)
+        engine = engine_for(scheme)
         # Acceptor ensemble: one acceptor co-hosted per daemon, so the
         # cluster is its own 2F+1 ensemble (see ClusterConfig.route_site).
         self.acceptors: tuple[str, ...] = (
@@ -141,20 +115,17 @@ class SiteDaemon:
             marking=self.marking, commit=self.commit,
             acceptors=self.acceptors,
         )
-        #: live coordinations by transaction: hosted coordinators and
-        #: decision re-sends (both hold the ``coord.<txn>`` endpoint)
-        self.coordinating: dict[str, Event] = {}
-        #: who to tell each live coordinator's outcome: its submitter, and
-        #: whoever asked after losing that connection
-        self._callers: dict[str, list[_Link]] = {}
-        #: decisions some site never acknowledged: txn -> (decision, sites)
-        self.pending: dict[str, tuple[str, list[str]]] = {}
         #: admin ``drain`` / ``resend`` requests held until nothing is live
         self._settling: list[tuple[_Link, str]] = []
-        #: re-sends that owe a ``resend`` request one more round
-        self._again: set[str] = set()
         #: coordinators that failed since the last settled reply
         self._failures: list[str] = []
+        #: the coordinators of the transactions this site is first site
+        #: of; rebuilt decision rounds make one round each (a ``resend``
+        #: request asks for more)
+        self.host = CoordinatorHost(
+            self.participant, replace(self.commit, decision_retries=0),
+            reply=self._told, failed=self._failures, on_end=self._settled,
+        )
         #: the co-hosted Paxos acceptor (None outside PAXOS); it logs to
         #: the site's WAL, so it rebuilds its tables from the replayed file
         self.acceptor: Acceptor | None = None
@@ -194,9 +165,9 @@ class SiteDaemon:
                 f"k{i}": self.initial_value
                 for i in range(self.keys_per_site)
             })
-            # load() is unlogged; the quiescent checkpoint makes the
-            # initial contents durable so a restart restores them.  Boot
-            # path: nothing is being served yet, blocking is harmless.
+            # load() logs an unforced checkpoint; this forced one makes
+            # the initial contents durable so a restart restores them.
+            # Boot path: nothing is being served yet, blocking is harmless.
             self.site.checkpoint()  # lint: allow-blocking
         else:
             proc = self.env.process(
@@ -211,7 +182,8 @@ class SiteDaemon:
         if not self.fresh_boot:
             # After the participant's recovery: a re-sent decision must
             # find its locally committed / in-doubt state rebuilt.
-            self._recover_coordinators()
+            self.host.recover()
+            self.pump.kick()
 
     async def run(self) -> None:
         """Serve until :meth:`stop`, an admin shutdown frame, or a pump
@@ -254,6 +226,11 @@ class SiteDaemon:
         if failure is not None:
             raise failure
 
+    @property
+    def pending(self) -> dict[str, tuple[str, list[str]]]:
+        """The host's owed decisions: txn -> (decision, unacked sites)."""
+        return self.host.pending
+
     # -- admin surface -------------------------------------------------------
 
     def status(self) -> dict[str, Any]:
@@ -272,7 +249,7 @@ class SiteDaemon:
             "messages_framed": self.transport.messages_framed,
             "frames_refused": self.transport.frames_refused,
             "reused_ids_refused": self.participant.reused_ids_refused,
-            "coordinators": len(self.coordinating),
+            "coordinators": len(self.host.coordinating),
             "pending": self._owed(),
             "keys": len(self.site.store.snapshot()),
             "subtxns": {
@@ -300,18 +277,20 @@ class SiteDaemon:
         cmd = "submit" if body.get("kind") == "submit" else body.get("cmd")
         reply: dict[str, Any]
         if cmd == "submit":
-            self._host(body, link)
+            self._submit(body, link)
             return
         if cmd == "outcome":
-            self._ask(str(body.get("txn")), link)
+            self.host.ask(str(body.get("txn")), link)
             return
         if cmd in ("drain", "resend"):
-            owed = sorted(self.pending.items()) if cmd == "resend" else []
+            host = self.host
+            owed = sorted(host.pending.items()) if cmd == "resend" else []
             for txn_id, (decision, sites) in owed:
-                if txn_id in self.coordinating:
-                    self._again.add(txn_id)  # one more after this one
+                if txn_id in host.coordinating:
+                    host.again.add(txn_id)  # one more after this one
                 else:
-                    self._resend(txn_id, decision, sites)
+                    host.resend(txn_id, decision, sites)
+            self.pump.kick()
             self._settling.append((link, cmd))
             self._settled()
             return
@@ -331,9 +310,9 @@ class SiteDaemon:
             return
         self.transport.tell(link, {"kind": "admin", "cmd": cmd, "reply": reply})
 
-    # -- the coordinator host ------------------------------------------------
+    # -- the coordinator host (the wire) ---------------------------------------
 
-    def _host(self, body: dict[str, Any], link: _Link) -> None:
+    def _submit(self, body: dict[str, Any], link: _Link) -> None:
         """Start the coordinator of one submitted transaction."""
         spec = spec_from_json(body.get("spec"))
         try:
@@ -345,105 +324,39 @@ class SiteDaemon:
             self._reply(link, txn_id, error=f"{self.site_id} runs {self.scheme.name}")
         elif spec.subtxns[0].site_id != self.site_id:
             self._reply(link, txn_id, error="submit to the first site")
-        elif txn_id in self.coordinating:
+        elif txn_id in self.host.coordinating:
             # Refused at once, as a participant refuses a reused id.
             self._reply(link, txn_id, outcome={
                 "txn_id": txn_id, "committed": False, "rejections": 1,
             })
         else:
-            self._callers[txn_id] = [link]
-            self.site.wal.append(
-                RecordType.COORD_BEGIN, f"coord.{txn_id}",
-                sites=spec.site_ids,
+            # The DECIDE's real fsync is its cost here: nothing is slept.
+            self.host.submit(
+                spec, replace(config, decision_log_delay=0.0), link,
             )
-            self._coordinate(spec, config, lambda c: c.run())
-
-    def _coordinate(
-        self, spec: GlobalTxnSpec, config: CommitConfig,
-        work: Callable[[Coordinator], Generator[Event, Any, Any]],
-    ) -> None:
-        """Run ``work(coordinator)`` for ``spec`` as a live coordination."""
-        coordinator = self.engine.coordinator(
-            env=self.env, network=self.transport, spec=spec,
-            scheme=self.scheme, marking=self.marking, config=config,
-            failures=None, acceptors=self.acceptors,
-        )
-        coordinator.force_decision = partial(self._force_decision, coordinator)
-        proc = self.env.process(
-            work(coordinator), name=f"coordinator:{spec.txn_id}",
-        )
-        self.coordinating[spec.txn_id] = proc
-        proc.callbacks.append(partial(self._terminated, coordinator))
-        self.pump.kick()
-
-    def _force_decision(
-        self, coordinator: Coordinator, decision: str, sites: list[str],
-    ) -> Cover:
-        """The coordinator's forced DECIDE, which stamps its DECISIONs; a
-        COMMIT is told behind it."""
-        self.site.wal.append(
-            RecordType.DECIDE, coordinator.endpoint, force=True,
-            decision=decision, sites=list(sites),
-        )
-        cover = self.site.wal.cover(coordinator.endpoint)
-        if decision == "COMMIT":
-            now = self.env.now
-            self._tell(coordinator.spec.txn_id, cover, outcome={
-                **vars(coordinator.outcome), "committed": True,
-                "decision_time": now, "end_time": now,
-            })
-        return cover
+            self.pump.kick()
 
     def _reply(
         self, link: _Link, txn_id: str, covers: Cover | None = None, **body: Any,
     ) -> None:
         self.transport.tell(link, {"kind": "told", "txn": txn_id, **body}, covers)
 
-    def _tell(self, txn_id: str, covers: Cover | None = None, **body: Any) -> None:
-        for link in self._callers.pop(txn_id, ()):
-            self._reply(link, txn_id, covers, **body)
-
-    def _terminated(self, coordinator: Coordinator, event: Event) -> None:
-        """A coordination ended: tell its callers, book its decision."""
-        txn_id = coordinator.spec.txn_id
-        self.transport.unregister(coordinator.endpoint)
-        del self.coordinating[txn_id]
-        if not event.ok:
-            event.defused = True
-            error = f"{txn_id}: coordinator failed: {event.value!r}"
-            self._failures.append(error)
-            self._tell(txn_id, error=error)
-        elif isinstance(event.value, TxnOutcome):
-            self._tell(
-                txn_id, self.site.wal.cover(coordinator.endpoint),
-                outcome=vars(event.value),
-            )
-        decision = (  # a failed spawn logs nothing: presumed abort
-            coordinator.decision_log[-1] if coordinator.decision_log
-            else "ABORT"
-        )
-        unacked = [
-            s for s in coordinator.decision_sites
-            if s not in coordinator.decision_acks
-        ]
-        if not unacked:
-            self.pending.pop(txn_id, None)
-            self._again.discard(txn_id)
-            self.site.wal.append(RecordType.COORD_END, coordinator.endpoint)
-        elif txn_id in self._again:
-            self._again.discard(txn_id)
-            self._resend(txn_id, decision, unacked)
-            return
+    def _told(
+        self, link: _Link, txn_id: str, covers: Cover | None,
+        outcome: TxnOutcome | str,
+    ) -> None:
+        """The host's answer to a caller (a string: a failed coordinator)."""
+        if isinstance(outcome, str):
+            self._reply(link, txn_id, covers, error=outcome)
         else:
-            self.pending[txn_id] = (decision, unacked)
-        self._settled()
+            self._reply(link, txn_id, covers, outcome=vars(outcome))
 
     def _settled(self) -> None:
         """Answer the held drain / resend requests once nothing is live."""
-        if self.coordinating or not self._settling:
+        if self.host.coordinating or not self._settling:
             return
-        reply = {"pending": self._owed(), "failed": self._failures}
-        self._failures = []
+        reply = {"pending": self._owed(), "failed": list(self._failures)}
+        self._failures.clear()
         for link, cmd in self._settling:
             self.transport.tell(
                 link, {"kind": "admin", "cmd": cmd, "reply": reply},
@@ -451,85 +364,18 @@ class SiteDaemon:
         self._settling.clear()
 
     def _owed(self) -> dict[str, list[Any]]:
-        """:attr:`pending` as JSON: txn -> [decision, unacked sites]."""
+        """The host's pending decisions as JSON: txn -> [decision,
+        unacked sites]."""
         return {
             txn_id: [decision, sites]
-            for txn_id, (decision, sites) in sorted(self.pending.items())
+            for txn_id, (decision, sites) in sorted(self.host.pending.items())
         }
 
-    def _ask(self, txn_id: str, link: _Link) -> None:
-        """A caller lost its connection: a live undecided coordinator tells
-        it as it tells its submitter; otherwise only a ``DECIDE(COMMIT)``
-        in the log, which stamps the reply, is a commit."""
-        if txn_id in self._callers:
-            self._callers[txn_id].append(link)
-            return
-        decide = None
-        for record in self.site.wal.records_for(f"coord.{txn_id}"):
-            if record.record_type is RecordType.DECIDE:
-                decide = record
-        self._reply(link, txn_id, (self.site.wal, decide), outcome={
-            "txn_id": txn_id, "committed": decide is not None
-            and decide.payload["decision"] == "COMMIT",
-        })
-
-    def _resend(self, txn_id: str, decision: str, sites: list[str]) -> None:
-        """One DECISION round to the sites that may not have it."""
-
-        def work(coordinator: Coordinator) -> Generator[Event, Any, Any]:
-            coordinator.decision_log.append(decision)
-            # the DECIDE this site's WAL already holds
-            coordinator.decision_cover = self.site.wal.cover(
-                coordinator.endpoint
-            )
-            return coordinator._decision_phase(decision, sites)
-
-        self.pending[txn_id] = (decision, sites)
-        self._coordinate(
-            GlobalTxnSpec(txn_id=txn_id),
-            replace(self.commit, decision_retries=0), work,
-        )
-
-    def _recover_coordinators(self) -> None:
-        """Rebuild the coordinator role from the WAL (restart only)."""
-        owed: dict[str, tuple[str | None, list[str]]] = {}
-        for record in self.site.wal:
-            if record.record_type not in _COORD_RECORDS:
-                continue
-            txn_id = record.txn_id.removeprefix("coord.")
-            if record.record_type is RecordType.COORD_END:
-                owed.pop(txn_id, None)
-            else:
-                owed[txn_id] = (
-                    record.payload.get("decision"), record.payload["sites"],
-                )
-        for txn_id, (decision, sites) in sorted(owed.items()):
-            if decision is None:
-                if self.acceptors:
-                    continue  # Paxos Commit: the acceptors decide
-                decision = "ABORT"  # presumed abort
-                self.site.wal.append(
-                    RecordType.DECIDE, f"coord.{txn_id}", force=True,
-                    decision=decision, sites=sites,
-                )
-            self._resend(txn_id, decision, sites)
-
     def _coordinators_lost(self, endpoints: list[str]) -> None:
-        """Connections to coordinators elsewhere closed: unilaterally
-        abort what they left unvoted here."""
-        for endpoint in endpoints:
-            txn_id = endpoint.removeprefix("coord.")
-            if txn_id in self.participant.subtxns:
-                self.env.process(self._orphaned(txn_id))
+        """Connections to coordinators elsewhere closed: their orphans
+        here are aborted."""
+        self.host.orphaned([e.removeprefix("coord.") for e in endpoints])
         self.pump.kick()
-
-    def _orphaned(self, txn_id: str) -> Generator[Event, Any, None]:
-        """Abort an orphaned subtransaction once it has executed (one
-        still waiting for a lock would otherwise finish and keep it)."""
-        state = self.participant.subtxns[txn_id]
-        while not state.executed and self.site.ltm.is_active(txn_id):
-            yield self.env.timeout(1.0)
-        self.participant.unilateral_abort(txn_id)
 
 
 def serve_forever(daemon: SiteDaemon) -> None:

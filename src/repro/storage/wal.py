@@ -12,13 +12,9 @@ before and after a crash alike.
 2PC durability points are modeled faithfully with dedicated record types:
 a participant force-writes ``PREPARE`` before voting YES, the coordinator
 force-writes ``DECIDE`` before sending its decision, and ``COMMIT``/``ABORT``
-mark local transaction termination.  The simulated coordinator models the
-decision write as ``decision_log_delay``; on the ``net`` backend the
-coordinator lives in the daemon of its transaction's first site
-(:class:`~repro.rt.daemon.SiteDaemon`) and logs to that site's WAL, keyed
-by its ``coord.<txn>`` endpoint so participant recovery never reads it: an
-unforced ``COORD_BEGIN`` with the site list, the forced ``DECIDE``, and an
-unforced ``COORD_END`` once every site acknowledged.  O2PC participants write
+mark local transaction termination.  The coordinator logs
+``COORD_BEGIN`` / ``DECIDE`` / ``COORD_END`` to its first site's WAL
+(:mod:`repro.commit.host`).  O2PC participants write
 ``LOCAL_COMMIT`` when they release locks early (Section 2), which is what a
 recovering site uses to know compensation — not state-based undo — is the
 only way to revoke the transaction.  A Paxos acceptor forces each change
@@ -47,7 +43,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Protocol
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import WALError
 from repro.storage.kvstore import TOMBSTONE
@@ -70,7 +66,7 @@ class RecordType(enum.Enum):
     LOCAL_COMMIT = "LOCAL_COMMIT"
     #: coordinator decision record
     DECIDE = "DECIDE"
-    #: a daemon-hosted coordinator began (payload: its sites)
+    #: a coordinator began (payload: its sites)
     COORD_BEGIN = "COORD_BEGIN"
     #: every site acknowledged that coordinator's decision
     COORD_END = "COORD_END"
@@ -82,6 +78,9 @@ class RecordType(enum.Enum):
     #: one change of a Paxos acceptor's tables (``txn_id``: the acceptor)
     ACCEPTOR = "ACCEPTOR"
 
+
+#: the payload of every record appended without one (never mutated)
+_NO_PAYLOAD: dict[str, Any] = {}
 
 #: JSON stand-in for ``TOMBSTONE`` in a frame (a stored value equal to it
 #: would read back as "absent")
@@ -355,8 +354,9 @@ class WriteAheadLog:
             before=before,
             after=after,
             prev_lsn=self._last_lsn.get(txn_id),
-            # ``**payload`` is already a fresh dict; no defensive copy
-            payload=payload,
+            # ``**payload`` is already a fresh dict; no defensive copy.  A
+            # record never changes, so the payload-less ones share one.
+            payload=payload or _NO_PAYLOAD,
             op=op,
         )
         self._records.append(record)
@@ -513,13 +513,6 @@ class WriteAheadLog:
         return None
 
 
-class Durable(Protocol):
-    """A log as the send seam sees it: how far its records are durable."""
-
-    @property
-    def durable_lsn(self) -> int: ...
-
-
 #: a message's stamp: the sender's log and the record that covers the
 #: message, or None when the log holds nothing for its transaction
-Cover = tuple[Durable, "LogRecord | None"]
+Cover = tuple[WriteAheadLog, "LogRecord | None"]

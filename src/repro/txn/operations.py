@@ -68,12 +68,3 @@ class SemanticOp:
 
 Op = Union[ReadOp, WriteOp, SemanticOp]
 
-
-def keys_of(ops: list[Op]) -> set[str]:
-    """All keys touched by a list of operations."""
-    return {op.key for op in ops}
-
-
-def is_read_only(ops: list[Op]) -> bool:
-    """True when every operation is a plain read."""
-    return all(isinstance(op, ReadOp) for op in ops)

@@ -19,7 +19,7 @@ from repro.sg.history import SiteHistory
 from repro.sim.engine import Environment
 from repro.storage.kvstore import KVStore
 from repro.storage.recovery import RecoveryManager, RestartReport
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import RecordType, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - cycle guard (compensation imports txn)
     from repro.compensation.actions import ActionRegistry
@@ -71,9 +71,13 @@ class Site:
         self.crash_count = 0
 
     def load(self, data: dict[str, object]) -> None:
-        """Install initial database contents (not logged: pre-history state)."""
+        """Install initial database contents: pre-history state, logged
+        only as an unforced quiescent checkpoint, so a crash restart
+        starts from it instead of an empty store."""
         for key, value in data.items():
             self.store.put(key, value)
+        self.wal.append(RecordType.CHECKPOINT, "__checkpoint__",
+                        snapshot=self.store.snapshot(), active=[])
 
     def checkpoint(self) -> None:
         """Take a quiescent checkpoint and truncate the log.

@@ -50,15 +50,18 @@ class TestCrashChoicePoints:
             assert point.split(":", 1)[0] in SIGNIFICANT_KINDS
 
     def test_candidates_cover_sites_and_coordinators(self):
+        # A coordinator lives in its transaction's first site, so the
+        # sites are the whole target list: crashing S1 crashes T1's
+        # coordinator, crashing S2 T2's.
         outcome = ModelChecker(CheckConfig(
             scenario="conflict", protocol="P1", crashes=1,
         )).execute(ChoicePolicy())
         first = next(c for c in outcome.log if c.kind == "crash")
-        targets = {
+        targets = [
             label.split(":", 1)[1].split("@", 1)[0]
             for label in first.labels[1:]
-        }
-        assert {"S1", "S2", "coord.T1", "coord.T2"} <= targets
+        ]
+        assert targets == ["S1", "S2"]
 
 
 class TestInjectedCrashes:
@@ -75,11 +78,38 @@ class TestInjectedCrashes:
         assert outcome.ok, [str(v) for v in outcome.violations]
 
     def test_coordinator_crash_is_survived(self):
+        """Crash S1, T1's coordinating site, after T1's votes and before
+        its decision is logged: the restarted S1 presumes abort."""
         config = CheckConfig(scenario="conflict", protocol="P1", crashes=1)
-        vector = _crash_vector(config, "coord.T1@")
+        vector = _crash_vector(config, "S1@txn.vote:T1")
         outcome = ModelChecker(config).execute(ChoicePolicy(vector))
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert {o.txn_id for o in outcome.system.outcomes} == {"T1", "T2"}
+        coord = [
+            (r.record_type.value, r.payload.get("decision"))
+            for r in outcome.system.sites["S1"].wal
+            if r.txn_id == "coord.T1"
+        ]
+        assert coord == [
+            ("COORD_BEGIN", None), ("DECIDE", "ABORT"), ("COORD_END", None),
+        ]
+
+    def test_a_logged_decision_is_resent_after_the_crash(self):
+        """Crash S1 once T1's DECIDE is logged: the restarted S1 re-sends
+        it, and every site applies that one decision."""
+        config = CheckConfig(scenario="conflict", protocol="P1", crashes=1)
+        vector = _crash_vector(config, "S1@txn.decision:T1")
+        outcome = ModelChecker(config).execute(ChoicePolicy(vector))
+        assert outcome.ok, [str(v) for v in outcome.violations]
+        decides = [
+            r for r in outcome.system.sites["S1"].wal
+            if r.txn_id == "coord.T1" and r.record_type.value == "DECIDE"
+        ]
+        assert len(decides) == 1
+        for participant in outcome.system.participants.values():
+            state = participant.subtxns.get("T1")
+            if state is not None and state.decided is not None:
+                assert state.decided == decides[0].payload["decision"]
 
     def test_budget_limits_injected_crashes(self):
         config = CheckConfig(scenario="conflict", protocol="P1", crashes=1)

@@ -99,11 +99,17 @@ def _count(monkeypatch):
 
 
 #: name -> (config, schedules, counterexamples, bus publishes) of one
-#: seeded search
+#: seeded search.  They moved (from 20 821 publishes, and from 16
+#: counterexamples in 3 797) when a coordinator crash became a crash of its
+#: site: the candidates are the two sites, no longer the sites and the two
+#: ``coord.*`` endpoints; a crashed site also loses its participant,
+#: orphans remote subtransactions and rebuilds its coordinators from the
+#: WAL; and a site's crash is a point for the second crash.  So a crash
+#: schedule publishes more and races differently.
 PINNED = {
     "smoke": (dataclasses.replace(SMOKE, seed=1, max_schedules=300),
-              300, 0, 20821),
-    "failing": (dataclasses.replace(FAILING, seed=1), 40, 16, 3797),
+              300, 0, 22921),
+    "failing": (dataclasses.replace(FAILING, seed=1), 40, 4, 2482),
 }
 
 

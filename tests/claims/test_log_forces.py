@@ -1,7 +1,8 @@
 """LOG-FORCE — forced log writes: a cost the paper does not discuss.
 
 Every 2PC participant force-writes its PREPARE record and the final
-COMMIT/ABORT; the coordinator forces its decision.  O2PC adds one more
+COMMIT/ABORT; the coordinator forces its decision (its DECIDE record, in
+the WAL of the transaction's first site, which hosts it).  O2PC adds one more
 forced record per YES vote — LOCAL_COMMIT — because local commitment makes
 the updates durable obligations (a crashed participant must redo them and
 compensate, not undo).  This experiment counts forced writes per committed
@@ -79,6 +80,14 @@ def test_o2pc_pays_one_extra_force_per_participant(force_rows):
            - by[("2PC/2PL", 0.0)]["forces_per_txn"])
     # Two participants per transaction -> two extra LOCAL_COMMIT forces.
     assert gap == pytest.approx(2.0, abs=0.01)
+
+
+def test_2pc_forces_two_per_participant_and_one_decide(force_rows):
+    """A committed 2-site 2PC transaction: PREPARE and COMMIT at each
+    participant, plus the coordinator's DECIDE."""
+    by = {(r.params["scheme"], r.params["abort_p"]): r.measures
+          for r in force_rows}
+    assert by[("2PC/2PL", 0.0)]["forces_per_txn"] == pytest.approx(2 * 2 + 1)
 
 
 def test_abort_path_costs_more_forces_under_o2pc(force_rows):

@@ -5,6 +5,11 @@ YES is blocked — holding locks — until the coordinator's decision arrives,
 so a coordinator crash stalls the site's data for the whole outage.  Under
 O2PC the locks were released at vote time, so the outage is invisible to
 other transactions.
+
+The coordinator lives in its transaction's first site, S1, and dies with
+it: the outage is S1's, blocking is measured at the surviving participant
+S2, and with no decision logged before the crash the restarted S1 presumes
+abort.
 """
 
 from repro.commit import CommitScheme
@@ -21,40 +26,45 @@ def spec(txn_id="T1"):
 
 
 def run_with_coordinator_outage(scheme, outage=100.0):
-    """Crash the coordinator after votes are cast; return (system, outcome)."""
+    """Crash the coordinating site after votes are cast; return (system,
+    outcome)."""
     system = System(SystemConfig(scheme=scheme))
     proc = system.submit(spec())
     # With base latency 1 and sequential spawn, votes reach the coordinator
     # at t=6 and the decision record is forced at t=6.5: crash inside that
-    # window — votes received, decision not yet sent.
+    # window — votes received, decision not yet logged.
     system.failures.schedule(
-        CrashPlan(site_id="coord.T1", at=6.2, duration=outage)
+        CrashPlan(site_id="S1", at=6.2, duration=outage)
     )
     outcome = system.env.run(proc)
     return system, outcome
 
 
 def max_hold(system, txn_id="T1"):
+    """T1's longest lock hold at the surviving participant S2."""
     return max(
         h.duration
-        for site in system.sites.values()
-        for h in site.locks.hold_log
+        for h in system.sites["S2"].locks.hold_log
         if h.txn_id == txn_id
     )
 
 
 def test_2pl_participants_blocked_for_whole_outage():
     system, outcome = run_with_coordinator_outage(CommitScheme.TWO_PL, 100.0)
-    assert outcome.committed
+    assert not outcome.committed  # presumed abort
     # Locks were held across the 100-unit outage.
     assert max_hold(system) > 100.0
 
 
 def test_o2pc_participants_unaffected_by_outage():
     system, outcome = run_with_coordinator_outage(CommitScheme.O2PC, 100.0)
-    assert outcome.committed
+    assert not outcome.committed  # presumed abort: both sites compensate
     # Locks were released at vote time: holds are a few message hops only.
     assert max_hold(system) < 10.0
+    system.env.run()
+    assert outcome.compensated_sites == ["S1", "S2"]
+    assert system.sites["S1"].store.get("k0") == 100
+    assert system.sites["S2"].store.get("k0") == 100
 
 
 def test_blocking_gap_grows_with_outage():
@@ -74,13 +84,13 @@ def test_blocked_2pl_site_stalls_other_transactions():
         system = System(SystemConfig(scheme=scheme))
         system.submit(spec("T1"))
         system.failures.schedule(
-            CrashPlan(site_id="coord.T1", at=6.2, duration=100.0)
+            CrashPlan(site_id="S1", at=6.2, duration=100.0)
         )
 
         def late_local():
             yield system.env.timeout(10.0)
             yield system.run_local(
-                "S1", system.next_local_id(),
+                "S2", system.next_local_id(),
                 [SemanticOp("deposit", "k0", {"amount": 1})],
             )
             return system.env.now
@@ -95,13 +105,13 @@ def test_blocked_2pl_site_stalls_other_transactions():
 
 def test_coordinator_crash_before_votes_aborts():
     """Votes sent to a crashed coordinator are lost; on recovery it has no
-    YES quorum and decides ABORT (presumed abort)."""
+    decision logged and decides ABORT (presumed abort)."""
     system = System(SystemConfig(scheme=CommitScheme.O2PC))
     proc = system.submit(spec())
-    # Crash during the spawn phase already: t=1 .. t=400 covers the vote
-    # round trip; vote replies are dropped.
+    # Crash the coordinating site as the vote requests are in flight:
+    # t=4.5 .. t=404.5 covers the vote round trip.
     system.failures.schedule(
-        CrashPlan(site_id="coord.T1", at=4.5, duration=400.0)
+        CrashPlan(site_id="S1", at=4.5, duration=400.0)
     )
     outcome = system.env.run(proc)
     assert not outcome.committed

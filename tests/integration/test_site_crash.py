@@ -20,9 +20,11 @@ from repro.txn import GlobalTxnSpec, SemanticOp, SubtxnSpec
 
 
 def spec(txn_id="T1"):
+    # S2 first: the coordinator lives at S2, so crashing S1 crashes a
+    # participant only.
     return GlobalTxnSpec(txn_id=txn_id, subtxns=[
-        SubtxnSpec("S1", [SemanticOp("withdraw", "k0", {"amount": 10})]),
         SubtxnSpec("S2", [SemanticOp("deposit", "k0", {"amount": 10})]),
+        SubtxnSpec("S1", [SemanticOp("withdraw", "k0", {"amount": 10})]),
     ])
 
 

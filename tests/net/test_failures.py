@@ -36,6 +36,7 @@ def test_crash_and_recover_roundtrip():
 def test_crash_idempotent():
     env, net, inj = make_injector()
     net.register("S1")
+    inj.register_site("S1")
     inj.crash("S1")
     inj.crash("S1")
     assert len(inj.outages) == 1
@@ -47,6 +48,7 @@ def test_crash_idempotent():
 def test_scheduled_crash_plan_executes():
     env, net, inj = make_injector()
     net.register("S1")
+    inj.register_site("S1")
     observed = []
 
     def watcher(env):
@@ -64,6 +66,7 @@ def test_scheduled_crash_plan_executes():
 def test_permanent_crash_never_recovers():
     env, net, inj = make_injector()
     net.register("S1")
+    inj.register_site("S1")
     inj.schedule(CrashPlan(site_id="S1", at=1.0, duration=None))
     env.run(until=100.0)
     assert not inj.is_up("S1")
@@ -72,9 +75,30 @@ def test_permanent_crash_never_recovers():
 def test_callbacks_fire():
     env, net, inj = make_injector()
     net.register("S1")
+    inj.register_site("S1")
     events = []
     inj.on_crash(lambda s: events.append(("crash", s)))
     inj.on_recover(lambda s: events.append(("recover", s)))
     inj.crash("S1")
     inj.recover("S1")
     assert events == [("crash", "S1"), ("recover", "S1")]
+
+
+def test_an_unregistered_target_is_refused():
+    # A plan naming something no site registered (a coordinator endpoint,
+    # a typo) used to crash nothing silently.
+    env, net, inj = make_injector()
+    net.register("S1")
+    inj.register_site("S1")
+    for act in (
+        lambda: inj.crash("coord.T1"),
+        lambda: inj.schedule(CrashPlan(site_id="coord.T1", at=1.0)),
+    ):
+        try:
+            act()
+        except ValueError as exc:
+            assert "coord.T1" in str(exc)
+        else:
+            raise AssertionError("an unregistered target was accepted")
+    env.run()
+    assert inj.outages == [] and inj.is_up("S1")

@@ -77,6 +77,7 @@ class TestScheduling:
 
     def test_scheduled_sites_recover_after_outage(self):
         env, injector = _injector()
+        injector.register_site("S1")
         for plan in random_crash_plans(
             Rng(5), ["S1"],
             RandomCrashConfig(n_crashes=1, window=(1.0, 2.0),

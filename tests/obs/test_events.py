@@ -103,17 +103,6 @@ class TestEventLog:
         ))
         return log
 
-    def test_of_kind(self):
-        log = self.make_log()
-        assert len(log.of_kind("txn.submit")) == 2
-        assert len(log.of_kind("lock.grant")) == 1
-        assert log.of_kind("nope") == []
-
-    def test_for_txn(self):
-        log = self.make_log()
-        assert len(log.for_txn("T1")) == 2
-        assert len(log.for_txn("T2")) == 1
-
     def test_len(self):
         assert len(self.make_log()) == 3
 
@@ -153,8 +142,8 @@ class TestSystemRecording:
 
     def test_enable_observability_is_idempotent(self):
         system = System()
-        system.enable_observability()
-        system.enable_observability()
+        system.obs.enable()
+        system.obs.enable()
         system.run_transaction(spec())
         system.env.run()
         assert len([e for e in system.events() if e.kind == "txn.end"]) == 1

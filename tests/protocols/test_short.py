@@ -1,8 +1,11 @@
 """Short-Commit on the simulated substrate.
 
-The scheme's three defining behaviors, each pinned by holding the
-coordinator down over the decision window so a successor can reach the
-exposed data:
+The scheme's three defining behaviors, each pinned by keeping ``T1``'s
+decision from ``S1`` over the decision window so a successor can reach the
+exposed data there.  ``T1``'s coordinator lives at its first site ``S2``;
+the window is a cut link from it to ``S1`` (the decision arrives late), or
+a crash of ``S2`` before the decision is logged (the restarted ``S2``
+presumes abort):
 
 * early release — a successor writes an exposer's key *before* the
   exposer's decision, recording a commit dependency instead of blocking;
@@ -41,7 +44,7 @@ CRASH_AT = 6.2
 
 def make_system():
     return System(SystemConfig(
-        n_sites=2, scheme=CommitScheme.SHORT, protocol="none", seed=0,
+        n_sites=3, scheme=CommitScheme.SHORT, protocol="none", seed=0,
         latency=LatencyModel(base=1.0, jitter=0.0), commit=COMMIT,
     ))
 
@@ -56,18 +59,33 @@ def submit_after(system, spec, delay):
 
 
 def t1(vote=VotePolicy.AUTO):
+    # S2 first: T1's coordinator lives at S2, not at the exposing S1.
     return GlobalTxnSpec("T1", [
-        SubtxnSpec("S1", [WriteOp("k0", 11)]),
         SubtxnSpec("S2", [WriteOp("k1", 11)], vote=vote),
+        SubtxnSpec("S1", [WriteOp("k0", 11)]),
     ])
 
 
 def t2():
-    # Overlaps T1 on k0 at S1 only.
+    # Overlaps T1 on k0 at S1 only, and stays clear of T1's S2.
     return GlobalTxnSpec("T2", [
         SubtxnSpec("S1", [WriteOp("k0", 22)]),
-        SubtxnSpec("S2", [WriteOp("k5", 22)]),
+        SubtxnSpec("S3", [WriteOp("k5", 22)]),
     ])
+
+
+def hold_decision(system, duration):
+    """Cut the link from T1's coordinator to S1 at ``CRASH_AT`` for
+    ``duration``: S1's DECISION is lost, and a retransmission after the
+    window delivers it."""
+
+    def cut():
+        yield system.env.timeout(CRASH_AT)
+        system.network.sever("coord.T1", "S1", bidirectional=False)
+        yield system.env.timeout(duration)
+        system.network.heal("coord.T1", "S1", bidirectional=False)
+
+    system.env.process(cut(), name="hold-decision")
 
 
 def outcome_of(system, txn_id):
@@ -77,11 +95,9 @@ def outcome_of(system, txn_id):
 class TestEarlyRelease:
     def test_successor_writes_exposed_key_and_records_dependency(self):
         system = make_system()
-        # Hold T1 undecided for 10 units: S1 votes YES at ~5, releases its
-        # locks, and exposes k0 while the outcome is open.
-        system.failures.schedule(
-            CrashPlan("coord.T1", at=CRASH_AT, duration=10.0)
-        )
+        # Hold T1 undecided at S1 for 10 units: S1 votes YES at ~5,
+        # releases its locks, and exposes k0 while the outcome is open.
+        hold_decision(system, 10.0)
         system.submit(t1())
         submit_after(system, t2(), 8.0)
 
@@ -110,7 +126,7 @@ class TestCascadeAbort:
     def test_exposer_abort_cascades_and_restores_before_images(self):
         system = make_system()
         system.failures.schedule(
-            CrashPlan("coord.T1", at=CRASH_AT, duration=10.0)
+            CrashPlan("S2", at=CRASH_AT, duration=10.0)
         )
         system.submit(t1(vote=VotePolicy.FORCE_NO))
         submit_after(system, t2(), 8.0)
@@ -131,19 +147,21 @@ class TestCascadeAbort:
 class TestDependencyTimeout:
     def test_unresolved_dependency_times_out_into_a_no_vote(self):
         system = make_system()
-        # T1's coordinator stays down past T2's dependency deadline
+        # T1's coordinating site stays down past T2's dependency deadline
         # (gate opens ~13, timeout 25 → NO at ~38, long before t≈406).
         system.failures.schedule(
-            CrashPlan("coord.T1", at=CRASH_AT, duration=400.0)
+            CrashPlan("S2", at=CRASH_AT, duration=400.0)
         )
         system.submit(t1())
         submit_after(system, t2(), 8.0)
         system.env.run()
 
-        assert outcome_of(system, "T1").committed
+        # No DECIDE was logged before the crash: presumed abort.
+        assert not outcome_of(system, "T1").committed
         assert not outcome_of(system, "T2").committed
         participant = system.participants["S1"]
         assert participant.subtxns["T2"].voted == "NO"
-        # T2's rollback happened before T1 decided, so T1's late COMMIT
-        # kept its own write.
-        assert system.sites["S1"].store.get_or("k0", None) == 11
+        # T2's rollback happened before T1 decided (it re-installed T1's
+        # exposed write); T1's late ABORT then restored the original.
+        assert participant.subtxns["T1"].decided_at > 400.0
+        assert system.sites["S1"].store.get_or("k0", None) == 100

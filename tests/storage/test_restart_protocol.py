@@ -55,15 +55,16 @@ class TestWalLevel:
 
 
 def _crash_between_vote_and_decision(scheme):
-    """Run a two-site transfer and crash S1 after its YES vote but before
-    the DECISION message arrives (votes land at t=6, decision at t=7.5)."""
+    """Run a two-site transfer and crash the participant S2 after its YES
+    vote but before the DECISION message arrives (votes land at t=6,
+    decision at t=7.5).  S1, which hosts the coordinator, stays up."""
     system = System(SystemConfig(n_sites=2, scheme=scheme, seed=0))
     process = system.submit(GlobalTxnSpec("T1", [
         SubtxnSpec("S1", [WriteOp("k0", 1)]),
         SubtxnSpec("S2", [WriteOp("k0", 1)]),
     ]))
     system.failures.schedule(
-        CrashPlan(site_id="S1", at=6.7, duration=None)
+        CrashPlan(site_id="S2", at=6.7, duration=None)
     )
     system.env.run(process)
     system.env.run()
@@ -73,12 +74,12 @@ def _crash_between_vote_and_decision(scheme):
 class TestSystemLevel:
     def test_2pc_crash_between_vote_and_decision_blocks(self):
         system = _crash_between_vote_and_decision(CommitScheme.TWO_PL)
-        report, _store = _restart_clone(system.sites["S1"])
+        report, _store = _restart_clone(system.sites["S2"])
         assert report.in_doubt == ["T1"]
 
     def test_o2pc_crash_between_vote_and_decision_does_not_block(self):
         system = _crash_between_vote_and_decision(CommitScheme.O2PC)
-        report, store = _restart_clone(system.sites["S1"])
+        report, store = _restart_clone(system.sites["S2"])
         assert report.in_doubt == []
         assert "T1" in report.locally_committed
         assert store.get("k0") == 1

@@ -46,7 +46,7 @@ def test_quickstart_commits_then_compensates():
 def test_failure_drill_shows_both_schemes():
     out = run_example("failure_drill.py")
     assert "=== 2PL ===" in out and "=== O2PC ===" in out
-    assert out.count("locks at S1") == 2
+    assert out.count("locks at S2") == 2
 
 
 def test_correctness_audit_cycle_under_none_and_not_under_p1():

@@ -1,19 +1,6 @@
 """Unit tests for operation helpers."""
 
 from repro.txn import ReadOp, SemanticOp, WriteOp
-from repro.txn.operations import is_read_only, keys_of
-
-
-def test_keys_of_collects_all_keys():
-    ops = [ReadOp("a"), WriteOp("b", 1), SemanticOp("deposit", "c", {"amount": 1})]
-    assert keys_of(ops) == {"a", "b", "c"}
-
-
-def test_is_read_only():
-    assert is_read_only([ReadOp("a"), ReadOp("b")])
-    assert not is_read_only([ReadOp("a"), WriteOp("b", 1)])
-    assert not is_read_only([SemanticOp("deposit", "c", {"amount": 1})])
-    assert is_read_only([])
 
 
 def test_op_reprs_are_compact():

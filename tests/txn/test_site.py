@@ -1,6 +1,7 @@
 """Unit tests for the Site composition root: load, crash, restart."""
 
 from repro.sim import Environment
+from repro.storage.wal import RecordType
 from repro.txn import Site, WriteOp
 from repro.txn.transaction import TxnStatus
 
@@ -16,10 +17,13 @@ def run(env, gen):
     return env.run(env.process(gen))
 
 
-def test_load_installs_without_logging():
+def test_load_logs_an_unforced_checkpoint():
     env, site = make_site()
     assert site.store.get("a") == 1
-    assert len(site.wal) == 0
+    (record,) = list(site.wal)
+    assert record.record_type is RecordType.CHECKPOINT
+    assert record.payload == {"snapshot": {"a": 1, "b": 2}, "active": []}
+    assert site.wal.forced_writes == 0
 
 
 def test_crash_wipes_volatile_state():
@@ -57,7 +61,7 @@ def test_wal_survives_crash_and_drives_restart():
     site.crash()
     report = site.restart()
     assert site.store.get("a") == 9       # committed work redone
-    assert not site.store.exists("b")     # in-flight work undone
+    assert site.store.get("b") == 2       # in-flight work undone
     assert "L1" in report.redone
     assert "T2" in report.undone
 
