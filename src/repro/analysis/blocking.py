@@ -29,7 +29,7 @@ Rules (all errors):
 
 ``blocking/sync-fsync``
     ``os.fsync``, or a WAL-chain durability call — ``*.wal.sync()``,
-    ``*.wal.close()``, ``*.checkpoint()`` — each of which fsyncs.  The
+    ``*.wal.close()`` — each of which fsyncs.  The
     group-commit flusher's ``barrier`` is the one designated site (it
     coalesces everyone else's force points); it carries the pragma.
 
@@ -97,8 +97,7 @@ _PROTOCOL_BASES = (
 
 #: attribute-call suffixes on the WAL chain that hit the disk.  Matched
 #: only when the receiver chain names the WAL (``self.wal.sync``,
-#: ``self.site.wal.close``) so an asyncio ``writer.close()`` stays clean;
-#: ``*.checkpoint()`` always fsyncs (it appends a forced CHECKPOINT).
+#: ``self.site.wal.close``) so an asyncio ``writer.close()`` stays clean.
 _WAL_SUFFIXES = (".sync", ".close")
 
 
@@ -327,9 +326,7 @@ def _analyze_module(path: Path, rel: str) -> list[Finding]:
                 continue
             if name is not None:
                 on_wal = name.startswith("wal.") or ".wal." in name
-                if (
-                    on_wal and name.endswith(_WAL_SUFFIXES)
-                ) or name.endswith(".checkpoint"):
+                if on_wal and name.endswith(_WAL_SUFFIXES):
                     add(
                         "blocking/sync-fsync", node.lineno,
                         f"{origin} calls {name}() — a WAL-chain "

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.core.protocols import MarkingProtocol, NoProtocol
+from repro.ids import coordinator_id
 from repro.net.message import Message, MsgType
 from repro.net.transport import Transport
 from repro.obs.events import (
@@ -79,7 +80,7 @@ class Coordinator:
         self.host = host
         #: the acceptor endpoints (Paxos Commit; 2PC has none)
         self.acceptors = acceptors
-        self.endpoint = f"coord.{spec.txn_id}"
+        self.endpoint = coordinator_id(spec.txn_id)
         self.inbox = network.register(self.endpoint)
         #: what this coordinator's DECISION messages are stamped with: the
         #: DECIDE entry that covers them (force-before-send)

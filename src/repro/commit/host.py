@@ -24,6 +24,7 @@ from repro.commit.base import CommitConfig
 from repro.commit.coordinator import Coordinator
 from repro.commit.participant import Participant
 from repro.errors import ProcessInterrupted
+from repro.ids import COORDINATOR_PREFIX, coordinator_id, is_coordinator_id
 from repro.obs.events import TxnTerminated
 from repro.sim.events import Event
 from repro.sim.process import Process
@@ -77,6 +78,7 @@ class CoordinatorHost:
         self.pending: dict[str, tuple[str, list[str]]] = {}
         #: re-sends that owe a caller one more round
         self.again: set[str] = set()
+        self.site.on_checkpoint.append(self.forget)
 
     def _start(
         self, spec: GlobalTxnSpec, config: CommitConfig,
@@ -171,12 +173,14 @@ class CoordinatorHost:
 
     def ask(self, txn_id: str, caller: Any) -> None:
         """What became of ``txn_id``: told when a live coordination ends;
-        else only a ``DECIDE(COMMIT)`` in the log (the stamp) is a commit."""
+        else only a ``DECIDE(COMMIT)`` in the log (the stamp) is a commit —
+        after a checkpoint dropped it, the settled-id table's stand-in."""
         if txn_id in self.coordinating:
             self.callers.setdefault(txn_id, []).append(caller)
             return
-        decide = None
-        for record in self.site.wal.records_for(f"coord.{txn_id}"):
+        endpoint = coordinator_id(txn_id)
+        decide = self.site.wal.settled_record(endpoint)
+        for record in self.site.wal.records_for(endpoint):
             if record.record_type is RecordType.DECIDE:
                 decide = record
         committed = decide is not None and decide.payload["decision"] == "COMMIT"
@@ -248,7 +252,7 @@ class CoordinatorHost:
         (outside it) is forgotten; returns the dead ones' transactions."""
         lost = sorted(self.coordinating)
         for txn_id in lost:
-            self.network.unregister(f"coord.{txn_id}")
+            self.network.unregister(coordinator_id(txn_id))
             proc = self.coordinating[txn_id]
             if proc.is_alive and proc is not self.env.active_process:
                 proc.interrupt(cause=f"site {self.site.site_id} crashed")
@@ -264,13 +268,22 @@ class CoordinatorHost:
         for record in self.site.wal:
             kind = record.record_type
             if kind is RecordType.COORD_END:
-                owed.pop(record.txn_id.removeprefix("coord."), None)
+                owed.pop(record.txn_id.removeprefix(COORDINATOR_PREFIX), None)
             elif kind in (RecordType.COORD_BEGIN, RecordType.DECIDE):
-                owed[record.txn_id.removeprefix("coord.")] = (
+                owed[record.txn_id.removeprefix(COORDINATOR_PREFIX)] = (
                     record.payload.get("decision"), record.payload["sites"],
                 )
         for txn_id, (decision, sites) in sorted(owed.items()):
             self.resend(txn_id, decision, sites)
+
+    def forget(self, endpoints: list[str]) -> None:
+        """A checkpoint settled ``endpoints``: the marking directory may
+        drop the execution sets of the coordinations among them (each
+        ended, every site acknowledged)."""
+        directory = self.participant.marking.directory
+        for endpoint in endpoints:
+            if is_coordinator_id(endpoint):
+                directory.forget(endpoint.removeprefix(COORDINATOR_PREFIX))
 
     def orphaned(self, txn_ids: list[str]) -> None:
         """Coordinators elsewhere were lost: abort what they left unvoted

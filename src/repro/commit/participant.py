@@ -128,12 +128,15 @@ class Participant:
             site, retry_delay=compensation_retry_delay,
             lock_marks=lock_marks,
         )
+        #: live subtransactions; one goes once its decision is applied
+        #: here and a checkpoint has settled it (:meth:`forget`)
         self.subtxns: dict[str, _SubtxnState] = {}
         #: SUBTXN_REQs refused because their transaction id was taken
         self.reused_ids_refused = 0
         #: live handler processes — killed on crash, since a handler
         #: suspended mid-protocol must not keep running against wiped state
         self._handlers: set[Any] = set()
+        site.on_checkpoint.append(self.forget)
         network.register(site.site_id)
         self._dispatcher = self.env.process(
             self._dispatch(), name=f"participant:{site.site_id}"
@@ -176,12 +179,14 @@ class Participant:
         payload = msg.payload
         transmarks: set[str] = set(payload.get("transmarks", ()))
 
-        if txn_id in self.subtxns:
+        if self.site.wal.knows(txn_id):
             # A reused transaction id.  Executing it would re-acquire locks
             # the first incarnation released (a 2PL violation) and replace
             # the state its decision applies to, so refuse it before
             # anything changes: once the first incarnation is decided, the
             # ABORT its reuser's coordinator sends is only acknowledged.
+            # The log knows every id this site ever ran, across restarts
+            # and checkpoints (its settled-id table).
             self.reused_ids_refused += 1
             self._reply(msg, MsgType.SUBTXN_ACK, {
                 "executed": False,
@@ -504,6 +509,21 @@ class Participant:
         state.executed = False
         return True
 
+    # -- bounded state -----------------------------------------------------------------
+
+    def forget(self, txn_ids: list[str]) -> None:
+        """A checkpoint settled ``txn_ids``: drop what this site keeps of
+        each whose decision it applied (an undecided one goes with the
+        ACK of its decision)."""
+        for txn_id in txn_ids:
+            state = self.subtxns.get(txn_id)
+            if state is None or state.decided is not None:
+                self._forget(txn_id)
+
+    def _forget(self, txn_id: str) -> None:
+        self.subtxns.pop(txn_id, None)
+        self.marking.directory.forget(txn_id)
+
     # -- helpers -------------------------------------------------------------------------
 
     def _mark(
@@ -536,3 +556,5 @@ class Participant:
             self.site.wal.cover(msg.txn_id)
             if msg.payload["decision"] == "COMMIT" else PRESUMED_ABORT,
         )
+        if self.site.wal.forgot(msg.txn_id):
+            self._forget(msg.txn_id)

@@ -90,6 +90,22 @@ class MarkingDirectory:
         self.exec_sites.setdefault(txn_id, set()).update(site_ids)
         self.active.add(txn_id)
 
+    def forget(self, txn_id: str) -> None:
+        """Drop a finished transaction's execution sets once no rule can
+        read them: it is not in flight and was never marked, or its marks
+        were cleared (a live mark's sets feed its clearing and the
+        protocols' checks; :meth:`_clear` drops them then)."""
+        if txn_id in self.active:
+            return
+        if txn_id in self.cleared or txn_id not in self.marked_sites:
+            self._drop(txn_id)
+
+    def _drop(self, txn_id: str) -> None:
+        self.exec_sites.pop(txn_id, None)
+        self.executed_sites.pop(txn_id, None)
+        self.marked_sites.pop(txn_id, None)
+        self.executed_any.discard(txn_id)
+
     # -- quiescence-based clearing (the UDUM0-derived rule) -----------------------
 
     def note_marked(self, txn_id: str, site_id: str) -> None:
@@ -147,8 +163,11 @@ class MarkingDirectory:
     def _clear(self, marked: str, enabler: str) -> None:
         self.blockers.pop(marked, None)
         # No site will be undone wrt ``marked`` again (a straggler mark is
-        # dropped on arrival), so its UDUM1 witnesses are dead weight.
+        # dropped on arrival), so its UDUM1 witnesses are dead weight, and
+        # so are its execution sets: it is terminated, every site it
+        # executed at is marked, and no transaction in flight carries it.
         self.witnesses.pop(marked, None)
+        self._drop(marked)
         still_marked = False
         for machine in self.machines.values():
             if marked in machine.undone_set():

@@ -59,3 +59,21 @@ def subtransaction_id(txn_id: str, site: str) -> str:
     'T1@S2'
     """
     return f"{txn_id}@{site}"
+
+
+#: the prefix of a coordinator's endpoint, under which it logs to its site
+COORDINATOR_PREFIX = "coord."
+
+
+def coordinator_id(txn_id: str) -> str:
+    """Return the endpoint of ``txn_id``'s coordinator.
+
+    >>> coordinator_id("T1")
+    'coord.T1'
+    """
+    return f"{COORDINATOR_PREFIX}{txn_id}"
+
+
+def is_coordinator_id(endpoint: str) -> bool:
+    """True if ``endpoint`` names a coordinator (``coord.<txn>``)."""
+    return endpoint.startswith(COORDINATOR_PREFIX)

@@ -415,9 +415,11 @@ class PaxosParticipant(Participant):
     ) -> Any:
         sites = self._txn_sites.get(txn_id) or [self.site.site_id]
         # Stagger leaders by rank so concurrent recovery attempts (dueling
-        # ballots) stay rare; any interleaving is still safe.
+        # ballots) stay rare; any interleaving is still safe.  The first
+        # site hosts the coordinator, and the crash that silences it takes
+        # that site down too: it ranks last.
         rank = (
-            sites.index(self.site.site_id)
+            (sites.index(self.site.site_id) - 1) % len(sites)
             if self.site.site_id in sites else 0
         )
         yield self.env.timeout(delay + 3.0 * rank)
@@ -487,6 +489,11 @@ class PaxosParticipant(Participant):
         super().crash()
         self._mailboxes.clear()
         self._txn_sites.clear()
+
+    def _forget(self, txn_id: str) -> None:
+        super()._forget(txn_id)
+        self._mailboxes.pop(txn_id, None)
+        self._txn_sites.pop(txn_id, None)
 
     def recover(self) -> Any:
         report = yield from super().recover()

@@ -69,7 +69,7 @@ class ShortParticipant(Participant):
     # -- SUBTXN_REQ ---------------------------------------------------------------
 
     def _handle_subtxn(self, msg: Message) -> Any:
-        reused = msg.txn_id in self.subtxns  # refused by the base handler
+        reused = self.site.wal.knows(msg.txn_id)  # refused by the base handler
         yield from super()._handle_subtxn(msg)
         state = self.subtxns.get(msg.txn_id)
         if reused or state is None or not state.executed:

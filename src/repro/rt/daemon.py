@@ -19,8 +19,8 @@ daemon keeps only the wire: ``submit``; the ``told`` replies, through
 reveal; admin ``drain`` (answered once no coordinator is live),
 ``resend`` and ``outcome``.
 
-Boot: a **first boot** (no WAL file) preloads the site's keys and takes
-a quiescent checkpoint so they are durable.  A **restart** replays the
+Boot: a **first boot** (no WAL file) preloads the site's keys and fsyncs
+their checkpoint so they are durable.  A **restart** replays the
 log and runs :meth:`Participant.recover` — the classification the
 simulated restart oracle checks: *in-doubt* transactions (prepared under
 2PL) re-acquire their write locks and block on the decision; *locally
@@ -42,6 +42,7 @@ from repro.commit.host import CoordinatorHost
 from repro.core.marks import MARKS_KEY, MarkingDirectory
 from repro.core.protocols import MarkingProtocol, NoProtocol
 from repro.harness.system import PROTOCOLS
+from repro.ids import COORDINATOR_PREFIX
 from repro.protocols import acceptor_ids, engine_for
 from repro.protocols.acceptor import Acceptor
 from repro.rt.config import ClusterConfig
@@ -165,10 +166,10 @@ class SiteDaemon:
                 f"k{i}": self.initial_value
                 for i in range(self.keys_per_site)
             })
-            # load() logs an unforced checkpoint; this forced one makes
-            # the initial contents durable so a restart restores them.
+            # load() logs an unforced checkpoint; this fsync makes the
+            # initial contents durable so a restart restores them.
             # Boot path: nothing is being served yet, blocking is harmless.
-            self.site.checkpoint()  # lint: allow-blocking
+            self.site.wal.sync()  # lint: allow-blocking
         else:
             proc = self.env.process(
                 self.participant.recover(),
@@ -240,7 +241,11 @@ class SiteDaemon:
             "site": self.site_id,
             "now": self.env.now,
             "fresh_boot": self.fresh_boot,
-            "wal_records": len(self.site.wal),
+            "wal_records": self.site.wal.appended,
+            "wal_retained": len(self.site.wal),
+            "wal_low_water": self.site.wal.low_water,
+            "checkpoints": self.site.wal.checkpoints,
+            "settled_ids": len(self.site.wal.settled),
             "torn_records_truncated": self.site.wal.torn_records_truncated,
             "forced_writes": self.site.wal.forced_writes,
             "fsyncs": self.site.wal.fsyncs,
@@ -374,7 +379,7 @@ class SiteDaemon:
     def _coordinators_lost(self, endpoints: list[str]) -> None:
         """Connections to coordinators elsewhere closed: their orphans
         here are aborted."""
-        self.host.orphaned([e.removeprefix("coord.") for e in endpoints])
+        self.host.orphaned([e.removeprefix(COORDINATOR_PREFIX) for e in endpoints])
         self.pump.kick()
 
 

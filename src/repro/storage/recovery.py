@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.ids import is_coordinator_id
 from repro.storage.kvstore import KVStore
 from repro.storage.wal import RecordType, WriteAheadLog
 
@@ -22,6 +23,8 @@ from repro.storage.wal import RecordType, WriteAheadLog
 class RestartReport:
     """Outcome of a crash-restart recovery pass."""
 
+    #: winners (committed or locally committed), sorted: a checkpoint's
+    #: settled ids included, so the report does not depend on truncation
     redone: list[str] = field(default_factory=list)
     undone: list[str] = field(default_factory=list)
     #: prepared (voted YES, no decision logged) — blocked under standard 2PC
@@ -49,19 +52,24 @@ class RecoveryManager:
         classify undecided prepared transactions as in-doubt.
         """
         report = RestartReport()
-        # Start from the latest checkpoint, if any: restore its snapshot
-        # and replay only the suffix.  Site.checkpoint only takes
-        # *quiescent* checkpoints (no transactions in flight), so the
-        # snapshot is transaction-consistent and the suffix contains every
-        # record of every transaction it mentions.
+        # Start from the latest checkpoint: restore its snapshot, take the
+        # outcomes of the ids checkpoints settled from the settled-id
+        # table, and replay the records from its low-water on.  A fuzzy
+        # checkpoint's low-water is the first record of its oldest open
+        # transaction, so the suffix holds every record of every
+        # transaction the snapshot does not settle.
         checkpoint = self.wal.last_checkpoint()
         start_lsn = 0
         if checkpoint is not None:
             self.store.restore(checkpoint.payload["snapshot"])
-            start_lsn = checkpoint.lsn
+            start_lsn = checkpoint.payload.get("low_water", checkpoint.lsn)
 
-        suffix = [r for r in self.wal if r.lsn > start_lsn]
-        outcomes: dict[str, RecordType] = {}
+        outcomes: dict[str, RecordType] = {
+            txn_id: RecordType.COMMIT if committed else RecordType.ABORT
+            for txn_id, committed in self.wal.settled.items()
+            if not is_coordinator_id(txn_id)
+        }
+        suffix = [r for r in self.wal if r.lsn >= start_lsn]
         for record in suffix:
             if record.record_type in (
                 RecordType.COMMIT,
@@ -88,10 +96,7 @@ class RecoveryManager:
                 self.store.apply_image(record.key, record.after)
 
         for txn_id, outcome in outcomes.items():
-            if outcome is RecordType.COMMIT:
-                report.redone.append(txn_id)
-            elif outcome is RecordType.LOCAL_COMMIT:
-                report.redone.append(txn_id)
+            if outcome is RecordType.LOCAL_COMMIT:
                 report.locally_committed.append(txn_id)
             elif outcome is RecordType.PREPARE:
                 report.in_doubt.append(txn_id)
@@ -100,6 +105,7 @@ class RecoveryManager:
                 # reflects "never happened"; log the abort for completeness.
                 self.wal.append(RecordType.ABORT, txn_id, force=True)
                 report.undone.append(txn_id)
+        report.redone = sorted(winners)
         return report
 
     @staticmethod

@@ -21,6 +21,15 @@ only way to revoke the transaction.  A Paxos acceptor forces each change
 of its tables as an ``ACCEPTOR`` record keyed by its own id, which site
 recovery never reads (:mod:`repro.protocols.acceptor`).
 
+Fuzzy checkpoints (:meth:`WriteAheadLog.checkpoint`) bound a live log:
+an unforced ``CHECKPOINT`` record carries a transaction-consistent store
+snapshot, the *low-water* LSN below which no record is still needed, and
+the ids of the transactions whose records it drops (id → committed).  The
+in-memory log then forgets everything below the low-water; what a reader
+still asks of a forgotten id — its outcome, the stamp of a message that
+reveals it, whether the id is taken — is answered from
+:attr:`WriteAheadLog.settled`.
+
 File backing (the ``net`` backend): constructed with a ``path``, the log
 appends every record to that file as a length-prefixed, CRC32-checked JSON
 frame and ``fsync``\\ s on forced writes, so it survives ``kill -9`` of the
@@ -46,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.errors import WALError
+from repro.ids import is_coordinator_id
 from repro.storage.kvstore import TOMBSTONE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (txn imports us)
@@ -81,6 +91,12 @@ class RecordType(enum.Enum):
 
 #: the payload of every record appended without one (never mutated)
 _NO_PAYLOAD: dict[str, Any] = {}
+
+#: the records that settle their id: a transaction's COMMIT or ABORT, a
+#: coordination's COORD_END (every site acknowledged its decision).  Any
+#: other record of an id opens it again; a checkpoint keeps every record
+#: from the first one of the oldest open id on.
+_SETTLING = (RecordType.COMMIT, RecordType.ABORT, RecordType.COORD_END)
 
 #: JSON stand-in for ``TOMBSTONE`` in a frame (a stored value equal to it
 #: would read back as "absent")
@@ -173,6 +189,17 @@ class WriteAheadLog:
         self._base = 0
         #: last LSN per transaction (head of the undo chain)
         self._last_lsn: dict[str, int] = {}
+        #: open ids (no settling record since their first record) → the
+        #: LSN that opened them; insertion order is LSN order, so the
+        #: first entry is the oldest
+        self._open: dict[str, int] = {}
+        #: id → committed, for every id a checkpoint dropped records of
+        #: (a coordinator's: its decision) — the settled-id table
+        self.settled: dict[str, bool] = {}
+        #: the latest CHECKPOINT record (restart starts from it)
+        self._checkpoint: LogRecord | None = None
+        #: fuzzy checkpoints taken by this log object
+        self.checkpoints = 0
         #: force-write counter (metrics: 2PC forced log writes are the
         #: protocol's durability cost)
         self.forced_writes = 0
@@ -269,6 +296,12 @@ class WriteAheadLog:
         self._next_lsn = record.lsn + 1
         # replayed from the file: on disk, so durable
         self.durable_lsn = record.lsn
+        self._track(record)
+        if record.record_type is RecordType.CHECKPOINT:
+            # The file keeps every record; memory keeps what the
+            # checkpoint kept when it was taken.
+            self.settled.update(record.payload.get("settled", ()))
+            self._truncate(record.payload.get("low_water", record.lsn))
 
     def _persist(self, record: LogRecord, force: bool) -> None:
         payload = json.dumps(
@@ -308,15 +341,6 @@ class WriteAheadLog:
             self._flush_buffer()
         self.durable_lsn = self._next_lsn - 1
         return covered
-
-    def _rewrite_file(self) -> None:
-        """Rewrite the backing file from the retained records (truncation)."""
-        self._write_buffer.clear()
-        self._file.seek(0)
-        self._file.truncate(0)
-        for record in self._records:
-            self._persist(record, force=False)
-        self._flush_buffer()
 
     def close(self) -> None:
         """Flush and close the backing file (no-op when in-memory)."""
@@ -361,6 +385,7 @@ class WriteAheadLog:
         )
         self._records.append(record)
         self._last_lsn[txn_id] = lsn
+        self._track(record)
         if force:
             self.forced_writes += 1
             if not self.group_commit:
@@ -369,13 +394,54 @@ class WriteAheadLog:
             self._persist(record, force)
         return record
 
+    def _track(self, record: LogRecord) -> None:
+        """Open or settle ``record``'s id (see :data:`_SETTLING`)."""
+        kind = record.record_type
+        if kind in _SETTLING:
+            self._open.pop(record.txn_id, None)
+        elif kind is RecordType.CHECKPOINT:
+            self._checkpoint = record
+        elif record.txn_id not in self._open:
+            self._open[record.txn_id] = record.lsn
+
     def cover(self, txn_id: str) -> "Cover":
         """The stamp of a message revealing ``txn_id``'s latest record here
-        (:attr:`~repro.net.message.Message.covers`)."""
+        (:attr:`~repro.net.message.Message.covers`); for an id whose
+        records a checkpoint dropped, its :meth:`settled_record`."""
         lsn = self._last_lsn.get(txn_id)
         if lsn is None:
-            return (self, None)
+            return (self, self.settled_record(txn_id))
         return (self, self._records[lsn - 1 - self._base])
+
+    def settled_record(self, txn_id: str) -> LogRecord | None:
+        """A stand-in for the dropped outcome record of a settled id, or
+        None when :attr:`settled` does not hold it.
+
+        A COMMIT or ABORT (a coordinator's: a DECIDE carrying its
+        decision) at the last dropped LSN: a checkpoint drops only durable
+        records, so the stand-in is durable and covers what the dropped
+        record covered.
+        """
+        committed = self.settled.get(txn_id)
+        if committed is None:
+            return None
+        if is_coordinator_id(txn_id):
+            return LogRecord(
+                self._base, RecordType.DECIDE, txn_id,
+                payload={"decision": "COMMIT" if committed else "ABORT"},
+            )
+        return LogRecord(
+            self._base,
+            RecordType.COMMIT if committed else RecordType.ABORT, txn_id,
+        )
+
+    def knows(self, txn_id: str) -> bool:
+        """True if ``txn_id`` has a record here or was settled here."""
+        return txn_id in self._last_lsn or txn_id in self.settled
+
+    def forgot(self, txn_id: str) -> bool:
+        """True if a checkpoint dropped every record of ``txn_id``."""
+        return txn_id in self.settled and txn_id not in self._last_lsn
 
     def clone(self) -> "WriteAheadLog":
         """An in-memory log holding the same records.
@@ -389,13 +455,27 @@ class WriteAheadLog:
         twin._next_lsn = self._next_lsn
         twin._base = self._base
         twin._last_lsn = dict(self._last_lsn)
+        twin._open = dict(self._open)
+        twin.settled = dict(self.settled)
+        twin._checkpoint = self._checkpoint
         twin.durable_lsn = self.durable_lsn
         return twin
 
     # -- reading -------------------------------------------------------------------
 
     def __len__(self) -> int:
+        """Records retained in memory (a checkpoint drops the rest)."""
         return len(self._records)
+
+    @property
+    def appended(self) -> int:
+        """Records ever appended to this log (its last LSN)."""
+        return self._next_lsn - 1
+
+    @property
+    def low_water(self) -> int:
+        """The first retained LSN."""
+        return self._base + 1
 
     def __iter__(self) -> Iterator[LogRecord]:
         return iter(self._records)
@@ -412,65 +492,90 @@ class WriteAheadLog:
 
     # -- checkpointing -----------------------------------------------------------
 
-    def checkpoint(self, snapshot: dict[str, Any], active: list[str]) -> LogRecord:
-        """Append a CHECKPOINT record carrying a store snapshot.
+    def _next_low_water(self) -> int:
+        """The low-water a checkpoint taken now would keep from: the LSN
+        that opened the oldest open id, and never past a record that is
+        not yet durable (a dropped record's stand-in stamps must hold)."""
+        low = self.durable_lsn + 1
+        for first in self._open.values():
+            return min(first, low)
+        return low
 
-        ``active`` lists the transactions in flight at checkpoint time;
-        truncation is only legal at a *quiescent* checkpoint (empty
-        ``active``), because truncating under it would sever live undo
-        chains.
+    def wants_checkpoint(self, snapshot_keys: int) -> bool:
+        """True when a checkpoint would drop more records than it keeps
+        plus the keys its snapshot carries — so its cost amortizes to
+        O(1) per record without a tuned period."""
+        low = self._next_low_water()
+        return low - 1 - self._base > self._next_lsn - low + snapshot_keys
+
+    def checkpoint(self, snapshot: dict[str, Any]) -> list[str]:
+        """Take a fuzzy checkpoint of ``snapshot`` (the live store); returns
+        the ids whose every record it dropped.
+
+        Appends an unforced CHECKPOINT record carrying the snapshot with
+        each open writer's keys set back to the before-image of the first
+        open update (strict 2PL makes that the committed value: restart
+        redoes the winners from the low-water on), the low-water LSN, and
+        the outcomes of the ids it settles; then drops every record below
+        the low-water from memory.  A backing file keeps them all.
         """
-        return self.append(
-            RecordType.CHECKPOINT, txn_id="__checkpoint__", force=True,
-            snapshot=dict(snapshot), active=list(active),
+        low = self._next_low_water()
+        keep = low - 1 - self._base
+        snapshot = dict(snapshot)
+        reset: set[str] = set()
+        for record in self._records[keep:]:
+            if (
+                record.record_type is RecordType.UPDATE
+                and record.txn_id in self._open
+                and record.key not in reset
+            ):
+                reset.add(record.key)
+                if record.before is TOMBSTONE:
+                    snapshot.pop(record.key, None)
+                else:
+                    snapshot[record.key] = record.before
+        settles: dict[str, bool] = {}
+        for record in self._records[:keep]:
+            kind = record.record_type
+            if kind is RecordType.COMMIT or kind is RecordType.ABORT:
+                settles[record.txn_id] = kind is RecordType.COMMIT
+            elif kind is RecordType.DECIDE:
+                settles[record.txn_id] = record.payload["decision"] == "COMMIT"
+            elif kind is RecordType.COORD_END:
+                # the decision of its DECIDE, dropped now or earlier; with
+                # none, an abort presumed at spawn time
+                settles.setdefault(
+                    record.txn_id, self.settled.get(record.txn_id, False),
+                )
+        self.append(
+            RecordType.CHECKPOINT, "__checkpoint__",
+            snapshot=snapshot, settled=settles, low_water=low,
         )
+        self.settled.update(settles)
+        self._truncate(low)
+        self.checkpoints += 1
+        return [txn for txn in settles if txn not in self._last_lsn]
+
+    def _truncate(self, low_water: int) -> None:
+        """Drop every in-memory record below ``low_water``."""
+        keep = low_water - 1 - self._base
+        if keep <= 0:
+            return
+        del self._records[:keep]
+        self._base = low_water - 1
+        self._last_lsn = {
+            txn: lsn for txn, lsn in self._last_lsn.items() if lsn >= low_water
+        }
 
     def last_checkpoint(self) -> LogRecord | None:
-        """The most recent CHECKPOINT record still in the log, or None."""
-        for record in reversed(self._records):
-            if record.record_type is RecordType.CHECKPOINT:
-                return record
-        return None
-
-    def truncate_at_checkpoint(self) -> int:
-        """Drop every record before the latest quiescent checkpoint.
-
-        Returns the number of records dropped.  Raises
-        :class:`~repro.errors.WALError` if there is no checkpoint or the
-        latest one was taken with transactions in flight (their undo
-        chains would be severed).
-        """
-        checkpoint = self.last_checkpoint()
-        if checkpoint is None:
-            raise WALError("no checkpoint to truncate at")
-        if checkpoint.payload.get("active"):
-            raise WALError(
-                "latest checkpoint is not quiescent: "
-                f"{checkpoint.payload['active']}"
-            )
-        index = checkpoint.lsn - 1 - self._base
-        dropped = self._records[:index]
-        self._records = self._records[index:]
-        self._base = checkpoint.lsn - 1
-        # Per-transaction chains of dropped (terminated) transactions are
-        # gone; purge stale heads so records_for() stops at the cut.
-        dropped_lsns = {record.lsn for record in dropped}
-        self._last_lsn = {
-            txn: lsn for txn, lsn in self._last_lsn.items()
-            if lsn not in dropped_lsns
-        }
-        for record in self._records:
-            if record.prev_lsn is not None and record.prev_lsn <= self._base:
-                record.prev_lsn = None
-        if self._file is not None:
-            self._rewrite_file()
-        return len(dropped)
+        """The most recent CHECKPOINT record, or None."""
+        return self._checkpoint
 
     def records_for(self, txn_id: str) -> list[LogRecord]:
         """All records of one transaction, oldest first."""
         chain: list[LogRecord] = []
         lsn = self._last_lsn.get(txn_id)
-        while lsn is not None:
+        while lsn is not None and lsn > self._base:
             record = self.record_at(lsn)
             chain.append(record)
             lsn = record.prev_lsn
@@ -501,6 +606,9 @@ class WriteAheadLog:
         seen: set[RecordType] = {
             r.record_type for r in self.records_for(txn_id)
         }
+        committed = self.settled.get(txn_id)
+        if committed is not None:
+            seen.add(RecordType.COMMIT if committed else RecordType.ABORT)
         for decisive in (
             RecordType.COMMIT,
             RecordType.ABORT,

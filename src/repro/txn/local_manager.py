@@ -61,6 +61,9 @@ class LocalTransactionManager:
         """Start a transaction at this site."""
         if self.status.get(txn_id) is TxnStatus.ACTIVE:
             raise InvalidTransactionState(f"{txn_id} already active")
+        # The checkpoint trigger: here no handler is between a settling
+        # record and the reply that reveals it.
+        self.site.maybe_checkpoint()
         self.site.wal.append(RecordType.BEGIN, txn_id)
         self.status[txn_id] = TxnStatus.ACTIVE
         self.read_results[txn_id] = {}
@@ -252,11 +255,11 @@ class LocalTransactionManager:
                 self.site.history.write(ct_id, self.site.marks_key)
             self.site.wal.append(RecordType.COMMIT, ct_id, force=True)
             self.site.history.commit(ct_id)
+            self.status[ct_id] = TxnStatus.COMMITTED
         self.site.wal.append(RecordType.ABORT, txn_id, force=True)
         self.site.history.abort(txn_id)
         self.site.locks.release_all(txn_id)
         self._terminate(txn_id, TxnStatus.ABORTED)
-        self.status[ct_id] = TxnStatus.COMMITTED
         return ct_id
 
     def _undo_write(self, ct_id: str, key: str, image: Any) -> None:
@@ -384,12 +387,20 @@ class LocalTransactionManager:
             if status in (TxnStatus.ACTIVE, TxnStatus.PREPARED):
                 self._terminate(txn_id, TxnStatus.ABORTED)
 
+    def forget(self, txn_ids: list[str]) -> None:
+        """Drop the status and reads of transactions a checkpoint settled
+        (their records are gone; the log's settled-id table answers)."""
+        for txn_id in txn_ids:
+            self.status.pop(txn_id, None)
+            self.read_results.pop(txn_id, None)
+
     # -- helpers --------------------------------------------------------------------------
 
     def _terminate(self, txn_id: str, status: TxnStatus) -> None:
         """Enter a terminal ``status`` and drop the lock table's
         shrink-phase entry — so every caller releases its locks first.
-        (``read_results`` stays; workloads read it after commit.)"""
+        (``read_results`` stays until a checkpoint settles the id;
+        workloads read it after commit.)"""
         self.status[txn_id] = status
         self.site.locks.forget(txn_id)
 

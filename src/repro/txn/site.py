@@ -8,11 +8,12 @@ that executes transactions against them.
 Crash modeling: :meth:`crash` wipes volatile state (store contents, lock
 table, in-flight transactions); :meth:`restart` replays the WAL through the
 recovery manager.  The WAL itself survives — it is the durable state.
+:meth:`maybe_checkpoint` (called where a transaction begins) bounds it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.locking.manager import LockManager
 from repro.sg.history import SiteHistory
@@ -67,41 +68,39 @@ class Site:
         self.marks_key: str | None = None
 
         self.ltm = LocalTransactionManager(self)
+        #: called with the ids each checkpoint settled (the participant
+        #: and coordinator host drop their state for them)
+        self.on_checkpoint: list[Callable[[list[str]], None]] = []
         #: crash counter (metrics)
         self.crash_count = 0
 
     def load(self, data: dict[str, object]) -> None:
         """Install initial database contents: pre-history state, logged
-        only as an unforced quiescent checkpoint, so a crash restart
-        starts from it instead of an empty store."""
+        only as an unforced checkpoint, so a crash restart starts from it
+        instead of an empty store."""
         for key, value in data.items():
             self.store.put(key, value)
         self.wal.append(RecordType.CHECKPOINT, "__checkpoint__",
-                        snapshot=self.store.snapshot(), active=[])
+                        snapshot=self.store.snapshot())
 
-    def checkpoint(self) -> None:
-        """Take a quiescent checkpoint and truncate the log.
+    def checkpoint(self) -> list[str]:
+        """Take a fuzzy checkpoint (:meth:`WriteAheadLog.checkpoint`) and
+        let the per-transaction tables drop what it settled.
 
-        Only legal while no transaction is in flight at this site (their
-        undo chains would be severed by the truncation); raises
-        :class:`~repro.errors.WALError` otherwise.  After the call, crash
-        recovery starts from the snapshot instead of replaying history
-        from the beginning.
+        Legal at any time: transactions in flight keep their records.
+        Returns the ids whose records it dropped.
         """
-        from repro.errors import WALError
-        from repro.txn.transaction import TxnStatus
+        gone = self.wal.checkpoint(self.store.snapshot())
+        self.ltm.forget(gone)
+        for forget in self.on_checkpoint:
+            forget(gone)
+        return gone
 
-        in_flight = sorted(
-            txn for txn, status in self.ltm.status.items()
-            if status in (TxnStatus.ACTIVE, TxnStatus.PREPARED,
-                          TxnStatus.LOCALLY_COMMITTED)
-        )
-        if in_flight:
-            raise WALError(
-                f"checkpoint refused: transactions in flight {in_flight}"
-            )
-        self.wal.checkpoint(self.store.snapshot(), active=[])
-        self.wal.truncate_at_checkpoint()
+    def maybe_checkpoint(self) -> None:
+        """Checkpoint when that drops more records than it keeps plus
+        the snapshot's keys (:meth:`WriteAheadLog.wants_checkpoint`)."""
+        if self.wal.wants_checkpoint(len(self.store)):
+            self.checkpoint()
 
     def crash(self) -> None:
         """Lose all volatile state: store contents and the lock table.

@@ -87,13 +87,14 @@ class TestDirectCalls:
         assert rules(found) == ["blocking/sync-fsync"]
         assert "WAL-chain" in found[0].message
 
-    def test_checkpoint_always_counts(self, rt):
+    def test_checkpoint_is_not_a_durability_call(self, rt):
+        # A fuzzy checkpoint appends an unforced record: no fsync.
         root = rt(
             "class D:\n"
             "    async def go(self):\n"
             "        self.site.checkpoint()\n"
         )
-        assert rules(analyze_rt_blocking(root)) == ["blocking/sync-fsync"]
+        assert analyze_rt_blocking(root) == []
 
     def test_asyncio_writer_close_is_not_wal(self, rt):
         root = rt(

@@ -8,6 +8,8 @@ timeouts are compressed exactly like the checker's so a watchdog round
 fits in a short run.
 """
 
+import pytest
+
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.harness.system import System, SystemConfig
 from repro.net.failures import CrashPlan
@@ -121,6 +123,14 @@ class TestNonBlocking:
         assert decisions(system)["S1"].decided == "COMMIT"
         assert system.sites["S1"].store.get_or("k0", None) == 1
         assert system.sites["S2"].store.get_or("k1", None) == 1
+
+    def test_the_surviving_participant_leads_first(self):
+        # The first site hosts the coordinator and ranks last among
+        # recovery leaders, so the survivor S2 leads as soon as its
+        # watchdog fires: t = 21.0, where ranking by position (S1 first)
+        # made it wait out one stagger (t = 24.0).
+        system = self.run_crashed_coordinator()
+        assert decisions(system)["S2"].decided_at == pytest.approx(21.0)
 
     def test_quorum_loss_blocks_until_an_acceptor_returns(self):
         # The contrapositive: with 2 of 3 acceptors down no termination

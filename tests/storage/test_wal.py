@@ -88,8 +88,9 @@ def test_clone_replays_alike_and_keeps_its_appends_to_itself():
     from repro.storage.recovery import RecoveryManager
 
     wal = WriteAheadLog("S1")
-    wal.checkpoint({"a": 1, "b": 2}, active=[])
-    wal.truncate_at_checkpoint()  # a non-zero base, as after a long run
+    wal.append(RecordType.BEGIN, "T0")
+    wal.append(RecordType.COMMIT, "T0", force=True)
+    wal.checkpoint({"a": 1, "b": 2})  # a non-zero base, as after a long run
     wal.append(RecordType.BEGIN, "T1")
     wal.append(RecordType.UPDATE, "T1", key="a", before=1, after=5)
     wal.append(RecordType.COMMIT, "T1", force=True)

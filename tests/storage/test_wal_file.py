@@ -139,17 +139,21 @@ class TestFileBacking:
         with pytest.raises(WALError):
             wal_at(tmp_path)
 
-    def test_checkpoint_truncation_rewrites_the_file(self, tmp_path):
+    def test_checkpoint_leaves_the_file_whole(self, tmp_path):
         path = tmp_path / "site.wal"
         wal = wal_at(tmp_path)
         append_committed_txn(wal)
-        wal.checkpoint({"k0": 7}, active=[])
-        wal.truncate_at_checkpoint()
+        assert wal.checkpoint({"k0": 7}) == ["T1"]
+        assert len(wal) == 1  # memory keeps the checkpoint
         wal.close()
 
+        # The file keeps every record; replaying it drops in memory what
+        # the checkpoint dropped, and rebuilds the settled-id table.
         reopened = wal_at(tmp_path)
         assert [r.record_type for r in reopened] == [RecordType.CHECKPOINT]
         assert reopened.last_checkpoint().payload["snapshot"] == {"k0": 7}
+        assert reopened.settled == {"T1": True}
+        assert reopened.appended == 4
         assert path.stat().st_size > 0
 
 

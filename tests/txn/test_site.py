@@ -22,7 +22,7 @@ def test_load_logs_an_unforced_checkpoint():
     assert site.store.get("a") == 1
     (record,) = list(site.wal)
     assert record.record_type is RecordType.CHECKPOINT
-    assert record.payload == {"snapshot": {"a": 1, "b": 2}, "active": []}
+    assert record.payload == {"snapshot": {"a": 1, "b": 2}}
     assert site.wal.forced_writes == 0
 
 

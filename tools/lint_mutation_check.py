@@ -9,7 +9,8 @@ either that the lint exits 1 with the expected rule (``expect_rule``) or
 that the named tier-1 test (``expect_test``, a pytest node id), run
 against the mutated copy, fails with ``ProtocolViolation`` — the run-time
 force-before-send check at the send seams (the simulated network's
-``send``, the TCP transport's ``_write``).  The unmutated copy
+``send``, the TCP transport's ``_write``) — or with the oracle failure
+the mutation names (``expect_failure``).  The unmutated copy
 must stay clean (lint exit 0, every named test passing) to prove the
 harness itself isn't producing the failures.
 
@@ -34,14 +35,14 @@ SRC = REPO / "src"
 _WAIT_FOR = "        future: asyncio.Future[Any] = loop.create_future()\n"
 
 
-#: the run-time check a dynamic mutation's test must fail with
+#: the run-time check a dynamic mutation's test fails with by default
 _VIOLATION = "ProtocolViolation"
 
 
 @dataclass(frozen=True)
 class Mutation:
     """One seeded defect: edit ``paths`` and expect ``expect_rule`` to fire
-    or the ``expect_test`` node to fail with ``ProtocolViolation``."""
+    or the ``expect_test`` node to fail with ``expect_failure``."""
 
     name: str
     paths: tuple[str, ...]  # relative to the copied src/ tree
@@ -49,6 +50,8 @@ class Mutation:
     append: str  # text appended to each file (for injections)
     expect_rule: str | None = None
     expect_test: str | None = None
+    #: what the failing test's output must show
+    expect_failure: str = _VIOLATION
 
 
 MUTATIONS = [
@@ -344,6 +347,26 @@ MUTATIONS = [
         append="",
         expect_rule="msgflow/dead-handler",
     ),
+    Mutation(
+        name="low-water-ignores-locally-committed",
+        # a locally committed, undecided transaction counts as settled: a
+        # checkpoint drops its records, so a restart forgets it and a
+        # later ABORT finds no UPDATE records to build the undo program of
+        # its compensation from
+        paths=("repro/storage/wal.py",),
+        replacements=((
+            "_SETTLING = (RecordType.COMMIT, RecordType.ABORT, "
+            "RecordType.COORD_END)\n",
+            "_SETTLING = (RecordType.COMMIT, RecordType.ABORT, "
+            "RecordType.COORD_END, RecordType.LOCAL_COMMIT)\n",
+        ),),
+        append="",
+        expect_test=(
+            "tests/storage/test_restart_parity.py::"
+            "test_truncated_restart_equals_full_restart[O2PC]"
+        ),
+        expect_failure="restart parity",
+    ),
 ]
 
 
@@ -404,8 +427,8 @@ def caught(root: Path, mutation: Mutation) -> tuple[bool, str]:
     """Whether the mutated checkout at ``root`` fails as expected."""
     if mutation.expect_test is not None:
         code, output = run_tests(root, [mutation.expect_test])
-        if code == 1 and _VIOLATION in output:
-            return True, f"{mutation.expect_test} ({_VIOLATION})"
+        if code == 1 and mutation.expect_failure in output:
+            return True, f"{mutation.expect_test} ({mutation.expect_failure})"
         return False, f"{mutation.expect_test} exit {code}"
     code, report = run_lint(root / "src")
     rules = [f["rule"] for f in report["findings"]]
