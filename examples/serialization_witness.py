@@ -30,6 +30,9 @@ def main() -> None:
         n_sites=3, scheme=CommitScheme.O2PC, protocol="P1",
         keys_per_site=8,
     ))
+    # The witness orders the whole history: keep all of it (the judge
+    # would forget settled transactions as the run goes).
+    system.judge.stop()
     gen = WorkloadGenerator(system, WorkloadConfig(
         n_transactions=12, abort_probability=0.25,
         read_fraction=0.5, arrival_mean=3.0, zipf_theta=0.5,

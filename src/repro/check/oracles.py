@@ -31,6 +31,11 @@ component and reports :class:`Violation`\\ s.  The mapping to the paper:
 * ``liveness`` — every submitted transaction terminated before the event
   queue drained (checked by the explorer, which owns the process handles).
 
+The serializability and atomicity oracles judge what the system's
+forgetting judge retains (:attr:`System.judge`): it pins every violation
+before it forgets anything, so they return the full history's verdicts
+(docs/THEORY.md §11).
+
 Oracles run on a *cloned* WAL and a fresh store where replay is involved,
 because :meth:`~repro.storage.recovery.RecoveryManager.restart` appends
 ABORT records for losers — the oracle must not mutate the history it judges.

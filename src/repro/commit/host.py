@@ -274,7 +274,11 @@ class CoordinatorHost:
                     record.payload.get("decision"), record.payload["sites"],
                 )
         for txn_id, (decision, sites) in sorted(owed.items()):
-            self.resend(txn_id, decision, sites)
+            # One submitted while the site was down runs already: a second
+            # coordinator on its endpoint would take the first one's
+            # replies, and each would wait for the other's without end.
+            if txn_id not in self.coordinating:
+                self.resend(txn_id, decision, sites)
 
     def forget(self, endpoints: list[str]) -> None:
         """A checkpoint settled ``endpoints``: the marking directory may

@@ -65,9 +65,14 @@ class MarkingStateMachine:
 
     site_id: str
     _states: dict[str, Marking] = field(default_factory=dict)
-    #: audit log of transitions: (time-ordering index implied by position)
+    #: audit log of transitions: (time-ordering index implied by position);
+    #: under a judge, only those of transactions it still retains
     transitions: list[tuple[str, Marking, MarkingEvent, Marking]] = field(
         default_factory=list
+    )
+    #: every transition ever fired, counted per (event, new marking)
+    counts: dict[tuple[MarkingEvent, Marking], int] = field(
+        default_factory=dict
     )
 
     def state(self, txn_id: str) -> Marking:
@@ -92,7 +97,13 @@ class MarkingStateMachine:
         else:
             self._states[txn_id] = new
         self.transitions.append((txn_id, current, event, new))
+        self.counts[(event, new)] = self.counts.get((event, new), 0) + 1
         return new
+
+    def keep(self, txn_ids: set[str]) -> None:
+        """Drop the transitions of every transaction not in ``txn_ids``
+        (the judge forgot it); :attr:`counts` still counts them."""
+        self.transitions = [t for t in self.transitions if t[0] in txn_ids]
 
     def restore(self, txn_id: str, marking: Marking) -> None:
         """Re-seed a marking re-derived from durable state after a crash.

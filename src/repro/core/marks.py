@@ -80,6 +80,12 @@ class MarkingDirectory:
         """Transactions ``site_id`` is locally-committed wrt (for P2)."""
         return self.machine(site_id).locally_committed_set()
 
+    def keep_audit(self, txn_ids: set[str]) -> None:
+        """Each machine keeps the transitions of ``txn_ids`` only (the
+        transactions a :class:`~repro.sg.judge.HistoryJudge` retains)."""
+        for machine in self.machines.values():
+            machine.keep(txn_ids)
+
     # -- registration ----------------------------------------------------------
 
     def register_execution(self, txn_id: str, site_ids: list[str]) -> None:

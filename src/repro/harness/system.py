@@ -50,6 +50,7 @@ from repro.protocols.acceptor import Acceptor
 from repro.sg.cycles import assert_correct
 from repro.sg.graph import GlobalSG, TxnKind
 from repro.sg.history import GlobalHistory
+from repro.sg.judge import HistoryJudge
 from repro.sim.engine import Environment
 from repro.sim.process import Process
 from repro.sim.rng import Rng
@@ -232,6 +233,10 @@ class System:
         #: every submitted spec by txn id: what a finished transaction is
         #: judged by, in place of its coordinator
         self.specs: dict[str, GlobalTxnSpec] = {}
+        #: forgets what can no longer change a verdict, so the sites'
+        #: histories and the marking audit hold O(in-flight) state
+        self.judge = HistoryJudge(self.sites, live=self._live)
+        self.judge.on_prune.append(self.directory.keep_audit)
         self._local_seq = 0
         # Wire site crash/recovery to the failure injector: a crashed site
         # loses its volatile state and its coordinators immediately; on
@@ -241,6 +246,15 @@ class System:
         self.failures.on_crash(self._on_site_crash)
         self.failures.on_recover(self._on_site_recover)
         self.env.add_deadlock_diagnostic(self._waits_for_snapshot)
+
+    def _live(self, txn_id: str) -> bool:
+        """True while ``txn_id``'s coordination runs or owes a decision
+        (it may still start a subtransaction somewhere)."""
+        spec = self.specs.get(txn_id)
+        if spec is None:
+            return False
+        host = self.hosts[spec.subtxns[0].site_id]
+        return txn_id in host.coordinating or txn_id in host.pending
 
     def _waits_for_snapshot(self) -> str:
         """Render every site's lock wait-for graph (deadlock diagnostics)."""
@@ -363,7 +377,9 @@ class System:
     # -- theory-layer views -------------------------------------------------------------
 
     def global_history(self) -> GlobalHistory:
-        """The run's global history (live view of the sites' histories)."""
+        """The run's global history (live view of the sites' histories):
+        what :attr:`judge` retains, which every end-of-run judge reads to
+        the verdicts of the full history."""
         return GlobalHistory(
             sites={sid: site.history for sid, site in self.sites.items()}
         )

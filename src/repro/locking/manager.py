@@ -140,10 +140,6 @@ class LockManager:
             if txn_id in grants
         }
 
-    def queue_length(self, key: str) -> int:
-        """Number of blocked requests on ``key``."""
-        return len(self._queues.get(key, ()))
-
     # -- acquire ----------------------------------------------------------------
 
     def acquire(self, txn_id: str, key: str, mode: LockMode) -> Event:

@@ -91,9 +91,22 @@ def render_marking_audit(system: "System") -> str:
     directory = system.marking.directory
     lines = ["marking transitions (site: txn old --event--> new)"]
     for site_id in sorted(directory.machines):
-        for txn, old, event, new in directory.machines[site_id].transitions:
+        machine = directory.machines[site_id]
+        for txn, old, event, new in machine.transitions:
             lines.append(
                 f"  {site_id}: {txn} {old.value} --{event.value}--> {new.value}"
+            )
+        forgotten = sum(machine.counts.values()) - len(machine.transitions)
+        if forgotten:
+            lines.append(
+                f"  {site_id}: {forgotten} more of forgotten transactions ("
+                + ", ".join(
+                    f"--{event.value}--> {new.value} x{n}"
+                    for (event, new), n in sorted(
+                        machine.counts.items(),
+                        key=lambda item: (item[0][0].value, item[0][1].value),
+                    )
+                ) + " in all)"
             )
     if directory.udum_log:
         lines.append("UDUM clearings (txn <- enabling witness)")

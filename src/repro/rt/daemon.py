@@ -51,6 +51,7 @@ from repro.rt.obs_sink import JsonlEventSink
 from repro.rt.pump import RealtimePump
 from repro.rt.transport import TcpTransport, _Link
 from repro.rt.wire import WireError, spec_from_json
+from repro.sg.judge import HistoryJudge
 from repro.sim.engine import Environment
 from repro.storage.recovery import RecoveryManager, RestartReport
 from repro.storage.wal import Cover, WriteAheadLog
@@ -101,6 +102,11 @@ class SiteDaemon:
         )
         if not isinstance(self.marking, NoProtocol):
             self.site.marks_key = MARKS_KEY
+
+        #: the site's history and marking audit keep O(in-flight) state
+        #: (judged by this one site's graph: no daemon sees the union)
+        self.judge = HistoryJudge({site_id: self.site})
+        self.judge.on_prune.append(self.marking.directory.keep_audit)
 
         self.commit = commit or CommitConfig()
         self.scheme = scheme
@@ -246,6 +252,11 @@ class SiteDaemon:
             "wal_low_water": self.site.wal.low_water,
             "checkpoints": self.site.wal.checkpoints,
             "settled_ids": len(self.site.wal.settled),
+            "history_ops": len(self.site.history.ops),
+            "audit_entries": sum(
+                len(m.transitions)
+                for m in self.marking.directory.machines.values()
+            ),
             "torn_records_truncated": self.site.wal.torn_records_truncated,
             "forced_writes": self.site.wal.forced_writes,
             "fsyncs": self.site.wal.fsyncs,

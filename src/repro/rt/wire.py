@@ -39,6 +39,7 @@ import struct
 from typing import Any
 
 from repro.net.message import Message, MsgType
+from repro.storage.wal import canonical_json
 from repro.txn.operations import Op, ReadOp, SemanticOp, WriteOp
 from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec, VotePolicy
 
@@ -232,9 +233,7 @@ def unbatch(body: dict[str, Any]) -> list[dict[str, Any]]:
 
 def _encode_body(body: dict[str, Any]) -> bytes:
     """Compact, key-sorted JSON (ASCII-only: one byte per character)."""
-    return json.dumps(
-        body, sort_keys=True, separators=(",", ":"),
-    ).encode("utf-8")
+    return canonical_json(body).encode("utf-8")
 
 
 def encode_frame(body: dict[str, Any] | bytes) -> bytes:

@@ -135,6 +135,19 @@ def find_regular_cycle(
     return None
 
 
+def regular_cycle_in(gsg: GlobalSG, component: set[str]) -> list[str] | None:
+    """A regular cycle (literal criterion) among the members of one
+    strongly connected component of the union graph, or None."""
+    graph: SegmentGraph | None = None
+    for node in sorted(component):
+        if classify(node) is TxnKind.GLOBAL:
+            graph = graph or SegmentGraph(gsg, within=component)
+            cycle = find_chordless_cycle_through(graph, node)
+            if cycle is not None:
+                return cycle
+    return None
+
+
 def find_local_cycle(gsg: GlobalSG) -> tuple[str, list[str]] | None:
     """Return ``(site_id, cycle)`` for a cycle inside one local SG, or None.
 

@@ -13,6 +13,7 @@ transactions :math:`\\mathcal{T}`, their compensating transactions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import HistoryError
 from repro.sg.conflicts import OpKind, Operation
@@ -21,7 +22,8 @@ from repro.sg.index import ConflictIndex
 
 @dataclass
 class SiteHistory:
-    """The complete history of one site."""
+    """The history of one site: complete, or, under a judge, everything
+    but the transactions it forgot."""
 
     site_id: str
     ops: list[Operation] = field(default_factory=list)
@@ -37,6 +39,14 @@ class SiteHistory:
     _next_seq: int = field(default=0, repr=False, compare=False)
     #: number of leading ``ops`` already folded into ``_index``
     _indexed: int = field(default=0, repr=False, compare=False)
+    #: the judge that prunes this history (None: it keeps everything);
+    #: see :class:`~repro.sg.judge.HistoryJudge`
+    judge: Any = field(default=None, repr=False, compare=False)
+    #: read seq -> (writer, write seq): the latest forgotten write before
+    #: a retained read, which :meth:`reads_from` still counts
+    sources: dict[int, tuple[str, int]] = field(
+        default_factory=dict, repr=False, compare=False,
+    )
 
     def __post_init__(self) -> None:
         # Constructed around a pre-recorded ops list: resume the seq counter
@@ -70,6 +80,11 @@ class SiteHistory:
         )
         self._next_seq += 1
         self.ops.append(op)
+        judge = self.judge
+        if judge is not None:
+            judge.recorded += 1
+            if judge.recorded > judge.budget:
+                judge.prune()
         return op
 
     def read(self, txn_id: str, key: str) -> Operation:
@@ -118,15 +133,44 @@ class SiteHistory:
         self._indexed = len(self.ops)
         self.aborted.discard(txn_id)
 
+    def forget(self, gone: set[str]) -> None:
+        """Drop settled transactions (:class:`~repro.sg.judge.HistoryJudge`
+        decided nothing they did can change a verdict any more).
+
+        A retained read keeps the latest dropped write before it as its
+        :attr:`sources` entry, so :meth:`reads_from` is unchanged.
+        """
+        if not gone:
+            return
+        index = self.index if self._indexed else None
+        sources = self.sources
+        last_gone: dict[str, tuple[str, int]] = {}
+        kept: list[Operation] = []
+        for op in self.ops:
+            if op.txn_id in gone:
+                if op.kind is OpKind.WRITE and op.txn_id not in self.aborted:
+                    last_gone[op.key] = (op.txn_id, op.seq)
+                sources.pop(op.seq, None)
+                continue
+            kept.append(op)
+            if op.kind is OpKind.READ and op.key in last_gone:
+                source = last_gone[op.key]
+                carried = sources.get(op.seq)
+                if carried is None or carried[1] < source[1]:
+                    sources[op.seq] = source
+        self.ops = kept
+        self.committed -= gone
+        self.aborted -= gone
+        if index is not None:
+            for txn_id in gone:
+                index.forget(txn_id)
+            self._indexed = len(kept)
+
     # -- derived relations ----------------------------------------------------
 
     def transactions(self) -> set[str]:
         """All transaction ids with at least one operation here."""
         return {op.txn_id for op in self.ops}
-
-    def ops_of(self, txn_id: str) -> list[Operation]:
-        """Operations of one transaction, in history order."""
-        return [op for op in self.ops if op.txn_id == txn_id]
 
     def reads_from(self) -> list[tuple[str, str, str]]:
         """The reads-from relation: (reader, writer, key) triples.
@@ -137,16 +181,22 @@ class SiteHistory:
         2PL).
         """
         result: list[tuple[str, str, str]] = []
-        last_writer: dict[str, str] = {}
+        last_writer: dict[str, tuple[str, int]] = {}
+        sources = self.sources
         for op in self.ops:
             if op.txn_id in self.aborted:
                 continue
             if op.kind is OpKind.WRITE:
-                last_writer[op.key] = op.txn_id
+                last_writer[op.key] = (op.txn_id, op.seq)
             else:
                 writer = last_writer.get(op.key)
-                if writer is not None and writer != op.txn_id:
-                    result.append((op.txn_id, writer, op.key))
+                carried = sources.get(op.seq) if sources else None
+                if carried is not None and (
+                    writer is None or carried[1] > writer[1]
+                ):
+                    writer = carried
+                if writer is not None and writer[0] != op.txn_id:
+                    result.append((op.txn_id, writer[0], op.key))
         return result
 
 
@@ -168,14 +218,6 @@ class GlobalHistory:
         for history in self.sites.values():
             result |= history.transactions()
         return result
-
-    def sites_of(self, txn_id: str) -> list[str]:
-        """Sites where ``txn_id`` has at least one operation, sorted."""
-        return sorted(
-            site_id
-            for site_id, history in self.sites.items()
-            if txn_id in history.transactions()
-        )
 
     def reads_from(self) -> list[tuple[str, str, str, str]]:
         """Global reads-from: (reader, writer, key, site) tuples."""

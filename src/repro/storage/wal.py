@@ -64,6 +64,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (txn imports us)
 #: on-disk frame header: payload length + CRC32 of the payload
 _FRAME_HEADER = struct.Struct(">II")
 
+#: compact, key-sorted JSON: the one encoder of WAL frames and wire bodies
+#: (``json.dumps`` with these options builds an encoder per call)
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"),
+).encode
+
 
 class RecordType(enum.Enum):
     """Kinds of log records."""
@@ -304,9 +310,7 @@ class WriteAheadLog:
             self._truncate(record.payload.get("low_water", record.lsn))
 
     def _persist(self, record: LogRecord, force: bool) -> None:
-        payload = json.dumps(
-            _record_to_json(record), sort_keys=True, separators=(",", ":"),
-        ).encode("utf-8")
+        payload = canonical_json(_record_to_json(record)).encode("utf-8")
         self._write_buffer.append(
             _FRAME_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         )
@@ -438,6 +442,11 @@ class WriteAheadLog:
     def knows(self, txn_id: str) -> bool:
         """True if ``txn_id`` has a record here or was settled here."""
         return txn_id in self._last_lsn or txn_id in self.settled
+
+    def ended(self, txn_id: str) -> bool:
+        """True if ``txn_id`` is known here and its latest record settles
+        it (a ``COMMIT`` or ``ABORT``; a coordinator's ``COORD_END``)."""
+        return txn_id not in self._open and self.knows(txn_id)
 
     def forgot(self, txn_id: str) -> bool:
         """True if a checkpoint dropped every record of ``txn_id``."""

@@ -4,15 +4,18 @@ log, and its per-transaction tables forget what they settled.
 The same closed-loop load (four sessions, each submitting its next
 transaction when the last one ends, so the concurrency is equal) runs for
 200 and for 2 000 transactions.  The peaks of the retained WAL records
-per site, the participants' ``subtxns``, the LTM's ``status`` and the
-marking directory's execution sets stay within a constant factor of each
-other; only the settled-id tables grow, one entry per id.
+per site, the participants' ``subtxns``, the LTM's ``status``, the
+marking directory's execution sets, and the judges' state — retained
+history operations, SG nodes and edges, marking-audit entries — stay
+within a constant factor of each other; only the settled-id tables grow,
+one entry per id.
 """
 
 import pytest
 
 from repro.commit.base import CommitScheme
 from repro.harness.system import System, SystemConfig
+from repro.sg.judge import _scan
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 SESSIONS = 4
@@ -21,12 +24,34 @@ SESSIONS = 4
 def gauges(system):
     sites = system.sites.values()
     directory = system.directory
+    # the judge's own graphs: one edge per conflict from a key's last
+    # writer and its readers since (the full SG's edges are quadratic in
+    # a hot key's retained accessors)
+    local_sgs = [_scan(site.history, {})[0] for site in sites]
+    pinned = system.judge.pinned
     return {
         "wal records": max(len(site.wal) for site in sites),
         "subtxns": max(len(p.subtxns) for p in system.participants.values()),
         "ltm status": max(len(site.ltm.status) for site in sites),
         "directory sets": (
             len(directory.exec_sites) + len(directory.executed_sites)
+        ),
+        # the judges' state (repro.sg.judge), but for what it pins: a
+        # violation's evidence, kept for good (O2PC without a marking
+        # protocol makes regular cycles, one per so many transactions)
+        "history ops": max(
+            sum(op.txn_id not in pinned for op in site.history.ops)
+            for site in sites
+        ),
+        "sg nodes": max(len(sg.nodes - pinned) for sg in local_sgs),
+        "sg edges": max(
+            sum(a not in pinned and b not in pinned for a, b in sg.edges())
+            for sg in local_sgs
+        ),
+        "audit entries": max(
+            (sum(t[0] not in pinned for t in m.transitions)
+             for m in directory.machines.values()),
+            default=0,
         ),
     }
 

@@ -22,7 +22,7 @@ def test_blocked_request_times_out():
     env.process(waiter())
     env.run()
     assert failed["at"] == 5.0
-    assert lm.queue_length("x") == 0
+    assert len(lm._queues.get("x", ())) == 0
 
 
 def test_grant_before_timeout_wins():

@@ -40,7 +40,7 @@ def test_exclusive_blocks_shared():
     env, lm = make_lm()
     assert grab(env, lm, "T1", "x", LockMode.X)
     assert not grab(env, lm, "T2", "x", LockMode.S)
-    assert lm.queue_length("x") == 1
+    assert len(lm._queues.get("x", ())) == 1
 
 
 def test_reentrant_same_mode():
@@ -170,7 +170,7 @@ def test_cancel_removes_queued_request():
     lm.acquire("T1", "x", LockMode.X)
     lm.acquire("T2", "x", LockMode.X)
     assert lm.cancel("T2") == 1
-    assert lm.queue_length("x") == 0
+    assert len(lm._queues.get("x", ())) == 0
     lm.release("T1", "x")
     assert lm.holders("x") == {}
 

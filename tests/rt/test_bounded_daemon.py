@@ -93,3 +93,33 @@ def test_a_reused_id_is_refused_after_a_daemon_restart(tmp_path):
     assert status["fresh_boot"] is False
     assert not reuse.committed and reuse.rejections == 1
     assert status["reused_ids_refused"] == 1
+
+
+def test_retained_history_and_audit_stay_flat_across_three_waves(tmp_path):
+    """The forgetting judge on a daemon: its site's history operations
+    and marking-audit transitions do not grow with the waves."""
+    async def scenario():
+        cluster = local_cluster(["S1", "S2"], data_dir=str(tmp_path))
+        daemons = [await start(cluster, s) for s in cluster.site_ids]
+        try:
+            statuses = []
+            for wave in ("A", "B", "C"):
+                await NetClient(cluster, time_scale=0.002).run_pipelined(
+                    [transfer(f"{wave}{n}") for n in range(WAVE)],
+                    sessions=SESSIONS,
+                )
+                statuses.append([d.status() for d in daemons])
+            return statuses, [d.judge.forgotten for d in daemons]
+        finally:
+            for daemon in daemons:
+                await daemon.shutdown()
+
+    statuses, forgotten = asyncio.run(scenario())
+    for site in range(2):
+        ops = [wave[site]["history_ops"] for wave in statuses]
+        audit = [wave[site]["audit_entries"] for wave in statuses]
+        # a wave records WAVE operations here and fires 2 * WAVE
+        # transitions (vote, then decision)
+        assert max(ops) < WAVE // 2, ops
+        assert max(audit) < WAVE, audit
+        assert forgotten[site] > 2 * WAVE

@@ -38,13 +38,6 @@ class TestSiteHistory:
         assert [o.seq for o in h.ops] == [0, 1]
         assert h.transactions() == {"T1"}
 
-    def test_ops_of_filters(self):
-        h = SiteHistory("S1")
-        h.read("T1", "x")
-        h.write("T2", "y")
-        h.write("T1", "z")
-        assert [o.key for o in h.ops_of("T1")] == ["x", "z"]
-
     def test_terminated_txn_rejects_new_ops(self):
         h = SiteHistory("S1")
         h.write("T1", "x")
@@ -94,7 +87,7 @@ class TestGlobalHistory:
         gh = GlobalHistory()
         gh.site("S1").write("T1", "x")
         gh.site("S2").write("T1", "y")
-        assert gh.sites_of("T1") == ["S1", "S2"]
+        assert sorted(gh.sites) == ["S1", "S2"]
         assert gh.transactions() == {"T1"}
 
     def test_global_reads_from_tagged_with_site(self):

@@ -22,6 +22,7 @@ from repro.sg import GlobalSG, find_regular_cycle, is_serializable
 from repro.sg.paths import SegmentGraph
 from repro.workload import WorkloadConfig, WorkloadGenerator
 from tests.sg.cycle_reference import find_regular_cycle_reference
+from tests.sg.judge_reference import record
 from tests.sg.test_example1 import example1
 
 GLOBALS = [f"T{i}" for i in range(1, 6)]
@@ -173,10 +174,11 @@ class TestNoClosureWhenAcyclic:
         """On a correct sim history, whose union graph is acyclic, the
         judge and ``is_serializable`` never construct a SegmentGraph."""
         system = System(SystemConfig(scheme=CommitScheme.TWO_PL, seed=4))
+        full = record(system)
         WorkloadGenerator(system, WorkloadConfig(
             n_transactions=150, zipf_theta=0.8,
         ), seed=4).run()
-        gsg = system.global_sg()
+        gsg = GlobalSG.from_history(full)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("SegmentGraph built")

@@ -93,9 +93,8 @@ def parity_run(scheme: CommitScheme, seed: int) -> System:
 
     system.env.process(probe(), name="parity-probe")
     system.submit_stream(specs, arrival_mean=1.5, seed=seed)
-    # A horizon, not quiescence: parity is judged, not liveness (a PAXOS
-    # coordinator rebuilt by its site's restart can run termination
-    # rounds without end; see CHANGES.md).
+    # A horizon, not quiescence: this test judges parity; liveness is
+    # test_a_coordinator_submitted_while_its_site_is_down_terminates's.
     system.env.run(until=HORIZON)
     assert_parity(system, full, "the end")
     return system
@@ -118,6 +117,32 @@ def test_truncated_restart_equals_full_restart(scheme):
             truncated += site.wal.appended - len(site.wal)
     # the runs did checkpoint and truncate, or the parity says nothing
     assert checkpoints > RUNS and truncated > 10 * RUNS
+
+
+def test_a_coordinator_submitted_while_its_site_is_down_terminates():
+    """PAXOS seed 10 of the parity runs: T4 is submitted to S2 while S2
+    is down, and S2's restart found its ``COORD_BEGIN`` and rebuilt a
+    second coordinator on the same endpoint.  Each took the other's
+    acceptor replies, and termination rounds ran without end."""
+    rng = Rng(10).fork("parity")
+    system = System(SystemConfig(
+        n_sites=3, scheme=CommitScheme.PAXOS, keys_per_site=3, seed=10,
+    ))
+    specs = WorkloadGenerator(system, WorkloadConfig(
+        n_transactions=16, abort_probability=0.3, zipf_theta=0.5,
+    ), seed=10).specs()
+    plan = CrashPlan(
+        rng.choice(sorted(system.sites)),
+        at=rng.uniform(2.0, 30.0), duration=rng.uniform(1.0, 15.0),
+    )
+    assert (plan.site_id, round(plan.at, 2), round(plan.duration, 2)) == (
+        "S2", 8.40, 4.02,
+    )
+    system.failures.schedule(plan)
+    system.submit_stream(specs, arrival_mean=1.5, seed=10)
+    system.env.run(until=10 * HORIZON)
+    assert len(system.outcomes) == 16
+    assert system.env.peek() == float("inf")  # quiescent: nothing queued
 
 
 def test_compensation_after_a_restart_from_a_checkpoint():
