@@ -283,10 +283,12 @@ def _check_nonblocking(system: System) -> list[Violation]:
             for site_id in sorted(set(system.participants) - {down}):
                 state = system.participants[site_id].subtxns.get(txn_id)
                 if state is not None and state.voted is None:
+                    log = system.sites[site_id].locks.hold_log
                     held = [
-                        h.key for h in system.sites[site_id].locks.hold_log
-                        if h.txn_id == txn_id
-                        and h.granted_at <= deadline < h.released_at
+                        key for txn, key, granted, released in zip(
+                            log.txn, log.key, log.granted, log.released,
+                        )
+                        if txn == txn_id and granted <= deadline < released
                     ]
                     if held:
                         violations.append(Violation("nonblocking", (

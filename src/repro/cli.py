@@ -396,8 +396,8 @@ def cmd_client(args: argparse.Namespace) -> int:
     print(
         f"{args.txn}: {'COMMIT' if outcome.committed else 'ABORT'} "
         f"({src} -> {dst}, {args.key} amount={args.amount}); "
-        f"no_votes={outcome.no_votes} "
-        f"compensated={outcome.compensated_sites}"
+        f"no_votes={list(outcome.no_votes)} "
+        f"compensated={list(outcome.compensated_sites)}"
     )
     return 0 if outcome.committed else 1
 

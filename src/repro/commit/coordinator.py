@@ -141,7 +141,7 @@ class Coordinator:
         )
         outcome.no_votes = sorted(
             site for site, v in votes.items() if v == "NO"
-        )
+        ) or ()
         yield from self._log_decision(decision, executed_sites)
         outcome.decision_time = self.env.now
         outcome.committed = decision == "COMMIT"
@@ -153,7 +153,7 @@ class Coordinator:
         outcome.compensated_sites = sorted(
             site for site, payload in acks.items()
             if payload.get("compensated")
-        )
+        ) or ()
         outcome.end_time = self.env.now
         self.marking.on_transaction_terminated(txn_id)
         if bus.enabled:

@@ -78,6 +78,9 @@ class CoordinatorHost:
         self.pending: dict[str, tuple[str, list[str]]] = {}
         #: re-sends that owe a caller one more round
         self.again: set[str] = set()
+        #: from a crash until :meth:`recover` rebuilt the role: a
+        #: submission then starts no coordinator
+        self.down = False
         self.site.on_checkpoint.append(self.forget)
 
     def _start(
@@ -104,12 +107,36 @@ class CoordinatorHost:
 
     def submit(
         self, spec: GlobalTxnSpec, config: CommitConfig, caller: Any = None,
-    ) -> Process:
+    ) -> Event:
         """Start the coordinator of ``spec`` (this site is its first);
-        the process's value is the :class:`TxnOutcome`."""
+        the returned process's value is the :class:`TxnOutcome`.
+
+        A down site starts, logs and sends nothing: the submission ends
+        at once, aborted (a dead daemon refuses the connection)."""
+        if self.down:
+            return self._refuse(spec, caller)
         if caller is not None:
             self.callers[spec.txn_id] = [caller]
         return self._start(spec, config, lambda c: c.run(), submitted=True)
+
+    def _refuse(self, spec: GlobalTxnSpec, caller: Any) -> Event:
+        now = self.env.now
+        outcome = TxnOutcome(
+            spec.txn_id, committed=False, start_time=now,
+            decision_time=now, end_time=now,
+        )
+        if self.outcomes is not None:
+            self.outcomes.append(outcome)
+        if self.env.bus.enabled:
+            self.env.bus.publish(TxnTerminated(
+                txn_id=spec.txn_id, committed=False, latency=0.0,
+                compensated_sites=(),
+            ))
+        if caller is not None:
+            self.reply(caller, spec.txn_id, None, outcome)
+        refused = Event(self.env)
+        refused.succeed(outcome)
+        return refused
 
     def _run(
         self, coordinator: Coordinator, work: Generator[Event, Any, Any],
@@ -240,7 +267,7 @@ class CoordinatorHost:
             acks = yield from coordinator._decision_phase(decision, sites)
             outcome.compensated_sites = sorted(
                 s for s, ack in acks.items() if ack.get("compensated")
-            )
+            ) or ()
             outcome.end_time = self.env.now
             coordinator.marking.on_transaction_terminated(txn_id)
             return acks
@@ -259,6 +286,7 @@ class CoordinatorHost:
         self.coordinating.clear()
         self.pending.clear()
         self.again.clear()
+        self.down = True
         return lost
 
     def recover(self) -> None:
@@ -274,11 +302,8 @@ class CoordinatorHost:
                     record.payload.get("decision"), record.payload["sites"],
                 )
         for txn_id, (decision, sites) in sorted(owed.items()):
-            # One submitted while the site was down runs already: a second
-            # coordinator on its endpoint would take the first one's
-            # replies, and each would wait for the other's without end.
-            if txn_id not in self.coordinating:
-                self.resend(txn_id, decision, sites)
+            self.resend(txn_id, decision, sites)
+        self.down = False
 
     def forget(self, endpoints: list[str]) -> None:
         """A checkpoint settled ``endpoints``: the marking directory may

@@ -52,6 +52,7 @@ from repro.sg.graph import GlobalSG, TxnKind
 from repro.sg.history import GlobalHistory
 from repro.sg.judge import HistoryJudge
 from repro.sim.engine import Environment
+from repro.sim.events import Event as SimEvent
 from repro.sim.process import Process
 from repro.sim.rng import Rng
 from repro.storage.wal import WriteAheadLog
@@ -299,12 +300,13 @@ class System:
 
     # -- running global transactions ----------------------------------------------
 
-    def submit(self, spec: GlobalTxnSpec) -> Process:
+    def submit(self, spec: GlobalTxnSpec) -> SimEvent:
         """Start ``spec``'s coordinator at its first site; returns its
         process.
 
         The process's value is the :class:`TxnOutcome`; it is also appended
-        to :attr:`outcomes` on completion.
+        to :attr:`outcomes` on completion.  A site that is down starts no
+        coordinator: the returned event holds an aborted outcome at once.
         """
         self.specs[spec.txn_id] = spec
         host = self.hosts[spec.subtxns[0].site_id]

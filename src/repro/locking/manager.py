@@ -14,14 +14,17 @@ block; the victim's pending request fails with
 The manager also enforces two-phase locking per transaction (acquire after
 release raises :class:`~repro.errors.TwoPhaseViolation`) and records every
 lock-hold interval — the raw data behind the paper's lock-hold-time claim
-(experiment ``CLAIM-LOCK``).
+(experiment ``CLAIM-LOCK``) — and every grant's wait, in columns
+(:class:`HoldLog`, :class:`WaitLog`) that read like lists of records.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from sys import intern
+from typing import Iterator
 
 from repro.errors import (
     DeadlockDetected,
@@ -73,6 +76,95 @@ class HoldRecord:
         return self.released_at - self.granted_at
 
 
+#: a mode column's byte → the mode (S and X are the only modes)
+_MODES = (LockMode.S, LockMode.X)
+
+
+class HoldLog:
+    """Completed lock-hold intervals, one column per field.
+
+    Reads like a ``list[HoldRecord]`` (``len``, indexing, iteration,
+    ``append``), but keeps no object per interval: ``txn`` and ``key``
+    hold references to the interned ids, ``mode`` one byte (0 = S,
+    1 = X), ``granted`` and ``released`` raw doubles.  Readers that scan
+    the whole log may read the columns directly.
+    """
+
+    __slots__ = ("txn", "key", "mode", "granted", "released")
+
+    def __init__(self) -> None:
+        self.txn: list[str] = []
+        self.key: list[str] = []
+        self.mode = bytearray()
+        self.granted = array("d")
+        self.released = array("d")
+
+    def add(
+        self, txn_id: str, key: str, mode: LockMode,
+        granted_at: float, released_at: float,
+    ) -> None:
+        """Record one interval."""
+        self.txn.append(txn_id)
+        self.key.append(key)
+        self.mode.append(mode is LockMode.X)
+        self.granted.append(granted_at)
+        self.released.append(released_at)
+
+    def append(self, record: HoldRecord) -> None:
+        """Record one interval given as a :class:`HoldRecord`."""
+        self.add(record.txn_id, record.key, record.mode,
+                 record.granted_at, record.released_at)
+
+    def __len__(self) -> int:
+        return len(self.txn)
+
+    def __getitem__(self, i: int) -> HoldRecord:
+        return HoldRecord(self.txn[i], self.key[i], _MODES[self.mode[i]],
+                          self.granted[i], self.released[i])
+
+    def __iter__(self) -> Iterator[HoldRecord]:
+        for txn_id, key, mode, granted_at, released_at in zip(
+            self.txn, self.key, self.mode, self.granted, self.released,
+        ):
+            yield HoldRecord(txn_id, key, _MODES[mode], granted_at,
+                             released_at)
+
+
+class WaitLog:
+    """Per-grant wait durations, one column per field.
+
+    Reads like a ``list`` of ``(txn_id, key, waited)`` tuples.  ``waited``
+    keeps the float objects themselves (an immediate grant's is the one
+    shared ``0.0``), so a reader of ``w[2]`` allocates no float.
+    """
+
+    __slots__ = ("txn", "key", "waited")
+
+    def __init__(self) -> None:
+        self.txn: list[str] = []
+        self.key: list[str] = []
+        self.waited: list[float] = []
+
+    def add(self, txn_id: str, key: str, waited: float) -> None:
+        """Record one grant."""
+        self.txn.append(txn_id)
+        self.key.append(key)
+        self.waited.append(waited)
+
+    def append(self, entry: tuple[str, str, float]) -> None:
+        """Record one grant given as ``(txn_id, key, waited)``."""
+        self.add(*entry)
+
+    def __len__(self) -> int:
+        return len(self.txn)
+
+    def __getitem__(self, i: int) -> tuple[str, str, float]:
+        return self.txn[i], self.key[i], self.waited[i]
+
+    def __iter__(self) -> Iterator[tuple[str, str, float]]:
+        return zip(self.txn, self.key, self.waited)
+
+
 @dataclass(slots=True)
 class _Grant:
     """A currently held lock."""
@@ -109,9 +201,9 @@ class LockManager:
         self.waits_for = WaitsForGraph()
         self.detector = DeadlockDetector(self.waits_for)
         #: completed hold intervals (metrics)
-        self.hold_log: list[HoldRecord] = []
-        #: per-request wait durations (metrics): (txn, key, wait_time)
-        self.wait_log: list[tuple[str, str, float]] = []
+        self.hold_log = HoldLog()
+        #: per-grant wait durations (metrics): (txn, key, wait_time)
+        self.wait_log = WaitLog()
         #: recycled :class:`LockRequest` objects (grant path stays
         #: allocation-free under contention).  Safe with a lock timeout
         #: too: a request's timer is cancelled whenever it leaves the
@@ -275,14 +367,8 @@ class LockManager:
         existing = grants.get(txn_id)
         if existing is not None:
             # Upgrade: close the S-hold interval, open the X interval.
-            self.hold_log.append(
-                HoldRecord(
-                    txn_id=txn_id,
-                    key=key,
-                    mode=existing.mode,
-                    granted_at=existing.granted_at,
-                    released_at=self.env.now,
-                )
+            self.hold_log.add(
+                txn_id, key, existing.mode, existing.granted_at, self.env.now,
             )
             if bus.enabled:
                 bus.publish(LockReleased(
@@ -291,9 +377,11 @@ class LockManager:
                     held=self.env.now - existing.granted_at,
                 ))
             mode = stronger(existing.mode, mode)
-        grants[txn_id] = _Grant(mode=mode, granted_at=self.env.now)
-        waited = self.env.now - requested_at
-        self.wait_log.append((txn_id, key, waited))
+        now = self.env.now
+        grants[txn_id] = _Grant(mode=mode, granted_at=now)
+        # An immediate grant shares one 0.0 instead of a new float.
+        waited = now - requested_at if now != requested_at else 0.0
+        self.wait_log.add(txn_id, key, waited)
         if bus.enabled:
             bus.publish(LockGranted(
                 site_id=self.site_id, txn_id=txn_id, key=key,
@@ -311,14 +399,8 @@ class LockManager:
         if not grants:
             self._holders.pop(key, None)
         self._shrinking.add(txn_id)
-        self.hold_log.append(
-            HoldRecord(
-                txn_id=txn_id,
-                key=key,
-                mode=grant.mode,
-                granted_at=grant.granted_at,
-                released_at=self.env.now,
-            )
+        self.hold_log.add(
+            txn_id, key, grant.mode, grant.granted_at, self.env.now,
         )
         bus = self.env.bus
         if bus.enabled:

@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import UnknownSiteError
+from repro.ids import is_coordinator_id
 from repro.net.message import COVERING, Message, MsgType
 from repro.obs.events import MessageDelivered, MessageDropped, MessageSent
 from repro.sim.engine import Environment
@@ -69,7 +70,9 @@ class Network:
         self.latency = latency or LatencyModel()
         self.loss_probability = loss_probability
         self._inboxes: dict[str, Store] = {}
-        #: every endpoint ever registered: the valid recipients
+        #: every endpoint ever registered but the coordinators: with any
+        #: ``coord.<txn>``, the valid recipients (a retired coordinator's
+        #: name is not kept)
         self._known: set[str] = set()
         #: per-link latency overrides keyed by (sender, recipient)
         self._link_latency: dict[tuple[str, str], LatencyModel] = {}
@@ -91,7 +94,8 @@ class Network:
         """Create (or return) the inbox for ``endpoint_id``."""
         if endpoint_id not in self._inboxes:
             self._inboxes[endpoint_id] = Store(self.env, name=f"inbox:{endpoint_id}")
-            self._known.add(endpoint_id)
+            if not is_coordinator_id(endpoint_id):
+                self._known.add(endpoint_id)
         return self._inboxes[endpoint_id]
 
     def unregister(self, endpoint_id: str) -> None:
@@ -186,9 +190,10 @@ class Network:
         covering record does not yet make durable raises
         :class:`~repro.errors.ProtocolViolation`.
         """
-        if message.recipient not in self._known:
+        recipient = message.recipient
+        if recipient not in self._known and not is_coordinator_id(recipient):
             raise UnknownSiteError(
-                f"recipient {message.recipient!r} not registered"
+                f"recipient {recipient!r} not registered"
             )
         covering = COVERING.get(message.msg_type)
         if covering is not None:

@@ -25,6 +25,7 @@ from repro.rt.backoff import RedialPolicy
 from repro.rt.config import ClusterConfig
 from repro.rt.wire import (
     encode_frame,
+    outcome_from_json,
     read_frame,
     spec_to_json,
     split_frames,
@@ -183,7 +184,7 @@ class NetClient:
             told = await self._ask(site_id, spec.txn_id)
         if "error" in told:
             raise CommitProtocolError(told["error"])
-        outcome = TxnOutcome(**told["outcome"])
+        outcome = outcome_from_json(told["outcome"])
         self.outcomes.append(outcome)
         self.latencies.append(time.perf_counter() - started)
         return outcome

@@ -50,7 +50,7 @@ from repro.rt.group_commit import GroupCommitFlusher
 from repro.rt.obs_sink import JsonlEventSink
 from repro.rt.pump import RealtimePump
 from repro.rt.transport import TcpTransport, _Link
-from repro.rt.wire import WireError, spec_from_json
+from repro.rt.wire import WireError, outcome_to_json, spec_from_json
 from repro.sg.judge import HistoryJudge
 from repro.sim.engine import Environment
 from repro.storage.recovery import RecoveryManager, RestartReport
@@ -177,6 +177,9 @@ class SiteDaemon:
             # Boot path: nothing is being served yet, blocking is harmless.
             self.site.wal.sync()  # lint: allow-blocking
         else:
+            # Served meanwhile, a submission is refused (as a dead daemon
+            # refuses its connection) until host.recover() below.
+            self.host.down = True
             proc = self.env.process(
                 self.participant.recover(),
                 name=f"recover:{self.site_id}",
@@ -257,6 +260,9 @@ class SiteDaemon:
                 len(m.transitions)
                 for m in self.marking.directory.machines.values()
             ),
+            # still one per lock interval and per grant: they grow with uptime
+            "lock_holds": len(self.site.locks.hold_log),
+            "lock_waits": len(self.site.locks.wait_log),
             "torn_records_truncated": self.site.wal.torn_records_truncated,
             "forced_writes": self.site.wal.forced_writes,
             "fsyncs": self.site.wal.fsyncs,
@@ -365,7 +371,7 @@ class SiteDaemon:
         if isinstance(outcome, str):
             self._reply(link, txn_id, covers, error=outcome)
         else:
-            self._reply(link, txn_id, covers, outcome=vars(outcome))
+            self._reply(link, txn_id, covers, outcome=outcome_to_json(outcome))
 
     def _settled(self) -> None:
         """Answer the held drain / resend requests once nothing is live."""

@@ -36,12 +36,18 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
+from dataclasses import fields
 from typing import Any
 
 from repro.net.message import Message, MsgType
 from repro.storage.wal import canonical_json
 from repro.txn.operations import Op, ReadOp, SemanticOp, WriteOp
-from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec, VotePolicy
+from repro.txn.transaction import (
+    GlobalTxnSpec,
+    SubtxnSpec,
+    TxnOutcome,
+    VotePolicy,
+)
 
 #: 4-byte big-endian payload length
 _LEN = struct.Struct(">I")
@@ -146,12 +152,34 @@ def message_from_json(data: dict[str, Any]) -> Message:
 
 # -- submitted transactions ---------------------------------------------------
 
+#: the fields that cross the wire (the classes are slotted: no ``vars()``)
+_SUBTXN_FIELDS = tuple(f.name for f in fields(SubtxnSpec))
+_OUTCOME_FIELDS = tuple(f.name for f in fields(TxnOutcome))
+
+
 def spec_to_json(spec: GlobalTxnSpec) -> dict[str, Any]:
     """JSON form of a global transaction, as a ``submit`` frame carries it."""
     return {
         "txn": spec.txn_id,
-        "subtxns": [_payload_to_json(vars(sub)) for sub in spec.subtxns],
+        "subtxns": [
+            _payload_to_json({name: getattr(sub, name) for name in _SUBTXN_FIELDS})
+            for sub in spec.subtxns
+        ],
     }
+
+
+def outcome_to_json(outcome: TxnOutcome) -> dict[str, Any]:
+    """JSON form of an outcome, as a ``told`` frame carries it."""
+    return {name: getattr(outcome, name) for name in _OUTCOME_FIELDS}
+
+
+def outcome_from_json(data: dict[str, Any]) -> TxnOutcome:
+    """Inverse of :func:`outcome_to_json`: an empty site list is the
+    shared empty tuple again, as in an outcome the sim made."""
+    outcome = TxnOutcome(**data)
+    outcome.no_votes = outcome.no_votes or ()
+    outcome.compensated_sites = outcome.compensated_sites or ()
+    return outcome
 
 
 def spec_from_json(data: Any) -> GlobalTxnSpec:

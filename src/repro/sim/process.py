@@ -37,7 +37,8 @@ class Process(Event):
         if not isinstance(generator, GeneratorType):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
-        self._generator = generator
+        #: None once the generator exits
+        self._generator: Generator[Event, Any, Any] | None = generator
         self.name = name or generator.__name__
         #: the event this process is currently waiting on (None when running
         #: or finished)
@@ -162,12 +163,17 @@ class Process(Event):
 
         self.env._active_process = None
 
+    # A finished process keeps its value, not its generator: whoever
+    # holds the handle (a submitter's list, an ``all_of``) would keep it.
+
     def _terminate_ok(self, value: Any) -> None:
+        self._generator = None
         self._ok = True
         self._value = value
         self.env.schedule(self, priority=URGENT)
 
     def _terminate_fail(self, exc: BaseException) -> None:
+        self._generator = None
         self._ok = False
         self._value = exc
         self.env.schedule(self, priority=URGENT)

@@ -10,6 +10,7 @@ such sites must hold locks until the decision, as in distributed 2PL).
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.txn.operations import Op
@@ -39,7 +40,7 @@ class VotePolicy(enum.Enum):
     FORCE_NO = "FORCE_NO"
 
 
-@dataclass
+@dataclass(slots=True)
 class SubtxnSpec:
     """One site's share of a global transaction."""
 
@@ -50,7 +51,7 @@ class SubtxnSpec:
     vote: VotePolicy = VotePolicy.AUTO
 
 
-@dataclass
+@dataclass(slots=True)
 class GlobalTxnSpec:
     """A global transaction: subtransactions for two or more sites."""
 
@@ -72,11 +73,13 @@ class GlobalTxnSpec:
         return [sub.site_id for sub in self.subtxns]
 
 
-@dataclass
+@dataclass(slots=True)
 class TxnOutcome:
     """Result of running one global transaction through a commit protocol.
 
-    Captured by the coordinator and consumed by the metrics layer.
+    Captured by the coordinator and consumed by the metrics layer.  The
+    site lists are sorted lists when there are any sites, else the
+    shared empty tuple: an outcome allocates no empty list.
     """
 
     txn_id: str
@@ -88,9 +91,9 @@ class TxnOutcome:
     #: time the transaction fully terminated everywhere (incl. compensation)
     end_time: float = 0.0
     #: sites that voted NO
-    no_votes: list[str] = field(default_factory=list)
+    no_votes: Sequence[str] = ()
     #: sites where a compensating subtransaction ran
-    compensated_sites: list[str] = field(default_factory=list)
+    compensated_sites: Sequence[str] = ()
     #: number of R1 rejections (protocol P1/P2 retries) encountered
     rejections: int = 0
 

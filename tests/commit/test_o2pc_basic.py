@@ -24,7 +24,7 @@ def test_o2pc_commit_applies_updates_everywhere():
     assert outcome.committed
     assert system.sites["S1"].store.get("k0") == 75
     assert system.sites["S2"].store.get("k0") == 125
-    assert outcome.compensated_sites == []
+    assert outcome.compensated_sites == ()
     assert outcome.latency > 0
 
 
@@ -110,7 +110,7 @@ def test_2pl_abort_rolls_back_without_compensation():
         transfer_spec(vote_s2=VotePolicy.FORCE_NO)
     )
     assert not outcome.committed
-    assert outcome.compensated_sites == []
+    assert outcome.compensated_sites == ()
     assert system.sites["S1"].store.get("k0") == 100
     assert system.sites["S2"].store.get("k0") == 100
     # No compensation executor activity under 2PL.

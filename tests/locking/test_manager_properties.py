@@ -8,13 +8,16 @@ checks the safety invariants no schedule may violate:
 * conservation — every grant is eventually matched by at most one release,
   and the hold log's intervals never overlap illegally per key;
 * no lost wakeups — when all transactions release everything, no grantable
-  request is left waiting.
+  request is left waiting;
+* lossless logs — the columnar hold and wait logs read back exactly what
+  a list of records would hold.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockDetected, LockError, TransactionAborted
 from repro.locking import LockManager, LockMode
+from repro.locking.manager import HoldLog, HoldRecord, WaitLog
 from repro.sim import Environment
 
 
@@ -160,3 +163,84 @@ def test_deadlock_victims_always_have_pending_requests(actions):
             pass
     for victim in victims:
         assert victim in TXNS
+
+
+class _ListedHoldLog(HoldLog):
+    """A hold log that also keeps the list of records it stands for."""
+
+    def __init__(self):
+        super().__init__()
+        self.reference = []
+
+    def add(self, txn_id, key, mode, granted_at, released_at):
+        super().add(txn_id, key, mode, granted_at, released_at)
+        self.reference.append(
+            HoldRecord(txn_id, key, mode, granted_at, released_at)
+        )
+
+
+class _ListedWaitLog(WaitLog):
+    """A wait log that also keeps the list of tuples it stands for."""
+
+    def __init__(self):
+        super().__init__()
+        self.reference = []
+
+    def add(self, txn_id, key, waited):
+        super().add(txn_id, key, waited)
+        self.reference.append((txn_id, key, waited))
+
+
+timed_action = st.one_of(
+    action,
+    st.tuples(st.just("release"), st.sampled_from(TXNS),
+              st.sampled_from(KEYS)),
+    st.tuples(st.just("advance"), st.sampled_from([0.5, 1.0, 2.5])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(timed_action, min_size=1, max_size=60))
+def test_columnar_logs_read_as_the_record_lists(actions):
+    """Acquires (upgrades among them), single and total releases,
+    cancels and lock timeouts fill the logs; the columns read back the
+    records in order, by index (negative too) and field by field."""
+    env = Environment()
+    lm = LockManager(env, "S1", enforce_2pl=False, lock_timeout=2.0)
+    lm.hold_log = holds = _ListedHoldLog()
+    lm.wait_log = waits = _ListedWaitLog()
+    for act in actions:
+        try:
+            if act[0] == "acquire":
+                _, txn, key, mode = act
+                lm.acquire(txn, key, mode).defused = True
+            elif act[0] == "release":
+                lm.release(act[1], act[2])
+            elif act[0] == "release_all":
+                lm.release_all(act[1])
+            elif act[0] == "cancel":
+                lm.cancel(act[1])
+            else:
+                env.run(until=env.now + act[1])
+        except (LockError, TransactionAborted):
+            pass
+    env.run(until=env.now + 3.0)  # every remaining wait times out
+    for txn in TXNS:
+        lm.release_all(txn)
+
+    for log, reference in ((holds, holds.reference), (waits, waits.reference)):
+        assert len(log) == len(reference)
+        assert list(log) == reference
+        for i in range(-len(reference), len(reference)):
+            assert log[i] == reference[i]
+    for record, expected in zip(holds, holds.reference):
+        assert record.mode is expected.mode
+        assert record.duration == expected.duration
+    assert [w[2] for w in waits] == [w for _, _, w in waits.reference]
+    assert set(holds.mode) <= {0, 1}
+    # ``append`` takes the record form itself.
+    for log, reference in ((HoldLog(), holds.reference),
+                           (WaitLog(), waits.reference)):
+        for entry in reference:
+            log.append(entry)
+        assert list(log) == reference

@@ -81,7 +81,7 @@ class TestFailureFree:
         system = make_system()
         outcome = system.run_transaction(transfer(vote=VotePolicy.FORCE_NO))
         assert not outcome.committed
-        assert outcome.compensated_sites == []
+        assert outcome.compensated_sites == ()
         assert system.sites["S1"].store.get_or("k0", None) == 100
 
     def test_commits_with_one_acceptor_down(self):

@@ -134,7 +134,7 @@ class TestCascadeAbort:
 
         assert not outcome_of(system, "T1").committed
         # No compensation anywhere: Short-Commit's whole trade.
-        assert outcome_of(system, "T1").compensated_sites == []
+        assert outcome_of(system, "T1").compensated_sites == ()
         assert not outcome_of(system, "T2").committed
         participant = system.participants["S1"]
         assert "T2" in participant._cascade_aborted

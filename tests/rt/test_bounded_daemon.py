@@ -123,3 +123,10 @@ def test_retained_history_and_audit_stay_flat_across_three_waves(tmp_path):
         assert max(ops) < WAVE // 2, ops
         assert max(audit) < WAVE, audit
         assert forgotten[site] > 2 * WAVE
+        # Still one lock-hold record per interval and one wait per grant,
+        # for good: these grow with uptime until the logs become
+        # histograms (ROADMAP item 16).
+        for name in ("lock_holds", "lock_waits"):
+            counts = [0] + [wave[site][name] for wave in statuses]
+            growth = [b - a for a, b in zip(counts, counts[1:])]
+            assert min(growth) >= WAVE, (name, counts)

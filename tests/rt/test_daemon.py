@@ -58,7 +58,7 @@ class TestDaemonRoundTrip:
         )
         outcome = outcomes[0]
         assert outcome.committed
-        assert outcome.compensated_sites == []
+        assert outcome.compensated_sites == ()
         for status in statuses:
             assert status["fresh_boot"] is True
             assert status["keys"] == 20
@@ -226,7 +226,7 @@ class TestCompetitorSchemesOverSockets:
         ))
         outcome = outcomes[0]
         assert not outcome.committed
-        assert outcome.compensated_sites == []
+        assert outcome.compensated_sites == ()
 
     def test_paxos_acceptor_state_is_persisted(self, tmp_path):
         asyncio.run(run_cluster(
@@ -262,7 +262,7 @@ class TestCompetitorSchemesOverSockets:
         ))
         outcome = outcomes[0]
         assert not outcome.committed
-        assert outcome.compensated_sites == []
+        assert outcome.compensated_sites == ()
 
 
 class TestSubmissions:

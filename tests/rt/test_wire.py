@@ -23,11 +23,20 @@ from repro.rt.wire import (
     message_to_json,
     op_from_json,
     op_to_json,
+    outcome_from_json,
+    outcome_to_json,
+    spec_from_json,
+    spec_to_json,
     split_frames,
     unbatch,
 )
 from repro.txn.operations import ReadOp, SemanticOp, WriteOp
-from repro.txn.transaction import VotePolicy
+from repro.txn.transaction import (
+    GlobalTxnSpec,
+    SubtxnSpec,
+    TxnOutcome,
+    VotePolicy,
+)
 
 
 class TestOperations:
@@ -81,6 +90,39 @@ class TestMessages:
         with pytest.raises(WireError):
             message_from_json({"kind": "msg", "type": "NOT_A_TYPE",
                                "sender": "a", "recipient": "b", "txn": "T"})
+
+
+class TestSubmitAndTold:
+    """Specs and outcomes are slotted: they cross the wire by their
+    fields, not by an instance ``__dict__``."""
+
+    def through_a_frame(self, body):
+        return decode_frame(encode_frame(body)[4:])
+
+    def test_submitted_spec_roundtrips(self):
+        spec = GlobalTxnSpec("T7", [
+            SubtxnSpec("S1", [ReadOp("k0"), WriteOp("k1", 3)]),
+            SubtxnSpec("S2", [SemanticOp("deposit", "k0", {"amount": 2})],
+                       real_action=True, vote=VotePolicy.FORCE_NO),
+        ])
+        body = self.through_a_frame({"kind": "submit", "spec": spec_to_json(spec)})
+        assert spec_from_json(body["spec"]) == spec
+
+    @pytest.mark.parametrize("outcome", [
+        TxnOutcome("T7", committed=True, start_time=1.0, decision_time=2.5,
+                   end_time=4.0),
+        TxnOutcome("T8", committed=False, start_time=1.0, decision_time=2.0,
+                   end_time=6.0, no_votes=["S2"],
+                   compensated_sites=["S1", "S3"], rejections=2),
+    ], ids=["committed", "compensated"])
+    def test_told_outcome_roundtrips(self, outcome):
+        body = self.through_a_frame({
+            "kind": "told", "txn": outcome.txn_id,
+            "outcome": outcome_to_json(outcome),
+        })
+        told = outcome_from_json(body["outcome"])
+        assert told == outcome
+        assert told.latency == outcome.latency
 
 
 class TestFraming:

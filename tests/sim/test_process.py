@@ -1,5 +1,8 @@
 """Unit tests for generator-backed processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import ProcessInterrupted
@@ -158,3 +161,29 @@ def test_uncaught_interrupt_fails_process_and_waiter_sees_it():
             return exc.cause
 
     assert env.run(env.process(parent(env))) == "kill"
+
+
+def test_finished_process_keeps_its_value_not_its_generator():
+    """A held handle (a submitter's list, an ``all_of``) keeps a finished
+    process's value, but neither its generator nor what its frame held.
+    (A failed one's exception keeps its frame, through the traceback.)"""
+    env = Environment()
+
+    class Scratch:
+        pass
+
+    def proc(env):
+        scratch = Scratch()  # noqa: F841 - referenced by the frame only
+        yield env.timeout(1)
+        return 7
+
+    handle = env.process(proc(env))
+    env.run(until=0.5)  # suspended in the timeout
+    generator = weakref.ref(handle._generator)
+    scratch = weakref.ref(handle._generator.gi_frame.f_locals["scratch"])
+    env.run()
+    gc.collect()
+    assert generator() is None
+    assert scratch() is None
+    assert not handle.is_alive
+    assert handle.value == 7

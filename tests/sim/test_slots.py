@@ -1,7 +1,8 @@
 """Hot-path classes stay ``__dict__``-free.
 
-PR 7's allocation diet relies on ``__slots__`` across the kernel's event
-classes, messages, operations, lock records, and log records.  A single
+The allocation diet relies on ``__slots__`` across the kernel's event
+classes, messages, operations, lock records, log records, and the specs
+and outcomes a run keeps per transaction.  A single
 stray attribute assignment (or a subclass that forgets its own
 ``__slots__``) silently re-grows a per-instance ``__dict__`` and undoes
 the win — the construction booby-traps below fail the moment that
@@ -19,6 +20,7 @@ from repro.sim.events import AllOf, Event, Initialize, Timeout
 from repro.sim.process import Process
 from repro.storage.wal import LogRecord, RecordType
 from repro.txn.operations import ReadOp, SemanticOp, WriteOp
+from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec, TxnOutcome
 
 
 def _instances():
@@ -54,6 +56,9 @@ def _instances():
             released_at=1.0,
         ),
         LogRecord(lsn=1, record_type=RecordType.BEGIN, txn_id="T1"),
+        GlobalTxnSpec("T1", [SubtxnSpec("S1", [ReadOp("k0")])]),
+        SubtxnSpec("S1", [ReadOp("k0")]),
+        TxnOutcome("T1", committed=True),
     ]
 
 

@@ -121,9 +121,11 @@ def test_truncated_restart_equals_full_restart(scheme):
 
 def test_a_coordinator_submitted_while_its_site_is_down_terminates():
     """PAXOS seed 10 of the parity runs: T4 is submitted to S2 while S2
-    is down, and S2's restart found its ``COORD_BEGIN`` and rebuilt a
-    second coordinator on the same endpoint.  Each took the other's
-    acceptor replies, and termination rounds ran without end."""
+    is down.  A down site starts no coordinator: T4 ends at once,
+    aborted, and S2 logs nothing for it.  (Once its coordinator ran and
+    logged ``COORD_BEGIN``; S2's restart rebuilt a second one on the same
+    endpoint, each took the other's acceptor replies, and termination
+    rounds ran without end.)"""
     rng = Rng(10).fork("parity")
     system = System(SystemConfig(
         n_sites=3, scheme=CommitScheme.PAXOS, keys_per_site=3, seed=10,
@@ -143,6 +145,10 @@ def test_a_coordinator_submitted_while_its_site_is_down_terminates():
     system.env.run(until=10 * HORIZON)
     assert len(system.outcomes) == 16
     assert system.env.peek() == float("inf")  # quiescent: nothing queued
+    (t4,) = [o for o in system.outcomes if o.txn_id == "T4"]
+    assert not t4.committed
+    assert 8.40 < t4.start_time == t4.end_time < 12.42
+    assert not system.sites["S2"].wal.knows("coord.T4")
 
 
 def test_compensation_after_a_restart_from_a_checkpoint():
