@@ -1,4 +1,5 @@
-"""Family 4: blocking calls reachable from the event loop (``repro.rt``).
+"""Family 2: the networked runtime (``repro.rt``) — blocking calls reachable
+from the event loop, and socket writes outside the checked write seam.
 
 The networked runtime is a single asyncio loop per process.  One
 synchronous ``fsync`` (or ``time.sleep``, or a file rename) on that loop
@@ -47,6 +48,19 @@ while every call above succeeds and only slows the loop down.
 A line ending in ``# lint: allow-blocking`` suppresses its findings; the
 surrounding comment must say why the block is safe there (boot/shutdown
 paths before/after serving, or the designated group-commit fsync).
+
+The same module guards the runtime's one socket-write seam:
+
+``flow/rt-durability-gate``
+    Force-before-send (§4) is a run-time check at both send seams — the
+    simulated network's ``send`` and the TCP transport's ``_write``
+    refuse a revealing message whose covering record is not durable
+    (:data:`repro.net.message.COVERING`).  A run-time check sees only the
+    writes that go through it, so no ``.write(`` in ``rt/transport.py``
+    or ``rt/daemon.py`` may sit outside ``TcpTransport._write``: every
+    reply of the daemon (a told COMMIT included) leaves through
+    ``TcpTransport.tell``, behind the turn's durability gate and through
+    the check.
 """
 
 from __future__ import annotations
@@ -64,6 +78,7 @@ from repro.analysis.source import (
 )
 
 _ANCHOR = "event-loop liveness (docs/RUNTIME.md: one loop per daemon)"
+_GATE_ANCHOR = "Section 4 (force the log record before revealing the outcome)"
 
 PRAGMA = "lint: allow-blocking"
 
@@ -334,4 +349,42 @@ def _analyze_module(path: Path, rel: str) -> list[Finding]:
                         f"route force points through the "
                         f"group-commit barrier",
                     )
+    return findings
+
+
+# -- the runtime's socket-write seam ---------------------------------------
+
+
+def analyze_rt_gate(root: Path) -> list[Finding]:
+    """No ``.write(`` in the runtime's transport or daemon outside
+    ``TcpTransport._write``, the seam that checks force-before-send."""
+    findings: list[Finding] = []
+    for rel in ("rt/transport.py", "rt/daemon.py"):
+        tree = parse_module(root / rel)
+        scopes = [("", tree.body)] + [
+            (f"{node.name}.", node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+        ]
+        for prefix, body in scopes:
+            for fn in body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = prefix + fn.name
+                if (rel, name) == ("rt/transport.py", "TcpTransport._write"):
+                    continue
+                findings.extend(
+                    Finding(
+                        rule="flow/rt-durability-gate", severity=Severity.ERROR,
+                        location=f"{rel}:{node.lineno}", anchor=_GATE_ANCHOR,
+                        message=(
+                            f"{name} writes to a socket at line {node.lineno}, "
+                            "outside TcpTransport._write — the frame skips the "
+                            "durability gate and the force-before-send check"
+                        ),
+                    )
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write"
+                )
     return findings

@@ -16,10 +16,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.blocking import analyze_rt_blocking
+from repro.analysis.blocking import analyze_rt_blocking, analyze_rt_gate
 from repro.analysis.determinism import analyze_tree
-from repro.analysis.flow import analyze_message_flow, analyze_rt_gate
-from repro.analysis.dispatch import analyze_dispatch
 from repro.analysis.findings import Finding, sort_findings
 
 
@@ -49,9 +47,7 @@ def run_all(root: Path | None = None) -> LintReport:
 
     findings: list[Finding] = []
     findings.extend(analyze_tree(scan_root))
-    findings.extend(analyze_dispatch(scan_root))
     findings.extend(analyze_rt_gate(scan_root))
-    findings.extend(analyze_message_flow(scan_root))
     findings.extend(analyze_rt_blocking(scan_root))
 
     stats = {"files_scanned": len(list(scan_root.rglob("*.py")))}

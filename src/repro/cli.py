@@ -15,9 +15,9 @@ Commands:
   coordinator-crash drill: one deterministic table of blocking time,
   lock-hold tail, abort and compensation rates and messages per
   transaction (``--vote-timeout`` sweeps the collection timeout);
-* ``lint`` — the static analyzers over the sources: determinism,
-  dispatch exhaustiveness, force-before-send and message flow, and
-  event-loop blocking — zero schedules executed, exit 1 on findings;
+* ``lint`` — the static analyzers over the sources: determinism, and
+  the runtime's event-loop blocking and socket-write seam — zero
+  schedules executed, exit 1 on findings;
 * ``serve`` — run one site as a real daemon over TCP (the ``net``
   backend): the unmodified Participant state machine with a file-backed
   WAL that survives ``kill -9`` (see ``docs/RUNTIME.md``);
@@ -287,12 +287,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run the static analyzers; exit 1 when any rule fires.
 
-    Four families (see ``docs/ANALYSIS.md``): the determinism lint over
-    ``src/repro``, coordinator/participant dispatch exhaustiveness,
-    protocol-flow verification (force-before-send plus per-scheme
-    message-flow graphs), and the event-loop blocking-call analyzer over
-    ``repro.rt``.  Nothing is executed: no schedules, no simulation, no
-    state.
+    Two families (see ``docs/ANALYSIS.md``): the determinism lint over
+    ``src/repro``, and over ``repro.rt`` the event-loop blocking-call
+    analyzer and the socket-write seam.  Only source files are read:
+    nothing is imported or executed.
     """
     from pathlib import Path
 
@@ -300,16 +298,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     root = Path(args.root) if args.root else None
     report = run_all(root)
-    if args.flow_dot:
-        from repro.analysis import default_root, render_flow_dot
-
-        out_dir = Path(args.flow_dot)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        graphs = render_flow_dot(root if root is not None else default_root())
-        for scheme, dot in sorted(graphs.items()):
-            (out_dir / f"flow_{scheme}.dot").write_text(
-                dot, encoding="utf-8"
-            )
     if args.json:
         sys.stdout.write(render_json(report))
     else:
@@ -512,16 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static determinism, dispatch, flow and blocking analyzers",
+        help="static determinism, write-seam and blocking analyzers",
     )
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report (stable key order)")
     lint.add_argument("--root", default=None,
                       help="source tree to scan instead of the installed "
-                           "package (AST families only)")
-    lint.add_argument("--flow-dot", default=None, metavar="DIR",
-                      help="also write one Graphviz flow_<SCHEME>.dot "
-                           "message-flow graph per commit scheme to DIR")
+                           "package")
     lint.set_defaults(fn=cmd_lint)
 
     serve = sub.add_parser(

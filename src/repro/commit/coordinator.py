@@ -49,10 +49,10 @@ class Coordinator:
     """Coordinator for one global transaction."""
 
     #: the coordinator's receive surface: every message type it collects
-    #: from its inbox.  A class-level literal so ``repro lint`` can verify
-    #: handler exhaustiveness statically (every :class:`MsgType` must be
-    #: collected here or handled by the participant); ``_collect`` asserts
-    #: against it so the declaration cannot drift from the code.
+    #: from its inbox.  ``_collect`` asserts against it so the declaration
+    #: cannot drift from the code, and
+    #: ``tests/protocols/test_message_flow.py`` checks it against the
+    #: messages a run actually sends to a coordinator.
     _COLLECTS: tuple[MsgType, ...] = (
         MsgType.SUBTXN_ACK,
         MsgType.VOTE,

@@ -86,9 +86,9 @@ class Participant:
     """One site's protocol engine."""
 
     #: the participant's receive surface: message type → handler method
-    #: name.  A class-level literal so ``repro lint`` can verify handler
-    #: exhaustiveness statically (every :class:`MsgType` must be handled
-    #: here or collected by the coordinator); ``_dispatch`` binds it.
+    #: name.  ``_dispatch`` binds it, and
+    #: ``tests/protocols/test_message_flow.py`` checks it against the
+    #: messages a run actually sends to a site.
     _HANDLERS: dict[MsgType, str] = {
         MsgType.SUBTXN_REQ: "_handle_subtxn",
         MsgType.VOTE_REQ: "_handle_vote_req",

@@ -193,8 +193,9 @@ class UnknownScheme(CommitProtocolError):
     """A :class:`~repro.commit.base.CommitScheme` has no registered engine.
 
     Every enum member must be registered in :mod:`repro.protocols`;
-    ``repro lint`` enforces this statically, and :func:`engine_for` raises
-    this at runtime for schemes that slipped past it.
+    ``tests/protocols/test_registry.py`` enforces this, and
+    :func:`engine_for` raises this at runtime for schemes that slipped
+    past it.
     """
 
 
@@ -234,9 +235,9 @@ class ScheduleDivergence(CheckError):
 class AnalysisError(ReproError):
     """A static analyzer could not run at all (distinct from a finding).
 
-    Raised when an analyzer's *inputs* are broken — a source file that does
-    not parse, or a dispatch declaration that cannot be located — rather
-    than when the analyzed code violates a rule.  Findings are data;
+    Raised when an analyzer's *inputs* are broken — a source file that
+    cannot be read or does not parse — rather than when the analyzed code
+    violates a rule.  Findings are data;
     ``AnalysisError`` is a crash.
     """
 

@@ -6,8 +6,8 @@ engine classes themselves.  An engine is one ``register(EngineSpec(...))``
 row at the bottom of this module: the :class:`~repro.commit.base.CommitScheme`
 member and the class that plays each role — coordinator, participant and,
 for schemes that have one, acceptor.  Everything else that needs to know
-which class plays which role (the hosts, ``repro lint``'s dispatch and
-message-flow families) reads it off :data:`ENGINES`.
+which class plays which role (the hosts, the message-flow test
+``tests/protocols/test_message_flow.py``) reads it off :data:`ENGINES`.
 
 Registered engines:
 

@@ -45,9 +45,9 @@ def ballot_of(raw: Any) -> Ballot:
 class Acceptor:
     """One of the 2F+1 Paxos Commit acceptors."""
 
-    #: the acceptor's receive surface: message type → handler method name.
-    #: A class-level literal so ``repro lint`` covers it like the
-    #: participant's ``_HANDLERS``.
+    #: the acceptor's receive surface: message type → handler method name,
+    #: checked like the participant's ``_HANDLERS`` by
+    #: ``tests/protocols/test_message_flow.py``.
     _HANDLERS: dict[MsgType, str] = {
         MsgType.PAXOS_PREPARE: "_handle_prepare",
         MsgType.PAXOS_ACCEPT: "_handle_accept",

@@ -35,6 +35,7 @@ from typing import Any
 
 from repro.commit.coordinator import Coordinator
 from repro.commit.participant import Participant
+from repro.ids import is_coordinator_id
 from repro.net.message import QUORUM, Message, MsgType
 from repro.obs.events import Prepared
 from repro.protocols.acceptor import Ballot, ballot_of
@@ -194,8 +195,9 @@ class PaxosCommitCoordinator(Coordinator):
     assuming.
     """
 
-    #: receive surface (see ``Coordinator._COLLECTS``): votes arrive as
-    #: acceptor PAXOS_ACCEPTED messages; PAXOS_PROMISE feeds termination.
+    #: receive surface (see ``Coordinator._COLLECTS``; checked by
+    #: ``tests/protocols/test_message_flow.py``): votes arrive as acceptor
+    #: PAXOS_ACCEPTED messages; PAXOS_PROMISE feeds termination.
     _COLLECTS: tuple[MsgType, ...] = (
         MsgType.SUBTXN_ACK,
         MsgType.PAXOS_PROMISE,
@@ -300,8 +302,9 @@ class PaxosParticipant(Participant):
     broadcasts the outcome.  This is the non-blocking path 2PC lacks.
     """
 
-    #: receive surface (see ``Participant._HANDLERS``); the two Paxos
-    #: reply types feed the termination mailbox of a recovery leader.
+    #: receive surface (see ``Participant._HANDLERS``; checked by
+    #: ``tests/protocols/test_message_flow.py``); the two Paxos reply types
+    #: feed the termination mailbox of a recovery leader.
     _HANDLERS: dict[MsgType, str] = {
         MsgType.SUBTXN_REQ: "_handle_subtxn",
         MsgType.VOTE_REQ: "_handle_vote_req",
@@ -494,6 +497,14 @@ class PaxosParticipant(Participant):
         super()._forget(txn_id)
         self._mailboxes.pop(txn_id, None)
         self._txn_sites.pop(txn_id, None)
+
+    def _ack(self, msg: Message, compensated: bool) -> None:
+        """ACK a coordinator's decision only: a recovery leader is a site,
+        and no participant collects ACKs."""
+        if is_coordinator_id(msg.sender):
+            super()._ack(msg, compensated)
+        elif self.site.wal.forgot(msg.txn_id):
+            self._forget(msg.txn_id)
 
     def recover(self) -> Any:
         report = yield from super().recover()

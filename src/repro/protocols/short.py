@@ -45,15 +45,6 @@ class ShortParticipant(Participant):
     registers the base coordinator class.
     """
 
-    #: receive surface — identical vocabulary to the base participant
-    #: (Short-Commit's "no new message types" claim), declared here so the
-    #: lint covers this engine explicitly.
-    _HANDLERS: dict[MsgType, str] = {
-        MsgType.SUBTXN_REQ: "_handle_subtxn",
-        MsgType.VOTE_REQ: "_handle_vote_req",
-        MsgType.DECISION: "_handle_decision",
-    }
-
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
         #: txn → keys it exposed at its YES vote (prepared, undecided)

@@ -112,11 +112,17 @@ class Site:
         self.store.wipe()
         # The lock table is volatile: rebuild an empty one.  Pending lock
         # waiters are abandoned (their processes are expected to be killed
-        # or to time out alongside the crash).
+        # or to time out alongside the crash).  What it recorded is not
+        # state but measurement: the new table keeps every hold, wait and
+        # deadlock logged before the crash.
+        old = self.locks
         self.locks = LockManager(
-            self.env, self.site_id, enforce_2pl=self.locks.enforce_2pl,
-            lock_timeout=self.locks.lock_timeout,
+            self.env, self.site_id, enforce_2pl=old.enforce_2pl,
+            lock_timeout=old.lock_timeout,
         )
+        self.locks.hold_log = old.hold_log
+        self.locks.wait_log = old.wait_log
+        self.locks.detector.detected = old.detector.detected
         self.ltm.abandon_all()
 
     def restart(self) -> RestartReport:

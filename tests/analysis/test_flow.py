@@ -1,5 +1,5 @@
 """Force-before-send and the runtime durability gate
-(``repro.analysis.flow``, part 1).
+(``flow/rt-durability-gate`` in ``repro.analysis.blocking``).
 
 Force-before-send is a run-time check: the simulated network refuses a
 revealing message its covering record does not make durable
@@ -18,7 +18,7 @@ import shutil
 import pytest
 
 from repro.analysis import default_root
-from repro.analysis.flow import analyze_rt_gate
+from repro.analysis.blocking import analyze_rt_gate
 from repro.commit.base import CommitScheme
 from repro.errors import ProtocolViolation
 from repro.protocols.acceptor import Acceptor

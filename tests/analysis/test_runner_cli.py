@@ -77,63 +77,21 @@ class TestCli:
         assert "determinism/wall-clock" in out
         assert "1 finding(s)" in out
 
-    def test_lint_flow_dot_writes_one_graph_per_scheme(
-        self, tmp_path, capsys
-    ):
-        out_dir = tmp_path / "graphs"
-        assert main(["lint", "--flow-dot", str(out_dir)]) == 0
-        capsys.readouterr()
-        names = sorted(p.name for p in out_dir.iterdir())
-        assert names == [
-            "flow_O2PC.dot", "flow_PAXOS.dot", "flow_SHORT.dot",
-            "flow_TWO_PL.dot",
-        ]
-        dot = (out_dir / "flow_O2PC.dot").read_text()
-        assert dot.startswith("digraph flow_O2PC {")
-        assert "VOTE_REQ" in dot
-
     def test_lint_root_points_ast_families_elsewhere(self, tmp_path, capsys):
-        # A minimal fake tree: clean dispatch/flow/msgflow/blocking
-        # declarations but a wall-clock leak — proves --root rescans, and
-        # the exit code gates.  A tiny SUBTXN_REQ/VOTE round-trip keeps
-        # the message-flow graph closed.
-        (tmp_path / "net").mkdir()
+        # A minimal fake tree: the runtime files the write-seam rule reads
+        # and one module with a wall-clock leak — proves --root rescans,
+        # and the exit code gates.
         (tmp_path / "commit").mkdir()
         (tmp_path / "rt").mkdir()
-        (tmp_path / "net" / "message.py").write_text(
-            "class MsgType:\n"
-            "    SUBTXN_REQ = 1\n"
-            "    VOTE = 2\n"
-        )
-        (tmp_path / "commit" / "coordinator.py").write_text(
-            "class Coordinator:\n"
-            "    _COLLECTS = (MsgType.VOTE,)\n"
-            "    def run(self):\n"
-            "        self.network.send(Message(\n"
-            "            msg_type=MsgType.SUBTXN_REQ, payload={},\n"
-            "        ))\n"
-        )
         (tmp_path / "commit" / "participant.py").write_text(
             "import time\n"
             "class Participant:\n"
-            "    _HANDLERS = {MsgType.SUBTXN_REQ: '_handle'}\n"
             "    WALL = time.time()\n"
-            "    def _handle(self, msg):\n"
-            "        self._reply(msg, MsgType.VOTE, {'vote': 'YES'})\n"
         )
         (tmp_path / "rt" / "daemon.py").write_text(
             "class SiteDaemon:\n"
             "    def boot(self):\n"
             "        self.transport.durability_gate = gate\n"
-        )
-        (tmp_path / "rt" / "client.py").write_text(
-            "class NetClient:\n"
-            "    def __init__(self):\n"
-            "        self.transport.durability_gate = gate\n"
-            "    async def submit(self, spec):\n"
-            "        await commit_point\n"
-            "        await self.flusher.barrier()\n"
-            "        return outcome\n"
         )
         (tmp_path / "rt" / "transport.py").write_text(
             "class TcpTransport:\n"
@@ -143,26 +101,10 @@ class TestCli:
             "    def _write(self, link, messages):\n"
             "        link.writer.write(b'')\n"
         )
-        (tmp_path / "protocols").mkdir()
-        # The registered engine subclasses inherit their base's surface.
-        (tmp_path / "protocols" / "paxos.py").write_text(
-            "class PaxosCommitCoordinator:\n"
-            "    pass\n"
-            "class PaxosParticipant:\n"
-            "    pass\n"
-        )
-        (tmp_path / "protocols" / "short.py").write_text(
-            "class ShortParticipant:\n"
-            "    pass\n"
-        )
-        (tmp_path / "protocols" / "acceptor.py").write_text(
-            "class Acceptor:\n"
-            "    _HANDLERS = {MsgType.SUBTXN_REQ: '_handle'}\n"
-        )
         assert main(["lint", "--root", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "determinism/wall-clock" in out
-        # only the seeded leak fires — the new families are clean on
+        # only the seeded leak fires — the runtime rules are clean on
         # this tree
         assert "1 finding(s)" in out
 

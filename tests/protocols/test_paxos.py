@@ -12,8 +12,10 @@ import pytest
 
 from repro.commit.base import CommitConfig, CommitScheme
 from repro.harness.system import System, SystemConfig
+from repro.ids import is_coordinator_id
 from repro.net.failures import CrashPlan
 from repro.net.network import LatencyModel
+from repro.obs.events import MessageSent
 from repro.txn.operations import WriteOp
 from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec, VotePolicy
 
@@ -94,10 +96,10 @@ class TestFailureFree:
 
 
 class TestNonBlocking:
-    def run_crashed_coordinator(self, extra_plans=()):
+    def run_crashed_coordinator(self, extra_plans=(), **overrides):
         """Crash S1, T1's coordinating site: the coordinator dies with it
         and S2 is the surviving participant."""
-        system = make_system()
+        system = make_system(**overrides)
         system.failures.schedule(CrashPlan("acc.3", at=0.5, duration=OUTAGE))
         for plan in extra_plans:
             system.failures.schedule(plan)
@@ -131,6 +133,21 @@ class TestNonBlocking:
         # made it wait out one stagger (t = 24.0).
         system = self.run_crashed_coordinator()
         assert decisions(system)["S2"].decided_at == pytest.approx(21.0)
+
+    def test_a_recovery_leaders_decision_is_not_acknowledged(self):
+        # S2 leads the termination and sends the decision to every site,
+        # itself included.  Only a coordinator collects ACKs: one sent to
+        # a site would go unread.
+        system = self.run_crashed_coordinator(observability=True)
+        sent = [e for e in system.events() if isinstance(e, MessageSent)]
+        assert [
+            e.recipient for e in sent
+            if e.msg_type == "DECISION" and e.sender == "S2"
+        ] == ["S1", "S2"]
+        assert [
+            (e.sender, e.recipient) for e in sent
+            if e.msg_type == "ACK" and not is_coordinator_id(e.recipient)
+        ] == []
 
     def test_quorum_loss_blocks_until_an_acceptor_returns(self):
         # The contrapositive: with 2 of 3 acceptors down no termination

@@ -1,9 +1,12 @@
 """Unit tests for the Site composition root: load, crash, restart."""
 
+from repro.commit.base import CommitScheme
+from repro.harness.system import System, SystemConfig
 from repro.sim import Environment
 from repro.storage.wal import RecordType
 from repro.txn import Site, WriteOp
 from repro.txn.transaction import TxnStatus
+from repro.workload import WorkloadConfig, WorkloadGenerator
 
 
 def make_site():
@@ -42,6 +45,30 @@ def test_crash_wipes_volatile_state():
     assert site.crash_count == 1
     # The in-flight transaction is abandoned.
     assert site.ltm.status["T1"] is TxnStatus.ABORTED
+
+
+def test_crash_keeps_the_lock_logs():
+    # The lock table is volatile; what it measured before the crash is
+    # not: report_from_logs and the crash drill read these intervals.
+    system = System(SystemConfig(n_sites=3, scheme=CommitScheme.O2PC, seed=1))
+    specs = WorkloadGenerator(
+        system, WorkloadConfig(n_transactions=20), seed=1,
+    ).specs()
+    system.submit_stream(specs, arrival_mean=2.0, seed=1)
+    system.env.run(until=40)
+    locks = system.sites["S1"].locks
+    logged = (
+        list(locks.hold_log), list(locks.wait_log),
+        list(locks.detector.detected),
+    )
+    assert len(logged[0]) == 27
+    system.failures.crash("S1")
+    after = system.sites["S1"].locks
+    assert after is not locks
+    assert (
+        list(after.hold_log), list(after.wait_log),
+        list(after.detector.detected),
+    ) == logged
 
 
 def test_wal_survives_crash_and_drives_restart():

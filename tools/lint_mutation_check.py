@@ -9,8 +9,9 @@ either that the lint exits 1 with the expected rule (``expect_rule``) or
 that the named tier-1 test (``expect_test``, a pytest node id), run
 against the mutated copy, fails with ``ProtocolViolation`` — the run-time
 force-before-send check at the send seams (the simulated network's
-``send``, the TCP transport's ``_write``) — or with the oracle failure
-the mutation names (``expect_failure``).  The unmutated copy
+``send``, the TCP transport's ``_write``) — or with the failure the
+mutation names (``expect_failure``: an oracle's, or ``message flow`` for
+the recorded-flow test over the engines' receive surfaces).  The unmutated copy
 must stay clean (lint exit 0, every named test passing) to prove the
 harness itself isn't producing the failures.
 
@@ -37,6 +38,9 @@ _WAIT_FOR = "        future: asyncio.Future[Any] = loop.create_future()\n"
 
 #: the run-time check a dynamic mutation's test fails with by default
 _VIOLATION = "ProtocolViolation"
+
+#: the prefix of every message-flow test failure
+_FLOW = "message flow"
 
 
 @dataclass(frozen=True)
@@ -92,19 +96,22 @@ MUTATIONS = [
     ),
     Mutation(
         name="drop-decision-handler",
-        # the receivable set is the UNION of every participant-side
-        # engine's _HANDLERS, so the decision handler must vanish from
-        # all of them before MsgType.DECISION becomes unreceivable
+        # the decision handler vanishes from every participant-side
+        # engine (SHORT inherits the base one): each coordinator's
+        # DECISION reaches a site that drops it
         paths=(
             "repro/commit/participant.py",
             "repro/protocols/paxos.py",
-            "repro/protocols/short.py",
         ),
         replacements=((
             'MsgType.DECISION: "_handle_decision",\n', "",
         ),),
         append="",
-        expect_rule="dispatch/missing-handler",
+        expect_test=(
+            "tests/protocols/test_message_flow.py::"
+            "test_every_message_sent_has_a_receiver[O2PC]"
+        ),
+        expect_failure=_FLOW,
     ),
     Mutation(
         name="move-force-after-send",
@@ -135,15 +142,18 @@ MUTATIONS = [
     Mutation(
         name="drop-paxos-decision-handler",
         # delete the DECISION handler from the Paxos participant ONLY:
-        # the union-based dispatch rules stay quiet (base Participant
-        # still declares it) but the PAXOS scheme's flow graph now has
-        # DECISION senders with no receiver
+        # the base Participant still declares it, but under PAXOS every
+        # DECISION now reaches a site that drops it
         paths=("repro/protocols/paxos.py",),
         replacements=((
             'MsgType.DECISION: "_handle_decision",\n', "",
         ),),
         append="",
-        expect_rule="msgflow/orphan-send",
+        expect_test=(
+            "tests/protocols/test_message_flow.py::"
+            "test_every_message_sent_has_a_receiver[PAXOS]"
+        ),
+        expect_failure=_FLOW,
     ),
     Mutation(
         name="inject-sync-fsync",
@@ -278,7 +288,11 @@ MUTATIONS = [
             "CommitScheme.PAXOS, PaxosCommitCoordinator, Participant,",
         ),),
         append="",
-        expect_rule="msgflow/orphan-send",
+        expect_test=(
+            "tests/protocols/test_message_flow.py::"
+            "test_every_message_sent_has_a_receiver[PAXOS]"
+        ),
+        expect_failure=_FLOW,
     ),
     Mutation(
         name="drop-prepare-force",
@@ -345,7 +359,11 @@ MUTATIONS = [
             "                msg_type=MsgType.SUBTXN_REQ,\n",
         ),),
         append="",
-        expect_rule="msgflow/dead-handler",
+        expect_test=(
+            "tests/protocols/test_message_flow.py::"
+            "test_every_declared_receiver_is_reached[O2PC]"
+        ),
+        expect_failure=_FLOW,
     ),
     Mutation(
         name="low-water-ignores-locally-committed",
