@@ -220,7 +220,7 @@ class Coordinator:
             recipient=sub.site_id,
             txn_id=self.spec.txn_id,
             payload={
-                "ops": list(sub.ops),
+                "ops": sub.ops,
                 "vote": sub.vote,
                 "real_action": sub.real_action,
                 "transmarks": sorted(transmarks),

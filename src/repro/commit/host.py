@@ -100,7 +100,7 @@ class CoordinatorHost:
             )
         proc = self.env.process(
             self._run(coordinator, work(coordinator), submitted),
-            name=f"coord:{spec.txn_id}",
+            name="coordinator",
         )
         self.coordinating[spec.txn_id] = proc
         return proc

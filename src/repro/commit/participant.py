@@ -36,6 +36,7 @@ lets the site kill a subtransaction any time before it votes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -68,7 +69,7 @@ class _SubtxnState:
     """Participant-side state of one subtransaction."""
 
     txn_id: str
-    ops: list[Op]
+    ops: Sequence[Op]
     vote_policy: VotePolicy
     real_action: bool
     executed: bool = False
@@ -160,13 +161,12 @@ class Participant:
             # handler that completes without suspending (VOTE_REQ, duplicate
             # decisions) never allocates a Process at all.  Only suspended
             # handlers need crash tracking — a completed one has nothing
-            # left to interrupt.
-            proc = Process.eager(
-                self.env,
-                handler(msg),
-                name=f"{self.site.site_id}:{msg.msg_type.value}:{msg.txn_id}",
-            )
+            # left to interrupt, or a name.
+            proc = Process.eager(self.env, handler(msg))
             if proc is not None and proc.is_alive:
+                proc.name = (
+                    f"{self.site.site_id}:{msg.msg_type.value}:{msg.txn_id}"
+                )
                 self._handlers.add(proc)
                 proc.callbacks.append(
                     lambda _evt, p=proc: self._handlers.discard(p)
@@ -214,7 +214,7 @@ class Participant:
 
         state = _SubtxnState(
             txn_id=txn_id,
-            ops=list(payload["ops"]),
+            ops=payload["ops"],
             vote_policy=payload.get("vote", VotePolicy.AUTO),
             real_action=payload.get("real_action", False),
         )
@@ -467,7 +467,7 @@ class Participant:
             ))
         for txn_id in report.in_doubt:
             state = _SubtxnState(
-                txn_id=txn_id, ops=[], vote_policy=VotePolicy.AUTO,
+                txn_id=txn_id, ops=(), vote_policy=VotePolicy.AUTO,
                 real_action=False, executed=True, voted="YES",
                 recovered=True,
             )
@@ -478,7 +478,7 @@ class Participant:
             self._mark(self.marking.restore_locally_committed, txn_id)
         for txn_id in report.locally_committed:
             state = _SubtxnState(
-                txn_id=txn_id, ops=[], vote_policy=VotePolicy.AUTO,
+                txn_id=txn_id, ops=(), vote_policy=VotePolicy.AUTO,
                 real_action=False, executed=True, voted="YES",
             )
             self.subtxns[txn_id] = state

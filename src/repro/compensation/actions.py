@@ -20,6 +20,7 @@ subtransactions containing them as lock-holding (Section 2).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable
@@ -30,7 +31,7 @@ from repro.txn.operations import SemanticOp
 #: forward application: (current value, **params) -> new value
 ApplyFn = Callable[..., Any]
 #: inverse constructor: (params, before value) -> (inverse name, inverse params)
-InverseFn = Callable[[dict[str, Any], Any], tuple[str, dict[str, Any]]]
+InverseFn = Callable[[Mapping[str, Any], Any], tuple[str, Mapping[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class ActionRegistry:
         action = self.get(op.name)
         if action.inverse is None:
             raise NotCompensatable(op.name)
-        inv_name, inv_params = action.inverse(dict(op.params), before)
+        inv_name, inv_params = action.inverse(op.params, before)
         return SemanticOp(name=inv_name, key=op.key, params=inv_params)
 
     def is_compensatable(self, op: SemanticOp) -> bool:

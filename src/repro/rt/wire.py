@@ -71,7 +71,7 @@ def op_to_json(op: Op) -> dict[str, Any]:
     if isinstance(op, SemanticOp):
         return {
             "op": "semantic", "name": op.name, "key": op.key,
-            "params": op.params,
+            "params": op.params.to_dict(),
         }
     raise WireError(f"unserializable operation {op!r}")
 
@@ -86,7 +86,7 @@ def op_from_json(data: dict[str, Any]) -> Op:
     if tag == "semantic":
         return SemanticOp(
             name=data["name"], key=data["key"],
-            params=dict(data.get("params", {})),
+            params=data.get("params", {}),
         )
     raise WireError(f"unknown operation tag {tag!r}")
 

@@ -123,11 +123,6 @@ class SG:
         self.add_node(dst)
         self._adj[src].add(dst)
 
-    def add_path(self, *nodes: str) -> None:
-        """Add the chain of edges ``nodes[0] → nodes[1] → ...`` (figure helper)."""
-        for src, dst in zip(nodes, nodes[1:]):
-            self.add_edge(src, dst)
-
     # -- queries -----------------------------------------------------------------
 
     def has_node(self, node: str) -> bool:
@@ -238,13 +233,6 @@ class GlobalSG:
         result: set[str] = set()
         for sg in self.locals.values():
             result |= sg.nodes
-        return result
-
-    def union_edges(self) -> set[tuple[str, str]]:
-        """Union of all local edge sets."""
-        result: set[tuple[str, str]] = set()
-        for sg in self.locals.values():
-            result.update(sg.edges())
         return result
 
     def sites_with(self, *nodes: str) -> list[str]:

@@ -130,7 +130,7 @@ def _record_to_json(record: "LogRecord") -> dict[str, Any]:
         "payload": record.payload,
     }
     if record.op is not None:
-        data["op"] = [record.op.name, record.op.params]
+        data["op"] = [record.op.name, record.op.params.to_dict()]
     return data
 
 

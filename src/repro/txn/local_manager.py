@@ -31,6 +31,7 @@ checks its record's durability.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import InvalidTransactionState, TransactionAborted
@@ -129,8 +130,8 @@ class LocalTransactionManager:
         if self.site.op_duration > 0:
             yield self.site.env.timeout(self.site.op_duration)
 
-    def run_ops(self, txn_id: str, ops: list[Op]):
-        """Execute a list of operations in order (generator)."""
+    def run_ops(self, txn_id: str, ops: Sequence[Op]):
+        """Execute a sequence of operations in order (generator)."""
         results = []
         for op in ops:
             result = yield from self.execute(txn_id, op)

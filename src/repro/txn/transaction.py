@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.txn.operations import Op
 
@@ -42,23 +42,33 @@ class VotePolicy(enum.Enum):
 
 @dataclass(slots=True)
 class SubtxnSpec:
-    """One site's share of a global transaction."""
+    """One site's share of a global transaction.
+
+    ``ops`` is kept as a tuple (converted once, here): a run keeps every
+    submitted spec, and the messages and participants share the tuple
+    rather than copy it.
+    """
 
     site_id: str
-    ops: list[Op]
+    ops: Sequence[Op]
     #: non-compensatable subtransaction: locks held until decision
     real_action: bool = False
     vote: VotePolicy = VotePolicy.AUTO
 
+    def __post_init__(self) -> None:
+        self.ops = tuple(self.ops)
+
 
 @dataclass(slots=True)
 class GlobalTxnSpec:
-    """A global transaction: subtransactions for two or more sites."""
+    """A global transaction: subtransactions for two or more sites
+    (kept as a tuple, converted once, here)."""
 
     txn_id: str
-    subtxns: list[SubtxnSpec] = field(default_factory=list)
+    subtxns: Sequence[SubtxnSpec] = ()
 
     def __post_init__(self) -> None:
+        self.subtxns = tuple(self.subtxns)
         seen: set[str] = set()
         for sub in self.subtxns:
             if sub.site_id in seen:

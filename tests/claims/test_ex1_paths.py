@@ -6,13 +6,14 @@ a chain of sites with shortcut edges.
 
 from repro.harness import ExperimentResult, format_table
 from repro.sg import GlobalSG, minimal_representations, path_includes
+from tests.sg.figures import add_path
 
 
 def example1() -> GlobalSG:
     gsg = GlobalSG()
-    gsg.site("S1").add_path("CT1", "T2")
-    gsg.site("S2").add_path("CT1", "T2", "CT3")
-    gsg.site("S3").add_path("CT3", "CT1")
+    add_path(gsg.site("S1"), "CT1", "T2")
+    add_path(gsg.site("S2"), "CT1", "T2", "CT3")
+    add_path(gsg.site("S3"), "CT3", "CT1")
     return gsg
 
 
@@ -42,9 +43,9 @@ def chain_gsg(n_sites: int) -> GlobalSG:
     sites covering two hops — exercises the shortest-walk search."""
     gsg = GlobalSG()
     for i in range(n_sites):
-        gsg.site(f"S{i}").add_path(f"N{i}", f"N{i + 1}")
+        add_path(gsg.site(f"S{i}"), f"N{i}", f"N{i + 1}")
         if i + 2 <= n_sites:
-            gsg.site(f"X{i}").add_path(f"N{i}", f"M{i}", f"N{i + 2}")
+            add_path(gsg.site(f"X{i}"), f"N{i}", f"M{i}", f"N{i + 2}")
     return gsg
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness import ExperimentResult, format_table
 from repro.sg import GlobalSG, find_regular_cycle
+from tests.sg.figures import add_path
 
 
 def fig1_configurations() -> dict[str, tuple[GlobalSG, bool]]:
@@ -20,7 +21,7 @@ def fig1_configurations() -> dict[str, tuple[GlobalSG, bool]]:
     configs["fig1a: T2->CT1 | CT1->T2"] = (a, True)
 
     b = GlobalSG()
-    b.site("S1").add_path("T1", "CT1", "T2")
+    add_path(b.site("S1"), "T1", "CT1", "T2")
     b.site("S2").add_edge("T2", "CT1")
     configs["fig1b: T1->CT1->T2 | T2->CT1"] = (b, True)
 
@@ -31,13 +32,13 @@ def fig1_configurations() -> dict[str, tuple[GlobalSG, bool]]:
     configs["fig1c: 3 sites, 2 regulars"] = (c, True)
 
     d = GlobalSG()
-    d.site("S1").add_path("T2", "L1", "CT1")
+    add_path(d.site("S1"), "T2", "L1", "CT1")
     d.site("S2").add_edge("CT1", "T2")
     configs["fig1d: through local txn"] = (d, True)
 
     e = GlobalSG()  # Example-1-style shortcut: benign
     e.site("S1").add_edge("CT1", "T2")
-    e.site("S2").add_path("CT1", "T2", "CT3")
+    add_path(e.site("S2"), "CT1", "T2", "CT3")
     e.site("S3").add_edge("CT3", "CT1")
     configs["example1: CT-only minimal cycle"] = (e, False)
 

@@ -151,3 +151,22 @@ def test_reused_transaction_id_is_refused_and_its_abort_only_acked():
     assert ack2.msg_type is MsgType.ACK and not ack2.payload["compensated"]
     assert first.decided == "COMMIT"
     assert site.store.get("k0") == 7
+
+
+def test_only_a_suspended_handler_becomes_a_named_process():
+    env, net, site, participant = new_participant()
+
+    def handlers_seen():
+        seen = set()
+        while env.peek() != float("inf"):
+            env.step()
+            seen.update(
+                repr(proc) for proc in participant._handlers if proc.is_alive
+            )
+        return seen
+
+    net.send(msg(MsgType.SUBTXN_REQ, ops=[WriteOp("k0", 7)],
+                 vote=VotePolicy.AUTO, real_action=False))
+    assert handlers_seen() == {"<Process 'S1:SUBTXN_REQ:T1' alive>"}
+    net.send(msg(MsgType.VOTE_REQ))  # answered inline: no Process
+    assert handlers_seen() == set()

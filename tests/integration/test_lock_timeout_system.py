@@ -16,13 +16,11 @@ def crossing_specs():
         SubtxnSpec("S1", [SemanticOp("deposit", "k0", {"amount": 1})]),
         SubtxnSpec("S2", [SemanticOp("deposit", "k0", {"amount": 1})]),
     ])
+    # Same key, opposite site order -> distributed deadlock.
     t2 = GlobalTxnSpec(txn_id="T2", subtxns=[
-        SubtxnSpec("S2", [SemanticOp("deposit", "k1", {"amount": 1})]),
-        SubtxnSpec("S1", [SemanticOp("deposit", "k1", {"amount": 1})]),
+        SubtxnSpec("S2", [SemanticOp("deposit", "k0", {"amount": 1})]),
+        SubtxnSpec("S1", [SemanticOp("deposit", "k0", {"amount": 1})]),
     ])
-    # Same keys, opposite site order -> distributed deadlock.
-    t2.subtxns[0].ops[0] = SemanticOp("deposit", "k0", {"amount": 1})
-    t2.subtxns[1].ops[0] = SemanticOp("deposit", "k0", {"amount": 1})
     return t1, t2
 
 

@@ -22,6 +22,7 @@ from repro.sg import GlobalSG, find_regular_cycle, is_serializable
 from repro.sg.paths import SegmentGraph
 from repro.workload import WorkloadConfig, WorkloadGenerator
 from tests.sg.cycle_reference import find_regular_cycle_reference
+from tests.sg.figures import add_path, union_edges
 from tests.sg.judge_reference import record
 from tests.sg.test_example1 import example1
 
@@ -86,7 +87,7 @@ def fig1_fixtures() -> list[GlobalSG]:
         gsg = GlobalSG()
         for site, paths in shape.items():
             for path in paths:
-                gsg.site(site).add_path(*path)
+                add_path(gsg.site(site), *path)
         graphs.append(gsg)
     return graphs
 
@@ -185,7 +186,7 @@ class TestNoClosureWhenAcyclic:
 
         monkeypatch.setattr(cycles, "SegmentGraph", forbidden)
         monkeypatch.setattr("repro.sg.order.SegmentGraph", forbidden)
-        assert len(gsg.union_edges()) > 100
+        assert len(union_edges(gsg)) > 100
         assert find_regular_cycle(gsg) is None
         assert is_serializable(gsg)
         system.check_correctness(strict=True)

@@ -21,13 +21,14 @@ from repro.sg import (
     minimal_representations,
     path_includes,
 )
+from tests.sg.figures import add_path
 
 
 def example1() -> GlobalSG:
     gsg = GlobalSG()
-    gsg.site("S1").add_path("CT1", "T2")
-    gsg.site("S2").add_path("CT1", "T2", "CT3")
-    gsg.site("S3").add_path("CT3", "CT1")
+    add_path(gsg.site("S1"), "CT1", "T2")
+    add_path(gsg.site("S2"), "CT1", "T2", "CT3")
+    add_path(gsg.site("S3"), "CT3", "CT1")
     return gsg
 
 

@@ -6,11 +6,12 @@ from repro.harness import System, SystemConfig
 from repro.sg import GlobalSG, find_regular_cycle
 from repro.sg.explain import explain_cycle, render_explanation
 from repro.txn import GlobalTxnSpec, ReadOp, SubtxnSpec, VotePolicy, WriteOp
+from tests.sg.figures import add_path
 
 
 def test_explains_hand_built_cycle():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T2", "L1", "CT1")
+    add_path(gsg.site("S1"), "T2", "L1", "CT1")
     gsg.site("S2").add_edge("CT1", "T2")
     cycle = find_regular_cycle(gsg)
     explanations = explain_cycle(gsg, cycle)

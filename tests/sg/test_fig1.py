@@ -17,6 +17,7 @@ another.  Four canonical shapes are exercised:
 
 from repro.sg import GlobalSG, find_regular_cycle, is_correct
 from repro.sg.graph import TxnKind, classify
+from tests.sg.figures import add_path
 
 
 def assert_regular_cycle(gsg: GlobalSG):
@@ -38,7 +39,7 @@ def test_fig1a_two_site_cycle():
 
 def test_fig1b_cycle_with_forward_transaction_present():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "CT1", "T2")
+    add_path(gsg.site("S1"), "T1", "CT1", "T2")
     gsg.site("S2").add_edge("T2", "CT1")
     assert_regular_cycle(gsg)
 
@@ -54,7 +55,7 @@ def test_fig1c_three_site_cycle_two_regulars():
 
 def test_fig1d_cycle_through_local_transaction():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T2", "L1", "CT1")
+    add_path(gsg.site("S1"), "T2", "L1", "CT1")
     gsg.site("S2").add_edge("CT1", "T2")
     cycle = assert_regular_cycle(gsg)
     # The local transaction is interior to SG1's segment: boundaries only.
@@ -85,7 +86,7 @@ def test_acyclic_union_has_no_regular_cycle():
 def test_ct_and_local_only_cycle_allowed():
     """Cycles of compensating transactions (+ locals) are not regular."""
     gsg = GlobalSG()
-    gsg.site("S1").add_path("CT1", "L1", "CT2")
+    add_path(gsg.site("S1"), "CT1", "L1", "CT2")
     gsg.site("S2").add_edge("CT2", "CT1")
     assert find_regular_cycle(gsg) is None
     assert is_correct(gsg)
@@ -98,14 +99,14 @@ def test_regular_transaction_shortcut_makes_cycle_benign():
     gsg = GlobalSG()
     # The cycle visits T9 at SG1/SG2, but SG2 offers CT1 -> CT2 directly.
     gsg.site("S1").add_edge("CT1", "T9")
-    gsg.site("S2").add_path("CT1", "T9", "CT2")
+    add_path(gsg.site("S2"), "CT1", "T9", "CT2")
     gsg.site("S3").add_edge("CT2", "CT1")
     assert find_regular_cycle(gsg) is None
 
 
 def test_local_cycle_detected_as_incorrect():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "T2", "T1")
+    add_path(gsg.site("S1"), "T1", "T2", "T1")
     from repro.sg.cycles import find_local_cycle
 
     found = find_local_cycle(gsg)

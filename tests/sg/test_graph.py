@@ -4,6 +4,7 @@ import pytest
 
 from repro.sg import GlobalSG, SG, SiteHistory, TxnKind, classify
 from repro.sg.history import GlobalHistory
+from tests.sg.figures import add_path, union_edges
 
 
 class TestClassify:
@@ -74,7 +75,7 @@ class TestSGConstruction:
 class TestSGQueries:
     def test_add_path_and_reachability(self):
         sg = SG("S1")
-        sg.add_path("A", "B", "C", "D")
+        add_path(sg, "A", "B", "C", "D")
         assert sg.reachable("A", "D")
         assert not sg.reachable("D", "A")
         assert sg.connected_either_direction("D", "A")
@@ -86,16 +87,16 @@ class TestSGQueries:
 
     def test_reachable_with_avoid(self):
         sg = SG("S1")
-        sg.add_path("A", "B", "C")
+        add_path(sg, "A", "B", "C")
         sg.add_edge("A", "C")
         assert sg.reachable("A", "C", avoid="B")
         sg2 = SG("S2")
-        sg2.add_path("A", "B", "C")
+        add_path(sg2, "A", "B", "C")
         assert not sg2.reachable("A", "C", avoid="B")
 
     def test_avoid_does_not_exclude_endpoints(self):
         sg = SG("S1")
-        sg.add_path("A", "B")
+        add_path(sg, "A", "B")
         assert sg.reachable("A", "B", avoid="A")
         assert sg.reachable("A", "B", avoid="B")
 
@@ -106,14 +107,14 @@ class TestSGQueries:
 
     def test_find_local_cycle(self):
         sg = SG("S1")
-        sg.add_path("A", "B", "C", "A")
+        add_path(sg, "A", "B", "C", "A")
         cycle = sg.find_local_cycle()
         assert cycle is not None and cycle[0] == cycle[-1]
         assert set(cycle) == {"A", "B", "C"}
 
     def test_find_local_cycle_none_in_dag(self):
         sg = SG("S1")
-        sg.add_path("A", "B", "C")
+        add_path(sg, "A", "B", "C")
         assert sg.find_local_cycle() is None
 
 
@@ -123,7 +124,7 @@ class TestGlobalSG:
         gsg.site("S1").add_edge("T1", "T2")
         gsg.site("S2").add_edge("T2", "T3")
         assert gsg.nodes == {"T1", "T2", "T3"}
-        assert gsg.union_edges() == {("T1", "T2"), ("T2", "T3")}
+        assert union_edges(gsg) == {("T1", "T2"), ("T2", "T3")}
 
     def test_sites_with(self):
         gsg = GlobalSG()

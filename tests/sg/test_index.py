@@ -13,6 +13,7 @@ from repro.core.marks import MARKS_KEY
 from repro.errors import HistoryError
 from repro.sg import SG, ConflictIndex, GlobalHistory, GlobalSG, SiteHistory
 from repro.sg.conflicts import OpKind, Operation
+from tests.sg.figures import union_edges
 from tests.sg.scan_reference import (
     global_sg_from_scan,
     sg_from_scan,
@@ -74,7 +75,7 @@ def test_index_view_matches_pairwise_scan(history):
     fast = GlobalSG.from_history(history)
     slow = global_sg_from_scan(history)
     assert fast.nodes == slow.nodes
-    assert fast.union_edges() == slow.union_edges()
+    assert union_edges(fast) == union_edges(slow)
     for site_id, sg in fast.locals.items():
         assert sg.edges() == slow.locals[site_id].edges()
     verify_conflict_index(history)  # must not raise

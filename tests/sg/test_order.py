@@ -5,12 +5,13 @@ import pytest
 from repro.errors import CorrectnessViolation
 from repro.sg import GlobalSG
 from repro.sg.order import is_serializable, serialization_order
+from tests.sg.figures import add_path, union_edges
 
 
 def test_acyclic_graph_orders_topologically():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "T2")
-    gsg.site("S2").add_path("T2", "T3")
+    add_path(gsg.site("S1"), "T1", "T2")
+    add_path(gsg.site("S2"), "T2", "T3")
     order = serialization_order(gsg)
     flat = [node for group in order for node in group]
     assert flat.index("T1") < flat.index("T2") < flat.index("T3")
@@ -20,7 +21,7 @@ def test_acyclic_graph_orders_topologically():
 
 def test_ct_cycle_grouped_not_rejected():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "CT1", "CT2")
+    add_path(gsg.site("S1"), "T1", "CT1", "CT2")
     gsg.site("S2").add_edge("CT2", "CT1")
     order = serialization_order(gsg)
     groups = {frozenset(g) for g in order if len(g) > 1}
@@ -30,7 +31,7 @@ def test_ct_cycle_grouped_not_rejected():
 
 def test_ct_group_ordered_after_forward_txn():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "CT1", "CT2")
+    add_path(gsg.site("S1"), "T1", "CT1", "CT2")
     gsg.site("S2").add_edge("CT2", "CT1")
     order = serialization_order(gsg)
     flat_groups = [set(g) for g in order]
@@ -49,7 +50,7 @@ def test_regular_cycle_raises():
 
 def test_local_cycle_raises():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "T2", "T1")
+    add_path(gsg.site("S1"), "T1", "T2", "T1")
     with pytest.raises(CorrectnessViolation):
         serialization_order(gsg)
 
@@ -69,12 +70,12 @@ def test_narrowed_regular_set_allows_aborted_cycles():
 
 def test_witness_respects_every_edge():
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "T3")
-    gsg.site("S2").add_path("T2", "T3")
-    gsg.site("S3").add_path("T1", "T2")
+    add_path(gsg.site("S1"), "T1", "T3")
+    add_path(gsg.site("S2"), "T2", "T3")
+    add_path(gsg.site("S3"), "T1", "T2")
     order = serialization_order(gsg)
     position = {
         node: i for i, group in enumerate(order) for node in group
     }
-    for src, dst in gsg.union_edges():
+    for src, dst in union_edges(gsg):
         assert position[src] < position[dst]

@@ -12,6 +12,7 @@ from repro.sg import (
     stratification_s1,
     stratification_s2,
 )
+from tests.sg.figures import add_path
 
 
 def fig1a() -> GlobalSG:
@@ -28,8 +29,8 @@ def fig1a() -> GlobalSG:
 def stratified_s1() -> GlobalSG:
     """T2 consistently after CT1 everywhere (A1 shape)."""
     gsg = GlobalSG()
-    gsg.site("S1").add_path("T1", "CT1", "T2")
-    gsg.site("S2").add_path("T1", "CT1", "T2")
+    add_path(gsg.site("S1"), "T1", "CT1", "T2")
+    add_path(gsg.site("S2"), "T1", "CT1", "T2")
     return gsg
 
 
@@ -56,7 +57,7 @@ class TestActiveWrt:
     def test_not_active_when_tj_precedes_ti(self):
         gsg = GlobalSG()
         # T2 -> T1 -> CT1: T2 is connected to CT1, but T2 -> T1 exists.
-        gsg.site("S1").add_path("T2", "T1", "CT1")
+        add_path(gsg.site("S1"), "T2", "T1", "CT1")
         assert not active_wrt(gsg, "T1", "T2")
 
     def test_requires_common_site(self):
@@ -83,7 +84,7 @@ class TestPredicates:
     def test_a2_requires_path_avoiding_ti(self):
         gsg = GlobalSG()
         # Only path T2 -> CT1 passes through T1.
-        gsg.site("S1").add_path("T2", "T1", "CT1")
+        add_path(gsg.site("S1"), "T2", "T1", "CT1")
         assert not predicate_a2(gsg, "T1", "T2")
 
     def test_a3_vacuous_when_unconnected(self):

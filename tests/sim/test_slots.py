@@ -1,9 +1,9 @@
 """Hot-path classes stay ``__dict__``-free.
 
 The allocation diet relies on ``__slots__`` across the kernel's event
-classes, messages, operations, lock records, log records, and the specs
-and outcomes a run keeps per transaction.  A single
-stray attribute assignment (or a subclass that forgets its own
+classes, messages, operations and their compact parameters, lock
+records, log records, and the specs and outcomes a run keeps per
+transaction.  A single stray attribute assignment (or a subclass that forgets its own
 ``__slots__``) silently re-grows a per-instance ``__dict__`` and undoes
 the win — the construction booby-traps below fail the moment that
 happens, the same guard style PR 3 used for zero-cost observability.
@@ -19,7 +19,7 @@ from repro.sim import Environment
 from repro.sim.events import AllOf, Event, Initialize, Timeout
 from repro.sim.process import Process
 from repro.storage.wal import LogRecord, RecordType
-from repro.txn.operations import ReadOp, SemanticOp, WriteOp
+from repro.txn.operations import Params, ReadOp, SemanticOp, WriteOp
 from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec, TxnOutcome
 
 
@@ -46,6 +46,7 @@ def _instances():
         ReadOp("k0"),
         WriteOp("k0", 7),
         SemanticOp("deposit", "k0", {"amount": 5}),
+        Params.of({"amount": 5}),
         Operation(txn_id="T1", kind=OpKind.READ, key="k0", site="S1", seq=0),
         LockRequest(
             txn_id="T1", key="k0", mode=LockMode.S, event=event,

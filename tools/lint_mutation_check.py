@@ -10,9 +10,9 @@ that the named tier-1 test (``expect_test``, a pytest node id), run
 against the mutated copy, fails with ``ProtocolViolation`` — the run-time
 force-before-send check at the send seams (the simulated network's
 ``send``, the TCP transport's ``_write``) — or with the failure the
-mutation names (``expect_failure``: an oracle's, or ``message flow`` for
-the recorded-flow test over the engines' receive surfaces).  The unmutated copy
-must stay clean (lint exit 0, every named test passing) to prove the
+mutation names (``expect_failure``: an oracle's, a footprint budget's,
+or ``message flow`` for the recorded-flow test over the engines' receive
+surfaces).  The unmutated copy must stay clean (lint exit 0, every named test passing) to prove the
 harness itself isn't producing the failures.
 
 Run from the repo root: ``python tools/lint_mutation_check.py``
@@ -401,6 +401,22 @@ MUTATIONS = [
             "test_pruned_verdicts_equal_the_full_history[O2PC]"
         ),
         expect_failure="judge parity",
+    ),
+    Mutation(
+        name="semantic-op-keeps-params-dict",
+        # an operation keeps the caller's one-entry dict (184 B) instead
+        # of its compact parameters (56 B): every kept spec grows
+        paths=("repro/txn/operations.py",),
+        replacements=((
+            '_set(self, "params", Params(*params.items()))',
+            '_set(self, "params", params)',
+        ),),
+        append="",
+        expect_test=(
+            "tests/txn/test_spec_footprint.py::"
+            "test_a_kept_spec_costs_what_it_says"
+        ),
+        expect_failure="spec footprint",
     ),
 ]
 
