@@ -42,11 +42,9 @@ from repro.net.transport import Transport
 from repro.obs import (
     Event,
     EventBus,
-    Histogram,
     MetricsReport,
     Observability,
     Span,
-    StreamingMetrics,
     build_spans,
     to_jsonl,
 )
@@ -58,11 +56,9 @@ __all__ = [
     "BACKENDS",
     "Event",
     "EventBus",
-    "Histogram",
     "MetricsReport",
     "Observability",
     "Span",
-    "StreamingMetrics",
     "System",
     "SystemConfig",
     "Transport",

@@ -106,12 +106,9 @@ class SystemConfig:
     quiescence_clearing: bool = True
     #: ablation: P1's eager full-rule evaluation at spawn
     p1_eager_rule: bool = True
-    #: record typed events on the system's bus (spans, streaming metrics,
-    #: JSONL export); off by default — a disabled bus costs one branch per
-    #: would-be event
+    #: record typed events on the system's bus (spans, JSONL export); off
+    #: by default — a disabled bus costs one branch per would-be event
     observability: bool = False
-    #: window size (simulation time) of the streaming metrics' time series
-    metrics_window: float = 10.0
     #: transport backend: "sim" (discrete-event, in-process) or "net"
     #: (real per-site daemons over TCP — built by
     #: :class:`repro.rt.NetSystem`)
@@ -124,10 +121,6 @@ class SystemConfig:
     time_scale: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.metrics_window <= 0:
-            raise ValueError(
-                f"metrics_window must be positive, got {self.metrics_window}"
-            )
         if self.backend not in BACKENDS:
             valid = ", ".join(BACKENDS)
             raise ValueError(
@@ -181,9 +174,7 @@ class System:
                 self.marking.eager_rule = self.config.p1_eager_rule
         self.directory.quiescence_enabled = self.config.quiescence_clearing
         self.directory.bus = self.env.bus
-        self.obs = Observability(
-            self.env.bus, window=self.config.metrics_window
-        )
+        self.obs = Observability(self.env.bus)
         if self.config.observability:
             self.obs.enable()
         #: the commit-scheme engine (role classes from the protocols registry)
@@ -432,25 +423,12 @@ class System:
         return self.obs.spans()
 
     def metrics(self, elapsed: float | None = None) -> MetricsReport:
-        """Aggregated metrics of the run so far.
-
-        With observability enabled the report comes from the streaming
-        aggregator (O(1) per event, histogram percentiles); otherwise from
-        the exact post-hoc scan of the raw logs.  ``elapsed`` overrides the
-        wall-clock denominator used for throughput (defaults to the current
+        """Aggregated metrics of the run so far, read exactly from the
+        system's logs (with observability on or off).  ``elapsed``
+        overrides the throughput denominator (defaults to the current
         simulation time).
         """
-        if not self.obs.enabled:
-            return report_from_logs(self, elapsed)
-        report = self.obs.report(
-            elapsed if elapsed is not None else self.env.now
-        )
-        # Forced log writes are a storage-layer counter, not a bus event.
-        for site in self.sites.values():
-            report.forced_log_writes += site.wal.forced_writes
-        for acceptor in self.acceptors.values():
-            report.forced_log_writes += acceptor.wal.forced_writes
-        return report
+        return report_from_logs(self, elapsed)
 
     def timeline(self, width: int = 50) -> str:
         """Text timeline: one line per terminated global transaction."""

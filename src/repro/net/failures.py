@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.net.network import Network
 from repro.sim.engine import Environment
-from repro.sim.rng import Rng
 
 
 class SiteStatus(enum.Enum):
@@ -43,53 +42,6 @@ class CrashPlan:
     site_id: str
     at: float
     duration: float | None = None
-
-
-@dataclass
-class RandomCrashConfig:
-    """Knobs of a seeded random crash schedule (see :func:`random_crash_plans`)."""
-
-    #: how many crashes to draw
-    n_crashes: int = 3
-    #: crash times are drawn uniformly in this interval
-    window: tuple[float, float] = (0.0, 100.0)
-    #: outage durations are drawn uniformly in [min_outage, max_outage]
-    min_outage: float = 5.0
-    max_outage: float = 20.0
-    #: probability that a crash never recovers within the run (the paper's
-    #: "unbounded delay" case)
-    permanent_probability: float = 0.0
-
-
-def random_crash_plans(
-    rng: Rng,
-    sites: Sequence[str],
-    config: RandomCrashConfig | None = None,
-) -> list[CrashPlan]:
-    """Draw a crash schedule deterministically from ``rng``.
-
-    The same seed always yields the same plans (the draws consume the RNG
-    in a fixed order), so a randomly sampled failure scenario is exactly
-    reproducible — the property the model checker's bounded mode and the
-    benchmarks rely on.  Plans are returned sorted by crash time.
-    """
-    config = config or RandomCrashConfig()
-    if not sites:
-        raise ValueError("no sites to crash")
-    lo, hi = config.window
-    plans: list[CrashPlan] = []
-    for _ in range(config.n_crashes):
-        site = rng.choice(list(sites))
-        at = rng.uniform(lo, hi)
-        duration: float | None
-        duration = rng.uniform(config.min_outage, config.max_outage)
-        if config.permanent_probability and rng.chance(
-            config.permanent_probability
-        ):
-            duration = None
-        plans.append(CrashPlan(site_id=site, at=at, duration=duration))
-    plans.sort(key=lambda p: (p.at, p.site_id))
-    return plans
 
 
 @dataclass

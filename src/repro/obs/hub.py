@@ -1,31 +1,29 @@
 """The :class:`Observability` facade a :class:`System` owns.
 
-Bundles the bus with its two standing subscribers — the retained
-:class:`~repro.obs.events.EventLog` and the incremental
-:class:`~repro.obs.metrics.StreamingMetrics` — behind enable/disable, and
-exposes the derived views (events, spans, JSONL, report).  Disabled by
-default: :meth:`enable` attaches the subscribers and flips the bus's
-emission guard on.  The two subscribers are built on first use (the first
-:meth:`enable` or the first view read), so a system that never records
-builds neither.
+Bundles the bus with its one standing subscriber, the retained
+:class:`~repro.obs.events.EventLog`, behind enable/disable, and exposes
+the derived views (events, spans, JSONL).  Disabled by default:
+:meth:`enable` attaches the recorder and flips the bus's emission guard
+on.  The recorder is built on first use (the first :meth:`enable` or the
+first view read), so a system that never records builds none.  Metrics
+do not come from here: :meth:`System.metrics` reads the system's logs,
+and :func:`~repro.obs.metrics.report_from_events` reads a recorded
+stream.
 """
 
 from __future__ import annotations
 
 from repro.obs.events import Event, EventBus, EventLog
 from repro.obs.export import to_jsonl
-from repro.obs.metrics import MetricsReport, StreamingMetrics
 from repro.obs.spans import Span, build_spans
 
 
 class Observability:
-    """Event recording and streaming metrics over one bus."""
+    """Event recording over one bus."""
 
-    def __init__(self, bus: EventBus, window: float = 10.0) -> None:
+    def __init__(self, bus: EventBus) -> None:
         self.bus = bus
-        self._window = window
         self._log: EventLog | None = None
-        self._stream: StreamingMetrics | None = None
         self._attached = False
 
     @property
@@ -34,13 +32,6 @@ class Observability:
         if self._log is None:
             self._log = EventLog()
         return self._log
-
-    @property
-    def stream(self) -> StreamingMetrics:
-        """The streaming aggregator (empty until :meth:`enable`)."""
-        if self._stream is None:
-            self._stream = StreamingMetrics(window=self._window)
-        return self._stream
 
     @property
     def enabled(self) -> bool:
@@ -52,9 +43,8 @@ class Observability:
         return self._attached and self.bus.enabled
 
     def enable(self) -> None:
-        """Attach the recorder and streaming metrics; start emission."""
+        """Attach the recorder; start emission."""
         self.bus.subscribe(self.log)
-        self.bus.subscribe(self.stream)
         self._attached = True
         self.bus.enable()
 
@@ -75,7 +65,3 @@ class Observability:
     def jsonl(self) -> str:
         """The recorded stream as deterministic JSONL."""
         return to_jsonl(self.log.events)
-
-    def report(self, elapsed: float | None = None) -> MetricsReport:
-        """Streaming-metrics snapshot as a :class:`MetricsReport`."""
-        return self.stream.report(elapsed)

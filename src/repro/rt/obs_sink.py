@@ -6,13 +6,13 @@ A ``SiteDaemon`` started with observability on subscribes a
 schema ``repro trace`` writes, appended across restarts so a recovered
 daemon's history stays in one file.
 
-The read side closes ROADMAP item 6's metrics gap: ``repro metrics
---cluster c.json`` calls :func:`aggregate_cluster`, which
-replays every site's stream through the normal
-:class:`~repro.obs.metrics.StreamingMetrics` fold — the sim's fold,
-unchanged.  Each coordinator runs in (and publishes to) the daemon of its
-transaction's first site, so every transaction's one ``txn.end`` is in
-exactly one stream, and commit/abort counts come from it.
+The read side: ``repro metrics --cluster c.json`` calls
+:func:`aggregate_cluster`, which reads every site's stream with
+:func:`~repro.obs.metrics.report_from_events`, the exact reader a
+simulated run's JSONL goes through too.  Each coordinator runs in (and
+publishes to) the daemon of its transaction's first site, so every
+transaction's one ``txn.end`` is in exactly one stream, and commit/abort
+counts come from it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Any
 
 from repro.obs.events import Event
 from repro.obs.export import event_to_dict, read_jsonl
-from repro.obs.metrics import MetricsReport, StreamingMetrics
+from repro.obs.metrics import MetricsReport, report_from_events
 from repro.rt.config import ClusterConfig
 
 
@@ -77,28 +77,22 @@ def read_events(path: str) -> list[Event]:
 def aggregate_cluster(
     cluster: ClusterConfig,
 ) -> tuple[MetricsReport, dict[str, int]]:
-    """Fold every site's event stream into one cluster-wide report.
+    """Read every site's event stream into one cluster-wide report.
 
     Returns the report plus a per-site event count (sites with no stream
     yet count zero — a daemon started without ``--obs``, or not yet
-    flushed).  Latency percentiles in the report are lock-hold driven;
-    end-to-end commit latency lives client-side (``commit_latency_*_ms``
-    of the ``net_*`` workloads in ``bench/run.py``).
+    flushed).  The latency percentiles are the coordinators' transaction
+    latencies (``txn.end``) in simulation ticks; client-observed commit
+    latency in milliseconds is ``commit_latency_*_ms`` of the ``net_*``
+    workloads in ``bench/run.py``.
     """
     import os
 
-    metrics = StreamingMetrics()
+    events: list[Event] = []
     per_site: dict[str, int] = {}
-    elapsed = 0.0
     for site_id in cluster.site_ids:
         path = cluster.events_path(site_id)
-        if not os.path.exists(path):
-            per_site[site_id] = 0
-            continue
-        events = read_events(path)
-        per_site[site_id] = len(events)
-        for event in events:
-            metrics(event)
-            if event.ts > elapsed:
-                elapsed = event.ts
-    return metrics.report(elapsed or None), per_site
+        stream = read_events(path) if os.path.exists(path) else []
+        per_site[site_id] = len(stream)
+        events.extend(stream)
+    return report_from_events(events), per_site

@@ -161,14 +161,11 @@ class SemanticOp:
             _set(self, "params", Params.of(params))
 
     def __hash__(self) -> int:
-        # Equal ops have equal params, and equal hashable values hash
-        # alike (``1`` and ``1.0`` too).  A value may be unhashable (an
-        # ``insert`` can carry a list or dict payload): hash the
-        # parameter names then.
-        try:
-            return hash((self.name, self.key, self.params))
-        except TypeError:
-            return hash((self.name, self.key, self.params.keys()))
+        # Equal ops have equal parameter names, whatever their values: a
+        # value may be unhashable (an ``insert`` can carry a list or dict
+        # payload), or equal to one that is not (``frozenset({1}) ==
+        # {1}``), so the values are never hashed.
+        return hash((self.name, self.key, self.params.keys()))
 
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v!r}" for k, v in self.params.items())

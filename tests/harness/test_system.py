@@ -37,10 +37,6 @@ class TestAssembly:
         assert System(SystemConfig(protocol="P1")).sites["S1"].marks_key
         assert System(SystemConfig(protocol="none")).sites["S1"].marks_key is None
 
-    def test_nonpositive_metrics_window_rejected(self):
-        with pytest.raises(ValueError, match="metrics_window"):
-            SystemConfig(metrics_window=0.0)
-
     def test_scheme_selects_engine(self):
         # The registry is the only construction path: each scheme builds
         # its own participant type, and only PAXOS spawns acceptors.

@@ -1,20 +1,53 @@
-"""Unit tests for histograms, windowed series, and streaming metrics."""
+"""The one exact metrics report and its two readers.
+
+``System.metrics()`` reads the system's logs (``report_from_logs``),
+with observability on or off; ``report_from_events`` reads a recorded
+event stream (a run's JSONL, a live cluster's site streams).  The parity
+tests run every commit scheme with observability on and off and read the
+observed run's JSONL back: the three reports must agree, counts,
+percentiles and extremes exactly, sums up to summation order.
+"""
+
+import io
 
 import pytest
 
 from repro.commit import CommitScheme
 from repro.harness import System, SystemConfig
+from repro.obs.export import read_jsonl
 from repro.obs.metrics import (
-    Histogram,
-    WindowedSeries,
     mean,
     percentile,
+    report_from_events,
     report_from_logs,
 )
-from repro.sim import Rng
 from repro.txn.operations import WriteOp
 from repro.txn.transaction import GlobalTxnSpec, SubtxnSpec
 from tests.obs.test_events import observed_workload
+
+#: fields both readers must fill identically
+EXACT = (
+    "committed", "aborted", "throughput", "messages_total",
+    "messages_by_type", "messages_per_txn", "compensations",
+    "compensation_retries", "deadlocks", "rejections",
+)
+#: order statistics: taken from the same samples, so equal too
+ORDER = ("p50_latency", "p99_latency", "max_lock_hold")
+#: sums, which the readers may add up in different orders
+SUMS = ("mean_latency", "mean_lock_hold", "mean_lock_wait", "total_lock_wait")
+
+
+def assert_parity(fields, expected, got, where):
+    for name in fields:
+        want, have = getattr(expected, name), getattr(got, name)
+        if name in SUMS:
+            assert have == pytest.approx(want, rel=0, abs=1e-12), (
+                f"metrics parity: {where} {name} {have!r} != {want!r}"
+            )
+        else:
+            assert have == want, (
+                f"metrics parity: {where} {name} {have!r} != {want!r}"
+            )
 
 
 class TestSortReference:
@@ -29,143 +62,86 @@ class TestSortReference:
         assert percentile([], 50) == 0.0
 
 
-class TestHistogram:
-    def test_exact_statistics(self):
-        h = Histogram()
-        for v in (0.0, 1.0, 2.0, 7.0):
-            h.add(v)
-        assert h.count == len(h) == 4
-        assert h.total == 10.0
-        assert h.mean == 2.5
-        assert h.max == 7.0
-        assert h.min == 0.0
-        assert h.zero_count == 1
-
-    def test_empty(self):
-        h = Histogram()
-        assert len(h) == 0
-        assert h.mean == 0.0
-        assert h.percentile(50) == 0.0
-
-    def test_single_value_clamps_to_exact(self):
-        h = Histogram()
-        h.add(5.0)
-        assert h.percentile(1) == 5.0
-        assert h.percentile(99) == 5.0
-
-    def test_mostly_zero_values(self):
-        h = Histogram()
-        for _ in range(9):
-            h.add(0.0)
-        h.add(100.0)
-        assert h.percentile(50) == 0.0
-        assert h.percentile(99) == pytest.approx(100.0, rel=0.12)
-
-    def test_percentiles_track_sort_reference(self):
-        rng = Rng(42)
-        values = [rng.exponential(5.0) for _ in range(2000)]
-        h = Histogram()
-        for v in values:
-            h.add(v)
-        for p in (10, 50, 90, 99):
-            exact = percentile(values, p)
-            approx = h.percentile(p)
-            # One geometric bucket of relative error (~7.5% at 16
-            # buckets/decade) plus the rank-rounding difference.
-            assert approx == pytest.approx(exact, rel=0.12)
-
-    def test_out_of_span_values_clamp(self):
-        h = Histogram(min_value=1.0, max_value=10.0)
-        h.add(0.5)    # below span -> bottom bucket
-        h.add(100.0)  # beyond span -> top bucket
-        assert h.count == 2
-        assert h.percentile(1) >= h.min
-        assert h.percentile(99) <= h.max
-
-
-class TestWindowedSeries:
-    def test_accumulation_and_rows(self):
-        s = WindowedSeries(window=10.0)
-        s.add(1.0)
-        s.add(9.9)
-        s.add(35.0, amount=2.0)
-        assert s.rows() == [(0.0, 2.0), (30.0, 2.0)]  # gap at 10/20 skipped
-        assert s.total == 4.0
-
-    def test_value_at(self):
-        s = WindowedSeries(window=5.0)
-        s.add(2.0)
-        assert s.value_at(4.9) == 1.0
-        assert s.value_at(5.0) == 0.0
-
-
 class TestStreamingParity:
-    """The streaming aggregator must agree with the post-hoc log scan."""
+    """The event-stream reader agrees with the log reader, per scheme."""
 
     @pytest.fixture(scope="class")
     def reports(self):
-        system, elapsed = observed_workload(seed=7, n=15)
-        return system.metrics(elapsed), report_from_logs(system, elapsed)
+        """Per scheme: the observed run's report, the unobserved run's,
+        and the observed run's JSONL read back by the event reader."""
+        runs = {}
+        for scheme in CommitScheme:
+            system, elapsed = observed_workload(seed=7, n=15, scheme=scheme)
+            plain, plain_elapsed = observed_workload(
+                seed=7, n=15, scheme=scheme, observability=False,
+            )
+            assert plain_elapsed == elapsed, (
+                f"metrics parity: {scheme.name} observing moved the run"
+            )
+            events = read_jsonl(io.StringIO(system.obs.jsonl()))
+            runs[scheme.name] = (
+                system.metrics(elapsed),
+                plain.metrics(elapsed),
+                report_from_events(events, elapsed),
+            )
+        return runs
+
+    def check(self, reports, fields):
+        for scheme, (observed, plain, streamed) in reports.items():
+            assert_parity(fields, observed, plain, f"{scheme} obs on/off")
+            assert_parity(fields, observed, streamed, f"{scheme} events")
 
     def test_run_is_nontrivial(self, reports):
-        streamed, exact = reports
+        exact, _, _ = reports["O2PC"]
         assert exact.committed > 0
         assert exact.aborted > 0
         assert exact.compensations > 0
+        for scheme, (exact, _, _) in reports.items():
+            assert exact.messages_total > 0, scheme
+            assert exact.max_lock_hold > 0, scheme
 
     def test_counters_exact(self, reports):
-        streamed, exact = reports
-        for name in (
-            "committed", "aborted", "messages_total", "messages_by_type",
-            "compensations", "compensation_retries", "deadlocks",
-            "rejections", "forced_log_writes",
-        ):
-            assert getattr(streamed, name) == getattr(exact, name), name
+        self.check(reports, EXACT)
 
-    def test_both_paths_count_the_acceptors_forced_writes(self):
-        system = System(SystemConfig(
-            scheme=CommitScheme.PAXOS, n_sites=2, observability=True,
-        ))
-        assert system.run_transaction(GlobalTxnSpec("T1", [
-            SubtxnSpec("S1", [WriteOp("k0", 1)]),
-            SubtxnSpec("S2", [WriteOp("k0", 1)]),
-        ])).committed
-        sites = sum(site.wal.forced_writes for site in system.sites.values())
-        acceptors = sum(
-            acceptor.wal.forced_writes
-            for acceptor in system.acceptors.values()
-        )
-        assert acceptors > 0
-        assert system.metrics().forced_log_writes == sites + acceptors
-        assert report_from_logs(system).forced_log_writes == sites + acceptors
+    def test_percentiles_exact(self, reports):
+        self.check(reports, ORDER)
 
     def test_sums_and_means_exact(self, reports):
-        streamed, exact = reports
-        for name in (
-            "mean_latency", "mean_lock_hold", "max_lock_hold",
-            "mean_lock_wait", "total_lock_wait", "throughput",
-            "messages_per_txn",
-        ):
-            assert getattr(streamed, name) == pytest.approx(
-                getattr(exact, name), rel=1e-9
-            ), name
-        assert streamed.abort_rate == pytest.approx(exact.abort_rate)
+        self.check(reports, SUMS)
 
-    def test_percentiles_within_bucket_error(self, reports):
-        streamed, exact = reports
-        assert streamed.p50_latency == pytest.approx(
-            exact.p50_latency, rel=0.12
-        )
-        assert streamed.p99_latency == pytest.approx(
-            exact.p99_latency, rel=0.12
-        )
+    def test_observability_does_not_change_the_report(self, reports):
+        for scheme, (observed, plain, _) in reports.items():
+            assert observed == plain, f"metrics parity: {scheme}"
 
-    def test_streaming_is_the_enabled_path(self):
+    def test_events_default_elapsed_is_the_last_event(self):
+        system, _ = observed_workload(seed=3, n=5)
+        events = system.events()
+        report = report_from_events(events)
+        assert report.throughput == report.committed / events[-1].ts
+
+    def test_the_report_is_the_exact_log_scan(self):
         system, elapsed = observed_workload(seed=3, n=5)
-        # Disabling the bus must flip metrics() back to the exact scan.
-        streamed = system.metrics(elapsed)
-        system.obs.disable()
-        exact = system.metrics(elapsed)
-        assert streamed.committed == exact.committed
+        assert system.metrics(elapsed) == report_from_logs(system, elapsed)
         latencies = [o.latency for o in system.outcomes]
-        assert exact.p50_latency == percentile(latencies, 50)
+        assert system.metrics().p50_latency == percentile(latencies, 50)
+        assert system.metrics().p99_latency == percentile(latencies, 99)
+
+    def test_both_paths_count_the_acceptors_forced_writes(self):
+        for observability in (True, False):
+            system = System(SystemConfig(
+                scheme=CommitScheme.PAXOS, n_sites=2,
+                observability=observability,
+            ))
+            assert system.run_transaction(GlobalTxnSpec("T1", [
+                SubtxnSpec("S1", [WriteOp("k0", 1)]),
+                SubtxnSpec("S2", [WriteOp("k0", 1)]),
+            ])).committed
+            sites = sum(
+                site.wal.forced_writes for site in system.sites.values()
+            )
+            acceptors = sum(
+                acceptor.wal.forced_writes
+                for acceptor in system.acceptors.values()
+            )
+            assert acceptors > 0
+            assert system.metrics().forced_log_writes == sites + acceptors

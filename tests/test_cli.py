@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -130,6 +131,11 @@ def test_metrics_watch_prints_snapshots(capsys):
     assert "t=" in out
     assert "p50=" in out
     assert "== metrics ==" in out
+    # each snapshot shows the commits since the previous one
+    deltas = re.findall(r"committed=\s*\d+ \(\+(\d+)\)", out)
+    final = re.search(r"^committed\s+(\d+)$", out, re.MULTILINE)
+    assert deltas and final
+    assert sum(map(int, deltas)) == int(final.group(1)) > 0
 
 
 def test_metrics_rejects_nonpositive_window():

@@ -15,11 +15,9 @@ BLESSED_OBJECTS = {
     "BACKENDS",
     "Event",
     "EventBus",
-    "Histogram",
     "MetricsReport",
     "Observability",
     "Span",
-    "StreamingMetrics",
     "System",
     "SystemConfig",
     "Transport",

@@ -63,6 +63,16 @@ def test_semantic_op_hash_agrees_with_equality_across_numeric_types():
     assert len({a, b}) == 1
 
 
+def test_semantic_op_hash_agrees_with_equality_across_hashability():
+    # frozenset({1}) == {1}, but only the first is hashable: the ops are
+    # equal, so they must hash alike and a set must keep one of them.
+    a = SemanticOp("insert", "k", {"value": frozenset({1})})
+    b = SemanticOp("insert", "k", {"value": {1}})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 # -- compact parameters -------------------------------------------------------
 
 def test_params_read_like_the_dict_they_were_built_from():

@@ -11,7 +11,7 @@ against the mutated copy, fails with ``ProtocolViolation`` — the run-time
 force-before-send check at the send seams (the simulated network's
 ``send``, the TCP transport's ``_write``) — or with the failure the
 mutation names (``expect_failure``: an oracle's, a footprint budget's,
-or ``message flow`` for the recorded-flow test over the engines' receive
+a reader parity's, or ``message flow`` for the recorded-flow test over the engines' receive
 surfaces).  The unmutated copy must stay clean (lint exit 0, every named test passing) to prove the
 harness itself isn't producing the failures.
 
@@ -417,6 +417,22 @@ MUTATIONS = [
             "test_a_kept_spec_costs_what_it_says"
         ),
         expect_failure="spec footprint",
+    ),
+    Mutation(
+        name="event-report-skips-lock-releases",
+        # the event-stream reader drops every lock hold: a cluster's
+        # report would show no lock-hold time at all
+        paths=("repro/obs/metrics.py",),
+        replacements=((
+            "            holds.append(event.held)\n",
+            "            pass\n",
+        ),),
+        append="",
+        expect_test=(
+            "tests/obs/test_metrics.py::TestStreamingParity::"
+            "test_sums_and_means_exact"
+        ),
+        expect_failure="metrics parity",
     ),
 ]
 
