@@ -3,7 +3,7 @@
 A :class:`Finding` is one rule violation: a stable rule identifier
 (``family/rule-name``), a severity, a location pointer (a source
 ``file:line``), a human message, and the fact the rule protects (a paper
-section, checker replay, event-loop liveness, ...).
+section, checker replay, ...).
 
 Findings are plain data — analyzers return lists of them, the runner sorts
 and renders them — so the same results drive the human output, ``--json``,
@@ -27,7 +27,7 @@ class Severity(enum.Enum):
 class Finding:
     """One rule violation discovered statically."""
 
-    #: stable rule id, ``family/rule-name`` (e.g. ``flow/rt-durability-gate``)
+    #: stable rule id, ``family/rule-name`` (e.g. ``determinism/wall-clock``)
     rule: str
     severity: Severity
     #: ``path:line`` (or ``path:symbol``) of the offending source

@@ -1,7 +1,7 @@
-"""The ``repro lint`` runner: every analyzer family over one source tree.
+"""The ``repro lint`` runner: the determinism family over one source tree.
 
-``run_all`` runs each AST family over the package's own source tree (or
-``--root``) and returns a :class:`LintReport` whose findings are in a
+``run_all`` runs the determinism family over the package's own source
+tree (or ``--root``) and returns a :class:`LintReport` whose findings are in a
 deterministic order.  Rendering is split out so the CLI, the CI job, and
 the tests consume the same report object.
 
@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.blocking import analyze_rt_blocking, analyze_rt_gate
 from repro.analysis.determinism import analyze_tree
 from repro.analysis.findings import Finding, sort_findings
 
@@ -41,15 +40,11 @@ def default_root() -> Path:
 
 
 def run_all(root: Path | None = None) -> LintReport:
-    """Run every analyzer family; findings come back deterministically
+    """Run the determinism family; findings come back deterministically
     sorted."""
     scan_root = root if root is not None else default_root()
 
-    findings: list[Finding] = []
-    findings.extend(analyze_tree(scan_root))
-    findings.extend(analyze_rt_gate(scan_root))
-    findings.extend(analyze_rt_blocking(scan_root))
-
+    findings = analyze_tree(scan_root)
     stats = {"files_scanned": len(list(scan_root.rglob("*.py")))}
     return LintReport(findings=sort_findings(findings), stats=stats)
 

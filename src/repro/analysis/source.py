@@ -1,7 +1,7 @@
-"""Shared AST plumbing for the source-level analyzers.
+"""AST plumbing for the determinism lint.
 
 Parsing, deterministic file discovery, and a small import-aware name
-resolver: ``resolve_call_name`` maps an attribute chain or bare name back
+resolver: ``resolve_name`` maps an attribute chain or bare name back
 to the fully-qualified dotted name it refers to, honoring ``import x as
 y`` and ``from x import y as z`` aliases collected from anywhere in the
 module (function-local imports included).

@@ -15,8 +15,7 @@ Commands:
   coordinator-crash drill: one deterministic table of blocking time,
   lock-hold tail, abort and compensation rates and messages per
   transaction (``--vote-timeout`` sweeps the collection timeout);
-* ``lint`` — the static analyzers over the sources: determinism, and
-  the runtime's event-loop blocking and socket-write seam — zero
+* ``lint`` — the static determinism lint over the sources — zero
   schedules executed, exit 1 on findings;
 * ``serve`` — run one site as a real daemon over TCP (the ``net``
   backend): the unmodified Participant state machine with a file-backed
@@ -72,11 +71,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _observed_run(args: argparse.Namespace) -> tuple[System, "WorkloadGenerator"]:
-    """A system with observability on plus its (unrun) workload generator."""
+def _workload_run(
+    args: argparse.Namespace, observability: bool,
+) -> tuple[System, "WorkloadGenerator"]:
+    """A system plus its (unrun) workload generator."""
     system = System(SystemConfig(
         n_sites=args.sites, scheme=CommitScheme[args.scheme],
-        protocol=args.protocol, seed=args.seed, observability=True,
+        protocol=args.protocol, seed=args.seed, observability=observability,
     ))
     gen = WorkloadGenerator(system, WorkloadConfig(
         n_transactions=args.transactions, abort_probability=0.2,
@@ -93,7 +94,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     and primitive fields; the JSON encoding uses sorted keys and fixed
     separators).
     """
-    system, gen = _observed_run(args)
+    system, gen = _workload_run(args, observability=True)
     gen.run()
     text = system.obs.jsonl()
     if args.out:
@@ -145,7 +146,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """
     if args.cluster:
         return _metrics_net(args)
-    system, gen = _observed_run(args)
+    # The report reads the logs: no event is recorded for it.
+    system, gen = _workload_run(args, observability=False)
     env = system.env
     if args.watch:
         system.submit_stream(
@@ -284,11 +286,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """Run the static analyzers; exit 1 when any rule fires.
-
-    Two families (see ``docs/ANALYSIS.md``): the determinism lint over
-    ``src/repro``, and over ``repro.rt`` the event-loop blocking-call
-    analyzer and the socket-write seam.  Only source files are read:
+    """Run the determinism lint over ``src/repro``; exit 1 when any rule
+    fires (see ``docs/ANALYSIS.md``).  Only source files are read:
     nothing is imported or executed.
     """
     from pathlib import Path
@@ -500,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="static determinism, write-seam and blocking analyzers",
+        help="static determinism lint",
     )
     lint.add_argument("--json", action="store_true",
                       help="machine-readable report (stable key order)")

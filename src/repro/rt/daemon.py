@@ -175,7 +175,7 @@ class SiteDaemon:
             # load() logs an unforced checkpoint; this fsync makes the
             # initial contents durable so a restart restores them.
             # Boot path: nothing is being served yet, blocking is harmless.
-            self.site.wal.sync()  # lint: allow-blocking
+            self.site.wal.sync()
         else:
             # Served meanwhile, a submission is refused (as a dead daemon
             # refuses its connection) until host.recover() below.
@@ -230,7 +230,7 @@ class SiteDaemon:
             await self.transport.flush()  # what the last turn told
         await (self._hang_up or self.transport.close())
         # Shutdown path: the transport is closed, nothing left to starve.
-        self.site.wal.close()  # lint: allow-blocking
+        self.site.wal.close()
         if self.obs_sink is not None:
             self.obs_sink.close()
         if failure is not None:

@@ -40,5 +40,5 @@ class GroupCommitFlusher:
         if self.wal.needs_sync:
             # THE designated fsync site: every other force point coalesces
             # behind this barrier instead of blocking its handler.
-            self.forces_covered += self.wal.sync()  # lint: allow-blocking
+            self.forces_covered += self.wal.sync()
             self.groups += 1

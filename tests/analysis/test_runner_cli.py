@@ -41,14 +41,14 @@ class TestRunner:
 
     def test_findings_render_with_anchor(self):
         f = Finding(
-            "flow/rt-durability-gate", Severity.ERROR,
-            "commit/participant.py:7", "VOTE before its force",
-            anchor="Section 4",
+            "determinism/wall-clock", Severity.ERROR,
+            "commit/participant.py:7", "call to time.time()",
+            anchor="checker replay",
         )
         text = f.render()
         assert "ERROR" in text
         assert "commit/participant.py:7" in text
-        assert "[Section 4]" in text
+        assert "[checker replay]" in text
 
 
 class TestCli:
@@ -78,34 +78,17 @@ class TestCli:
         assert "1 finding(s)" in out
 
     def test_lint_root_points_ast_families_elsewhere(self, tmp_path, capsys):
-        # A minimal fake tree: the runtime files the write-seam rule reads
-        # and one module with a wall-clock leak — proves --root rescans,
-        # and the exit code gates.
+        # A one-module fake tree with a wall-clock leak: proves --root
+        # rescans, and the exit code gates.
         (tmp_path / "commit").mkdir()
-        (tmp_path / "rt").mkdir()
         (tmp_path / "commit" / "participant.py").write_text(
             "import time\n"
             "class Participant:\n"
             "    WALL = time.time()\n"
         )
-        (tmp_path / "rt" / "daemon.py").write_text(
-            "class SiteDaemon:\n"
-            "    def boot(self):\n"
-            "        self.transport.durability_gate = gate\n"
-        )
-        (tmp_path / "rt" / "transport.py").write_text(
-            "class TcpTransport:\n"
-            "    async def flush(self):\n"
-            "        await self.durability_gate()\n"
-            "        self._write(link, batch)\n"
-            "    def _write(self, link, messages):\n"
-            "        link.writer.write(b'')\n"
-        )
         assert main(["lint", "--root", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "determinism/wall-clock" in out
-        # only the seeded leak fires — the runtime rules are clean on
-        # this tree
         assert "1 finding(s)" in out
 
 

@@ -138,6 +138,18 @@ def test_metrics_watch_prints_snapshots(capsys):
     assert sum(map(int, deltas)) == int(final.group(1)) > 0
 
 
+def test_metrics_records_no_events(capsys, monkeypatch):
+    # The report reads the logs, so the metrics verb records no event.
+    from repro import cli
+
+    built, real = [], cli.System
+    monkeypatch.setattr(cli, "System", lambda c: built.append(real(c)) or built[-1])
+    for argv in (["metrics"], ["metrics", "--watch"], ["trace"]):
+        run_cli(capsys, *argv, "--transactions", "4", "--seed", "0")
+    metrics, watch, trace = (len(s.events()) for s in built)
+    assert metrics == watch == 0 < trace
+
+
 def test_metrics_rejects_nonpositive_window():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["metrics", "--window", "0"])

@@ -11,9 +11,13 @@ against the mutated copy, fails with ``ProtocolViolation`` — the run-time
 force-before-send check at the send seams (the simulated network's
 ``send``, the TCP transport's ``_write``) — or with the failure the
 mutation names (``expect_failure``: an oracle's, a footprint budget's,
-a reader parity's, or ``message flow`` for the recorded-flow test over the engines' receive
-surfaces).  The unmutated copy must stay clean (lint exit 0, every named test passing) to prove the
-harness itself isn't producing the failures.
+a reader parity's, ``message flow`` for the recorded-flow test over the
+engines' receive surfaces, or the loop guard's ``blocking call on the
+event loop`` for a blocking call or a stray socket write on a daemon's
+event loop).  The unmutated copy must stay clean (lint exit 0, every
+named test passing) to prove the harness itself isn't producing the
+failures.  Each pytest run is bounded by :data:`TIMEOUT`: a mutation
+whose test hangs is reported ``not caught (timed out)``.
 
 Run from the repo root: ``python tools/lint_mutation_check.py``
 """
@@ -41,6 +45,15 @@ _VIOLATION = "ProtocolViolation"
 
 #: the prefix of every message-flow test failure
 _FLOW = "message flow"
+
+#: the prefix of every loop guard failure (``tests/loop_guard.py``)
+_LOOP = "blocking call on the event loop"
+
+#: seconds one pytest run may take before its mutation counts as missed
+TIMEOUT = 300
+
+#: the daemon tests the loop guard's mutations name
+_ROUND_TRIP = "tests/rt/test_daemon.py::TestDaemonRoundTrip::"
 
 
 @dataclass(frozen=True)
@@ -158,11 +171,8 @@ MUTATIONS = [
     Mutation(
         name="inject-sync-fsync",
         # a bare fsync in the receive path stalls the daemon's event loop
-        # on every frame.  Half of a hop is a plain callback now (the
-        # connection's data_received delivers straight to the inboxes), so
-        # this is caught only while protocol methods seed the analysis
-        # (the group-commit barrier's wal.sync() stays the one designated
-        # fsync site)
+        # on every frame (the group-commit barrier's wal.sync() stays the
+        # one designated fsync site)
         paths=("repro/rt/transport.py",),
         replacements=(
             ("from __future__ import annotations",
@@ -174,13 +184,16 @@ MUTATIONS = [
             ),
         ),
         append="",
-        expect_rule="blocking/sync-fsync",
+        expect_test=_ROUND_TRIP + "test_transfer_commits_across_sockets",
+        expect_failure=_LOOP,
     ),
     Mutation(
         name="inject-sync-sleep",
         # this and the next two block inside RealtimePump.wait_for, the
         # coroutine a caller awaits its transaction in: the call succeeds,
-        # and every connection on the loop waits for it
+        # and every connection on the loop waits for it.  A restart awaits
+        # its recovery there, under SiteDaemon.start, which may fsync but
+        # exempts nothing it calls
         paths=("repro/rt/pump.py",),
         replacements=(
             ("from __future__ import annotations",
@@ -188,7 +201,8 @@ MUTATIONS = [
             (_WAIT_FOR, "        time.sleep(0.001)\n" + _WAIT_FOR),
         ),
         append="",
-        expect_rule="blocking/sync-sleep",
+        expect_test=_ROUND_TRIP + "test_wal_survives_daemon_restart",
+        expect_failure=_LOOP,
     ),
     Mutation(
         name="inject-sync-file-io",
@@ -197,7 +211,8 @@ MUTATIONS = [
             _WAIT_FOR, '        open("/dev/null").close()\n' + _WAIT_FOR,
         ),),
         append="",
-        expect_rule="blocking/sync-file-io",
+        expect_test=_ROUND_TRIP + "test_wal_survives_daemon_restart",
+        expect_failure=_LOOP,
     ),
     Mutation(
         name="inject-subprocess",
@@ -208,7 +223,8 @@ MUTATIONS = [
             (_WAIT_FOR, '        subprocess.run(["true"])\n' + _WAIT_FOR),
         ),
         append="",
-        expect_rule="blocking/subprocess",
+        expect_test=_ROUND_TRIP + "test_wal_survives_daemon_restart",
+        expect_failure=_LOOP,
     ),
     Mutation(
         name="drop-coordinator-host-durability-gate",
@@ -268,14 +284,19 @@ MUTATIONS = [
         # reply skips the barrier and can reveal a DECIDE record the log
         # could still lose
         paths=("repro/rt/daemon.py",),
-        replacements=((
-            "        self.transport.tell(link, {\"kind\": \"told\", \"txn\": "
-            "txn_id, **body}, covers)\n",
-            "        link.writer.write(encode_frame({\"kind\": \"told\", "
-            "\"txn\": txn_id, **body}))\n",
-        ),),
+        replacements=(
+            ("from repro.rt.wire import WireError,",
+             "from repro.rt.wire import WireError, encode_frame,"),
+            (
+                "        self.transport.tell(link, {\"kind\": \"told\", "
+                "\"txn\": txn_id, **body}, covers)\n",
+                "        link.writer.write(encode_frame({\"kind\": \"told\", "
+                "\"txn\": txn_id, **body}))\n",
+            ),
+        ),
         append="",
-        expect_rule="flow/rt-durability-gate",
+        expect_test=_ROUND_TRIP + "test_transfer_commits_across_sockets",
+        expect_failure=_LOOP,
     ),
     Mutation(
         name="register-base-participant-for-paxos",
@@ -434,6 +455,23 @@ MUTATIONS = [
         ),
         expect_failure="metrics parity",
     ),
+    Mutation(
+        name="inject-acceptor-file-io",
+        # synchronous file IO in the Paxos acceptor's accept handler: it
+        # runs on the daemon's loop although it lives outside rt/
+        paths=("repro/protocols/acceptor.py",),
+        replacements=((
+            "    def _handle_accept(self, msg: Message) -> None:\n",
+            "    def _handle_accept(self, msg: Message) -> None:\n"
+            "        open(\"/dev/null\").close()\n",
+        ),),
+        append="",
+        expect_test=(
+            "tests/rt/test_daemon.py::TestCompetitorSchemesOverSockets::"
+            "test_paxos_commits_over_sockets"
+        ),
+        expect_failure=_LOOP,
+    ),
 ]
 
 
@@ -450,13 +488,17 @@ def run_lint(src_dir: Path) -> tuple[int, dict]:
     return proc.returncode, json.loads(proc.stdout)
 
 
-def run_tests(checkout: Path, nodes: list[str]) -> tuple[int, str]:
-    """Run pytest ``nodes`` in ``checkout`` (a src/ copy plus the tests)."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *nodes],
-        capture_output=True, text=True, cwd=checkout,
-    )
+def run_tests(checkout: Path, nodes: list[str]) -> tuple[int | None, str]:
+    """Run pytest ``nodes`` in ``checkout`` (a src/ copy plus the tests);
+    exit code None when the run outlasts :data:`TIMEOUT`."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider", *nodes],
+            capture_output=True, text=True, cwd=checkout, timeout=TIMEOUT,
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT} s"
     return proc.returncode, proc.stdout + proc.stderr
 
 
@@ -494,6 +536,8 @@ def caught(root: Path, mutation: Mutation) -> tuple[bool, str]:
     """Whether the mutated checkout at ``root`` fails as expected."""
     if mutation.expect_test is not None:
         code, output = run_tests(root, [mutation.expect_test])
+        if code is None:
+            return False, "timed out"
         if code == 1 and mutation.expect_failure in output:
             return True, f"{mutation.expect_test} ({mutation.expect_failure})"
         return False, f"{mutation.expect_test} exit {code}"
@@ -530,7 +574,7 @@ def main() -> int:
                 print(f"{mutation.name}: caught by {detail}")
             else:
                 failures.append(mutation.name)
-                print(f"{mutation.name}: NOT CAUGHT ({detail})")
+                print(f"{mutation.name}: not caught ({detail})")
 
     if failures:
         print(f"\n{len(failures)} mutation(s) survived: {failures}")
